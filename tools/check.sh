@@ -10,11 +10,16 @@
 # re-solve results drift from the scalar/sequential reference by even
 # one ulp), then the perf-smoke gates: fast runs that fail when the
 # dense and revised simplex engines disagree, the warm start stops
-# saving pivots, the batched panel stops being bitwise-identical, or
+# saving pivots, the batched panel stops being bitwise-identical, the
+# nucleolus stops skipping its provably redundant LPs, or
 # the serve layer's incremental re-solve stops beating a cold
 # re-tabulation, then the crash-recovery gate (tools/crash_check.sh:
 # SIGKILL the serve CLI at every epoch and require the resumed answer
-# to be byte-identical), and finally a 10-second differential LP fuzz run
+# to be byte-identical), the end-to-end benchmark's self-test
+# (perfbench/run.py --self-test: every workload for a few ops, every
+# declared metric printed, and corrupted outputs — a dropped nucleolus
+# row, shares not summing to 1, a stale serve answer — all rejected),
+# and finally a 10-second differential LP fuzz run
 # (tools/fuzz_lp) that cross-checks the engines and their
 # optimality/Farkas certificates on random instances.
 #
@@ -40,7 +45,7 @@ cmake -S "$root" -B "$root/build-tsan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DFEDSHARE_SANITIZE=thread
 cmake --build "$root/build-tsan" -j "$jobs" --target fedshare_tests
 ctest --test-dir "$root/build-tsan" -j "$jobs" --output-on-failure \
-  -R 'ExecTest|LpSweep|LatticeProperty|SymmetryProperty|NucleolusQuotient|ServeStateTest|ServeChaosTest|ServeDurabilityTest|StructureParallelTest'
+  -R 'ExecTest|LpSweep|LatticeProperty|SymmetryProperty|NucleolusQuotient|NucleolusFilters|ServeStateTest|ServeChaosTest|ServeDurabilityTest|StructureParallelTest'
 
 echo "== batched sweep + SIMD lattice smoke (bitwise vs sequential/scalar) =="
 ctest --test-dir "$root/build" -j "$jobs" --output-on-failure \
@@ -54,7 +59,7 @@ echo "== quotient smoke (symmetry quotient vs full sweep) =="
 cmake --build "$root/build" -j "$jobs" --target perf_quotient
 "$root/build/bench/perf_quotient" --smoke
 
-echo "== nucleolus smoke (orbit-row quotient vs dense formulation) =="
+echo "== nucleolus smoke (quotient vs dense, LP-ratio and certification gates) =="
 cmake --build "$root/build" -j "$jobs" --target perf_nucleolus
 "$root/build/bench/perf_nucleolus" --smoke
 
@@ -69,6 +74,9 @@ cmake --build "$root/build" -j "$jobs" --target perf_serve
 echo "== crash recovery (SIGKILL at every epoch, bitwise resume) =="
 cmake --build "$root/build" -j "$jobs" --target fedshare_cli
 "$root/tools/crash_check.sh" "$root/build"
+
+echo "== end-to-end benchmark self-test (perfbench correctness checks) =="
+(cd "$root" && python3 perfbench/run.py --self-test)
 
 echo "== structure smoke (subset-lattice DP vs brute-force CSG, bitwise) =="
 cmake --build "$root/build" -j "$jobs" --target ablate_structure
