@@ -29,26 +29,23 @@ constexpr double kDualTolMargin = 100.0;
 // rows reduce to exact or near-exact zeros.
 constexpr double kRankTol = 1e-9;
 
-// Dense formulation ceiling: 2^10 - 2 excess rows. Past this the LPs
-// are refused with a pointer at the orbit-row formulation.
-constexpr std::uint64_t kMaxDenseRows = (std::uint64_t{1} << 10) - 2;
+// Dense formulation ceiling in excess rows, for the refusal message.
+constexpr std::uint64_t kMaxDenseRows =
+    (std::uint64_t{1} << kMaxDenseNucleolusPlayers) - 2;
 // Orbit-row formulation ceiling. Generous: typed federations with n in
 // the 20s sit at a few thousand orbit rows.
 constexpr std::uint64_t kMaxOrbitRows = std::uint64_t{1} << 15;
 
 // Warm-started chain over LPs that share one constraint set and differ
-// only in objective (the per-coalition aux-max probes and the per-player
+// only in objective (the per-row aux-max probes and the per-type
 // uniqueness probes of a round). The previous optimum stays primal
 // feasible when only the objective moves, so each re-solve is a pure
 // phase-2 run from the last basis. Revised engine only.
 class ObjectiveChain {
  public:
-  ObjectiveChain(const lp::Problem& prob, const lp::SimplexOptions& options)
-      : solver_(lp::RevisedSimplex(prob, options)) {}
-
   // From an already-built (and possibly row-patched) engine, seeded with
   // the basis a previous chain over the same rows ended on — the
-  // round-to-round warm start of the orbit-row probe chains.
+  // round-to-round warm start of the probe chains.
   ObjectiveChain(const lp::RevisedSimplex& engine, lp::Basis basis)
       : solver_(engine), basis_(std::move(basis)) {}
 
@@ -70,66 +67,6 @@ class ObjectiveChain {
   lp::BatchSolver solver_;
   lp::Basis basis_;
 };
-
-// Shared LP scaffolding for one round of the scheme. Variables are
-// x_0..x_{n-1} and epsilon (all free). `fixed` holds (mask, rhs) pairs
-// meaning x(S) == rhs; `active` holds masks with x(S) + eps >= V(S).
-struct RoundContext {
-  int n = 0;
-  double grand_value = 0.0;
-  const std::vector<double>* values = nullptr;
-  std::vector<std::pair<std::uint64_t, double>> fixed;
-  std::vector<std::uint64_t> active;
-  // One scratch row reused across every add_constraint call: assign()
-  // recycles the capacity, so the 2^n-row rebuilds stop allocating one
-  // vector per coalition.
-  mutable std::vector<double> row_scratch;
-
-  [[nodiscard]] lp::Problem base_problem() const {
-    const auto nv = static_cast<std::size_t>(n);
-    lp::Problem prob(nv + 1, lp::Objective::kMinimize);
-    for (std::size_t i = 0; i <= nv; ++i) prob.set_free(i);
-
-    std::vector<double> eff(nv + 1, 0.0);
-    for (std::size_t i = 0; i < nv; ++i) eff[i] = 1.0;
-    prob.add_constraint(std::move(eff), lp::Relation::kEqual, grand_value);
-
-    for (const auto& [mask, rhs] : fixed) {
-      prob.add_constraint(row_for(mask, 0.0), lp::Relation::kEqual, rhs);
-    }
-    for (const std::uint64_t mask : active) {
-      prob.add_constraint(row_for(mask, 1.0), lp::Relation::kGreaterEqual,
-                          (*values)[mask]);
-    }
-    return prob;
-  }
-
-  [[nodiscard]] const std::vector<double>& row_for(std::uint64_t mask,
-                                                   double eps_coeff) const {
-    row_scratch.assign(static_cast<std::size_t>(n) + 1, 0.0);
-    for (int i = 0; i < n; ++i) {
-      if ((mask >> i) & 1u) row_scratch[static_cast<std::size_t>(i)] = 1.0;
-    }
-    row_scratch[static_cast<std::size_t>(n)] = eps_coeff;
-    return row_scratch;
-  }
-};
-
-// Copy of a round's constraints with eps pinned at its optimum: the
-// shared constraint set of the aux-max tightness probes and of the
-// +/- uniqueness probes (maximize; the caller sets the objective).
-lp::Problem pinned_copy(const lp::Problem& base, double eps) {
-  const std::size_t nv = base.num_variables() - 1;
-  lp::Problem p(nv + 1, lp::Objective::kMaximize);
-  for (std::size_t v = 0; v <= nv; ++v) p.set_free(v);
-  for (const auto& c : base.constraints()) {
-    p.add_constraint(c.coefficients, c.relation, c.rhs);
-  }
-  std::vector<double> pin(nv + 1, 0.0);
-  pin[nv] = 1.0;
-  p.add_constraint(std::move(pin), lp::Relation::kEqual, eps);
-  return p;
-}
 
 // One probe LP over a shared, eps-pinned constraint set: maximizes
 // `objective` warm on `chain` when one is given (revised engine), else
@@ -342,192 +279,35 @@ std::optional<std::vector<char>> tight_rows(
   return tight;
 }
 
-}  // namespace
-
-NucleolusResult nucleolus(const Game& game) {
-  return nucleolus(game, lp::SimplexOptions{});
-}
-
-NucleolusResult nucleolus(const Game& game,
-                          const lp::SimplexOptions& options) {
-  const int n = game.num_players();
-  if (n < 1) {
-    throw std::invalid_argument("nucleolus: need at least one player");
-  }
-  // Row-count guard, not a player-count guard: the dense formulation
-  // carries one excess row per proper coalition.
-  if (n > 63 ||
-      (std::uint64_t{1} << n) - 2 > kMaxDenseRows) {
-    throw std::invalid_argument(
-        "nucleolus: dense formulation needs 2^" + std::to_string(n) +
-        " - 2 excess rows per probe LP (max " +
-        std::to_string(kMaxDenseRows) +
-        "); run the orbit-row quotient formulation instead "
-        "(--symmetry auto/exact, nucleolus_quotient)");
-  }
-  NucleolusResult out;
-  if (n == 1) {
-    out.solved = true;
-    out.allocation = {game.grand_value()};
-    return out;
-  }
-
-  const TabularGame tab = tabulate(game);
-  const std::uint64_t grand = (std::uint64_t{1} << n) - 1;
-
-  RoundContext ctx;
-  ctx.n = n;
-  ctx.grand_value = tab.values()[grand];
-  ctx.values = &tab.values();
-  ctx.active.reserve(grand - 1);
-  for (std::uint64_t mask = 1; mask < grand; ++mask) ctx.active.push_back(mask);
-  out.excess_rows = grand - 1;
-
-  const auto nv = static_cast<std::size_t>(n);
-  std::vector<double> allocation;
-  const bool revised = options.solver == lp::SolverKind::kRevised;
-  // Round-to-round warm start: the variables never change across rounds
-  // (only the row set does), so the previous round's structural statuses
-  // seed the next round's basis through the crash path.
-  lp::Basis round_basis;
-  RankTracker fixed_span(nv);
-  fixed_span.add(std::vector<double>(nv, 1.0));  // efficiency row
-
-  // Each round fixes at least one coalition, so at most 2^n rounds; in
-  // practice the allocation becomes unique after <= n-1 rounds.
-  while (!ctx.active.empty()) {
-    // 1. Least-core step over the remaining coalitions.
-    lp::Problem prob = ctx.base_problem();
-    prob.set_objective_coefficient(nv, 1.0);
-    lp::Solution sol;
-    if (revised) {
-      lp::RevisedSimplex engine(prob, options);
-      sol = engine.solve_from_basis(round_basis);
-      if (sol.optimal()) round_basis = engine.basis();
-    } else {
-      sol = lp::solve(prob, options);
-    }
-    ++out.lps_solved;
-    out.pivots += sol.pivots;
-    if (!sol.optimal()) return out;
-    const double eps = sol.x[nv];
-    out.levels.push_back(eps);
-    allocation.assign(sol.x.begin(), sol.x.begin() + n);
-
-    // 2. A coalition is permanently tight iff x(S) cannot exceed
-    //    V(S) - eps in any optimal solution. tight_rows settles most
-    //    rows from this optimum; the rest are probed by maximizing x(S)
-    //    with eps pinned. All probes of a round share one constraint
-    //    set, so with the revised engine they run as a warm-started
-    //    objective chain over a single instance, built on first use.
-    const std::size_t first_active = 1 + ctx.fixed.size();
-    std::vector<std::size_t> rows(ctx.active.size());
-    for (std::size_t k = 0; k < rows.size(); ++k) rows[k] = first_active + k;
-    std::optional<lp::Problem> aux;
-    std::optional<ObjectiveChain> aux_chain;
-    const auto probe = [&](std::size_t k) {
-      if (!aux.has_value()) {
-        aux.emplace(pinned_copy(prob, eps));
-        if (revised) aux_chain.emplace(*aux, options);
-      }
-      return probe_max(*aux, aux_chain ? &*aux_chain : nullptr,
-                       ctx.row_for(ctx.active[k], 0.0), options, out);
-    };
-    const auto tight = tight_rows(prob, sol, rows, options, out, probe);
-    if (!tight.has_value()) return out;
-    std::vector<std::uint64_t> still_active;
-    bool fixed_any = false;
-    for (std::size_t k = 0; k < ctx.active.size(); ++k) {
-      const std::uint64_t mask = ctx.active[k];
-      if ((*tight)[k] != 0) {
-        ctx.fixed.emplace_back(mask, tab.values()[mask] - eps);
-        fixed_span.add(ctx.row_for(mask, 0.0));
-        fixed_any = true;
-      } else {
-        still_active.push_back(mask);
-      }
-    }
-    ctx.active = std::move(still_active);
-    if (!fixed_any) break;  // numerically stuck; current allocation stands
-
-    // 3. Stop early once the allocation is pinned down: every player's
-    //    payoff range under the fixed constraints is a point. Full rank
-    //    of the fixed equalities decides it without an LP; below full
-    //    rank the ±x_i probes of the players outside their span do.
-    if (!ctx.active.empty()) {
-      if (fixed_span.full()) break;
-      // The probes again share one constraint set; with the revised
-      // engine they warm-start off each other.
-      lp::Problem p = pinned_copy(ctx.base_problem(), eps);
-      std::optional<ObjectiveChain> probe_chain;
-      if (revised) probe_chain.emplace(p, options);
-      if (ranges_are_points(p, probe_chain ? &*probe_chain : nullptr,
-                            fixed_span.unpinned_axes(), allocation, options,
-                            out)) {
-        break;
-      }
-    }
-  }
-
-  out.solved = true;
-  out.allocation = std::move(allocation);
-  return out;
-}
-
-// --- Orbit-row formulation -------------------------------------------------
+// The Maschler scheme on weighted excess rows, one per proper orbit of
+// `index`. Variables are per-type shares x_0..x_{T-1} plus eps, all
+// free. The efficiency row reads sum_t m_t * x_t == V(N); the excess row
+// of a proper orbit c reads sum_t c_t * x_t + eps >= V(c), the
+// multiplicity weights c_t standing in for the prod_t C(m_t, c_t)
+// identical mask rows it replaces. `values` holds V per orbit id, the
+// grand orbit's last. On the all-singletons partition every orbit id is
+// its coalition mask, the weights are the mask bits and every m_t is 1,
+// so the same loop is the dense formulation.
 //
-// Variables are per-type shares x_0..x_{T-1} plus eps, all free. The
-// efficiency row reads sum_t m_t * x_t == V(N); the excess row of a
-// proper orbit c reads sum_t c_t * x_t + eps >= V(c), the multiplicity
-// weights c_t standing in for the prod_t C(m_t, c_t) identical mask
-// rows it replaces. Correctness of running the scheme on orbit rows:
-// (a) the nucleolus of a symmetric game is a symmetric allocation, so
-// restricting to the symmetric subspace (x_i = x_{type(i)}) keeps the
-// true optimum feasible at every round; (b) within that subspace all
-// masks of an orbit carry the same excess, so the lexicographic
-// minimisation over orbit excesses equals the one over mask excesses —
-// duplicating an entry of a multiset does not change which vector
-// lexicographically dominates; (c) the iterative fix-tight-in-every-
-// optimum scheme computes the lexicographic minimiser on any polytope,
-// independently of how many identical rows each constraint represents.
-NucleolusResult nucleolus_quotient(const QuotientGame& game,
-                                   const lp::SimplexOptions& options) {
-  const OrbitIndex& index = game.orbits();
+// Correctness of running the scheme on orbit rows: (a) the nucleolus of
+// a symmetric game is a symmetric allocation, so restricting to the
+// symmetric subspace (x_i = x_{type(i)}) keeps the true optimum feasible
+// at every round; (b) within that subspace all masks of an orbit carry
+// the same excess, so the lexicographic minimisation over orbit
+// excesses equals the one over mask excesses — duplicating an entry of
+// a multiset does not change which vector lexicographically dominates;
+// (c) the iterative fix-tight-in-every-optimum scheme computes the
+// lexicographic minimiser on any polytope, independently of how many
+// identical rows each constraint represents.
+NucleolusResult maschler(const OrbitIndex& index,
+                         const std::vector<double>& values,
+                         const lp::SimplexOptions& options) {
   const PlayerPartition& part = index.partition();
   const int T = index.num_types();
   const std::uint64_t orbits = index.orbit_count();
-  if (orbits < 2) {
-    throw std::invalid_argument("nucleolus_quotient: need at least one player");
-  }
-  const std::uint64_t rows = orbits - 2;
-  if (rows > kMaxOrbitRows) {
-    throw std::invalid_argument(
-        "nucleolus_quotient: " + std::to_string(rows) +
-        " orbit rows exceed the " + std::to_string(kMaxOrbitRows) +
-        "-row ceiling; coarsen the type partition");
-  }
-
   NucleolusResult out;
-  out.excess_rows = rows;
-
-  // Orbit values, budget-degradable: with a ComputeBudget attached each
-  // orbit materialisation charges one unit, and a trip surfaces as
-  // solved == false for the caller's fallback cascade.
-  std::vector<double> values;
-  if (options.budget != nullptr) {
-    auto budgeted = game.orbit_values_budgeted(*options.budget);
-    if (!budgeted.has_value()) return out;
-    values = std::move(*budgeted);
-  } else {
-    values = game.orbit_values();
-  }
+  out.excess_rows = orbits - 2;
   const double grand_value = values[static_cast<std::size_t>(orbits - 1)];
-
-  if (game.num_players() == 1) {
-    out.solved = true;
-    out.allocation = {grand_value};
-    return out;
-  }
 
   const auto tv = static_cast<std::size_t>(T);  // eps lives at index tv
   const bool revised = options.solver == lp::SolverKind::kRevised;
@@ -536,7 +316,7 @@ NucleolusResult nucleolus_quotient(const QuotientGame& game,
   // #k is constraint 1 + k in both problems (row 0 is efficiency), and
   // the probe problem appends the eps-pin row last.
   std::vector<std::uint64_t> proper;
-  proper.reserve(static_cast<std::size_t>(rows));
+  proper.reserve(static_cast<std::size_t>(out.excess_rows));
   for (std::uint64_t o = 1; o + 1 < orbits; ++o) proper.push_back(o);
   std::vector<char> active(proper.size(), 1);
 
@@ -672,8 +452,8 @@ NucleolusResult nucleolus_quotient(const QuotientGame& game,
 
     // 3. Uniqueness on the patched rows (eps still pinned): full rank of
     //    the fixed equalities decides it without an LP; below full rank
-    //    at most 2T probes instead of 2n — one +/- pair per type outside
-    //    the fixed rows' span.
+    //    at most 2T probes — one +/- pair per type outside the fixed
+    //    rows' span.
     if (num_active > 0) {
       if (fixed_span.full()) break;
       std::optional<ObjectiveChain> probe_chain;
@@ -691,6 +471,76 @@ NucleolusResult nucleolus_quotient(const QuotientGame& game,
   out.solved = true;
   out.allocation = expand_type_values(part, per_type);
   return out;
+}
+
+}  // namespace
+
+NucleolusResult nucleolus(const Game& game) {
+  return nucleolus(game, lp::SimplexOptions{});
+}
+
+NucleolusResult nucleolus(const Game& game,
+                          const lp::SimplexOptions& options) {
+  const int n = game.num_players();
+  if (n < 1) {
+    throw std::invalid_argument("nucleolus: need at least one player");
+  }
+  // The dense formulation carries one excess row per proper coalition.
+  if (!dense_nucleolus_fits(n)) {
+    throw std::invalid_argument(
+        "nucleolus: dense formulation needs 2^" + std::to_string(n) +
+        " - 2 excess rows per probe LP (max " +
+        std::to_string(kMaxDenseRows) +
+        "); run the orbit-row quotient formulation instead "
+        "(--symmetry auto/exact, nucleolus_quotient)");
+  }
+  if (n == 1) {
+    NucleolusResult out;
+    out.solved = true;
+    out.allocation = {game.grand_value()};
+    return out;
+  }
+  // The all-singletons partition: one orbit per coalition mask.
+  return maschler(OrbitIndex(PlayerPartition::identity(n)),
+                  tabulate(game).values(), options);
+}
+
+NucleolusResult nucleolus_quotient(const QuotientGame& game,
+                                   const lp::SimplexOptions& options) {
+  const OrbitIndex& index = game.orbits();
+  const std::uint64_t orbits = index.orbit_count();
+  if (orbits < 2) {
+    throw std::invalid_argument("nucleolus_quotient: need at least one player");
+  }
+  const std::uint64_t rows = orbits - 2;
+  if (rows > kMaxOrbitRows) {
+    throw std::invalid_argument(
+        "nucleolus_quotient: " + std::to_string(rows) +
+        " orbit rows exceed the " + std::to_string(kMaxOrbitRows) +
+        "-row ceiling; coarsen the type partition");
+  }
+
+  NucleolusResult out;
+  out.excess_rows = rows;
+
+  // Orbit values, budget-degradable: with a ComputeBudget attached each
+  // orbit materialisation charges one unit, and a trip surfaces as
+  // solved == false for the caller's fallback cascade.
+  std::vector<double> values;
+  if (options.budget != nullptr) {
+    auto budgeted = game.orbit_values_budgeted(*options.budget);
+    if (!budgeted.has_value()) return out;
+    values = std::move(*budgeted);
+  } else {
+    values = game.orbit_values();
+  }
+
+  if (game.num_players() == 1) {
+    out.solved = true;
+    out.allocation = {values[static_cast<std::size_t>(orbits - 1)]};
+    return out;
+  }
+  return maschler(index, values, options);
 }
 
 NucleolusResult nucleolus(const Game& game, const PlayerPartition& partition,

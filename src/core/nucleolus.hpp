@@ -26,19 +26,20 @@
 // Each step reaches the decision the per-row LP would, so the fixed
 // set, every round's LP, and the result are the unfiltered scheme's.
 //
-// Two formulations share the scheme:
-//  * dense      — one excess row per coalition mask (2^n - 2 rows), the
-//    historical path; refuses games past 2^10 rows.
-//  * orbit-row  — for games symmetric under a PlayerPartition, one excess
-//    row per *orbit* with multiplicity weights: variables are per-type
-//    shares x_t, the row of orbit c reads sum_t c_t * x_t + eps >= V(c),
-//    and the whole probe chain runs on prod_t (m_t + 1) - 2 rows. The
-//    nucleolus of a symmetric game is symmetric (swapping two same-type
-//    players permutes the excess multiset, and the nucleolus is unique),
-//    so restricting the LPs to the symmetric subspace loses nothing and
-//    the per-type optimum expands to the per-player allocation with
-//    members of a type sharing equally. Raises the ceiling from n = 10
-//    to typed federations bounded only by orbit count.
+// One loop runs the scheme, over weighted excess rows: one row per
+// *orbit* of a PlayerPartition, with per-type share variables x_t and
+// the row of orbit c reading sum_t c_t * x_t + eps >= V(c).
+//  * dense      — nucleolus(game) runs it on the all-singletons
+//    partition, where every orbit is a coalition mask and the weights
+//    are its bits: 2^n - 2 rows, refused past dense_nucleolus_fits.
+//  * orbit-row  — nucleolus_quotient runs it on the partition of a
+//    symmetric game: prod_t (m_t + 1) - 2 rows. The nucleolus of a
+//    symmetric game is symmetric (swapping two same-type players
+//    permutes the excess multiset, and the nucleolus is unique), so
+//    restricting the LPs to the symmetric subspace loses nothing and the
+//    per-type optimum expands to the per-player allocation with members
+//    of a type sharing equally. Bounded only by orbit count, it lifts
+//    the ceiling from n = 10 to larger typed federations.
 #pragma once
 
 #include <cstdint>
@@ -63,10 +64,20 @@ struct NucleolusResult {
   std::uint64_t pivots = 0;
 };
 
+/// Player ceiling of the dense formulation: n players carry 2^n - 2
+/// excess rows per probe LP, so 10 players carry 1022.
+inline constexpr int kMaxDenseNucleolusPlayers = 10;
+
+/// True when nucleolus(game) accepts an n-player game by size (it still
+/// needs n >= 1). Past the ceiling only the orbit-row formulation runs.
+[[nodiscard]] constexpr bool dense_nucleolus_fits(int n) noexcept {
+  return n <= kMaxDenseNucleolusPlayers;
+}
+
 /// Computes the nucleolus on the dense formulation (one excess row per
-/// coalition). Guarded by row count: games needing more than 2^10 - 2
-/// excess rows (n > 10) are refused with a message pointing at the
-/// orbit-row formulation (--symmetry auto/exact).
+/// coalition). Games past dense_nucleolus_fits (n > 10) are refused with
+/// a message pointing at the orbit-row formulation (--symmetry
+/// auto/exact).
 [[nodiscard]] NucleolusResult nucleolus(const Game& game);
 
 /// Variant threading solver options (in particular a ComputeBudget)
@@ -87,9 +98,10 @@ struct NucleolusResult {
     const QuotientGame& game, const lp::SimplexOptions& options = {});
 
 /// Dispatch: the orbit-row formulation when `partition` is non-trivial,
-/// the dense formulation otherwise (an all-singletons partition quotients
-/// nothing — every orbit is a mask — so dense is the faster identical
-/// answer).
+/// the dense formulation otherwise. Both run the same loop; an
+/// all-singletons partition quotients nothing, so the dense entry point
+/// reads the tabulated game directly instead of the orbit value cache,
+/// and a ComputeBudget pays for LP pivots only, not one unit per orbit.
 [[nodiscard]] NucleolusResult nucleolus(const Game& game,
                                         const PlayerPartition& partition,
                                         const lp::SimplexOptions& options);

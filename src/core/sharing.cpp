@@ -133,10 +133,10 @@ std::vector<SchemeOutcome> compare_schemes(
   push(Scheme::kEqual, equal_shares(n));
   // Nucleolus: the orbit-row quotient formulation when a non-trivial
   // partition certifies interchangeable players (scales with orbit
-  // count), the dense 2^n-row formulation otherwise (n <= 10 only).
-  // The all-singletons fallback keeps this overload byte-identical to
-  // the partition-less one: every orbit is a mask, so quotienting
-  // saves nothing.
+  // count), the dense 2^n-row formulation otherwise (within
+  // dense_nucleolus_fits only). Both run the same loop; the
+  // all-singletons fallback keeps this overload byte-identical to the
+  // partition-less one.
   if (partition != nullptr && !partition->is_trivial()) {
     const QuotientGame quotient(tab, *partition);
     const NucleolusResult r = nucleolus_quotient(quotient, lp_options);
@@ -165,7 +165,7 @@ std::vector<SchemeOutcome> compare_schemes(
       }
     }
     push(Scheme::kNucleolus, std::move(shares));
-  } else if (n <= 10) {
+  } else if (dense_nucleolus_fits(n)) {
     push(Scheme::kNucleolus, nucleolus_shares(tab, lp_options));
   }
   push(Scheme::kBanzhaf, banzhaf_index(tab));

@@ -204,10 +204,11 @@ ResilientSchemes compare_schemes_impl(
   // Nucleolus: the orbit-row quotient formulation when a non-trivial
   // partition certifies interchangeable players (no n ceiling — rows
   // scale with orbit count), the dense 2^n-row formulation otherwise
-  // (n <= 10 only). Budget trips in either path degrade to a note.
+  // (within game::dense_nucleolus_fits only). Both run the same loop,
+  // and budget trips in either path degrade to a note.
   const bool quotient_nucleolus =
       partition != nullptr && !partition->is_trivial();
-  if (quotient_nucleolus || n <= 10) {
+  if (quotient_nucleolus || game::dense_nucleolus_fits(n)) {
     if (tab == nullptr) {
       out.notes.emplace_back(
           "nucleolus: skipped (coalition table unavailable under deadline)");

@@ -1,11 +1,14 @@
 // Reference nucleolus: the classical Maschler loops with no tightness
 // filters. Every round runs one aux-max LP for every active excess row
-// and the +/- uniqueness probes for every share variable, exactly the
-// scheme core/nucleolus.cpp implemented before its filters. Kept out of
-// the library: the differential test (tests/test_nucleolus_filters.cpp)
-// requires the filtered scheme to match it bitwise, and
-// bench/perf_nucleolus reports its LP and pivot counts as the
-// unfiltered baseline.
+// and the +/- uniqueness probes for every share variable. Kept out of
+// the library. The orbit-row loop has the row layout core/nucleolus.cpp
+// runs for both of its entry points (the dense one on the
+// all-singletons partition), so the differential test
+// (tests/test_nucleolus_filters.cpp) requires the filtered scheme to
+// match it bitwise. The mask-row loop is the historical dense layout,
+// which rebuilds each round's LP with the fixed rows first; it stays as
+// an oracle within 1e-12 * scale, and bench/perf_nucleolus reports its
+// LP and pivot counts as the unfiltered dense baseline.
 #pragma once
 
 #include "core/game.hpp"

@@ -75,6 +75,19 @@ TEST(GoldenTest, PlanetlabStructureReportMatchesSnapshot) {
   expect_report_matches("planetlab", "planetlab_structure", options);
 }
 
+// A typed n = 8 federation: the default report runs the nucleolus on
+// all 2^8 - 2 coalition rows, the --symmetry exact report on the 3^4
+// orbit rows of its four facility types. Both pin the nucleolus row.
+TEST(GoldenTest, Typed8ReportMatchesSnapshot) {
+  expect_report_matches("typed8");
+}
+
+TEST(GoldenTest, Typed8SymmetryReportMatchesSnapshot) {
+  fedshare::cli::ReportOptions options;
+  options.symmetry = fedshare::game::SymmetryMode::kExact;
+  expect_report_matches("typed8", "typed8_symmetry", options);
+}
+
 TEST(GoldenTest, ServeDemoEventFileMatchesSnapshot) {
   fedshare::exec::set_threads(1);
   std::ifstream in(repo_path("configs/serve_demo.events"));

@@ -247,6 +247,57 @@ TEST_F(NucleolusQuotientTest, BudgetTripDegrades) {
   }
 }
 
+// A node cap one unit short of what an unbudgeted-size run charges
+// admits the first least-core LP and trips inside a later LP of the
+// chain: the result degrades to solved == false with no allocation. A
+// cap of exactly that many units returns the unbudgeted answer bit for
+// bit. Both entry points (the quotient path also charges one unit per
+// orbit materialised), both engines.
+TEST_F(NucleolusQuotientTest, BudgetTripInsideLpChainDegrades) {
+  const PlayerPartition partition =
+      PlayerPartition::from_type_of({0, 0, 0, 1, 1, 1});
+  const TabularGame tab = tabulate(typed_game(partition, 99));
+  for (const auto kind : {lp::SolverKind::kDense, lp::SolverKind::kRevised}) {
+    for (const bool quotient : {false, true}) {
+      const auto run = [&](const runtime::ComputeBudget* budget) {
+        lp::SimplexOptions options;
+        options.solver = kind;
+        options.budget = budget;
+        if (!quotient) return nucleolus(tab, options);
+        const QuotientGame fresh(tab, partition);  // empty orbit cache
+        return nucleolus_quotient(fresh, options);
+      };
+      const std::string what = std::string(lp::to_string(kind)) +
+                               (quotient ? " quotient" : " dense");
+      const NucleolusResult want = run(nullptr);
+      ASSERT_TRUE(want.solved) << what;
+      ASSERT_GT(want.lps_solved, 1u) << what;
+
+      const runtime::ComputeBudget meter;
+      ASSERT_TRUE(run(&meter).solved) << what;
+      const std::uint64_t units = meter.used();
+
+      const auto short_cap = runtime::ComputeBudget().cap_nodes(units - 1);
+      const NucleolusResult cut = run(&short_cap);
+      EXPECT_EQ(short_cap.stop_reason(), runtime::StopReason::kNodeCap)
+          << what;
+      EXPECT_FALSE(cut.solved) << what;
+      EXPECT_TRUE(cut.allocation.empty()) << what;
+      EXPECT_FALSE(cut.levels.empty()) << what << ": first LP not admitted";
+
+      const auto exact_cap = runtime::ComputeBudget().cap_nodes(units);
+      const NucleolusResult fits = run(&exact_cap);
+      ASSERT_TRUE(fits.solved) << what;
+      ASSERT_EQ(fits.allocation.size(), want.allocation.size()) << what;
+      for (std::size_t i = 0; i < want.allocation.size(); ++i) {
+        EXPECT_EQ(fits.allocation[i], want.allocation[i])
+            << what << " player " << i;
+      }
+      EXPECT_EQ(fits.levels, want.levels) << what;
+    }
+  }
+}
+
 // With an untripped budget the resilient cascade takes the quotient
 // path and reports its telemetry.
 TEST_F(NucleolusQuotientTest, ResilientCascadeUsesQuotientPath) {

@@ -24,9 +24,13 @@ mkdir -p "$root/tests/golden"
 "$cli" "$root/configs/planetlab.ini" > "$root/tests/golden/planetlab.txt"
 "$cli" --structure optimal "$root/configs/planetlab.ini" \
   > "$root/tests/golden/planetlab_structure.txt"
+"$cli" "$root/configs/typed8.ini" > "$root/tests/golden/typed8.txt"
+"$cli" --symmetry exact "$root/configs/typed8.ini" \
+  > "$root/tests/golden/typed8_symmetry.txt"
 "$cli" --serve "$root/configs/serve_demo.events" \
   > "$root/tests/golden/serve_demo.txt"
 
-for f in sec41 planetlab planetlab_structure serve_demo; do
+for f in sec41 planetlab planetlab_structure typed8 typed8_symmetry \
+    serve_demo; do
   echo "updated tests/golden/$f.txt"
 done
