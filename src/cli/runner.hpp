@@ -75,7 +75,10 @@
 //                            defection-proofness). `off` (the default)
 //                            leaves the output untouched.
 //
-// Without any flag the output is byte-identical to previous releases.
+// Every flag combination runs the same report body. A report that
+// leaves a scheme out (a budget trip, or the nucleolus past the dense
+// ceiling without --symmetry) says why in a Resilience section, and the
+// CLI exits 3.
 #pragma once
 
 #include <cstdint>
@@ -92,8 +95,8 @@
 
 namespace fedshare::cli {
 
-/// Resilience knobs for run_report. Default-constructed options select
-/// the original (non-degradable) code path with unchanged output.
+/// Knobs for run_report. Default-constructed options give the plain
+/// report: unlimited budget, no optional sections.
 struct ReportOptions {
   /// Compute budget for the exponential solvers (tabulation, exact
   /// Shapley, nucleolus LPs). Unset = unlimited.
@@ -108,10 +111,10 @@ struct ReportOptions {
   /// warm-started chains. Both produce the same shares to within the
   /// report's printed precision.
   lp::SolverKind lp_solver = lp::SolverKind::kDense;
-  /// Verification level (--verify). kOff leaves every code path — and
-  /// the output — untouched; kCheap appends a Verification section with
-  /// the game/outcome audits; kFull additionally certifies every LP
-  /// solve through the verification cascade.
+  /// Verification level (--verify). kOff runs no audit; kCheap appends
+  /// a Verification section with the game/outcome audits; kFull
+  /// additionally certifies every LP solve through the verification
+  /// cascade.
   verify::VerifyLevel verify = verify::VerifyLevel::kOff;
   /// Symmetry quotient (--symmetry, see core/symmetry.hpp). kOff (the
   /// default) keeps the historical per-mask tabulation and output;
@@ -127,11 +130,12 @@ struct ReportOptions {
   structure::StructureMode structure = structure::StructureMode::kOff;
   /// --cache-stats: append a Value cache section with the federation
   /// memo's counters (entries, hits/misses, invalidations, and the
-  /// write-combining telemetry). Off by default, so the report stays
-  /// byte-identical; deliberately NOT part of any() — the flag only
-  /// appends a footer and must not reroute onto the resilient path.
+  /// write-combining telemetry). Off by default. Not part of any():
+  /// the footer does not call for a Resilience section.
   bool cache_stats = false;
 
+  /// True when a deadline or outage scenarios were requested, which
+  /// always prints the Resilience section.
   [[nodiscard]] bool any() const noexcept {
     return deadline_ms.has_value() || outage_scenarios > 0;
   }
@@ -146,22 +150,25 @@ struct ReportOptions {
 /// scheme with core membership. Deterministic text output.
 [[nodiscard]] std::string run_report(const io::Config& config);
 
-/// Report with resilience options. With default options this is exactly
-/// run_report(config); with a deadline the solvers degrade gracefully
-/// (the report always completes) and a Resilience section is appended;
-/// with outage scenarios an outage-distribution section is appended.
+/// Report with options. With default options this is run_report(config);
+/// with a deadline the solvers degrade gracefully (the report always
+/// completes) and a Resilience section is appended; with outage
+/// scenarios an outage-distribution section is appended.
 [[nodiscard]] std::string run_report(const io::Config& config,
                                      const ReportOptions& options);
 
 /// A report plus degradation telemetry, so callers (the CLI) can turn
-/// "some section degraded under the budget" into a nonzero exit code
-/// and a stderr note instead of silently printing a reduced report.
+/// "some section degraded or some scheme was skipped" into a nonzero
+/// exit code and a stderr note instead of silently printing a reduced
+/// report.
 struct ReportResult {
   std::string text;
-  /// Why the budget tripped (kNone when nothing degraded).
+  /// Why the budget tripped (kNone when nothing degraded, or when only
+  /// the instance's size left a scheme out).
   runtime::StopReason stop = runtime::StopReason::kNone;
-  /// Human-readable names of the degraded sections, report order
-  /// (e.g. "coalition table", "shapley (monte-carlo fallback)").
+  /// Human-readable names of the degraded sections and skipped schemes,
+  /// report order (e.g. "coalition table", "shapley (monte-carlo
+  /// fallback)", "nucleolus").
   std::vector<std::string> degraded_sections;
   [[nodiscard]] bool degraded() const noexcept {
     return !degraded_sections.empty();

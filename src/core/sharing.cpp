@@ -11,6 +11,19 @@
 
 namespace fedshare::game {
 
+namespace {
+
+// Nucleolus payoffs as shares of V(N); equal shares when V(N) is ~0.
+std::vector<double> nucleolus_fractions(const std::vector<double>& allocation,
+                                        double total, int n) {
+  if (std::abs(total) < 1e-12) return equal_shares(n);
+  std::vector<double> out(allocation.size());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = allocation[i] / total;
+  return out;
+}
+
+}  // namespace
+
 const char* to_string(Scheme scheme) noexcept {
   switch (scheme) {
     case Scheme::kShapley: return "shapley";
@@ -63,11 +76,45 @@ std::vector<double> nucleolus_shares(const Game& game,
   if (!r.solved) {
     throw std::runtime_error("nucleolus_shares: computation failed");
   }
-  const double total = game.grand_value();
-  if (std::abs(total) < 1e-12) return equal_shares(game.num_players());
-  std::vector<double> out(r.allocation.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = r.allocation[i] / total;
+  return nucleolus_fractions(r.allocation, game.grand_value(),
+                             game.num_players());
+}
+
+NucleolusScheme nucleolus_scheme(const TabularGame& tab,
+                                 const lp::SimplexOptions& options,
+                                 const PlayerPartition* partition,
+                                 QuotientNucleolusInfo* info) {
+  const int n = tab.num_players();
+  const bool quotient_path = partition != nullptr && !partition->is_trivial();
+  NucleolusScheme out;
+  if (!quotient_path && !dense_nucleolus_fits(n)) {
+    out.size_limit = "n = " + std::to_string(n) +
+                     " exceeds the dense ceiling of " +
+                     std::to_string(kMaxDenseNucleolusPlayers) +
+                     "; use --symmetry auto|exact";
+    return out;
+  }
+  if (options.budget != nullptr && options.budget->exhausted()) return out;
+  NucleolusResult r;
+  if (quotient_path) {
+    const QuotientGame quotient(tab, *partition);
+    r = nucleolus_quotient(quotient, options);
+    if (info != nullptr) {
+      info->attempted = true;
+      info->used = r.solved;
+      info->orbit_rows = r.excess_rows;
+      info->dense_rows = n < 63 ? (std::uint64_t{1} << n) - 2 : 0;
+      info->lps_solved = r.lps_solved;
+      info->pivots = r.pivots;
+      const auto stats = quotient.cache().stats();
+      info->orbit_hits = stats.hits;
+      info->orbit_misses = stats.misses;
+    }
+  } else {
+    r = nucleolus(tab, options);
+  }
+  if (r.solved) {
+    out.shares = nucleolus_fractions(r.allocation, tab.grand_value(), n);
   }
   return out;
 }
@@ -131,42 +178,12 @@ std::vector<SchemeOutcome> compare_schemes(
          proportional_shares(consumption_weights));
   }
   push(Scheme::kEqual, equal_shares(n));
-  // Nucleolus: the orbit-row quotient formulation when a non-trivial
-  // partition certifies interchangeable players (scales with orbit
-  // count), the dense 2^n-row formulation otherwise (within
-  // dense_nucleolus_fits only). Both run the same loop; the
-  // all-singletons fallback keeps this overload byte-identical to the
-  // partition-less one.
-  if (partition != nullptr && !partition->is_trivial()) {
-    const QuotientGame quotient(tab, *partition);
-    const NucleolusResult r = nucleolus_quotient(quotient, lp_options);
-    if (!r.solved) {
-      throw std::runtime_error("compare_schemes: quotient nucleolus failed");
-    }
-    if (info != nullptr) {
-      info->attempted = true;
-      info->used = true;
-      info->orbit_rows = r.excess_rows;
-      info->dense_rows =
-          n < 63 ? (std::uint64_t{1} << n) - 2 : 0;
-      info->lps_solved = r.lps_solved;
-      info->pivots = r.pivots;
-      const auto stats = quotient.cache().stats();
-      info->orbit_hits = stats.hits;
-      info->orbit_misses = stats.misses;
-    }
-    std::vector<double> shares;
-    if (std::abs(total) < 1e-12) {
-      shares = equal_shares(n);
-    } else {
-      shares.resize(r.allocation.size());
-      for (std::size_t i = 0; i < shares.size(); ++i) {
-        shares[i] = r.allocation[i] / total;
-      }
-    }
-    push(Scheme::kNucleolus, std::move(shares));
-  } else if (dense_nucleolus_fits(n)) {
-    push(Scheme::kNucleolus, nucleolus_shares(tab, lp_options));
+  NucleolusScheme nucleolus_row =
+      nucleolus_scheme(tab, lp_options, partition, info);
+  if (!nucleolus_row.shares.empty()) {
+    push(Scheme::kNucleolus, std::move(nucleolus_row.shares));
+  } else if (nucleolus_row.size_limit.empty()) {
+    throw std::runtime_error("compare_schemes: nucleolus computation failed");
   }
   push(Scheme::kBanzhaf, banzhaf_index(tab));
   return out;

@@ -91,13 +91,39 @@ struct QuotientNucleolusInfo {
   std::uint64_t orbit_misses = 0;  ///< orbit values actually materialised
 };
 
+/// The nucleolus row of a scheme comparison, or why there is none.
+struct NucleolusScheme {
+  /// allocation / V(N) (equal shares when V(N) is ~0); empty when the
+  /// scheme has no row.
+  std::vector<double> shares;
+  /// Set when the game's size alone rules the nucleolus out (no
+  /// non-trivial partition and n past dense_nucleolus_fits), e.g.
+  /// "n = 11 exceeds the dense ceiling of 10; use --symmetry
+  /// auto|exact". Empty shares with an empty reason mean the LP chain
+  /// did not finish: a budget trip or a solver failure.
+  std::string size_limit;
+};
+
+/// The nucleolus scheme of every scheme comparison (compare_schemes
+/// and runtime::compare_schemes_resilient): the orbit-row quotient
+/// formulation when `partition` is non-trivial (rows scale with the
+/// orbit count, no n ceiling), the dense 2^n-row formulation otherwise
+/// (within dense_nucleolus_fits only). An options.budget that has
+/// already tripped skips the LPs. `info`, when non-null, receives the
+/// quotient-path telemetry.
+[[nodiscard]] NucleolusScheme nucleolus_scheme(
+    const TabularGame& tab, const lp::SimplexOptions& options,
+    const PlayerPartition* partition, QuotientNucleolusInfo* info = nullptr);
+
 /// Partition-aware variant: with a non-trivial `partition` (and a game
 /// that is symmetric under it — the caller's contract, see
 /// verified_partition) the nucleolus runs on the orbit-row quotient
 /// formulation, lifting the scheme past the dense n <= 10 ceiling; an
 /// all-singletons partition (or nullptr) falls back to the dense path,
-/// byte-identical to the 4-argument overload. `info`, when non-null,
-/// receives the quotient-path telemetry.
+/// byte-identical to the 4-argument overload. Past the dense ceiling
+/// without a partition the nucleolus row is left out (see
+/// nucleolus_scheme for the reason); a failed LP chain throws. `info`,
+/// when non-null, receives the quotient-path telemetry.
 [[nodiscard]] std::vector<SchemeOutcome> compare_schemes(
     const Game& game, const std::vector<double>& availability_weights,
     const std::vector<double>& consumption_weights,

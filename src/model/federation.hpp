@@ -74,17 +74,19 @@ class Federation {
   [[nodiscard]] game::PlayerPartition symmetry_partition(
       game::SymmetryMode mode) const;
 
-  /// Symmetry-aware tabulation: evaluates the greedy allocator once per
-  /// orbit of symmetry_partition(mode), applies the monotone closure on
-  /// the orbit lattice (equivalent to the full-lattice closure for a
-  /// symmetric game, and exact — max is order-independent), and expands
-  /// to all 2^n masks. Falls back to build_game() when the partition is
-  /// trivial; kOff reproduces build_game() exactly.
+  /// Symmetry-aware tabulation: build_game_budgeted(mode) under an
+  /// unlimited budget. kOff is build_game().
   [[nodiscard]] game::TabularGame build_game(game::SymmetryMode mode) const;
 
-  /// Budgeted variant for the resilient pipeline: charges one unit per
-  /// orbit materialised (the charging rule's "distinct V(S)" collapses
-  /// to distinct orbits) and returns nullopt when the budget trips.
+  /// The one tabulation path. With a trivial symmetry_partition(mode)
+  /// every mask is evaluated through a per-chunk exec::CacheWriteBuffer
+  /// (one budget unit per mask). Otherwise the greedy allocator runs
+  /// once per orbit (one unit per orbit: the charging rule's "distinct
+  /// V(S)" collapses to distinct orbits), the monotone closure runs on
+  /// the orbit lattice (equivalent to the full-lattice closure for a
+  /// symmetric game, and exact: max is order-independent), and the
+  /// table expands to all 2^n masks. Returns nullopt when the budget
+  /// trips.
   [[nodiscard]] std::optional<game::TabularGame> build_game_budgeted(
       game::SymmetryMode mode, const runtime::ComputeBudget& budget) const;
 
@@ -112,7 +114,7 @@ class Federation {
   /// value() with a per-worker exec::CacheWriteBuffer in front of the
   /// shared memo: same closure recursion and the same hit/miss
   /// accounting, but computed values are staged locally and pushed to
-  /// the shared cache in shard-grouped batches. Used by build_game()'s
+  /// the shared cache in shard-grouped batches. Used by the per-mask
   /// tabulation so workers stop serialising on shard locks for every
   /// stored coalition.
   double value_buffered(game::Coalition coalition,

@@ -124,11 +124,12 @@ OutageReport evaluate_outages(const model::Federation& fed, int scenarios,
         slot.rs = compare_schemes_resilient(
             *tab, &*tab, degraded.availability_weights(),
             degraded.consumption_weights(), b);
-        // All-or-nothing per scenario: a degraded computation (any note)
-        // would make this scenario's rows incomparable with the rest, so
-        // it is discarded and the evaluation stops at the truncation
-        // point.
-        if (!slot.rs.notes.empty()) return false;
+        // All-or-nothing per scenario: a computation the budget cut
+        // short, or one without core checks, would make this scenario's
+        // rows incomparable with the rest, so it is discarded and the
+        // evaluation stops at the truncation point. A nucleolus ruled
+        // out by size is the same in every scenario and keeps it.
+        if (slot.rs.cut_short() || !slot.rs.core_checked) return false;
         slot.grand = tab->grand_value();
         slot.ok = true;
         return true;

@@ -45,6 +45,18 @@ std::string stop_label(const ComputeBudget& budget) {
 
 }  // namespace
 
+void ResilientSchemes::skip(std::string scheme, std::string reason,
+                            bool size_limit) {
+  notes.push_back(scheme + ": skipped (" + reason + ")");
+  skipped.push_back({std::move(scheme), std::move(reason), size_limit});
+}
+
+bool ResilientSchemes::cut_short() const noexcept {
+  if (shapley_engine == ShapleyEngine::kMonteCarlo) return true;
+  return std::any_of(skipped.begin(), skipped.end(),
+                     [](const SkippedScheme& s) { return !s.size_limit; });
+}
+
 const char* to_string(AllocEngine engine) noexcept {
   switch (engine) {
     case AllocEngine::kExact: return "exact";
@@ -201,74 +213,36 @@ ResilientSchemes compare_schemes_impl(
   }
   push(game::Scheme::kEqual, game::equal_shares(n));
 
-  // Nucleolus: the orbit-row quotient formulation when a non-trivial
-  // partition certifies interchangeable players (no n ceiling — rows
-  // scale with orbit count), the dense 2^n-row formulation otherwise
-  // (within game::dense_nucleolus_fits only). Both run the same loop,
-  // and budget trips in either path degrade to a note.
-  const bool quotient_nucleolus =
-      partition != nullptr && !partition->is_trivial();
-  if (quotient_nucleolus || game::dense_nucleolus_fits(n)) {
-    if (tab == nullptr) {
-      out.notes.emplace_back(
-          "nucleolus: skipped (coalition table unavailable under deadline)");
-    } else if (budget.exhausted()) {
-      out.notes.emplace_back("nucleolus: skipped (" + stop_label(budget) +
-                             ")");
+  // Nucleolus: game::nucleolus_scheme picks the formulation; a size
+  // limit, a budget trip or a solver failure becomes a recorded skip.
+  if (tab == nullptr) {
+    out.skip("nucleolus", "coalition table unavailable under deadline");
+  } else {
+    lp::SimplexOptions options;
+    options.solver = lp_solver;
+    options.budget = &budget;
+    options.observer = observer;
+    game::NucleolusScheme nucleolus =
+        game::nucleolus_scheme(*tab, options, partition, nucleolus_info);
+    if (!nucleolus.shares.empty()) {
+      push(game::Scheme::kNucleolus, std::move(nucleolus.shares));
+    } else if (!nucleolus.size_limit.empty()) {
+      out.skip("nucleolus", nucleolus.size_limit, /*size_limit=*/true);
     } else {
-      lp::SimplexOptions options;
-      options.solver = lp_solver;
-      options.budget = &budget;
-      options.observer = observer;
-      game::NucleolusResult r;
-      if (quotient_nucleolus) {
-        const game::QuotientGame quotient(*tab, *partition);
-        r = game::nucleolus_quotient(quotient, options);
-        if (nucleolus_info != nullptr) {
-          nucleolus_info->attempted = true;
-          nucleolus_info->used = r.solved;
-          nucleolus_info->orbit_rows = r.excess_rows;
-          nucleolus_info->dense_rows =
-              n < 63 ? (std::uint64_t{1} << n) - 2 : 0;
-          nucleolus_info->lps_solved = r.lps_solved;
-          nucleolus_info->pivots = r.pivots;
-          const auto stats = quotient.cache().stats();
-          nucleolus_info->orbit_hits = stats.hits;
-          nucleolus_info->orbit_misses = stats.misses;
-        }
-      } else {
-        r = game::nucleolus(*tab, options);
-      }
-      if (r.solved) {
-        std::vector<double> shares;
-        if (std::abs(total) < 1e-12) {
-          shares = game::equal_shares(n);
-        } else {
-          shares.resize(r.allocation.size());
-          for (std::size_t i = 0; i < shares.size(); ++i) {
-            shares[i] = r.allocation[i] / total;
-          }
-        }
-        push(game::Scheme::kNucleolus, std::move(shares));
-      } else {
-        out.notes.emplace_back("nucleolus: skipped (" + stop_label(budget) +
-                               ")");
-      }
+      out.skip("nucleolus", stop_label(budget));
     }
   }
 
   if (tab != nullptr) {
     push(game::Scheme::kBanzhaf, game::banzhaf_index(*tab));
   } else {
-    out.notes.emplace_back(
-        "banzhaf: skipped (coalition table unavailable under deadline)");
+    out.skip("banzhaf", "coalition table unavailable under deadline");
   }
-  if (!out.core_checked) {
-    out.notes.emplace_back(
-        tab == nullptr
-            ? "core membership: skipped (coalition table unavailable under "
-              "deadline)"
-            : "core membership: skipped (n > 16)");
+  if (tab == nullptr) {
+    out.skip("core membership",
+             "coalition table unavailable under deadline");
+  } else if (!out.core_checked) {
+    out.skip("core membership", "n > 16", /*size_limit=*/true);
   }
   return out;
 }

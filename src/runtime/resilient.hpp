@@ -82,8 +82,18 @@ struct ResilientShapley {
                                                  std::uint64_t mc_samples = 4096,
                                                  std::uint64_t mc_seed = 1);
 
+/// A scheme (or the core check) the cascade did not answer, and why.
+struct SkippedScheme {
+  std::string scheme;  ///< "nucleolus", "banzhaf" or "core membership"
+  std::string reason;  ///< e.g. "deadline", "n > 16"
+  /// True when the instance's size alone rules it out (the same for
+  /// every run at this n); false when the budget or a solver failure
+  /// cut it short.
+  bool size_limit = false;
+};
+
 /// Budget-aware replacement for game::compare_schemes, used by the CLI
-/// deadline path and the outage evaluator.
+/// report and the outage evaluator.
 struct ResilientSchemes {
   std::vector<game::SchemeOutcome> outcomes;
   /// True when core membership was actually evaluated (tabulated game,
@@ -93,21 +103,33 @@ struct ResilientSchemes {
   std::uint64_t shapley_samples = 0;
   double shapley_max_se = 0.0;  ///< max standard error (Monte Carlo only)
   /// One entry per degradation (empty on a clean run), e.g.
-  /// "shapley: antithetic monte-carlo (64 samples, max se 0.0132)".
+  /// "shapley: antithetic monte-carlo (64 samples, max se 0.0132)" or
+  /// "nucleolus: skipped (deadline)".
   std::vector<std::string> notes;
+  /// Every scheme left without a row (and an unchecked core), in report
+  /// order; each also has a note.
+  std::vector<SkippedScheme> skipped;
+
+  /// Records a skip and its note "<scheme>: skipped (<reason>)".
+  void skip(std::string scheme, std::string reason, bool size_limit = false);
+  /// True when the budget or a solver failure degraded a scheme (Monte
+  /// Carlo Shapley, or a skip that is not a size limit).
+  [[nodiscard]] bool cut_short() const noexcept;
 };
 
 /// Computes every sharing scheme with per-engine degradation. `tab` may
 /// be null when tabulation itself was cut short by the deadline; the
 /// schemes that need the full table (nucleolus, Banzhaf, core checks)
-/// are then skipped with notes and Shapley runs Monte Carlo against
-/// `game` directly. Pass empty weight vectors to skip the proportional
-/// schemes, mirroring game::compare_schemes. `lp_solver` picks the
+/// are then skipped and Shapley runs Monte Carlo against `game`
+/// directly. Every skip lands in `skipped` and `notes`, including a
+/// nucleolus ruled out by size (n past the dense ceiling without a
+/// non-trivial partition). Pass empty weight vectors to skip the
+/// proportional schemes, mirroring game::compare_schemes. `lp_solver` picks the
 /// simplex engine for the nucleolus LPs (the CLI's --lp-solver flag).
 /// A non-trivial `partition` routes the nucleolus through the orbit-row
 /// quotient formulation (see game::nucleolus_quotient), lifting the
-/// dense n <= 10 ceiling; a budget trip inside the quotient path still
-/// degrades to a skip note instead of throwing.
+/// dense n <= 10 ceiling; a budget trip inside either path degrades to
+/// a skip instead of throwing.
 [[nodiscard]] ResilientSchemes compare_schemes_resilient(
     const game::Game& game, const game::TabularGame* tab,
     const std::vector<double>& availability_weights,

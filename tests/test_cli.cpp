@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "cli/runner.hpp"
 #include "core/game_io.hpp"
@@ -164,9 +166,49 @@ TEST(CliRunner, NoRegionKeysNoHierarchySection) {
   EXPECT_EQ(report.find("Hierarchy"), std::string::npos);
 }
 
-TEST(CliRunner, DefaultOptionsAreByteIdenticalToThePlainReport) {
-  const auto config = io::Config::parse_string(kPaperConfig);
-  EXPECT_EQ(run_report(config), run_report(config, ReportOptions{}));
+// Eleven facilities: past the dense nucleolus ceiling (10) and, with
+// distinct location counts, without interchangeable facilities. The
+// default report leaves the nucleolus row out, says why in the
+// Resilience section, and reports itself degraded (CLI exit 3) with no
+// budget involved.
+std::string eleven_facilities(bool distinct) {
+  std::string config;
+  for (int i = 0; i < 11; ++i) {
+    config += "[facility]\nname = F" + std::to_string(i) +
+              "\nlocations = " + std::to_string(distinct ? 20 + i : 20) +
+              "\n";
+  }
+  return config + "[demand]\ncount = 4\nmin_locations = 50\n";
+}
+
+bool has_nucleolus_row(const std::string& report) {
+  return report.find("\nnucleolus ") != std::string::npos;
+}
+
+TEST(CliRunner, ElevenFacilitiesWithoutTypesSkipTheNucleolus) {
+  const auto result = run_report_result(
+      io::Config::parse_string(eleven_facilities(true)), ReportOptions{});
+  EXPECT_TRUE(result.degraded());
+  EXPECT_EQ(result.degraded_sections,
+            std::vector<std::string>{"nucleolus"});
+  EXPECT_EQ(result.stop, runtime::StopReason::kNone);
+  EXPECT_NE(result.text.find("Resilience"), std::string::npos);
+  EXPECT_NE(result.text.find(
+                "note: nucleolus: skipped (n = 11 exceeds the dense ceiling "
+                "of 10; use --symmetry auto|exact)"),
+            std::string::npos);
+  EXPECT_FALSE(has_nucleolus_row(result.text));
+  EXPECT_NE(result.text.find("\nbanzhaf "), std::string::npos);
+}
+
+TEST(CliRunner, ElevenInterchangeableFacilitiesGetTheQuotientNucleolus) {
+  ReportOptions options;
+  options.symmetry = game::SymmetryMode::kExact;
+  const auto result = run_report_result(
+      io::Config::parse_string(eleven_facilities(false)), options);
+  EXPECT_FALSE(result.degraded());
+  EXPECT_TRUE(has_nucleolus_row(result.text));
+  EXPECT_EQ(result.text.find("Resilience"), std::string::npos);
 }
 
 TEST(CliRunner, GenerousDeadlineKeepsTheExactEngines) {

@@ -88,6 +88,27 @@ TEST(GoldenTest, Typed8SymmetryReportMatchesSnapshot) {
   expect_report_matches("typed8", "typed8_symmetry", options);
 }
 
+// The Resilience and Outage distribution sections, plus the hierarchy
+// section (planetlab declares regions), as requested by
+// --outage-scenarios.
+TEST(GoldenTest, PlanetlabOutageReportMatchesSnapshot) {
+  fedshare::cli::ReportOptions options;
+  options.outage_scenarios = 16;
+  options.outage_seed = 7;
+  expect_report_matches("planetlab", "planetlab_outage", options);
+}
+
+// --cache-stats under --verify full: pins the Verification section and
+// the value-cache counters, batched stores included (the tabulation
+// writes through per-chunk buffers). One thread: the hit/miss split
+// varies between runs at more.
+TEST(GoldenTest, PlanetlabCacheStatsReportMatchesSnapshot) {
+  fedshare::cli::ReportOptions options;
+  options.cache_stats = true;
+  options.verify = fedshare::verify::VerifyLevel::kFull;
+  expect_report_matches("planetlab", "planetlab_cache_stats", options);
+}
+
 TEST(GoldenTest, ServeDemoEventFileMatchesSnapshot) {
   fedshare::exec::set_threads(1);
   std::ifstream in(repo_path("configs/serve_demo.events"));

@@ -309,6 +309,48 @@ TEST(CompareSchemesResilient, DegradesEverySchemeWithoutATable) {
   }
 }
 
+TEST(CompareSchemesResilient, NodeCapTrippingInsideTheNucleolusIsRecorded) {
+  const model::Federation fed = small_federation();
+  const game::TabularGame g = fed.build_game();
+  // Units exact Shapley charges on the table; one more admits a single
+  // nucleolus pivot, short of the chain's full count.
+  const ComputeBudget shapley_budget;
+  ASSERT_TRUE(game::shapley_exact_budgeted(g, shapley_budget).has_value());
+  const ComputeBudget full;
+  (void)compare_schemes_resilient(g, &g, {}, {}, full);
+  ASSERT_GT(full.used(), shapley_budget.used() + 1);
+
+  const ComputeBudget budget =
+      ComputeBudget().cap_nodes(shapley_budget.used() + 1);
+  const auto rs = compare_schemes_resilient(g, &g, {}, {}, budget);
+  EXPECT_EQ(rs.shapley_engine, ShapleyEngine::kExact);
+  for (const auto& o : rs.outcomes) {
+    EXPECT_NE(o.scheme, game::Scheme::kNucleolus);
+  }
+  ASSERT_EQ(rs.skipped.size(), 1u);
+  EXPECT_EQ(rs.skipped[0].scheme, "nucleolus");
+  EXPECT_EQ(rs.skipped[0].reason, "node-cap");
+  EXPECT_FALSE(rs.skipped[0].size_limit);
+  EXPECT_TRUE(rs.cut_short());
+  ASSERT_EQ(rs.notes.size(), 1u);
+  EXPECT_EQ(rs.notes[0], "nucleolus: skipped (node-cap)");
+}
+
+TEST(CompareSchemesResilient, NucleolusPastTheDenseCeilingIsASizeSkip) {
+  const game::FunctionGame base(11, [](game::Coalition c) {
+    return static_cast<double>(c.size() * c.size());
+  });
+  const game::TabularGame g = game::tabulate(base);
+  const auto rs = compare_schemes_resilient(g, &g, {}, {});
+  ASSERT_EQ(rs.skipped.size(), 1u);
+  EXPECT_EQ(rs.skipped[0].scheme, "nucleolus");
+  EXPECT_TRUE(rs.skipped[0].size_limit);
+  EXPECT_FALSE(rs.cut_short());
+  for (const auto& o : rs.outcomes) {
+    EXPECT_NE(o.scheme, game::Scheme::kNucleolus);
+  }
+}
+
 // --- the outage model ----------------------------------------------------
 
 TEST(OutageModel, ScenarioIsAPureFunctionOfSeedAndIndex) {

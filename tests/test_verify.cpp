@@ -335,6 +335,23 @@ TEST(VerifyAudit, SubadditiveGameIsNotedNotFailed) {
   }
 }
 
+// The scheme comparison plus its audit, through the runtime entry point
+// the CLI report uses, under an unlimited budget.
+struct AuditedSchemes {
+  std::vector<game::SchemeOutcome> outcomes;
+  verify::AuditReport report;
+};
+
+AuditedSchemes audited_schemes(const game::TabularGame& g, SolverKind solver,
+                               const VerifyOptions& vopts) {
+  AuditedSchemes out;
+  out.outcomes = runtime::compare_schemes_resilient_verified(
+                     g, &g, {}, {}, vopts, &out.report,
+                     runtime::ComputeBudget::unlimited(), 4096, 1, solver)
+                     .outcomes;
+  return out;
+}
+
 TEST(VerifyAudit, FullLevelCertifiesEveryNucleolusSolveN10) {
   // The acceptance bar: an n = 10 scheme comparison at --verify=full
   // where every LP solve (every nucleolus LP included) carries a
@@ -347,8 +364,7 @@ TEST(VerifyAudit, FullLevelCertifiesEveryNucleolusSolveN10) {
   lp_options.solver = SolverKind::kRevised;
   VerifyOptions vopts;
   vopts.level = VerifyLevel::kFull;
-  const auto audited = verify::audited_compare_schemes(
-      g, {}, {}, lp_options, vopts);
+  const auto audited = audited_schemes(g, lp_options.solver, vopts);
   EXPECT_TRUE(audited.report.passed);
   ASSERT_TRUE(audited.report.lp_stats_valid);
   EXPECT_GE(audited.report.lp.solves,
@@ -365,10 +381,8 @@ TEST(VerifyAudit, FullLevelDoesNotChangeAnswers) {
   lp_options.solver = SolverKind::kRevised;
   VerifyOptions vopts;
   vopts.level = VerifyLevel::kFull;
-  const auto audited = verify::audited_compare_schemes(
-      g, {}, {}, lp_options, vopts);
-  const auto plain = verify::audited_compare_schemes(
-      g, {}, {}, lp_options, VerifyOptions{});
+  const auto audited = audited_schemes(g, lp_options.solver, vopts);
+  const auto plain = audited_schemes(g, lp_options.solver, VerifyOptions{});
   ASSERT_EQ(plain.outcomes.size(), audited.outcomes.size());
   for (std::size_t i = 0; i < plain.outcomes.size(); ++i) {
     ASSERT_EQ(plain.outcomes[i].scheme, audited.outcomes[i].scheme);
@@ -386,8 +400,7 @@ TEST(VerifyAudit, FaultedRunIsRepairedEndToEnd) {
   SimplexOptions lp_options;
   lp_options.solver = SolverKind::kRevised;
 
-  const auto clean = verify::audited_compare_schemes(
-      g, {}, {}, lp_options, VerifyOptions{});
+  const auto clean = audited_schemes(g, lp_options.solver, VerifyOptions{});
 
   VerifyOptions vopts;
   vopts.level = VerifyLevel::kFull;
@@ -397,8 +410,7 @@ TEST(VerifyAudit, FaultedRunIsRepairedEndToEnd) {
     s.objective += 0.25;
     if (!s.x.empty()) s.x[0] -= 0.25;
   };
-  const auto audited = verify::audited_compare_schemes(
-      g, {}, {}, lp_options, vopts);
+  const auto audited = audited_schemes(g, lp_options.solver, vopts);
   ASSERT_TRUE(audited.report.lp_stats_valid);
   EXPECT_EQ(audited.report.lp.failures, 0u);
   EXPECT_GE(audited.report.lp.refined + audited.report.lp.escalated, 1u);

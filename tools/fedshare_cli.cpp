@@ -44,8 +44,9 @@ federation described by the config file. With --dump-game, additionally
 writes the characteristic function in the fedshare-game v1 format.
 
 Exit codes: 0 success, 1 input/config error, 2 usage error, 3 report or
-serve run degraded under the compute budget (partial but bounded output
-— a one-line note on stderr says which sections degraded and why),
+serve run degraded under the compute budget, or a scheme left out of the
+report (partial but bounded output — a one-line note on stderr says
+which sections degraded or were skipped),
 4 recovery used a fallback (a torn log tail was dropped or a corrupt
 checkpoint skipped; the answer is exact for the surviving history and
 each fallback is noted on stderr).
@@ -508,9 +509,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (degraded) {
-    std::cerr << "fedshare_cli: report degraded under the budget ("
-              << fedshare::runtime::to_string(stop)
-              << "): " << degraded_sections << "\n";
+    std::cerr << "fedshare_cli: report degraded";
+    if (stop != fedshare::runtime::StopReason::kNone) {
+      std::cerr << " under the budget (" << fedshare::runtime::to_string(stop)
+                << ")";
+    }
+    std::cerr << ": " << degraded_sections << "\n";
     return 3;
   }
   return 0;

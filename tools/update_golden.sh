@@ -27,10 +27,15 @@ mkdir -p "$root/tests/golden"
 "$cli" "$root/configs/typed8.ini" > "$root/tests/golden/typed8.txt"
 "$cli" --symmetry exact "$root/configs/typed8.ini" \
   > "$root/tests/golden/typed8_symmetry.txt"
+"$cli" --outage-scenarios 16 --outage-seed 7 "$root/configs/planetlab.ini" \
+  > "$root/tests/golden/planetlab_outage.txt"
+# One thread: the cache's hit/miss split varies between runs at more.
+"$cli" --threads 1 --cache-stats --verify full "$root/configs/planetlab.ini" \
+  > "$root/tests/golden/planetlab_cache_stats.txt"
 "$cli" --serve "$root/configs/serve_demo.events" \
   > "$root/tests/golden/serve_demo.txt"
 
-for f in sec41 planetlab planetlab_structure typed8 typed8_symmetry \
-    serve_demo; do
+for f in sec41 planetlab planetlab_structure planetlab_outage \
+    planetlab_cache_stats typed8 typed8_symmetry serve_demo; do
   echo "updated tests/golden/$f.txt"
 done
