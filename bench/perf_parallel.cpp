@@ -4,11 +4,18 @@
 // machine-readable BENCH_parallel.json summary (override the path with
 // FEDSHARE_BENCH_OUT) so speedup datapoints can be tracked across
 // commits and machines.
+//
+// `--smoke`: a fast determinism gate — the tabulated game (the closed
+// federation table and the raw function tabulated by game::tabulate)
+// must be bitwise identical at 1 and 4 threads; exits non-zero
+// otherwise. tools/check.sh and CI run it next to the other layer
+// smokes.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -177,9 +184,48 @@ void write_summary_json() {
   std::cout << "(summary written to " << path << ")\n";
 }
 
+// --- --smoke: thread-count determinism gate ------------------------------
+
+int run_smoke() {
+  int failures = 0;
+  const auto tables_at = [](int threads) {
+    exec::set_threads(threads);
+    // A fresh federation per run, so no value comes from its cache.
+    const auto fed = make_fed(kPlayers);
+    std::vector<std::vector<double>> tables = {
+        fed.build_game().values(),
+        game::tabulate(make_raw_game(fed)).values()};
+    exec::set_threads(1);
+    return tables;
+  };
+  const auto serial = tables_at(1);
+  const auto parallel = tables_at(4);
+  const char* labels[] = {"federation", "raw"};
+  for (std::size_t t = 0; t < serial.size(); ++t) {
+    const bool same =
+        serial[t].size() == parallel[t].size() &&
+        std::memcmp(serial[t].data(), parallel[t].data(),
+                    serial[t].size() * sizeof(double)) == 0;
+    std::cout << "smoke " << labels[t] << " table n=" << kPlayers
+              << ": 1 vs 4 threads " << (same ? "bitwise equal" : "DIFFER")
+              << "\n";
+    if (!same) {
+      std::cerr << "perf_parallel --smoke: the " << labels[t]
+                << " table is not bitwise identical at 1 and 4 threads\n";
+      ++failures;
+    }
+  }
+  std::cout << (failures == 0 ? "perf-smoke PASSED\n"
+                              : "perf-smoke FAILED\n");
+  return failures == 0 ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) return run_smoke();
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

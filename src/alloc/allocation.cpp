@@ -20,6 +20,47 @@ void LocationPool::validate() const {
   }
 }
 
+CapacityHistogram CapacityHistogram::of(const LocationPool& pool) {
+  pool.validate();
+  CapacityHistogram hist;
+  hist.bins.reserve(pool.capacity.size());
+  for (const double c : pool.capacity) hist.bins.push_back({c, 1});
+  hist.canonicalize();
+  return hist;
+}
+
+std::size_t CapacityHistogram::num_locations() const noexcept {
+  std::size_t total = 0;
+  for (const CapacityBin& b : bins) total += b.count;
+  return total;
+}
+
+void CapacityHistogram::canonicalize() {
+  std::sort(bins.begin(), bins.end(),
+            [](const CapacityBin& a, const CapacityBin& b) {
+              return a.capacity < b.capacity;
+            });
+  std::size_t out = 0;
+  for (const CapacityBin& b : bins) {
+    if (b.count == 0) continue;
+    if (out > 0 && bins[out - 1].capacity == b.capacity) {
+      bins[out - 1].count += b.count;
+    } else {
+      bins[out++] = b;
+    }
+  }
+  bins.resize(out);
+}
+
+void CapacityHistogram::validate() const {
+  for (const CapacityBin& b : bins) {
+    if (!std::isfinite(b.capacity) || b.capacity < 0.0) {
+      throw std::invalid_argument(
+          "CapacityHistogram: capacities must be finite and non-negative");
+    }
+  }
+}
+
 double RequestClass::effective_threshold() const noexcept {
   return std::max(min_locations, 1.0);
 }

@@ -31,6 +31,32 @@ struct LocationPool {
   void validate() const;
 };
 
+/// `count` locations that each hold `capacity` resource units.
+struct CapacityBin {
+  double capacity = 0.0;
+  std::size_t count = 0;
+};
+
+/// A pool reduced to its capacity multiset: which location holds which
+/// capacity is dropped. Canonical form: bins ascending by capacity,
+/// capacities distinct, counts positive (see canonicalize()).
+struct CapacityHistogram {
+  std::vector<CapacityBin> bins;
+
+  /// The histogram of a per-location pool, in canonical form. Validates
+  /// the pool first.
+  [[nodiscard]] static CapacityHistogram of(const LocationPool& pool);
+
+  [[nodiscard]] std::size_t num_locations() const noexcept;
+
+  /// Sorts bins by capacity, merges equal capacities and drops empty
+  /// bins. Capacities must be valid (not NaN).
+  void canonicalize();
+
+  /// Validates capacities like LocationPool::validate().
+  void validate() const;
+};
+
 /// A group of identical experiments (Sec. 2.2's demand attributes).
 struct RequestClass {
   double count = 1.0;               ///< number of experiments requesting

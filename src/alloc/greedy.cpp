@@ -2,217 +2,404 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace fedshare::alloc {
 
-double slot_budget(const std::vector<double>& capacities,
-                   double units_per_location, double m) {
-  if (units_per_location <= 0.0) {
-    throw std::invalid_argument("slot_budget: units_per_location must be > 0");
-  }
+namespace {
+
+// Reservations below this many slots count as met (absorbs the rounding
+// left over from subtracting takes).
+constexpr double kNeedEps = 1e-12;
+
+// Whether `have` slots meet a need of `need`. Capacities such as 0.9 * 3
+// are not exact in binary, so a need that the slots meet exactly can read
+// a few ulps short; anything within 1e-12 relative counts as met.
+bool meets(double have, double need) { return have >= need * (1.0 - 1e-12); }
+
+// `count` locations offering `slots` slots each; one bin of U(m).
+struct SlotBin {
+  double slots;
+  double count;
+};
+
+// U(m) = sum over bins of count * min(slots, m).
+double budget_at(const std::vector<SlotBin>& bins, double m) {
   double total = 0.0;
-  for (const double c : capacities) {
-    total += std::min(c / units_per_location, m);
-  }
+  for (const SlotBin& b : bins) total += b.count * std::min(b.slots, m);
   return total;
 }
 
-double max_feasible_experiments(const std::vector<double>& capacities,
+// Largest m with U(m) >= m * threshold, 0 when U(1) does not meet the
+// threshold (see meets()). `bins`
+// ascend by slots, which are distinct. U is linear between breakpoints:
+// on [s_{k-1}, s_k] it is below + m * above, where `below` sums the slots
+// of the bins under the segment and `above` counts the locations at or
+// over it. U(m) - m * threshold is concave and non-negative at m = 1, so
+// its upper root lies on the first segment (past m = 1) whose right end
+// is infeasible, or on the final flat segment U = total.
+double upper_root(const std::vector<SlotBin>& bins, double threshold) {
+  if (!meets(budget_at(bins, 1.0), threshold)) return 0.0;
+  double below = 0.0;
+  double above = 0.0;
+  for (const SlotBin& b : bins) above += b.count;
+  double left = 1.0;
+  for (const SlotBin& b : bins) {
+    if (b.slots > 1.0) {
+      if (below + b.slots * above < b.slots * threshold) {
+        return std::clamp(below / (threshold - above), left, b.slots);
+      }
+      left = b.slots;
+    }
+    below += b.count * b.slots;
+    above -= b.count;
+  }
+  return std::max(below / threshold, left);
+}
+
+void check_units(double units_per_location, const char* who) {
+  if (units_per_location <= 0.0) {
+    throw std::invalid_argument(std::string(who) +
+                                ": units_per_location must be > 0");
+  }
+}
+
+std::vector<SlotBin> slot_bins(const CapacityHistogram& histogram,
+                               double units_per_location) {
+  CapacityHistogram canonical = histogram;
+  canonical.canonicalize();
+  std::vector<SlotBin> bins;
+  bins.reserve(canonical.bins.size());
+  for (const CapacityBin& b : canonical.bins) {
+    const double slots = b.capacity / units_per_location;
+    const auto count = static_cast<double>(b.count);
+    if (!bins.empty() && bins.back().slots == slots) {
+      bins.back().count += count;
+    } else {
+      bins.push_back({slots, count});
+    }
+  }
+  return bins;
+}
+
+// Locations in identical state: same original capacity, remaining
+// capacity and per-class use. Their positions in the caller's location
+// order are order[first, first + count) (unused for histogram input).
+struct Group {
+  double capacity = 0.0;
+  double remaining = 0.0;
+  std::size_t count = 0;
+  std::size_t first = 0;
+  std::vector<double> used;  // units per location, by class index
+};
+
+// The greedy on groups. `groups` start one per distinct capacity,
+// ascending by capacity; on return they hold every location's final
+// state. Fills `result` except units_per_location.
+class GroupGreedy {
+ public:
+  GroupGreedy(std::vector<Group>& groups,
+              const std::vector<RequestClass>& classes)
+      : groups_(groups), classes_(classes), order_(classes.size()),
+        served_(classes.size(), 0.0) {
+    // Admission priority: cheapest units-per-utility first (ascending r);
+    // within equal cost, hardest diversity threshold first — frugal
+    // reservations mean the easy classes lose nothing by waiting, while
+    // threshold-gated classes must be admitted before the slack is spread.
+    std::iota(order_.begin(), order_.end(), std::size_t{0});
+    std::stable_sort(order_.begin(), order_.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       if (classes[a].units_per_location !=
+                           classes[b].units_per_location) {
+                         return classes[a].units_per_location <
+                                classes[b].units_per_location;
+                       }
+                       return classes[a].min_locations >
+                              classes[b].min_locations;
+                     });
+    for (Group& g : groups_) g.used.assign(classes.size(), 0.0);
+  }
+
+  void run(AllocationResult& result) {
+    result.per_class.assign(classes_.size(), ClassOutcome{});
+    // Phase 1 — admission, by priority.
+    for (const std::size_t idx : order_) {
+      const RequestClass& rc = classes_[idx];
+      if (rc.count <= 0.0 || groups_.empty()) continue;
+      if (rc.exponent > 1.0) {
+        result.per_class[idx] = admit_convex(idx);
+        served_[idx] = result.per_class[idx].served;
+      } else {
+        admit_concave(idx);
+      }
+    }
+    // Phase 2 — fill: leftover capacity goes to already-admitted concave
+    // classes (utility is non-decreasing in slots for d <= 1), capped per
+    // location at the class's water-filling ceiling min(s_l^orig, m).
+    for (const std::size_t idx : order_) {
+      const RequestClass& rc = classes_[idx];
+      if (served_[idx] <= 0.0 || rc.exponent > 1.0) continue;
+      const double r = rc.units_per_location;
+      for (Group& g : groups_) {
+        const double ceiling = r * std::min(g.capacity / r, served_[idx]);
+        const double extra = std::min(g.remaining, ceiling - g.used[idx]);
+        if (extra > 0.0) {
+          g.used[idx] += extra;
+          g.remaining -= extra;
+        }
+      }
+    }
+    // Assemble outcomes.
+    for (std::size_t idx = 0; idx < classes_.size(); ++idx) {
+      const RequestClass& rc = classes_[idx];
+      ClassOutcome& oc = result.per_class[idx];
+      if (rc.exponent <= 1.0 && served_[idx] > 0.0) {
+        double units = 0.0;
+        for (const Group& g : groups_) {
+          units += static_cast<double>(g.count) * g.used[idx];
+        }
+        const double x = units / rc.units_per_location / served_[idx];
+        oc.served = served_[idx];
+        oc.locations_per_experiment = x;
+        oc.utility = served_[idx] * std::pow(x, rc.exponent);
+        oc.units = units;
+      }
+      result.total_utility += oc.utility;
+      result.total_units += oc.units;
+    }
+  }
+
+ private:
+  // Phase-1 visiting order (the tie order documented in greedy.hpp).
+  [[nodiscard]] bool visits_before(const Group& a, const Group& b) const {
+    if (a.remaining != b.remaining) return a.remaining > b.remaining;
+    if (a.capacity != b.capacity) return a.capacity > b.capacity;
+    for (const std::size_t idx : order_) {
+      if (a.used[idx] != b.used[idx]) return a.used[idx] > b.used[idx];
+    }
+    return false;
+  }
+
+  // Group indices in visiting order, and U's bins at r (ascending slots).
+  std::vector<std::size_t> visit_order(double r,
+                                       std::vector<SlotBin>& bins) const {
+    std::vector<std::size_t> rank(groups_.size());
+    std::iota(rank.begin(), rank.end(), std::size_t{0});
+    std::sort(rank.begin(), rank.end(), [&](std::size_t a, std::size_t b) {
+      return visits_before(groups_[a], groups_[b]);
+    });
+    bins.clear();
+    for (auto it = rank.rbegin(); it != rank.rend(); ++it) {
+      const Group& g = groups_[*it];
+      const auto count = static_cast<double>(g.count);
+      const double slots = g.remaining / r;
+      if (!bins.empty() && bins.back().slots == slots) {
+        bins.back().count += count;
+      } else {
+        bins.push_back({slots, count});
+      }
+    }
+    return rank;
+  }
+
+  // Convex classes (d > 1): concentrate. Experiments are filled one by
+  // one, each taking every location that still has a free slot for it,
+  // while the threshold is met. Experiment j (1-based) can use location l
+  // iff s_l >= j; its location count is U(j) - U(j-1).
+  ClassOutcome admit_convex(std::size_t idx) {
+    const RequestClass& rc = classes_[idx];
+    ClassOutcome out;
+    const double r = rc.units_per_location;
+    const double threshold = rc.effective_threshold();
+    std::vector<SlotBin> bins;
+    (void)visit_order(r, bins);
+    const double m_star = upper_root(bins, threshold);
+    if (m_star <= 0.0) return out;
+
+    double total_utility = 0.0;
+    double total_slots = 0.0;
+    double served = 0.0;
+    const auto max_m =
+        static_cast<long>(std::floor(std::min(rc.count, m_star)));
+    double prev_budget = 0.0;
+    for (long j = 1; j <= max_m; ++j) {
+      const double budget = budget_at(bins, static_cast<double>(j));
+      const double x = budget - prev_budget;
+      if (!meets(x, threshold)) break;
+      total_utility += std::pow(x, rc.exponent);
+      total_slots = budget;
+      served += 1.0;
+      prev_budget = budget;
+    }
+    if (served == 0.0) return out;
+    out.served = served;
+    out.locations_per_experiment = total_slots / served;
+    out.utility = total_utility;
+    out.units = r * total_slots;
+    for (Group& g : groups_) {
+      const double before = g.remaining;
+      g.remaining -= r * std::min(before / r, served);
+      g.used[idx] = before - g.remaining;
+    }
+    return out;
+  }
+
+  // Concave classes: reserve m * threshold slots, best fit, each location
+  // giving min(s_l, m). A group is taken whole until the reservation runs
+  // short; that group splits into fully taken, one partly taken and
+  // untouched locations.
+  void admit_concave(std::size_t idx) {
+    const RequestClass& rc = classes_[idx];
+    const double r = rc.units_per_location;
+    const double threshold = rc.effective_threshold();
+    std::vector<SlotBin> bins;
+    const std::vector<std::size_t> rank = visit_order(r, bins);
+    const double m = std::min(rc.count, upper_root(bins, threshold));
+    if (m <= 0.0) return;
+    served_[idx] = m;
+    double need = m * threshold;
+    for (const std::size_t gi : rank) {
+      if (need <= kNeedEps) break;
+      const double full = std::min(groups_[gi].remaining / r, m);
+      if (!(full > 0.0)) continue;
+      const std::size_t n = groups_[gi].count;
+      const std::size_t k = take_full(need, full, n);
+      if (k == n) {
+        take(groups_[gi], idx, full * r);
+        continue;
+      }
+      // The reservation ends inside this group: the first k locations
+      // give `full`, the next gives what is left (if it counts), the rest
+      // nothing.
+      Group rest = groups_[gi];
+      rest.first += k;
+      rest.count = n - k;
+      if (need > kNeedEps) {
+        Group part = rest;
+        part.count = 1;
+        take(part, idx, need * r);
+        groups_.push_back(std::move(part));
+        ++rest.first;
+        --rest.count;
+      }
+      groups_[gi].count = k;
+      take(groups_[gi], idx, full * r);
+      if (rest.count > 0) groups_.push_back(std::move(rest));
+      if (k == 0) {
+        groups_.erase(groups_.begin() + static_cast<std::ptrdiff_t>(gi));
+      }
+      break;
+    }
+  }
+
+  // Counts how many of `n` locations give `full` slots before the running
+  // reservation `need` drops below `full` (or to kNeedEps), and reduces
+  // `need` by their takes with the rounding of one subtraction per
+  // location — so the greedy's decisions do not depend on how locations
+  // are grouped. When `full` is a multiple of need's ulp every such
+  // subtraction is exact, and the count and the rest take O(1).
+  static std::size_t take_full(double& need, double full, std::size_t n) {
+    const auto gives_full = [full](double left) {
+      return left > kNeedEps && left >= full;
+    };
+    std::size_t k = 0;
+    const double ulp = std::ldexp(1.0, std::ilogb(need) - 52);
+    if (std::fmod(full, ulp) == 0.0) {
+      const double q = std::floor(need / full);
+      k = q >= static_cast<double>(n) ? n : static_cast<std::size_t>(q);
+      const auto left = [&](std::size_t j) {
+        return need - static_cast<double>(j) * full;
+      };
+      while (k > 0 && !gives_full(left(k - 1))) --k;
+      while (k < n && gives_full(left(k))) ++k;
+      need = left(k);
+      return k;
+    }
+    while (k < n && gives_full(need)) {
+      need -= full;
+      ++k;
+    }
+    return k;
+  }
+
+  static void take(Group& g, std::size_t idx, double units) {
+    g.used[idx] += units;
+    g.remaining -= units;
+  }
+
+  std::vector<Group>& groups_;
+  const std::vector<RequestClass>& classes_;
+  std::vector<std::size_t> order_;
+  std::vector<double> served_;
+};
+
+}  // namespace
+
+double slot_budget(const CapacityHistogram& histogram,
+                   double units_per_location, double m) {
+  check_units(units_per_location, "slot_budget");
+  return budget_at(slot_bins(histogram, units_per_location), m);
+}
+
+double max_feasible_experiments(const CapacityHistogram& histogram,
                                 double units_per_location, double threshold) {
   if (threshold < 1.0) {
     throw std::invalid_argument(
         "max_feasible_experiments: threshold must be >= 1");
   }
-  // U(1) < threshold means not even one experiment fits.
-  if (slot_budget(capacities, units_per_location, 1.0) < threshold) {
-    return 0.0;
-  }
-  // U(m) - m*threshold is concave with a non-negative value at m = 1;
-  // find its upper root by bisection on [1, U(inf)/threshold].
-  double lo = 1.0;
-  double hi = slot_budget(capacities, units_per_location,
-                          std::numeric_limits<double>::infinity()) /
-              threshold;
-  if (hi <= lo) return lo;
-  // If even hi is feasible (possible when U saturates exactly), take it.
-  if (slot_budget(capacities, units_per_location, hi) >= hi * threshold) {
-    return hi;
-  }
-  for (int iter = 0; iter < 300; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (slot_budget(capacities, units_per_location, mid) >= mid * threshold) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-    if (hi - lo < 1e-13 * std::max(1.0, hi)) break;
-  }
-  return lo;
+  check_units(units_per_location, "max_feasible_experiments");
+  histogram.validate();
+  return upper_root(slot_bins(histogram, units_per_location), threshold);
 }
 
-namespace {
-
-// Convex classes (d > 1): concentrate. Experiments are filled one by one,
-// each taking every location that still has a free slot for it, while the
-// threshold is met. Experiment j (1-based) can use location l iff
-// s_l >= j; its location count is U(j) - U(j-1). Consumes its usage from
-// `remaining` directly.
-ClassOutcome allocate_convex_class(std::vector<double>& remaining,
-                                   const RequestClass& rc) {
-  ClassOutcome out;
-  const double r = rc.units_per_location;
-  const double threshold = rc.effective_threshold();
-  const double m_star = max_feasible_experiments(remaining, r, threshold);
-  if (m_star <= 0.0) return out;
-
-  double total_utility = 0.0;
-  double total_slots = 0.0;
-  double served = 0.0;
-  const auto max_m =
-      static_cast<long>(std::floor(std::min(rc.count, m_star)));
-  double prev_budget = 0.0;
-  for (long j = 1; j <= max_m; ++j) {
-    const double budget = slot_budget(remaining, r, static_cast<double>(j));
-    const double x = budget - prev_budget;
-    if (x < threshold) break;
-    total_utility += std::pow(x, rc.exponent);
-    total_slots = budget;
-    served += 1.0;
-    prev_budget = budget;
+AllocationResult allocate_greedy(const CapacityHistogram& histogram,
+                                 const std::vector<RequestClass>& classes) {
+  histogram.validate();
+  for (const auto& rc : classes) rc.validate();
+  CapacityHistogram canonical = histogram;
+  canonical.canonicalize();
+  std::vector<Group> groups;
+  groups.reserve(canonical.bins.size() + 2 * classes.size());
+  for (const CapacityBin& b : canonical.bins) {
+    groups.push_back({b.capacity, b.capacity, b.count, 0, {}});
   }
-  if (served == 0.0) return out;
-  out.served = served;
-  out.locations_per_experiment = total_slots / served;
-  out.utility = total_utility;
-  out.units = r * total_slots;
-  for (double& cap : remaining) {
-    const double take = r * std::min(cap / r, served);
-    cap -= take;
-  }
-  return out;
+  AllocationResult result;
+  GroupGreedy(groups, classes).run(result);
+  return result;
 }
-
-}  // namespace
 
 AllocationResult allocate_greedy(const LocationPool& pool,
                                  const std::vector<RequestClass>& classes) {
   pool.validate();
   for (const auto& rc : classes) rc.validate();
-
   const std::size_t num_loc = pool.num_locations();
-  AllocationResult result;
-  result.per_class.resize(classes.size());
-  result.units_per_location.assign(num_loc, 0.0);
-
-  // Admission priority: cheapest units-per-utility first (ascending r);
-  // within equal cost, hardest diversity threshold first — frugal
-  // reservations mean the easy classes lose nothing by waiting, while
-  // threshold-gated classes must be admitted before the slack is spread.
-  std::vector<std::size_t> order(classes.size());
+  // Locations by (capacity, index): each run of equal capacity is one
+  // initial group, and every later split keeps its lowest indices first.
+  std::vector<std::size_t> order(num_loc);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
-                     if (classes[a].units_per_location !=
-                         classes[b].units_per_location) {
-                       return classes[a].units_per_location <
-                              classes[b].units_per_location;
-                     }
-                     return classes[a].min_locations >
-                            classes[b].min_locations;
+                     return pool.capacity[a] < pool.capacity[b];
                    });
-
-  std::vector<double> remaining = pool.capacity;
-  std::vector<std::vector<double>> used(
-      classes.size(), std::vector<double>(num_loc, 0.0));
-  std::vector<double> served(classes.size(), 0.0);
-
-  // Phase 1 — frugal admission: each admitted experiment reserves exactly
-  // its threshold in location-slots, spread across locations pro-rata to
-  // the water-filling profile min(s_l, m) so a feasible assignment of
-  // distinct locations exists.
-  for (const std::size_t idx : order) {
-    const RequestClass& rc = classes[idx];
-    if (rc.count <= 0.0 || num_loc == 0) continue;
-    if (rc.exponent > 1.0) {
-      // Convex classes take their full concentrated allocation here; the
-      // per-location usage is min(s_l, served) slots.
-      std::vector<double> before = remaining;
-      ClassOutcome oc = allocate_convex_class(remaining, rc);
-      for (std::size_t l = 0; l < num_loc; ++l) {
-        used[idx][l] = before[l] - remaining[l];
-      }
-      served[idx] = oc.served;
-      result.per_class[idx] = std::move(oc);
-      continue;
-    }
-    const double r = rc.units_per_location;
-    const double threshold = rc.effective_threshold();
-    const double m_star = max_feasible_experiments(remaining, r, threshold);
-    const double m = std::min(rc.count, m_star);
-    if (m <= 0.0) continue;
-    served[idx] = m;
-    // Reserve m * threshold slots from the most-abundant locations first
-    // (best-fit): scarce locations stay free for later, tighter classes.
-    std::vector<std::size_t> loc_order(num_loc);
-    std::iota(loc_order.begin(), loc_order.end(), std::size_t{0});
-    std::stable_sort(loc_order.begin(), loc_order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return remaining[a] > remaining[b];
-                     });
-    double need = m * threshold;
-    for (const std::size_t l : loc_order) {
-      if (need <= 1e-12) break;
-      const double take_slots =
-          std::min({remaining[l] / r, m, need});
-      used[idx][l] += take_slots * r;
-      remaining[l] -= take_slots * r;
-      need -= take_slots;
+  std::vector<Group> groups;
+  for (std::size_t p = 0; p < num_loc; ++p) {
+    const double c = pool.capacity[order[p]];
+    if (!groups.empty() && groups.back().capacity == c) {
+      ++groups.back().count;
+    } else {
+      groups.push_back({c, c, 1, p, {}});
     }
   }
-
-  // Phase 2 — fill: leftover capacity goes to already-admitted concave
-  // classes (utility is non-decreasing in slots for d <= 1), capped per
-  // location at the class's water-filling ceiling min(s_l^orig, m).
-  for (const std::size_t idx : order) {
-    const RequestClass& rc = classes[idx];
-    if (served[idx] <= 0.0 || rc.exponent > 1.0) continue;
-    const double r = rc.units_per_location;
-    for (std::size_t l = 0; l < num_loc; ++l) {
-      const double ceiling =
-          r * std::min(pool.capacity[l] / r, served[idx]);
-      const double extra =
-          std::min(remaining[l], ceiling - used[idx][l]);
-      if (extra > 0.0) {
-        used[idx][l] += extra;
-        remaining[l] -= extra;
-      }
-    }
-  }
-
-  // Assemble outcomes.
-  for (std::size_t idx = 0; idx < classes.size(); ++idx) {
-    const RequestClass& rc = classes[idx];
-    if (rc.exponent <= 1.0) {
-      ClassOutcome oc;
-      if (served[idx] > 0.0) {
-        const double units = std::accumulate(used[idx].begin(),
-                                             used[idx].end(), 0.0);
-        const double slots = units / rc.units_per_location;
-        const double x = slots / served[idx];
-        oc.served = served[idx];
-        oc.locations_per_experiment = x;
-        oc.utility = served[idx] * std::pow(x, rc.exponent);
-        oc.units = units;
-      }
-      result.per_class[idx] = oc;
-    }
-    result.total_utility += result.per_class[idx].utility;
-    result.total_units += result.per_class[idx].units;
-    for (std::size_t l = 0; l < num_loc; ++l) {
-      result.units_per_location[l] += used[idx][l];
+  AllocationResult result;
+  GroupGreedy(groups, classes).run(result);
+  result.units_per_location.assign(num_loc, 0.0);
+  for (const Group& g : groups) {
+    double units = 0.0;
+    for (const double u : g.used) units += u;
+    for (std::size_t p = g.first; p < g.first + g.count; ++p) {
+      result.units_per_location[order[p]] = units;
     }
   }
   return result;

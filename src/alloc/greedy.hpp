@@ -11,14 +11,40 @@
 // (cheapest utility per unit first), then *descending* threshold, so
 // diversity-gated classes are admitted before slack is spread. Each
 // admitted concave-class experiment reserves exactly its threshold in
-// slots, pro-rata to the water-filling profile min(s_l, m). Convex
-// classes (d > 1) instead take their full concentrated allocation
-// (experiments filled one by one with every available distinct location).
+// slots, best fit: locations are visited in the tie order below and each
+// gives min(s_l, m) until the reservation is met. Convex classes (d > 1)
+// instead take their full concentrated allocation (experiments filled one
+// by one with every available distinct location).
 //
 // Phase 2 (fill): leftover capacity is granted to the admitted concave
 // classes up to their per-location ceiling min(s_l, m) — for d <= 1,
 // utility m^(1-d) * slots^d is non-decreasing in slots, and an equal
 // split among the class's experiments is optimal under concavity.
+//
+// Tie order. Phase 1 visits locations in a total order on their *state*:
+// more remaining capacity first (best fit); then more original capacity;
+// then, class by class in priority order, more units already used by
+// that class. Locations in the same state are interchangeable, so the
+// result depends only on the multiset of capacities, never on the order
+// in which the pool lists its locations.
+//
+// Histogram core. Because of that, the allocator runs on a capacity
+// histogram (K bins of equal capacity) rather than on locations: it keeps
+// groups of locations in identical state. U(m) is a sum over groups, so
+// slot_budget is O(K). m* is solved exactly: U is piecewise linear with
+// breakpoints at the groups' slot counts, so one ascending walk finds the
+// segment where U(m) - m * threshold changes sign and solves its line,
+// with no bisection. A phase-1 reservation takes whole groups and splits
+// at most one (into fully taken, one partly taken and untouched
+// locations), so a run keeps at most K + 2 * (classes) groups. The
+// per-location overload groups equal capacities, runs the same core, and
+// hands each group's use back to its locations, lowest index first
+// within a split.
+//
+// Ties in need. Capacities such as 0.9 * 3 are not exact in binary, so
+// slots that meet a threshold exactly can sum a few ulps short of it.
+// Whether U(1) reaches a threshold, and whether a convex experiment's
+// locations do, is therefore decided with 1e-12 relative slack.
 //
 // On single-class instances and the paper's configurations (d = 1,
 // common r) this is exactly optimal; under adversarial multi-class
@@ -26,6 +52,8 @@
 // sandwiches between the exact integer solver and the LP upper bound on
 // randomized small instances.
 #pragma once
+
+#include <vector>
 
 #include "alloc/allocation.hpp"
 
@@ -37,15 +65,24 @@ namespace fedshare::alloc {
 [[nodiscard]] AllocationResult allocate_greedy(
     const LocationPool& pool, const std::vector<RequestClass>& classes);
 
+/// The same allocation on a capacity histogram (any bin order): the
+/// outcomes are bitwise those of allocate_greedy on a pool with that
+/// capacity multiset. `units_per_location` is left empty.
+[[nodiscard]] AllocationResult allocate_greedy(
+    const CapacityHistogram& histogram,
+    const std::vector<RequestClass>& classes);
+
 /// The slot-budget function U(m) = sum_l min(capacity_l / r, m) used by
-/// the greedy (exposed for tests and the analytic benches).
-[[nodiscard]] double slot_budget(const std::vector<double>& capacities,
+/// the greedy, summed over the histogram's bins.
+[[nodiscard]] double slot_budget(const CapacityHistogram& histogram,
                                  double units_per_location, double m);
 
 /// Largest m with U(m) >= m * threshold (0 if even one experiment cannot
-/// reach the threshold). `threshold` must be >= 1.
+/// reach the threshold, with the slack above), solved exactly over U's
+/// breakpoints.
+/// `threshold` must be >= 1.
 [[nodiscard]] double max_feasible_experiments(
-    const std::vector<double>& capacities, double units_per_location,
+    const CapacityHistogram& histogram, double units_per_location,
     double threshold);
 
 }  // namespace fedshare::alloc

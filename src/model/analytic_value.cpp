@@ -26,13 +26,14 @@ game::TabularGame analytic_game(const LocationSpace& space,
       std::pow(static_cast<double>(needed), traffic.request.exponent);
   for (std::uint64_t mask = 1; mask < count; ++mask) {
     const auto coalition = game::Coalition::from_bits(mask);
-    const auto pool = space.pool_for(coalition);
-    const auto total_locations = static_cast<int>(pool.num_locations());
+    const auto histogram = space.capacity_histogram(coalition);
+    const auto total_locations = static_cast<int>(histogram.num_locations());
     if (total_locations < needed) continue;  // structurally blocked
     // Mean integer servers per location (capacity / units-per-call).
     double mean_servers = 0.0;
-    for (const double c : pool.capacity) {
-      mean_servers += c / traffic.request.units_per_location;
+    for (const alloc::CapacityBin& b : histogram.bins) {
+      mean_servers += static_cast<double>(b.count) * b.capacity /
+                      traffic.request.units_per_location;
     }
     mean_servers /= static_cast<double>(total_locations);
     const int servers = std::max(1, static_cast<int>(

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "alloc/allocation.hpp"
@@ -47,6 +48,13 @@ class LocationSpace {
   /// |union of L_i| driving the diversity value).
   [[nodiscard]] int distinct_locations(game::Coalition coalition) const;
 
+  /// The capacity multiset of pool_for(coalition), in canonical form:
+  /// each capacity is summed exactly as pool_for sums it, so
+  /// CapacityHistogram::of(pool_for(c)) equals it bitwise. Costs
+  /// O(location types * |coalition|), with no per-location pass.
+  [[nodiscard]] alloc::CapacityHistogram capacity_histogram(
+      game::Coalition coalition) const;
+
   /// Fraction of facility a's locations also covered by facility b
   /// (the empirical overlap o_ab); 0 when a has no locations.
   [[nodiscard]] double overlap(int facility_a, int facility_b) const;
@@ -83,11 +91,22 @@ class LocationSpace {
  private:
   LocationSpace() = default;
 
+  // Locations that the same facilities cover with the same per-member
+  // units: a coalition pools all of them at one capacity, or none.
+  struct LocationType {
+    std::uint64_t covered_by = 0;  // member bitmask
+    std::vector<std::pair<int, double>> units;  // (member, units), ascending
+    std::size_t count = 0;
+  };
+
   std::vector<Facility> facilities_;
   std::vector<std::vector<int>> facility_locations_;  // ascending ids
   int num_locations_ = 0;
+  std::vector<LocationType> types_;
 
   void check_coalition(game::Coalition coalition) const;
+  // Fills types_ from the facilities and their locations.
+  void build_types();
 };
 
 }  // namespace fedshare::model

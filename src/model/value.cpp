@@ -23,7 +23,9 @@ alloc::AllocationResult coalition_allocation(const LocationSpace& space,
 double coalition_value(const LocationSpace& space, const DemandProfile& demand,
                        game::Coalition coalition) {
   if (coalition.empty()) return 0.0;
-  return coalition_allocation(space, demand, coalition).total_utility;
+  return alloc::allocate_greedy(space.capacity_histogram(coalition),
+                                demand.classes)
+      .total_utility;
 }
 
 std::vector<double> consumption_weights(const LocationSpace& space,

@@ -26,7 +26,8 @@ namespace fedshare::model {
     game::Coalition coalition);
 
 /// V(S): total utility the coalition can generate (0 for the empty
-/// coalition).
+/// coalition). Runs the greedy on the coalition's capacity histogram,
+/// so it equals coalition_allocation(...).total_utility bitwise.
 [[nodiscard]] double coalition_value(const LocationSpace& space,
                                      const DemandProfile& demand,
                                      game::Coalition coalition);
@@ -45,7 +46,9 @@ namespace fedshare::model {
 /// identity partition is returned for overlapping spaces. The result is
 /// a sound symmetry of both the greedy V(S) and its LP relaxation:
 /// swapping two same-type facilities permutes pooled per-location
-/// capacities without changing their multiset.
+/// capacities without changing their multiset, and both depend on the
+/// pool only through that multiset (the greedy's tie order is on
+/// location state, not position; see alloc/greedy.hpp).
 [[nodiscard]] game::PlayerPartition config_symmetry_partition(
     const LocationSpace& space);
 

@@ -31,7 +31,7 @@ P2PFederationResult p2p_value_sharing(
   }
 
   const game::Coalition grand = game::Coalition::grand(n);
-  const auto pooled = space.pool_for(grand);
+  const auto pooled = space.capacity_histogram(grand);
 
   // Slot budget: how many location-slots the pooled infrastructure can
   // host at r units each, capped per location by the total number of
@@ -39,14 +39,13 @@ P2PFederationResult p2p_value_sharing(
   double total_demand = 0.0;
   for (const auto& d : facility_demands) total_demand += d.count;
   const double budget =
-      alloc::slot_budget(pooled.capacity, r, std::max(total_demand, 1.0));
+      alloc::slot_budget(pooled, r, std::max(total_demand, 1.0));
 
   // IR reference: each facility's own slot budget when acting alone.
   std::vector<double> standalone(static_cast<std::size_t>(n), 0.0);
   for (int i = 0; i < n; ++i) {
-    const auto own = space.pool_for(game::Coalition::single(i));
     standalone[static_cast<std::size_t>(i)] = alloc::slot_budget(
-        own.capacity, r,
+        space.capacity_histogram(game::Coalition::single(i)), r,
         std::max(facility_demands[static_cast<std::size_t>(i)].count, 1.0));
   }
 

@@ -1,12 +1,19 @@
 // Property tests: the greedy allocator against the exact enumerator and
-// the LP upper bound, over randomized small instances.
+// the LP upper bound, over randomized small instances; its invariance
+// under reordering the pool's locations; and the differential suite that
+// holds the histogram core to the per-location reference greedy
+// (tests/greedy_reference.hpp) on fuzzed location spaces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "alloc/exact.hpp"
 #include "alloc/greedy.hpp"
 #include "alloc/lp_relax.hpp"
+#include "greedy_reference.hpp"
+#include "model/location_space.hpp"
+#include "model/value.hpp"
 #include "runtime/resilient.hpp"
 #include "sim/rng.hpp"
 
@@ -139,6 +146,228 @@ TEST_P(GreedyMonotonicity, MoreDemandNeverHurts) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, GreedyMonotonicity,
                          ::testing::Range<std::uint64_t>(100, 140));
+
+// ---------------------------------------------------------------------
+// Location order. Phase 1 breaks best-fit ties by location state, so the
+// allocation depends only on the capacity multiset.
+
+RequestClass make_class(double count, double min_locations, double r,
+                        double d) {
+  RequestClass rc;
+  rc.count = count;
+  rc.min_locations = min_locations;
+  rc.units_per_location = r;
+  rc.exponent = d;
+  return rc;
+}
+
+void expect_same_outcomes(const AllocationResult& a,
+                          const AllocationResult& b) {
+  EXPECT_EQ(a.total_utility, b.total_utility);
+  EXPECT_EQ(a.total_units, b.total_units);
+  ASSERT_EQ(a.per_class.size(), b.per_class.size());
+  for (std::size_t k = 0; k < a.per_class.size(); ++k) {
+    EXPECT_EQ(a.per_class[k].served, b.per_class[k].served);
+    EXPECT_EQ(a.per_class[k].locations_per_experiment,
+              b.per_class[k].locations_per_experiment);
+    EXPECT_EQ(a.per_class[k].utility, b.per_class[k].utility);
+    EXPECT_EQ(a.per_class[k].units, b.per_class[k].units);
+  }
+}
+
+TEST(GreedyLocationOrder, TiedRemainingCapacityIgnoresPosition) {
+  // After the l = 5 class reserves, locations of capacity 1 and 2 both
+  // have 1 unit left; which of them the l = 2 class reserves from
+  // decides what phase 2 can still fill. Ties broken by position gave
+  // 8.0, 8.732 or 7.236 depending on the order of the same capacities.
+  const std::vector<RequestClass> classes = {make_class(1, 5, 1, 1),
+                                             make_class(1, 2, 1, 0.5)};
+  std::vector<double> caps = {1, 1, 1, 1, 2, 2, 2};
+  const AllocationResult first = allocate_greedy(LocationPool{caps}, classes);
+  EXPECT_NEAR(first.total_utility, 7.0 + std::sqrt(3.0), 1e-12);
+  int orders = 0;
+  while (std::next_permutation(caps.begin(), caps.end())) {
+    expect_same_outcomes(allocate_greedy(LocationPool{caps}, classes), first);
+    ++orders;
+  }
+  EXPECT_EQ(orders, 34);
+}
+
+class GreedyLocationOrderProperty
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(GreedyLocationOrderProperty, PermutingThePoolChangesNothing) {
+  sim::Xoshiro256 rng(GetParam());
+  LocationPool pool;
+  const std::size_t locations = 2 + rng.below(11);
+  for (std::size_t l = 0; l < locations; ++l) {
+    // Few distinct capacities, so ties are the rule.
+    pool.capacity.push_back(0.5 * static_cast<double>(1 + rng.below(6)));
+  }
+  std::vector<RequestClass> classes;
+  const std::size_t num_classes = 1 + rng.below(3);
+  for (std::size_t c = 0; c < num_classes; ++c) {
+    const double d[] = {0.5, 1.0, 1.5};
+    const double r[] = {0.5, 1.0, 1.0, 2.0};
+    classes.push_back(make_class(static_cast<double>(1 + rng.below(4)),
+                                 static_cast<double>(rng.below(7)),
+                                 r[rng.below(4)], d[rng.below(3)]));
+  }
+  const AllocationResult base = allocate_greedy(pool, classes);
+  std::vector<double> base_units = base.units_per_location;
+  std::sort(base_units.begin(), base_units.end());
+  for (int shuffle = 0; shuffle < 8; ++shuffle) {
+    LocationPool permuted = pool;
+    for (std::size_t l = permuted.capacity.size(); l > 1; --l) {
+      std::swap(permuted.capacity[l - 1], permuted.capacity[rng.below(l)]);
+    }
+    const AllocationResult moved = allocate_greedy(permuted, classes);
+    expect_same_outcomes(moved, base);
+    std::vector<double> units = moved.units_per_location;
+    std::sort(units.begin(), units.end());
+    EXPECT_EQ(units, base_units) << "seed " << GetParam();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomInstances, GreedyLocationOrderProperty,
+                         ::testing::Range<std::uint64_t>(200, 260));
+
+// ---------------------------------------------------------------------
+// Differential suite: the histogram core (through both entry points)
+// against the per-location reference greedy, on every coalition of
+// fuzzed location spaces.
+
+model::FacilityConfig random_facility(sim::Xoshiro256& rng, int i,
+                                      bool custom) {
+  model::FacilityConfig cfg;
+  cfg.name = "F" + std::to_string(i);
+  cfg.num_locations = 1 + static_cast<int>(rng.below(12));
+  cfg.units_per_location = static_cast<double>(1 + rng.below(3));
+  const double availability[] = {1.0, 1.0, 0.9, 0.5};
+  cfg.availability = availability[rng.below(4)];
+  if (custom) {
+    for (int k = 0; k < cfg.num_locations; ++k) {
+      cfg.custom_units.push_back(0.5 * static_cast<double>(rng.below(7)));
+    }
+  }
+  return cfg;
+}
+
+model::LocationSpace random_space(sim::Xoshiro256& rng) {
+  const int n = 1 + static_cast<int>(rng.below(5));
+  const std::uint64_t kind = rng.below(4);  // disjoint, custom, overlap, ...
+  std::vector<model::FacilityConfig> configs;
+  int max_l = 0;
+  for (int i = 0; i < n; ++i) {
+    configs.push_back(random_facility(rng, i, kind == 1 || rng.below(4) == 0));
+    max_l = std::max(max_l, configs.back().num_locations);
+  }
+  const bool overlap = kind == 2 || (kind == 3 && rng.below(2) == 0);
+  model::LocationSpace space =
+      overlap ? model::LocationSpace::overlapping(
+                    configs, max_l + static_cast<int>(rng.below(8)),
+                    rng.next())
+              : model::LocationSpace::disjoint(configs);
+  if (kind != 3) return space;
+  // ... and outage masks on either layout.
+  std::vector<std::vector<bool>> up;
+  for (int i = 0; i < n; ++i) {
+    std::vector<bool> mask;
+    for (std::size_t k = 0; k < space.locations_of(i).size(); ++k) {
+      mask.push_back(rng.below(3) != 0);
+    }
+    up.push_back(std::move(mask));
+  }
+  return space.with_outages(up);
+}
+
+std::vector<RequestClass> random_classes(sim::Xoshiro256& rng) {
+  std::vector<RequestClass> classes;
+  const std::size_t num_classes = 1 + rng.below(3);
+  for (std::size_t c = 0; c < num_classes; ++c) {
+    const double count[] = {1, 2, 3, 5, 1e9};
+    const double r[] = {0.5, 1.0, 1.0, 2.0};
+    const double d[] = {0.5, 0.8, 1.0, 1.0, 1.2, 2.0};
+    classes.push_back(make_class(count[rng.below(5)],
+                                 static_cast<double>(rng.below(12)),
+                                 r[rng.below(4)], d[rng.below(6)]));
+  }
+  return classes;
+}
+
+void expect_near_outcomes(const AllocationResult& got,
+                          const AllocationResult& want, const char* what) {
+  const auto tol = [](double v) {
+    return 1e-12 * std::max(1.0, std::abs(v));
+  };
+  EXPECT_NEAR(got.total_utility, want.total_utility,
+              tol(want.total_utility))
+      << what;
+  EXPECT_NEAR(got.total_units, want.total_units, tol(want.total_units))
+      << what;
+  ASSERT_EQ(got.per_class.size(), want.per_class.size()) << what;
+  for (std::size_t k = 0; k < want.per_class.size(); ++k) {
+    const ClassOutcome& g = got.per_class[k];
+    const ClassOutcome& w = want.per_class[k];
+    EXPECT_NEAR(g.served, w.served, tol(w.served)) << what << " class " << k;
+    EXPECT_NEAR(g.locations_per_experiment, w.locations_per_experiment,
+                tol(w.locations_per_experiment))
+        << what << " class " << k;
+    EXPECT_NEAR(g.utility, w.utility, tol(w.utility))
+        << what << " class " << k;
+    EXPECT_NEAR(g.units, w.units, tol(w.units)) << what << " class " << k;
+  }
+}
+
+class HistogramCoreDifferential
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(HistogramCoreDifferential, MatchesThePerLocationReference) {
+  sim::Xoshiro256 rng(GetParam());
+  const model::LocationSpace space = random_space(rng);
+  model::DemandProfile demand;
+  demand.classes = random_classes(rng);
+  const int n = space.num_facilities();
+  for (std::uint64_t mask = 1; mask < (std::uint64_t{1} << n); ++mask) {
+    const auto coalition = game::Coalition::from_bits(mask);
+    const LocationPool pool = space.pool_for(coalition);
+    const CapacityHistogram histogram = space.capacity_histogram(coalition);
+    const CapacityHistogram of_pool = CapacityHistogram::of(pool);
+    ASSERT_EQ(histogram.bins.size(), of_pool.bins.size()) << "mask " << mask;
+    for (std::size_t b = 0; b < of_pool.bins.size(); ++b) {
+      EXPECT_EQ(histogram.bins[b].capacity, of_pool.bins[b].capacity);
+      EXPECT_EQ(histogram.bins[b].count, of_pool.bins[b].count);
+    }
+    EXPECT_EQ(static_cast<std::size_t>(space.distinct_locations(coalition)),
+              pool.num_locations());
+
+    const AllocationResult want =
+        reference::per_location_greedy(pool, demand.classes);
+    const AllocationResult by_location =
+        allocate_greedy(pool, demand.classes);
+    const AllocationResult by_histogram =
+        allocate_greedy(histogram, demand.classes);
+    const std::string what = "seed " + std::to_string(GetParam()) +
+                             " mask " + std::to_string(mask);
+    expect_near_outcomes(by_location, want, what.c_str());
+    ASSERT_EQ(by_location.units_per_location.size(),
+              want.units_per_location.size());
+    for (std::size_t l = 0; l < want.units_per_location.size(); ++l) {
+      EXPECT_NEAR(by_location.units_per_location[l],
+                  want.units_per_location[l],
+                  1e-12 * std::max(1.0, std::abs(want.total_units)))
+          << what << " location " << l;
+    }
+    // Both entry points run one core on one multiset: bitwise equal.
+    expect_same_outcomes(by_histogram, by_location);
+    EXPECT_TRUE(by_histogram.units_per_location.empty());
+    EXPECT_EQ(model::coalition_value(space, demand, coalition),
+              by_location.total_utility);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(FuzzedSpaces, HistogramCoreDifferential,
+                         ::testing::Range<std::uint64_t>(0, 300));
 
 }  // namespace
 }  // namespace fedshare::alloc

@@ -211,6 +211,34 @@ TEST(CliRunner, ElevenInterchangeableFacilitiesGetTheQuotientNucleolus) {
   EXPECT_EQ(result.text.find("Resilience"), std::string::npos);
 }
 
+// Two same-config facilities (A, B) around a smaller one, with two
+// concave demand classes whose greedy allocation meets tied capacities.
+constexpr const char* kTiedConfig =
+    "[facility]\nname = A\nlocations = 3\nunits = 3\n"
+    "[facility]\nname = C\nlocations = 1\nunits = 2\n"
+    "[facility]\nname = B\nlocations = 3\nunits = 3\n"
+    "[demand]\ncount = 3\nmin_locations = 2\n"
+    "[demand]\ncount = 1\nmin_locations = 3\nexponent = 0.5\n";
+
+std::string coalition_table(const std::string& report) {
+  const auto begin = report.find("Coalition values");
+  const auto end = report.find("Game properties");
+  EXPECT_NE(begin, std::string::npos);
+  EXPECT_NE(end, std::string::npos);
+  return report.substr(begin, end - begin);
+}
+
+TEST(CliRunner, SymmetryExactPrintsTheSameCoalitionValues) {
+  const auto config = io::Config::parse_string(kTiedConfig);
+  ReportOptions off;
+  ReportOptions exact;
+  exact.symmetry = game::SymmetryMode::kExact;
+  const std::string table =
+      coalition_table(run_report_result(config, off).text);
+  EXPECT_NE(table.find("C+B"), std::string::npos);
+  EXPECT_EQ(coalition_table(run_report_result(config, exact).text), table);
+}
+
 TEST(CliRunner, GenerousDeadlineKeepsTheExactEngines) {
   const auto config = io::Config::parse_string(kPaperConfig);
   ReportOptions opts;

@@ -141,6 +141,71 @@ TEST(LocationSpace, PoolSumsCoLocatedCapacity) {
   for (const double c : pool.capacity) EXPECT_DOUBLE_EQ(c, 7.0);
 }
 
+TEST(LocationSpace, CapacityHistogramCountsLocationsByCapacity) {
+  // Disjoint: one bin per distinct capacity, equal capacities merged.
+  const auto disjoint = LocationSpace::disjoint(
+      {{"A", 3, 2.0, 1.0}, {"B", 2, 2.0, 1.0}, {"C", 4, 1.0, 0.5}});
+  const auto grand = disjoint.capacity_histogram(game::Coalition::grand(3));
+  ASSERT_EQ(grand.bins.size(), 2u);
+  EXPECT_EQ(grand.bins[0].capacity, 0.5);
+  EXPECT_EQ(grand.bins[0].count, 4u);
+  EXPECT_EQ(grand.bins[1].capacity, 2.0);
+  EXPECT_EQ(grand.bins[1].count, 5u);
+  EXPECT_EQ(disjoint.capacity_histogram(game::Coalition::of({0, 2}))
+                .num_locations(),
+            7u);
+  // Overlapping: co-located capacities add, as in pool_for.
+  const auto shared = LocationSpace::overlapping(
+      {{"A", 3, 2.0, 1.0}, {"B", 3, 5.0, 1.0}}, 3, 9);
+  const auto both = shared.capacity_histogram(game::Coalition::grand(2));
+  ASSERT_EQ(both.bins.size(), 1u);
+  EXPECT_EQ(both.bins[0].capacity, 7.0);
+  EXPECT_EQ(both.bins[0].count, 3u);
+  EXPECT_EQ(shared.distinct_locations(game::Coalition::single(1)), 3);
+}
+
+TEST(LocationSpace, CapacityHistogramMatchesThePoolWhenRangesMix) {
+  // Small facilities in a wide universe: some facilities' id ranges meet
+  // no other range (one type each), others share locations or have
+  // custom units (grouped per location). Both kinds must sum capacities
+  // exactly as pool_for does.
+  FacilityConfig custom{"D", 2, 1.0, 0.9};
+  custom.custom_units = {0.5, 3.0};
+  const std::vector<FacilityConfig> configs = {
+      {"A", 1, 2.0, 1.0}, {"B", 2, 1.5, 0.5}, {"C", 3, 1.0, 1.0}, custom};
+  int mixed = 0;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    const auto space = LocationSpace::overlapping(configs, 12, seed);
+    int isolated = 0;
+    for (int i = 0; i < 3; ++i) {
+      bool meets = false;
+      for (int j = 0; j < 4; ++j) {
+        const auto& a = space.locations_of(i);
+        const auto& b = space.locations_of(j);
+        meets = meets || (j != i && a.front() <= b.back() &&
+                          b.front() <= a.back());
+      }
+      if (!meets) ++isolated;
+    }
+    if (isolated > 0 && isolated < 3) ++mixed;
+    for (std::uint64_t mask = 1; mask < 16; ++mask) {
+      const auto coalition = game::Coalition::from_bits(mask);
+      const auto pool = space.pool_for(coalition);
+      const auto histogram = space.capacity_histogram(coalition);
+      const auto of_pool = alloc::CapacityHistogram::of(pool);
+      ASSERT_EQ(histogram.bins.size(), of_pool.bins.size())
+          << "seed " << seed << " mask " << mask;
+      for (std::size_t b = 0; b < of_pool.bins.size(); ++b) {
+        EXPECT_EQ(histogram.bins[b].capacity, of_pool.bins[b].capacity);
+        EXPECT_EQ(histogram.bins[b].count, of_pool.bins[b].count);
+      }
+      EXPECT_EQ(static_cast<std::size_t>(space.distinct_locations(coalition)),
+                pool.num_locations());
+    }
+  }
+  EXPECT_GT(mixed, 0);
+}
+
 TEST(Facility, HeterogeneousUnitsPerLocation) {
   FacilityConfig cfg;
   cfg.name = "het";

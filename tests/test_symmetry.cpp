@@ -344,6 +344,32 @@ TEST_F(SymmetryPropertyTest, FederationDetectsEqualConfigs) {
   EXPECT_EQ(checked.num_types(), 2);
 }
 
+// A and B share a config; C is smaller. Two concave classes make the
+// greedy meet tied remaining capacities, which it once broke by pool
+// position: V({A, C}) was 9 but V({C, B}) 9.732, so the config partition
+// {A, B} was not a symmetry of V and --symmetry exact misreported
+// V({C, B}).
+model::Federation tied_federation() {
+  auto space = model::LocationSpace::disjoint(
+      {{"A", 3, 3.0, 1.0}, {"C", 1, 2.0, 1.0}, {"B", 3, 3.0, 1.0}});
+  model::DemandProfile demand;
+  demand.classes = {{3.0, 2.0, 1.0, 1.0}, {1.0, 3.0, 1.0, 0.5}};
+  return model::Federation(std::move(space), std::move(demand));
+}
+
+TEST_F(SymmetryPropertyTest, SameTypeSwapKeepsTiedGreedyValues) {
+  const model::Federation fed = tied_federation();
+  const PlayerPartition exact = fed.symmetry_partition(SymmetryMode::kExact);
+  ASSERT_EQ(exact.num_types(), 2);
+  ASSERT_EQ(exact.type_of(0), exact.type_of(2));
+  EXPECT_EQ(model::coalition_value(fed.space(), fed.demand(),
+                                   Coalition::of({0, 1})),
+            model::coalition_value(fed.space(), fed.demand(),
+                                   Coalition::of({1, 2})));
+  EXPECT_EQ(fed.build_game(SymmetryMode::kExact).values(),
+            fed.build_game().values());
+}
+
 TEST_F(SymmetryPropertyTest, OverlappingSpaceDisablesConfigDetection) {
   // Identical configs over a shared universe: members are NOT
   // interchangeable in general (their location sets differ), so the

@@ -11,6 +11,7 @@
 # one ulp), then the perf-smoke gates: fast runs that fail when the
 # dense and revised simplex engines disagree, the warm start stops
 # saving pivots, the batched panel stops being bitwise-identical, the
+# tabulated game stops being bitwise-identical across thread counts, the
 # nucleolus stops skipping its provably redundant LPs, or
 # the serve layer's incremental re-solve stops beating a cold
 # re-tabulation, then the crash-recovery gate (tools/crash_check.sh:
@@ -54,6 +55,10 @@ ctest --test-dir "$root/build" -j "$jobs" --output-on-failure \
 echo "== perf smoke (dense vs revised simplex, batched panel bitwise gate) =="
 cmake --build "$root/build" -j "$jobs" --target perf_simplex
 "$root/build/bench/perf_simplex" --smoke
+
+echo "== tabulation smoke (tabulated game bitwise at 1 and 4 threads) =="
+cmake --build "$root/build" -j "$jobs" --target perf_parallel
+"$root/build/bench/perf_parallel" --smoke
 
 echo "== quotient smoke (symmetry quotient vs full sweep) =="
 cmake --build "$root/build" -j "$jobs" --target perf_quotient
