@@ -172,9 +172,10 @@ model::Federation federation_from_config(const io::Config& config) {
   if (facility_sections.empty()) {
     throw io::ConfigError("config needs at least one [facility] section");
   }
-  if (facility_sections.size() > 12) {
-    throw io::ConfigError(
-        "at most 12 facilities supported (2^n coalition values)");
+  if (facility_sections.size() >
+      static_cast<std::size_t>(model::kMaxFacilities)) {
+    throw io::ConfigError("at most " + std::to_string(model::kMaxFacilities) +
+                          " facilities supported (2^n coalition values)");
   }
   std::vector<model::FacilityConfig> configs;
   for (const auto* section : facility_sections) {
@@ -267,16 +268,13 @@ void print_symmetry(std::ostringstream& out, const model::Federation& fed,
       << " coalitions evaluated\n";
 }
 
-// --cache-stats footer: the federation memo's counters after the report
-// body ran. The hit/miss split shows how much the schemes shared; the
-// batched-store line is the write-combining telemetry (batch entries vs
-// shard locks actually taken).
+// --cache-stats footer: the federation's raw V(S) memo after the report
+// body ran. Every mask is looked up once per tabulation, so the counts
+// do not depend on the thread count.
 void print_cache_stats(std::ostream& out, const exec::CacheStats& s) {
   io::print_heading(out, "Value cache");
   out << "entries: " << s.entries << ", hits: " << s.hits << ", misses: "
       << s.misses << ", invalidated: " << s.invalidations << "\n";
-  out << "batched stores: " << s.batched_stores << " in " << s.batch_flushes
-      << " flushes taking " << s.batch_shard_locks << " shard locks\n";
 }
 
 // Quotient-nucleolus footer line (only when the orbit-row path actually

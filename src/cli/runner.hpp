@@ -128,9 +128,9 @@ struct ReportOptions {
   /// section with the exact-DP welfare-optimal partition; kHedonic with
   /// the merge/split fixed point. Both report stability verdicts.
   structure::StructureMode structure = structure::StructureMode::kOff;
-  /// --cache-stats: append a Value cache section with the federation
-  /// memo's counters (entries, hits/misses, invalidations, and the
-  /// write-combining telemetry). Off by default. Not part of any():
+  /// --cache-stats: append a Value cache section with the federation's
+  /// raw V(S) memo counters (entries, hits/misses, invalidations). Off
+  /// by default. Not part of any():
   /// the footer does not call for a Resilience section.
   bool cache_stats = false;
 

@@ -292,6 +292,21 @@ PlayerPartition verified_partition(const Game& game,
   return PlayerPartition::from_type_of(type_of);
 }
 
+void close_monotone(const OrbitIndex& index, std::vector<double>& values) {
+  if (values.size() != index.orbit_count()) {
+    throw std::invalid_argument("close_monotone: need one value per orbit");
+  }
+  for (std::uint64_t orbit = 1; orbit < index.orbit_count(); ++orbit) {
+    double best = values[static_cast<std::size_t>(orbit)];
+    for (int t = 0; t < index.num_types(); ++t) {
+      if (const auto pred = index.predecessor(orbit, t)) {
+        best = std::max(best, values[static_cast<std::size_t>(*pred)]);
+      }
+    }
+    values[static_cast<std::size_t>(orbit)] = best;
+  }
+}
+
 TabularGame expand_orbit_table(const OrbitIndex& index,
                                const std::vector<double>& orbit_values) {
   const int n = index.num_players();

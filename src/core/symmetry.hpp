@@ -176,6 +176,18 @@ class OrbitIndex {
     const Game& game, const PlayerPartition& candidate, int samples = 64,
     std::uint64_t seed = 0x5eedULL, double tolerance = 1e-9);
 
+/// The monotone closure, in place: V'(o) = max(V(o), max_t V'(o - e_t))
+/// over the orbit's per-type predecessors, so a coalition is worth at
+/// least any of its subsets (it can always leave a member's resources
+/// unused). Orbits are visited in ascending id — every predecessor has
+/// a smaller id — and types in ascending order; the empty orbit keeps
+/// its value. On PlayerPartition::identity(n) orbit ids are masks and
+/// types are players, so this is the per-mask max sequence raw(S), then
+/// V'(S \ {i}) for i ascending. For a symmetric game the closed orbit
+/// table expands to the closed full table (the subsets of an orbit's
+/// masks cover exactly the count vectors below it). Idempotent.
+void close_monotone(const OrbitIndex& index, std::vector<double>& values);
+
 /// Expands a per-orbit value table to the full 2^n lattice. Parallel
 /// copy; bit-identical at any thread count.
 [[nodiscard]] TabularGame expand_orbit_table(

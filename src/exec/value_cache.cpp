@@ -47,60 +47,6 @@ void ValueCache::store(std::uint64_t mask, double value) {
   shard.map.emplace(mask, value);  // first store wins
 }
 
-void ValueCache::store_batch(
-    const std::vector<std::pair<std::uint64_t, double>>& entries) {
-  // Unguarded: the caller asserts no invalidation can race this batch
-  // (the historical contract — serve applies serialise flushes and
-  // invalidations on one mutex). Passing the current generation makes
-  // the guard vacuous unless an invalidate_if starts mid-call.
-  (void)store_batch(entries, generation());
-}
-
-std::size_t ValueCache::store_batch(
-    const std::vector<std::pair<std::uint64_t, double>>& entries,
-    std::uint64_t staged_generation) {
-  if (entries.empty()) return 0;
-  // Sort a small index array by destination shard so each shard's lock
-  // is taken once per call. Batches are flush-threshold sized (~32), so
-  // the sort is noise next to even one uncontended lock round-trip.
-  std::vector<std::size_t> order(entries.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return (mix(entries[a].first) & shard_mask_) <
-                            (mix(entries[b].first) & shard_mask_);
-                   });
-  std::uint64_t locks = 0;
-  std::size_t stored = 0;
-  std::size_t i = 0;
-  while (i < order.size()) {
-    const std::uint64_t shard_idx = mix(entries[order[i]].first) & shard_mask_;
-    Shard& shard = const_cast<Shard&>(shards_[shard_idx]);
-    std::lock_guard<std::mutex> lk(shard.m);
-    ++locks;
-    // Generation check under the shard lock: invalidate_if bumps the
-    // generation before it starts scanning shards, so either we still
-    // see the staged generation (and the invalidation, which has not
-    // visited this shard yet, will erase whatever we write if its
-    // predicate matches) or we see a newer one and drop the entries —
-    // a stale buffered value never outlives the invalidation it raced.
-    const bool stale =
-        generation_.load(std::memory_order_acquire) != staged_generation;
-    for (; i < order.size() &&
-           (mix(entries[order[i]].first) & shard_mask_) == shard_idx;
-         ++i) {
-      if (stale) continue;
-      const auto& [mask, value] = entries[order[i]];
-      shard.map.emplace(mask, value);  // first store wins
-      ++stored;
-    }
-  }
-  batch_flushes_.fetch_add(1, std::memory_order_relaxed);
-  batched_stores_.fetch_add(entries.size(), std::memory_order_relaxed);
-  batch_shard_locks_.fetch_add(locks, std::memory_order_relaxed);
-  return stored;
-}
-
 std::vector<std::pair<std::uint64_t, double>> ValueCache::export_entries()
     const {
   std::vector<std::pair<std::uint64_t, double>> entries;
@@ -135,9 +81,6 @@ CacheStats ValueCache::stats() const {
   s.misses = misses();
   s.invalidations = invalidations();
   s.entries = size();
-  s.batch_flushes = batch_flushes();
-  s.batched_stores = batched_stores();
-  s.batch_shard_locks = batch_shard_locks();
   return s;
 }
 
@@ -149,9 +92,6 @@ void ValueCache::clear() {
   hits_.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);
   invalidations_.store(0, std::memory_order_relaxed);
-  batch_flushes_.store(0, std::memory_order_relaxed);
-  batched_stores_.store(0, std::memory_order_relaxed);
-  batch_shard_locks_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace fedshare::exec

@@ -43,9 +43,6 @@ struct CacheStats {
   std::uint64_t misses = 0;
   std::uint64_t invalidations = 0;  ///< entries dropped by invalidate_if
   std::size_t entries = 0;          ///< distinct masks currently cached
-  std::uint64_t batch_flushes = 0;     ///< non-empty store_batch calls
-  std::uint64_t batched_stores = 0;    ///< entries written via store_batch
-  std::uint64_t batch_shard_locks = 0; ///< shard locks taken by store_batch
   /// hits / (hits + misses); 0 when nothing was looked up yet.
   [[nodiscard]] double hit_rate() const noexcept {
     const std::uint64_t total = hits + misses;
@@ -71,30 +68,6 @@ class ValueCache {
   /// repeated store of the same mask is a no-op (values are
   /// deterministic, so any stored value is the right one).
   void store(std::uint64_t mask, double value);
-
-  /// Stores many (mask, value) pairs, grouping them so each destination
-  /// shard's lock is taken exactly once per call instead of once per
-  /// entry. Same first-store-wins semantics as store(). This is the
-  /// write-combining back-end for CacheWriteBuffer: during a parallel
-  /// tabulation every worker otherwise takes one shard lock per stored
-  /// coalition, and the batched path collapses that to ~one lock per
-  /// shard per flush.
-  void store_batch(
-      const std::vector<std::pair<std::uint64_t, double>>& entries);
-
-  /// Generation-guarded store_batch: the caller passes the generation()
-  /// it observed when the entries were *staged* (i.e. before their
-  /// values were computed). Entries destined for a shard whose lock is
-  /// acquired after an invalidate_if has bumped the generation are
-  /// dropped instead of written — a buffered value computed against the
-  /// pre-invalidation state must never resurrect a mask the
-  /// invalidation erased (it would reintroduce a value derived from
-  /// state that no longer exists). Dropping is always safe: the next
-  /// reader simply misses and recomputes against the current state.
-  /// Returns how many entries were actually offered to their shard.
-  std::size_t store_batch(
-      const std::vector<std::pair<std::uint64_t, double>>& entries,
-      std::uint64_t staged_generation);
 
   /// Returns the cached value for `mask`, computing it with `compute()`
   /// (outside any lock) and storing it on a miss. Counts one hit or one
@@ -139,14 +112,8 @@ class ValueCache {
   /// shard serialise briefly; a reader racing the invalidation sees
   /// either the old value or a miss, never a torn entry. `pred` must
   /// not touch the cache (the shard lock is held while it runs).
-  ///
-  /// The cache generation is bumped *before* any entry is dropped, so a
-  /// generation-guarded store_batch staged before this call can never
-  /// write into a shard this invalidation has already scanned (see
-  /// store_batch's two-argument overload).
   template <typename Pred>
   std::size_t invalidate_if(Pred&& pred) {
-    generation_.fetch_add(1, std::memory_order_acq_rel);
     std::size_t dropped = 0;
     for (Shard& shard : shards_) {
       std::lock_guard<std::mutex> lk(shard.m);
@@ -161,15 +128,6 @@ class ValueCache {
     }
     invalidations_.fetch_add(dropped, std::memory_order_relaxed);
     return dropped;
-  }
-
-  /// Monotone counter bumped at the *start* of every invalidate_if.
-  /// Writers that stage values outside the shard locks (CacheWriteBuffer)
-  /// snapshot it before computing and pass it to the guarded
-  /// store_batch, which drops the batch's entries wherever the
-  /// generation has moved on.
-  [[nodiscard]] std::uint64_t generation() const noexcept {
-    return generation_.load(std::memory_order_acquire);
   }
 
   /// Every cached (mask, value) pair, sorted by mask. Intended for
@@ -195,20 +153,6 @@ class ValueCache {
   [[nodiscard]] std::uint64_t invalidations() const noexcept {
     return invalidations_.load(std::memory_order_relaxed);
   }
-  /// Non-empty store_batch calls since construction (or clear()).
-  [[nodiscard]] std::uint64_t batch_flushes() const noexcept {
-    return batch_flushes_.load(std::memory_order_relaxed);
-  }
-  /// Entries written through store_batch (counts duplicates too: the
-  /// write is attempted even when first-store-wins makes it a no-op).
-  [[nodiscard]] std::uint64_t batched_stores() const noexcept {
-    return batched_stores_.load(std::memory_order_relaxed);
-  }
-  /// Shard locks taken by store_batch — the contention actually paid.
-  /// Compare against batched_stores() to see the write-combining ratio.
-  [[nodiscard]] std::uint64_t batch_shard_locks() const noexcept {
-    return batch_shard_locks_.load(std::memory_order_relaxed);
-  }
 
   /// Counter snapshot (hits, misses, invalidations, live entries).
   [[nodiscard]] CacheStats stats() const;
@@ -224,89 +168,11 @@ class ValueCache {
 
   [[nodiscard]] Shard& shard_of(std::uint64_t mask) const noexcept;
 
-  friend class CacheWriteBuffer;  // counts its local hits on hits_
-
   std::vector<Shard> shards_;
   std::uint64_t shard_mask_;  // shards_.size() - 1 (power of two)
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> invalidations_{0};
-  std::atomic<std::uint64_t> batch_flushes_{0};
-  std::atomic<std::uint64_t> batched_stores_{0};
-  std::atomic<std::uint64_t> batch_shard_locks_{0};
-  std::atomic<std::uint64_t> generation_{0};
-};
-
-/// Single-thread write-combining front-end over a shared ValueCache.
-///
-/// One worker of a parallel tabulation owns one buffer for its chunk.
-/// Reads go through a private read-through map first (a hit there never
-/// touches a shard lock — it still counts on the shared hit counter, so
-/// the hit/miss statistics are exactly what the unbuffered path would
-/// record at one thread); computed values are staged locally and pushed
-/// to the shared cache in store_batch() groups of `flush_threshold`.
-/// Values stay deterministic: the cache keeps first-store-wins, and
-/// every staged value is the same deterministic V(S) any other worker
-/// would compute. The destructor flushes, so scoping the buffer to the
-/// chunk body guarantees nothing is lost. NOT thread-safe — one buffer
-/// per worker.
-class CacheWriteBuffer {
- public:
-  explicit CacheWriteBuffer(ValueCache& cache,
-                            std::size_t flush_threshold = 32)
-      : cache_(cache),
-        threshold_(flush_threshold == 0 ? 1 : flush_threshold) {
-    pending_.reserve(threshold_);
-  }
-  ~CacheWriteBuffer() { flush(); }
-
-  CacheWriteBuffer(const CacheWriteBuffer&) = delete;
-  CacheWriteBuffer& operator=(const CacheWriteBuffer&) = delete;
-
-  /// Buffered value_or_compute: local map, then shared cache, then
-  /// compute (outside all locks). `compute` may recurse through this
-  /// same buffer (the closure recursion in Federation::value does).
-  template <typename Fn>
-  double value_or_compute(std::uint64_t mask, Fn&& compute) {
-    if (const auto it = local_.find(mask); it != local_.end()) {
-      cache_.hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-    if (const auto cached = cache_.lookup(mask)) {
-      cache_.hits_.fetch_add(1, std::memory_order_relaxed);
-      local_.emplace(mask, *cached);
-      return *cached;
-    }
-    cache_.misses_.fetch_add(1, std::memory_order_relaxed);
-    if (pending_.empty()) staged_generation_ = cache_.generation();
-    const double value = compute();
-    // compute() may have materialised `mask` itself via recursion; the
-    // emplace re-checks so first-store-wins holds locally too.
-    const auto [it, inserted] = local_.emplace(mask, value);
-    if (inserted) {
-      pending_.emplace_back(mask, value);
-      if (pending_.size() >= threshold_) flush();
-    }
-    return it->second;
-  }
-
-  /// Pushes every staged entry to the shared cache in one batch. The
-  /// batch carries the generation observed when its first entry was
-  /// staged, so entries racing an invalidate_if are dropped rather than
-  /// resurrected (the shared cache decides per shard, under the shard
-  /// lock).
-  void flush() {
-    if (pending_.empty()) return;
-    cache_.store_batch(pending_, staged_generation_);
-    pending_.clear();
-  }
-
- private:
-  ValueCache& cache_;
-  std::size_t threshold_;
-  std::uint64_t staged_generation_ = 0;
-  std::unordered_map<std::uint64_t, double> local_;
-  std::vector<std::pair<std::uint64_t, double>> pending_;
 };
 
 }  // namespace fedshare::exec

@@ -2,6 +2,7 @@
 
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "core/sharing.hpp"
 #include "model/value.hpp"
@@ -24,9 +25,10 @@ SettlementReport evaluate_settlement(const model::LocationSpace& space,
                                      const RevenueModel& revenue) {
   revenue.validate();
   const int n = space.num_facilities();
-  if (n > 12) {
-    throw std::invalid_argument(
-        "evaluate_settlement: at most 12 facilities");
+  if (n > model::kMaxFacilities) {
+    throw std::invalid_argument("evaluate_settlement: at most " +
+                                std::to_string(model::kMaxFacilities) +
+                                " facilities");
   }
   for (const auto& c : customers) {
     c.demand.validate();

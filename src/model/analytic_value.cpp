@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace fedshare::model {
 
@@ -10,8 +11,10 @@ game::TabularGame analytic_game(const LocationSpace& space,
                                 const sim::TrafficClass& traffic,
                                 bool scaling_per_facility) {
   const int n = space.num_facilities();
-  if (n > 12) {
-    throw std::invalid_argument("analytic_game: at most 12 facilities");
+  if (n > kMaxFacilities) {
+    throw std::invalid_argument("analytic_game: at most " +
+                                std::to_string(kMaxFacilities) +
+                                " facilities");
   }
   traffic.request.validate();
   if (!(traffic.arrival_rate > 0.0)) {

@@ -20,7 +20,8 @@ namespace fedshare::model {
 /// Tabulates the analytic loss-network game for a single traffic class.
 /// `scaling_per_facility` mirrors ArrivalScaling::kPerFacility: when
 /// true, a coalition of k facilities faces k * arrival_rate.
-/// Requires <= 12 facilities; the class must have min_locations >= 1.
+/// Requires <= kMaxFacilities facilities; the class must have
+/// min_locations >= 1.
 [[nodiscard]] game::TabularGame analytic_game(
     const LocationSpace& space, const sim::TrafficClass& traffic,
     bool scaling_per_facility = false);

@@ -49,16 +49,16 @@ game::TabularGame net_value_game(const game::Game& gross,
   for (const auto& f : facilities) {
     member_cost.push_back(cost.facility_cost(f));
   }
-  const std::uint64_t count = std::uint64_t{1} << n;
-  std::vector<double> values(count, 0.0);
-  for (std::uint64_t mask = 1; mask < count; ++mask) {
+  std::vector<double> values = game::tabulate(gross).values();
+  values[0] = 0.0;
+  for (std::uint64_t mask = 1; mask < values.size(); ++mask) {
     double total_cost = cost.federation_fixed_cost;
     std::uint64_t b = mask;
     while (b != 0) {
       total_cost += member_cost[static_cast<std::size_t>(__builtin_ctzll(b))];
       b &= b - 1;
     }
-    values[mask] = gross.value(game::Coalition::from_bits(mask)) - total_cost;
+    values[mask] -= total_cost;
   }
   return game::TabularGame(n, std::move(values));
 }

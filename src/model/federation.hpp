@@ -13,6 +13,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <optional>
 
 #include "core/game.hpp"
@@ -43,23 +44,21 @@ class Federation {
   /// member's resources, so V(S) = max(greedy(S), max_i V(S \ {i})).
   /// The greedy water-filling heuristic occasionally dips when extra
   /// pools mislead it (V({0,4}) > V({0,1,4}) on the PlanetLab-style
-  /// config); seeding every coalition with its best strict-subset
-  /// solution makes V monotone by construction. Memoised per federation
-  /// instance in a shared exec::ValueCache, so each coalition's
-  /// allocation is solved exactly once no matter how many schemes,
-  /// sweeps, or threads re-query it (the closure recursion materialises
-  /// the down-set of S through the same cache). Copies share the cache
-  /// until set_demand() gives the callee a fresh one.
+  /// config); the closure (game::close_monotone) makes V monotone by
+  /// construction. Reads the closed table build_game() returns, built
+  /// once on first use (so num_facilities() <= 24) and shared by copies
+  /// like the memo; set_demand() drops it.
   [[nodiscard]] double value(game::Coalition coalition) const;
 
   /// The greedy allocation value without the monotone closure — the
-  /// direct output of the water-filling heuristic. This is the function
-  /// the symmetry oracle samples (closure recursion would cost 2^|S|
-  /// per probe) and the raw input to the quotient builds, which apply
-  /// the same closure on the orbit lattice instead.
+  /// direct output of the water-filling heuristic, memoised in the
+  /// instance's exec::ValueCache so each coalition's allocation is
+  /// solved exactly once no matter how many tabulations, oracle probes
+  /// or threads ask for it. This is what the symmetry oracle samples
+  /// and what every tabulation closes.
   [[nodiscard]] double raw_value(game::Coalition coalition) const;
 
-  /// The instance's V(S) memo (hit/miss statistics for benches).
+  /// The instance's raw V(S) memo (hit/miss statistics for benches).
   [[nodiscard]] const exec::ValueCache& value_cache() const noexcept {
     return *cache_;
   }
@@ -79,14 +78,14 @@ class Federation {
   [[nodiscard]] game::TabularGame build_game(game::SymmetryMode mode) const;
 
   /// The one tabulation path. With a trivial symmetry_partition(mode)
-  /// every mask is evaluated through a per-chunk exec::CacheWriteBuffer
-  /// (one budget unit per mask). Otherwise the greedy allocator runs
+  /// every mask writes its raw_value() into its own slot (one budget
+  /// unit per mask) and the table is closed with game::close_monotone
+  /// on the identity partition. Otherwise the greedy allocator runs
   /// once per orbit (one unit per orbit: the charging rule's "distinct
-  /// V(S)" collapses to distinct orbits), the monotone closure runs on
-  /// the orbit lattice (equivalent to the full-lattice closure for a
-  /// symmetric game, and exact: max is order-independent), and the
-  /// table expands to all 2^n masks. Returns nullopt when the budget
-  /// trips.
+  /// V(S)" collapses to distinct orbits), the same closure runs on the
+  /// orbit lattice (equivalent to the full-lattice closure for a
+  /// symmetric game), and the table expands to all 2^n masks. Returns
+  /// nullopt when the budget trips.
   [[nodiscard]] std::optional<game::TabularGame> build_game_budgeted(
       game::SymmetryMode mode, const runtime::ComputeBudget& budget) const;
 
@@ -107,22 +106,20 @@ class Federation {
   [[nodiscard]] std::vector<double> consumption_weights() const;
 
   /// Replaces the demand profile (used by the demand-sweep benches).
-  /// Invalidates the V(S) memo: cached values depend on demand.
+  /// Drops the V(S) memo and the closed table: both depend on demand.
   void set_demand(DemandProfile demand);
 
  private:
-  /// value() with a per-worker exec::CacheWriteBuffer in front of the
-  /// shared memo: same closure recursion and the same hit/miss
-  /// accounting, but computed values are staged locally and pushed to
-  /// the shared cache in shard-grouped batches. Used by the per-mask
-  /// tabulation so workers stop serialising on shard locks for every
-  /// stored coalition.
-  double value_buffered(game::Coalition coalition,
-                        exec::CacheWriteBuffer& buffer) const;
+  /// value()'s closed table, built by the first caller.
+  struct ClosedTable {
+    std::once_flag once;
+    std::optional<game::TabularGame> game;
+  };
 
   LocationSpace space_;
   DemandProfile demand_;
   std::shared_ptr<exec::ValueCache> cache_;
+  std::shared_ptr<ClosedTable> closed_;
 };
 
 }  // namespace fedshare::model

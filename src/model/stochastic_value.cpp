@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace fedshare::model {
 
@@ -10,9 +11,10 @@ game::TabularGame simulated_game(const LocationSpace& space,
                                  const sim::SimConfig& config,
                                  ArrivalScaling scaling) {
   const int n = space.num_facilities();
-  if (n > 12) {
-    throw std::invalid_argument(
-        "simulated_game: at most 12 facilities (2^n simulations)");
+  if (n > kMaxFacilities) {
+    throw std::invalid_argument("simulated_game: at most " +
+                                std::to_string(kMaxFacilities) +
+                                " facilities (2^n simulations)");
   }
   const std::uint64_t count = std::uint64_t{1} << n;
   std::vector<double> values(count, 0.0);

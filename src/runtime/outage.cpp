@@ -116,9 +116,8 @@ OutageReport evaluate_outages(const model::Federation& fed, int scenarios,
         if (b.exhausted()) return false;
         model::Federation degraded(model.degrade(fed.space(), k),
                                    fed.demand());
-        const game::FunctionGame g(
-            n, [&degraded](game::Coalition c) { return degraded.value(c); });
-        const auto tab = game::tabulate_budgeted(g, b);
+        const auto tab =
+            degraded.build_game_budgeted(game::SymmetryMode::kOff, b);
         if (!tab) return false;
         ScenarioResult& slot = results[k];
         slot.rs = compare_schemes_resilient(

@@ -3,7 +3,7 @@
 // A checkpoint is the text serialization of a serve::CheckpointImage —
 // everything ServiceState::restore() needs to stand a service back up
 // at epoch E without replaying events 1..E: roster (with realised
-// outage masks), demand, the greedy V(S) lattice, and the LP bound
+// outage masks), demand, the raw greedy V(S) lattice, and the LP bound
 // table *including current-generation simplex bases* (values alone
 // restore the right answer at E, but the bases are what keep every
 // post-restore warm-start decision — and hence every later double —
@@ -38,6 +38,11 @@
 // IEEE CRC-32 (io::crc32) of everything before it; a reader that finds
 // a bad magic, a bad checksum, or any malformed record treats the file
 // as corrupt and falls back (serve/log.hpp) — never a wrong answer.
+//
+// The `cache` records hold raw greedy values. v1 files written while the
+// serve memo held monotone-closed values carry closed values there
+// instead; they restore to the same answers, because the closure that
+// publishes every snapshot is idempotent, so the format stays v1.
 #pragma once
 
 #include <optional>

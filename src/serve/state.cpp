@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/symmetry.hpp"
 #include "exec/pool.hpp"
 #include "model/value.hpp"
 #include "runtime/outage.hpp"
@@ -43,7 +44,8 @@ runtime::StopReason stop_reason_of(const runtime::ComputeBudget& budget) {
 
 ServiceState::ServiceState(ServeOptions options)
     : options_(options), space_(model::LocationSpace::disjoint({})) {
-  options_.max_facilities = std::clamp(options_.max_facilities, 1, 12);
+  options_.max_facilities =
+      std::clamp(options_.max_facilities, 1, model::kMaxFacilities);
   cache_ = std::make_shared<exec::ValueCache>();
   bounds_.assign(std::size_t{1} << options_.max_facilities, BoundEntry{});
   lp_offset_.assign(static_cast<std::size_t>(options_.max_facilities), -1);
@@ -191,74 +193,41 @@ void ServiceState::rebuild_space() {
   space_ = model::LocationSpace::disjoint(std::move(configs));
 }
 
-double ServiceState::closed_value(std::uint64_t slot_mask) const {
-  // Exactly model::Federation's monotone closure: greedy value first,
-  // then the best strict-subset value, members in ascending order — the
-  // identical max sequence keeps cached values bit-identical to a batch
-  // Federation build of the same space.
-  double best =
-      model::coalition_value(space_, demand_, compact_coalition(slot_mask));
-  for (int s = 0; s < options_.max_facilities; ++s) {
-    if (!(slot_mask >> s & 1)) continue;
-    const std::uint64_t sub = slot_mask & ~(std::uint64_t{1} << s);
-    double sub_value = 0.0;
-    if (sub != 0) {
-      const auto cached = cache_->lookup(sub);
-      if (!cached) {
-        throw std::logic_error(
-            "serve: lattice predecessor not materialised");
-      }
-      sub_value = *cached;
-    }
-    best = std::max(best, sub_value);
-  }
-  return best;
-}
-
 bool ServiceState::tabulate_values(const runtime::ComputeBudget& budget,
                                    ApplyResult& result) {
   const std::uint64_t active = active_mask();
   if (active == 0) return true;
-  const int m = static_cast<int>(roster_.size());
 
-  // Subsets of the active mask, level by level. Misses are only the
-  // invalidated slice — a hit costs one lookup and is free under the
-  // charging rule.
-  std::vector<std::vector<std::uint64_t>> levels(
-      static_cast<std::size_t>(m) + 1);
+  // Every non-empty subset of the active mask, ascending. Misses are
+  // only the invalidated slice — a hit costs one lookup and is free
+  // under the charging rule. The memo holds raw greedy values, so masks
+  // are independent and need no level order; publish_snapshot() closes
+  // the table.
+  std::vector<std::uint64_t> masks;
   std::uint64_t sub = 0;
-  while (true) {
-    if (sub != 0) {
-      levels[static_cast<std::size_t>(std::popcount(sub))].push_back(sub);
-    }
-    if (sub == active) break;
+  while (sub != active) {
     sub = (sub - active) & active;  // next subset, ascending mask order
+    masks.push_back(sub);
   }
 
   const std::uint64_t misses_before = cache_->misses();
-  for (std::size_t level = 1; level < levels.size(); ++level) {
-    const auto& masks = levels[level];
-    const bool ok = exec::parallel_for_budgeted(
-        0, masks.size(), 4, budget,
-        [&](const exec::ChunkRange& r,
-            const runtime::ComputeBudget& child) {
-          for (std::uint64_t i = r.begin; i < r.end; ++i) {
-            const std::uint64_t mask = masks[i];
-            const auto value = cache_->value_or_compute_budgeted(
-                mask, child, [&] { return closed_value(mask); });
-            if (!value) return false;
-          }
-          return true;
-        });
-    if (!ok) {
-      result.values_recomputed +=
-          static_cast<std::size_t>(cache_->misses() - misses_before);
-      return false;
-    }
-  }
+  const bool ok = exec::parallel_for_budgeted(
+      0, masks.size(), 4, budget,
+      [&](const exec::ChunkRange& r, const runtime::ComputeBudget& child) {
+        for (std::uint64_t i = r.begin; i < r.end; ++i) {
+          const std::uint64_t mask = masks[i];
+          const auto value =
+              cache_->value_or_compute_budgeted(mask, child, [&] {
+                return model::coalition_value(space_, demand_,
+                                              compact_coalition(mask));
+              });
+          if (!value) return false;
+        }
+        return true;
+      });
   result.values_recomputed +=
       static_cast<std::size_t>(cache_->misses() - misses_before);
-  return true;
+  return ok;
 }
 
 void ServiceState::rebuild_template() {
@@ -435,6 +404,10 @@ void ServiceState::publish_snapshot() {
       }
       values[cm] = *cached;
     }
+    // Compact index i is the i-th active slot in ascending order, so the
+    // identity closure visits subsets exactly as the slot lattice would.
+    game::close_monotone(
+        game::OrbitIndex(game::PlayerPartition::identity(m)), values);
     snap->game.emplace(m, std::move(values));
 
     answer.grand_value = snap->game->grand_value();

@@ -74,8 +74,9 @@ struct ServeOptions {
   /// Maintain the LP-relaxation bound table (grand-coalition upper
   /// bound, incremental dual-simplex re-solves). Off = greedy V only.
   bool track_bounds = true;
-  /// Roster capacity (slots). At most 12 — the 2^n tables.
-  int max_facilities = 12;
+  /// Roster capacity (slots). At most model::kMaxFacilities — the 2^n
+  /// tables.
+  int max_facilities = model::kMaxFacilities;
 };
 
 /// What one apply()/repair() call did.
@@ -164,8 +165,11 @@ struct CheckpointImage {
   std::vector<MemberImage> roster;  ///< sorted by slot
   model::DemandProfile demand;
 
-  /// Greedy V(S) memo, keyed by slot mask, ascending (the full lattice
-  /// of the active roster — checkpoints are only taken clean).
+  /// Raw greedy V(S) memo, keyed by slot mask, ascending (the full
+  /// lattice of the active roster — checkpoints are only taken clean).
+  /// Images written before the memo held raw values carry closed
+  /// values instead; restore() accepts both, because the closure that
+  /// publish_snapshot() applies is idempotent.
   std::vector<std::pair<std::uint64_t, double>> cache;
 
   struct BoundImage {
@@ -320,7 +324,6 @@ class ServiceState {
   [[nodiscard]] int member_index(const std::string& name) const;
   [[nodiscard]] game::Coalition compact_coalition(std::uint64_t slot_mask)
       const;
-  [[nodiscard]] double closed_value(std::uint64_t slot_mask) const;
   [[nodiscard]] std::vector<double> caps_for(std::uint64_t slot_mask) const;
   void rebuild_template();
 
@@ -333,7 +336,9 @@ class ServiceState {
   model::DemandProfile demand_;
   model::LocationSpace space_;  ///< effective space of the roster
 
-  /// Greedy V(S) memo keyed by slot mask (monotone-closed values).
+  /// Raw greedy V(S) memo keyed by slot mask. Raw values keep masks
+  /// independent, so re-tabulation needs no level order;
+  /// publish_snapshot() applies the monotone closure.
   std::shared_ptr<exec::ValueCache> cache_;
 
   /// LP bound table state. The relaxation template spans every active

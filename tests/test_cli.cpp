@@ -1,12 +1,14 @@
 // Tests for the CLI runner (config -> federation -> report).
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "cli/runner.hpp"
 #include "core/game_io.hpp"
+#include "exec/pool.hpp"
 
 namespace fedshare::cli {
 namespace {
@@ -147,6 +149,26 @@ TEST(CliRunner, MultipleDemandClassesSupported) {
 TEST(CliRunner, ReportIsDeterministic) {
   EXPECT_EQ(run_report_from_string(kPaperConfig),
             run_report_from_string(kPaperConfig));
+}
+
+// The value memo is looked up once per mask per tabulation, so the
+// --cache-stats footer, like the rest of the report, does not depend on
+// the thread count.
+TEST(CliRunner, CacheStatsReportIsThreadIndependent) {
+  std::ifstream in(std::string(FEDSHARE_SOURCE_DIR) +
+                   "/configs/planetlab.ini");
+  ASSERT_TRUE(in);
+  const auto config = io::Config::parse(in);
+  ReportOptions opts;
+  opts.cache_stats = true;
+  opts.verify = verify::VerifyLevel::kFull;
+  exec::set_threads(1);
+  const std::string one = run_report(config, opts);
+  exec::set_threads(4);
+  const std::string four = run_report(config, opts);
+  exec::set_threads(1);
+  EXPECT_EQ(one, four);
+  EXPECT_NE(one.find("Value cache"), std::string::npos);
 }
 
 TEST(CliRunner, RegionKeysProduceHierarchySection) {

@@ -23,7 +23,6 @@
 
 namespace {
 
-using fedshare::exec::CacheWriteBuffer;
 using fedshare::exec::ChunkRange;
 using fedshare::exec::ValueCache;
 using fedshare::game::Coalition;
@@ -222,80 +221,6 @@ TEST_F(ExecTest, ValueCacheComputesOncePerMask) {
   EXPECT_EQ(cache.misses(), 32u);
   EXPECT_EQ(cache.hits(), 64u);
   EXPECT_NEAR(cache.hit_rate(), 64.0 / 96.0, 1e-12);
-}
-
-TEST_F(ExecTest, ValueCacheStoreBatchFirstStoreWinsAndCounts) {
-  ValueCache cache(8);
-  cache.store(5, 50.0);
-  std::vector<std::pair<std::uint64_t, double>> batch;
-  for (std::uint64_t mask = 0; mask < 10; ++mask) {
-    batch.emplace_back(mask, static_cast<double>(mask) * 2.0);
-  }
-  cache.store_batch(batch);
-  // Pre-existing entry keeps its value (first store wins)...
-  EXPECT_EQ(cache.lookup(5).value(), 50.0);
-  // ...and everything else landed.
-  for (std::uint64_t mask = 0; mask < 10; ++mask) {
-    if (mask == 5) continue;
-    EXPECT_EQ(cache.lookup(mask).value(), static_cast<double>(mask) * 2.0)
-        << "mask " << mask;
-  }
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.batch_flushes, 1u);
-  EXPECT_EQ(stats.batched_stores, 10u);
-  // Shard grouping: at most one lock per shard, never one per entry.
-  EXPECT_GE(stats.batch_shard_locks, 1u);
-  EXPECT_LE(stats.batch_shard_locks, 8u);
-  // Empty batches are free.
-  cache.store_batch({});
-  EXPECT_EQ(cache.batch_flushes(), 1u);
-}
-
-TEST_F(ExecTest, CacheWriteBufferMatchesUnbufferedStats) {
-  // The buffered front-end must record exactly the hit/miss sequence
-  // the unbuffered path would: one miss per distinct mask, one hit per
-  // re-read — whether the re-read lands in the local map or the shared
-  // cache.
-  ValueCache cache;
-  int computes = 0;
-  {
-    CacheWriteBuffer buffer(cache, /*flush_threshold=*/4);
-    for (int round = 0; round < 3; ++round) {
-      for (std::uint64_t mask = 1; mask <= 32; ++mask) {
-        const double v = buffer.value_or_compute(mask, [&] {
-          ++computes;
-          return static_cast<double>(mask) * 1.5;
-        });
-        EXPECT_EQ(v, static_cast<double>(mask) * 1.5);
-      }
-    }
-  }  // flush on scope exit
-  EXPECT_EQ(computes, 32);
-  EXPECT_EQ(cache.size(), 32u);
-  // Same counters as ValueCacheComputesOncePerMask records unbuffered.
-  EXPECT_EQ(cache.misses(), 32u);
-  EXPECT_EQ(cache.hits(), 64u);
-  // 32 stores at threshold 4 = 8 flushes, every entry batched.
-  EXPECT_EQ(cache.batch_flushes(), 8u);
-  EXPECT_EQ(cache.batched_stores(), 32u);
-  // Everything is readable through the shared cache afterwards.
-  for (std::uint64_t mask = 1; mask <= 32; ++mask) {
-    EXPECT_EQ(cache.lookup(mask).value(), static_cast<double>(mask) * 1.5);
-  }
-}
-
-TEST_F(ExecTest, CacheWriteBufferReadsThroughSharedCache) {
-  ValueCache cache;
-  cache.store(9, 90.0);
-  CacheWriteBuffer buffer(cache);
-  // Shared-cache hit through the buffer: no compute, counted as a hit.
-  const double v = buffer.value_or_compute(9, [] { return -1.0; });
-  EXPECT_EQ(v, 90.0);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 0u);
-  // Second read comes from the buffer's local map — still a hit.
-  EXPECT_EQ(buffer.value_or_compute(9, [] { return -1.0; }), 90.0);
-  EXPECT_EQ(cache.hits(), 2u);
 }
 
 TEST_F(ExecTest, ValueCacheBudgetedHitIsFreeMissCharges) {
@@ -563,105 +488,6 @@ TEST_F(ExecTest, ValueCacheConcurrentInvalidateVsReadIsSafe) {
   for (auto& r : readers) r.join();
   EXPECT_EQ(torn.load(), 0u);
   EXPECT_EQ(cache.stats().invalidations, cache.invalidations());
-}
-
-// --- the resurrection race -----------------------------------------------
-// A batch staged before an invalidate_if carries values computed against
-// pre-invalidation state; writing them afterwards would resurrect masks
-// the invalidation erased. The generation guard must drop such batches.
-
-TEST_F(ExecTest, StoreBatchStagedBeforeInvalidateIsDropped) {
-  ValueCache cache(4);
-  // Stage a batch (snapshot the generation first, as CacheWriteBuffer
-  // does), then invalidate the very masks the batch would write.
-  const std::uint64_t staged = cache.generation();
-  const std::vector<std::pair<std::uint64_t, double>> entries{
-      {0b01, 1.0}, {0b10, 2.0}, {0b11, 3.0}};
-  (void)cache.invalidate_if([](std::uint64_t mask) { return mask & 1; });
-  EXPECT_EQ(cache.store_batch(entries, staged), 0u);
-  EXPECT_FALSE(cache.lookup(0b01).has_value());
-  EXPECT_FALSE(cache.lookup(0b10).has_value());  // whole batch dropped
-  EXPECT_FALSE(cache.lookup(0b11).has_value());
-  EXPECT_EQ(cache.size(), 0u);
-
-  // A batch staged *after* the invalidation writes normally.
-  const std::uint64_t fresh = cache.generation();
-  EXPECT_EQ(cache.store_batch(entries, fresh), entries.size());
-  EXPECT_EQ(cache.size(), 3u);
-}
-
-TEST_F(ExecTest, CacheWriteBufferFlushAfterInvalidateDoesNotResurrect) {
-  ValueCache cache(4);
-  {
-    CacheWriteBuffer buffer(cache, /*flush_threshold=*/64);
-    // Stage three values without flushing (threshold not reached)...
-    for (const std::uint64_t mask : {1u, 3u, 5u}) {
-      (void)buffer.value_or_compute(
-          mask, [mask] { return static_cast<double>(mask); });
-    }
-    EXPECT_EQ(cache.size(), 0u);  // still only staged locally
-    // ... invalidate the slice they belong to ...
-    (void)cache.invalidate_if([](std::uint64_t mask) { return mask & 1; });
-    // ... and flush (also exercised by the destructor): the stale batch
-    // must be dropped, not written.
-    buffer.flush();
-  }
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.lookup(1).has_value());
-  EXPECT_FALSE(cache.lookup(3).has_value());
-  EXPECT_FALSE(cache.lookup(5).has_value());
-}
-
-// TSan certificate for invalidate_if vs store_batch: writers stage
-// batches against the pre-invalidation state, a barrier guarantees the
-// invalidation happens after staging and before the flushes, and a
-// second invalidator keeps scanning concurrently with the flushes. No
-// staged mask may survive, at any interleaving, on any shard.
-TEST_F(ExecTest, ConcurrentFlushVsInvalidateNeverResurrects) {
-  constexpr int kWriters = 4;
-  constexpr std::uint64_t kPerWriter = 64;
-  ValueCache cache(8);
-
-  std::atomic<int> staged_count{0};
-  std::atomic<bool> invalidated{false};
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&, w] {
-      // Disjoint odd masks per writer; all match the predicate below.
-      std::vector<std::pair<std::uint64_t, double>> entries;
-      for (std::uint64_t k = 0; k < kPerWriter; ++k) {
-        const std::uint64_t mask =
-            (static_cast<std::uint64_t>(w) * kPerWriter + k) * 2 + 1;
-        entries.emplace_back(mask, static_cast<double>(mask));
-      }
-      const std::uint64_t staged = cache.generation();
-      staged_count.fetch_add(1, std::memory_order_release);
-      while (!invalidated.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-      // Races with the sweeper thread below — exactly the interleaving
-      // the generation guard exists for.
-      EXPECT_EQ(cache.store_batch(entries, staged), 0u);
-    });
-  }
-  while (staged_count.load(std::memory_order_acquire) < kWriters) {
-    std::this_thread::yield();
-  }
-  (void)cache.invalidate_if([](std::uint64_t mask) { return mask & 1; });
-  std::thread sweeper([&] {
-    for (int round = 0; round < 100; ++round) {
-      (void)cache.invalidate_if([](std::uint64_t mask) { return mask & 1; });
-    }
-  });
-  invalidated.store(true, std::memory_order_release);
-  for (auto& t : writers) t.join();
-  sweeper.join();
-
-  EXPECT_EQ(cache.size(), 0u);
-  for (const auto& [mask, value] : cache.export_entries()) {
-    (void)value;
-    ADD_FAILURE() << "mask " << mask << " was resurrected";
-  }
 }
 
 }  // namespace

@@ -99,9 +99,8 @@ TEST(GoldenTest, PlanetlabOutageReportMatchesSnapshot) {
 }
 
 // --cache-stats under --verify full: pins the Verification section and
-// the value-cache counters, batched stores included (the tabulation
-// writes through per-chunk buffers). One thread: the hit/miss split
-// varies between runs at more.
+// the raw value memo's counters (one lookup per mask per tabulation,
+// so the same at any thread count; CliRunner pins that).
 TEST(GoldenTest, PlanetlabCacheStatsReportMatchesSnapshot) {
   fedshare::cli::ReportOptions options;
   options.cache_stats = true;

@@ -8,10 +8,12 @@
 // wrong answer.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -313,6 +315,67 @@ TEST(ServeDurabilityTest, RestoreThenReplaySuffixIsBitwiseIdentical) {
     }
     const auto stats = restored.stats();
     EXPECT_EQ(stats.epoch, events.size());
+  }
+}
+
+// v1 checkpoints written while the serve memo held monotone-closed
+// values carry closed values in their cache records. The PlanetLab-
+// shaped roster below (scaled down tenfold) has a greedy dip away from
+// G-Lab's slot, so such an
+// image differs from a raw one on masks the G-Lab flap never touches.
+// Restoring it must give the same answer, and the answers across the
+// flap must match the uncrashed run bit for bit.
+TEST(ServeDurabilityTest, ClosedValueCheckpointRestoresBitwise) {
+  std::vector<Event> events;
+  for (const char* line :
+       {"demand count=30,min_locations=4;count=5,min_locations=10,units=4;"
+        "count=10,min_locations=50,units=2",
+        "join name=PLC locations=30 units=4 availability=1",
+        "join name=PLE-core locations=15 units=4 availability=1",
+        "join name=G-Lab locations=6 units=3 availability=0.9",
+        "join name=EmanicsLab locations=3 units=2 availability=1",
+        "join name=PLJ locations=8 units=3 availability=1",
+        "outage-start name=G-Lab seed=3 scenario=1", "outage-end name=G-Lab"}) {
+    events.push_back(fedshare::serve::parse_event(line));
+  }
+  const std::size_t k = 6;  // checkpoint once the roster is assembled
+
+  ServiceState reference;
+  std::vector<EpochAnswer> recorded{reference.query()};
+  for (const Event& event : events) {
+    (void)reference.apply(event);
+    recorded.push_back(reference.query());
+  }
+
+  ServiceState replica;
+  replica.replay_log(events, k);
+  CheckpointImage image = replica.checkpoint_image();
+  // Rewrite the memo as the closed values such a file holds: V(S) =
+  // max(raw(S), V(S \ {s}) for slots s ascending), V(empty) = 0. Entries
+  // are mask-ascending, so every subset is closed before its supersets.
+  std::map<std::uint64_t, double> closed;
+  int raised = 0;
+  for (auto& [mask, value] : image.cache) {
+    double best = value;
+    for (int s = 0; s < 64; ++s) {
+      if (!(mask >> s & 1)) continue;
+      const std::uint64_t sub = mask & ~(std::uint64_t{1} << s);
+      best = std::max(best, sub == 0 ? 0.0 : closed.at(sub));
+    }
+    if (best != value) ++raised;
+    closed[mask] = best;
+    value = best;
+  }
+  ASSERT_GT(raised, 0) << "the roster has no greedy dip to close";
+
+  ServiceState restored;
+  restored.restore(fedshare::serve::decode_checkpoint(
+      fedshare::serve::encode_checkpoint(image)));
+  expect_bitwise_equal(restored.query(), recorded[k], "restored");
+  for (std::size_t e = k; e < events.size(); ++e) {
+    (void)restored.apply(events[e]);
+    expect_bitwise_equal(restored.query(), recorded[e + 1],
+                         "epoch " + std::to_string(e + 1));
   }
 }
 

@@ -5,9 +5,11 @@
 // PlanetLab-style config.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "core/banzhaf.hpp"
@@ -472,6 +474,75 @@ TEST_F(SymmetryPropertyTest, ClosedGameIsMonotoneEverywhere) {
           << " raised the value";
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// close_monotone against a brute-force oracle.
+
+// The closed value of every mask by brute force: the max of the raw
+// value over all of its submasks, the empty one included.
+std::vector<double> brute_force_closure(const std::vector<double>& raw) {
+  std::vector<double> closed(raw.size());
+  for (std::uint64_t mask = 0; mask < raw.size(); ++mask) {
+    double best = raw[mask];
+    for (std::uint64_t sub = mask;; sub = (sub - 1) & mask) {
+      best = std::max(best, raw[sub]);
+      if (sub == 0) break;
+    }
+    closed[mask] = best;
+  }
+  return closed;
+}
+
+// Raw values from a handful of levels, so random tables have both dips
+// (a superset worth less) and exact ties.
+std::vector<double> dipping_table(std::size_t size, sim::Xoshiro256& rng) {
+  std::vector<double> values(size);
+  for (double& v : values) v = 0.75 * static_cast<double>(rng.below(5));
+  values[0] = 0.0;
+  return values;
+}
+
+TEST_F(SymmetryPropertyTest, CloseMonotoneMatchesBruteForceOnIdentity) {
+  sim::Xoshiro256 rng(0xc105eULL);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = 1 + static_cast<int>(rng.below(10));
+    std::vector<double> values = dipping_table(std::size_t{1} << n, rng);
+    const std::vector<double> expected = brute_force_closure(values);
+    close_monotone(OrbitIndex(PlayerPartition::identity(n)), values);
+    ASSERT_EQ(values, expected) << "trial " << trial << " n=" << n;
+  }
+}
+
+TEST_F(SymmetryPropertyTest, CloseMonotoneMatchesBruteForceOnTypedOrbits) {
+  sim::Xoshiro256 rng(0x7e5edULL);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = 2 + static_cast<int>(rng.below(8));
+    const OrbitIndex index(random_partition(n, rng));
+    std::vector<double> orbit_values =
+        dipping_table(static_cast<std::size_t>(index.orbit_count()), rng);
+    // Closing the orbit table and expanding it must give the brute-force
+    // closure of the expanded raw table, mask for mask.
+    const std::vector<double> expected =
+        brute_force_closure(expand_orbit_table(index, orbit_values).values());
+    close_monotone(index, orbit_values);
+    ASSERT_EQ(expand_orbit_table(index, orbit_values).values(), expected)
+        << "trial " << trial << " n=" << n
+        << " types=" << index.num_types();
+  }
+}
+
+TEST_F(SymmetryPropertyTest, CloseMonotoneIsIdempotent) {
+  sim::Xoshiro256 rng(0x1de4ULL);
+  const OrbitIndex index(random_partition(7, rng));
+  std::vector<double> values =
+      dipping_table(static_cast<std::size_t>(index.orbit_count()), rng);
+  close_monotone(index, values);
+  std::vector<double> again = values;
+  close_monotone(index, again);
+  EXPECT_EQ(again, values);
+  std::vector<double> wrong_size(values.size() + 1);
+  EXPECT_THROW(close_monotone(index, wrong_size), std::invalid_argument);
 }
 
 }  // namespace
