@@ -30,10 +30,9 @@ void print_apply(std::ostream& out, const serve::ApplyResult& result) {
   out << "epoch " << result.epoch << ": " << result.kind
       << " — invalidated " << result.invalidated << ", V recomputed "
       << result.values_recomputed;
-  if (result.lp_solves > 0 || result.lp_cold_equivalent > 0) {
+  if (result.lp_solves > 0) {
     out << ", LP " << result.lp_solves << " (" << result.lp_incremental
-        << " warm, " << result.lp_cold << " cold; cold re-tabulation = "
-        << result.lp_cold_equivalent << ")";
+        << " warm, " << result.lp_cold << " cold)";
   }
   if (!result.complete) {
     out << " — INCOMPLETE (" << runtime::to_string(result.stop) << ")";

@@ -29,8 +29,8 @@ struct ServeRunOptions {
   std::optional<double> deadline_ms;
   /// Simplex engine for the nucleolus LPs in each epoch's answer.
   lp::SolverKind lp_solver = lp::SolverKind::kRevised;
-  /// Maintain the LP-relaxation bound table (grand-coalition bound and
-  /// incremental dual-simplex re-solves).
+  /// Maintain the grand coalition's LP-relaxation bound (one warm
+  /// dual-simplex re-solve per epoch).
   bool track_bounds = true;
   /// Digits in the rendered report.
   int precision = 4;

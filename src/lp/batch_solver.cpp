@@ -413,60 +413,6 @@ void BatchSolver::solve_group(const Basis& basis,
   }
 }
 
-Solution BatchSolver::solve_one(const Basis* basis, const ProblemPatch& patch,
-                                const runtime::ComputeBudget* budget,
-                                Basis* basis_out) {
-  if (basis_out != nullptr) *basis_out = Basis{};
-  const bool warmable =
-      basis != nullptr && !basis->empty() &&
-      basis->status.size() == engine_.num_cols_ && patch.bounds.empty() &&
-      engine_.num_rows_ > 0 && engine_.options_.max_iterations >= 1 &&
-      engine_.options_.observer == nullptr;
-  if (warmable) {
-    restore_rhs(engine_);
-    apply_rhs(engine_, patch);
-    x_ok_ = false;
-    if (engine_.prepare() && engine_.num_rows_ > 0 && ensure_frame(*basis)) {
-      engine_.compute_basic_values();
-      if (!y_ok_) refresh_y();
-      if (primal_feasible() && pricing_none()) {
-        x_ok_ = true;
-        ++stats_.fast;
-        Solution out;
-        // The sequential clone charges once in the dual sweep (when the
-        // basis is dual feasible) and once at the primal loop top before
-        // discovering optimality; reproduce that sequence exactly.
-        if (dual_feasible_from_d()) {
-          if (budget != nullptr && !budget->charge()) {
-            out.status = SolveStatus::kBudgetExhausted;
-            out.pivots = 0;
-            return out;
-          }
-        }
-        if (budget != nullptr && !budget->charge()) {
-          out.status = SolveStatus::kBudgetExhausted;
-          out.pivots = 0;
-          return out;
-        }
-        engine_.extract_core(y_, out, &d_);
-        out.pivots = 0;
-        if (basis_out != nullptr) *basis_out = engine_.basis();
-        return out;
-      }
-    }
-  }
-  // Spill: the sequential fresh clone, budget attached.
-  ++stats_.spilled;
-  spill_ = pristine_;
-  spill_.apply(patch);
-  spill_.set_budget(budget);
-  Solution out = (basis != nullptr && !basis->empty())
-                     ? spill_.solve_from_basis(*basis)
-                     : spill_.solve();
-  if (basis_out != nullptr) *basis_out = spill_.basis();
-  return out;
-}
-
 void BatchSolver::rebuild_frame_from_current() {
   invalidate_frame();
   if (engine_.num_rows_ == 0 || !engine_.has_basis_) return;

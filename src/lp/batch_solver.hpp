@@ -20,11 +20,9 @@
 // to the ordinary single-solve path, so every result — fast or spilled
 // — is bit-identical to today's per-LP warm chain.
 //
-// Three entry points, one per call-site shape:
+// Two entry points, one per call-site shape:
 //  * solve_group     — a whole level of rhs-patched siblings sharing one
 //                      starting basis (model::lp_relaxation_sweep).
-//  * solve_one       — one warm re-solve with budget-charge emulation
-//                      (serve's bound-table re-solves).
 //  * solve_objective — objective-only re-solves chained through the
 //                      previous optimum (the nucleolus probe chains);
 //                      reuses the factorization *and* the basic values
@@ -86,23 +84,13 @@ class BatchSolver {
                    std::vector<Basis>* bases_out = nullptr,
                    bool objective_only = false);
 
-  /// One warm re-solve of `patch` from `basis` (nullptr/empty = cold),
-  /// charging `budget` exactly as the sequential clone would (dual
-  /// sweep + primal sweep loop-top charges, in order). `basis_out`
-  /// receives the post-solve snapshot (empty when the sequential fresh
-  /// clone would have had none, e.g. presolve infeasibility).
-  [[nodiscard]] Solution solve_one(const Basis* basis,
-                                   const ProblemPatch& patch,
-                                   const runtime::ComputeBudget* budget,
-                                   Basis* basis_out = nullptr);
-
   /// Objective-only warm re-solve from `basis` (the nucleolus probe
   /// shape: rhs and bounds never change across the chain). Consecutive
   /// zero-pivot probes whose starting statuses match the cached frame
   /// skip prepare/adopt/factorize/FTRAN entirely — one BTRAN for the
-  /// new objective plus two scans. Do not interleave with solve_one /
-  /// solve_group on the same instance: those patch the rhs, which this
-  /// entry point assumes fixed.
+  /// new objective plus two scans. Do not interleave with solve_group on
+  /// the same instance: it patches the rhs, which this entry point
+  /// assumes fixed.
   [[nodiscard]] Solution solve_objective(const std::vector<double>& objective,
                                          const Basis& basis,
                                          Basis* basis_out = nullptr);

@@ -37,11 +37,6 @@ double Federation::raw_value(game::Coalition coalition) const {
   });
 }
 
-LpSweepResult Federation::relaxation_sweep(
-    const LpSweepOptions& options) const {
-  return lp_relaxation_sweep(space_, demand_, options);
-}
-
 game::TabularGame Federation::build_game() const {
   return build_game(game::SymmetryMode::kOff);
 }

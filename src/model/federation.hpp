@@ -89,15 +89,6 @@ class Federation {
   [[nodiscard]] std::optional<game::TabularGame> build_game_budgeted(
       game::SymmetryMode mode, const runtime::ComputeBudget& budget) const;
 
-  /// Tabulates the allocation-relaxation upper bound of every coalition
-  /// via the warm-started subset-lattice sweep (model/value.hpp). The
-  /// LP is built once over the grand pool; each coalition patches its
-  /// capacities in and — with SolverKind::kRevised — re-solves warm
-  /// from its lattice predecessor's basis. Deterministic for any thread
-  /// count. Requires num_facilities() <= 20.
-  [[nodiscard]] LpSweepResult relaxation_sweep(
-      const LpSweepOptions& options = {}) const;
-
   /// Eq. 6 weights: L_i * R_i * T_i per facility.
   [[nodiscard]] std::vector<double> availability_weights() const;
 

@@ -3,9 +3,9 @@
 // A checkpoint is the text serialization of a serve::CheckpointImage —
 // everything ServiceState::restore() needs to stand a service back up
 // at epoch E without replaying events 1..E: roster (with realised
-// outage masks), demand, the raw greedy V(S) lattice, and the LP bound
-// table *including current-generation simplex bases* (values alone
-// restore the right answer at E, but the bases are what keep every
+// outage masks), demand, the raw greedy V(S) lattice, and the grand
+// coalition's LP bound *including its simplex basis* (the value alone
+// restores the right answer at E, but the basis is what keeps every
 // post-restore warm-start decision — and hence every later double —
 // bitwise-identical to the uncrashed run).
 //
@@ -25,10 +25,8 @@
 //   cache 3
 //   v 1 17.549999999999997
 //   ...
-//   bounds 3
-//   b 1 18.2 8 LLUBBBLL
-//   b 2 9.5 -
-//   ...
+//   bounds 1                        0 when the bound is unavailable
+//   b 3 27.4 8 LLUBBBLL             mask value (num_structural statuses | -)
 //   crc32 9a0c1f44                  trailing whole-file checksum
 //
 // Doubles are printed shortest-round-trip (std::to_chars), so decode ∘
@@ -38,6 +36,10 @@
 // IEEE CRC-32 (io::crc32) of everything before it; a reader that finds
 // a bad magic, a bad checksum, or any malformed record treats the file
 // as corrupt and falls back (serve/log.hpp) — never a wrong answer.
+//
+// v1 files written while the service kept a bound per slot mask carry
+// one `b` record per mask, ascending; the decoder still reads and
+// validates them all, and restore() keeps the active mask's record.
 //
 // The `cache` records hold raw greedy values. v1 files written while the
 // serve memo held monotone-closed values carry closed values there

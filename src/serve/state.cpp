@@ -1,7 +1,6 @@
 #include "serve/state.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -14,19 +13,6 @@
 namespace fedshare::serve {
 
 namespace {
-
-// Ascending-(popcount, mask) order: the level-by-level sweep order that
-// guarantees every coalition's lattice predecessors are materialised
-// before it is processed.
-void sort_level_order(std::vector<std::uint64_t>& masks) {
-  std::sort(masks.begin(), masks.end(),
-            [](std::uint64_t a, std::uint64_t b) {
-              const int pa = std::popcount(a);
-              const int pb = std::popcount(b);
-              if (pa != pb) return pa < pb;
-              return a < b;
-            });
-}
 
 // Refreshes a budget's stop reason after a failed stage (the amortised
 // charge path may not have recorded a deadline yet).
@@ -47,7 +33,6 @@ ServiceState::ServiceState(ServeOptions options)
   options_.max_facilities =
       std::clamp(options_.max_facilities, 1, model::kMaxFacilities);
   cache_ = std::make_shared<exec::ValueCache>();
-  bounds_.assign(std::size_t{1} << options_.max_facilities, BoundEntry{});
   lp_offset_.assign(static_cast<std::size_t>(options_.max_facilities), -1);
   publish_snapshot();  // epoch 0: the empty federation, always complete
 }
@@ -233,8 +218,7 @@ bool ServiceState::tabulate_values(const runtime::ComputeBudget& budget,
 void ServiceState::rebuild_template() {
   lp_template_.reset();
   lp_proto_.reset();
-  lp_batch_.reset();
-  ++lp_gen_;  // stored bases belong to the old layout/objective
+  bound_.basis = lp::Basis{};  // belongs to the old layout/objective
   lp_offset_.assign(static_cast<std::size_t>(options_.max_facilities), -1);
   lp_locations_ = 0;
   for (const Member& m : roster_) {
@@ -247,7 +231,7 @@ void ServiceState::rebuild_template() {
     lp_template_.emplace(lp_locations_, demand_.classes);
   } catch (const std::invalid_argument&) {
     // Demand outside the relaxation's domain (exponent > 1): the bound
-    // table is unavailable, answers carry no grand_bound.
+    // is unavailable, answers carry no grand_bound.
     return;
   }
   if (lp_template_->empty()) {
@@ -255,13 +239,11 @@ void ServiceState::rebuild_template() {
     return;
   }
   lp_proto_.emplace(lp_template_->problem(), lp::SimplexOptions{});
-  lp_batch_.emplace(*lp_proto_);
 }
 
-std::vector<double> ServiceState::caps_for(std::uint64_t slot_mask) const {
+std::vector<double> ServiceState::active_caps() const {
   std::vector<double> caps(lp_locations_, 0.0);
   for (const Member& m : roster_) {
-    if (!(slot_mask >> m.slot & 1)) continue;
     const int off = lp_offset_[static_cast<std::size_t>(m.slot)];
     if (off < 0) continue;
     for (int k = 0; k < m.config.num_locations; ++k) {
@@ -279,93 +261,59 @@ std::vector<double> ServiceState::caps_for(std::uint64_t slot_mask) const {
   return caps;
 }
 
-bool ServiceState::resolve_bounds(const runtime::ComputeBudget& budget,
-                                  ApplyResult& result) {
-  if (!options_.track_bounds || !lp_template_) return true;
-  const std::uint64_t active = active_mask();
-  result.lp_cold_equivalent =
-      active == 0 ? 0
-                  : (std::size_t{1} << std::popcount(active)) - 1;
-
-  std::vector<std::uint64_t> pending;
-  std::uint64_t sub = 0;
-  while (true) {
-    if (sub != 0 && !bounds_[sub].valid) pending.push_back(sub);
-    if (sub == active) break;
-    sub = (sub - active) & active;
+bool ServiceState::resolve_bound(const runtime::ComputeBudget& budget,
+                                 ApplyResult& result) {
+  if (!options_.track_bounds || !lp_template_ || bound_.valid ||
+      roster_.empty()) {
+    return true;
   }
-  sort_level_order(pending);
+  if (budget.exhausted()) return false;
+  const std::vector<double> caps = active_caps();
 
-  for (const std::uint64_t mask : pending) {
-    if (budget.exhausted()) return false;
-    BoundEntry& entry = bounds_[mask];
-    const std::vector<double> caps = caps_for(mask);
-
-    // Warm-start preference: the mask's own optimal basis (an outage is
-    // a pure rhs patch — a dual-simplex re-solve), then any one-smaller
-    // subset solved under the current template generation (the chain a
-    // join or demand sweep builds), then cold.
-    const lp::Basis* start = nullptr;
-    if (entry.basis_gen == lp_gen_ && !entry.basis.empty()) {
-      start = &entry.basis;
-    } else {
-      for (int s = 0; s < options_.max_facilities && !start; ++s) {
-        if (!(mask >> s & 1)) continue;
-        const std::uint64_t pred = mask & ~(std::uint64_t{1} << s);
-        if (pred == 0) continue;
-        const BoundEntry& p = bounds_[pred];
-        if (p.basis_gen == lp_gen_ && !p.basis.empty()) start = &p.basis;
-      }
-    }
-
-    // Batched warm path: masks adopting the same basis statuses share
-    // one factorization inside lp_batch_; a mask that would pivot (or a
-    // cold start) runs the sequential fresh-clone path bit-identically,
-    // including its budget charges.
-    lp::Basis snapshot;
-    lp::Solution sol = lp_batch_->solve_one(
-        start, lp_template_->capacity_patch(caps), &budget, &snapshot);
-    ++result.lp_solves;
-    result.lp_pivots += sol.pivots;
-    if (start) {
-      ++result.lp_incremental;
-    } else {
-      ++result.lp_cold;
-    }
-    if (sol.status == lp::SolveStatus::kBudgetExhausted) return false;
-    if (sol.status != lp::SolveStatus::kOptimal) {
-      // Failed incremental patch: fall back cold through the certified
-      // cascade (check / refine / revised-cold / dense-cold).
-      lp::Problem patched = lp_template_->problem();
-      lp_template_->apply_capacities(patched, caps);
-      lp::SimplexOptions lp_options;
-      lp_options.solver = lp::SolverKind::kRevised;
-      lp_options.budget = &budget;
-      verify::VerifyOptions verify_options;
-      verify_options.level = verify::VerifyLevel::kFull;
-      const verify::CertifiedSolve certified = verify::certify_or_escalate(
-          patched, std::move(sol), lp_options, verify_options);
-      sol = certified.solution;
-      ++result.lp_cold;
-      if (sol.status == lp::SolveStatus::kBudgetExhausted) return false;
-      if (sol.status != lp::SolveStatus::kOptimal) {
-        // Genuinely unsolvable (should not happen for capacity LPs):
-        // leave the entry invalid, the answer simply carries no bound.
-        entry.valid = false;
-        entry.basis_gen = 0;
-        continue;
-      }
-      entry.value = sol.objective;
-      entry.valid = true;
-      entry.basis_gen = 0;  // the cascade's basis is not recoverable
-      entry.basis = lp::Basis{};
-      continue;
-    }
-    entry.value = sol.objective;
-    entry.valid = true;
-    entry.basis = std::move(snapshot);
-    entry.basis_gen = lp_gen_;
+  // Warm from the previous epoch's optimal basis when the template kept
+  // it (an outage or a leave is a pure rhs patch — a dual-simplex
+  // re-solve); an empty basis (after a join or a demand update) solves
+  // cold.
+  const bool warm = !bound_.basis.empty();
+  lp::RevisedSimplex engine = *lp_proto_;
+  engine.apply(lp_template_->capacity_patch(caps));
+  engine.set_budget(&budget);
+  lp::Solution sol = engine.solve_from_basis(bound_.basis);
+  ++result.lp_solves;
+  result.lp_pivots += sol.pivots;
+  if (warm) {
+    ++result.lp_incremental;
+  } else {
+    ++result.lp_cold;
   }
+  if (sol.status == lp::SolveStatus::kBudgetExhausted) return false;
+  if (sol.status == lp::SolveStatus::kOptimal) {
+    bound_.value = sol.objective;
+    bound_.valid = true;
+    bound_.basis = engine.basis();
+    return true;
+  }
+  // Failed solve: fall back cold through the certified cascade (check /
+  // refine / revised-cold / dense-cold). Its basis is not recoverable,
+  // so the next epoch solves cold.
+  lp::Problem patched = lp_template_->problem();
+  lp_template_->apply_capacities(patched, caps);
+  lp::SimplexOptions lp_options;
+  lp_options.solver = lp::SolverKind::kRevised;
+  lp_options.budget = &budget;
+  verify::VerifyOptions verify_options;
+  verify_options.level = verify::VerifyLevel::kFull;
+  const verify::CertifiedSolve certified = verify::certify_or_escalate(
+      patched, std::move(sol), lp_options, verify_options);
+  ++result.lp_cold;
+  if (certified.solution.status == lp::SolveStatus::kBudgetExhausted) {
+    return false;
+  }
+  bound_.basis = lp::Basis{};
+  // Genuinely unsolvable (should not happen for capacity LPs): the bound
+  // stays invalid and the answer simply carries no bound.
+  bound_.valid = certified.solution.status == lp::SolveStatus::kOptimal;
+  bound_.value = certified.solution.objective;
   return true;
 }
 
@@ -436,9 +384,8 @@ void ServiceState::publish_snapshot() {
       }
       break;
     }
-    const std::uint64_t active = active_mask();
-    if (options_.track_bounds && lp_template_ && bounds_[active].valid) {
-      answer.grand_bound = bounds_[active].value;
+    if (options_.track_bounds && lp_template_ && bound_.valid) {
+      answer.grand_bound = bound_.value;
     }
   }
   snap->answer = std::move(answer);
@@ -457,7 +404,7 @@ ApplyResult ServiceState::finish(ApplyResult result,
   const bool is_repair = result.kind == "repair";
   const std::uint64_t backlog =
       was_dirty ? epoch_ - published - (is_repair ? 0 : 1) : 0;
-  if (!tabulate_values(budget, result) || !resolve_bounds(budget, result)) {
+  if (!tabulate_values(budget, result) || !resolve_bound(budget, result)) {
     result.complete = false;
     result.stop = stop_reason_of(budget);
     dirty_ = true;
@@ -507,33 +454,14 @@ ApplyResult ServiceState::apply(const Event& event,
         [bit](std::uint64_t mask) { return (mask & bit) != 0; });
   }
 
-  // Stage the LP bound work. Join and demand change the template (block
-  // layout / objective): stored values for untouched masks survive —
-  // zero-capacity columns are value-equivalent to dropped ones — but
-  // bases are invalidated by the generation bump. An outage keeps the
-  // template and the bases: it is a pure capacity patch.
-  if (options_.track_bounds) {
-    if (const auto* join = std::get_if<FacilityJoin>(&event)) {
-      (void)join;
-      rebuild_template();
-    }
-    if (std::holds_alternative<DemandUpdate>(event)) {
-      rebuild_template();
-      for (BoundEntry& entry : bounds_) entry.valid = false;
-    } else if (slot >= 0) {
-      const std::uint64_t bit = std::uint64_t{1} << slot;
-      const bool left = std::holds_alternative<FacilityLeave>(event);
-      for (std::uint64_t mask = 0; mask < bounds_.size(); ++mask) {
-        if (!(mask & bit)) continue;
-        bounds_[mask].valid = false;
-        if (left) {
-          // The slot is free for a different facility; its old bases
-          // must never warm-start the newcomer's LPs.
-          bounds_[mask].basis_gen = 0;
-          bounds_[mask].basis = lp::Basis{};
-        }
-      }
-    }
+  // Every event changes the grand coalition, so its bound is re-solved.
+  // Join and demand change the template (block layout / objective) and
+  // drop the basis with it; outage and leave keep both — a pure capacity
+  // patch.
+  bound_.valid = false;
+  if (options_.track_bounds && (std::holds_alternative<FacilityJoin>(event) ||
+                                std::holds_alternative<DemandUpdate>(event))) {
+    rebuild_template();
   }
 
   return finish(std::move(result), budget);
@@ -663,17 +591,12 @@ CheckpointImage ServiceState::checkpoint_image() const {
   }
   image.demand = demand_;
   image.cache = cache_->export_entries();
-  for (std::uint64_t mask = 0; mask < bounds_.size(); ++mask) {
-    const BoundEntry& entry = bounds_[mask];
-    if (!entry.valid) continue;
+  if (bound_.valid) {
     CheckpointImage::BoundImage bi;
-    bi.mask = mask;
-    bi.value = entry.value;
-    // Only current-generation bases are live warm starts; a stale basis
-    // would never be consulted again, so it is not part of the state
-    // that determines future solves.
-    bi.has_basis = entry.basis_gen == lp_gen_ && !entry.basis.empty();
-    if (bi.has_basis) bi.basis = entry.basis;
+    bi.mask = active_mask();
+    bi.value = bound_.value;
+    bi.has_basis = !bound_.basis.empty();
+    bi.basis = bound_.basis;
     image.bounds.push_back(std::move(bi));
   }
   image.epochs_tripped = epochs_tripped_;
@@ -690,7 +613,7 @@ void ServiceState::restore(const CheckpointImage& image) {
   if (image.options.max_facilities != options_.max_facilities ||
       image.options.track_bounds != options_.track_bounds ||
       image.options.lp_solver != options_.lp_solver) {
-    // Slot masks / bound tables are not portable across max_facilities
+    // Slot masks / bounds are not portable across max_facilities
     // or track_bounds, and lp_solver changes the nucleolus LPs inside
     // published answers — any mismatch breaks bitwise recovery.
     throw ServeError(
@@ -726,7 +649,7 @@ void ServiceState::restore(const CheckpointImage& image) {
       throw ServeError(std::string("restore: ") + e.what());
     }
   }
-  // Validate the lattice and bound table BEFORE mutating anything:
+  // Validate the lattice and bound records BEFORE mutating anything:
   // recovery retries restore() on an older checkpoint after a failure,
   // which is only sound if a throwing restore leaves the state fresh.
   {
@@ -780,17 +703,16 @@ void ServiceState::restore(const CheckpointImage& image) {
   for (const auto& [mask, value] : image.cache) cache_->store(mask, value);
 
   rebuild_template();
-  bounds_.assign(std::size_t{1} << options_.max_facilities, BoundEntry{});
+  bound_ = BoundEntry{};
   for (const auto& bi : image.bounds) {
-    BoundEntry& entry = bounds_[bi.mask];
-    entry.value = bi.value;
-    entry.valid = true;
-    if (bi.has_basis && lp_template_) {
-      // Re-tag under the restored generation: the basis keeps warm-
-      // starting future re-solves exactly as in the uncrashed run.
-      entry.basis = bi.basis;
-      entry.basis_gen = lp_gen_;
-    }
+    // Older files carry a record per slot mask; only the active mask's
+    // is live state.
+    if (bi.mask != used_slots) continue;
+    bound_.value = bi.value;
+    bound_.valid = true;
+    // The basis keeps warm-starting future re-solves exactly as in the
+    // uncrashed run.
+    if (bi.has_basis && lp_template_) bound_.basis = bi.basis;
   }
   publish_snapshot();
 }

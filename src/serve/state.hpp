@@ -2,8 +2,8 @@
 //
 // A ServiceState is the long-lived form of model::Federation: it ingests
 // churn events (serve/event.hpp) through an append-only log, keeps the
-// coalition-value lattice and the LP-relaxation bound table warm across
-// events, and answers share/core/incentive queries against a consistent
+// coalition-value lattice and the grand coalition's LP-relaxation bound
+// warm across events, and answers share/core/incentive queries against a consistent
 // epoch snapshot while further events are applied.
 //
 // The contracts that make it churn-tolerant:
@@ -28,11 +28,13 @@
 //    only the masks containing s (exec::ValueCache::invalidate_if); the
 //    surviving half of the lattice is reused bit-for-bit, which is sound
 //    because a coalition's pooled capacity vector depends only on its
-//    own members' configs in slot order. The LP bound table re-solves
-//    touched masks via lp::RevisedSimplex::solve_from_basis — an outage
-//    is a pure capacity patch, so the mask's own optimal basis re-solves
-//    it in a few dual pivots; a failed warm solve falls back cold
-//    through the verify::certify_or_escalate cascade.
+//    own members' configs in slot order. The LP-relaxation bound is kept
+//    for the active grand coalition only: one LP per epoch. Outage and
+//    leave keep the relaxation template, so they are pure capacity
+//    patches and the previous epoch's optimal basis re-solves them in a
+//    few dual pivots (lp::RevisedSimplex::solve_from_basis); join and
+//    demand rebuild the template and solve cold. A failed warm solve
+//    falls back cold through the verify::certify_or_escalate cascade.
 //  * Replay determinism. The event log is the only durable state.
 //    Outage masks are sampled from (seed, scenario, roster) at apply
 //    time via runtime::OutageModel — a pure function — so replaying the
@@ -58,7 +60,6 @@
 #include "core/game.hpp"
 #include "core/sharing.hpp"
 #include "exec/value_cache.hpp"
-#include "lp/batch_solver.hpp"
 #include "lp/revised_simplex.hpp"
 #include "model/demand.hpp"
 #include "model/location_space.hpp"
@@ -71,8 +72,9 @@ namespace fedshare::serve {
 struct ServeOptions {
   /// Simplex engine for the nucleolus LPs inside scheme evaluation.
   lp::SolverKind lp_solver = lp::SolverKind::kRevised;
-  /// Maintain the LP-relaxation bound table (grand-coalition upper
-  /// bound, incremental dual-simplex re-solves). Off = greedy V only.
+  /// Maintain the grand coalition's LP-relaxation bound (an upper bound
+  /// on V(N), one warm dual-simplex re-solve per epoch). Off = greedy V
+  /// only.
   bool track_bounds = true;
   /// Roster capacity (slots). At most model::kMaxFacilities — the 2^n
   /// tables.
@@ -87,10 +89,9 @@ struct ApplyResult {
   runtime::StopReason stop = runtime::StopReason::kNone;
   std::size_t invalidated = 0;         ///< cache entries dropped
   std::size_t values_recomputed = 0;   ///< greedy V(S) materialisations
-  std::size_t lp_solves = 0;           ///< bound-table LPs run
-  std::size_t lp_incremental = 0;      ///< warm (own/predecessor basis)
+  std::size_t lp_solves = 0;           ///< bound LPs run (at most one)
+  std::size_t lp_incremental = 0;      ///< warm (previous epoch's basis)
   std::size_t lp_cold = 0;             ///< cold (no usable basis)
-  std::size_t lp_cold_equivalent = 0;  ///< LPs a cold re-tabulation runs
   std::uint64_t lp_pivots = 0;         ///< simplex iterations spent
 };
 
@@ -144,12 +145,12 @@ struct ServiceStats {
 /// serve/checkpoint.{hpp,cpp} so this struct stays format-agnostic.
 ///
 /// Bitwise-recovery contract: the image carries the value-cache entries
-/// and the LP bound table *including current-generation simplex bases*.
-/// Values alone would restore correct answers for the checkpoint epoch,
-/// but the next event would then warm-start from different bases (or
-/// cold-solve) and could land an ulp away from the uncrashed run; with
-/// the bases restored, every later warm/cold decision — and therefore
-/// every later double — matches the original run exactly.
+/// and the grand coalition's LP bound *including its simplex basis*.
+/// The value alone would restore the correct answer for the checkpoint
+/// epoch, but the next event would then cold-solve instead of warm-
+/// starting and could land an ulp away from the uncrashed run; with the
+/// basis restored, every later warm/cold decision — and therefore every
+/// later double — matches the original run exactly.
 struct CheckpointImage {
   std::uint64_t epoch = 0;
   ServeOptions options;  ///< must match the restoring state's options
@@ -175,13 +176,15 @@ struct CheckpointImage {
   struct BoundImage {
     std::uint64_t mask = 0;
     double value = 0.0;
-    /// True when the entry held a current-generation basis at capture;
-    /// restore() re-tags it with the restored state's generation so it
-    /// keeps warm-starting exactly as it would have.
+    /// True when the bound carried a warm-start basis at capture.
     bool has_basis = false;
     lp::Basis basis;
   };
-  std::vector<BoundImage> bounds;  ///< valid entries only, mask ascending
+  /// The active roster's bound: at most one record (none when the bound
+  /// is unavailable). Files written while the service kept a bound per
+  /// slot mask carry one record per mask, ascending; restore() validates
+  /// them all and keeps the active mask's.
+  std::vector<BoundImage> bounds;
 
   /// Degradation history survives restart so operator-facing stats do
   /// not silently reset on recovery.
@@ -278,11 +281,11 @@ class ServiceState {
   [[nodiscard]] CheckpointImage checkpoint_image() const;
 
   /// Reconstructs the state from `image` (epoch, roster, demand, value
-  /// cache, bound table with bases) and publishes the checkpoint
+  /// cache, grand-coalition bound with its basis) and publishes the checkpoint
   /// epoch's snapshot. Only valid on a fresh state; throws ServeError
   /// otherwise or when image.options disagree with this state's options
-  /// (slot masks and bound tables are not portable across
-  /// max_facilities / track_bounds). After restore, applying the
+  /// (slot masks and bounds are not portable across max_facilities /
+  /// track_bounds). After restore, applying the
   /// logged suffix reproduces the uncrashed run bit-for-bit; note
   /// log() returns only the post-restore suffix (full history lives in
   /// the durable log, see serve/log.hpp).
@@ -298,13 +301,12 @@ class ServiceState {
     std::vector<bool> up;  ///< per nominal location; valid when outage
   };
 
-  /// One slot-mask entry of the LP bound table.
+  /// The active roster's LP-relaxation bound.
   struct BoundEntry {
     double value = 0.0;
     bool valid = false;
-    /// Template generation basis_ was taken in; usable as a warm start
-    /// only when it matches the current generation.
-    std::uint64_t basis_gen = 0;
+    /// Optimal basis of the last solve under the current template (empty
+    /// = solve cold). rebuild_template() clears it.
     lp::Basis basis;
   };
 
@@ -313,8 +315,8 @@ class ServiceState {
   void rebuild_space();
   bool tabulate_values(const runtime::ComputeBudget& budget,
                        ApplyResult& result);
-  bool resolve_bounds(const runtime::ComputeBudget& budget,
-                      ApplyResult& result);
+  bool resolve_bound(const runtime::ComputeBudget& budget,
+                     ApplyResult& result);
   void publish_snapshot();
   ApplyResult finish(ApplyResult result,
                      const runtime::ComputeBudget& budget);
@@ -324,7 +326,7 @@ class ServiceState {
   [[nodiscard]] int member_index(const std::string& name) const;
   [[nodiscard]] game::Coalition compact_coalition(std::uint64_t slot_mask)
       const;
-  [[nodiscard]] std::vector<double> caps_for(std::uint64_t slot_mask) const;
+  [[nodiscard]] std::vector<double> active_caps() const;
   void rebuild_template();
 
   ServeOptions options_;
@@ -341,24 +343,17 @@ class ServiceState {
   /// publish_snapshot() applies the monotone closure.
   std::shared_ptr<exec::ValueCache> cache_;
 
-  /// LP bound table state. The relaxation template spans every active
-  /// slot's *nominal* location block in slot order; outage-down (or
-  /// departed) locations are zero-capacity columns, which the template
-  /// documents as exactly equivalent to dropping them — that is what
-  /// keeps an outage a pure rhs patch. lp_gen_ bumps whenever the block
-  /// layout or the demand changes (join, demand update), invalidating
-  /// stored bases but not stored values.
+  /// LP bound state. The relaxation template spans every slot's
+  /// *nominal* location block in slot order as of the last join or
+  /// demand update; outage-down (or departed) locations are zero-
+  /// capacity columns, which the template documents as exactly
+  /// equivalent to dropping them — that is what keeps an outage or a
+  /// leave a pure rhs patch, warm-started from bound_'s basis.
   std::optional<alloc::RelaxationTemplate> lp_template_;
   std::optional<lp::RevisedSimplex> lp_proto_;
-  /// Batched warm re-solver over lp_proto_: consecutive bound-table
-  /// re-solves that adopt the same basis statuses reuse one
-  /// factorization (lp::BatchSolver::solve_one), with pivot-requiring
-  /// masks spilling to the sequential clone path bit-identically.
-  std::optional<lp::BatchSolver> lp_batch_;
   std::vector<int> lp_offset_;  ///< per slot, block start (-1 = no block)
   std::size_t lp_locations_ = 0;
-  std::uint64_t lp_gen_ = 0;
-  std::vector<BoundEntry> bounds_;  ///< indexed by slot mask
+  BoundEntry bound_;
 
   std::shared_ptr<const Snapshot> snapshot_;
   bool dirty_ = false;

@@ -348,6 +348,69 @@ TEST(ServeStateTest, GrandBoundIsAnUpperBoundOnGrandValue) {
   EXPECT_GE(*answer.grand_bound, answer.grand_value - 1e-9);
 }
 
+// A federation whose two-class demand gives the bound LP several rows,
+// so its optimal basis is a real warm start.
+void assemble_two_class(ServiceState& state) {
+  (void)state.apply(fedshare::serve::parse_event(
+      "demand count=6,min_locations=2;count=2,min_locations=1,units=2"));
+  (void)state.apply(join_event("A", 3, 2.0, 0.9));
+  (void)state.apply(join_event("B", 2, 1.0, 0.8));
+  (void)state.apply(join_event("C", 2, 1.5, 1.0));
+}
+
+// The grand coalition's bound is the only LP an epoch runs. Outage and
+// leave keep the relaxation template, so each re-solves warm from the
+// previous epoch's basis, and an outage flap lands back on the pre-
+// outage bound bit for bit.
+TEST(ServeStateTest, OutageAndLeaveReSolveOneWarmBoundLp) {
+  ServiceState state;
+  assemble_two_class(state);
+  const auto before = state.query();
+  ASSERT_TRUE(before.grand_bound.has_value());
+
+  const ApplyResult start = state.apply(Event{OutageStart{"B", 3, 0}});
+  EXPECT_EQ(start.lp_solves, 1u);
+  EXPECT_EQ(start.lp_incremental, 1u);
+  EXPECT_EQ(start.lp_cold, 0u);
+  ASSERT_TRUE(state.query().grand_bound.has_value());
+
+  const ApplyResult end = state.apply(Event{OutageEnd{"B"}});
+  EXPECT_EQ(end.lp_solves, 1u);
+  EXPECT_EQ(end.lp_incremental, 1u);
+  EXPECT_EQ(end.lp_cold, 0u);
+  const auto after = state.query();
+  ASSERT_TRUE(after.grand_bound.has_value());
+  EXPECT_EQ(*after.grand_bound, *before.grand_bound);  // bitwise
+
+  const ApplyResult leave = state.apply(Event{FacilityLeave{"C"}});
+  EXPECT_EQ(leave.lp_solves, 1u);
+  EXPECT_EQ(leave.lp_incremental, 1u);
+  EXPECT_EQ(leave.lp_cold, 0u);
+  const auto left = state.query();
+  ASSERT_TRUE(left.grand_bound.has_value());
+  EXPECT_GE(*left.grand_bound, left.grand_value - 1e-9);
+}
+
+// Join and demand rebuild the template, so the bound is solved cold,
+// once.
+TEST(ServeStateTest, JoinAndDemandSolveOneColdBoundLp) {
+  ServiceState state;
+  assemble_two_class(state);
+
+  const ApplyResult join = state.apply(join_event("D", 2, 1.0, 0.7));
+  EXPECT_EQ(join.lp_solves, 1u);
+  EXPECT_EQ(join.lp_incremental, 0u);
+  EXPECT_EQ(join.lp_cold, 1u);
+
+  const ApplyResult demand = state.apply(demand_event(4.0, 2.0));
+  EXPECT_EQ(demand.lp_solves, 1u);
+  EXPECT_EQ(demand.lp_incremental, 0u);
+  EXPECT_EQ(demand.lp_cold, 1u);
+  const auto answer = state.query();
+  ASSERT_TRUE(answer.grand_bound.has_value());
+  EXPECT_GE(*answer.grand_bound, answer.grand_value - 1e-9);
+}
+
 TEST(ServeStateTest, TrackBoundsOffSkipsTheLpTable) {
   fedshare::serve::ServeOptions options;
   options.track_bounds = false;

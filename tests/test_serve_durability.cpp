@@ -66,7 +66,7 @@ struct TempDir {
 };
 
 // A fixed script with every event kind, a realised outage, and a
-// two-class demand (multi-row LPs => real bases in the bound table).
+// two-class demand (multi-row LPs => a real basis behind the bound).
 const std::vector<std::string>& script_lines() {
   static const std::vector<std::string> lines{
       "demand count=3,min_locations=2;count=2,min_locations=1,units=2",
@@ -403,6 +403,107 @@ TEST(ServeDurabilityTest, RestoreRejectsMismatchedOptionsAndUsedStates) {
   CheckpointImage broken = image;
   broken.cache.pop_back();  // incomplete lattice
   EXPECT_THROW(fresh.restore(broken), ServeError);
+  EXPECT_NO_THROW(fresh.restore(image));
+  expect_bitwise_equal(fresh.query(), state.query(), "after failed restore");
+}
+
+// The slot mask of an image's roster.
+std::uint64_t roster_mask(const CheckpointImage& image) {
+  std::uint64_t mask = 0;
+  for (const auto& member : image.roster) mask |= std::uint64_t{1} << member.slot;
+  return mask;
+}
+
+TEST(ServeDurabilityTest, CheckpointImageHoldsAtMostOneBoundRecord) {
+  const std::vector<Event> events = script_events();
+  for (std::size_t k = 1; k <= events.size(); ++k) {
+    SCOPED_TRACE("epoch " + std::to_string(k));
+    ServiceState state;
+    state.replay_log(events, k);
+    const CheckpointImage image = state.checkpoint_image();
+    ASSERT_LE(image.bounds.size(), 1u);
+    EXPECT_EQ(image.bounds.size() == 1, state.query().grand_bound.has_value());
+    if (!image.bounds.empty()) {
+      EXPECT_EQ(image.bounds.front().mask, roster_mask(image));
+      EXPECT_EQ(image.bounds.front().value, *state.query().grand_bound);
+    }
+  }
+}
+
+// Files written while the service kept a bound per slot mask carry one
+// record per mask. restore() keeps only the active mask's: the padded
+// image restores to the trimmed image's answer, and every later epoch
+// matches too. The padding is deliberately wrong (values and bases), so
+// reading any of it would show.
+TEST(ServeDurabilityTest, LegacyBoundRecordsRestoreLikeTheTrimmedImage) {
+  const std::vector<Event> events = script_events();
+  for (std::size_t k = 2; k <= events.size(); ++k) {
+    SCOPED_TRACE("checkpoint at epoch " + std::to_string(k));
+    ServiceState replica;
+    replica.replay_log(events, k);
+    const CheckpointImage trimmed = replica.checkpoint_image();
+    ASSERT_EQ(trimmed.bounds.size(), 1u);
+    const auto& active = trimmed.bounds.front();
+
+    CheckpointImage padded = trimmed;
+    padded.bounds.clear();
+    const std::uint64_t limit = std::uint64_t{1}
+                                << padded.options.max_facilities;
+    for (std::uint64_t mask = 1; mask < limit && mask < 64; ++mask) {
+      if (mask == active.mask) {
+        padded.bounds.push_back(active);
+        continue;
+      }
+      CheckpointImage::BoundImage legacy;
+      legacy.mask = mask;
+      legacy.value = 1000.0 + static_cast<double>(mask);
+      legacy.has_basis = mask % 2 == 0;
+      if (legacy.has_basis) {
+        legacy.basis = active.basis;
+        std::reverse(legacy.basis.status.begin(), legacy.basis.status.end());
+      }
+      padded.bounds.push_back(std::move(legacy));
+    }
+    ASSERT_GT(padded.bounds.size(), 1u);
+    const CheckpointImage decoded = fedshare::serve::decode_checkpoint(
+        fedshare::serve::encode_checkpoint(padded));
+    ASSERT_EQ(decoded.bounds.size(), padded.bounds.size());
+
+    ServiceState from_trimmed;
+    from_trimmed.restore(trimmed);
+    ServiceState from_padded;
+    from_padded.restore(decoded);
+    expect_bitwise_equal(from_padded.query(), from_trimmed.query(),
+                         "restored");
+    EXPECT_EQ(from_padded.checkpoint_image().bounds.size(), 1u);
+    for (std::size_t e = k; e < events.size(); ++e) {
+      const auto a = from_trimmed.apply(events[e]);
+      const auto b = from_padded.apply(events[e]);
+      EXPECT_EQ(a.lp_incremental, b.lp_incremental);
+      EXPECT_EQ(a.lp_pivots, b.lp_pivots);
+      expect_bitwise_equal(from_padded.query(), from_trimmed.query(),
+                           "epoch " + std::to_string(e + 1));
+    }
+  }
+}
+
+TEST(ServeDurabilityTest, RestoreRejectsAnOutOfRangeBoundMask) {
+  ServiceState state;
+  for (const Event& event : script_events()) (void)state.apply(event);
+  const CheckpointImage image = state.checkpoint_image();
+
+  CheckpointImage broken = image;
+  CheckpointImage::BoundImage stray;
+  stray.mask = std::uint64_t{1} << image.options.max_facilities;
+  stray.value = 1.0;
+  broken.bounds.push_back(stray);
+  // Through the codec too: the decoder reads the record, restore()
+  // rejects it.
+  const CheckpointImage decoded = fedshare::serve::decode_checkpoint(
+      fedshare::serve::encode_checkpoint(broken));
+  ServiceState fresh;
+  EXPECT_THROW(fresh.restore(decoded), ServeError);
+  // The failed restore left the target fresh.
   EXPECT_NO_THROW(fresh.restore(image));
   expect_bitwise_equal(fresh.query(), state.query(), "after failed restore");
 }

@@ -414,10 +414,12 @@ TEST_F(SymmetryPropertyTest, FederationBudgetedQuotientMatchesAndTrips) {
 TEST_F(SymmetryPropertyTest, SweepQuotientMatchesFullSweep) {
   const model::Federation fed = typed_federation();
   model::LpSweepOptions off;
-  const model::LpSweepResult full = fed.relaxation_sweep(off);
+  const model::LpSweepResult full =
+      model::lp_relaxation_sweep(fed.space(), fed.demand(), off);
   model::LpSweepOptions quotient_opts;
   quotient_opts.symmetry = SymmetryMode::kExact;
-  const model::LpSweepResult quotient = fed.relaxation_sweep(quotient_opts);
+  const model::LpSweepResult quotient =
+      model::lp_relaxation_sweep(fed.space(), fed.demand(), quotient_opts);
   ASSERT_TRUE(quotient.complete);
   ASSERT_EQ(quotient.values.size(), full.values.size());
   for (std::size_t mask = 0; mask < full.values.size(); ++mask) {

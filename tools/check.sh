@@ -13,10 +13,11 @@
 # saving pivots, the batched panel stops being bitwise-identical, the
 # tabulated game stops being bitwise-identical across thread counts, the
 # nucleolus stops skipping its provably redundant LPs, or
-# the serve layer's incremental re-solve stops beating a cold
-# re-tabulation, then the crash-recovery gate (tools/crash_check.sh:
-# SIGKILL the serve CLI at every epoch and require the resumed answer
-# to be byte-identical), the end-to-end benchmark's self-test
+# the serve layer stops re-solving its bound with at most one LP per
+# event (warm on outages and leaves) or its incremental V(S)
+# tabulation stops beating a cold re-tabulation, then the
+# crash-recovery gate (tools/crash_check.sh: SIGKILL the serve CLI at
+# every epoch and require the resumed answer to be byte-identical), the end-to-end benchmark's self-test
 # (perfbench/run.py --self-test: every workload for a few ops, every
 # declared metric printed, and corrupted outputs — a dropped nucleolus
 # row, shares not summing to 1, a stale serve answer — all rejected),
@@ -72,7 +73,7 @@ echo "== verification smoke (certified vs plain sweep) =="
 cmake --build "$root/build" -j "$jobs" --target perf_verify
 "$root/build/bench/perf_verify" --smoke
 
-echo "== serve smoke (incremental re-solve vs cold re-tabulation, replay) =="
+echo "== serve smoke (one warm bound LP per patch, incremental V(S), replay) =="
 cmake --build "$root/build" -j "$jobs" --target perf_serve
 "$root/build/bench/perf_serve" --smoke
 

@@ -57,7 +57,8 @@ the epoch-versioned federation service, printing each epoch's
 incremental re-solve stats and the final share/core/incentive answer.
 With --deadline-ms each event gets that budget; a tripped event leaves
 the previous epoch's answer published (stale-but-bounded) and the run
-exits 3. --no-bounds disables the LP-relaxation bound table.
+exits 3. --no-bounds skips the grand coalition's LP-relaxation bound
+on V(N).
 
 Durability (--serve with --log-dir): every applied event is appended to
 an fsync'd log segment in <dir>; startup recovers from the newest valid
@@ -130,8 +131,7 @@ Resilience options:
                            stability verdicts
   --cache-stats            append a Value cache section with the V(S)
                            memo's counters (entries, hits, misses,
-                           invalidations, batched-store telemetry).
-                           Off by default; without it the output is
+                           invalidations). Off by default; without it the output is
                            unchanged
 
 Config example:
