@@ -1,10 +1,13 @@
-// Shared helpers for the figure-reproduction benches.
+// Shared helpers for the figure-reproduction and perf benches.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
+#include "alloc/lp_relax.hpp"
+#include "lp/simplex.hpp"
 #include "model/facility.hpp"
 
 namespace fedshare::benchutil {
@@ -35,5 +38,33 @@ void print_figure(std::ostream& out, const std::string& title,
 
 /// The three-facility setting of Figs. 4-5: L = (100, 400, 800), R = 1.
 [[nodiscard]] std::vector<model::FacilityConfig> fig4_facilities();
+
+/// The LP chain the serve layer's bound re-solve runs: the allocation
+/// relaxation over the grand pool of n distinct disjoint facilities
+/// (as the serve layer pools its roster), solved at full capacity and
+/// then with each facility's locations zeroed and restored in turn (an
+/// outage start and end per facility), 2n + 1 links in all. Three
+/// request classes, so the capacity rows carry several nonzeros; with
+/// one class every row presolves into a bound and no engine pivots.
+struct BoundChain {
+  alloc::RelaxationTemplate tmpl;
+  std::vector<std::vector<double>> caps;  ///< capacity rhs per link
+};
+[[nodiscard]] BoundChain outage_bound_chain(int n);
+
+/// Objectives and total pivots of one pass over a BoundChain.
+struct ChainSolve {
+  std::vector<double> values;  ///< objective per link
+  std::uint64_t pivots = 0;
+  bool complete = true;  ///< every link solved to optimality
+};
+
+/// Solves every link with `options`. The dense engine and cold revised
+/// runs solve each link from scratch; a warm revised run keeps one
+/// engine and re-solves each link from the previous optimal basis, as
+/// the serve layer does.
+[[nodiscard]] ChainSolve solve_bound_chain(const BoundChain& chain,
+                                           const lp::SimplexOptions& options,
+                                           bool warm);
 
 }  // namespace fedshare::benchutil

@@ -1,21 +1,22 @@
-// A5 macrobenchmark: the symmetry-quotient coalition engine against the
-// full warm-started sweep it short-circuits.
+// A5 macrobenchmark: symmetry-quotient tabulation against the full
+// per-mask tabulation it short-circuits.
 //
 // The headline workload is a typed federation — 4 facility types with 4
-// identical facilities each (n = 16) — where the quotient solves one LP
-// per orbit (5^4 = 625) instead of one per mask (2^16 = 65536). The
-// binary writes a machine-readable BENCH_quotient.json (override the
-// path with FEDSHARE_BENCH_OUT) with wall times, LP counts, pivot
-// counts, speedups, and max-abs-diff agreement columns, and supports
-// `--smoke`: a fast agreement gate (small n, quotient sweep and
-// quotient tabulation vs. their brute-force counterparts, plus a
-// bitwise batched-vs-sequential panel gate) that exits non-zero on
-// disagreement — tools/check.sh runs it as a perf-smoke stage.
+// identical facilities each (n = 16) — where Federation::build_game with
+// SymmetryMode::kExact runs the greedy allocator once per orbit
+// (5^4 = 625) instead of once per mask (2^16 = 65536), then closes and
+// expands the table. The binary writes a machine-readable
+// BENCH_quotient.json (override the path with FEDSHARE_BENCH_OUT) with
+// wall times, V(S) evaluation counts, speedups, and a bitwise-agreement
+// column, and supports `--smoke`: a fast gate (small n) that exits
+// non-zero unless the quotient table is bitwise the full one and
+// evaluates fewer coalitions — tools/check.sh runs it as a perf-smoke
+// stage.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -24,9 +25,7 @@
 #include <vector>
 
 #include "core/symmetry.hpp"
-#include "lp/simplex.hpp"
 #include "model/federation.hpp"
-#include "model/value.hpp"
 
 namespace {
 
@@ -49,8 +48,7 @@ model::LocationSpace typed_space(int types, int copies) {
   return model::LocationSpace::disjoint(std::move(configs));
 }
 
-// Several request classes so the LPs carry non-trivial bases (same
-// shape as perf_simplex's sweep demand).
+// Several request classes (the same demand as perf_simplex's chain).
 model::DemandProfile typed_demand() {
   model::DemandProfile demand;
   demand.classes.push_back({8.0, 6.0, 1.0, 1.0, 1.0});
@@ -59,46 +57,21 @@ model::DemandProfile typed_demand() {
   return demand;
 }
 
-model::LpSweepResult run_sweep(const model::LocationSpace& space,
-                               const model::DemandProfile& demand,
-                               game::SymmetryMode symmetry,
-                               bool batch = true) {
-  model::LpSweepOptions options;
-  options.simplex.solver = lp::SolverKind::kRevised;
-  options.warm_start = true;
-  options.symmetry = symmetry;
-  options.batch = batch;
-  return model::lp_relaxation_sweep(space, demand, options);
-}
-
-void BM_FullWarmSweep(benchmark::State& state) {
+void BM_BuildGame(benchmark::State& state) {
   const auto space = typed_space(4, static_cast<int>(state.range(0)));
   const auto demand = typed_demand();
+  const auto mode = state.range(1) == 0 ? game::SymmetryMode::kOff
+                                        : game::SymmetryMode::kExact;
   for (auto _ : state) {
-    const auto result = run_sweep(space, demand, game::SymmetryMode::kOff);
-    benchmark::DoNotOptimize(result.values.data());
+    // A fresh federation per iteration: build_game fills the instance's
+    // V(S) memo, which would make every later iteration a cache read.
+    const model::Federation fed(space, demand);
+    benchmark::DoNotOptimize(fed.build_game(mode));
   }
 }
-BENCHMARK(BM_FullWarmSweep)->Arg(2)->Arg(3);
-
-void BM_QuotientSweep(benchmark::State& state) {
-  const auto space = typed_space(4, static_cast<int>(state.range(0)));
-  const auto demand = typed_demand();
-  for (auto _ : state) {
-    const auto result = run_sweep(space, demand, game::SymmetryMode::kExact);
-    benchmark::DoNotOptimize(result.values.data());
-  }
-}
-BENCHMARK(BM_QuotientSweep)->Arg(2)->Arg(3)->Arg(4);
-
-void BM_QuotientBuildGame(benchmark::State& state) {
-  const model::Federation fed(typed_space(4, static_cast<int>(state.range(0))),
-                              typed_demand());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fed.build_game(game::SymmetryMode::kExact));
-  }
-}
-BENCHMARK(BM_QuotientBuildGame)->Arg(2)->Arg(3);
+BENCHMARK(BM_BuildGame)
+    ->ArgsProduct({{2, 3}, {0, 1}})
+    ->ArgNames({"copies", "exact"});
 
 // --- BENCH_quotient.json --------------------------------------------------
 
@@ -121,29 +94,26 @@ double time_ms(const Fn& fn, int reps) {
   return median_ms(std::move(runs));
 }
 
-double max_abs_diff(const std::vector<double>& a,
-                    const std::vector<double>& b) {
-  double worst = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    worst = std::max(worst, std::abs(a[i] - b[i]));
-  }
-  return worst;
-}
-
 struct QuotientRow {
   int types = 0;
   int copies = 0;
   int n = 0;
   double full_ms = 0.0;
   double quotient_ms = 0.0;
-  std::uint64_t full_lps = 0;
-  std::uint64_t quotient_lps = 0;
-  std::uint64_t full_pivots = 0;
-  std::uint64_t quotient_pivots = 0;
-  double sweep_diff = 0.0;  ///< max |quotient sweep - full sweep|
-  std::uint64_t full_batch_fast = 0;     ///< panel re-solves on the full sweep
-  std::uint64_t full_batch_spilled = 0;  ///< panel members that fell back
+  std::uint64_t full_evals = 0;      ///< greedy V(S) runs, kOff
+  std::uint64_t quotient_evals = 0;  ///< greedy V(S) runs, kExact
+  bool bitwise_equal = false;  ///< the two tables agree bit for bit
 };
+
+// Tabulates a fresh federation; `evals` receives its greedy run count.
+game::TabularGame tabulate(const model::LocationSpace& space,
+                           const model::DemandProfile& demand,
+                           game::SymmetryMode mode, std::uint64_t* evals) {
+  const model::Federation fed(space, demand);
+  game::TabularGame table = fed.build_game(mode);
+  if (evals != nullptr) *evals = fed.value_cache().stats().misses;
+  return table;
+}
 
 QuotientRow measure_quotient(int types, int copies, int reps) {
   const auto space = typed_space(types, copies);
@@ -152,36 +122,35 @@ QuotientRow measure_quotient(int types, int copies, int reps) {
   row.types = types;
   row.copies = copies;
   row.n = types * copies;
-  const auto full = run_sweep(space, demand, game::SymmetryMode::kOff);
-  const auto quotient = run_sweep(space, demand, game::SymmetryMode::kExact);
-  row.full_lps = full.lps_solved;
-  row.quotient_lps = quotient.lps_solved;
-  row.full_pivots = full.total_pivots;
-  row.quotient_pivots = quotient.total_pivots;
-  row.sweep_diff = max_abs_diff(full.values, quotient.values);
-  row.full_batch_fast = full.batch_fast;
-  row.full_batch_spilled = full.batch_spilled;
+  const game::TabularGame full =
+      tabulate(space, demand, game::SymmetryMode::kOff, &row.full_evals);
+  const game::TabularGame quotient = tabulate(
+      space, demand, game::SymmetryMode::kExact, &row.quotient_evals);
+  const std::vector<double>& a = full.values();
+  const std::vector<double>& b = quotient.values();
+  row.bitwise_equal =
+      a.size() == b.size() &&
+      std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
   row.full_ms = time_ms(
-      [&] { run_sweep(space, demand, game::SymmetryMode::kOff); }, reps);
+      [&] {
+        benchmark::DoNotOptimize(
+            tabulate(space, demand, game::SymmetryMode::kOff, nullptr));
+      },
+      reps);
   row.quotient_ms = time_ms(
-      [&] { run_sweep(space, demand, game::SymmetryMode::kExact); }, reps);
+      [&] {
+        benchmark::DoNotOptimize(
+            tabulate(space, demand, game::SymmetryMode::kExact, nullptr));
+      },
+      reps);
   return row;
-}
-
-// Brute-force tabulation cross-check (n <= 12): the quotient build must
-// reproduce the per-mask greedy tabulation.
-double tabulation_diff(int types, int copies) {
-  const model::Federation fed(typed_space(types, copies), typed_demand());
-  return max_abs_diff(fed.build_game().values(),
-                      fed.build_game(game::SymmetryMode::kExact).values());
 }
 
 void write_summary_json() {
   std::vector<QuotientRow> rows;
-  rows.push_back(measure_quotient(4, 2, 3));   // n = 8
-  rows.push_back(measure_quotient(4, 3, 1));   // n = 12
-  rows.push_back(measure_quotient(4, 4, 1));   // n = 16 (the headline)
-  const double tab_diff = tabulation_diff(4, 3);
+  rows.push_back(measure_quotient(4, 2, 9));  // n = 8
+  rows.push_back(measure_quotient(4, 3, 5));  // n = 12
+  rows.push_back(measure_quotient(4, 4, 3));  // n = 16 (the headline)
 
   const char* out_env = std::getenv("FEDSHARE_BENCH_OUT");
   const std::string path = out_env != nullptr && *out_env != '\0'
@@ -195,9 +164,9 @@ void write_summary_json() {
   out << "{\n";
   out << "  \"bench\": \"quotient\",\n";
   out << "  \"workload\": \"typed federation (4 types x k copies), "
-         "revised warm sweep: full 2^n lattice vs symmetry quotient\",\n";
-  out << "  \"tabulation_max_abs_diff_n12\": " << tab_diff << ",\n";
-  out << "  \"sweeps\": [\n";
+         "Federation::build_game: kOff (per mask) vs kExact (per "
+         "orbit)\",\n";
+  out << "  \"tabulations\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const QuotientRow& r = rows[i];
     const double speedup =
@@ -206,14 +175,11 @@ void write_summary_json() {
         << ", \"n\": " << r.n << ", \"masks\": " << (1u << r.n)
         << ", \"full_ms\": " << r.full_ms
         << ", \"quotient_ms\": " << r.quotient_ms
-        << ", \"speedup\": " << speedup << ", \"full_lps\": " << r.full_lps
-        << ", \"quotient_lps\": " << r.quotient_lps
-        << ", \"full_pivots\": " << r.full_pivots
-        << ", \"quotient_pivots\": " << r.quotient_pivots
-        << ", \"full_batch_fast\": " << r.full_batch_fast
-        << ", \"full_batch_spilled\": " << r.full_batch_spilled
-        << ", \"max_abs_diff\": " << r.sweep_diff << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
+        << ", \"speedup\": " << speedup
+        << ", \"full_evals\": " << r.full_evals
+        << ", \"quotient_evals\": " << r.quotient_evals
+        << ", \"bitwise_equal\": " << (r.bitwise_equal ? "true" : "false")
+        << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n";
   out << "}\n";
@@ -223,70 +189,26 @@ void write_summary_json() {
 // --- --smoke: fast quotient agreement gate --------------------------------
 
 int run_smoke() {
-  constexpr double kAgreeTol = 1e-7;
   int failures = 0;
-
-  const QuotientRow row = measure_quotient(4, 2, 1);  // n = 8
-  std::cout << "smoke n=" << row.n << ": full_lps=" << row.full_lps
-            << " quotient_lps=" << row.quotient_lps
-            << " max_abs_diff=" << row.sweep_diff << "\n";
-  if (row.sweep_diff > kAgreeTol) {
-    std::cerr << "perf_quotient --smoke: quotient sweep disagrees with the "
-                 "full sweep (diff "
-              << row.sweep_diff << ", tol " << kAgreeTol << ")\n";
-    ++failures;
-  }
-  if (row.quotient_lps >= row.full_lps) {
-    std::cerr << "perf_quotient --smoke: quotient saved no LPs ("
-              << row.quotient_lps << " vs " << row.full_lps << ")\n";
-    ++failures;
-  }
-
-  const double tab_diff = tabulation_diff(3, 2);  // n = 6 brute force
-  std::cout << "smoke tabulation: max_abs_diff=" << tab_diff << "\n";
-  if (tab_diff > kAgreeTol) {
-    std::cerr << "perf_quotient --smoke: quotient tabulation disagrees with "
-                 "brute force (diff "
-              << tab_diff << ", tol " << kAgreeTol << ")\n";
-    ++failures;
-  }
-
-  // Batched-panel gate: both sweep flavours with batching forced off
-  // must be BITWISE identical (diff exactly 0, equal pivots) to the
-  // batched default, and the full sweep must actually use the panel.
-  {
-    const auto space = typed_space(4, 2);  // n = 8
-    const auto demand = typed_demand();
-    for (const auto symmetry :
-         {game::SymmetryMode::kOff, game::SymmetryMode::kExact}) {
-      const char* label =
-          symmetry == game::SymmetryMode::kOff ? "full" : "quotient";
-      const auto seq = run_sweep(space, demand, symmetry, false);
-      const auto bat = run_sweep(space, demand, symmetry, true);
-      const double diff = max_abs_diff(seq.values, bat.values);
-      std::cout << "smoke batched " << label << ": max_abs_diff=" << diff
-                << " batch_fast=" << bat.batch_fast
-                << " batch_spilled=" << bat.batch_spilled << "\n";
-      if (diff != 0.0) {
-        std::cerr << "perf_quotient --smoke: batched " << label
-                  << " sweep is not bitwise identical (diff " << diff
-                  << ", want exactly 0)\n";
-        ++failures;
-      }
-      if (bat.total_pivots != seq.total_pivots) {
-        std::cerr << "perf_quotient --smoke: batched " << label
-                  << " sweep pivot count drifted (" << bat.total_pivots
-                  << " vs " << seq.total_pivots << ")\n";
-        ++failures;
-      }
-      if (symmetry == game::SymmetryMode::kOff && bat.batch_fast == 0) {
-        std::cerr << "perf_quotient --smoke: batched full sweep never took "
-                     "the panel fast path\n";
-        ++failures;
-      }
+  for (const int types : {3, 4}) {
+    const QuotientRow row = measure_quotient(types, 2, 1);  // n = 6, 8
+    std::cout << "smoke n=" << row.n << ": full_evals=" << row.full_evals
+              << " quotient_evals=" << row.quotient_evals
+              << " bitwise_equal=" << row.bitwise_equal << "\n";
+    if (!row.bitwise_equal) {
+      std::cerr << "perf_quotient --smoke: quotient tabulation is not "
+                   "bitwise the full tabulation at n="
+                << row.n << "\n";
+      ++failures;
+    }
+    if (row.quotient_evals >= row.full_evals) {
+      std::cerr << "perf_quotient --smoke: quotient saved no V(S) "
+                   "evaluations at n="
+                << row.n << " (" << row.quotient_evals << " vs "
+                << row.full_evals << ")\n";
+      ++failures;
     }
   }
-
   std::cout << (failures == 0 ? "perf-smoke PASSED\n"
                               : "perf-smoke FAILED\n");
   return failures == 0 ? 0 : 1;

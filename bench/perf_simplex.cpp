@@ -1,15 +1,16 @@
 // A5 microbenchmarks: the simplex substrate on the LP shapes this
 // library actually solves — least-core programs, allocation relaxations,
-// and the 2^n coalition-relaxation sweep that compares the dense tableau
-// engine against the revised engine (cold, warm-started, and warm with
-// the batched multi-RHS panel — one factorization per sibling group).
+// and the serve layer's bound chain (the grand pool's relaxation,
+// re-solved as each facility goes out of service and comes back), which
+// compares the dense tableau engine against the revised engine, cold
+// and warm-started from the previous link's basis.
 //
 // Besides the google-benchmark timings, the binary writes a
 // machine-readable BENCH_simplex.json summary (override the path with
 // FEDSHARE_BENCH_OUT) with per-n wall times, total pivot counts, and
 // cross-engine agreement, and supports `--smoke`: a fast consistency
-// run that exits non-zero when the engines disagree — tools/check.sh
-// runs it as the perf-smoke stage.
+// run that exits non-zero when the engines disagree or warm starts save
+// no pivots — tools/check.sh runs it as a perf-smoke stage.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -20,16 +21,14 @@
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <tuple>
-#include <utility>
 #include <vector>
 
 #include "alloc/lp_relax.hpp"
+#include "common.hpp"
 #include "core/core_solution.hpp"
 #include "core/nucleolus.hpp"
 #include "lp/simplex.hpp"
 #include "model/federation.hpp"
-#include "model/value.hpp"
 #include "sim/rng.hpp"
 
 namespace {
@@ -104,65 +103,31 @@ void BM_LpRelaxAllocation(benchmark::State& state) {
 }
 BENCHMARK(BM_LpRelaxAllocation)->Arg(4)->Arg(8)->Arg(16);
 
-// --- dense vs revised on the coalition-relaxation sweep -------------------
+// --- dense vs revised on the serve layer's bound chain --------------------
 
-// Overlapping facilities: shared locations make coalition capacities
-// interact, so the per-coalition LPs have non-trivial bases.
-model::LocationSpace sweep_space(int n) {
-  std::vector<model::FacilityConfig> configs;
-  for (int i = 0; i < n; ++i) {
-    model::FacilityConfig cfg;
-    cfg.name = "F" + std::to_string(i);
-    cfg.num_locations = 8 + 4 * (i % 4);
-    cfg.units_per_location = 1.0 + 0.5 * (i % 3);
-    cfg.availability = 1.0 - 0.05 * (i % 4);
-    configs.push_back(std::move(cfg));
-  }
-  return model::LocationSpace::overlapping(std::move(configs), 40, 17);
-}
-
-// Multiple request classes so the capacity rows carry several nonzeros;
-// a single class would presolve entirely into variable bounds and every
-// engine would report zero pivots.
-model::DemandProfile sweep_demand() {
-  model::DemandProfile demand;
-  demand.classes.push_back({8.0, 6.0, 1.0, 1.0, 1.0});
-  demand.classes.push_back({4.0, 12.0, 2.0, 1.0, 1.0});
-  demand.classes.push_back({3.0, 3.0, 1.5, 0.9, 1.0});
-  return demand;
-}
-
-model::LpSweepResult run_sweep(const model::LocationSpace& space,
-                               const model::DemandProfile& demand,
-                               lp::SolverKind solver, bool warm,
-                               bool batch = false) {
-  model::LpSweepOptions options;
-  options.simplex.solver = solver;
-  options.warm_start = warm;
-  options.batch = batch;
-  return model::lp_relaxation_sweep(space, demand, options);
-}
-
-void BM_CoalitionSweep(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  // 0 = dense cold, 1 = revised cold, 2 = revised warm (sequential),
-  // 3 = revised warm batched (multi-RHS panel off one factorization).
-  const int mode = static_cast<int>(state.range(1));
-  const auto space = sweep_space(n);
-  const auto demand = sweep_demand();
-  const lp::SolverKind solver =
+// 0 = dense cold, 1 = revised cold, 2 = revised warm.
+benchutil::ChainSolve run_chain(const benchutil::BoundChain& chain,
+                                int mode) {
+  lp::SimplexOptions options;
+  options.solver =
       mode == 0 ? lp::SolverKind::kDense : lp::SolverKind::kRevised;
+  return benchutil::solve_bound_chain(chain, options, mode == 2);
+}
+
+void BM_BoundChain(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int mode = static_cast<int>(state.range(1));
+  const auto chain = benchutil::outage_bound_chain(n);
   std::uint64_t pivots = 0;
   for (auto _ : state) {
-    const auto result =
-        run_sweep(space, demand, solver, mode >= 2, mode == 3);
-    pivots = result.total_pivots;
+    const auto result = run_chain(chain, mode);
+    pivots = result.pivots;
     benchmark::DoNotOptimize(result.values.data());
   }
   state.counters["pivots"] = static_cast<double>(pivots);
 }
-BENCHMARK(BM_CoalitionSweep)
-    ->ArgsProduct({{4, 6, 8, 10}, {0, 1, 2, 3}})
+BENCHMARK(BM_BoundChain)
+    ->ArgsProduct({{4, 6, 8, 10}, {0, 1, 2}})
     ->ArgNames({"n", "mode"});
 
 // --- BENCH_simplex.json ---------------------------------------------------
@@ -173,36 +138,17 @@ double median_ms(std::vector<double> xs) {
 }
 
 template <typename Fn>
-double time_once_ms(const Fn& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
-template <typename Fn>
 double time_ms(const Fn& fn, int reps) {
   std::vector<double> runs;
   runs.reserve(static_cast<std::size_t>(reps));
-  for (int i = 0; i < reps; ++i) runs.push_back(time_once_ms(fn));
-  return median_ms(std::move(runs));
-}
-
-// Interleaved A/B timing: alternating the two runs rep by rep exposes
-// both to the same background-load profile, so their *ratio* is robust
-// even when a contention burst outlasts one side's whole rep window.
-template <typename FnA, typename FnB>
-std::pair<double, double> time_ms_pair(const FnA& a, const FnB& b,
-                                       int reps) {
-  std::vector<double> ra;
-  std::vector<double> rb;
-  ra.reserve(static_cast<std::size_t>(reps));
-  rb.reserve(static_cast<std::size_t>(reps));
   for (int i = 0; i < reps; ++i) {
-    ra.push_back(time_once_ms(a));
-    rb.push_back(time_once_ms(b));
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    const auto t1 = std::chrono::steady_clock::now();
+    runs.push_back(
+        std::chrono::duration<double, std::milli>(t1 - t0).count());
   }
-  return {median_ms(std::move(ra)), median_ms(std::move(rb))};
+  return median_ms(std::move(runs));
 }
 
 double max_abs_diff(const std::vector<double>& a,
@@ -214,70 +160,46 @@ double max_abs_diff(const std::vector<double>& a,
   return worst;
 }
 
-struct SweepRow {
+struct ChainRow {
   int n = 0;
+  std::size_t lps = 0;  ///< links in the chain (2n + 1)
   double dense_ms = 0.0;
   double revised_cold_ms = 0.0;
   double revised_warm_ms = 0.0;
-  double batched_warm_ms = 0.0;
   std::uint64_t dense_pivots = 0;
   std::uint64_t revised_cold_pivots = 0;
   std::uint64_t revised_warm_pivots = 0;
-  std::uint64_t batched_warm_pivots = 0;
-  std::uint64_t batch_fast = 0;     ///< zero-pivot solves off the shared LU
-  std::uint64_t batch_spilled = 0;  ///< batched members that fell back
+  bool complete = true;    ///< every link optimal on every engine
   double cold_diff = 0.0;  ///< max |revised cold - dense|
   double warm_diff = 0.0;  ///< max |revised warm - dense|
-  /// max |batched - sequential warm| — the determinism contract says
-  /// this is EXACTLY 0.0, not merely small.
-  double batch_diff = 0.0;
 };
 
-SweepRow measure_sweep(int n, int reps) {
-  const auto space = sweep_space(n);
-  const auto demand = sweep_demand();
-  SweepRow row;
+ChainRow measure_chain(int n, int reps) {
+  const auto chain = benchutil::outage_bound_chain(n);
+  ChainRow row;
   row.n = n;
-  const auto dense = run_sweep(space, demand, lp::SolverKind::kDense, false);
-  const auto cold =
-      run_sweep(space, demand, lp::SolverKind::kRevised, false);
-  const auto warm = run_sweep(space, demand, lp::SolverKind::kRevised, true);
-  const auto batched =
-      run_sweep(space, demand, lp::SolverKind::kRevised, true, true);
-  row.dense_pivots = dense.total_pivots;
-  row.revised_cold_pivots = cold.total_pivots;
-  row.revised_warm_pivots = warm.total_pivots;
-  row.batched_warm_pivots = batched.total_pivots;
-  row.batch_fast = batched.batch_fast;
-  row.batch_spilled = batched.batch_spilled;
+  row.lps = chain.caps.size();
+  const auto dense = run_chain(chain, 0);
+  const auto cold = run_chain(chain, 1);
+  const auto warm = run_chain(chain, 2);
+  row.dense_pivots = dense.pivots;
+  row.revised_cold_pivots = cold.pivots;
+  row.revised_warm_pivots = warm.pivots;
+  row.complete = dense.complete && cold.complete && warm.complete;
   row.cold_diff = max_abs_diff(dense.values, cold.values);
   row.warm_diff = max_abs_diff(dense.values, warm.values);
-  row.batch_diff = max_abs_diff(warm.values, batched.values);
-  row.dense_ms = time_ms(
-      [&] { run_sweep(space, demand, lp::SolverKind::kDense, false); },
-      reps);
-  row.revised_cold_ms = time_ms(
-      [&] { run_sweep(space, demand, lp::SolverKind::kRevised, false); },
-      reps);
-  // The warm-vs-batched ratio is the headline number, and both runs are
-  // fast; take extra reps, interleaved, so the medians (and hence the
-  // quoted speedup) are robust to scheduler noise on a busy host.
-  const int fast_reps = 4 * reps + 1;
-  std::tie(row.revised_warm_ms, row.batched_warm_ms) = time_ms_pair(
-      [&] { run_sweep(space, demand, lp::SolverKind::kRevised, true); },
-      [&] {
-        run_sweep(space, demand, lp::SolverKind::kRevised, true, true);
-      },
-      fast_reps);
+  row.dense_ms = time_ms([&] { (void)run_chain(chain, 0); }, reps);
+  row.revised_cold_ms = time_ms([&] { (void)run_chain(chain, 1); }, reps);
+  row.revised_warm_ms = time_ms([&] { (void)run_chain(chain, 2); }, reps);
   return row;
 }
 
 void write_summary_json() {
-  std::vector<SweepRow> rows;
+  std::vector<ChainRow> rows;
   for (const int n : {4, 6, 8, 10, 12}) {
-    // 3 reps everywhere: the large-n rows are exactly the ones quoted
-    // for speedups, and a single rep is too noisy on a busy host.
-    rows.push_back(measure_sweep(n, 3));
+    // Each chain is only 2n + 1 LPs, so take enough reps for a stable
+    // median on a busy host.
+    rows.push_back(measure_chain(n, 9));
   }
 
   const char* out_env = std::getenv("FEDSHARE_BENCH_OUT");
@@ -290,35 +212,27 @@ void write_summary_json() {
   }
   out << "{\n";
   out << "  \"bench\": \"simplex\",\n";
-  out << "  \"workload\": \"2^n coalition-relaxation sweep, overlapping "
-         "facilities, 3 request classes\",\n";
-  out << "  \"sweeps\": [\n";
+  out << "  \"workload\": \"serve bound chain: grand-pool relaxation, each "
+         "facility zeroed then restored in turn; disjoint facilities, 3 "
+         "request classes\",\n";
+  out << "  \"chains\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const SweepRow& r = rows[i];
+    const ChainRow& r = rows[i];
     const double ratio =
         r.revised_warm_pivots > 0
             ? static_cast<double>(r.dense_pivots) /
                   static_cast<double>(r.revised_warm_pivots)
             : 0.0;
-    const double batch_speedup =
-        r.batched_warm_ms > 0.0 ? r.revised_warm_ms / r.batched_warm_ms
-                                : 0.0;
-    out << "    {\"n\": " << r.n << ", \"lps\": " << (1u << r.n)
+    out << "    {\"n\": " << r.n << ", \"lps\": " << r.lps
         << ", \"dense_ms\": " << r.dense_ms
         << ", \"revised_cold_ms\": " << r.revised_cold_ms
         << ", \"revised_warm_ms\": " << r.revised_warm_ms
-        << ", \"batched_warm_ms\": " << r.batched_warm_ms
         << ", \"dense_pivots\": " << r.dense_pivots
         << ", \"revised_cold_pivots\": " << r.revised_cold_pivots
         << ", \"revised_warm_pivots\": " << r.revised_warm_pivots
-        << ", \"batched_warm_pivots\": " << r.batched_warm_pivots
-        << ", \"batch_fast\": " << r.batch_fast
-        << ", \"batch_spilled\": " << r.batch_spilled
         << ", \"pivot_ratio_dense_over_warm\": " << ratio
-        << ", \"speedup_batched_over_warm\": " << batch_speedup
         << ", \"max_abs_diff_cold\": " << r.cold_diff
-        << ", \"max_abs_diff_warm\": " << r.warm_diff
-        << ", \"max_abs_diff_batched\": " << r.batch_diff << "}"
+        << ", \"max_abs_diff_warm\": " << r.warm_diff << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n";
@@ -332,46 +246,28 @@ int run_smoke() {
   constexpr double kAgreeTol = 1e-7;
   int failures = 0;
   for (const int n : {5, 7}) {
-    const SweepRow row = measure_sweep(n, 1);
-    std::cout << "smoke n=" << n << ": dense_pivots=" << row.dense_pivots
+    const ChainRow row = measure_chain(n, 1);
+    std::cout << "smoke n=" << n << ": lps=" << row.lps
+              << " dense_pivots=" << row.dense_pivots
               << " revised_cold_pivots=" << row.revised_cold_pivots
               << " revised_warm_pivots=" << row.revised_warm_pivots
-              << " batched_warm_pivots=" << row.batched_warm_pivots
-              << " batch_fast=" << row.batch_fast
-              << " batch_spilled=" << row.batch_spilled
               << " max_diff_cold=" << row.cold_diff
-              << " max_diff_warm=" << row.warm_diff
-              << " max_diff_batched=" << row.batch_diff << "\n";
+              << " max_diff_warm=" << row.warm_diff << "\n";
+    if (!row.complete) {
+      std::cerr << "perf_simplex --smoke: a chain link failed to solve at n="
+                << n << "\n";
+      ++failures;
+    }
     if (row.cold_diff > kAgreeTol || row.warm_diff > kAgreeTol) {
       std::cerr << "perf_simplex --smoke: engines disagree at n=" << n
                 << " (cold " << row.cold_diff << ", warm " << row.warm_diff
                 << ", tol " << kAgreeTol << ")\n";
       ++failures;
     }
-    if (row.revised_warm_pivots >= row.dense_pivots) {
+    if (row.revised_warm_pivots >= row.revised_cold_pivots) {
       std::cerr << "perf_simplex --smoke: warm start saved no pivots at n="
                 << n << " (" << row.revised_warm_pivots << " vs "
-                << row.dense_pivots << " dense)\n";
-      ++failures;
-    }
-    // The batched panel is a determinism contract, not an approximation:
-    // bit-identical values and identical pivot accounting, exactly.
-    if (row.batch_diff != 0.0) {
-      std::cerr << "perf_simplex --smoke: batched sweep diverged from the "
-                   "sequential warm sweep at n="
-                << n << " (max diff " << row.batch_diff << ", want 0)\n";
-      ++failures;
-    }
-    if (row.batched_warm_pivots != row.revised_warm_pivots) {
-      std::cerr << "perf_simplex --smoke: batched pivot count "
-                << row.batched_warm_pivots << " != sequential "
-                << row.revised_warm_pivots << " at n=" << n << "\n";
-      ++failures;
-    }
-    if (row.batch_fast == 0) {
-      std::cerr << "perf_simplex --smoke: batched sweep never used the "
-                   "shared factorization at n="
-                << n << "\n";
+                << row.revised_cold_pivots << " cold)\n";
       ++failures;
     }
   }

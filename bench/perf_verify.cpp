@@ -2,18 +2,19 @@
 //
 // Measures the certificate layer on the workloads it actually guards —
 // single least-core solves, iterative refinement of drifted optima, and
-// the 2^n coalition-relaxation sweep with a CertifyingObserver attached
-// to every (warm-started) solve — against the identical uninstrumented
-// runs. Besides the google-benchmark timings, writes a machine-readable
-// BENCH_verify.json (override the path with FEDSHARE_BENCH_OUT) with
-// per-n plain vs certified wall times, observer tallies, and the
-// measured overhead ratio, and supports `--smoke`: a fast gate that
-// fails when any sweep solve goes uncertified or the overhead explodes.
+// the serve layer's warm bound chain (the grand pool's relaxation,
+// re-solved as each facility goes out of service and comes back) with
+// a CertifyingObserver attached to every solve — against the identical
+// uninstrumented runs. Besides the google-benchmark timings, writes a
+// machine-readable BENCH_verify.json (override the path with
+// FEDSHARE_BENCH_OUT) with per-n plain vs certified wall times, observer
+// tallies, and the measured overhead ratio, and supports `--smoke`: a
+// fast gate that fails when any chain solve goes uncertified or
+// certification changes a value's bits.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -21,12 +22,12 @@
 #include <string>
 #include <vector>
 
+#include "common.hpp"
 #include "core/core_solution.hpp"
 #include "core/game.hpp"
 #include "lp/simplex.hpp"
 #include "model/federation.hpp"
 #include "model/location_space.hpp"
-#include "model/value.hpp"
 #include "verify/certificates.hpp"
 #include "verify/certified.hpp"
 #include "verify/refine.hpp"
@@ -34,29 +35,6 @@
 namespace {
 
 using namespace fedshare;
-
-// Same workload family as perf_simplex: overlapping facilities so the
-// per-coalition LPs have interacting bases.
-model::LocationSpace sweep_space(int n) {
-  std::vector<model::FacilityConfig> configs;
-  for (int i = 0; i < n; ++i) {
-    model::FacilityConfig cfg;
-    cfg.name = "F" + std::to_string(i);
-    cfg.num_locations = 8 + 4 * (i % 4);
-    cfg.units_per_location = 1.0 + 0.5 * (i % 3);
-    cfg.availability = 1.0 - 0.05 * (i % 4);
-    configs.push_back(std::move(cfg));
-  }
-  return model::LocationSpace::overlapping(std::move(configs), 40, 17);
-}
-
-model::DemandProfile sweep_demand() {
-  model::DemandProfile demand;
-  demand.classes.push_back({8.0, 6.0, 1.0, 1.0, 1.0});
-  demand.classes.push_back({4.0, 12.0, 2.0, 1.0, 1.0});
-  demand.classes.push_back({3.0, 3.0, 1.5, 0.9, 1.0});
-  return demand;
-}
 
 game::TabularGame bench_game(int n) {
   std::vector<model::FacilityConfig> configs;
@@ -161,31 +139,31 @@ double time_ms(const Fn& fn, int reps) {
 
 struct VerifyRow {
   int n = 0;
-  double plain_ms = 0.0;      ///< warm revised sweep, no observer
-  double certified_ms = 0.0;  ///< same sweep, CertifyingObserver attached
+  std::size_t lps = 0;        ///< links in the chain (2n + 1)
+  double plain_ms = 0.0;      ///< warm revised chain, no observer
+  double certified_ms = 0.0;  ///< same chain, CertifyingObserver attached
   std::uint64_t solves = 0;
   std::uint64_t certified = 0;
   std::uint64_t unchecked = 0;
   std::uint64_t repaired = 0;  ///< refined + escalated
   std::uint64_t failures = 0;
   double worst_residual = 0.0;
-  double max_abs_diff = 0.0;  ///< certified sweep values vs plain
+  bool bitwise_equal = true;  ///< certified chain values == plain, bitwise
 };
 
 VerifyRow measure(int n, int reps) {
-  const auto space = sweep_space(n);
-  const auto demand = sweep_demand();
-  model::LpSweepOptions plain;
-  plain.simplex.solver = lp::SolverKind::kRevised;
-  plain.warm_start = true;
+  const auto chain = benchutil::outage_bound_chain(n);
+  lp::SimplexOptions plain;
+  plain.solver = lp::SolverKind::kRevised;
 
   VerifyRow row;
   row.n = n;
-  const auto reference = model::lp_relaxation_sweep(space, demand, plain);
+  row.lps = chain.caps.size();
+  const auto reference = benchutil::solve_bound_chain(chain, plain, true);
   row.plain_ms = time_ms(
       [&] {
         benchmark::DoNotOptimize(
-            model::lp_relaxation_sweep(space, demand, plain));
+            benchutil::solve_bound_chain(chain, plain, true));
       },
       reps);
 
@@ -196,17 +174,17 @@ VerifyRow measure(int n, int reps) {
   row.certified_ms = time_ms(
       [&] {
         verify::CertifyingObserver observer(vopts, cascade_options);
-        model::LpSweepOptions observed = plain;
-        observed.simplex.observer = &observer;
+        lp::SimplexOptions observed = plain;
+        observed.observer = &observer;
         benchmark::DoNotOptimize(
-            model::lp_relaxation_sweep(space, demand, observed));
+            benchutil::solve_bound_chain(chain, observed, true));
       },
       reps);
-  // One more instrumented run for the tallies and the value diff.
+  // One more instrumented run for the tallies and the value check.
   verify::CertifyingObserver observer(vopts, cascade_options);
-  model::LpSweepOptions observed = plain;
-  observed.simplex.observer = &observer;
-  const auto certified = model::lp_relaxation_sweep(space, demand, observed);
+  lp::SimplexOptions observed = plain;
+  observed.observer = &observer;
+  const auto certified = benchutil::solve_bound_chain(chain, observed, true);
   const auto stats = observer.stats();
   row.solves = stats.solves;
   row.certified = stats.certified;
@@ -214,10 +192,11 @@ VerifyRow measure(int n, int reps) {
   row.repaired = stats.refined + stats.escalated;
   row.failures = stats.failures;
   row.worst_residual = stats.worst_residual;
-  for (std::size_t i = 0; i < reference.values.size(); ++i) {
-    row.max_abs_diff = std::max(
-        row.max_abs_diff, std::abs(reference.values[i] - certified.values[i]));
-  }
+  row.bitwise_equal =
+      reference.complete && certified.complete &&
+      reference.values.size() == certified.values.size() &&
+      std::memcmp(reference.values.data(), certified.values.data(),
+                  reference.values.size() * sizeof(double)) == 0;
   return row;
 }
 
@@ -232,13 +211,14 @@ void write_summary_json(const std::vector<VerifyRow>& rows) {
   }
   out << "{\n";
   out << "  \"bench\": \"verify\",\n";
-  out << "  \"workload\": \"2^n coalition-relaxation sweep, revised warm, "
-         "with vs without per-solve certification\",\n";
-  out << "  \"sweeps\": [\n";
+  out << "  \"workload\": \"serve bound chain (each facility zeroed then "
+         "restored in turn), revised warm, with vs without per-solve "
+         "certification\",\n";
+  out << "  \"chains\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const VerifyRow& r = rows[i];
     const double ratio = r.plain_ms > 0.0 ? r.certified_ms / r.plain_ms : 0.0;
-    out << "    {\"n\": " << r.n << ", \"lps\": " << (1u << r.n)
+    out << "    {\"n\": " << r.n << ", \"lps\": " << r.lps
         << ", \"plain_ms\": " << r.plain_ms
         << ", \"certified_ms\": " << r.certified_ms
         << ", \"overhead_ratio\": " << ratio
@@ -248,7 +228,8 @@ void write_summary_json(const std::vector<VerifyRow>& rows) {
         << ", \"repaired\": " << r.repaired
         << ", \"failures\": " << r.failures
         << ", \"worst_residual\": " << r.worst_residual
-        << ", \"max_abs_diff\": " << r.max_abs_diff << "}"
+        << ", \"bitwise_equal\": " << (r.bitwise_equal ? "true" : "false")
+        << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n";
@@ -267,17 +248,17 @@ int run_smoke() {
               << " unchecked=" << row.unchecked
               << " failures=" << row.failures
               << " worst_residual=" << row.worst_residual
-              << " max_abs_diff=" << row.max_abs_diff << "\n";
-    if (row.failures > 0 || row.unchecked > 0 ||
+              << " bitwise_equal=" << row.bitwise_equal << "\n";
+    if (row.failures > 0 || row.unchecked > 0 || row.solves < row.lps ||
         row.certified != row.solves) {
       std::cerr << "perf_verify --smoke: uncertified solves at n=" << n
                 << "\n";
       ++failures;
     }
-    if (row.max_abs_diff != 0.0) {
-      std::cerr << "perf_verify --smoke: certification changed sweep values "
+    if (!row.bitwise_equal) {
+      std::cerr << "perf_verify --smoke: certification changed chain values "
                    "at n="
-                << n << " (diff " << row.max_abs_diff << ")\n";
+                << n << "\n";
       ++failures;
     }
   }
@@ -298,7 +279,7 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   std::vector<VerifyRow> rows;
   for (const int n : {4, 6, 8, 10, 12}) {
-    rows.push_back(measure(n, n >= 10 ? 1 : 3));
+    rows.push_back(measure(n, 9));
   }
   write_summary_json(rows);
   return 0;

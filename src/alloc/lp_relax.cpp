@@ -60,22 +60,11 @@ lp::ProblemPatch RelaxationTemplate::capacity_patch(
         "RelaxationTemplate: need one capacity per location");
   }
   lp::ProblemPatch patch;
-  capacity_patch_into(capacities, patch);
-  return patch;
-}
-
-void RelaxationTemplate::capacity_patch_into(
-    const std::vector<double>& capacities, lp::ProblemPatch& patch) const {
-  if (capacities.size() != num_locations_) {
-    throw std::invalid_argument(
-        "RelaxationTemplate: need one capacity per location");
-  }
-  patch.bounds.clear();
-  patch.rhs.clear();
   patch.rhs.reserve(num_locations_);
   for (std::size_t l = 0; l < num_locations_; ++l) {
     patch.rhs.push_back({l, capacities[l]});
   }
+  return patch;
 }
 
 void RelaxationTemplate::apply_capacities(

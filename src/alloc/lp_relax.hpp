@@ -4,8 +4,9 @@
 // and diversity thresholds are dropped. For d <= 1, per-experiment utility
 // satisfies u(x) = x^d <= x on x >= 1, so the LP optimum bounds the true
 // optimum from above. Used by tests to sandwich the greedy allocator, by
-// the simplex performance bench, and by runtime::resilient_allocate as
-// the quality certificate of the greedy fallback.
+// runtime::resilient_allocate as the quality certificate of the greedy
+// fallback, and (through RelaxationTemplate) by the serve layer's bound
+// on the grand coalition and the simplex performance bench.
 #pragma once
 
 #include <cstddef>
@@ -21,17 +22,17 @@ namespace fedshare::alloc {
 
 /// Reusable build of the relaxation LP for a *family* of pools over the
 /// same location set that differ only in per-location capacities — e.g.
-/// one LP per coalition over the grand coalition's locations, with a
-/// coalition's uncovered locations patched to capacity 0 (capacity 0
-/// forces y_{c,l} = 0 because every class consumes r_c > 0 units, so
-/// this is exactly equivalent to dropping the location).
+/// the grand coalition's locations with some facilities out of service,
+/// their locations patched to capacity 0 (capacity 0 forces
+/// y_{c,l} = 0 because every class consumes r_c > 0 units, so this is
+/// exactly equivalent to dropping the location).
 ///
 /// Constraint layout: capacity row l is constraint l (one per location),
 /// followed by the per-location class caps as singleton rows (which
 /// lp::RevisedSimplex absorbs into variable bounds, shrinking the basis
 /// to one row per location). Build once, then re-target capacities via
 /// capacity_patch() — with RevisedSimplex::solve_from_basis this turns
-/// a coalition sweep into a chain of warm re-solves.
+/// a run of capacity changes into a chain of warm re-solves.
 class RelaxationTemplate {
  public:
   /// Validates `classes` (throws std::invalid_argument for exponents
@@ -56,11 +57,6 @@ class RelaxationTemplate {
   /// apply_capacities for a dense-solver Problem copy.
   [[nodiscard]] lp::ProblemPatch capacity_patch(
       const std::vector<double>& capacities) const;
-
-  /// Allocation-free capacity_patch for hot sweep loops: overwrites
-  /// `patch` in place (identical contents), reusing its vectors.
-  void capacity_patch_into(const std::vector<double>& capacities,
-                           lp::ProblemPatch& patch) const;
 
   /// In-place equivalent for the dense path: rewrites the capacity rows
   /// of `prob`, which must be a copy of problem().

@@ -945,8 +945,8 @@ void RevisedSimplex::extract(Solution& out) const {
 
 void RevisedSimplex::extract_core(const std::vector<double>& y, Solution& out,
                                   const std::vector<double>* d_cache) const {
-  // Full overwrite of every Solution field (callers may pass a reused
-  // object — BatchSolver recycles its output slots' allocations).
+  // Full overwrite of every Solution field, so callers may pass a
+  // reused object.
   out.farkas.clear();
   out.ray.clear();
   out.x.assign(n_, 0.0);
@@ -1138,9 +1138,7 @@ Solution RevisedSimplex::solve() {
   return out;
 }
 
-Solution RevisedSimplex::solve_from_basis_impl(
-    const Basis& basis, const std::vector<std::size_t>* seed_basic,
-    const Matrix* seed_lu, const std::vector<std::size_t>* seed_perm) {
+Solution RevisedSimplex::solve_from_basis(const Basis& basis) {
   if (basis.empty()) return solve();
   Solution out;
   const std::uint64_t start = pivots_;
@@ -1158,17 +1156,7 @@ Solution RevisedSimplex::solve_from_basis_impl(
 
   if (basis.status.size() == num_cols_) {
     adopt_statuses(basis);
-    if (seed_basic != nullptr && basic_ == *seed_basic) {
-      // Bitwise-identical shortcut: the seed is factorize()'s output
-      // for exactly this basic set (see the header comment), and the
-      // seed's factorization succeeded, so the failure fallback is
-      // unreachable here.
-      lu_ = *seed_lu;
-      perm_ = *seed_perm;
-      recycle_etas();
-    } else if (!factorize()) {
-      return solve();
-    }
+    if (!factorize()) return solve();
     compute_basic_values();
     if (dual_feasible()) {
       if (!run_dual(out)) {

@@ -94,13 +94,12 @@ struct ProblemPatch {
 
 /// The revised simplex engine. Instances are plain values: copying one
 /// clones the whole state (matrix, factorization, statuses), which is
-/// how parallel sweeps hand each worker its own solver built from a
-/// shared template.
+/// how callers re-solve a patched copy of a shared template.
 class RevisedSimplex {
  public:
   /// BatchSolver drives the private solve machinery (prepare / adopt /
-  /// factorize / panel FTRAN / extract_core) to re-solve whole families
-  /// of rhs-patched siblings against one shared factorization.
+  /// factorize / extract_core) to chain objective-only re-solves
+  /// against one cached factorization.
   friend class BatchSolver;
   /// Builds the computational form of `problem`: singleton rows become
   /// variable bounds, remaining rows get one slack each. The instance
@@ -139,9 +138,8 @@ class RevisedSimplex {
   void apply(const ProblemPatch& patch);
 
   /// Re-targets the cooperative budget charged by subsequent solves
-  /// (nullptr disables). Parallel sweeps clone a template instance per
-  /// chunk and point each clone at its forked child budget, since a
-  /// ComputeBudget must not be charged from two threads.
+  /// (nullptr disables), e.g. a per-epoch budget on a clone of a shared
+  /// template. A ComputeBudget must not be charged from two threads.
   void set_budget(const runtime::ComputeBudget* budget) noexcept {
     options_.budget = budget;
   }
@@ -152,9 +150,7 @@ class RevisedSimplex {
   /// Warm solve from `basis` (falls back to a cold solve when `basis`
   /// is empty or unusable). Prefers a dual-simplex sweep when the basis
   /// is still dual feasible — the cheap path after rhs/bound patches.
-  [[nodiscard]] Solution solve_from_basis(const Basis& basis) {
-    return solve_from_basis_impl(basis, nullptr, nullptr, nullptr);
-  }
+  [[nodiscard]] Solution solve_from_basis(const Basis& basis);
 
   /// Basis snapshot of the most recent solve (empty before any solve).
   [[nodiscard]] Basis basis() const;
@@ -198,17 +194,6 @@ class RevisedSimplex {
   void adopt_statuses(const Basis& basis);
   bool crash_from(const Basis& basis, Solution& out);
 
-  // solve_from_basis with an optional factorization seed. When the
-  // adopted basic set equals `seed_basic`, installs `seed_lu`/`seed_perm`
-  // instead of refactorizing — legal because factorize() is a pure
-  // function of (basic set, immutable columns), so a seed taken from an
-  // engine that factorized the same basic set over the same problem is
-  // bitwise the LU this engine would compute. BatchSolver uses this to
-  // share the group frame's factorization with spilled members.
-  [[nodiscard]] Solution solve_from_basis_impl(
-      const Basis& basis, const std::vector<std::size_t>* seed_basic,
-      const Matrix* seed_lu, const std::vector<std::size_t>* seed_perm);
-
   // Basis linear algebra.
   bool factorize();
   void ftran(std::vector<double>& v) const;
@@ -235,8 +220,8 @@ class RevisedSimplex {
   bool run_primal(Solution& out);
   void extract(Solution& out) const;
   // The body of extract() given the btran'd basic-cost vector `y` —
-  // BatchSolver computes y once per shared factorization and calls this
-  // per sibling, which is bitwise identical to extract() because y is a
+  // BatchSolver computes y against its cached frame and calls this
+  // directly, which is bitwise identical to extract() because y is a
   // pure function of (lu_, etas_, basic_, objective_). `d_cache`, when
   // non-null, supplies the per-column reduced costs against the same y
   // (computed with the identical `internal_cost(v) - column_dot(v, y)`

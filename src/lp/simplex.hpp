@@ -95,10 +95,10 @@ struct Solution {
 /// solution in place. This is how src/verify attaches certificate
 /// checking, iterative refinement, and the cross-engine escalation
 /// cascade to call sites it does not own (nucleolus rounds, relaxation
-/// sweeps) without those layers depending on verify.
+/// bounds) without those layers depending on verify.
 ///
-/// Implementations must be thread-safe: parallel sweeps clone solver
-/// instances per worker but share the observer pointer.
+/// Implementations must be thread-safe: solver instances on different
+/// threads may share one observer pointer.
 class SolveObserver {
  public:
   virtual ~SolveObserver() = default;

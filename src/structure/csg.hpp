@@ -14,7 +14,7 @@
 // visits every partition of S exactly once, so the sweep costs
 // sum_S 2^(|S|-1) = (3^n + 1) / 2 - 2^n lattice edges instead of
 // Bell(n) partitions. The sweep is streamed level by level (popcount
-// order, like model::lp_relaxation_sweep) through exec::parallel_for:
+// order, every proper subset one level down) through exec::parallel_for:
 // each mask owns its best/choice slots and its within-mask enumeration
 // order is fixed, so the result — argmax structure included — is
 // bit-identical at any thread count.

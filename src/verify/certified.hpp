@@ -13,7 +13,7 @@
 //
 // CertifyingObserver packages the same cascade as an lp::SolveObserver,
 // which is how --verify=full reaches solves buried inside the nucleolus
-// rounds and the relaxation sweeps: the observer re-checks (and, when
+// rounds and the relaxation bounds: the observer re-checks (and, when
 // needed, replaces) every solution those layers produce, without any of
 // them depending on src/verify.
 #pragma once
@@ -53,7 +53,7 @@ struct CertifiedSolve {
 
 /// Thread-safe SolveObserver running the cascade on every reported
 /// solve and tallying what happened. Attach via SimplexOptions::observer;
-/// parallel sweep workers share one instance.
+/// solvers on different threads may share one instance.
 class CertifyingObserver final : public lp::SolveObserver {
  public:
   /// Aggregate tallies across all observed solves.

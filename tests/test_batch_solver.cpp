@@ -1,156 +1,210 @@
-// lp::BatchSolver: the batched warm sweep must be *bitwise* identical
-// to the sequential per-coalition re-solves — values, pivot counts and
-// solve counts — at any thread count, on the full lattice and on the
-// symmetry quotient. Suite names carry "LpSweep" so the TSan preset in
-// tools/check.sh picks them up.
+// lp::BatchSolver: a solve_objective chain must be *bitwise* the chain of
+// per-probe RevisedSimplex::solve_from_basis calls it replaces — status,
+// objective, x, duals, pivot counts, basis snapshots and budget charges.
+// The probe LPs are least-core programs over random games with eps
+// pinned, the shape the nucleolus probe chains solve.
+#include <cstdint>
 #include <cstring>
-#include <string>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "exec/pool.hpp"
+#include "lp/batch_solver.hpp"
+#include "lp/problem.hpp"
+#include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
-#include "model/demand.hpp"
-#include "model/location_space.hpp"
-#include "model/value.hpp"
 #include "runtime/budget.hpp"
 
-namespace fedshare::model {
+namespace fedshare::lp {
 namespace {
 
-LocationSpace batch_space(int num_facilities) {
-  std::vector<FacilityConfig> configs;
-  for (int i = 0; i < num_facilities; ++i) {
-    FacilityConfig cfg;
-    cfg.name = "F" + std::to_string(i + 1);
-    cfg.num_locations = 6 + 3 * (i % 4);
-    cfg.units_per_location = 1.0 + 0.5 * (i % 3);
-    cfg.availability = 1.0 - 0.05 * (i % 5);
-    configs.push_back(std::move(cfg));
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// Least-core LP of a random n-player superadditive-ish game with eps
+// pinned at the least-core level: variables x_0..x_{n-1}, eps; rows
+// x(N) = v(N), x(S) + eps >= v(S) for every proper S, eps == eps*.
+Problem pinned_least_core(int n, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const std::uint32_t count = 1u << n;
+  std::vector<double> v(count, 0.0);
+  for (std::uint32_t mask = 1; mask < count; ++mask) {
+    double size = 0.0;
+    for (int i = 0; i < n; ++i) size += (mask >> i) & 1u;
+    v[mask] = size * size * (0.5 + unit(rng));
   }
-  // Overlapping layout: pooled capacities interact across members, so
-  // warm re-solves genuinely pivot and the spill path gets exercised.
-  return LocationSpace::overlapping(std::move(configs), 30, /*seed=*/11);
+  const auto nv = static_cast<std::size_t>(n);
+  const auto row = [&](std::uint32_t mask, double eps_coeff) {
+    std::vector<double> r(nv + 1, 0.0);
+    for (std::size_t i = 0; i < nv; ++i) {
+      if ((mask >> i) & 1u) r[i] = 1.0;
+    }
+    r[nv] = eps_coeff;
+    return r;
+  };
+  const auto build = [&](Objective sense) {
+    Problem prob(nv + 1, sense);
+    for (std::size_t i = 0; i <= nv; ++i) prob.set_free(i);
+    prob.add_constraint(row(count - 1, 0.0), Relation::kEqual, v[count - 1]);
+    for (std::uint32_t mask = 1; mask + 1 < count; ++mask) {
+      prob.add_constraint(row(mask, 1.0), Relation::kGreaterEqual, v[mask]);
+    }
+    return prob;
+  };
+  Problem least_core = build(Objective::kMinimize);
+  least_core.set_objective_coefficient(nv, 1.0);
+  const Solution least = solve_revised(least_core);
+  EXPECT_TRUE(least.optimal());
+  Problem prob = build(Objective::kMaximize);
+  std::vector<double> pin(nv + 1, 0.0);
+  pin[nv] = 1.0;
+  prob.add_constraint(std::move(pin), Relation::kEqual, least.objective);
+  return prob;
 }
 
-DemandProfile batch_demand() {
-  DemandProfile demand;
-  demand.classes.push_back({/*count=*/6.0, /*min_locations=*/4.0,
-                            /*units_per_location=*/1.0, /*exponent=*/1.0,
-                            /*holding_time=*/1.0});
-  demand.classes.push_back({3.0, 8.0, 2.0, 1.0, 1.0});
-  demand.classes.push_back({2.0, 2.0, 1.5, 0.8, 1.0});
-  return demand;
-}
-
-LpSweepOptions warm_revised(bool batch) {
-  LpSweepOptions options;
-  options.simplex.solver = lp::SolverKind::kRevised;
-  options.warm_start = true;
-  options.batch = batch;
-  return options;
-}
-
-TEST(LpSweepBatch, BitIdenticalToSequentialFullLattice) {
-  const LocationSpace space = batch_space(10);
-  const DemandProfile demand = batch_demand();
-
-  const LpSweepResult seq =
-      lp_relaxation_sweep(space, demand, warm_revised(false));
-  const LpSweepResult bat =
-      lp_relaxation_sweep(space, demand, warm_revised(true));
-  ASSERT_TRUE(seq.complete);
-  ASSERT_TRUE(bat.complete);
-  ASSERT_EQ(seq.values.size(), bat.values.size());
-  // Bitwise equality is the contract — not EXPECT_NEAR.
-  EXPECT_EQ(0, std::memcmp(seq.values.data(), bat.values.data(),
-                           seq.values.size() * sizeof(double)));
-  EXPECT_EQ(seq.total_pivots, bat.total_pivots);
-  EXPECT_EQ(seq.lps_solved, bat.lps_solved);
-  // The sequential path never touches the batch machinery...
-  EXPECT_EQ(seq.batch_fast + seq.batch_spilled, 0u);
-  // ...and the batched path must actually have used it, on both sides:
-  // zero-pivot members ride the shared LU, pivoting members spill.
-  EXPECT_GT(bat.batch_fast, 0u);
-  EXPECT_GT(bat.batch_spilled, 0u);
-}
-
-TEST(LpSweepBatch, BitIdenticalAcrossThreadCounts) {
-  const LocationSpace space = batch_space(9);
-  const DemandProfile demand = batch_demand();
-  const LpSweepOptions options = warm_revised(true);
-
-  const int saved = exec::threads();
-  exec::set_threads(1);
-  const LpSweepResult serial = lp_relaxation_sweep(space, demand, options);
-  exec::set_threads(4);
-  const LpSweepResult parallel = lp_relaxation_sweep(space, demand, options);
-  exec::set_threads(saved);
-
-  ASSERT_TRUE(serial.complete);
-  ASSERT_TRUE(parallel.complete);
-  EXPECT_EQ(serial.total_pivots, parallel.total_pivots);
-  EXPECT_EQ(serial.batch_fast, parallel.batch_fast);
-  EXPECT_EQ(serial.batch_spilled, parallel.batch_spilled);
-  ASSERT_EQ(serial.values.size(), parallel.values.size());
-  EXPECT_EQ(0, std::memcmp(serial.values.data(), parallel.values.data(),
-                           serial.values.size() * sizeof(double)));
-}
-
-TEST(LpSweepBatch, BitIdenticalToSequentialOnQuotient) {
-  // Three facility types with multiplicities 4+3+3: the quotient sweep
-  // groups orbit re-solves by predecessor basis exactly like the full
-  // sweep groups masks.
-  std::vector<FacilityConfig> configs;
-  for (int i = 0; i < 10; ++i) {
-    FacilityConfig cfg;
-    cfg.name = "F" + std::to_string(i + 1);
-    cfg.num_locations = i < 4 ? 8 : (i < 7 ? 12 : 6);
-    cfg.units_per_location = i < 4 ? 1.0 : (i < 7 ? 2.0 : 1.5);
-    cfg.availability = 1.0;
-    configs.push_back(std::move(cfg));
+// The nucleolus probe objectives: +x_v and -x_v for every player, then
+// the same sequence again (repeated objectives re-price against an
+// unchanged frame), then random directions that force pivots.
+std::vector<std::vector<double>> probe_objectives(std::size_t nv,
+                                                  std::uint32_t seed) {
+  std::vector<std::vector<double>> out;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t v = 0; v < nv; ++v) {
+      for (const double sign : {1.0, -1.0}) {
+        std::vector<double> obj(nv + 1, 0.0);
+        obj[v] = sign;
+        out.push_back(std::move(obj));
+      }
+    }
   }
-  const LocationSpace space = LocationSpace::disjoint(std::move(configs));
-  const DemandProfile demand = batch_demand();
-
-  LpSweepOptions seq_opts = warm_revised(false);
-  seq_opts.symmetry = game::SymmetryMode::kExact;
-  LpSweepOptions bat_opts = warm_revised(true);
-  bat_opts.symmetry = game::SymmetryMode::kExact;
-
-  const LpSweepResult seq = lp_relaxation_sweep(space, demand, seq_opts);
-  const LpSweepResult bat = lp_relaxation_sweep(space, demand, bat_opts);
-  ASSERT_TRUE(seq.complete);
-  ASSERT_TRUE(bat.complete);
-  EXPECT_EQ(seq.total_pivots, bat.total_pivots);
-  EXPECT_EQ(seq.lps_solved, bat.lps_solved);
-  ASSERT_EQ(seq.values.size(), bat.values.size());
-  EXPECT_EQ(0, std::memcmp(seq.values.data(), bat.values.data(),
-                           seq.values.size() * sizeof(double)));
-  EXPECT_GT(bat.batch_fast + bat.batch_spilled, 0u);
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> coef(-1.0, 1.0);
+  for (int k = 0; k < 6; ++k) {
+    std::vector<double> obj(nv + 1, 0.0);
+    for (std::size_t v = 0; v < nv; ++v) obj[v] = coef(rng);
+    out.push_back(obj);
+    out.push_back(std::move(obj));  // an immediate repeat: zero pivots
+  }
+  return out;
 }
 
-TEST(LpSweepBatch, BudgetedSweepIgnoresBatchFlag) {
-  // With a budget the batch gate must stand down (charging rules are
-  // per-pivot and the batched fast path emulates, not replays, them for
-  // single solves only) — the sweep still completes and matches.
-  const LocationSpace space = batch_space(7);
-  const DemandProfile demand = batch_demand();
+struct ChainStep {
+  Solution sol;
+  Basis basis;
+};
 
-  const LpSweepResult plain =
-      lp_relaxation_sweep(space, demand, warm_revised(true));
+// The chain as ObjectiveChain runs it: each probe warm from the last
+// optimal basis, through BatchSolver::solve_objective.
+std::vector<ChainStep> batch_chain(
+    const RevisedSimplex& proto,
+    const std::vector<std::vector<double>>& objectives) {
+  BatchSolver solver(proto);
+  Basis basis;
+  std::vector<ChainStep> out;
+  for (const auto& obj : objectives) {
+    ChainStep step;
+    step.sol = solver.solve_objective(obj, basis, &step.basis);
+    if (step.sol.optimal()) basis = step.basis;
+    out.push_back(std::move(step));
+  }
+  return out;
+}
 
-  LpSweepOptions budgeted = warm_revised(true);
-  const runtime::ComputeBudget budget = runtime::ComputeBudget::unlimited();
-  budgeted.simplex.budget = &budget;
-  const LpSweepResult guarded = lp_relaxation_sweep(space, demand, budgeted);
-  ASSERT_TRUE(guarded.complete);
-  EXPECT_EQ(guarded.batch_fast + guarded.batch_spilled, 0u);
-  ASSERT_EQ(plain.values.size(), guarded.values.size());
-  EXPECT_EQ(0, std::memcmp(plain.values.data(), guarded.values.data(),
-                           plain.values.size() * sizeof(double)));
+// The same chain as per-probe solve_from_basis calls on one engine.
+std::vector<ChainStep> reference_chain(
+    const RevisedSimplex& proto,
+    const std::vector<std::vector<double>>& objectives) {
+  RevisedSimplex engine = proto;
+  Basis basis;
+  std::vector<ChainStep> out;
+  for (const auto& obj : objectives) {
+    for (std::size_t v = 0; v < obj.size(); ++v) {
+      engine.set_objective_coefficient(v, obj[v]);
+    }
+    ChainStep step;
+    step.sol = engine.solve_from_basis(basis);  // cold while basis is empty
+    step.basis = engine.basis();
+    if (step.sol.optimal()) basis = step.basis;
+    out.push_back(std::move(step));
+  }
+  return out;
+}
+
+TEST(BatchSolverObjectiveChain, BitIdenticalToPerProbeWarmChain) {
+  int zero_pivot_probes = 0;
+  int pivoting_probes = 0;
+  for (const int n : {3, 4, 5, 6}) {
+    for (std::uint32_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " seed=" << seed);
+      const Problem prob = pinned_least_core(n, seed);
+      SimplexOptions options;
+      options.solver = SolverKind::kRevised;
+      const RevisedSimplex proto(prob, options);
+      const auto objectives =
+          probe_objectives(static_cast<std::size_t>(n), seed);
+      const std::vector<ChainStep> got = batch_chain(proto, objectives);
+      const std::vector<ChainStep> want = reference_chain(proto, objectives);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        SCOPED_TRACE(testing::Message() << "probe " << k);
+        const Solution& g = got[k].sol;
+        const Solution& w = want[k].sol;
+        ASSERT_EQ(g.status, w.status);
+        EXPECT_TRUE(same_bits(g.objective, w.objective));
+        EXPECT_EQ(g.pivots, w.pivots);
+        EXPECT_TRUE(same_bits(g.x, w.x));
+        EXPECT_TRUE(same_bits(g.duals, w.duals));
+        EXPECT_EQ(got[k].basis.status, want[k].basis.status);
+        EXPECT_EQ(got[k].basis.num_structural, want[k].basis.num_structural);
+        (w.pivots == 0 ? zero_pivot_probes : pivoting_probes) += 1;
+      }
+    }
+  }
+  // Both frame paths ran: zero-pivot probes extracted off the cached
+  // factorization, and pivoting probes resumed from it.
+  EXPECT_GT(zero_pivot_probes, 0);
+  EXPECT_GT(pivoting_probes, 0);
+}
+
+TEST(BatchSolverObjectiveChain, ChargesBudgetLikePerProbeWarmChain) {
+  // The cached path must replay the per-probe budget charges (one unit
+  // for the dual sweep's entry check plus one for the primal pass on a
+  // zero-pivot probe), so a capped budget trips at the same probe.
+  const Problem prob = pinned_least_core(5, 7);
+  const auto objectives = probe_objectives(5, 7);
+  const auto charges = [&](bool batched, std::uint64_t cap) {
+    runtime::ComputeBudget budget = runtime::ComputeBudget::unlimited();
+    if (cap > 0) budget.cap_nodes(cap);
+    SimplexOptions options;
+    options.solver = SolverKind::kRevised;
+    options.budget = &budget;
+    const RevisedSimplex proto(prob, options);
+    const std::vector<ChainStep> chain = batched
+                                             ? batch_chain(proto, objectives)
+                                             : reference_chain(proto, objectives);
+    std::vector<SolveStatus> statuses;
+    for (const ChainStep& step : chain) statuses.push_back(step.sol.status);
+    return std::make_pair(budget.used(), statuses);
+  };
+  const auto full_batch = charges(true, 0);
+  const auto full_ref = charges(false, 0);
+  EXPECT_EQ(full_batch, full_ref);
+  ASSERT_GT(full_ref.first, 4u);
+  const auto capped_batch = charges(true, full_ref.first / 2);
+  const auto capped_ref = charges(false, full_ref.first / 2);
+  EXPECT_EQ(capped_batch, capped_ref);
+  EXPECT_EQ(capped_ref.second.back(), SolveStatus::kBudgetExhausted);
 }
 
 }  // namespace
-}  // namespace fedshare::model
+}  // namespace fedshare::lp

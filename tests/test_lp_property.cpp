@@ -1,22 +1,19 @@
 // Property tests for the simplex solvers: random two-variable LPs solved
 // independently by brute-force vertex enumeration, randomized agreement
 // between the dense and revised engines across solve statuses, and the
-// warm-started coalition sweep against its per-pool reference.
+// capacity-patched allocation relaxation against its per-pool reference.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <optional>
 #include <vector>
 
-#include "exec/pool.hpp"
 #include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
 #include "model/demand.hpp"
 #include "model/location_space.hpp"
-#include "model/value.hpp"
 #include "alloc/lp_relax.hpp"
 #include "sim/rng.hpp"
 
@@ -205,11 +202,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RevisedVsDense,
 }  // namespace fedshare::lp
 
 // ---------------------------------------------------------------------
-// The warm-started coalition sweep: per-coalition values must match the
-// standalone per-pool relaxation for both engines, warm starting must
-// only change pivot counts (never values), and results must be
-// bit-identical at any thread count (suite names carry "LpSweep" so the
-// TSan preset picks them up; see tools/check.sh).
+// The allocation relaxation over a fixed location set: capacity patches
+// that zero a coalition's uncovered locations must reproduce the
+// standalone per-pool relaxation on both engines, and a warm chain of
+// capacity patches must only change pivot counts (never values).
 
 namespace fedshare::model {
 namespace {
@@ -241,73 +237,92 @@ DemandProfile sweep_demand() {
   return demand;
 }
 
+// Capacity of each grand-pool location held by `coalition` (0 where no
+// member covers it): the rhs a RelaxationTemplate over the grand pool
+// takes to stand in for pool_for(coalition).
+std::vector<double> grand_pool_caps(const LocationSpace& space,
+                                    game::Coalition coalition) {
+  const std::vector<int> grand = space.pooled_location_ids(
+      game::Coalition::grand(space.num_facilities()));
+  const std::vector<int> ids = space.pooled_location_ids(coalition);
+  const alloc::LocationPool pool = space.pool_for(coalition);
+  std::vector<double> caps(grand.size(), 0.0);
+  std::size_t g = 0;
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    while (grand[g] != ids[k]) ++g;
+    caps[g] = pool.capacity[k];
+  }
+  return caps;
+}
+
+alloc::RelaxationTemplate grand_template(const LocationSpace& space,
+                                         const DemandProfile& demand) {
+  return alloc::RelaxationTemplate(
+      space.pooled_location_ids(game::Coalition::grand(space.num_facilities()))
+          .size(),
+      demand.classes);
+}
+
 TEST(LpSweepProperty, MatchesPerPoolReferenceBothEngines) {
   const LocationSpace space = sweep_space(6);
   const DemandProfile demand = sweep_demand();
+  const alloc::RelaxationTemplate tmpl = grand_template(space, demand);
+  lp::SimplexOptions revised;
+  revised.solver = lp::SolverKind::kRevised;
+  const lp::RevisedSimplex proto(tmpl.problem(), revised);
 
-  LpSweepOptions dense;
-  dense.simplex.solver = lp::SolverKind::kDense;
-  LpSweepOptions revised;
-  revised.simplex.solver = lp::SolverKind::kRevised;
-  const LpSweepResult rd = lp_relaxation_sweep(space, demand, dense);
-  const LpSweepResult rr = lp_relaxation_sweep(space, demand, revised);
-  ASSERT_TRUE(rd.complete);
-  ASSERT_TRUE(rr.complete);
-  ASSERT_EQ(rd.values.size(), std::size_t{1} << 6);
-  ASSERT_EQ(rr.values.size(), rd.values.size());
-
-  EXPECT_DOUBLE_EQ(rd.values[0], 0.0);
-  for (std::uint64_t mask = 1; mask < rd.values.size(); ++mask) {
+  for (std::uint64_t mask = 1; mask < (std::uint64_t{1} << 6); ++mask) {
     const auto coalition = game::Coalition::from_bits(mask);
+    const std::vector<double> caps = grand_pool_caps(space, coalition);
+    lp::Problem dense = tmpl.problem();
+    tmpl.apply_capacities(dense, caps);
+    const lp::Solution rd = lp::solve(dense);
+    lp::RevisedSimplex engine = proto;
+    engine.apply(tmpl.capacity_patch(caps));
+    const lp::Solution rr = engine.solve();
+    ASSERT_TRUE(rd.optimal()) << "mask " << mask;
+    ASSERT_TRUE(rr.optimal()) << "mask " << mask;
     const double reference =
         alloc::lp_upper_bound(space.pool_for(coalition), demand.classes);
-    EXPECT_NEAR(rd.values[mask], reference, 1e-7) << "mask " << mask;
-    EXPECT_NEAR(rr.values[mask], reference, 1e-7) << "mask " << mask;
+    EXPECT_NEAR(rd.objective, reference, 1e-7) << "mask " << mask;
+    EXPECT_NEAR(rr.objective, reference, 1e-7) << "mask " << mask;
   }
 }
 
 TEST(LpSweepProperty, WarmStartChangesPivotsNotValues) {
+  // Every coalition in Gray-code order, so each link of the chain adds
+  // or drops one facility's capacities: warm from the previous optimum
+  // on one engine versus a cold solve per coalition.
   const LocationSpace space = sweep_space(6);
   const DemandProfile demand = sweep_demand();
+  const alloc::RelaxationTemplate tmpl = grand_template(space, demand);
+  lp::SimplexOptions revised;
+  revised.solver = lp::SolverKind::kRevised;
+  const lp::RevisedSimplex proto(tmpl.problem(), revised);
 
-  LpSweepOptions warm;
-  warm.simplex.solver = lp::SolverKind::kRevised;
-  warm.warm_start = true;
-  LpSweepOptions cold = warm;
-  cold.warm_start = false;
-  const LpSweepResult rw = lp_relaxation_sweep(space, demand, warm);
-  const LpSweepResult rc = lp_relaxation_sweep(space, demand, cold);
-  ASSERT_TRUE(rw.complete);
-  ASSERT_TRUE(rc.complete);
-  ASSERT_EQ(rw.values.size(), rc.values.size());
-  for (std::size_t mask = 0; mask < rw.values.size(); ++mask) {
-    EXPECT_NEAR(rw.values[mask], rc.values[mask], 1e-9) << "mask " << mask;
+  lp::RevisedSimplex warm = proto;
+  lp::Basis basis;
+  std::uint64_t warm_pivots = 0;
+  std::uint64_t cold_pivots = 0;
+  for (std::uint64_t k = 1; k < (std::uint64_t{1} << 6); ++k) {
+    const std::uint64_t mask = k ^ (k >> 1);
+    const lp::ProblemPatch patch = tmpl.capacity_patch(
+        grand_pool_caps(space, game::Coalition::from_bits(mask)));
+    warm.apply(patch);
+    const lp::Solution rw = warm.solve_from_basis(basis);
+    lp::RevisedSimplex cold = proto;
+    cold.apply(patch);
+    const lp::Solution rc = cold.solve();
+    ASSERT_TRUE(rw.optimal()) << "mask " << mask;
+    ASSERT_TRUE(rc.optimal()) << "mask " << mask;
+    EXPECT_NEAR(rw.objective, rc.objective, 1e-9) << "mask " << mask;
+    basis = warm.basis();
+    warm_pivots += rw.pivots;
+    cold_pivots += rc.pivots;
   }
-  // Warm starting exists to cut pivots; on this overlapping instance it
-  // must save a strict majority of the cold sweep's work.
-  EXPECT_LT(rw.total_pivots, rc.total_pivots);
-}
-
-TEST(LpSweepThreads, BitIdenticalAcrossThreadCounts) {
-  const LocationSpace space = sweep_space(7);
-  const DemandProfile demand = sweep_demand();
-  LpSweepOptions options;
-  options.simplex.solver = lp::SolverKind::kRevised;
-
-  const int saved = exec::threads();
-  exec::set_threads(1);
-  const LpSweepResult serial = lp_relaxation_sweep(space, demand, options);
-  exec::set_threads(4);
-  const LpSweepResult parallel = lp_relaxation_sweep(space, demand, options);
-  exec::set_threads(saved);
-
-  ASSERT_TRUE(serial.complete);
-  ASSERT_TRUE(parallel.complete);
-  EXPECT_EQ(serial.total_pivots, parallel.total_pivots);
-  ASSERT_EQ(serial.values.size(), parallel.values.size());
-  // Bitwise equality, not approximate: determinism is the contract.
-  EXPECT_EQ(0, std::memcmp(serial.values.data(), parallel.values.data(),
-                           serial.values.size() * sizeof(double)));
+  // Warm starting exists to cut pivots; on this overlapping instance the
+  // chain must do strictly less work than solving every link cold.
+  EXPECT_LT(warm_pivots, cold_pivots);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc/lp_relax.hpp"
 #include "core/sharing.hpp"
 #include "exec/pool.hpp"
 #include "model/federation.hpp"
@@ -310,9 +311,9 @@ void expect_matches_batch(const EpochAnswer& answer, const Shadow& shadow,
   // blocks with zero-capacity columns vs the effective space), so it is
   // compared numerically, not bitwise.
   if (answer.grand_bound.has_value() && !shadow.demand.classes.empty()) {
-    const auto sweep =
-        fedshare::model::lp_relaxation_sweep(space, shadow.demand);
-    const double expected = sweep.values.back();
+    const double expected = fedshare::alloc::lp_upper_bound(
+        space.pool_for(fedshare::game::Coalition::grand(m)),
+        shadow.demand.classes);
     EXPECT_NEAR(*answer.grand_bound, expected,
                 1e-7 * (1.0 + std::abs(expected)));
     EXPECT_GE(*answer.grand_bound, answer.grand_value - 1e-7);

@@ -411,27 +411,6 @@ TEST_F(SymmetryPropertyTest, FederationBudgetedQuotientMatchesAndTrips) {
                    .has_value());
 }
 
-TEST_F(SymmetryPropertyTest, SweepQuotientMatchesFullSweep) {
-  const model::Federation fed = typed_federation();
-  model::LpSweepOptions off;
-  const model::LpSweepResult full =
-      model::lp_relaxation_sweep(fed.space(), fed.demand(), off);
-  model::LpSweepOptions quotient_opts;
-  quotient_opts.symmetry = SymmetryMode::kExact;
-  const model::LpSweepResult quotient =
-      model::lp_relaxation_sweep(fed.space(), fed.demand(), quotient_opts);
-  ASSERT_TRUE(quotient.complete);
-  ASSERT_EQ(quotient.values.size(), full.values.size());
-  for (std::size_t mask = 0; mask < full.values.size(); ++mask) {
-    ASSERT_NEAR(quotient.values[mask], full.values[mask],
-                1e-7 * (1.0 + std::abs(full.values[mask])))
-        << "mask=" << mask;
-  }
-  // 4 players as 2 types of 2: 9 orbits, 8 nonempty LPs vs 15.
-  EXPECT_EQ(quotient.lps_solved, 8u);
-  EXPECT_EQ(full.lps_solved, 15u);
-}
-
 // ---------------------------------------------------------------------
 // Monotone-closure regression (the PlanetLab-style dip).
 

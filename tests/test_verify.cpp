@@ -1,7 +1,7 @@
 // Tests for src/verify: LP certificates on both engines, iterative
 // refinement, the cross-engine cascade (with injected faults), the game
-// auditor, warm-chain certification through lp_relaxation_sweep, and
-// the steady-clock pin on runtime::ComputeBudget.
+// auditor, warm-chain certification on capacity-patched relaxation LPs,
+// and the steady-clock pin on runtime::ComputeBudget.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -10,6 +10,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "alloc/lp_relax.hpp"
 #include "cli/runner.hpp"
 #include "core/game.hpp"
 #include "core/nucleolus.hpp"
@@ -18,8 +19,8 @@
 #include "lp/problem.hpp"
 #include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
+#include "model/demand.hpp"
 #include "model/location_space.hpp"
-#include "model/value.hpp"
 #include "runtime/budget.hpp"
 #include "runtime/resilient.hpp"
 #include "verify/audit.hpp"
@@ -448,11 +449,51 @@ TEST(VerifyAudit, ResilientVerifiedMatchesPlain) {
 }
 
 // ---------------------------------------------------------------------
-// Warm-chain certification through the relaxation sweep.
+// Warm-chain certification on capacity-patched relaxation LPs.
+
+// Capacity of each grand-pool location held by `coalition` (0 where no
+// member covers it), the rhs a RelaxationTemplate over the grand pool
+// takes.
+std::vector<double> grand_pool_caps(const model::LocationSpace& space,
+                                    game::Coalition coalition) {
+  const std::vector<int> grand = space.pooled_location_ids(
+      game::Coalition::grand(space.num_facilities()));
+  const std::vector<int> ids = space.pooled_location_ids(coalition);
+  const alloc::LocationPool pool = space.pool_for(coalition);
+  std::vector<double> caps(grand.size(), 0.0);
+  std::size_t g = 0;
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    while (grand[g] != ids[k]) ++g;
+    caps[g] = pool.capacity[k];
+  }
+  return caps;
+}
+
+// Objectives of a warm chain over every coalition in Gray-code order
+// (each link adds or drops one facility's capacities), with `options`
+// on every solve.
+std::vector<double> warm_chain_values(const model::LocationSpace& space,
+                                      const alloc::RelaxationTemplate& tmpl,
+                                      const SimplexOptions& options) {
+  lp::RevisedSimplex engine(tmpl.problem(), options);
+  lp::Basis basis;
+  std::vector<double> values;
+  const int n = space.num_facilities();
+  for (std::uint64_t k = 1; k < (std::uint64_t{1} << n); ++k) {
+    const std::uint64_t mask = k ^ (k >> 1);
+    engine.apply(tmpl.capacity_patch(
+        grand_pool_caps(space, game::Coalition::from_bits(mask))));
+    const Solution sol = engine.solve_from_basis(basis);
+    EXPECT_TRUE(sol.optimal()) << "mask " << mask;
+    basis = engine.basis();
+    values.push_back(sol.objective);
+  }
+  return values;
+}
 
 TEST(VerifySweepChain, WarmStartedSweepFullyCertified) {
-  // 2^6 coalition LPs warm-started along the subset lattice; every
-  // solve the chain produces must carry a valid certificate, and
+  // 2^6 - 1 coalition LPs, each warm-started from the previous link;
+  // every solve the chain produces must carry a valid certificate, and
   // certification must not perturb a single value.
   std::vector<model::FacilityConfig> configs;
   for (int i = 0; i < 6; ++i) {
@@ -468,22 +509,23 @@ TEST(VerifySweepChain, WarmStartedSweepFullyCertified) {
   demand.classes.push_back({6.0, 4.0, 1.0, 1.0, 1.0});
   demand.classes.push_back({3.0, 8.0, 2.0, 1.0, 1.0});
   demand.classes.push_back({2.0, 2.0, 1.5, 0.8, 1.0});
+  const alloc::RelaxationTemplate tmpl(
+      space.pooled_location_ids(game::Coalition::grand(6)).size(),
+      demand.classes);
 
-  model::LpSweepOptions plain;
-  plain.simplex.solver = SolverKind::kRevised;
-  plain.warm_start = true;
-  const auto reference = model::lp_relaxation_sweep(space, demand, plain);
-  ASSERT_TRUE(reference.complete);
+  SimplexOptions plain;
+  plain.solver = SolverKind::kRevised;
+  const std::vector<double> reference = warm_chain_values(space, tmpl, plain);
 
   VerifyOptions vopts;
   vopts.level = VerifyLevel::kFull;
   SimplexOptions cascade_options;
   cascade_options.solver = SolverKind::kRevised;
   verify::CertifyingObserver observer(vopts, cascade_options);
-  model::LpSweepOptions observed = plain;
-  observed.simplex.observer = &observer;
-  const auto certified = model::lp_relaxation_sweep(space, demand, observed);
-  ASSERT_TRUE(certified.complete);
+  SimplexOptions observed = plain;
+  observed.observer = &observer;
+  const std::vector<double> certified =
+      warm_chain_values(space, tmpl, observed);
 
   const auto stats = observer.stats();
   EXPECT_GE(stats.solves, (std::uint64_t{1} << 6) - 1);
@@ -491,10 +533,9 @@ TEST(VerifySweepChain, WarmStartedSweepFullyCertified) {
   EXPECT_EQ(stats.unchecked, 0u);
   EXPECT_EQ(stats.certified, stats.solves);
 
-  ASSERT_EQ(reference.values.size(), certified.values.size());
-  for (std::size_t mask = 0; mask < reference.values.size(); ++mask) {
-    EXPECT_EQ(reference.values[mask], certified.values[mask])
-        << "mask " << mask;
+  ASSERT_EQ(reference.size(), certified.size());
+  for (std::size_t k = 0; k < reference.size(); ++k) {
+    EXPECT_EQ(reference[k], certified[k]) << "link " << k;
   }
 }
 

@@ -4,14 +4,15 @@
 # include the serve chaos harness: randomized churn vs batch-solve
 # equality) — then the concurrency-sensitive tests a third time under
 # ThreadSanitizer (the work-stealing pool, the sharded value cache with
-# concurrent invalidation, the parallel LP sweep, and the serve-layer
-# apply/query races), then the bitwise batched-sweep and SIMD-lattice
-# tests on their own (the stage that must fail if vectorized or panel
-# re-solve results drift from the scalar/sequential reference by even
-# one ulp), then the perf-smoke gates: fast runs that fail when the
-# dense and revised simplex engines disagree, the warm start stops
-# saving pivots, the batched panel stops being bitwise-identical, the
-# tabulated game stops being bitwise-identical across thread counts, the
+# concurrent invalidation, and the serve-layer apply/query races), then
+# the bitwise BatchSolver-chain and SIMD-lattice tests on their own (the
+# stage that must fail if vectorized or cached-frame re-solve results
+# drift from the scalar/per-probe reference by even one ulp), then the
+# perf-smoke gates: fast runs that fail when the dense and revised
+# simplex engines disagree, the warm start stops saving pivots, the
+# quotient tabulation or a certified LP chain stops being
+# bitwise-identical, the tabulated game stops being bitwise-identical
+# across thread counts, the
 # nucleolus stops skipping its provably redundant LPs, or
 # the serve layer stops re-solving its bound with at most one LP per
 # event (warm on outages and leaves) or its incremental V(S)
@@ -42,18 +43,18 @@ cmake -S "$root" -B "$root/build-asan" \
 cmake --build "$root/build-asan" -j "$jobs"
 ctest --test-dir "$root/build-asan" -j "$jobs" --output-on-failure "$@"
 
-echo "== exec + LP-sweep + lattice/symmetry + serve + structure tests under ThreadSanitizer =="
+echo "== exec + lattice/symmetry + serve + structure tests under ThreadSanitizer =="
 cmake -S "$root" -B "$root/build-tsan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DFEDSHARE_SANITIZE=thread
 cmake --build "$root/build-tsan" -j "$jobs" --target fedshare_tests
 ctest --test-dir "$root/build-tsan" -j "$jobs" --output-on-failure \
-  -R 'ExecTest|LpSweep|LatticeProperty|SymmetryProperty|NucleolusQuotient|NucleolusFilters|ServeStateTest|ServeChaosTest|ServeDurabilityTest|StructureParallelTest'
+  -R 'ExecTest|LatticeProperty|SymmetryProperty|NucleolusQuotient|NucleolusFilters|ServeStateTest|ServeChaosTest|ServeDurabilityTest|StructureParallelTest'
 
-echo "== batched sweep + SIMD lattice smoke (bitwise vs sequential/scalar) =="
+echo "== BatchSolver chain + SIMD lattice smoke (bitwise vs per-probe/scalar) =="
 ctest --test-dir "$root/build" -j "$jobs" --output-on-failure \
-  -R 'LpSweepBatch|LatticeSimd'
+  -R 'BatchSolverObjectiveChain|LatticeSimd'
 
-echo "== perf smoke (dense vs revised simplex, batched panel bitwise gate) =="
+echo "== perf smoke (dense vs revised simplex on the bound chain, warm pivot savings) =="
 cmake --build "$root/build" -j "$jobs" --target perf_simplex
 "$root/build/bench/perf_simplex" --smoke
 
@@ -61,7 +62,7 @@ echo "== tabulation smoke (tabulated game bitwise at 1 and 4 threads) =="
 cmake --build "$root/build" -j "$jobs" --target perf_parallel
 "$root/build/bench/perf_parallel" --smoke
 
-echo "== quotient smoke (symmetry quotient vs full sweep) =="
+echo "== quotient smoke (quotient tabulation bitwise vs full) =="
 cmake --build "$root/build" -j "$jobs" --target perf_quotient
 "$root/build/bench/perf_quotient" --smoke
 
@@ -69,7 +70,7 @@ echo "== nucleolus smoke (quotient vs dense, LP-ratio and certification gates) =
 cmake --build "$root/build" -j "$jobs" --target perf_nucleolus
 "$root/build/bench/perf_nucleolus" --smoke
 
-echo "== verification smoke (certified vs plain sweep) =="
+echo "== verification smoke (certified vs plain warm bound chain) =="
 cmake --build "$root/build" -j "$jobs" --target perf_verify
 "$root/build/bench/perf_verify" --smoke
 
