@@ -47,8 +47,10 @@ int main() {
     const auto fed = make_federation(t);
     // Nominal split: the same schemes on the un-degraded federation.
     const auto nominal_game = fed.build_game();
-    const auto nominal = game::compare_schemes(
-        nominal_game, fed.availability_weights(), fed.consumption_weights());
+    const auto nominal =
+        game::compare_schemes(nominal_game, fed.availability_weights(),
+                              fed.consumption_weights())
+            .outcomes;
     const auto report = runtime::evaluate_outages(fed, kScenarios, kSeed);
     for (const auto& sr : report.schemes) {
       const auto base_it = std::find_if(

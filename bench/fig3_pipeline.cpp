@@ -29,16 +29,16 @@ int main() {
             << "V(N) = " << io::format_double(g.grand_value(), 0) << "\n";
 
   // Stage 3: profit/value sharing (policy input: the scheme).
-  const auto outcomes = game::compare_schemes(
+  const auto comparison = game::compare_schemes(
       g, fed.availability_weights(), fed.consumption_weights());
   io::Table table({"scheme", "s1", "s2", "s3", "in core"});
   table.set_align(0, io::Align::kLeft);
-  for (const auto& o : outcomes) {
+  for (const auto& o : comparison.outcomes) {
     table.add_row({game::to_string(o.scheme),
                    io::format_double(o.shares[0], 3),
                    io::format_double(o.shares[1], 3),
                    io::format_double(o.shares[2], 3),
-                   o.in_core ? "yes" : "no"});
+                   game::in_core_label(o)});
   }
   std::cout << "[3] profit sharing:\n";
   table.print(std::cout);

@@ -37,16 +37,16 @@ void static_analysis(const model::LocationSpace& space) {
   }
   values.print(std::cout);
 
-  const auto outcomes = game::compare_schemes(
+  const auto comparison = game::compare_schemes(
       g, fed.availability_weights(), fed.consumption_weights());
   io::Table table({"scheme", "PLC", "PLE", "PLJ", "in core"});
   table.set_align(0, io::Align::kLeft);
-  for (const auto& o : outcomes) {
+  for (const auto& o : comparison.outcomes) {
     table.add_row({game::to_string(o.scheme),
                    io::format_percent(o.shares[0]),
                    io::format_percent(o.shares[1]),
                    io::format_percent(o.shares[2]),
-                   o.in_core ? "yes" : "no"});
+                   game::in_core_label(o)});
   }
   std::cout << '\n';
   table.print(std::cout);

@@ -39,18 +39,18 @@ int main() {
   values.print(std::cout);
 
   // 4. Compare sharing schemes (Sec. 3.2).
-  const auto outcomes =
+  const auto comparison =
       game::compare_schemes(g, fed.availability_weights(),
                             fed.consumption_weights());
   io::print_heading(std::cout, "Sharing schemes");
   io::Table table({"scheme", "s1", "s2", "s3", "in core"});
   table.set_align(0, io::Align::kLeft);
-  for (const auto& o : outcomes) {
+  for (const auto& o : comparison.outcomes) {
     table.add_row({game::to_string(o.scheme),
                    io::format_double(o.shares[0], 4),
                    io::format_double(o.shares[1], 4),
                    io::format_double(o.shares[2], 4),
-                   o.in_core ? "yes" : "no"});
+                   game::in_core_label(o)});
   }
   table.print(std::cout);
 

@@ -11,11 +11,11 @@
 #include "io/table.hpp"
 #include "runtime/budget.hpp"
 #include "runtime/outage.hpp"
-#include "runtime/resilient.hpp"
 #include "structure/csg.hpp"
 #include "structure/hedonic.hpp"
 #include "structure/stability.hpp"
 #include "verify/audit.hpp"
+#include "verify/certified.hpp"
 
 namespace fedshare::cli {
 
@@ -395,31 +395,71 @@ ReportResult run_report_result(const io::Config& config,
   headers.emplace_back("in core");
   io::Table table(std::move(headers));
   table.set_align(0, io::Align::kLeft);
+  // --verify full certifies every nucleolus LP through the observer
+  // (audit_outcomes detaches it for its own solves); cheap and full both
+  // audit the finished comparison.
+  lp::SimplexOptions lp_options;
+  lp_options.solver = ropts.lp_solver;
+  lp_options.budget = &budget;
   verify::VerifyOptions verify_options;
   verify_options.level = ropts.verify;
-  verify::AuditReport audit;
+  verify::CertifyingObserver observer(verify_options, lp_options);
+  if (ropts.verify == verify::VerifyLevel::kFull) {
+    lp_options.observer = &observer;
+  }
   game::QuotientNucleolusInfo nucleolus_info;
-  runtime::ResilientSchemes rs = runtime::compare_schemes_resilient_verified(
+  game::SchemeComparison rs = game::compare_schemes(
       tab ? static_cast<const game::Game&>(*tab) : fgame,
-      tab ? &*tab : nullptr, fed.availability_weights(),
-      fed.consumption_weights(), verify_options, &audit, budget, 4096, 1,
-      ropts.lp_solver, partition ? &*partition : nullptr, &nucleolus_info);
-  if (rs.shapley_engine == runtime::ShapleyEngine::kMonteCarlo) {
+      fed.availability_weights(), fed.consumption_weights(), lp_options,
+      partition ? &*partition : nullptr, &nucleolus_info);
+  if (rs.shapley_engine == game::ShapleyEngine::kMonteCarlo) {
     result.degraded_sections.emplace_back("shapley (monte-carlo fallback)");
   }
-  for (const auto& skipped : rs.skipped) {
+  for (auto& skipped : rs.skipped) {
     result.degraded_sections.push_back(skipped.scheme);
+    // The game layer names no flag; the report knows which one lifts
+    // the dense ceiling.
+    if (skipped.size_limit && skipped.scheme == "nucleolus") {
+      skipped.reason += "; use --symmetry auto|exact";
+    }
   }
+  std::vector<std::string> notes = rs.notes();
   for (const auto& o : rs.outcomes) {
     std::vector<std::string> row{game::to_string(o.scheme)};
     for (int i = 0; i < n; ++i) {
       row.push_back(io::format_double(o.shares[static_cast<std::size_t>(i)],
                                       precision));
     }
-    row.emplace_back(rs.core_checked ? (o.in_core ? "yes" : "no") : "n/a");
+    row.emplace_back(game::in_core_label(o));
     table.add_row(std::move(row));
   }
   table.print(out);
+
+  verify::AuditReport audit;
+  if (ropts.verify != verify::VerifyLevel::kOff) {
+    if (tab) {
+      audit = verify::audit_game(*tab, verify_options);
+      verify::audit_outcomes(*tab, rs.outcomes, lp_options, verify_options,
+                             audit);
+    } else {
+      // Sampling V(S) on the raw game could re-trigger the very work the
+      // deadline cut.
+      audit.add_issue(
+          "coverage",
+          "audits skipped: coalition table unavailable under deadline", 0.0);
+    }
+  }
+  if (ropts.verify == verify::VerifyLevel::kFull) {
+    audit.lp = observer.stats();
+    audit.lp_stats_valid = true;
+    if (audit.lp.failures > 0) {
+      audit.add_issue(
+          "lp-certificates",
+          std::to_string(audit.lp.failures) +
+              " solve(s) exhausted the cascade without a valid certificate",
+          static_cast<double>(audit.lp.failures));
+    }
+  }
 
   // Optional hierarchy section (needs the full table; Owen and the
   // quotient Shapley are exponential in the block structure).
@@ -453,7 +493,7 @@ ReportResult run_report_result(const io::Config& config,
       out << '\n';
       rtable.print(out);
     } else {
-      rs.notes.emplace_back(
+      notes.emplace_back(
           "hierarchy: skipped (coalition table unavailable under "
           "deadline)");
       result.degraded_sections.emplace_back("hierarchy");
@@ -468,7 +508,7 @@ ReportResult run_report_result(const io::Config& config,
     if (tab) {
       print_structure(out, ropts.structure, *tab, names, precision);
     } else {
-      rs.notes.emplace_back(
+      notes.emplace_back(
           "coalition structure: skipped (coalition table unavailable "
           "under deadline)");
       result.degraded_sections.emplace_back("coalition structure");
@@ -477,7 +517,7 @@ ReportResult run_report_result(const io::Config& config,
 
   // The Resilience section: on request, or whenever something was left
   // out, so a clean default report carries no such section.
-  if (ropts.any() || !rs.notes.empty()) {
+  if (ropts.any() || !notes.empty()) {
     io::print_heading(out, "Resilience");
     if (ropts.deadline_ms.has_value()) {
       out << "deadline: " << *ropts.deadline_ms << " ms\n";
@@ -489,13 +529,13 @@ ReportResult run_report_result(const io::Config& config,
                 : std::string("truncated (") +
                       runtime::to_string(budget.stop_reason()) + ")")
         << "\n";
-    out << "shapley engine: " << runtime::to_string(rs.shapley_engine);
-    if (rs.shapley_engine == runtime::ShapleyEngine::kMonteCarlo) {
+    out << "shapley engine: " << game::to_string(rs.shapley_engine);
+    if (rs.shapley_engine == game::ShapleyEngine::kMonteCarlo) {
       out << " (" << rs.shapley_samples << " samples, max standard error "
           << io::format_double(rs.shapley_max_se, precision) << ")";
     }
     out << "\n";
-    for (const auto& note : rs.notes) {
+    for (const auto& note : notes) {
       out << "note: " << note << "\n";
     }
   }

@@ -75,10 +75,13 @@ void print_answer(std::ostream& out, const serve::EpochAnswer& answer,
       row.push_back(io::format_double(o.shares[static_cast<std::size_t>(i)],
                                       precision));
     }
-    row.emplace_back(o.in_core ? "yes" : "no");
+    row.emplace_back(game::in_core_label(o));
     table.add_row(std::move(row));
   }
   table.print(out);
+  for (const auto& skipped : answer.skipped) {
+    out << "note: " << skipped.note() << "\n";
+  }
 
   if (!answer.incentives.empty()) {
     out << "\n";
@@ -226,6 +229,9 @@ ServeRunResult run_serve(std::istream& events,
 
   result.degraded = answer.stale();
   result.stop = answer.degraded;
+  for (const auto& skipped : answer.skipped) {
+    result.skipped.push_back(skipped.scheme);
+  }
   result.text = out.str();
   return result;
 }

@@ -65,6 +65,9 @@ struct ServeRunResult {
   bool degraded = false;
   /// Why, when degraded.
   runtime::StopReason stop = runtime::StopReason::kNone;
+  /// Schemes the final answer left out (each with a note under the
+  /// scheme table); maps to CLI exit code 3.
+  std::vector<std::string> skipped;
   /// Set when an event was invalid against the roster (duplicate join,
   /// unknown facility, ...): the run stops at that event. Maps to CLI
   /// exit code 1.

@@ -543,11 +543,4 @@ NucleolusResult nucleolus_quotient(const QuotientGame& game,
   return maschler(index, values, options);
 }
 
-NucleolusResult nucleolus(const Game& game, const PlayerPartition& partition,
-                          const lp::SimplexOptions& options) {
-  if (partition.is_trivial()) return nucleolus(game, options);
-  const QuotientGame quotient(game, partition);
-  return nucleolus_quotient(quotient, options);
-}
-
 }  // namespace fedshare::game

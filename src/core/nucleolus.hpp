@@ -97,13 +97,4 @@ inline constexpr int kMaxDenseNucleolusPlayers = 10;
 [[nodiscard]] NucleolusResult nucleolus_quotient(
     const QuotientGame& game, const lp::SimplexOptions& options = {});
 
-/// Dispatch: the orbit-row formulation when `partition` is non-trivial,
-/// the dense formulation otherwise. Both run the same loop; an
-/// all-singletons partition quotients nothing, so the dense entry point
-/// reads the tabulated game directly instead of the orbit value cache,
-/// and a ComputeBudget pays for LP pivots only, not one unit per orbit.
-[[nodiscard]] NucleolusResult nucleolus(const Game& game,
-                                        const PlayerPartition& partition,
-                                        const lp::SimplexOptions& options);
-
 }  // namespace fedshare::game

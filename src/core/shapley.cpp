@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <sstream>
 #include <stdexcept>
 
 #include "core/lattice.hpp"
@@ -34,34 +35,6 @@ struct SplitMix64 {
 
 }  // namespace
 
-namespace {
-
-// Subset-formula accumulation over a tabulated game. Charges `budget`
-// (when given) one unit per subset; returns nullopt if it trips.
-std::optional<std::vector<double>> accumulate_subset_formula(
-    const TabularGame& tab, const runtime::ComputeBudget* budget) {
-  const int n = tab.num_players();
-  const std::vector<double>& v = tab.values();
-  const std::vector<double> weight = shapley_subset_weights(n);
-  std::vector<double> phi(static_cast<std::size_t>(n), 0.0);
-  const std::uint64_t count = std::uint64_t{1} << n;
-  for (std::uint64_t mask = 0; mask < count; ++mask) {
-    if (budget != nullptr && !budget->charge()) return std::nullopt;
-    const int s = __builtin_popcountll(mask);
-    if (s == n) continue;  // grand coalition: no player left to add
-    const double w = weight[static_cast<std::size_t>(s)];
-    const double base = v[mask];
-    for (int i = 0; i < n; ++i) {
-      if ((mask >> i) & 1u) continue;
-      const std::uint64_t with_i = mask | (std::uint64_t{1} << i);
-      phi[static_cast<std::size_t>(i)] += w * (v[with_i] - base);
-    }
-  }
-  return phi;
-}
-
-}  // namespace
-
 std::vector<double> shapley_exact(const Game& game) {
   const int n = game.num_players();
   if (n == 0) return {};
@@ -84,7 +57,7 @@ std::optional<std::vector<double>> shapley_exact_budgeted(
   }
   const auto tab = tabulate_budgeted(game, budget);
   if (!tab) return std::nullopt;
-  return accumulate_subset_formula(*tab, &budget);
+  return shapley_lattice_budgeted(*tab, budget);
 }
 
 std::vector<double> shapley_permutations(const Game& game) {
@@ -128,6 +101,12 @@ namespace {
 // the streams, and the fold order never depend on the schedule.
 constexpr std::uint64_t kMcChunkSamples = 32;
 constexpr std::uint64_t kMcChunkPairs = 16;
+
+// The cascade's Monte-Carlo stage (resilient_shapley): permutations
+// drawn, their seed, and the grace deadline once the budget has tripped.
+constexpr std::uint64_t kCascadeSamples = 4096;
+constexpr std::uint64_t kCascadeSeed = 1;
+constexpr double kMonteCarloGraceMs = 50.0;
 
 struct McPartial {
   std::vector<double> sum;
@@ -380,6 +359,51 @@ MonteCarloShapley shapley_monte_carlo_antithetic(
     result.standard_error[ui] = std::sqrt(variance / count);
   }
   return result;
+}
+
+const char* to_string(ShapleyEngine engine) noexcept {
+  switch (engine) {
+    case ShapleyEngine::kExact: return "exact";
+    case ShapleyEngine::kMonteCarlo: return "monte-carlo";
+  }
+  return "unknown";
+}
+
+ResilientShapley resilient_shapley(const Game& game,
+                                   const runtime::ComputeBudget& budget) {
+  ResilientShapley out;
+  std::string cause;
+  if (game.num_players() <= 24) {
+    if (auto exact = shapley_exact_budgeted(game, budget)) {
+      out.phi = std::move(*exact);
+      return out;
+    }
+    cause = std::string("exact Shapley budget exhausted (") +
+            runtime::stop_label(budget) + ")";
+  } else {
+    cause = "n > 24 puts exact Shapley out of reach";
+  }
+
+  // Monte-Carlo fallback. If the caller's budget already tripped, run
+  // under a short grace deadline instead — long enough for a meaningful
+  // estimate, short enough that "degrade" still means "answer promptly".
+  const runtime::ComputeBudget grace =
+      runtime::ComputeBudget::with_deadline_ms(kMonteCarloGraceMs);
+  const runtime::ComputeBudget* mc_budget =
+      budget.exhausted() ? &grace : &budget;
+  const MonteCarloShapley mc = shapley_monte_carlo_antithetic(
+      game, kCascadeSamples, kCascadeSeed, mc_budget);
+  out.engine = ShapleyEngine::kMonteCarlo;
+  out.phi = mc.phi;
+  out.standard_error = mc.standard_error;
+  out.samples = mc.samples;
+  double max_se = 0.0;
+  for (const double se : mc.standard_error) max_se = std::max(max_se, se);
+  std::ostringstream note;
+  note << cause << "; antithetic monte-carlo (" << mc.samples
+       << " samples, max se " << max_se << ")";
+  out.note = note.str();
+  return out;
 }
 
 std::vector<double> normalize_shares(const std::vector<double>& values) {

@@ -8,10 +8,13 @@
 //                          O(n! * n); cross-check for n <= 10.
 //  * shapley_monte_carlo — uniform permutation sampling with standard
 //                          errors; for large n (hierarchical federations).
+// resilient_shapley chains them under a ComputeBudget: exact first,
+// antithetic Monte Carlo when the budget trips.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/game.hpp"
@@ -24,10 +27,11 @@ namespace fedshare::game {
 [[nodiscard]] std::vector<double> shapley_exact(const Game& game);
 
 /// Budgeted exact Shapley: charges `budget` one unit per V(S) evaluation
-/// during tabulation and one per accumulated subset. Returns nullopt
-/// when the budget trips (a partial subset sum is not a meaningful
-/// estimate — degrade to shapley_monte_carlo* instead; see
-/// runtime::resilient_shapley for the sanctioned cascade).
+/// during tabulation, then runs shapley_lattice_budgeted (n * 2^(n-1)
+/// units; bitwise equal to shapley_exact). Returns nullopt when the
+/// budget trips (a partial subset sum is not a meaningful estimate —
+/// degrade to shapley_monte_carlo* instead; see resilient_shapley for
+/// the sanctioned cascade).
 [[nodiscard]] std::optional<std::vector<double>> shapley_exact_budgeted(
     const Game& game, const runtime::ComputeBudget& budget);
 
@@ -72,6 +76,31 @@ struct MonteCarloShapley {
 [[nodiscard]] MonteCarloShapley shapley_monte_carlo_antithetic(
     const Game& game, std::uint64_t samples, std::uint64_t seed,
     const runtime::ComputeBudget* budget = nullptr);
+
+/// Which engine produced a Shapley vector.
+enum class ShapleyEngine { kExact, kMonteCarlo };
+
+[[nodiscard]] const char* to_string(ShapleyEngine engine) noexcept;
+
+/// Outcome of the Shapley cascade.
+struct ResilientShapley {
+  std::vector<double> phi;
+  /// Per-player standard errors; empty for the exact engine.
+  std::vector<double> standard_error;
+  ShapleyEngine engine = ShapleyEngine::kExact;
+  std::uint64_t samples = 0;  ///< permutations drawn (Monte Carlo only)
+  std::string note;           ///< degradation note, empty when exact
+};
+
+/// Shapley cascade: shapley_exact_budgeted under `budget`, degrading to
+/// antithetic Monte Carlo with reported standard errors when the budget
+/// trips or n > 24. The Monte Carlo stage draws at most 4096
+/// permutations (seed 1, so the estimate is deterministic) under
+/// `budget`, or under a fresh 50 ms grace deadline when `budget` has
+/// already tripped, so a too-tight deadline still yields an estimate of
+/// at least one antithetic pair.
+[[nodiscard]] ResilientShapley resilient_shapley(
+    const Game& game, const runtime::ComputeBudget& budget = {});
 
 /// Normalises a value vector to shares of the total: out[i] = v[i] / sum(v).
 /// For Shapley values this is the paper's phi-hat (Eq. 5), since

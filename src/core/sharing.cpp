@@ -1,5 +1,6 @@
 #include "core/sharing.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -80,74 +81,55 @@ std::vector<double> nucleolus_shares(const Game& game,
                              game.num_players());
 }
 
-NucleolusScheme nucleolus_scheme(const TabularGame& tab,
-                                 const lp::SimplexOptions& options,
-                                 const PlayerPartition* partition,
-                                 QuotientNucleolusInfo* info) {
-  const int n = tab.num_players();
-  const bool quotient_path = partition != nullptr && !partition->is_trivial();
-  NucleolusScheme out;
-  if (!quotient_path && !dense_nucleolus_fits(n)) {
-    out.size_limit = "n = " + std::to_string(n) +
-                     " exceeds the dense ceiling of " +
-                     std::to_string(kMaxDenseNucleolusPlayers) +
-                     "; use --symmetry auto|exact";
-    return out;
-  }
-  if (options.budget != nullptr && options.budget->exhausted()) return out;
-  NucleolusResult r;
-  if (quotient_path) {
-    const QuotientGame quotient(tab, *partition);
-    r = nucleolus_quotient(quotient, options);
-    if (info != nullptr) {
-      info->attempted = true;
-      info->used = r.solved;
-      info->orbit_rows = r.excess_rows;
-      info->dense_rows = n < 63 ? (std::uint64_t{1} << n) - 2 : 0;
-      info->lps_solved = r.lps_solved;
-      info->pivots = r.pivots;
-      const auto stats = quotient.cache().stats();
-      info->orbit_hits = stats.hits;
-      info->orbit_misses = stats.misses;
-    }
-  } else {
-    r = nucleolus(tab, options);
-  }
-  if (r.solved) {
-    out.shares = nucleolus_fractions(r.allocation, tab.grand_value(), n);
-  }
+const char* in_core_label(const SchemeOutcome& outcome) noexcept {
+  if (!outcome.in_core.has_value()) return "n/a";
+  return *outcome.in_core ? "yes" : "no";
+}
+
+std::string SkippedScheme::note() const {
+  return scheme + ": skipped (" + reason + ")";
+}
+
+std::vector<std::string> SchemeComparison::notes() const {
+  std::vector<std::string> out;
+  if (!shapley_note.empty()) out.push_back("shapley: " + shapley_note);
+  for (const SkippedScheme& s : skipped) out.push_back(s.note());
   return out;
 }
 
-std::vector<SchemeOutcome> compare_schemes(
-    const Game& game, const std::vector<double>& availability_weights,
-    const std::vector<double>& consumption_weights) {
-  return compare_schemes(game, availability_weights, consumption_weights,
-                         lp::SimplexOptions{});
+bool SchemeComparison::cut_short() const noexcept {
+  if (shapley_engine == ShapleyEngine::kMonteCarlo) return true;
+  return std::any_of(skipped.begin(), skipped.end(),
+                     [](const SkippedScheme& s) { return !s.size_limit; });
 }
 
-std::vector<SchemeOutcome> compare_schemes(
-    const Game& game, const std::vector<double>& availability_weights,
-    const std::vector<double>& consumption_weights,
-    const lp::SimplexOptions& lp_options) {
-  return compare_schemes(game, availability_weights, consumption_weights,
-                         lp_options, nullptr, nullptr);
-}
-
-std::vector<SchemeOutcome> compare_schemes(
+SchemeComparison compare_schemes(
     const Game& game, const std::vector<double>& availability_weights,
     const std::vector<double>& consumption_weights,
     const lp::SimplexOptions& lp_options, const PlayerPartition* partition,
     QuotientNucleolusInfo* info) {
   const int n = game.num_players();
+  for (const auto* weights : {&availability_weights, &consumption_weights}) {
+    if (!weights->empty() && weights->size() != static_cast<std::size_t>(n)) {
+      throw std::invalid_argument(
+          "compare_schemes: weight counts must equal n");
+    }
+  }
+  const runtime::ComputeBudget unlimited;
+  const runtime::ComputeBudget& budget =
+      lp_options.budget != nullptr ? *lp_options.budget : unlimited;
   // Tabulate once: every scheme below (Shapley, the per-scheme core
   // checks, nucleolus, Banzhaf) re-reads the same table instead of
-  // re-solving each coalition's V(S), and tabulate()'s TabularGame
-  // fast path makes the nested tabulations inside those solvers free.
-  const TabularGame tab = tabulate(game);
-  const double total = tab.grand_value();
+  // re-solving each coalition's V(S). Without it only the schemes that
+  // need no table answer.
+  const std::optional<TabularGame> tab = tabulate_budgeted(game, budget);
+  const Game& values = tab ? static_cast<const Game&>(*tab) : game;
+  const double total = values.grand_value();
+  const std::string no_table =
+      std::string("coalition table unavailable under ") +
+      runtime::stop_label(budget);
 
-  std::vector<SchemeOutcome> out;
+  SchemeComparison out;
   auto push = [&](Scheme scheme, std::vector<double> shares) {
     SchemeOutcome o;
     o.scheme = scheme;
@@ -156,36 +138,79 @@ std::vector<SchemeOutcome> compare_schemes(
       o.payoffs[i] = shares[i] * total;
     }
     o.shares = std::move(shares);
-    if (n <= 16) o.in_core = in_core(tab, o.payoffs);
-    out.push_back(std::move(o));
+    if (tab && n <= 16) o.in_core = in_core(*tab, o.payoffs);
+    out.outcomes.push_back(std::move(o));
   };
 
-  push(Scheme::kShapley, shapley_shares(tab));
+  ResilientShapley shapley = resilient_shapley(values, budget);
+  out.shapley_engine = shapley.engine;
+  out.shapley_samples = shapley.samples;
+  for (const double se : shapley.standard_error) {
+    out.shapley_max_se = std::max(out.shapley_max_se, se);
+  }
+  out.shapley_note = std::move(shapley.note);
+  push(Scheme::kShapley, normalize_shares(shapley.phi));
   if (!availability_weights.empty()) {
-    if (availability_weights.size() != static_cast<std::size_t>(n)) {
-      throw std::invalid_argument(
-          "compare_schemes: availability weight count must equal n");
-    }
     push(Scheme::kProportionalAvailability,
          proportional_shares(availability_weights));
   }
   if (!consumption_weights.empty()) {
-    if (consumption_weights.size() != static_cast<std::size_t>(n)) {
-      throw std::invalid_argument(
-          "compare_schemes: consumption weight count must equal n");
-    }
     push(Scheme::kProportionalConsumption,
          proportional_shares(consumption_weights));
   }
   push(Scheme::kEqual, equal_shares(n));
-  NucleolusScheme nucleolus_row =
-      nucleolus_scheme(tab, lp_options, partition, info);
-  if (!nucleolus_row.shares.empty()) {
-    push(Scheme::kNucleolus, std::move(nucleolus_row.shares));
-  } else if (nucleolus_row.size_limit.empty()) {
-    throw std::runtime_error("compare_schemes: nucleolus computation failed");
+
+  // Nucleolus: the orbit-row formulation for a non-trivial partition,
+  // the dense one within its ceiling; anything else is a recorded skip.
+  const bool quotient_path = partition != nullptr && !partition->is_trivial();
+  if (!tab) {
+    out.skipped.push_back({"nucleolus", no_table});
+  } else if (!quotient_path && !dense_nucleolus_fits(n)) {
+    out.skipped.push_back(
+        {"nucleolus",
+         "n = " + std::to_string(n) + " exceeds the dense ceiling of " +
+             std::to_string(kMaxDenseNucleolusPlayers),
+         /*size_limit=*/true});
+  } else if (budget.exhausted()) {
+    out.skipped.push_back({"nucleolus", runtime::stop_label(budget)});
+  } else {
+    NucleolusResult r;
+    if (quotient_path) {
+      const QuotientGame quotient(*tab, *partition);
+      r = nucleolus_quotient(quotient, lp_options);
+      if (info != nullptr) {
+        info->attempted = true;
+        info->used = r.solved;
+        info->orbit_rows = r.excess_rows;
+        info->dense_rows = n < 63 ? (std::uint64_t{1} << n) - 2 : 0;
+        info->lps_solved = r.lps_solved;
+        info->pivots = r.pivots;
+        const auto stats = quotient.cache().stats();
+        info->orbit_hits = stats.hits;
+        info->orbit_misses = stats.misses;
+      }
+    } else {
+      r = nucleolus(*tab, lp_options);
+    }
+    if (r.solved) {
+      push(Scheme::kNucleolus, nucleolus_fractions(r.allocation, total, n));
+    } else {
+      out.skipped.push_back({"nucleolus", budget.exhausted()
+                                              ? runtime::stop_label(budget)
+                                              : "LP chain failed"});
+    }
   }
-  push(Scheme::kBanzhaf, banzhaf_index(tab));
+
+  if (tab) {
+    push(Scheme::kBanzhaf, banzhaf_index(*tab));
+  } else {
+    out.skipped.push_back({"banzhaf", no_table});
+  }
+  if (!tab) {
+    out.skipped.push_back({"core membership", no_table});
+  } else if (n > 16) {
+    out.skipped.push_back({"core membership", "n > 16", /*size_limit=*/true});
+  }
   return out;
 }
 

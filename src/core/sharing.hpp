@@ -12,10 +12,12 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/game.hpp"
+#include "core/shapley.hpp"
 #include "core/symmetry.hpp"
 #include "lp/simplex.hpp"
 
@@ -60,23 +62,13 @@ struct SchemeOutcome {
   Scheme scheme;
   std::vector<double> shares;    ///< sums to 1
   std::vector<double> payoffs;   ///< shares * V(N)
-  bool in_core = false;          ///< payoff vector lies in the core
+  /// Whether the payoff vector lies in the core; nullopt when it was
+  /// not checked (no coalition table, or n > 16).
+  std::optional<bool> in_core;
 };
 
-/// Computes every scheme on `game`. `availability_weights` and
-/// `consumption_weights` feed the two proportional schemes; pass empty
-/// vectors to skip those schemes. Core membership of each payoff vector
-/// is checked when n <= 16.
-[[nodiscard]] std::vector<SchemeOutcome> compare_schemes(
-    const Game& game, const std::vector<double>& availability_weights,
-    const std::vector<double>& consumption_weights);
-
-/// Variant threading LP solver options into the nucleolus scheme (the
-/// only scheme that solves LPs). The CLI's --lp-solver flag lands here.
-[[nodiscard]] std::vector<SchemeOutcome> compare_schemes(
-    const Game& game, const std::vector<double>& availability_weights,
-    const std::vector<double>& consumption_weights,
-    const lp::SimplexOptions& lp_options);
+/// "yes", "no", or "n/a" when core membership was not checked.
+[[nodiscard]] const char* in_core_label(const SchemeOutcome& outcome) noexcept;
 
 /// Telemetry from the quotient-nucleolus path of a comparison run, for
 /// the CLI's --cache-stats section and the benches.
@@ -91,43 +83,63 @@ struct QuotientNucleolusInfo {
   std::uint64_t orbit_misses = 0;  ///< orbit values actually materialised
 };
 
-/// The nucleolus row of a scheme comparison, or why there is none.
-struct NucleolusScheme {
-  /// allocation / V(N) (equal shares when V(N) is ~0); empty when the
-  /// scheme has no row.
-  std::vector<double> shares;
-  /// Set when the game's size alone rules the nucleolus out (no
-  /// non-trivial partition and n past dense_nucleolus_fits), e.g.
-  /// "n = 11 exceeds the dense ceiling of 10; use --symmetry
-  /// auto|exact". Empty shares with an empty reason mean the LP chain
-  /// did not finish: a budget trip or a solver failure.
-  std::string size_limit;
+/// A scheme (or the core check) a comparison did not answer, and why.
+struct SkippedScheme {
+  std::string scheme;  ///< "nucleolus", "banzhaf" or "core membership"
+  std::string reason;  ///< e.g. "deadline", "n > 16"
+  /// True when the instance's size alone rules it out (the same for
+  /// every run at this n); false when the budget or a solver failure
+  /// cut it short.
+  bool size_limit = false;
+
+  /// "<scheme>: skipped (<reason>)".
+  [[nodiscard]] std::string note() const;
 };
 
-/// The nucleolus scheme of every scheme comparison (compare_schemes
-/// and runtime::compare_schemes_resilient): the orbit-row quotient
-/// formulation when `partition` is non-trivial (rows scale with the
-/// orbit count, no n ceiling), the dense 2^n-row formulation otherwise
-/// (within dense_nucleolus_fits only). An options.budget that has
-/// already tripped skips the LPs. `info`, when non-null, receives the
-/// quotient-path telemetry.
-[[nodiscard]] NucleolusScheme nucleolus_scheme(
-    const TabularGame& tab, const lp::SimplexOptions& options,
-    const PlayerPartition* partition, QuotientNucleolusInfo* info = nullptr);
+/// Every sharing scheme of one game, plus what was left out and why.
+struct SchemeComparison {
+  /// Report order: Shapley, the proportional schemes given weights,
+  /// equal split, nucleolus, Banzhaf (minus the skipped ones).
+  std::vector<SchemeOutcome> outcomes;
+  /// Every scheme left without a row (and an unchecked core), in report
+  /// order.
+  std::vector<SkippedScheme> skipped;
+  ShapleyEngine shapley_engine = ShapleyEngine::kExact;
+  std::uint64_t shapley_samples = 0;
+  double shapley_max_se = 0.0;  ///< max standard error (Monte Carlo only)
+  /// Empty on an exact Shapley row; otherwise why it is an estimate.
+  std::string shapley_note;
 
-/// Partition-aware variant: with a non-trivial `partition` (and a game
-/// that is symmetric under it — the caller's contract, see
-/// verified_partition) the nucleolus runs on the orbit-row quotient
-/// formulation, lifting the scheme past the dense n <= 10 ceiling; an
-/// all-singletons partition (or nullptr) falls back to the dense path,
-/// byte-identical to the 4-argument overload. Past the dense ceiling
-/// without a partition the nucleolus row is left out (see
-/// nucleolus_scheme for the reason); a failed LP chain throws. `info`,
-/// when non-null, receives the quotient-path telemetry.
-[[nodiscard]] std::vector<SchemeOutcome> compare_schemes(
+  /// One line per degradation (none on a clean run): "shapley: <note>",
+  /// then each skip's note, e.g. "nucleolus: skipped (deadline)".
+  [[nodiscard]] std::vector<std::string> notes() const;
+  /// True when the budget or a solver failure degraded a scheme (Monte
+  /// Carlo Shapley, or a skip that is not a size limit).
+  [[nodiscard]] bool cut_short() const noexcept;
+};
+
+/// Computes every scheme on `game` — the one comparison body behind the
+/// CLI report, serve answers, outage scenarios, benches and examples.
+/// `availability_weights` and `consumption_weights` feed the two
+/// proportional schemes; pass empty vectors to skip those schemes.
+///
+/// Everything runs under `lp_options.budget` (null = unlimited) and
+/// degrades instead of throwing: the game is tabulated with
+/// tabulate_budgeted (free for a TabularGame); if that trips, the
+/// nucleolus, Banzhaf and the core checks are skipped and Shapley runs
+/// Monte Carlo on `game` directly. Shapley follows resilient_shapley.
+/// The nucleolus runs the orbit-row quotient formulation when
+/// `partition` is non-trivial (the game must be symmetric under it; see
+/// verified_partition), the dense formulation within
+/// dense_nucleolus_fits otherwise; a size limit, a budget trip or a
+/// failed LP chain becomes a recorded skip. Core membership is checked
+/// for n <= 16. `lp_options` (engine, observer) reach every nucleolus
+/// LP; `info`, when non-null, receives the quotient-path telemetry.
+[[nodiscard]] SchemeComparison compare_schemes(
     const Game& game, const std::vector<double>& availability_weights,
     const std::vector<double>& consumption_weights,
-    const lp::SimplexOptions& lp_options, const PlayerPartition* partition,
+    const lp::SimplexOptions& lp_options = {},
+    const PlayerPartition* partition = nullptr,
     QuotientNucleolusInfo* info = nullptr);
 
 }  // namespace fedshare::game

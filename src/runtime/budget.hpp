@@ -7,7 +7,8 @@
 // deadline by more than one amortisation window. Header-only so the
 // low-level libraries (lp, alloc, core) can consume it without a link
 // dependency; the richer resilience machinery lives in
-// runtime/{outage,resilient}.hpp.
+// runtime/{outage,resilient}.hpp and the scheme comparison's cascade
+// in core/sharing.hpp.
 //
 // A budget is intended for one solver invocation on one thread; the
 // cancellation token alone may be shared across threads (e.g. a control
@@ -228,5 +229,15 @@ class ComputeBudget {
   mutable std::uint64_t since_time_check_ = 0;
   mutable StopReason stop_ = StopReason::kNone;
 };
+
+/// Label for a degradation note: the budget's stop reason, or
+/// "node-cap" when a solver stopped on its own node limit while the
+/// budget itself held.
+[[nodiscard]] inline const char* stop_label(
+    const ComputeBudget& budget) noexcept {
+  return budget.stop_reason() == StopReason::kNone
+             ? "node-cap"
+             : to_string(budget.stop_reason());
+}
 
 }  // namespace fedshare::runtime

@@ -7,7 +7,6 @@
 
 #include "core/game.hpp"
 #include "exec/pool.hpp"
-#include "runtime/resilient.hpp"
 #include "sim/rng.hpp"
 
 namespace fedshare::runtime {
@@ -106,7 +105,7 @@ OutageReport evaluate_outages(const model::Federation& fed, int scenarios,
   struct ScenarioResult {
     bool ok = false;
     double grand = 0.0;
-    ResilientSchemes rs;
+    game::SchemeComparison rs;
   };
   std::vector<ScenarioResult> results(static_cast<std::size_t>(scenarios));
   exec::parallel_for_budgeted(
@@ -120,15 +119,20 @@ OutageReport evaluate_outages(const model::Federation& fed, int scenarios,
             degraded.build_game_budgeted(game::SymmetryMode::kOff, b);
         if (!tab) return false;
         ScenarioResult& slot = results[k];
-        slot.rs = compare_schemes_resilient(
-            *tab, &*tab, degraded.availability_weights(),
-            degraded.consumption_weights(), b);
+        lp::SimplexOptions lp_options;
+        lp_options.budget = &b;
+        slot.rs = game::compare_schemes(*tab, degraded.availability_weights(),
+                                        degraded.consumption_weights(),
+                                        lp_options);
         // All-or-nothing per scenario: a computation the budget cut
         // short, or one without core checks, would make this scenario's
         // rows incomparable with the rest, so it is discarded and the
         // evaluation stops at the truncation point. A nucleolus ruled
         // out by size is the same in every scenario and keeps it.
-        if (slot.rs.cut_short() || !slot.rs.core_checked) return false;
+        const bool core_checked = std::all_of(
+            slot.rs.outcomes.begin(), slot.rs.outcomes.end(),
+            [](const game::SchemeOutcome& o) { return o.in_core.has_value(); });
+        if (slot.rs.cut_short() || !core_checked) return false;
         slot.grand = tab->grand_value();
         slot.ok = true;
         return true;
@@ -136,7 +140,7 @@ OutageReport evaluate_outages(const model::Federation& fed, int scenarios,
 
   for (std::size_t k = 0;
        k < results.size() && results[k].ok; ++k) {
-    const ResilientSchemes& rs = results[k].rs;
+    const game::SchemeComparison& rs = results[k].rs;
     if (accs.empty()) {
       accs.resize(rs.outcomes.size());
       for (std::size_t j = 0; j < rs.outcomes.size(); ++j) {
@@ -156,7 +160,7 @@ OutageReport evaluate_outages(const model::Federation& fed, int scenarios,
         accs[j].shares[fi].push_back(o.shares[fi]);
         accs[j].payoffs[fi].push_back(o.payoffs[fi]);
       }
-      if (o.in_core) ++accs[j].in_core_count;
+      if (o.in_core.value()) ++accs[j].in_core_count;
     }
     ++report.scenarios_evaluated;
   }

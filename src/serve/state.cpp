@@ -373,8 +373,10 @@ void ServiceState::publish_snapshot() {
         model::consumption_weights(space_, demand_);
     lp::SimplexOptions lp_options;
     lp_options.solver = options_.lp_solver;
-    answer.outcomes = game::compare_schemes(*snap->game, availability,
-                                            consumption, lp_options);
+    game::SchemeComparison comparison = game::compare_schemes(
+        *snap->game, availability, consumption, lp_options);
+    answer.outcomes = std::move(comparison.outcomes);
+    answer.skipped = std::move(comparison.skipped);
     for (const auto& outcome : answer.outcomes) {
       if (outcome.scheme != game::Scheme::kShapley) continue;
       answer.incentives.resize(static_cast<std::size_t>(m));

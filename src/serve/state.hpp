@@ -113,6 +113,9 @@ struct EpochAnswer {
   /// Every sharing scheme (game::compare_schemes): shares, payoffs,
   /// core membership. Empty when the roster is empty.
   std::vector<game::SchemeOutcome> outcomes;
+  /// The schemes the comparison left out, and why (e.g. the nucleolus
+  /// past its dense ceiling).
+  std::vector<game::SkippedScheme> skipped;
   /// Join surplus per facility: Shapley payoff minus standalone value
   /// (the incentive to federate; >= 0 for superadditive epochs).
   std::vector<double> incentives;

@@ -107,14 +107,14 @@ void audit_outcomes(const game::TabularGame& g,
                            ", expected V(N) = " + std::to_string(vn),
                        std::abs(payoff_sum - vn));
     }
-    // Core flags agree with a recomputed residual (same n cap as
-    // compare_schemes' own check).
-    if (n <= 16) {
+    // Core flags agree with a recomputed residual (wherever the
+    // comparison checked core membership).
+    if (outcome.in_core.has_value()) {
       const double violation = game::max_core_violation(g, outcome.payoffs);
       const bool efficient = std::abs(payoff_sum - vn) <= tol;
       const bool recomputed = efficient && violation <= options.tolerance;
       ++report.checks;
-      if (recomputed != outcome.in_core) {
+      if (recomputed != *outcome.in_core) {
         report.add_issue("core:" + name,
                          std::string("in_core flag disagrees with residual "
                                      "(max violation ") +

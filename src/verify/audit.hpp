@@ -21,11 +21,12 @@
 //  * core       — the reported in_core flags agree with a recomputed
 //    max-violation residual.
 //
-// runtime::compare_schemes_resilient_verified is where the CLI's
-// --verify flag lands: at kOff it runs the plain scheme cascade; at
-// kCheap it adds the audits above; at kFull it additionally attaches a
-// CertifyingObserver so every LP solve inside the run carries a
-// validated certificate (and is repaired by the cascade when not).
+// The CLI report is where the --verify flag lands: at kOff it runs the
+// plain game::compare_schemes; at kCheap it adds the audits above; at
+// kFull it additionally attaches a CertifyingObserver through the
+// comparison's lp::SimplexOptions::observer, so every LP solve inside
+// the run carries a validated certificate (and is repaired by the
+// cascade when not).
 #pragma once
 
 #include <cstddef>

@@ -289,8 +289,20 @@ TEST(CliRunner, ExpiredDeadlineStillProducesACompleteReport) {
   EXPECT_NE(report.find("truncated"), std::string::npos);
   EXPECT_NE(report.find("monte-carlo"), std::string::npos);
   EXPECT_NE(report.find("standard error"), std::string::npos);
-  // Core membership cannot be certified without the coalition table.
-  EXPECT_NE(report.find("n/a"), std::string::npos);
+  // Core membership cannot be certified without the coalition table:
+  // every scheme row renders its core cell as n/a.
+  const std::size_t heading = report.find("Sharing schemes\n");
+  ASSERT_NE(heading, std::string::npos);
+  std::istringstream section(report.substr(heading));
+  std::string line;
+  int rows = 0;
+  for (int skip = 0; skip < 4 && std::getline(section, line); ++skip) {
+  }  // heading, its rule, the column header and its rule
+  while (std::getline(section, line) && !line.empty()) {
+    ++rows;
+    EXPECT_EQ(line.substr(line.size() - 3), "n/a") << line;
+  }
+  EXPECT_EQ(rows, 4);  // shapley, both proportionals, equal
   // Every scheme still reports shares for every facility.
   EXPECT_NE(report.find("shapley"), std::string::npos);
   EXPECT_NE(report.find("equal"), std::string::npos);

@@ -18,7 +18,6 @@
 #include "core/symmetry.hpp"
 #include "exec/pool.hpp"
 #include "runtime/budget.hpp"
-#include "runtime/resilient.hpp"
 #include "sim/rng.hpp"
 #include "verify/certified.hpp"
 
@@ -98,9 +97,9 @@ TEST_F(NucleolusQuotientTest, MatchesDenseBitwiseOnDyadicTwoTypeGames) {
   }
 }
 
-// An all-singletons partition routes the dispatch overload through the
-// dense path verbatim — the exact same code runs, so equality is
-// bitwise by construction.
+// The orbit-row formulation on an all-singletons partition is the dense
+// formulation: every orbit is one coalition mask, in the same order, so
+// the two entry points run the same loop and agree bit for bit.
 TEST_F(NucleolusQuotientTest, AllSingletonsDispatchMatchesDenseBitwise) {
   sim::Xoshiro256 rng(0x5157);
   for (int trial = 0; trial < 4; ++trial) {
@@ -110,12 +109,12 @@ TEST_F(NucleolusQuotientTest, AllSingletonsDispatchMatchesDenseBitwise) {
                                                 rng.next()));
     const auto options = solver_options(lp::SolverKind::kDense);
     const NucleolusResult direct = nucleolus(tab, options);
-    const NucleolusResult dispatched = nucleolus(tab, identity, options);
+    const NucleolusResult singletons =
+        nucleolus_quotient(QuotientGame(tab, identity), options);
     ASSERT_TRUE(direct.solved);
-    ASSERT_TRUE(dispatched.solved);
-    for (std::size_t i = 0; i < direct.allocation.size(); ++i) {
-      EXPECT_EQ(dispatched.allocation[i], direct.allocation[i]);
-    }
+    ASSERT_TRUE(singletons.solved);
+    EXPECT_EQ(singletons.allocation, direct.allocation);
+    EXPECT_EQ(singletons.levels, direct.levels);
   }
 }
 
@@ -215,7 +214,7 @@ TEST_F(NucleolusQuotientTest, ThreadCountInvariance) {
 }
 
 // A tripped budget surfaces as solved == false (one unit per orbit
-// materialised), and the resilient cascade converts that into a skip
+// materialised), and the scheme comparison converts that into a skip
 // note instead of a throw.
 TEST_F(NucleolusQuotientTest, BudgetTripDegrades) {
   const PlayerPartition partition =
@@ -234,11 +233,11 @@ TEST_F(NucleolusQuotientTest, BudgetTripDegrades) {
 
   const auto exhausted = runtime::ComputeBudget().cap_nodes(0);
   (void)exhausted.charge(1);
-  const auto rs = runtime::compare_schemes_resilient(
-      tab, &tab, {}, {}, exhausted, 64, 1, lp::SolverKind::kRevised,
-      &partition);
+  lp::SimplexOptions revised = solver_options(lp::SolverKind::kRevised);
+  revised.budget = &exhausted;
+  const auto rs = compare_schemes(tab, {}, {}, revised, &partition);
   bool skipped = false;
-  for (const auto& note : rs.notes) {
+  for (const auto& note : rs.notes()) {
     if (note.find("nucleolus: skipped") != std::string::npos) skipped = true;
   }
   EXPECT_TRUE(skipped);
@@ -298,16 +297,17 @@ TEST_F(NucleolusQuotientTest, BudgetTripInsideLpChainDegrades) {
   }
 }
 
-// With an untripped budget the resilient cascade takes the quotient
-// path and reports its telemetry.
+// With an untripped budget the comparison takes the quotient path and
+// reports its telemetry.
 TEST_F(NucleolusQuotientTest, ResilientCascadeUsesQuotientPath) {
   const PlayerPartition partition =
       PlayerPartition::from_type_of({0, 0, 0, 1, 1, 1});
   const TabularGame tab = tabulate(typed_game(partition, 99));
   QuotientNucleolusInfo info;
-  const auto rs = runtime::compare_schemes_resilient(
-      tab, &tab, {}, {}, runtime::ComputeBudget::unlimited(), 64, 1,
-      lp::SolverKind::kRevised, &partition, &info);
+  const runtime::ComputeBudget unlimited;
+  lp::SimplexOptions revised = solver_options(lp::SolverKind::kRevised);
+  revised.budget = &unlimited;
+  const auto rs = compare_schemes(tab, {}, {}, revised, &partition, &info);
   EXPECT_TRUE(info.attempted);
   EXPECT_TRUE(info.used);
   EXPECT_EQ(info.orbit_rows, 4u * 4u - 2u);
@@ -427,10 +427,10 @@ TEST_F(NucleolusQuotientTest, CompareSchemesRoutesThroughQuotient) {
   const TabularGame tab = tabulate(typed_game(partition, 8));
   const lp::SimplexOptions options;
 
-  const auto plain = compare_schemes(tab, {}, {}, options);
+  const auto plain = compare_schemes(tab, {}, {}, options).outcomes;
   QuotientNucleolusInfo info;
   const auto quotiented =
-      compare_schemes(tab, {}, {}, options, &partition, &info);
+      compare_schemes(tab, {}, {}, options, &partition, &info).outcomes;
   EXPECT_TRUE(info.used);
   EXPECT_GT(info.orbit_misses, 0u);
   ASSERT_EQ(plain.size(), quotiented.size());
@@ -446,7 +446,8 @@ TEST_F(NucleolusQuotientTest, CompareSchemesRoutesThroughQuotient) {
   QuotientNucleolusInfo trivial_info;
   const PlayerPartition identity = PlayerPartition::identity(4);
   const auto fallback =
-      compare_schemes(tab, {}, {}, options, &identity, &trivial_info);
+      compare_schemes(tab, {}, {}, options, &identity, &trivial_info)
+          .outcomes;
   EXPECT_FALSE(trivial_info.attempted);
   for (std::size_t s = 0; s < plain.size(); ++s) {
     for (std::size_t i = 0; i < plain[s].shares.size(); ++i) {

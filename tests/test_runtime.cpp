@@ -1,5 +1,6 @@
-// Resilience subsystem: compute budgets, the fallback cascades, and the
-// outage fault-injection model.
+// Resilience subsystem: compute budgets, the fallback cascades (the
+// allocation cascade, the Shapley cascade and the scheme comparison
+// under a budget), and the outage fault-injection model.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -120,11 +121,8 @@ TEST(BudgetedSolvers, ShapleyExactBudgetedMatchesUnbudgeted) {
   const game::TabularGame g(3, {0.0, 1.0, 2.0, 4.0, 3.0, 5.0, 6.0, 10.0});
   const auto budgeted = game::shapley_exact_budgeted(g, ComputeBudget());
   ASSERT_TRUE(budgeted.has_value());
-  const auto exact = game::shapley_exact(g);
-  ASSERT_EQ(budgeted->size(), exact.size());
-  for (std::size_t i = 0; i < exact.size(); ++i) {
-    EXPECT_NEAR((*budgeted)[i], exact[i], 1e-12);
-  }
+  // Both run the lattice kernel's ascending-mask accumulation: bitwise.
+  EXPECT_EQ(*budgeted, game::shapley_exact(g));
 }
 
 TEST(BudgetedSolvers, ShapleyExactBudgetedTripsOnTightBudget) {
@@ -213,22 +211,18 @@ TEST(ResilientAllocate, EngineNames) {
 
 TEST(ResilientShapley, ExactEngineMatchesShapleyExact) {
   const game::TabularGame g(3, {0.0, 1.0, 2.0, 4.0, 3.0, 5.0, 6.0, 10.0});
-  const auto r = resilient_shapley(g);
-  EXPECT_EQ(r.engine, ShapleyEngine::kExact);
+  const auto r = game::resilient_shapley(g);
+  EXPECT_EQ(r.engine, game::ShapleyEngine::kExact);
   EXPECT_TRUE(r.note.empty());
   EXPECT_TRUE(r.standard_error.empty());
-  const auto exact = game::shapley_exact(g);
-  ASSERT_EQ(r.phi.size(), exact.size());
-  for (std::size_t i = 0; i < exact.size(); ++i) {
-    EXPECT_NEAR(r.phi[i], exact[i], 1e-12);
-  }
+  EXPECT_EQ(r.phi, game::shapley_exact(g));
 }
 
 TEST(ResilientShapley, DegradesToMonteCarloWithErrorsOnBudgetTrip) {
   const game::TabularGame g(3, {0.0, 1.0, 2.0, 4.0, 3.0, 5.0, 6.0, 10.0});
   const ComputeBudget budget = ComputeBudget().cap_nodes(2);
-  const auto r = resilient_shapley(g, budget, /*mc_samples=*/64, /*mc_seed=*/3);
-  EXPECT_EQ(r.engine, ShapleyEngine::kMonteCarlo);
+  const auto r = game::resilient_shapley(g, budget);
+  EXPECT_EQ(r.engine, game::ShapleyEngine::kMonteCarlo);
   EXPECT_GE(r.samples, 2u);
   ASSERT_EQ(r.phi.size(), 3u);
   ASSERT_EQ(r.standard_error.size(), 3u);
@@ -243,17 +237,15 @@ TEST(ResilientShapley, DegradesToMonteCarloWithErrorsOnBudgetTrip) {
 
 TEST(ResilientShapley, MonteCarloFallbackIsDeterministicGivenSeed) {
   const game::TabularGame g(3, {0.0, 1.0, 2.0, 4.0, 3.0, 5.0, 6.0, 10.0});
-  const auto a =
-      resilient_shapley(g, ComputeBudget().cap_nodes(2), 64, 11);
-  const auto b =
-      resilient_shapley(g, ComputeBudget().cap_nodes(2), 64, 11);
+  const auto a = game::resilient_shapley(g, ComputeBudget().cap_nodes(2));
+  const auto b = game::resilient_shapley(g, ComputeBudget().cap_nodes(2));
   ASSERT_EQ(a.samples, b.samples);
   for (std::size_t i = 0; i < a.phi.size(); ++i) {
     EXPECT_EQ(a.phi[i], b.phi[i]);
   }
 }
 
-// --- the full scheme cascade ---------------------------------------------
+// --- the scheme comparison under a budget --------------------------------
 
 model::Federation small_federation(double availability = 1.0) {
   auto space = model::LocationSpace::disjoint(
@@ -264,25 +256,27 @@ model::Federation small_federation(double availability = 1.0) {
                            model::DemandProfile::uniform(3, 2));
 }
 
+// An unlimited budget attached changes nothing: the same rows, bit for
+// bit, as the comparison without one, and every core verdict checked.
 TEST(CompareSchemesResilient, MatchesCompareSchemesOnUnlimitedBudget) {
   const model::Federation fed = small_federation();
   const game::TabularGame g = fed.build_game();
   const auto aw = fed.availability_weights();
   const auto cw = fed.consumption_weights();
-  const auto nominal = game::compare_schemes(g, aw, cw);
-  const auto rs = compare_schemes_resilient(g, &g, aw, cw);
-  EXPECT_TRUE(rs.notes.empty());
-  EXPECT_TRUE(rs.core_checked);
-  EXPECT_EQ(rs.shapley_engine, ShapleyEngine::kExact);
+  const auto nominal = game::compare_schemes(g, aw, cw).outcomes;
+  const ComputeBudget budget;
+  lp::SimplexOptions options;
+  options.budget = &budget;
+  const auto rs = game::compare_schemes(g, aw, cw, options);
+  EXPECT_TRUE(rs.notes().empty());
+  EXPECT_EQ(rs.shapley_engine, game::ShapleyEngine::kExact);
   ASSERT_EQ(rs.outcomes.size(), nominal.size());
   for (std::size_t j = 0; j < nominal.size(); ++j) {
     EXPECT_EQ(rs.outcomes[j].scheme, nominal[j].scheme);
+    ASSERT_TRUE(rs.outcomes[j].in_core.has_value());
     EXPECT_EQ(rs.outcomes[j].in_core, nominal[j].in_core);
-    ASSERT_EQ(rs.outcomes[j].shares.size(), nominal[j].shares.size());
-    for (std::size_t i = 0; i < nominal[j].shares.size(); ++i) {
-      EXPECT_NEAR(rs.outcomes[j].shares[i], nominal[j].shares[i], 1e-9);
-      EXPECT_NEAR(rs.outcomes[j].payoffs[i], nominal[j].payoffs[i], 1e-9);
-    }
+    EXPECT_EQ(rs.outcomes[j].shares, nominal[j].shares);
+    EXPECT_EQ(rs.outcomes[j].payoffs, nominal[j].payoffs);
   }
 }
 
@@ -292,12 +286,12 @@ TEST(CompareSchemesResilient, DegradesEverySchemeWithoutATable) {
       fed.num_facilities(),
       [&fed](game::Coalition c) { return fed.value(c); });
   const ComputeBudget budget = ComputeBudget().cap_nodes(0);
-  const auto rs =
-      compare_schemes_resilient(g, nullptr, fed.availability_weights(),
-                                fed.consumption_weights(), budget, 32, 5);
-  EXPECT_FALSE(rs.core_checked);
-  EXPECT_EQ(rs.shapley_engine, ShapleyEngine::kMonteCarlo);
-  EXPECT_FALSE(rs.notes.empty());
+  lp::SimplexOptions options;
+  options.budget = &budget;
+  const auto rs = game::compare_schemes(g, fed.availability_weights(),
+                                        fed.consumption_weights(), options);
+  EXPECT_EQ(rs.shapley_engine, game::ShapleyEngine::kMonteCarlo);
+  EXPECT_FALSE(rs.notes().empty());
   // Monte-Carlo Shapley, both proportionals, and equal still answer.
   ASSERT_GE(rs.outcomes.size(), 4u);
   for (const auto& o : rs.outcomes) {
@@ -306,24 +300,42 @@ TEST(CompareSchemesResilient, DegradesEverySchemeWithoutATable) {
     EXPECT_NEAR(sum, 1.0, 1e-9) << to_string(o.scheme);
     EXPECT_NE(o.scheme, game::Scheme::kNucleolus);
     EXPECT_NE(o.scheme, game::Scheme::kBanzhaf);
+    // No table, no core verdict: unchecked, never a default "no".
+    EXPECT_FALSE(o.in_core.has_value()) << to_string(o.scheme);
+    EXPECT_STREQ(game::in_core_label(o), "n/a");
   }
+  ASSERT_EQ(rs.skipped.size(), 3u);
+  EXPECT_EQ(rs.skipped[0].scheme, "nucleolus");
+  EXPECT_EQ(rs.skipped[1].scheme, "banzhaf");
+  EXPECT_EQ(rs.skipped[2].scheme, "core membership");
+  for (const auto& s : rs.skipped) {
+    EXPECT_EQ(s.reason, "coalition table unavailable under node-cap");
+    EXPECT_FALSE(s.size_limit);
+  }
+  EXPECT_TRUE(rs.cut_short());
 }
 
 TEST(CompareSchemesResilient, NodeCapTrippingInsideTheNucleolusIsRecorded) {
   const model::Federation fed = small_federation();
   const game::TabularGame g = fed.build_game();
-  // Units exact Shapley charges on the table; one more admits a single
-  // nucleolus pivot, short of the chain's full count.
+  // Units exact Shapley charges on the table (n * 2^(n-1), measured
+  // rather than assumed); one more admits a single nucleolus pivot,
+  // short of the chain's full count.
   const ComputeBudget shapley_budget;
   ASSERT_TRUE(game::shapley_exact_budgeted(g, shapley_budget).has_value());
+  const auto run = [&g](const ComputeBudget& budget) {
+    lp::SimplexOptions options;
+    options.budget = &budget;
+    return game::compare_schemes(g, {}, {}, options);
+  };
   const ComputeBudget full;
-  (void)compare_schemes_resilient(g, &g, {}, {}, full);
+  (void)run(full);
   ASSERT_GT(full.used(), shapley_budget.used() + 1);
 
   const ComputeBudget budget =
       ComputeBudget().cap_nodes(shapley_budget.used() + 1);
-  const auto rs = compare_schemes_resilient(g, &g, {}, {}, budget);
-  EXPECT_EQ(rs.shapley_engine, ShapleyEngine::kExact);
+  const auto rs = run(budget);
+  EXPECT_EQ(rs.shapley_engine, game::ShapleyEngine::kExact);
   for (const auto& o : rs.outcomes) {
     EXPECT_NE(o.scheme, game::Scheme::kNucleolus);
   }
@@ -332,8 +344,8 @@ TEST(CompareSchemesResilient, NodeCapTrippingInsideTheNucleolusIsRecorded) {
   EXPECT_EQ(rs.skipped[0].reason, "node-cap");
   EXPECT_FALSE(rs.skipped[0].size_limit);
   EXPECT_TRUE(rs.cut_short());
-  ASSERT_EQ(rs.notes.size(), 1u);
-  EXPECT_EQ(rs.notes[0], "nucleolus: skipped (node-cap)");
+  ASSERT_EQ(rs.notes().size(), 1u);
+  EXPECT_EQ(rs.notes()[0], "nucleolus: skipped (node-cap)");
 }
 
 TEST(CompareSchemesResilient, NucleolusPastTheDenseCeilingIsASizeSkip) {
@@ -341,9 +353,11 @@ TEST(CompareSchemesResilient, NucleolusPastTheDenseCeilingIsASizeSkip) {
     return static_cast<double>(c.size() * c.size());
   });
   const game::TabularGame g = game::tabulate(base);
-  const auto rs = compare_schemes_resilient(g, &g, {}, {});
+  const auto rs = game::compare_schemes(g, {}, {});
   ASSERT_EQ(rs.skipped.size(), 1u);
   EXPECT_EQ(rs.skipped[0].scheme, "nucleolus");
+  // The game layer names no CLI flag; the report adds the hint.
+  EXPECT_EQ(rs.skipped[0].reason, "n = 11 exceeds the dense ceiling of 10");
   EXPECT_TRUE(rs.skipped[0].size_limit);
   EXPECT_FALSE(rs.cut_short());
   for (const auto& o : rs.outcomes) {
@@ -443,7 +457,8 @@ TEST(EvaluateOutages, FullAvailabilityCollapsesToNominalShares) {
   const model::Federation fed = small_federation(1.0);
   const game::TabularGame g = fed.build_game();
   const auto nominal = game::compare_schemes(g, fed.availability_weights(),
-                                             fed.consumption_weights());
+                                             fed.consumption_weights())
+                           .outcomes;
   const auto report = evaluate_outages(fed, 5, 123);
   EXPECT_TRUE(report.complete());
   EXPECT_EQ(report.scenarios_evaluated, 5);
@@ -460,7 +475,8 @@ TEST(EvaluateOutages, FullAvailabilityCollapsesToNominalShares) {
       EXPECT_NEAR(report.schemes[j].payoffs[i].mean, nominal[j].payoffs[i],
                   1e-12);
     }
-    EXPECT_EQ(report.schemes[j].core_fraction, nominal[j].in_core ? 1.0 : 0.0);
+    EXPECT_EQ(report.schemes[j].core_fraction,
+              nominal[j].in_core.value() ? 1.0 : 0.0);
   }
 }
 

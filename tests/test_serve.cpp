@@ -14,10 +14,14 @@
 #include <gtest/gtest.h>
 
 #include "cli/serve_runner.hpp"
+#include "core/sharing.hpp"
 #include "exec/pool.hpp"
+#include "lp/simplex.hpp"
+#include "model/value.hpp"
 #include "runtime/budget.hpp"
 #include "serve/event.hpp"
 #include "serve/state.hpp"
+#include "verify/certified.hpp"
 
 namespace {
 
@@ -434,6 +438,82 @@ TEST(ServeStateTest, StatsAggregateAcrossEvents) {
   EXPECT_EQ(stats.values_recomputed, 1u + 2u + 2u);
   EXPECT_GT(stats.lp_solves, 0u);
   EXPECT_EQ(stats.cache.invalidations, 2u);  // outage dropped masks 1, 3
+}
+
+// Ten joins under an exhausted budget leave every epoch unpublished; the
+// eleventh, unbudgeted, publishes n = 11 in one go. The nucleolus is
+// past its dense ceiling there, and the answer says so instead of
+// dropping the row silently. The serve layer has no --symmetry, so the
+// reason names no flag.
+TEST(ServeStateTest, ElevenFacilitiesRecordTheSkippedNucleolus) {
+  ServiceState state;
+  (void)state.apply(demand_event(4.0, 50.0));
+  for (int i = 0; i < 10; ++i) {
+    const ApplyResult tripped =
+        state.apply(join_event("F" + std::to_string(i), 20 + i, 1.0, 1.0),
+                    ComputeBudget().cap_nodes(0));
+    ASSERT_FALSE(tripped.complete) << "join " << i;
+  }
+  ASSERT_TRUE(state.apply(join_event("F10", 30, 1.0, 1.0)).complete);
+  const auto answer = state.query();
+  ASSERT_FALSE(answer.stale());
+  ASSERT_EQ(answer.num_facilities, 11);
+  ASSERT_EQ(answer.skipped.size(), 1u);
+  EXPECT_EQ(answer.skipped[0].scheme, "nucleolus");
+  EXPECT_EQ(answer.skipped[0].reason,
+            "n = 11 exceeds the dense ceiling of 10");
+  EXPECT_TRUE(answer.skipped[0].size_limit);
+  for (const auto& o : answer.outcomes) {
+    EXPECT_NE(o.scheme, fedshare::game::Scheme::kNucleolus);
+    EXPECT_TRUE(o.in_core.has_value());
+  }
+}
+
+// A serve epoch's rows are game::compare_schemes on that snapshot's
+// game, bit for bit: with the engine the service runs, and again with
+// the CLI's --verify full observer riding on the LP options.
+TEST(ServeStateTest, EpochOutcomesAreCompareSchemesBitwise) {
+  ServiceState state;
+  (void)state.apply(demand_event(6.0, 2.0));
+  (void)state.apply(join_event("A", 3, 2.0, 0.9));
+  (void)state.apply(join_event("B", 2, 1.0, 0.8));
+  (void)state.apply(join_event("C", 4, 1.0, 0.7));
+  (void)state.apply(Event{OutageStart{"A", 7, 1}});
+  const auto snap = state.snapshot();
+  ASSERT_TRUE(snap->game.has_value());
+  std::vector<double> availability;
+  for (const auto& f : snap->space.facilities()) {
+    availability.push_back(f.availability_weight());
+  }
+  const std::vector<double> consumption =
+      fedshare::model::consumption_weights(snap->space, snap->demand);
+  fedshare::lp::SimplexOptions lp_options;
+  lp_options.solver = state.options().lp_solver;
+  fedshare::verify::VerifyOptions full;
+  full.level = fedshare::verify::VerifyLevel::kFull;
+  fedshare::verify::CertifyingObserver observer(full, lp_options);
+  fedshare::lp::SimplexOptions observed = lp_options;
+  observed.observer = &observer;
+
+  const auto& answer = snap->answer;
+  for (const auto* options : {&lp_options, &observed}) {
+    const auto direct = fedshare::game::compare_schemes(
+        *snap->game, availability, consumption, *options);
+    ASSERT_EQ(answer.outcomes.size(), direct.outcomes.size());
+    for (std::size_t s = 0; s < direct.outcomes.size(); ++s) {
+      const auto& want = direct.outcomes[s];
+      const auto& got = answer.outcomes[s];
+      SCOPED_TRACE(fedshare::game::to_string(want.scheme));
+      EXPECT_EQ(got.scheme, want.scheme);
+      EXPECT_EQ(got.shares, want.shares);
+      EXPECT_EQ(got.payoffs, want.payoffs);
+      ASSERT_TRUE(got.in_core.has_value());
+      EXPECT_EQ(got.in_core, want.in_core);
+    }
+    EXPECT_TRUE(direct.skipped.empty());
+  }
+  EXPECT_GT(observer.stats().solves, 0u);
+  EXPECT_EQ(observer.stats().failures, 0u);
 }
 
 // The snapshot-consistency certificate (run under TSan by

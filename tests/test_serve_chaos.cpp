@@ -284,7 +284,8 @@ void expect_matches_batch(const EpochAnswer& answer, const Shadow& shadow,
   fedshare::lp::SimplexOptions lp_options;
   lp_options.solver = fedshare::lp::SolverKind::kRevised;
   const auto outcomes = fedshare::game::compare_schemes(
-      game, availability, consumption, lp_options);
+                            game, availability, consumption, lp_options)
+                            .outcomes;
 
   ASSERT_EQ(answer.outcomes.size(), outcomes.size());
   const fedshare::game::SchemeOutcome* shapley = nullptr;

@@ -58,7 +58,8 @@ TEST(NucleolusShares, ZeroValueGameFallsBackToEqual) {
 
 TEST(CompareSchemes, ProducesAllSchemes) {
   const FunctionGame g(3, glove_value);
-  const auto outcomes = compare_schemes(g, {1.0, 1.0, 1.0}, {2.0, 1.0, 1.0});
+  const auto outcomes =
+      compare_schemes(g, {1.0, 1.0, 1.0}, {2.0, 1.0, 1.0}).outcomes;
   // shapley, prop-availability, prop-consumption, equal, nucleolus,
   // banzhaf.
   ASSERT_EQ(outcomes.size(), 6u);
@@ -73,7 +74,7 @@ TEST(CompareSchemes, ProducesAllSchemes) {
 
 TEST(CompareSchemes, SkipsProportionalWhenWeightsEmpty) {
   const FunctionGame g(3, glove_value);
-  const auto outcomes = compare_schemes(g, {}, {});
+  const auto outcomes = compare_schemes(g, {}, {}).outcomes;
   for (const auto& o : outcomes) {
     EXPECT_NE(o.scheme, Scheme::kProportionalAvailability);
     EXPECT_NE(o.scheme, Scheme::kProportionalConsumption);
@@ -89,14 +90,32 @@ TEST(CompareSchemes, RejectsWrongWeightCount) {
 
 TEST(CompareSchemes, CoreFlagsAreConsistent) {
   const FunctionGame g(3, glove_value);
-  const auto outcomes = compare_schemes(g, {}, {});
+  const auto outcomes = compare_schemes(g, {}, {}).outcomes;
   for (const auto& o : outcomes) {
+    ASSERT_TRUE(o.in_core.has_value()) << to_string(o.scheme);
     if (o.scheme == Scheme::kNucleolus) {
-      EXPECT_TRUE(o.in_core);  // glove core is non-empty
+      EXPECT_TRUE(*o.in_core);  // glove core is non-empty
     }
     if (o.scheme == Scheme::kEqual) {
-      EXPECT_FALSE(o.in_core);
+      EXPECT_FALSE(*o.in_core);
     }
+  }
+}
+
+// A nucleolus LP chain that fails without any budget (here: an
+// iteration cap too small for phase 1) is a recorded skip, not a throw.
+TEST(CompareSchemes, FailedNucleolusChainIsASkip) {
+  const FunctionGame g(3, glove_value);
+  lp::SimplexOptions options;
+  options.max_iterations = 0;
+  const SchemeComparison c = compare_schemes(g, {}, {}, options);
+  ASSERT_EQ(c.skipped.size(), 1u);
+  EXPECT_EQ(c.skipped[0].note(), "nucleolus: skipped (LP chain failed)");
+  EXPECT_FALSE(c.skipped[0].size_limit);
+  EXPECT_TRUE(c.cut_short());
+  for (const auto& o : c.outcomes) {
+    EXPECT_NE(o.scheme, Scheme::kNucleolus);
+    EXPECT_TRUE(o.in_core.has_value()) << to_string(o.scheme);
   }
 }
 

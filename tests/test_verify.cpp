@@ -22,7 +22,6 @@
 #include "model/demand.hpp"
 #include "model/location_space.hpp"
 #include "runtime/budget.hpp"
-#include "runtime/resilient.hpp"
 #include "verify/audit.hpp"
 #include "verify/certificates.hpp"
 #include "verify/certified.hpp"
@@ -336,8 +335,9 @@ TEST(VerifyAudit, SubadditiveGameIsNotedNotFailed) {
   }
 }
 
-// The scheme comparison plus its audit, through the runtime entry point
-// the CLI report uses, under an unlimited budget.
+// The scheme comparison plus its audit, wired as the CLI report wires
+// --verify: at kFull a CertifyingObserver rides on the comparison's LP
+// options, and every level but kOff audits the finished outcomes.
 struct AuditedSchemes {
   std::vector<game::SchemeOutcome> outcomes;
   verify::AuditReport report;
@@ -345,11 +345,19 @@ struct AuditedSchemes {
 
 AuditedSchemes audited_schemes(const game::TabularGame& g, SolverKind solver,
                                const VerifyOptions& vopts) {
+  SimplexOptions lp_options;
+  lp_options.solver = solver;
+  verify::CertifyingObserver observer(vopts, lp_options);
+  if (vopts.level == VerifyLevel::kFull) lp_options.observer = &observer;
   AuditedSchemes out;
-  out.outcomes = runtime::compare_schemes_resilient_verified(
-                     g, &g, {}, {}, vopts, &out.report,
-                     runtime::ComputeBudget::unlimited(), 4096, 1, solver)
-                     .outcomes;
+  out.outcomes = game::compare_schemes(g, {}, {}, lp_options).outcomes;
+  if (vopts.level == VerifyLevel::kOff) return out;
+  out.report = verify::audit_game(g, vopts);
+  verify::audit_outcomes(g, out.outcomes, lp_options, vopts, out.report);
+  if (vopts.level == VerifyLevel::kFull) {
+    out.report.lp = observer.stats();
+    out.report.lp_stats_valid = true;
+  }
   return out;
 }
 
@@ -429,13 +437,14 @@ TEST(VerifyAudit, FaultedRunIsRepairedEndToEnd) {
 TEST(VerifyAudit, ResilientVerifiedMatchesPlain) {
   const auto g = convex_game(5);
   const runtime::ComputeBudget budget;
-  const auto plain = runtime::compare_schemes_resilient(
-      g, &g, {}, {}, budget, 256, 1, SolverKind::kRevised);
+  SimplexOptions lp_options;
+  lp_options.solver = SolverKind::kRevised;
+  lp_options.budget = &budget;
+  const auto plain = game::compare_schemes(g, {}, {}, lp_options);
   VerifyOptions vopts;
   vopts.level = VerifyLevel::kFull;
-  verify::AuditReport audit;
-  const auto verified = runtime::compare_schemes_resilient_verified(
-      g, &g, {}, {}, vopts, &audit, budget, 256, 1, SolverKind::kRevised);
+  const auto verified = audited_schemes(g, SolverKind::kRevised, vopts);
+  const verify::AuditReport& audit = verified.report;
   EXPECT_TRUE(audit.passed);
   EXPECT_TRUE(audit.lp_stats_valid);
   EXPECT_EQ(audit.lp.failures, 0u);

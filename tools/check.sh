@@ -43,12 +43,12 @@ cmake -S "$root" -B "$root/build-asan" \
 cmake --build "$root/build-asan" -j "$jobs"
 ctest --test-dir "$root/build-asan" -j "$jobs" --output-on-failure "$@"
 
-echo "== exec + lattice/symmetry + serve + structure tests under ThreadSanitizer =="
+echo "== exec + lattice/symmetry + serve + structure + scheme comparison tests under ThreadSanitizer =="
 cmake -S "$root" -B "$root/build-tsan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DFEDSHARE_SANITIZE=thread
 cmake --build "$root/build-tsan" -j "$jobs" --target fedshare_tests
 ctest --test-dir "$root/build-tsan" -j "$jobs" --output-on-failure \
-  -R 'ExecTest|LatticeProperty|SymmetryProperty|NucleolusQuotient|NucleolusFilters|ServeStateTest|ServeChaosTest|ServeDurabilityTest|StructureParallelTest'
+  -R 'ExecTest|LatticeProperty|SymmetryProperty|NucleolusQuotient|NucleolusFilters|ServeStateTest|ServeChaosTest|ServeDurabilityTest|StructureParallelTest|CompareSchemes|EvaluateOutages'
 
 echo "== BatchSolver chain + SIMD lattice smoke (bitwise vs per-probe/scalar) =="
 ctest --test-dir "$root/build" -j "$jobs" --output-on-failure \

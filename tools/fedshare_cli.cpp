@@ -45,8 +45,8 @@ writes the characteristic function in the fedshare-game v1 format.
 
 Exit codes: 0 success, 1 input/config error, 2 usage error, 3 report or
 serve run degraded under the compute budget, or a scheme left out of the
-report (partial but bounded output — a one-line note on stderr says
-which sections degraded or were skipped),
+report or the serve answer (partial but bounded output — a one-line
+note on stderr says which sections degraded or were skipped),
 4 recovery used a fallback (a torn log tail was dropped or a corrupt
 checkpoint skipped; the answer is exact for the surviving history and
 each fallback is noted on stderr).
@@ -445,10 +445,18 @@ int main(int argc, char** argv) {
                   << *result.error << "\n";
         return 1;
       }
-      if (result.degraded) {
-        std::cerr << "fedshare_cli: serve run degraded: final answer is "
-                     "stale ("
-                  << fedshare::runtime::to_string(result.stop) << ")\n";
+      if (result.degraded || !result.skipped.empty()) {
+        std::cerr << "fedshare_cli: serve run degraded: ";
+        if (result.degraded) {
+          std::cerr << "final answer is stale ("
+                    << fedshare::runtime::to_string(result.stop) << ")";
+        }
+        const char* separator = result.degraded ? "; skipped " : "skipped ";
+        for (const auto& scheme : result.skipped) {
+          std::cerr << separator << scheme;
+          separator = ", ";
+        }
+        std::cerr << "\n";
         return 3;
       }
       if (result.recovery_fallback) {
