@@ -11,8 +11,9 @@
 // per-event deadline. `--smoke` is a fast gate — on single-facility
 // churn the service must run at most one bound LP per apply, warm on
 // every outage and leave, and recompute strictly fewer V(S) than a cold
-// re-tabulation, and a fresh log replay must reproduce the answer bit
-// for bit — run by tools/check.sh as a perf-smoke stage.
+// re-tabulation, every outage-end must reuse the memoised answer and be
+// bitwise the pre-outage one, and a fresh log replay must reproduce the
+// answer bit for bit — run by tools/check.sh as a perf-smoke stage.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
@@ -24,6 +25,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <numeric>
 #include <string>
 #include <variant>
 #include <vector>
@@ -135,6 +137,29 @@ double percentile(std::vector<double> xs, double p) {
   return xs[idx];
 }
 
+// Every field an answer publishes, bit for bit, epoch tags aside.
+bool same_rows(const serve::EpochAnswer& a, const serve::EpochAnswer& b) {
+  bool same = a.names == b.names && a.grand_value == b.grand_value &&
+              a.grand_bound == b.grand_bound &&
+              a.standalone == b.standalone && a.incentives == b.incentives &&
+              a.outcomes.size() == b.outcomes.size() &&
+              a.skipped.size() == b.skipped.size();
+  for (std::size_t s = 0; same && s < a.outcomes.size(); ++s) {
+    same = a.outcomes[s].shares == b.outcomes[s].shares &&
+           a.outcomes[s].payoffs == b.outcomes[s].payoffs &&
+           a.outcomes[s].in_core == b.outcomes[s].in_core;
+  }
+  for (std::size_t s = 0; same && s < a.skipped.size(); ++s) {
+    same = a.skipped[s].note() == b.skipped[s].note();
+  }
+  return same;
+}
+
+bool answers_bitwise_equal(const serve::EpochAnswer& a,
+                           const serve::EpochAnswer& b) {
+  return a.epoch == b.epoch && same_rows(a, b);
+}
+
 struct ChurnMeasurement {
   double events_per_sec = 0.0;
   std::uint64_t applies = 0;
@@ -146,6 +171,13 @@ struct ChurnMeasurement {
   std::uint64_t lp_not_warm = 0;
   std::uint64_t values_recomputed = 0;
   std::uint64_t values_cold_equivalent = 0;
+  /// Applies whose published rows came from the answer memo.
+  std::uint64_t answers_reused = 0;
+  std::uint64_t outage_ends = 0;
+  /// Outage-ends that did not reuse the memo, or whose answer was not
+  /// bitwise the pre-outage one (the roster is back, so neither should
+  /// happen).
+  std::uint64_t outage_ends_not_restored = 0;
   double median_apply_ms = 0.0;
 };
 
@@ -160,19 +192,28 @@ ChurnMeasurement measure_churn(int flaps) {
   ChurnMeasurement m;
   std::vector<double> apply_ms;
   apply_ms.reserve(script.size());
-  const auto t0 = std::chrono::steady_clock::now();
+  serve::EpochAnswer pre_outage;
   for (const serve::Event& event : script) {
+    const bool outage_start = std::holds_alternative<serve::OutageStart>(event);
+    const bool outage_end = std::holds_alternative<serve::OutageEnd>(event);
+    if (outage_start) pre_outage = service.query();
     const auto e0 = std::chrono::steady_clock::now();
     const serve::ApplyResult r = service.apply(event);
     const auto e1 = std::chrono::steady_clock::now();
     apply_ms.push_back(
         std::chrono::duration<double, std::milli>(e1 - e0).count());
+    m.answers_reused += r.answer_reused ? 1 : 0;
+    if (outage_end) {
+      ++m.outage_ends;
+      if (!r.answer_reused || !same_rows(service.query(), pre_outage)) {
+        ++m.outage_ends_not_restored;
+      }
+    }
     ++m.applies;
     m.lp_solves += r.lp_solves;
     m.lp_warm += r.lp_incremental;
     m.lp_cold += r.lp_cold;
-    const bool patch = std::holds_alternative<serve::OutageStart>(event) ||
-                       std::holds_alternative<serve::OutageEnd>(event) ||
+    const bool patch = outage_start || outage_end ||
                        std::holds_alternative<serve::FacilityLeave>(event);
     if (patch && (r.lp_solves != 1 || r.lp_incremental != 1 ||
                   r.lp_cold != 0)) {
@@ -181,8 +222,9 @@ ChurnMeasurement measure_churn(int flaps) {
     m.values_recomputed += r.values_recomputed;
     m.values_cold_equivalent += (std::uint64_t{1} << kRoster) - 1;
   }
-  const auto t1 = std::chrono::steady_clock::now();
-  const double total_s = std::chrono::duration<double>(t1 - t0).count();
+  // Throughput counts apply time only, not the answer checks above.
+  const double total_s =
+      std::accumulate(apply_ms.begin(), apply_ms.end(), 0.0) / 1000.0;
   m.events_per_sec =
       total_s > 0.0 ? static_cast<double>(script.size()) / total_s : 0.0;
   m.median_apply_ms = percentile(apply_ms, 0.5);
@@ -242,21 +284,6 @@ StalenessMeasurement measure_staleness(int flaps, double deadline_ms) {
 }
 
 // --- crash recovery -------------------------------------------------------
-
-bool answers_bitwise_equal(const serve::EpochAnswer& a,
-                           const serve::EpochAnswer& b) {
-  bool same = a.epoch == b.epoch && a.names == b.names &&
-              a.grand_value == b.grand_value &&
-              a.grand_bound == b.grand_bound &&
-              a.standalone == b.standalone && a.incentives == b.incentives &&
-              a.outcomes.size() == b.outcomes.size();
-  for (std::size_t s = 0; same && s < a.outcomes.size(); ++s) {
-    same = a.outcomes[s].shares == b.outcomes[s].shares &&
-           a.outcomes[s].payoffs == b.outcomes[s].payoffs &&
-           a.outcomes[s].in_core == b.outcomes[s].in_core;
-  }
-  return same;
-}
 
 struct RecoveryMeasurement {
   double recovery_ms = 0.0;     ///< newest checkpoint + suffix replay
@@ -375,6 +402,7 @@ void write_summary_json() {
       << ",\n";
   out << "  \"values_cold_retabulation_total\": "
       << churn.values_cold_equivalent << ",\n";
+  out << "  \"answers_reused\": " << churn.answers_reused << ",\n";
   out << "  \"staleness_deadline_ms\": " << stale.deadline_ms << ",\n";
   out << "  \"tripped_fraction\": " << stale.tripped_fraction << ",\n";
   out << "  \"maintenance_repairs\": " << stale.repairs << ",\n";
@@ -406,6 +434,9 @@ int run_smoke() {
             << " lp_not_warm=" << churn.lp_not_warm
             << " values_recomputed=" << churn.values_recomputed
             << " values_cold_retabulation=" << churn.values_cold_equivalent
+            << " answers_reused=" << churn.answers_reused
+            << " outage_ends=" << churn.outage_ends
+            << " outage_ends_not_restored=" << churn.outage_ends_not_restored
             << "\n";
   if (churn.lp_solves > churn.applies) {
     std::cerr << "perf_serve --smoke: ran more bound LPs than applies ("
@@ -426,6 +457,14 @@ int run_smoke() {
     ++failures;
   }
 
+  if (churn.outage_ends == 0 || churn.outage_ends_not_restored != 0) {
+    std::cerr << "perf_serve --smoke: " << churn.outage_ends_not_restored
+              << " of " << churn.outage_ends
+              << " outage-ends did not reuse the memoised answer bitwise "
+                 "equal to the pre-outage one\n";
+    ++failures;
+  }
+
   // Replay determinism: a fresh state fed the same log must publish the
   // same answer, bit for bit.
   serve::ServiceState service;
@@ -437,14 +476,7 @@ int run_smoke() {
   replica.replay_log(service.log());
   const serve::EpochAnswer a = service.query();
   const serve::EpochAnswer b = replica.query();
-  bool identical = a.epoch == b.epoch && a.grand_value == b.grand_value &&
-                   a.standalone == b.standalone &&
-                   a.incentives == b.incentives &&
-                   a.outcomes.size() == b.outcomes.size();
-  for (std::size_t s = 0; identical && s < a.outcomes.size(); ++s) {
-    identical = a.outcomes[s].shares == b.outcomes[s].shares &&
-                a.outcomes[s].in_core == b.outcomes[s].in_core;
-  }
+  const bool identical = answers_bitwise_equal(a, b);
   std::cout << "smoke replay: epoch=" << a.epoch
             << " identical=" << (identical ? "yes" : "no") << "\n";
   if (!identical) {

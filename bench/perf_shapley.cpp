@@ -219,7 +219,8 @@ EngineRow measure_engines(int n, int reps) {
   row.lattice_diff = max_abs_diff(scalar, lattice);
   row.quotient_diff = max_abs_diff(scalar, quick);
   row.scalar_ms = time_ms([&] { shapley_scalar(tab); }, reps);
-  row.lattice_ms = time_ms([&] { game::shapley_lattice(tab); }, reps);
+  row.lattice_ms = time_ms(
+      [&] { benchmark::DoNotOptimize(game::shapley_lattice(tab)); }, reps);
   row.quotient_ms = time_ms(
       [&] {
         const game::QuotientGame q(base, partition);

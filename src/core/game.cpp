@@ -149,6 +149,14 @@ std::optional<TabularGame> tabulate_budgeted(
   return TabularGame(n, std::move(values));
 }
 
+const TabularGame* borrow_or_tabulate(const Game& game,
+                                      const runtime::ComputeBudget& budget,
+                                      std::optional<TabularGame>& storage) {
+  if (const auto* tab = dynamic_cast<const TabularGame*>(&game)) return tab;
+  storage = tabulate_budgeted(game, budget);
+  return storage ? &*storage : nullptr;
+}
+
 double standalone_total(const Game& game) {
   double total = 0.0;
   for (int i = 0; i < game.num_players(); ++i) {

@@ -138,6 +138,14 @@ class CachedGame final : public Game {
 [[nodiscard]] std::optional<TabularGame> tabulate_budgeted(
     const Game& game, const runtime::ComputeBudget& budget);
 
+/// The table of `game` without a copy: `game` itself when it already is
+/// a TabularGame, otherwise tabulate_budgeted(game, budget) held in
+/// `storage`. Null when the budget trips first. The table lives as long
+/// as `game` or `storage`, whichever holds it.
+[[nodiscard]] const TabularGame* borrow_or_tabulate(
+    const Game& game, const runtime::ComputeBudget& budget,
+    std::optional<TabularGame>& storage);
+
 /// Sum of V({i}) over all players (the "act alone" total).
 [[nodiscard]] double standalone_total(const Game& game);
 

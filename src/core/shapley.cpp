@@ -55,8 +55,9 @@ std::optional<std::vector<double>> shapley_exact_budgeted(
     throw std::invalid_argument(
         "shapley_exact_budgeted: n must be <= 24; use shapley_monte_carlo");
   }
-  const auto tab = tabulate_budgeted(game, budget);
-  if (!tab) return std::nullopt;
+  std::optional<TabularGame> storage;
+  const TabularGame* tab = borrow_or_tabulate(game, budget, storage);
+  if (tab == nullptr) return std::nullopt;
   return shapley_lattice_budgeted(*tab, budget);
 }
 

@@ -120,9 +120,10 @@ SchemeComparison compare_schemes(
       lp_options.budget != nullptr ? *lp_options.budget : unlimited;
   // Tabulate once: every scheme below (Shapley, the per-scheme core
   // checks, nucleolus, Banzhaf) re-reads the same table instead of
-  // re-solving each coalition's V(S). Without it only the schemes that
-  // need no table answer.
-  const std::optional<TabularGame> tab = tabulate_budgeted(game, budget);
+  // re-solving each coalition's V(S); a TabularGame input is borrowed,
+  // not copied. Without a table only the schemes that need none answer.
+  std::optional<TabularGame> tabulated;
+  const TabularGame* tab = borrow_or_tabulate(game, budget, tabulated);
   const Game& values = tab ? static_cast<const Game&>(*tab) : game;
   const double total = values.grand_value();
   const std::string no_table =
@@ -130,7 +131,8 @@ SchemeComparison compare_schemes(
       runtime::stop_label(budget);
 
   SchemeComparison out;
-  auto push = [&](Scheme scheme, std::vector<double> shares) {
+  auto push = [&](Scheme scheme, std::vector<double> shares,
+                  bool check_core = true) {
     SchemeOutcome o;
     o.scheme = scheme;
     o.payoffs.resize(shares.size());
@@ -138,7 +140,7 @@ SchemeComparison compare_schemes(
       o.payoffs[i] = shares[i] * total;
     }
     o.shares = std::move(shares);
-    if (tab && n <= 16) o.in_core = in_core(*tab, o.payoffs);
+    if (check_core && tab && n <= 16) o.in_core = in_core(*tab, o.payoffs);
     out.outcomes.push_back(std::move(o));
   };
 
@@ -149,7 +151,10 @@ SchemeComparison compare_schemes(
     out.shapley_max_se = std::max(out.shapley_max_se, se);
   }
   out.shapley_note = std::move(shapley.note);
-  push(Scheme::kShapley, normalize_shares(shapley.phi));
+  // A Monte-Carlo row's core verdict would judge the estimate, not the
+  // Shapley value, so it stays unchecked.
+  push(Scheme::kShapley, normalize_shares(shapley.phi),
+       shapley.engine == ShapleyEngine::kExact);
   if (!availability_weights.empty()) {
     push(Scheme::kProportionalAvailability,
          proportional_shares(availability_weights));

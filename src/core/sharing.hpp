@@ -63,7 +63,8 @@ struct SchemeOutcome {
   std::vector<double> shares;    ///< sums to 1
   std::vector<double> payoffs;   ///< shares * V(N)
   /// Whether the payoff vector lies in the core; nullopt when it was
-  /// not checked (no coalition table, or n > 16).
+  /// not checked (no coalition table, n > 16, or a Monte-Carlo Shapley
+  /// estimate, whose verdict would be the estimate's).
   std::optional<bool> in_core;
 };
 
@@ -125,9 +126,10 @@ struct SchemeComparison {
 ///
 /// Everything runs under `lp_options.budget` (null = unlimited) and
 /// degrades instead of throwing: the game is tabulated with
-/// tabulate_budgeted (free for a TabularGame); if that trips, the
-/// nucleolus, Banzhaf and the core checks are skipped and Shapley runs
-/// Monte Carlo on `game` directly. Shapley follows resilient_shapley.
+/// tabulate_budgeted (a TabularGame is borrowed, not copied); if that
+/// trips, the nucleolus, Banzhaf and the core checks are skipped and
+/// Shapley runs Monte Carlo on `game` directly. Shapley follows
+/// resilient_shapley, and a Monte-Carlo row leaves its core unchecked.
 /// The nucleolus runs the orbit-row quotient formulation when
 /// `partition` is non-trivial (the game must be symmetric under it; see
 /// verified_partition), the dense formulation within

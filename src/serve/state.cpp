@@ -14,6 +14,12 @@ namespace fedshare::serve {
 
 namespace {
 
+// Byte budget of the published-answer memo. One entry of a
+// model::kMaxFacilities = 12 roster holds a 4096-double table (32 KiB)
+// plus its weights and rows, so the memo keeps the ~30 most recent games
+// of the largest roster, and hundreds of a 6-facility one.
+constexpr std::size_t kAnswerMemoBytes = std::size_t{1} << 20;
+
 // Refreshes a budget's stop reason after a failed stage (the amortised
 // charge path may not have recorded a deadline yet).
 runtime::StopReason stop_reason_of(const runtime::ComputeBudget& budget) {
@@ -29,7 +35,9 @@ runtime::StopReason stop_reason_of(const runtime::ComputeBudget& budget) {
 }  // namespace
 
 ServiceState::ServiceState(ServeOptions options)
-    : options_(options), space_(model::LocationSpace::disjoint({})) {
+    : options_(options),
+      space_(model::LocationSpace::disjoint({})),
+      memo_(kAnswerMemoBytes) {
   options_.max_facilities =
       std::clamp(options_.max_facilities, 1, model::kMaxFacilities);
   cache_ = std::make_shared<exec::ValueCache>();
@@ -317,7 +325,7 @@ bool ServiceState::resolve_bound(const runtime::ComputeBudget& budget,
   return true;
 }
 
-void ServiceState::publish_snapshot() {
+bool ServiceState::publish_snapshot() {
   auto snap = std::make_shared<Snapshot>();
   snap->epoch = epoch_;
   const int m = static_cast<int>(roster_.size());
@@ -335,6 +343,7 @@ void ServiceState::publish_snapshot() {
   answer.current_epoch = epoch_;
   answer.num_facilities = m;
   answer.names = snap->names;
+  bool reused = false;
   if (m > 0) {
     const std::size_t size = std::size_t{1} << m;
     std::vector<double> values(size, 0.0);
@@ -369,14 +378,28 @@ void ServiceState::publish_snapshot() {
     for (const auto& f : space_.facilities()) {
       availability.push_back(f.availability_weight());
     }
-    const std::vector<double> consumption =
+    std::vector<double> consumption =
         model::consumption_weights(space_, demand_);
-    lp::SimplexOptions lp_options;
-    lp_options.solver = options_.lp_solver;
-    game::SchemeComparison comparison = game::compare_schemes(
-        *snap->game, availability, consumption, lp_options);
-    answer.outcomes = std::move(comparison.outcomes);
-    answer.skipped = std::move(comparison.skipped);
+    const std::vector<double>& table = snap->game->values();
+    if (const AnswerMemo::Answer* hit =
+            memo_.find(table, availability, consumption)) {
+      answer.outcomes = hit->outcomes;
+      answer.skipped = hit->skipped;
+      reused = true;
+    } else {
+      lp::SimplexOptions lp_options;
+      lp_options.solver = options_.lp_solver;
+      game::SchemeComparison comparison = game::compare_schemes(
+          *snap->game, availability, consumption, lp_options);
+      answer.outcomes = std::move(comparison.outcomes);
+      answer.skipped = std::move(comparison.skipped);
+      // Keep only clean rows: a comparison cut short by a solver
+      // failure is retried the next time its game comes back.
+      if (!comparison.cut_short()) {
+        memo_.store(table, std::move(availability), std::move(consumption),
+                    {answer.outcomes, answer.skipped});
+      }
+    }
     for (const auto& outcome : answer.outcomes) {
       if (outcome.scheme != game::Scheme::kShapley) continue;
       answer.incentives.resize(static_cast<std::size_t>(m));
@@ -394,6 +417,7 @@ void ServiceState::publish_snapshot() {
   snapshot_ = std::move(snap);
   dirty_ = false;
   last_stop_ = runtime::StopReason::kNone;
+  return reused;
 }
 
 ApplyResult ServiceState::finish(ApplyResult result,
@@ -413,7 +437,7 @@ ApplyResult ServiceState::finish(ApplyResult result,
     last_stop_ = result.stop;
     if (!is_repair) ++epochs_tripped_;
   } else {
-    publish_snapshot();
+    result.answer_reused = publish_snapshot();
     result.complete = true;
     result.stop = runtime::StopReason::kNone;
     if (was_dirty) {
@@ -426,6 +450,7 @@ ApplyResult ServiceState::finish(ApplyResult result,
   lp_incremental_ += result.lp_incremental;
   lp_cold_ += result.lp_cold;
   lp_pivots_ += result.lp_pivots;
+  answers_reused_ += result.answer_reused ? 1 : 0;
   return result;
 }
 
@@ -549,6 +574,7 @@ ServiceStats ServiceState::stats() const {
   s.lp_incremental = lp_incremental_;
   s.lp_cold = lp_cold_;
   s.lp_pivots = lp_pivots_;
+  s.answers_reused = answers_reused_;
   s.epochs_tripped = epochs_tripped_;
   s.epochs_repaired = epochs_repaired_;
   s.repairs = repairs_;
@@ -703,6 +729,7 @@ void ServiceState::restore(const CheckpointImage& image) {
 
   cache_->clear();
   for (const auto& [mask, value] : image.cache) cache_->store(mask, value);
+  memo_.clear();  // never persisted: the first publish solves cold
 
   rebuild_template();
   bound_ = BoundEntry{};

@@ -35,6 +35,22 @@
 //    few dual pivots (lp::RevisedSimplex::solve_from_basis); join and
 //    demand rebuild the template and solve cold. A failed warm solve
 //    falls back cold through the verify::certify_or_escalate cascade.
+//  * Published-answer memo. Publishing runs game::compare_schemes on
+//    the closed V(S) table and the availability and consumption
+//    weights; the LP engine is fixed per state and publish runs
+//    unbudgeted, so those three vectors are its whole input. A per-
+//    state serve::AnswerMemo keys every comparison that was not cut
+//    short by their bit patterns: a hash finds the entry and a bitwise
+//    compare of all three full vectors confirms it, so a hash collision
+//    is a miss, never a wrong answer. An epoch that revisits a game
+//    (the end of an outage flap, a repeated outage draw) copies the
+//    stored rows instead of re-solving the nucleolus
+//    (ApplyResult::answer_reused); epoch, names, standalone values,
+//    bound and incentives are still filled per epoch. Entries are
+//    evicted least-recently-used within one byte budget, a constant in
+//    state.cpp sized from 2^kMaxFacilities tables. The memo is not
+//    persisted: restore() and replay_log() start with it empty, and
+//    determinism makes their answers bitwise the cold ones.
 //  * Replay determinism. The event log is the only durable state.
 //    Outage masks are sampled from (seed, scenario, roster) at apply
 //    time via runtime::OutageModel — a pure function — so replaying the
@@ -64,6 +80,7 @@
 #include "model/demand.hpp"
 #include "model/location_space.hpp"
 #include "runtime/budget.hpp"
+#include "serve/answer_memo.hpp"
 #include "serve/event.hpp"
 
 namespace fedshare::serve {
@@ -93,6 +110,8 @@ struct ApplyResult {
   std::size_t lp_incremental = 0;      ///< warm (previous epoch's basis)
   std::size_t lp_cold = 0;             ///< cold (no usable basis)
   std::uint64_t lp_pivots = 0;         ///< simplex iterations spent
+  /// The published rows came from the answer memo (a revisited game).
+  bool answer_reused = false;
 };
 
 /// A consistent share/core/incentive answer for one epoch.
@@ -130,6 +149,8 @@ struct ServiceStats {
   std::uint64_t lp_incremental = 0;
   std::uint64_t lp_cold = 0;
   std::uint64_t lp_pivots = 0;
+  /// Publishes whose rows came from the answer memo.
+  std::uint64_t answers_reused = 0;
   /// Degradation history: epochs whose own apply() tripped its budget
   /// (the service answered stale until something healed them) ...
   std::uint64_t epochs_tripped = 0;
@@ -320,7 +341,8 @@ class ServiceState {
                        ApplyResult& result);
   bool resolve_bound(const runtime::ComputeBudget& budget,
                      ApplyResult& result);
-  void publish_snapshot();
+  /// Publishes the current epoch; true when its rows came from memo_.
+  bool publish_snapshot();
   ApplyResult finish(ApplyResult result,
                      const runtime::ComputeBudget& budget);
 
@@ -358,6 +380,9 @@ class ServiceState {
   std::size_t lp_locations_ = 0;
   BoundEntry bound_;
 
+  /// Published comparisons by their exact inputs (see the contract).
+  AnswerMemo memo_;
+
   std::shared_ptr<const Snapshot> snapshot_;
   bool dirty_ = false;
   runtime::StopReason last_stop_ = runtime::StopReason::kNone;
@@ -376,6 +401,7 @@ class ServiceState {
   std::uint64_t lp_incremental_ = 0;
   std::uint64_t lp_cold_ = 0;
   std::uint64_t lp_pivots_ = 0;
+  std::uint64_t answers_reused_ = 0;
   std::uint64_t epochs_tripped_ = 0;
   std::uint64_t epochs_repaired_ = 0;
   std::uint64_t repairs_ = 0;

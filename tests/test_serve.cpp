@@ -3,12 +3,14 @@
 // slice invalidation, stale-but-bounded answers, repair), and the CLI
 // serve runner. The randomized equivalence-with-batch harness lives in
 // test_serve_chaos.cpp.
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include "lp/simplex.hpp"
 #include "model/value.hpp"
 #include "runtime/budget.hpp"
+#include "serve/answer_memo.hpp"
 #include "serve/event.hpp"
 #include "serve/state.hpp"
 #include "verify/certified.hpp"
@@ -514,6 +517,227 @@ TEST(ServeStateTest, EpochOutcomesAreCompareSchemesBitwise) {
   }
   EXPECT_GT(observer.stats().solves, 0u);
   EXPECT_EQ(observer.stats().failures, 0u);
+}
+
+// --- published-answer memo ---------------------------------------------
+
+using fedshare::serve::AnswerMemo;
+using fedshare::serve::EpochAnswer;
+
+// Every field an answer publishes, compared bit for bit (epoch tags
+// aside).
+void expect_same_answer(const EpochAnswer& got, const EpochAnswer& want) {
+  EXPECT_EQ(got.names, want.names);
+  EXPECT_EQ(got.grand_value, want.grand_value);
+  EXPECT_EQ(got.grand_bound, want.grand_bound);
+  EXPECT_EQ(got.standalone, want.standalone);
+  EXPECT_EQ(got.incentives, want.incentives);
+  ASSERT_EQ(got.outcomes.size(), want.outcomes.size());
+  for (std::size_t s = 0; s < want.outcomes.size(); ++s) {
+    SCOPED_TRACE(fedshare::game::to_string(want.outcomes[s].scheme));
+    EXPECT_EQ(got.outcomes[s].scheme, want.outcomes[s].scheme);
+    EXPECT_EQ(got.outcomes[s].shares, want.outcomes[s].shares);
+    EXPECT_EQ(got.outcomes[s].payoffs, want.outcomes[s].payoffs);
+    EXPECT_EQ(got.outcomes[s].in_core, want.outcomes[s].in_core);
+  }
+  ASSERT_EQ(got.skipped.size(), want.skipped.size());
+  for (std::size_t s = 0; s < want.skipped.size(); ++s) {
+    EXPECT_EQ(got.skipped[s].note(), want.skipped[s].note());
+    EXPECT_EQ(got.skipped[s].size_limit, want.skipped[s].size_limit);
+  }
+}
+
+// `events` outage events flapping A, B and C in turn over two seeds and
+// two scenarios, so outage-starts revisit earlier draws too.
+std::vector<Event> flap_script(int events) {
+  std::vector<Event> script;
+  for (int i = 0; i < events / 2; ++i) {
+    const std::string name(1, static_cast<char>('A' + i % 3));
+    script.emplace_back(OutageStart{name,
+                                    1 + static_cast<std::uint64_t>(i % 2),
+                                    static_cast<std::uint64_t>(i / 6 % 2)});
+    script.emplace_back(OutageEnd{name});
+  }
+  return script;
+}
+
+TEST(ServeAnswerMemoTest, FlapEndReusesThePreOutageAnswerBitwise) {
+  ServiceState state;
+  assemble_two_class(state);
+  const EpochAnswer before = state.query();
+  const ApplyResult start = state.apply(Event{OutageStart{"B", 3, 0}});
+  EXPECT_FALSE(start.answer_reused);
+  const ApplyResult end = state.apply(Event{OutageEnd{"B"}});
+  EXPECT_TRUE(end.answer_reused);
+  const EpochAnswer after = state.query();
+  EXPECT_EQ(after.epoch, before.epoch + 2);
+  expect_same_answer(after, before);
+  EXPECT_EQ(state.stats().answers_reused, 1u);
+}
+
+// Memo hits come from anywhere in a long history; a fresh state replays
+// each prefix with only that prefix behind it. Both must agree, and the
+// rows must be compare_schemes on the epoch's game, solved cold.
+TEST(ServeAnswerMemoTest, FlapScriptAnswersEqualAFreshReplayOfEachPrefix) {
+  ServiceState state;
+  assemble_two_class(state);
+  const std::vector<Event> script = flap_script(200);
+  ASSERT_EQ(script.size(), 200u);
+  std::vector<EpochAnswer> answers;
+  for (const Event& event : script) {
+    const ApplyResult r = state.apply(event);
+    if (std::holds_alternative<OutageEnd>(event)) {
+      EXPECT_TRUE(r.answer_reused) << "epoch " << r.epoch;
+    }
+    answers.push_back(state.query());
+
+    const auto snap = state.snapshot();
+    std::vector<double> availability;
+    for (const auto& f : snap->space.facilities()) {
+      availability.push_back(f.availability_weight());
+    }
+    fedshare::lp::SimplexOptions lp_options;
+    lp_options.solver = state.options().lp_solver;
+    const auto cold = fedshare::game::compare_schemes(
+        *snap->game, availability,
+        fedshare::model::consumption_weights(snap->space, snap->demand),
+        lp_options);
+    EpochAnswer want = answers.back();
+    want.outcomes = cold.outcomes;
+    want.skipped = cold.skipped;
+    SCOPED_TRACE("epoch " + std::to_string(r.epoch));
+    expect_same_answer(answers.back(), want);
+  }
+  // Every outage-end reuses, and of the outage-starts at most the 12
+  // (facility, seed, scenario) draws are new games.
+  EXPECT_GE(state.stats().answers_reused, 200u - 12u);
+
+  const std::vector<Event> log = state.log();
+  const std::size_t assembled = log.size() - script.size();
+  for (std::size_t k = 0; k < script.size(); ++k) {
+    ServiceState replica;
+    replica.replay_log(log, assembled + k + 1);
+    SCOPED_TRACE("prefix " + std::to_string(assembled + k + 1));
+    const EpochAnswer got = replica.query();
+    EXPECT_EQ(got.epoch, answers[k].epoch);
+    expect_same_answer(got, answers[k]);
+  }
+}
+
+// Synthetic memo inputs for an m-facility roster, distinct per `tag`.
+struct MemoInputs {
+  std::vector<double> table;
+  std::vector<double> availability;
+  std::vector<double> consumption;
+};
+
+MemoInputs memo_inputs(int m, double tag) {
+  MemoInputs in;
+  const std::size_t size = std::size_t{1} << m;
+  in.table.resize(size);
+  for (std::size_t mask = 1; mask < size; ++mask) {
+    in.table[mask] = tag + static_cast<double>(__builtin_popcountll(mask));
+  }
+  in.availability.assign(static_cast<std::size_t>(m), 1.0);
+  in.consumption.assign(static_cast<std::size_t>(m), 2.0);
+  return in;
+}
+
+AnswerMemo::Answer memo_answer(int m) {
+  fedshare::game::SchemeOutcome equal;
+  equal.scheme = fedshare::game::Scheme::kEqual;
+  equal.shares.assign(static_cast<std::size_t>(m), 1.0 / m);
+  equal.payoffs.assign(static_cast<std::size_t>(m), 1.0);
+  equal.in_core = true;
+  return {{equal}, {}};
+}
+
+bool memo_has(AnswerMemo& memo, const MemoInputs& in) {
+  return memo.find(in.table, in.availability, in.consumption) != nullptr;
+}
+
+void memo_store(AnswerMemo& memo, const MemoInputs& in, int m) {
+  memo.store(in.table, in.availability, in.consumption, memo_answer(m));
+}
+
+TEST(ServeAnswerMemoTest, OneUlpOrOtherWeightsMiss) {
+  AnswerMemo memo(std::size_t{1} << 20);
+  const MemoInputs in = memo_inputs(4, 0.5);
+  memo_store(memo, in, 4);
+  const AnswerMemo::Answer* hit =
+      memo.find(in.table, in.availability, in.consumption);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->outcomes[0].shares, memo_answer(4).outcomes[0].shares);
+
+  MemoInputs ulp = in;
+  ulp.table[5] = std::nextafter(ulp.table[5], 1e300);
+  EXPECT_FALSE(memo_has(memo, ulp));
+  MemoInputs signed_zero = in;
+  signed_zero.table[0] = -0.0;  // equal as a double, not as bits
+  EXPECT_FALSE(memo_has(memo, signed_zero));
+  MemoInputs availability = in;
+  availability.availability[2] = 0.5;
+  EXPECT_FALSE(memo_has(memo, availability));
+  MemoInputs consumption = in;
+  consumption.consumption[0] = std::nextafter(2.0, 0.0);
+  EXPECT_FALSE(memo_has(memo, consumption));
+  MemoInputs swapped = in;
+  std::swap(swapped.availability, swapped.consumption);
+  EXPECT_FALSE(memo_has(memo, swapped));
+  EXPECT_TRUE(memo_has(memo, in));
+  EXPECT_EQ(memo.size(), 1u);
+}
+
+TEST(ServeAnswerMemoTest, EvictionKeepsBytesWithinTheBudgetAtTwelve) {
+  constexpr int m = 12;
+  AnswerMemo probe(std::size_t{1} << 30);
+  memo_store(probe, memo_inputs(m, 0.0), m);
+  const std::size_t entry = probe.bytes();
+  ASSERT_GT(entry, (std::size_t{1} << m) * sizeof(double));
+
+  const std::size_t budget = 3 * entry + entry / 2;  // three entries
+  AnswerMemo memo(budget);
+  for (int k = 0; k < 10; ++k) {
+    memo_store(memo, memo_inputs(m, k), m);
+    EXPECT_LE(memo.bytes(), budget) << "after entry " << k;
+    EXPECT_EQ(memo.size(), static_cast<std::size_t>(std::min(k + 1, 3)))
+        << "after entry " << k;
+    // Least recently used goes first: a hit on the oldest survivor (2)
+    // keeps it over the entry after it (3).
+    if (k == 4) {
+      ASSERT_TRUE(memo_has(memo, memo_inputs(m, 2)));
+    }
+    if (k == 5) {
+      EXPECT_FALSE(memo_has(memo, memo_inputs(m, 3)));
+      EXPECT_TRUE(memo_has(memo, memo_inputs(m, 2)));
+    }
+  }
+  EXPECT_FALSE(memo_has(memo, memo_inputs(m, 6)));
+  for (const int k : {7, 8, 9}) {
+    EXPECT_TRUE(memo_has(memo, memo_inputs(m, k))) << k;
+  }
+
+  AnswerMemo tiny(entry - 1);  // one entry would overflow it
+  memo_store(tiny, memo_inputs(m, 0.0), m);
+  EXPECT_EQ(tiny.size(), 0u);
+  EXPECT_EQ(tiny.bytes(), 0u);
+}
+
+// The memo is not persisted: a restored state solves its first publish
+// cold where the uncrashed one reuses, and both land on the same bits.
+TEST(ServeAnswerMemoTest, RestoreStartsColdAndAnswersBitwise) {
+  ServiceState uncrashed;
+  assemble_two_class(uncrashed);
+  (void)uncrashed.apply(Event{OutageStart{"B", 3, 0}});
+  ServiceState restored;
+  restored.restore(uncrashed.checkpoint_image());
+
+  const Event end{OutageEnd{"B"}};
+  EXPECT_TRUE(uncrashed.apply(end).answer_reused);
+  EXPECT_FALSE(restored.apply(end).answer_reused);
+  EXPECT_EQ(restored.stats().answers_reused, 0u);
+  EXPECT_EQ(restored.query().epoch, uncrashed.query().epoch);
+  expect_same_answer(restored.query(), uncrashed.query());
 }
 
 // The snapshot-consistency certificate (run under TSan by

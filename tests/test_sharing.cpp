@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "core/sharing.hpp"
+#include "runtime/budget.hpp"
 
 namespace fedshare::game {
 namespace {
@@ -116,6 +117,37 @@ TEST(CompareSchemes, FailedNucleolusChainIsASkip) {
   for (const auto& o : c.outcomes) {
     EXPECT_NE(o.scheme, Scheme::kNucleolus);
     EXPECT_TRUE(o.in_core.has_value()) << to_string(o.scheme);
+  }
+}
+
+// A node cap that trips inside the Shapley lattice, after the (free)
+// table read, leaves a Monte-Carlo Shapley row. Its core verdict would
+// judge the estimate, not the Shapley value, so it stays unchecked; the
+// rows computed from the complete table keep theirs.
+TEST(CompareSchemes, MonteCarloShapleyLeavesItsCoreUnchecked) {
+  const TabularGame g = tabulate(FunctionGame(4, [](Coalition c) {
+    const double k = c.size();
+    return k * k;
+  }));
+  // Units exact Shapley charges on the table, measured rather than
+  // assumed; one fewer trips it.
+  const runtime::ComputeBudget shapley_budget;
+  ASSERT_TRUE(shapley_exact_budgeted(g, shapley_budget).has_value());
+  ASSERT_GT(shapley_budget.used(), 0u);
+  const runtime::ComputeBudget budget =
+      runtime::ComputeBudget().cap_nodes(shapley_budget.used() - 1);
+  lp::SimplexOptions options;
+  options.budget = &budget;
+  const SchemeComparison c = compare_schemes(g, {}, {}, options);
+  EXPECT_EQ(c.shapley_engine, ShapleyEngine::kMonteCarlo);
+  EXPECT_TRUE(c.cut_short());
+  ASSERT_FALSE(c.outcomes.empty());
+  EXPECT_EQ(c.outcomes[0].scheme, Scheme::kShapley);
+  EXPECT_FALSE(c.outcomes[0].in_core.has_value());
+  EXPECT_STREQ(in_core_label(c.outcomes[0]), "n/a");
+  for (std::size_t j = 1; j < c.outcomes.size(); ++j) {
+    EXPECT_TRUE(c.outcomes[j].in_core.has_value())
+        << to_string(c.outcomes[j].scheme);
   }
 }
 

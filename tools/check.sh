@@ -15,8 +15,9 @@
 # across thread counts, the
 # nucleolus stops skipping its provably redundant LPs, or
 # the serve layer stops re-solving its bound with at most one LP per
-# event (warm on outages and leaves) or its incremental V(S)
-# tabulation stops beating a cold re-tabulation, then the
+# event (warm on outages and leaves), its incremental V(S)
+# tabulation stops beating a cold re-tabulation, or an outage-end stops
+# reusing the memoised pre-outage answer bit for bit, then the
 # crash-recovery gate (tools/crash_check.sh: SIGKILL the serve CLI at
 # every epoch and require the resumed answer to be byte-identical), the end-to-end benchmark's self-test
 # (perfbench/run.py --self-test: every workload for a few ops, every
@@ -48,7 +49,7 @@ cmake -S "$root" -B "$root/build-tsan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DFEDSHARE_SANITIZE=thread
 cmake --build "$root/build-tsan" -j "$jobs" --target fedshare_tests
 ctest --test-dir "$root/build-tsan" -j "$jobs" --output-on-failure \
-  -R 'ExecTest|LatticeProperty|SymmetryProperty|NucleolusQuotient|NucleolusFilters|ServeStateTest|ServeChaosTest|ServeDurabilityTest|StructureParallelTest|CompareSchemes|EvaluateOutages'
+  -R 'ExecTest|LatticeProperty|SymmetryProperty|NucleolusQuotient|NucleolusFilters|ServeStateTest|ServeAnswerMemoTest|ServeChaosTest|ServeDurabilityTest|StructureParallelTest|CompareSchemes|EvaluateOutages'
 
 echo "== BatchSolver chain + SIMD lattice smoke (bitwise vs per-probe/scalar) =="
 ctest --test-dir "$root/build" -j "$jobs" --output-on-failure \
@@ -74,7 +75,7 @@ echo "== verification smoke (certified vs plain warm bound chain) =="
 cmake --build "$root/build" -j "$jobs" --target perf_verify
 "$root/build/bench/perf_verify" --smoke
 
-echo "== serve smoke (one warm bound LP per patch, incremental V(S), replay) =="
+echo "== serve smoke (one warm bound LP per patch, incremental V(S), outage-end answer reuse, replay) =="
 cmake --build "$root/build" -j "$jobs" --target perf_serve
 "$root/build/bench/perf_serve" --smoke
 
