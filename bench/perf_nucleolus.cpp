@@ -9,16 +9,19 @@
 // guard, so dense cannot attempt the case at all. The binary writes
 // BENCH_nucleolus.json (override the path with FEDSHARE_BENCH_OUT) with
 // rows/LPs/pivots/wall-times for typed n = 8..20 and for heterogeneous
-// federations (the default report's dense path), each next to the LP
-// and pivot counts of the unfiltered reference loop
-// (tests/nucleolus_reference.hpp). It supports `--smoke`:
+// federations (the default report's dense path, n = 6..10), each next
+// to the LP and pivot counts of the unfiltered reference loop
+// (tests/nucleolus_reference.hpp) where that loop finishes in seconds.
+// It supports `--smoke`:
 // dense-vs-quotient agreement, a fewer-LPs gate on the unfiltered loop
 // and a fewer-pivots gate on the filtered one on every n <= 10 case, a
 // bitwise gate on the dyadic two-type family, the n = 16
 // row-ratio and dense-refusal gates, an LP-ratio gate (a heterogeneous
 // n = 8 dense-engine nucleolus solves at most 10% of the rows x rounds
-// LPs the unfiltered loop would) and a certification gate (every LP
-// certified) — tools/check.sh runs it as a perf-smoke stage.
+// LPs the unfiltered loop would), a certification gate (every LP
+// certified) and a working-set gate (hetero n = 9 solves on both
+// engines, every LP certified, and passes the full-table excess scan)
+// — tools/check.sh runs it as a perf-smoke stage.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -228,8 +231,9 @@ NucleolusRow measure_nucleolus(int types, int copies, int reps) {
   return row;
 }
 
-// Dense-formulation nucleolus of a heterogeneous federation, filtered
-// scheme against the unfiltered reference loop.
+// Dense-formulation nucleolus of a heterogeneous federation (the
+// working-set loop), next to the unfiltered reference loop where that
+// loop finishes in seconds (n <= 8; it takes minutes from n = 9).
 struct HeteroRow {
   int n = 0;
   const char* engine = "";
@@ -238,6 +242,7 @@ struct HeteroRow {
   std::uint64_t lps = 0;
   std::uint64_t pivots = 0;
   double ms = 0.0;
+  bool unfiltered = false;  ///< the *_unfiltered fields were measured
   std::uint64_t lps_unfiltered = 0;
   std::uint64_t pivots_unfiltered = 0;
   double ms_unfiltered = 0.0;
@@ -256,12 +261,41 @@ HeteroRow measure_hetero(int n, lp::SolverKind kind, int reps) {
   row.lps = r.lps_solved;
   row.pivots = r.pivots;
   row.ms = time_ms([&] { (void)game::nucleolus(tab, options); }, reps);
-  game::NucleolusResult ref;
-  row.ms_unfiltered = time_ms(
-      [&] { ref = game::reference::unfiltered_nucleolus(tab, options); }, 1);
-  row.lps_unfiltered = ref.lps_solved;
-  row.pivots_unfiltered = ref.pivots;
+  if (n <= 8) {
+    row.unfiltered = true;
+    game::NucleolusResult ref;
+    row.ms_unfiltered = time_ms(
+        [&] { ref = game::reference::unfiltered_nucleolus(tab, options); },
+        1);
+    row.lps_unfiltered = ref.lps_solved;
+    row.pivots_unfiltered = ref.pivots;
+  }
   return row;
+}
+
+// The full-table postcondition, checked from outside the loop: every
+// coalition's excess at the answer is at most the last level or sits on
+// an earlier one. Returns the number of coalitions that break it.
+int excess_scan_failures(const game::NucleolusResult& r,
+                         const game::TabularGame& g) {
+  if (!r.solved || r.levels.empty()) return 1;
+  const double tol = 1e-9 * std::max(1.0, std::abs(g.grand_value()));
+  const std::uint64_t grand = (std::uint64_t{1} << g.num_players()) - 1;
+  int failures = 0;
+  for (std::uint64_t mask = 1; mask < grand; ++mask) {
+    double x = 0.0;
+    for (int i = 0; i < g.num_players(); ++i) {
+      if ((mask >> i) & 1u) x += r.allocation[static_cast<std::size_t>(i)];
+    }
+    const double excess = g.values()[mask] - x;
+    if (excess <= r.levels.back() + tol) continue;
+    if (std::none_of(r.levels.begin(), r.levels.end(), [&](double level) {
+          return std::abs(excess - level) <= tol;
+        })) {
+      ++failures;
+    }
+  }
+  return failures;
 }
 
 void write_summary_json() {
@@ -274,11 +308,17 @@ void write_summary_json() {
   // The default report's path: dense formulation, dense engine at n = 6
   // (the default-report benchmark's size); the n = 8 unfiltered
   // dense-engine loop takes most of a minute, so n = 8 runs on the
-  // revised engine.
+  // revised engine. n = 9 and 10 run both engines, without the
+  // unfiltered loop.
   std::vector<HeteroRow> hetero;
   hetero.push_back(measure_hetero(6, lp::SolverKind::kDense, 5));
   hetero.push_back(measure_hetero(6, lp::SolverKind::kRevised, 5));
   hetero.push_back(measure_hetero(8, lp::SolverKind::kRevised, 3));
+  for (const int n : {9, 10}) {
+    for (const auto kind : {lp::SolverKind::kDense, lp::SolverKind::kRevised}) {
+      hetero.push_back(measure_hetero(n, kind, 5));
+    }
+  }
   const char* out_env = std::getenv("FEDSHARE_BENCH_OUT");
   const std::string path = out_env != nullptr && *out_env != '\0'
                                ? out_env
@@ -333,11 +373,13 @@ void write_summary_json() {
     out << "    {\"n\": " << h.n << ", \"engine\": \"" << h.engine
         << "\", \"rows\": " << h.rows << ", \"rounds\": " << h.rounds
         << ", \"lps\": " << h.lps << ", \"pivots\": " << h.pivots
-        << ", \"ms\": " << h.ms
-        << ", \"lps_unfiltered\": " << h.lps_unfiltered
-        << ", \"pivots_unfiltered\": " << h.pivots_unfiltered
-        << ", \"ms_unfiltered\": " << h.ms_unfiltered << "}"
-        << (i + 1 < hetero.size() ? "," : "") << "\n";
+        << ", \"ms\": " << h.ms;
+    if (h.unfiltered) {
+      out << ", \"lps_unfiltered\": " << h.lps_unfiltered
+          << ", \"pivots_unfiltered\": " << h.pivots_unfiltered
+          << ", \"ms_unfiltered\": " << h.ms_unfiltered;
+    }
+    out << "}" << (i + 1 < hetero.size() ? "," : "") << "\n";
   }
   out << "  ]\n";
   out << "}\n";
@@ -516,6 +558,32 @@ int run_smoke() {
               [&](const lp::SimplexOptions& o) {
                 return game::nucleolus(hetero, o);
               });
+    }
+  }
+
+  // Working-set gate past the reach of the unfiltered loop: the
+  // heterogeneous n = 9 game (510 rows) solves on both engines, every
+  // LP certified, and passes the full-table excess scan.
+  {
+    const game::TabularGame hetero = hetero_game(9);
+    for (const auto kind : {lp::SolverKind::kDense, lp::SolverKind::kRevised}) {
+      game::NucleolusResult solved;
+      certify("hetero n=9 working set", kind,
+              [&](const lp::SimplexOptions& o) {
+                solved = game::nucleolus(hetero, o);
+                return solved;
+              });
+      const int broken = excess_scan_failures(solved, hetero);
+      std::cout << "smoke hetero n=9 (" << lp::to_string(kind)
+                << "): rounds=" << solved.levels.size()
+                << " lps=" << solved.lps_solved
+                << " full-table scan failures=" << broken << "\n";
+      if (broken != 0) {
+        std::cerr << "perf_nucleolus --smoke: hetero n=9 answer fails the "
+                     "full-table excess scan ("
+                  << broken << " coalitions)\n";
+        ++failures;
+      }
     }
   }
 

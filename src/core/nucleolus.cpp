@@ -28,6 +28,11 @@ constexpr double kDualTolMargin = 100.0;
 // are small integer vectors (0/1 masks, per-type counts), so dependent
 // rows reduce to exact or near-exact zeros.
 constexpr double kRankTol = 1e-9;
+// Closure: a row outside the working set violated by more than this,
+// times max(1, |V(N)|), joins it. Far below kTol, so a closed LP's
+// optimum is the full LP's to within the 1e-12 * scale agreement the
+// differential tests require, yet above the rounding of an excess.
+constexpr double kSeparationTol = 1e-12;
 
 // Dense formulation ceiling in excess rows, for the refusal message.
 constexpr std::uint64_t kMaxDenseRows =
@@ -40,7 +45,8 @@ constexpr std::uint64_t kMaxOrbitRows = std::uint64_t{1} << 15;
 // only in objective (the per-row aux-max probes and the per-type
 // uniqueness probes of a round). The previous optimum stays primal
 // feasible when only the objective moves, so each re-solve is a pure
-// phase-2 run from the last basis. Revised engine only.
+// phase-2 run from the last basis; a closure row appended mid-chain is
+// repaired by the dual simplex first. Revised engine only.
 class ObjectiveChain {
  public:
   // From an already-built (and possibly row-patched) engine, seeded with
@@ -61,6 +67,13 @@ class ObjectiveChain {
     return sol;
   }
 
+  // Appends a working-set row to the chain's engine; later probes start
+  // from the held basis with the row's slack basic.
+  void add_constraint(const std::vector<double>& row, lp::Relation relation,
+                      double rhs) {
+    solver_.add_constraint(row, relation, rhs);
+  }
+
   [[nodiscard]] const lp::Basis& basis() const noexcept { return basis_; }
 
  private:
@@ -70,49 +83,54 @@ class ObjectiveChain {
 
 // One probe LP over a shared, eps-pinned constraint set: maximizes
 // `objective` warm on `chain` when one is given (revised engine), else
-// cold on `problem` with its objective overwritten. Counts the LP;
-// returns the optimum, or nullopt when the solve failed.
+// cold on `problem` with its objective overwritten. Runs to closure:
+// `close(x)` appends the rows outside the working set that the optimum
+// x violates and says whether it appended any, and the LP re-solves
+// until none is violated. Counts every solve; returns the optimum, or
+// nullopt when a solve failed.
+template <typename Close>
 std::optional<double> probe_max(lp::Problem& problem, ObjectiveChain* chain,
                                 const std::vector<double>& objective,
                                 const lp::SimplexOptions& options,
-                                NucleolusResult& out) {
-  lp::Solution sol;
-  if (chain != nullptr) {
-    sol = chain->solve(objective);
-  } else {
+                                NucleolusResult& out, Close&& close) {
+  if (chain == nullptr) {
     for (std::size_t v = 0; v < objective.size(); ++v) {
       problem.set_objective_coefficient(v, objective[v]);
     }
-    sol = lp::solve(problem, options);
   }
-  ++out.lps_solved;
-  out.pivots += sol.pivots;
-  if (!sol.optimal()) return std::nullopt;
-  return sol.objective;
+  for (;;) {
+    const lp::Solution sol = chain != nullptr ? chain->solve(objective)
+                                              : lp::solve(problem, options);
+    ++out.lps_solved;
+    out.pivots += sol.pivots;
+    if (!sol.optimal()) return std::nullopt;
+    if (!close(sol.x)) return sol.objective;
+  }
 }
 
 // Uniqueness probes: maximizes +x_v and -x_v for every share variable
 // in `vars` (min x_v == -max -x_v) and reports whether each range is a
 // point. `x_star` is the round's optimum, a feasible point, so a max
-// above x*_v + kTol settles the question with one LP. Eps is pinned at
-// the current level: later rounds only shrink the feasible set, so a
-// unique x-projection here is final.
+// above x*_v + kTol settles the question with one closed LP. Eps is
+// pinned at the current level: later rounds only shrink the feasible
+// set, so a unique x-projection here is final.
+template <typename Close>
 bool ranges_are_points(lp::Problem& problem, ObjectiveChain* chain,
                        const std::vector<std::size_t>& vars,
                        const std::vector<double>& x_star,
                        const lp::SimplexOptions& options,
-                       NucleolusResult& out) {
+                       NucleolusResult& out, Close&& close) {
   const std::size_t nv = problem.num_variables() - 1;
   std::vector<double> obj;
   for (const std::size_t v : vars) {
     obj.assign(nv + 1, 0.0);
     obj[v] = 1.0;
     const std::optional<double> hi =
-        probe_max(problem, chain, obj, options, out);
+        probe_max(problem, chain, obj, options, out, close);
     if (!hi.has_value() || *hi - x_star[v] > kTol) return false;
     obj[v] = -1.0;
     const std::optional<double> lo =
-        probe_max(problem, chain, obj, options, out);
+        probe_max(problem, chain, obj, options, out, close);
     if (!lo.has_value() || *hi + *lo > kTol) return false;
   }
   return true;
@@ -198,16 +216,21 @@ class RankTracker {
 //     optimal face (fixed). A pass that releases nothing while its
 //     optimum is still > kTol falls back to step 4.
 //  4. One aux-max probe per row still undecided.
-// `least_core` is the round's LP (variable nv is eps), `sol` its
-// optimum, and `rows` the constraint indices of its active rows
-// a.x + eps >= V. `probe(i)` runs step 4 for rows[i] and returns the max
-// of a.x, or nullopt when the LP failed. Returns one flag per entry of
-// `rows` (1 = fixed), or nullopt when any LP failed.
-template <typename Probe>
+// `least_core` is the round's LP over the working set (variable nv is
+// eps), `sol` its closed optimum, and `rows` the constraint indices of
+// its active rows a.x + eps >= V. The decisions are about the full LP,
+// so every pass runs to closure like the probes: `close(x)` appends the
+// rows outside the working set that x violates (to `least_core` too)
+// and says whether it appended any. Rows appended here are slack by
+// more than kTol at x*, so none of them is tight in every optimum.
+// `probe(i)` runs step 4 for rows[i] and returns the max of a.x, or
+// nullopt when an LP failed. Returns one flag per entry of `rows`
+// (1 = fixed), or nullopt when any LP failed.
+template <typename Probe, typename Close>
 std::optional<std::vector<char>> tight_rows(
     const lp::Problem& least_core, const lp::Solution& sol,
     const std::vector<std::size_t>& rows, const lp::SimplexOptions& options,
-    NucleolusResult& out, Probe&& probe) {
+    NucleolusResult& out, Probe&& probe, Close&& close) {
   const std::size_t nv = least_core.num_variables() - 1;
   const double eps = sol.x[nv];
   const auto& cons = least_core.constraints();
@@ -229,11 +252,11 @@ std::optional<std::vector<char>> tight_rows(
     open.push_back(i);
   }
 
-  std::vector<std::size_t> slot(cons.size());
+  std::vector<std::size_t> slot;
   while (!open.empty()) {
     const std::size_t m = open.size();
     const std::size_t none = m;
-    std::fill(slot.begin(), slot.end(), none);
+    slot.assign(cons.size(), none);
     for (std::size_t k = 0; k < m; ++k) slot[rows[open[k]]] = k;
     lp::Problem pass(nv + 1 + m, lp::Objective::kMaximize);
     for (std::size_t v = 0; v <= nv; ++v) pass.set_free(v);
@@ -258,6 +281,7 @@ std::optional<std::vector<char>> tight_rows(
     ++out.lps_solved;
     out.pivots += pass_sol.pivots;
     if (!pass_sol.optimal()) break;
+    if (close(pass_sol.x)) continue;  // re-solve over the grown set
     if (pass_sol.objective <= kTol) {
       for (const std::size_t i : open) tight[i] = 1;
       open.clear();
@@ -279,6 +303,49 @@ std::optional<std::vector<char>> tight_rows(
   return tight;
 }
 
+// V(o) - x(o) for every orbit o at per-type shares x, in one pass over
+// the orbit ids. An id is its type counts in mixed radix, so stepping an
+// odometer from o - 1 to o leaves every digit below the one it carries
+// into at zero: that digit's type t is the lowest one present in o, and
+// x(o) = x(o - stride_t) + x_t.
+class ExcessScan {
+ public:
+  ExcessScan(const OrbitIndex& index, const std::vector<double>& values)
+      : values_(values),
+        sums_(static_cast<std::size_t>(index.orbit_count())),
+        excess_(sums_.size()) {
+    std::uint64_t stride = 1;
+    for (int t = 0; t < index.num_types(); ++t) {
+      const int m = index.partition().multiplicity(t);
+      radix_.push_back(m);
+      stride_.push_back(static_cast<std::size_t>(stride));
+      stride *= static_cast<std::uint64_t>(m) + 1;
+    }
+  }
+
+  [[nodiscard]] const std::vector<double>& at(const std::vector<double>& x) {
+    digits_.assign(radix_.size(), 0);
+    sums_[0] = 0.0;
+    excess_[0] = values_[0];
+    for (std::size_t o = 1; o < sums_.size(); ++o) {
+      std::size_t t = 0;
+      while (digits_[t] == radix_[t]) digits_[t++] = 0;
+      ++digits_[t];
+      sums_[o] = sums_[o - stride_[t]] + x[t];
+      excess_[o] = values_[o] - sums_[o];
+    }
+    return excess_;
+  }
+
+ private:
+  const std::vector<double>& values_;
+  std::vector<int> radix_;
+  std::vector<std::size_t> stride_;
+  std::vector<int> digits_;
+  std::vector<double> sums_;
+  std::vector<double> excess_;
+};
+
 // The Maschler scheme on weighted excess rows, one per proper orbit of
 // `index`. Variables are per-type shares x_0..x_{T-1} plus eps, all
 // free. The efficiency row reads sum_t m_t * x_t == V(N); the excess row
@@ -299,6 +366,17 @@ std::optional<std::vector<char>> tight_rows(
 // (c) the iterative fix-tight-in-every-optimum scheme computes the
 // lexicographic minimiser on any polytope, independently of how many
 // identical rows each constraint represents.
+//
+// Working set (row generation, after Hallefjord, Helming & Jørnsten
+// 1995): the LPs carry only the rows of a working set, seeded with the
+// per-type "one member" and "all but one" orbits, which with efficiency
+// bound every share to a box. Every LP runs to closure: one scan of
+// `values` finds the rows outside the set that its optimum violates,
+// the `batch` most violated join, and the LP re-solves until none is
+// violated. A relaxation optimum that violates no row is feasible, hence
+// optimal, for the full LP, so each level, decision and the allocation
+// are the full loop's. Fixed rows are always in the set; every row
+// outside it is an active a.x + eps >= V row of every round.
 NucleolusResult maschler(const OrbitIndex& index,
                          const std::vector<double>& values,
                          const lp::SimplexOptions& options) {
@@ -308,21 +386,17 @@ NucleolusResult maschler(const OrbitIndex& index,
   NucleolusResult out;
   out.excess_rows = orbits - 2;
   const double grand_value = values[static_cast<std::size_t>(orbits - 1)];
+  const double sep_tol =
+      kSeparationTol * std::max(1.0, std::abs(grand_value));
 
   const auto tv = static_cast<std::size_t>(T);  // eps lives at index tv
   const bool revised = options.solver == lp::SolverKind::kRevised;
-
-  // Proper orbits in ascending id order; the excess row of proper orbit
-  // #k is constraint 1 + k in both problems (row 0 is efficiency), and
-  // the probe problem appends the eps-pin row last.
-  std::vector<std::uint64_t> proper;
-  proper.reserve(static_cast<std::size_t>(out.excess_rows));
-  for (std::uint64_t o = 1; o + 1 < orbits; ++o) proper.push_back(o);
-  std::vector<char> active(proper.size(), 1);
+  const std::size_t batch = tv + 1;
 
   std::vector<int> counts;
   std::vector<double> row;
-  const auto fill_row = [&](std::uint64_t orbit, double eps_coeff) {
+  const auto fill_row = [&](std::uint64_t orbit, double eps_coeff)
+      -> const std::vector<double>& {
     index.counts_into(orbit, counts);
     row.assign(tv + 1, 0.0);
     for (int t = 0; t < T; ++t) {
@@ -330,11 +404,16 @@ NucleolusResult maschler(const OrbitIndex& index,
           static_cast<double>(counts[static_cast<std::size_t>(t)]);
     }
     row[tv] = eps_coeff;
+    return row;
   };
 
-  // Both LPs are built once; tight-orbit fixing between rounds patches
-  // only the row set (relation flip, eps coefficient dropped, rhs),
-  // in place, on the problems and the persistent revised engines.
+  // Both LPs open with the efficiency row; the probe problem's eps pin
+  // follows it (a singleton the revised engine presolves into a bound).
+  // Working row #k is then constraint 1 + k of round_prob and 2 + k of
+  // probe_prob. Fixing a row between rounds patches it in place
+  // (relation flip, eps coefficient dropped, rhs) on the problems and
+  // the persistent revised engines; a row joining the working set is
+  // appended to all of them.
   lp::Problem round_prob(tv + 1, lp::Objective::kMinimize);
   lp::Problem probe_prob(tv + 1, lp::Objective::kMaximize);
   for (std::size_t v = 0; v <= tv; ++v) {
@@ -351,15 +430,8 @@ NucleolusResult maschler(const OrbitIndex& index,
     probe_prob.add_constraint(std::move(eff), lp::Relation::kEqual,
                               grand_value);
   }
-  for (const std::uint64_t o : proper) {
-    fill_row(o, 1.0);
-    round_prob.add_constraint(row, lp::Relation::kGreaterEqual,
-                              values[static_cast<std::size_t>(o)]);
-    probe_prob.add_constraint(row, lp::Relation::kGreaterEqual,
-                              values[static_cast<std::size_t>(o)]);
-  }
   round_prob.set_objective_coefficient(tv, 1.0);
-  const std::size_t pin_row = 1 + proper.size();
+  constexpr std::size_t kPinRow = 1;
   {
     std::vector<double> pin(tv + 1, 0.0);
     pin[tv] = 1.0;
@@ -368,83 +440,171 @@ NucleolusResult maschler(const OrbitIndex& index,
 
   std::optional<lp::RevisedSimplex> round_engine;
   std::optional<lp::RevisedSimplex> probe_engine;
+  // The probe chain of the current decision or uniqueness step (revised
+  // engine), which also receives every row joining meanwhile.
+  std::optional<ObjectiveChain> chain;
+
+  std::vector<char> in_set(static_cast<std::size_t>(orbits), 0);
+  std::vector<std::uint64_t> working;  // orbit of working row #k
+  std::vector<char> fixed;             // per working row
+  const auto add_row = [&](std::uint64_t orbit) {
+    fill_row(orbit, 1.0);
+    const double v = values[static_cast<std::size_t>(orbit)];
+    round_prob.add_constraint(row, lp::Relation::kGreaterEqual, v);
+    probe_prob.add_constraint(row, lp::Relation::kGreaterEqual, v);
+    if (round_engine.has_value()) {
+      round_engine->add_constraint(row, lp::Relation::kGreaterEqual, v);
+      probe_engine->add_constraint(row, lp::Relation::kGreaterEqual, v);
+    }
+    if (chain.has_value()) {
+      chain->add_constraint(row, lp::Relation::kGreaterEqual, v);
+    }
+    in_set[static_cast<std::size_t>(orbit)] = 1;
+    working.push_back(orbit);
+    fixed.push_back(0);
+  };
+
+  {
+    std::vector<std::uint64_t> seeds;
+    for (int t = 0; t < T; ++t) {
+      seeds.push_back(*index.successor(0, t));
+      seeds.push_back(*index.predecessor(orbits - 1, t));
+    }
+    std::sort(seeds.begin(), seeds.end());
+    seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
+    for (const std::uint64_t o : seeds) {
+      if (index.is_proper(o)) add_row(o);
+    }
+  }
   if (revised) {
     round_engine.emplace(round_prob, options);
     probe_engine.emplace(probe_prob, options);
   }
 
+  ExcessScan scan(index, values);
+  std::vector<std::uint64_t> violated;
+  // One closure step at shares x and level eps: appends the (up to
+  // `batch`) rows outside the working set with V(o) - x(o) - eps above
+  // the separation tolerance, most violated first, and says whether it
+  // appended any.
+  const auto separate = [&](const std::vector<double>& x, double eps) {
+    const std::vector<double>& excess = scan.at(x);
+    violated.clear();
+    for (std::uint64_t o = 1; o + 1 < orbits; ++o) {
+      if (in_set[static_cast<std::size_t>(o)] == 0 &&
+          excess[static_cast<std::size_t>(o)] - eps > sep_tol) {
+        violated.push_back(o);
+      }
+    }
+    const auto worse = [&](std::uint64_t a, std::uint64_t b) {
+      const double ea = excess[static_cast<std::size_t>(a)];
+      const double eb = excess[static_cast<std::size_t>(b)];
+      return ea != eb ? ea > eb : a < b;
+    };
+    const std::size_t keep = std::min(batch, violated.size());
+    std::partial_sort(violated.begin(),
+                      violated.begin() + static_cast<std::ptrdiff_t>(keep),
+                      violated.end(), worse);
+    violated.resize(keep);
+    for (const std::uint64_t o : violated) add_row(o);
+    return keep > 0;
+  };
+
   lp::Basis round_basis;
   lp::Basis probe_basis;
   std::vector<double> per_type;
-  std::size_t num_active = proper.size();
+  std::vector<double> objective;
+  std::uint64_t num_active = orbits - 2;
   RankTracker fixed_span(tv);
-  fixed_span.add(probe_prob.constraints()[0].coefficients);  // efficiency
+  fixed_span.add(round_prob.constraints()[0].coefficients);  // efficiency
 
   while (num_active > 0) {
-    // 1. Least-core step over the remaining orbit rows, warm from the
-    //    previous round's basis (the row set changed, but prepare()
-    //    re-derives the computational form per solve).
+    // 1. Least-core step, closed over the working set, warm from the
+    //    previous solve's basis on the revised engine (the row set
+    //    changed, but prepare() re-derives the computational form per
+    //    solve, and appended rows enter with their slacks basic).
     lp::Solution sol;
-    if (revised) {
-      sol = round_engine->solve_from_basis(round_basis);
-      if (sol.optimal()) round_basis = round_engine->basis();
-    } else {
-      sol = lp::solve(round_prob, options);
+    for (;;) {
+      if (revised) {
+        sol = round_engine->solve_from_basis(round_basis);
+        if (sol.optimal()) round_basis = round_engine->basis();
+      } else {
+        sol = lp::solve(round_prob, options);
+      }
+      ++out.lps_solved;
+      out.pivots += sol.pivots;
+      if (!sol.optimal()) return out;
+      if (!separate(sol.x, sol.x[tv])) break;
     }
-    ++out.lps_solved;
-    out.pivots += sol.pivots;
-    if (!sol.optimal()) return out;
     const double eps = sol.x[tv];
     out.levels.push_back(eps);
     per_type.assign(sol.x.begin(), sol.x.begin() + T);
 
-    // 2. Tightness decisions for the active orbit rows: tight_rows
+    // Rows outside the working set within kTol of tight at x* join it
+    // with zero duals, so that every row left outside is slack by more
+    // than kTol at an optimum and stays active, as the slack filter
+    // decides for rows inside.
+    {
+      const std::vector<double>& excess = scan.at(sol.x);
+      for (std::uint64_t o = 1; o + 1 < orbits; ++o) {
+        if (in_set[static_cast<std::size_t>(o)] == 0 &&
+            excess[static_cast<std::size_t>(o)] >= eps - kTol) {
+          add_row(o);
+        }
+      }
+      if (!sol.duals.empty()) {
+        sol.duals.resize(round_prob.num_constraints(), 0.0);
+      }
+    }
+
+    // 2. Tightness decisions for the active working rows: tight_rows
     //    settles most from this optimum, and the rest run aux-max probes
-    //    with eps pinned (orbit o stays active iff some optimal solution
+    //    with eps pinned (row o stays active iff some optimal solution
     //    pushes x(o) above V(o) - eps). All probes of the round run
     //    against the same pre-fix row set (fixes are applied after),
     //    chained warm through one BatchSolver frame built on first use.
     if (revised) {
-      probe_engine->set_constraint_rhs(pin_row, eps);
+      probe_engine->set_constraint_rhs(kPinRow, eps);
     } else {
-      probe_prob.set_constraint_rhs(pin_row, eps);
+      probe_prob.set_constraint_rhs(kPinRow, eps);
     }
     std::vector<std::size_t> active_rows;
-    active_rows.reserve(num_active);
-    for (std::size_t k = 0; k < proper.size(); ++k) {
-      if (active[k]) active_rows.push_back(1 + k);
+    for (std::size_t k = 0; k < working.size(); ++k) {
+      if (fixed[k] == 0) active_rows.push_back(1 + k);
     }
-    std::optional<ObjectiveChain> chain;
+    const auto close = [&](const std::vector<double>& x) {
+      return separate(x, eps);
+    };
     const auto probe = [&](std::size_t i) {
       if (revised && !chain.has_value()) {
         chain.emplace(*probe_engine, std::move(probe_basis));
       }
-      fill_row(proper[active_rows[i] - 1], 0.0);
-      return probe_max(probe_prob, chain ? &*chain : nullptr, row, options,
-                       out);
+      objective = fill_row(working[active_rows[i] - 1], 0.0);
+      return probe_max(probe_prob, chain ? &*chain : nullptr, objective,
+                       options, out, close);
     };
     const auto tight =
-        tight_rows(round_prob, sol, active_rows, options, out, probe);
+        tight_rows(round_prob, sol, active_rows, options, out, probe, close);
     if (!tight.has_value()) return out;
     if (chain.has_value()) probe_basis = chain->basis();
+    chain.reset();
 
-    // Row-set patch: each tight orbit's row becomes an equality pinned
-    // at V(o) - eps_r with the eps column dropped, in place.
+    // Row-set patch: each tight row becomes an equality pinned at
+    // V(o) - eps_r with the eps column dropped, in place.
     bool fixed_any = false;
     for (std::size_t i = 0; i < active_rows.size(); ++i) {
       if ((*tight)[i] == 0) continue;
       const std::size_t k = active_rows[i] - 1;
-      const double bound = values[static_cast<std::size_t>(proper[k])] - eps;
-      fill_row(proper[k], 0.0);
-      const std::size_t cidx = 1 + k;
-      round_prob.set_constraint(cidx, row, lp::Relation::kEqual, bound);
-      probe_prob.set_constraint(cidx, row, lp::Relation::kEqual, bound);
+      const double bound = values[static_cast<std::size_t>(working[k])] - eps;
+      fill_row(working[k], 0.0);
+      round_prob.set_constraint(1 + k, row, lp::Relation::kEqual, bound);
+      probe_prob.set_constraint(2 + k, row, lp::Relation::kEqual, bound);
       if (revised) {
-        round_engine->set_constraint(cidx, row, lp::Relation::kEqual, bound);
-        probe_engine->set_constraint(cidx, row, lp::Relation::kEqual, bound);
+        round_engine->set_constraint(1 + k, row, lp::Relation::kEqual, bound);
+        probe_engine->set_constraint(2 + k, row, lp::Relation::kEqual, bound);
       }
       fixed_span.add(row);
-      active[k] = 0;
+      fixed[k] = 1;
       --num_active;
       fixed_any = true;
     }
@@ -452,22 +612,29 @@ NucleolusResult maschler(const OrbitIndex& index,
 
     // 3. Uniqueness on the patched rows (eps still pinned): full rank of
     //    the fixed equalities decides it without an LP; below full rank
-    //    at most 2T probes — one +/- pair per type outside the fixed
-    //    rows' span.
+    //    at most 2T closed probes — one +/- pair per type outside the
+    //    fixed rows' span.
     if (num_active > 0) {
       if (fixed_span.full()) break;
-      std::optional<ObjectiveChain> probe_chain;
-      if (revised) {
-        probe_chain.emplace(*probe_engine, std::move(probe_basis));
-      }
+      if (revised) chain.emplace(*probe_engine, std::move(probe_basis));
       const bool unique = ranges_are_points(
-          probe_prob, probe_chain ? &*probe_chain : nullptr,
-          fixed_span.unpinned_axes(), per_type, options, out);
-      if (revised) probe_basis = probe_chain->basis();
+          probe_prob, chain ? &*chain : nullptr, fixed_span.unpinned_axes(),
+          per_type, options, out, close);
+      if (revised) probe_basis = chain->basis();
+      chain.reset();
       if (unique) break;
     }
   }
 
+  // Postcondition, one scan of the full table: no coalition outside the
+  // working set has an excess above the last level at the answer.
+  const std::vector<double>& excess = scan.at(per_type);
+  for (std::uint64_t o = 1; o + 1 < orbits; ++o) {
+    if (in_set[static_cast<std::size_t>(o)] == 0 &&
+        excess[static_cast<std::size_t>(o)] - out.levels.back() > sep_tol) {
+      return out;
+    }
+  }
   out.solved = true;
   out.allocation = expand_type_values(part, per_type);
   return out;

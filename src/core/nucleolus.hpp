@@ -26,6 +26,19 @@
 // Each step reaches the decision the per-row LP would, so the fixed
 // set, every round's LP, and the result are the unfiltered scheme's.
 //
+// The LPs do not carry every excess row. They run over a working set
+// (row generation, after Hallefjord, Helming & Jørnsten 1995), seeded
+// with the per-type "one member" and "all but one" rows, which with
+// efficiency bound every share to a box. Each LP — least core, release
+// pass, aux-max and uniqueness probe — runs to closure: one scan of the
+// V table finds the rows its optimum violates, the most violated join,
+// and it re-solves until none is violated. A relaxation optimum that
+// violates no row is optimal for the full LP, so the answer is the
+// full-row loop's up to rounding; a final scan of the whole table
+// confirms that no row outside the working set has an excess above the
+// last level (else solved == false). At hetero n = 10 the LPs carry a
+// few dozen of the 1022 rows.
+//
 // One loop runs the scheme, over weighted excess rows: one row per
 // *orbit* of a PlayerPartition, with per-type share variables x_t and
 // the row of orbit c reading sum_t c_t * x_t + eps >= V(c).
@@ -57,15 +70,17 @@ struct NucleolusResult {
   std::vector<double> allocation;  ///< the nucleolus payoff vector
   std::vector<double> levels;      ///< epsilon level fixed at each round
   /// Introspection for the bench/report layers (filled by both
-  /// formulations): excess rows carried by every probe LP, LPs solved
-  /// across the scheme, and total simplex pivots.
+  /// formulations): excess rows of the formulation (2^n - 2, or the
+  /// proper orbits), of which the LPs carry a working set; LPs solved
+  /// across the scheme, every closure re-solve included; and total
+  /// simplex pivots.
   std::uint64_t excess_rows = 0;
   std::uint64_t lps_solved = 0;
   std::uint64_t pivots = 0;
 };
 
-/// Player ceiling of the dense formulation: n players carry 2^n - 2
-/// excess rows per probe LP, so 10 players carry 1022.
+/// Player ceiling of the dense formulation: n players have 2^n - 2
+/// excess rows, so 10 players have 1022 for the closure scans to read.
 inline constexpr int kMaxDenseNucleolusPlayers = 10;
 
 /// True when nucleolus(game) accepts an n-player game by size (it still

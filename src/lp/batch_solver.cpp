@@ -20,6 +20,12 @@ constexpr double kDualTol = 1e-7;
 BatchSolver::BatchSolver(const RevisedSimplex& prototype)
     : engine_(prototype) {}
 
+void BatchSolver::add_constraint(const std::vector<double>& coefficients,
+                                 Relation relation, double rhs) {
+  engine_.add_constraint(coefficients, relation, rhs);
+  frame_ok_ = false;
+}
+
 void BatchSolver::refresh_y() {
   const std::size_t m = engine_.num_rows_;
   y_.resize(m);

@@ -45,6 +45,12 @@ class BatchSolver {
                                          const Basis& basis,
                                          Basis* basis_out = nullptr);
 
+  /// Appends a row to the chain's engine (RevisedSimplex::add_constraint)
+  /// and drops the cached frame, whose factorization no longer spans the
+  /// basis. Bases handed to later probes may predate the append.
+  void add_constraint(const std::vector<double>& coefficients,
+                      Relation relation, double rhs);
+
  private:
   // After a pivoting solve on the engine, replays the warm-start
   // preamble (prepare / adopt / factorize / FTRAN) once so the next

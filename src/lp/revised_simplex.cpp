@@ -79,6 +79,7 @@ RevisedSimplex::RevisedSimplex(const Problem& problem, SimplexOptions options)
     }
   }
   num_cols_ = n_ + num_rows_;
+  built_rows_ = num_rows_;
   if (options_.observer != nullptr) mirror_ = problem;
 }
 
@@ -141,6 +142,42 @@ void RevisedSimplex::set_constraint(std::size_t constraint,
   constraint_rhs_[constraint] = rhs;
   if (mirror_.has_value()) {
     mirror_->set_constraint(constraint, coefficients, relation, rhs);
+  }
+}
+
+void RevisedSimplex::add_constraint(const std::vector<double>& coefficients,
+                                    Relation relation, double rhs) {
+  if (coefficients.size() != n_) {
+    throw std::invalid_argument(
+        "RevisedSimplex::add_constraint: coefficient count must match "
+        "variables");
+  }
+  if (std::all_of(coefficients.begin(), coefficients.end(),
+                  [](double c) { return c == 0.0; })) {
+    throw std::invalid_argument(
+        "RevisedSimplex::add_constraint: row needs a nonzero coefficient");
+  }
+  const std::size_t row = num_rows_;
+  ConstraintMap map;
+  map.index = row;
+  map.relation = relation;
+  constraint_map_.push_back(map);
+  constraint_rhs_.push_back(rhs);
+  row_relation_.push_back(relation);
+  row_constraint_.push_back(constraint_map_.size() - 1);
+  // The new row has the largest index, so appending keeps every column's
+  // entry list sorted by row.
+  for (std::size_t v = 0; v < n_; ++v) {
+    if (coefficients[v] != 0.0) cols_[v].push_back({row, coefficients[v]});
+  }
+  ++num_rows_;
+  ++num_cols_;
+  if (has_basis_) {
+    status_.push_back(VarStatus::kBasic);
+    basic_.push_back(n_ + row);
+  }
+  if (mirror_.has_value()) {
+    mirror_->add_constraint(coefficients, relation, rhs);
   }
 }
 
@@ -1154,8 +1191,19 @@ Solution RevisedSimplex::solve_from_basis(const Basis& basis) {
     return out;
   }
 
-  if (basis.status.size() == num_cols_) {
-    adopt_statuses(basis);
+  // A snapshot of this instance taken before add_constraint appended
+  // rows lacks their slacks, which enter the basis.
+  Basis grown;
+  if (basis.num_structural == n_ && basis.status.size() < num_cols_ &&
+      basis.status.size() >= n_ + built_rows_) {
+    grown.status = basis.status;
+    grown.status.resize(num_cols_, VarStatus::kBasic);
+    grown.num_structural = n_;
+  }
+  const Basis& warm = grown.empty() ? basis : grown;
+
+  if (warm.status.size() == num_cols_) {
+    adopt_statuses(warm);
     if (!factorize()) return solve();
     compute_basic_values();
     if (dual_feasible()) {

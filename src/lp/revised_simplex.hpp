@@ -64,9 +64,10 @@ enum class VarStatus : unsigned char {
 /// variables first, then one slack per non-presolved row). Produced by
 /// RevisedSimplex::basis() after a solve; consumed by solve_from_basis.
 /// A snapshot taken on one instance is reusable on any instance with
-/// the same constraint structure (only rhs/bounds/objective may differ);
-/// an instance with a different row set triggers the crash path, which
-/// reuses the structural statuses only.
+/// the same constraint structure (only rhs/bounds/objective may differ),
+/// and on its own instance after add_constraint appended rows (their
+/// slacks enter basic); an instance with a different row set triggers
+/// the crash path, which reuses the structural statuses only.
 struct Basis {
   std::vector<VarStatus> status;
   std::size_t num_structural = 0;
@@ -123,6 +124,19 @@ class RevisedSimplex {
   /// all zero; throws std::invalid_argument otherwise.
   void set_constraint(std::size_t constraint,
                       const std::vector<double>& coefficients,
+                      Relation relation, double rhs);
+
+  /// Appends a constraint as a real row, even a singleton (only rows
+  /// present at construction are presolved into bounds). Its slack is
+  /// the new last column and enters the basis, so the basis grows by
+  /// one and a snapshot taken before the append stays a warm start:
+  /// solve_from_basis reads the trailing slacks it lacks as basic. A row
+  /// the last optimum violates leaves that basis dual feasible, so the
+  /// dual simplex restores feasibility warm; a row it satisfies costs no
+  /// pivot. The row-generation path of the nucleolus. Throws
+  /// std::invalid_argument on a coefficient count mismatch or an
+  /// all-zero row.
+  void add_constraint(const std::vector<double>& coefficients,
                       Relation relation, double rhs);
 
   /// Replaces the declared bounds of structural variable `variable`.
@@ -246,6 +260,7 @@ class RevisedSimplex {
   std::size_t n_ = 0;         ///< structural variables
   std::size_t num_rows_ = 0;  ///< rows after presolve (basis dimension)
   std::size_t num_cols_ = 0;  ///< n_ + num_rows_
+  std::size_t built_rows_ = 0;  ///< num_rows_ before any add_constraint
   Objective sense_ = Objective::kMaximize;
   double csign_ = 1.0;  ///< internal minimize: c_int = csign_ * c_orig
   SimplexOptions options_;

@@ -249,6 +249,39 @@ void ServiceState::rebuild_template() {
   lp_proto_.emplace(lp_template_->problem(), lp::SimplexOptions{});
 }
 
+void ServiceState::narrow_template(int departed_slot) {
+  // A leave rebuilds the template from the remaining roster, as restore()
+  // does, so the live and a restored state solve the same LP from the
+  // same basis. The relaxation is block-diagonal by location: location l
+  // owns the structural columns c * L + l, one per class, and the slack
+  // of its capacity row when that row is real (two or more classes; one
+  // class presolves it into a bound). An optimal basis holds exactly one
+  // basic per block, so dropping the departed member's blocks leaves a
+  // basis of the narrower LP and the re-solve stays warm.
+  const std::size_t old_locations = lp_locations_;
+  const int first = lp_offset_[static_cast<std::size_t>(departed_slot)];
+  const lp::Basis old = std::move(bound_.basis);
+  rebuild_template();
+  if (first < 0 || !lp_template_ || old.empty()) return;
+  const auto begin = static_cast<std::size_t>(first);
+  const std::size_t end = begin + (old_locations - lp_locations_);
+  const auto kept = [&](std::size_t l) { return l < begin || l >= end; };
+  const std::size_t classes = old.num_structural / old_locations;
+  lp::Basis mapped;
+  mapped.num_structural = classes * lp_locations_;
+  for (std::size_t c = 0; c < classes; ++c) {
+    for (std::size_t l = 0; l < old_locations; ++l) {
+      if (kept(l)) mapped.status.push_back(old.status[c * old_locations + l]);
+    }
+  }
+  if (old.status.size() > old.num_structural) {
+    for (std::size_t l = 0; l < old_locations; ++l) {
+      if (kept(l)) mapped.status.push_back(old.status[old.num_structural + l]);
+    }
+  }
+  bound_.basis = std::move(mapped);
+}
+
 std::vector<double> ServiceState::active_caps() const {
   std::vector<double> caps(lp_locations_, 0.0);
   for (const Member& m : roster_) {
@@ -279,9 +312,9 @@ bool ServiceState::resolve_bound(const runtime::ComputeBudget& budget,
   const std::vector<double> caps = active_caps();
 
   // Warm from the previous epoch's optimal basis when the template kept
-  // it (an outage or a leave is a pure rhs patch — a dual-simplex
-  // re-solve); an empty basis (after a join or a demand update) solves
-  // cold.
+  // it (an outage is a pure rhs patch — a dual-simplex re-solve; a leave
+  // keeps it minus the departed columns); an empty basis (after a join
+  // or a demand update) solves cold.
   const bool warm = !bound_.basis.empty();
   lp::RevisedSimplex engine = *lp_proto_;
   engine.apply(lp_template_->capacity_patch(caps));
@@ -483,12 +516,16 @@ ApplyResult ServiceState::apply(const Event& event,
 
   // Every event changes the grand coalition, so its bound is re-solved.
   // Join and demand change the template (block layout / objective) and
-  // drop the basis with it; outage and leave keep both — a pure capacity
-  // patch.
+  // drop the basis with it; a leave narrows both to the remaining
+  // blocks; an outage keeps both — a pure capacity patch.
   bound_.valid = false;
-  if (options_.track_bounds && (std::holds_alternative<FacilityJoin>(event) ||
-                                std::holds_alternative<DemandUpdate>(event))) {
-    rebuild_template();
+  if (options_.track_bounds) {
+    if (std::holds_alternative<FacilityJoin>(event) ||
+        std::holds_alternative<DemandUpdate>(event)) {
+      rebuild_template();
+    } else if (std::holds_alternative<FacilityLeave>(event)) {
+      narrow_template(slot);
+    }
   }
 
   return finish(std::move(result), budget);

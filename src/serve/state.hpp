@@ -29,10 +29,12 @@
 //    surviving half of the lattice is reused bit-for-bit, which is sound
 //    because a coalition's pooled capacity vector depends only on its
 //    own members' configs in slot order. The LP-relaxation bound is kept
-//    for the active grand coalition only: one LP per epoch. Outage and
-//    leave keep the relaxation template, so they are pure capacity
-//    patches and the previous epoch's optimal basis re-solves them in a
-//    few dual pivots (lp::RevisedSimplex::solve_from_basis); join and
+//    for the active grand coalition only: one LP per epoch. An outage
+//    keeps the relaxation template, so it is a pure capacity patch and
+//    the previous epoch's optimal basis re-solves it in a few dual
+//    pivots (lp::RevisedSimplex::solve_from_basis); a leave narrows the
+//    template to the remaining roster and keeps the basis minus the
+//    departed member's columns, so it re-solves warm too; join and
 //    demand rebuild the template and solve cold. A failed warm solve
 //    falls back cold through the verify::certify_or_escalate cascade.
 //  * Published-answer memo. Publishing runs game::compare_schemes on
@@ -330,7 +332,8 @@ class ServiceState {
     double value = 0.0;
     bool valid = false;
     /// Optimal basis of the last solve under the current template (empty
-    /// = solve cold). rebuild_template() clears it.
+    /// = solve cold). rebuild_template() clears it; narrow_template()
+    /// maps it onto the narrower template.
     lp::Basis basis;
   };
 
@@ -353,6 +356,7 @@ class ServiceState {
       const;
   [[nodiscard]] std::vector<double> active_caps() const;
   void rebuild_template();
+  void narrow_template(int departed_slot);
 
   ServeOptions options_;
   mutable std::mutex mu_;

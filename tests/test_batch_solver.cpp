@@ -176,6 +176,65 @@ TEST(BatchSolverObjectiveChain, BitIdenticalToPerProbeWarmChain) {
   EXPECT_GT(pivoting_probes, 0);
 }
 
+// Row generation inside a chain: halfway through, one held-back excess
+// row is appended to both the BatchSolver and the per-probe engine. The
+// cached frame is dropped, the held basis lacks the new slack, and every
+// later probe must still match the per-probe chain bit for bit.
+TEST(BatchSolverObjectiveChain, BitIdenticalAfterAnAppendedRow) {
+  for (const int n : {4, 5, 6}) {
+    for (std::uint32_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " seed=" << seed);
+      const Problem full = pinned_least_core(n, seed);
+      // Hold back the "all but player 0" row (the last excess row).
+      const std::size_t held = full.num_constraints() - 2;
+      Problem partial(full.num_variables(), full.sense());
+      for (std::size_t v = 0; v < full.num_variables(); ++v) {
+        partial.set_free(v);
+      }
+      for (std::size_t i = 0; i < full.num_constraints(); ++i) {
+        if (i == held) continue;
+        const Constraint& c = full.constraints()[i];
+        partial.add_constraint(c.coefficients, c.relation, c.rhs);
+      }
+      SimplexOptions options;
+      options.solver = SolverKind::kRevised;
+      const RevisedSimplex proto(partial, options);
+      const auto objectives =
+          probe_objectives(static_cast<std::size_t>(n), seed);
+      const std::size_t split = objectives.size() / 2;
+
+      BatchSolver solver(proto);
+      RevisedSimplex engine = proto;
+      Basis batch_basis;
+      Basis ref_basis;
+      for (std::size_t k = 0; k < objectives.size(); ++k) {
+        SCOPED_TRACE(testing::Message() << "probe " << k);
+        if (k == split) {
+          const Constraint& c = full.constraints()[held];
+          solver.add_constraint(c.coefficients, c.relation, c.rhs);
+          engine.add_constraint(c.coefficients, c.relation, c.rhs);
+        }
+        Basis next;
+        const Solution g =
+            solver.solve_objective(objectives[k], batch_basis, &next);
+        if (g.optimal()) batch_basis = next;
+        for (std::size_t v = 0; v < objectives[k].size(); ++v) {
+          engine.set_objective_coefficient(v, objectives[k][v]);
+        }
+        const Solution w = engine.solve_from_basis(ref_basis);
+        if (w.optimal()) ref_basis = engine.basis();
+        ASSERT_EQ(g.status, w.status);
+        EXPECT_TRUE(same_bits(g.objective, w.objective));
+        EXPECT_EQ(g.pivots, w.pivots);
+        EXPECT_TRUE(same_bits(g.x, w.x));
+        EXPECT_TRUE(same_bits(g.duals, w.duals));
+        EXPECT_EQ(batch_basis.status, ref_basis.status);
+      }
+      EXPECT_EQ(batch_basis.status.size(), engine.num_columns());
+    }
+  }
+}
+
 TEST(BatchSolverObjectiveChain, ChargesBudgetLikePerProbeWarmChain) {
   // The cached path must replay the per-probe budget charges (one unit
   // for the dual sweep's entry check plus one for the primal pass on a

@@ -1,15 +1,19 @@
-// Differential regression test for the nucleolus tightness filters
-// (core/nucleolus.cpp: slack filter, dual filter, batched release and
-// the rank-first uniqueness test). The reference (nucleolus_reference.hpp)
-// is the classical loop that runs one aux-max LP for every active row and
-// the +/- probes every round; the filtered scheme must fix the same rows
-// in the same order, so its allocation and levels are bitwise-equal to
-// the reference on every game of the corpus, for both formulations and
-// both simplex engines, while solving far fewer LPs. The dense entry
-// point runs the orbit-row loop on the all-singletons partition, so its
-// bitwise reference is the orbit-row reference on that partition; the
-// historical mask-row reference, which orders the rows differently,
-// stays as an oracle within 1e-12 * scale.
+// Differential regression test for the nucleolus tightness filters and
+// the working set they run on (core/nucleolus.cpp: slack filter, dual
+// filter, batched release, rank-first uniqueness, row generation). The
+// reference (nucleolus_reference.hpp) is the classical loop that carries
+// every excess row in every LP and runs one aux-max LP for every active
+// row and the +/- probes every round. The working-set loop solves
+// different but equivalent LPs, so on every game of the corpus, for
+// both formulations and both simplex engines, it must fix the same
+// number of levels and agree on the allocation and every level within
+// 1e-12 * max(1, |V(N)|), while solving far fewer LPs. Every answer
+// also passes the full-table scan: no coalition's excess exceeds the
+// last level unless it sits on an earlier fixed level; and every LP of
+// the loop, closure re-solves included, is certified. The dense entry
+// point runs the orbit-row loop on the all-singletons partition, so it
+// is checked against both the orbit-row reference on that partition and
+// the historical mask-row reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,12 +23,16 @@
 #include <utility>
 #include <vector>
 
+#include "cli/runner.hpp"
 #include "core/game.hpp"
 #include "core/nucleolus.hpp"
 #include "core/symmetry.hpp"
+#include "io/config.hpp"
 #include "lp/simplex.hpp"
+#include "model/federation.hpp"
 #include "nucleolus_reference.hpp"
 #include "sim/rng.hpp"
+#include "verify/certified.hpp"
 
 namespace fedshare::game {
 namespace {
@@ -187,26 +195,12 @@ lp::SimplexOptions with_engine(lp::SolverKind kind) {
   return options;
 }
 
-void expect_bitwise(const NucleolusResult& got, const NucleolusResult& want,
-                    const std::string& what) {
-  ASSERT_TRUE(want.solved) << what;
-  ASSERT_TRUE(got.solved) << what;
-  ASSERT_EQ(got.allocation.size(), want.allocation.size()) << what;
-  for (std::size_t i = 0; i < want.allocation.size(); ++i) {
-    EXPECT_EQ(got.allocation[i], want.allocation[i]) << what << " player " << i;
-  }
-  ASSERT_EQ(got.levels.size(), want.levels.size()) << what;
-  for (std::size_t r = 0; r < want.levels.size(); ++r) {
-    EXPECT_EQ(got.levels[r], want.levels[r]) << what << " round " << r;
-  }
-  EXPECT_EQ(got.excess_rows, want.excess_rows) << what;
-}
-
-// Agreement within 1e-12 * max(1, |V(N)|), for results whose LPs carry
-// the same rows in a different order.
+// Agreement within 1e-12 * scale, scale = max(1, |V(N)|), on the same
+// number of levels: the tolerance of results whose LPs carry the same
+// rows in a different order, or a working set of them.
 void expect_close(const NucleolusResult& got, const NucleolusResult& want,
-                  const TabularGame& g, const std::string& what) {
-  const double scale = std::max(1.0, std::abs(g.grand_value()));
+                  double grand_value, const std::string& what) {
+  const double scale = std::max(1.0, std::abs(grand_value));
   ASSERT_TRUE(want.solved) << what;
   ASSERT_TRUE(got.solved) << what;
   ASSERT_EQ(got.allocation.size(), want.allocation.size()) << what;
@@ -220,6 +214,50 @@ void expect_close(const NucleolusResult& got, const NucleolusResult& want,
     EXPECT_LE(std::abs(got.levels[r] - want.levels[r]), 1e-12 * scale)
         << what << " round " << r;
   }
+  EXPECT_EQ(got.excess_rows, want.excess_rows) << what;
+}
+
+// The full-table postcondition, checked from outside the loop: at the
+// answer every coalition's excess V(S) - x(S) is at most the last level,
+// or sits on one of the earlier levels, where a round fixed it.
+void expect_excesses_within_levels(const NucleolusResult& r,
+                                   const TabularGame& g,
+                                   const std::string& what) {
+  ASSERT_TRUE(r.solved) << what;
+  ASSERT_FALSE(r.levels.empty()) << what;
+  const double tol = 1e-9 * std::max(1.0, std::abs(g.grand_value()));
+  const std::uint64_t grand = (std::uint64_t{1} << g.num_players()) - 1;
+  for (std::uint64_t mask = 1; mask < grand; ++mask) {
+    double x = 0.0;
+    for (int i = 0; i < g.num_players(); ++i) {
+      if ((mask >> i) & 1u) x += r.allocation[static_cast<std::size_t>(i)];
+    }
+    const double excess = g.values()[mask] - x;
+    if (excess <= r.levels.back() + tol) continue;
+    const bool on_level = std::any_of(
+        r.levels.begin(), r.levels.end(),
+        [&](double level) { return std::abs(excess - level) <= tol; });
+    EXPECT_TRUE(on_level) << what << " coalition " << mask << " excess "
+                          << excess << " above the last level "
+                          << r.levels.back();
+  }
+}
+
+// Reruns `solve` with every LP certified at --verify full: each closure
+// re-solve is an LP of its own, so the observer must see exactly
+// lps_solved solves, none failing.
+template <typename Solve>
+void expect_every_lp_certified(lp::SimplexOptions options, const Solve& solve,
+                               const std::string& what) {
+  verify::VerifyOptions verify_options;
+  verify_options.level = verify::VerifyLevel::kFull;
+  verify::CertifyingObserver observer(verify_options, options);
+  options.observer = &observer;
+  const NucleolusResult r = solve(options);
+  ASSERT_TRUE(r.solved) << what;
+  const auto stats = observer.stats();
+  EXPECT_EQ(stats.solves, r.lps_solved) << what;
+  EXPECT_EQ(stats.failures, 0u) << what;
 }
 
 // The unfiltered orbit-row loop on the all-singletons partition: the
@@ -235,8 +273,9 @@ class NucleolusFilters : public ::testing::TestWithParam<Family> {};
 // 9 seeds per n = 2..7 for each of the four families: 216 games, each
 // run on the revised engine. The dense engine runs every game up to
 // n = 6; at n = 7 one unfiltered dense-engine run alone takes seconds.
-// Bitwise against the identity-partition orbit reference, within
-// 1e-12 * scale of the mask reference, whose LP count is the baseline.
+// Within 1e-12 * scale of the identity-partition orbit reference and of
+// the mask reference, whose LP count is the baseline. (The name dates
+// from the full-row loop, which matched the orbit reference bitwise.)
 TEST_P(NucleolusFilters, MaskLoopMatchesUnfilteredBitwise) {
   const Family family = GetParam();
   sim::Xoshiro256 rng(0xF117E25 + static_cast<std::uint64_t>(family));
@@ -256,8 +295,14 @@ TEST_P(NucleolusFilters, MaskLoopMatchesUnfilteredBitwise) {
                                  std::to_string(n) + " seed " +
                                  std::to_string(seed) + " " +
                                  lp::to_string(kind);
-        expect_bitwise(got, identity_reference(g, options), what);
-        expect_close(got, want, g, what);
+        expect_close(got, identity_reference(g, options), g.grand_value(),
+                     what);
+        expect_close(got, want, g.grand_value(), what);
+        expect_excesses_within_levels(got, g, what);
+        expect_every_lp_certified(
+            options,
+            [&](const lp::SimplexOptions& o) { return nucleolus(g, o); },
+            what);
         filtered_lps += got.lps_solved;
         reference_lps += want.lps_solved;
       }
@@ -268,7 +313,7 @@ TEST_P(NucleolusFilters, MaskLoopMatchesUnfilteredBitwise) {
 }
 
 // 10 typed games per n = 3..7 for each family (200 in all), both
-// engines on every game.
+// engines on every game, within 1e-12 * scale of the orbit reference.
 TEST_P(NucleolusFilters, OrbitLoopMatchesUnfilteredBitwise) {
   const Family family = GetParam();
   sim::Xoshiro256 rng(0x0B17 + static_cast<std::uint64_t>(family));
@@ -279,17 +324,26 @@ TEST_P(NucleolusFilters, OrbitLoopMatchesUnfilteredBitwise) {
       const PlayerPartition part = typed_partition(n, rng);
       const FunctionGame base = typed_game(family, part, rng.next());
       const QuotientGame quotient(base, part);
+      const TabularGame full = tabulate(base);
       for (const auto kind :
            {lp::SolverKind::kDense, lp::SolverKind::kRevised}) {
         const auto options = with_engine(kind);
         const NucleolusResult want =
             reference::unfiltered_nucleolus_quotient(quotient, options);
         const NucleolusResult got = nucleolus_quotient(quotient, options);
-        expect_bitwise(got, want,
-                       std::string(name_of(family)) + " n=" +
-                           std::to_string(n) + " types " +
-                           std::to_string(part.num_types()) + " seed " +
-                           std::to_string(seed) + " " + lp::to_string(kind));
+        const std::string what = std::string(name_of(family)) + " n=" +
+                                 std::to_string(n) + " types " +
+                                 std::to_string(part.num_types()) +
+                                 " seed " + std::to_string(seed) + " " +
+                                 lp::to_string(kind);
+        expect_close(got, want, full.grand_value(), what);
+        expect_excesses_within_levels(got, full, what);
+        expect_every_lp_certified(
+            options,
+            [&](const lp::SimplexOptions& o) {
+              return nucleolus_quotient(quotient, o);
+            },
+            what);
         filtered_lps += got.lps_solved;
         reference_lps += want.lps_solved;
       }
@@ -301,8 +355,8 @@ TEST_P(NucleolusFilters, OrbitLoopMatchesUnfilteredBitwise) {
 
 // The dual filter's threshold follows SimplexOptions.tolerance (kept
 // 100x above it); a raised and a lowered engine tolerance must still
-// reproduce the unfiltered loops run at that same tolerance, bit for
-// bit, on both formulations and both engines.
+// reproduce the unfiltered loops run at that same tolerance, on both
+// formulations and both engines.
 TEST_P(NucleolusFilters, MatchesUnfilteredAtNonDefaultTolerance) {
   const Family family = GetParam();
   sim::Xoshiro256 rng(0x70105 + static_cast<std::uint64_t>(family));
@@ -323,17 +377,58 @@ TEST_P(NucleolusFilters, MatchesUnfilteredAtNonDefaultTolerance) {
               " seed " + std::to_string(seed) + " " + lp::to_string(kind) +
               " tolerance " + label;
           const NucleolusResult mask = nucleolus(g, options);
-          expect_bitwise(mask, identity_reference(g, options), "mask " + what);
-          expect_close(mask, reference::unfiltered_nucleolus(g, options), g,
+          expect_close(mask, identity_reference(g, options), g.grand_value(),
                        "mask " + what);
-          expect_bitwise(
-              nucleolus_quotient(quotient, options),
+          expect_close(mask, reference::unfiltered_nucleolus(g, options),
+                       g.grand_value(), "mask " + what);
+          expect_excesses_within_levels(mask, g, "mask " + what);
+          const NucleolusResult orbit = nucleolus_quotient(quotient, options);
+          const TabularGame full = tabulate(typed);
+          expect_close(
+              orbit,
               reference::unfiltered_nucleolus_quotient(quotient, options),
-              "orbit " + what);
+              full.grand_value(), "orbit " + what);
+          expect_excesses_within_levels(orbit, full, "orbit " + what);
         }
       }
     }
   }
+}
+
+// A federation of n distinct facilities under the default report's two
+// demand classes (bench/perf_nucleolus's hetero_game): the dense path of
+// `fedshare_cli <config>`, where no two players are interchangeable.
+TabularGame hetero_game(int n) {
+  std::string text;
+  for (int i = 0; i < n; ++i) {
+    text += "[facility]\nname = F" + std::to_string(i) +
+            "\nlocations = " + std::to_string(130 + 110 * i) +
+            "\nunits = " + std::to_string(i % 2 + 1) + "\n\n";
+  }
+  text +=
+      "[demand]\ncount = 20\nmin_locations = 300\n\n"
+      "[demand]\ncount = 5\nmin_locations = 900\nexponent = 1.2\n";
+  return cli::federation_from_config(io::Config::parse_string(text))
+      .build_game();
+}
+
+// Heterogeneous n = 8 against the unfiltered orbit reference on the
+// all-singletons partition: 254 rows, a working set of a few dozen.
+void expect_hetero_eight_matches_unfiltered(lp::SolverKind kind) {
+  const TabularGame g = hetero_game(8);
+  const auto options = with_engine(kind);
+  const NucleolusResult got = nucleolus(g, options);
+  const std::string what = std::string("hetero n=8 ") + lp::to_string(kind);
+  expect_close(got, identity_reference(g, options), g.grand_value(), what);
+  expect_excesses_within_levels(got, g, what);
+}
+
+TEST(NucleolusWorkingSet, HeteroEightMatchesUnfilteredDense) {
+  expect_hetero_eight_matches_unfiltered(lp::SolverKind::kDense);
+}
+
+TEST(NucleolusWorkingSet, HeteroEightMatchesUnfilteredRevised) {
+  expect_hetero_eight_matches_unfiltered(lp::SolverKind::kRevised);
 }
 
 INSTANTIATE_TEST_SUITE_P(

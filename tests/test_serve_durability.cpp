@@ -487,6 +487,49 @@ TEST(ServeDurabilityTest, LegacyBoundRecordsRestoreLikeTheTrimmedImage) {
   }
 }
 
+// A leave narrows the relaxation template to the remaining roster, and
+// restore() builds the template from the roster, so the live and the
+// restored state solve the same LP from the same basis: after a leave
+// from the middle of the roster, a checkpoint and a restore, four outage
+// flaps re-solve the bound to the uncrashed run's value with its pivot
+// count, warm every time.
+TEST(ServeDurabilityTest, RestoreAfterALeaveResolvesLikeTheUncrashedRun) {
+  ServiceState live;
+  for (const char* line :
+       {"demand count=3,min_locations=2;count=2,min_locations=1,units=2",
+        "join name=A locations=3 units=5 availability=0.8",
+        "join name=B locations=2 units=2 availability=1",
+        "join name=C locations=4 units=4 availability=0.9",
+        "leave name=B"}) {
+    (void)live.apply(fedshare::serve::parse_event(line));
+  }
+  ServiceState restored;
+  restored.restore(fedshare::serve::decode_checkpoint(
+      fedshare::serve::encode_checkpoint(live.checkpoint_image())));
+
+  std::uint64_t pivots = 0;
+  for (int flap = 0; flap < 4; ++flap) {
+    const std::string name = flap % 2 == 0 ? "A" : "C";
+    for (const std::string& line :
+         {"outage-start name=" + name + " seed=" + std::to_string(flap + 3) +
+              " scenario=" + std::to_string(flap),
+          "outage-end name=" + name}) {
+      SCOPED_TRACE(line);
+      const Event event = fedshare::serve::parse_event(line);
+      const auto a = live.apply(event);
+      const auto b = restored.apply(event);
+      EXPECT_EQ(a.lp_incremental, 1u);
+      EXPECT_EQ(b.lp_incremental, 1u);
+      EXPECT_EQ(a.lp_pivots, b.lp_pivots);
+      pivots += a.lp_pivots;
+      ASSERT_TRUE(live.query().grand_bound.has_value());
+      ASSERT_TRUE(restored.query().grand_bound.has_value());
+      EXPECT_EQ(*live.query().grand_bound, *restored.query().grand_bound);
+    }
+  }
+  EXPECT_GT(pivots, 0u);  // the flaps move the basis
+}
+
 TEST(ServeDurabilityTest, RestoreRejectsAnOutOfRangeBoundMask) {
   ServiceState state;
   for (const Event& event : script_events()) (void)state.apply(event);

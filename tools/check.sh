@@ -13,7 +13,9 @@
 # quotient tabulation or a certified LP chain stops being
 # bitwise-identical, the tabulated game stops being bitwise-identical
 # across thread counts, the
-# nucleolus stops skipping its provably redundant LPs, or
+# nucleolus stops skipping its provably redundant LPs or stops solving
+# the heterogeneous n = 9 game on its working set (every LP certified,
+# full-table excess scan clean), or
 # the serve layer stops re-solving its bound with at most one LP per
 # event (warm on outages and leaves), its incremental V(S)
 # tabulation stops beating a cold re-tabulation, or an outage-end stops
@@ -67,7 +69,7 @@ echo "== quotient smoke (quotient tabulation bitwise vs full) =="
 cmake --build "$root/build" -j "$jobs" --target perf_quotient
 "$root/build/bench/perf_quotient" --smoke
 
-echo "== nucleolus smoke (quotient vs dense, LP-ratio and certification gates) =="
+echo "== nucleolus smoke (quotient vs dense, LP-ratio, certification and hetero n = 9 working-set gates) =="
 cmake --build "$root/build" -j "$jobs" --target perf_nucleolus
 "$root/build/bench/perf_nucleolus" --smoke
 

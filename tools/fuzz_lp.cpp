@@ -3,7 +3,10 @@
 // Generates random bounded LPs on a small coefficient grid and solves
 // each three ways: dense two-phase tableau, revised simplex from a cold
 // basis, and revised simplex warm-started from the optimal basis of an
-// rhs-perturbed neighbour. Any disagreement — status mismatch,
+// rhs-perturbed neighbour. Then it appends one random row to the warm
+// engine (RevisedSimplex::add_constraint, the nucleolus row-generation
+// step), re-solves warm, and checks that against a dense cold solve of
+// the grown problem. Any disagreement — status mismatch,
 // objective divergence, or a certificate (verify/certificates.hpp) that
 // fails on a claimed answer — is a bug in at least one engine, and the
 // harness prints a self-contained reproduction and exits non-zero.
@@ -29,6 +32,7 @@
 
 namespace {
 
+using fedshare::lp::Constraint;
 using fedshare::lp::Objective;
 using fedshare::lp::Problem;
 using fedshare::lp::Relation;
@@ -59,6 +63,8 @@ struct Case {
   Problem problem;
   // The rhs-perturbed neighbour solved first to seed the warm start.
   std::vector<double> neighbour_rhs;
+  // The row appended after the warm solve (never all zero).
+  Constraint appended;
 };
 
 Case make_case(std::uint64_t seed) {
@@ -81,6 +87,11 @@ Case make_case(std::uint64_t seed) {
     c.neighbour_rhs.push_back(rhs + (static_cast<double>(pick(rng, 5)) - 2.0));
     c.problem.add_constraint(std::move(coef), rel, rhs);
   }
+  c.appended.coefficients.resize(n);
+  for (auto& v : c.appended.coefficients) v = grid(rng);
+  c.appended.coefficients[pick(rng, n)] = 1.0 + static_cast<double>(pick(rng, 3));
+  c.appended.relation = static_cast<Relation>(pick(rng, 3));
+  c.appended.rhs = grid(rng);
   return c;
 }
 
@@ -156,43 +167,63 @@ bool run_case(std::uint64_t seed, Failure& failure) {
   }
   const Solution warm = warm_engine.solve_from_basis(basis);
 
+  // Row generation: append the extra row and re-solve warm from the
+  // basis of the solve before it; the oracle is a dense cold solve of
+  // the grown problem.
+  const fedshare::lp::Basis before_append = warm_engine.basis();
+  Problem grown = c.problem;
+  grown.add_constraint(c.appended.coefficients, c.appended.relation,
+                       c.appended.rhs);
+  warm_engine.add_constraint(c.appended.coefficients, c.appended.relation,
+                             c.appended.rhs);
+  const Solution appended = warm_engine.solve_from_basis(before_append);
+  const Solution grown_dense = fedshare::lp::solve(grown, dense_opts);
+
   if (!comparable(dense.status) || !comparable(revised.status) ||
-      !comparable(warm.status)) {
+      !comparable(warm.status) || !comparable(appended.status) ||
+      !comparable(grown_dense.status)) {
     return true;  // a limit tripped; nothing to compare
   }
 
-  const struct {
+  struct Answer {
     const char* name;
+    const Problem* problem;
     const Solution* s;
-  } answers[] = {{"dense", &dense}, {"revised", &revised}, {"warm", &warm}};
+    const Solution* oracle;
+  };
+  const Answer answers[] = {
+      {"dense", &c.problem, &dense, &dense},
+      {"revised", &c.problem, &revised, &dense},
+      {"warm", &c.problem, &warm, &dense},
+      {"grown dense", &grown, &grown_dense, &grown_dense},
+      {"appended-row warm", &grown, &appended, &grown_dense}};
 
   for (const auto& a : answers) {
     std::string why;
-    if (!certificate_ok(c.problem, *a.s, why)) {
+    if (!certificate_ok(*a.problem, *a.s, why)) {
       failure.what = std::string(a.name) + " certificate invalid: " + why;
       return false;
     }
   }
   for (const auto& a : answers) {
-    if (a.s->status != dense.status) {
+    if (a.s->status != a.oracle->status) {
       failure.what = std::string("status mismatch: dense=") +
-                     status_name(dense.status) + " " + a.name + "=" +
+                     status_name(a.oracle->status) + " " + a.name + "=" +
                      status_name(a.s->status);
       return false;
     }
   }
-  if (dense.status == SolveStatus::kOptimal) {
-    double scale = 1.0;
-    for (double cj : c.problem.objective()) {
-      scale = std::max(scale, std::abs(cj));
-    }
-    for (const auto& a : answers) {
-      if (std::abs(a.s->objective - dense.objective) > 1e-6 * scale * 8.0) {
-        failure.what = std::string("objective mismatch: dense=") +
-                       std::to_string(dense.objective) + " " + a.name + "=" +
-                       std::to_string(a.s->objective);
-        return false;
-      }
+  double scale = 1.0;
+  for (double cj : c.problem.objective()) {
+    scale = std::max(scale, std::abs(cj));
+  }
+  for (const auto& a : answers) {
+    if (a.oracle->status == SolveStatus::kOptimal &&
+        std::abs(a.s->objective - a.oracle->objective) > 1e-6 * scale * 8.0) {
+      failure.what = std::string("objective mismatch: dense=") +
+                     std::to_string(a.oracle->objective) + " " + a.name +
+                     "=" + std::to_string(a.s->objective);
+      return false;
     }
   }
   return true;
@@ -242,12 +273,17 @@ int main(int argc, char** argv) {
                 << case_seed << "): " << failure.what << "\n";
       std::cerr << "reproduce with: fuzz_lp --seed " << case_seed
                 << " --cases 1 --seconds 0\n";
-      dump(make_case(case_seed).problem, std::cerr);
+      const Case c = make_case(case_seed);
+      Problem grown = c.problem;
+      grown.add_constraint(c.appended.coefficients, c.appended.relation,
+                           c.appended.rhs);
+      std::cerr << "(the last row is the appended one)\n";
+      dump(grown, std::cerr);
       return 1;
     }
     ++cases;
   }
-  std::cout << "fuzz_lp: " << cases << " cases, 3 engines each, no "
-            << "disagreements\n";
+  std::cout << "fuzz_lp: " << cases << " cases, 3 engines each plus an "
+            << "appended-row warm re-solve, no disagreements\n";
   return 0;
 }
