@@ -96,7 +96,7 @@ void BM_CachedRetabulate(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(fed.build_game());
   }
-  state.counters["hit_rate"] = fed.value_cache().hit_rate();
+  state.counters["hit_rate"] = fed.value_cache().stats().hit_rate();
 }
 BENCHMARK(BM_CachedRetabulate);
 
@@ -144,7 +144,7 @@ void write_summary_json() {
   const auto cached_fed = make_fed(kPlayers);
   benchmark::DoNotOptimize(cached_fed.build_game());
   benchmark::DoNotOptimize(cached_fed.build_game());
-  const auto& cache = cached_fed.value_cache();
+  const exec::CacheStats cache = cached_fed.value_cache().stats();
 
   const char* out_env = std::getenv("FEDSHARE_BENCH_OUT");
   const std::string path =
@@ -177,8 +177,8 @@ void write_summary_json() {
   };
   emit_series("tabulate_ms", tabulate_ms);
   emit_series("mc_shapley_ms", mc_ms);
-  out << "  \"cache\": {\"entries\": " << cache.size()
-      << ", \"hits\": " << cache.hits() << ", \"misses\": " << cache.misses()
+  out << "  \"cache\": {\"entries\": " << cache.entries
+      << ", \"hits\": " << cache.hits << ", \"misses\": " << cache.misses
       << ", \"hit_rate\": " << cache.hit_rate() << "}\n";
   out << "}\n";
   std::cout << "(summary written to " << path << ")\n";

@@ -15,6 +15,13 @@ namespace {
 // games the per-chunk overhead is still negligible next to 2^n calls.
 constexpr std::uint64_t kTabulateChunk = 16;
 
+std::uint64_t cached_game_capacity(const Game& base) {
+  if (base.num_players() > 24) {
+    throw std::invalid_argument("CachedGame: n must be <= 24");
+  }
+  return std::uint64_t{1} << base.num_players();
+}
+
 }  // namespace
 
 std::optional<double> Game::value_budgeted(
@@ -84,19 +91,19 @@ double FunctionGame::value(Coalition coalition) const {
   return fn_(coalition);
 }
 
-CachedGame::CachedGame(const Game& base, exec::ValueCache& cache)
-    : base_(&base), cache_(&cache) {}
+CachedGame::CachedGame(const Game& base)
+    : base_(&base), cache_(cached_game_capacity(base)) {}
 
 int CachedGame::num_players() const { return base_->num_players(); }
 
 double CachedGame::value(Coalition coalition) const {
-  return cache_->value_or_compute(
+  return cache_.value_or_compute(
       coalition.bits(), [&] { return base_->value(coalition); });
 }
 
 std::optional<double> CachedGame::value_budgeted(
     Coalition coalition, const runtime::ComputeBudget& budget) const {
-  return cache_->value_or_compute_budgeted(
+  return cache_.value_or_compute_budgeted(
       coalition.bits(), budget, [&] { return base_->value(coalition); });
 }
 

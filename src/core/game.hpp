@@ -95,17 +95,15 @@ class FunctionGame final : public Game {
   ValueFn fn_;
 };
 
-/// A game decorated with a shared exec::ValueCache: each distinct V(S)
-/// is computed at most once per cache and then shared by every consumer
-/// (tabulation, Shapley, nucleolus, core checks, incentive and
-/// sensitivity sweeps). Thread-safe whenever the base game is; the
-/// cache outlives concurrent readers by construction (the caller owns
-/// both). Budget accounting follows the charging rule: a hit is free, a
-/// miss charges one unit.
+/// A game decorated with a memo of its own 2^n values: each distinct
+/// V(S) is computed at most once and then shared by every consumer
+/// (tabulation, Shapley subgames, core checks). Thread-safe whenever the
+/// base game is. Budget accounting follows the charging rule: a hit is
+/// free, a miss charges one unit.
 class CachedGame final : public Game {
  public:
-  /// Neither `base` nor `cache` is owned; both must outlive this game.
-  CachedGame(const Game& base, exec::ValueCache& cache);
+  /// `base` is not owned and must outlive this game; n <= 24.
+  explicit CachedGame(const Game& base);
 
   [[nodiscard]] int num_players() const override;
   [[nodiscard]] double value(Coalition coalition) const override;
@@ -114,12 +112,12 @@ class CachedGame final : public Game {
       const runtime::ComputeBudget& budget) const override;
 
   [[nodiscard]] const exec::ValueCache& cache() const noexcept {
-    return *cache_;
+    return cache_;
   }
 
  private:
   const Game* base_;
-  exec::ValueCache* cache_;
+  mutable exec::ValueCache cache_;
 };
 
 /// Evaluates `game` on every coalition and returns the tabular form.

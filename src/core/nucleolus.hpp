@@ -105,7 +105,7 @@ inline constexpr int kMaxDenseNucleolusPlayers = 10;
 /// Orbit-row nucleolus of a game quotiented by a player partition. The
 /// base game must actually be symmetric under the partition (the
 /// QuotientGame contract; see verified_partition). Orbit values come
-/// from the QuotientGame's sharded cache — with options.budget set they
+/// from the QuotientGame's orbit memo — with options.budget set they
 /// are materialised under the budget (one unit per orbit row) and a
 /// trip returns solved == false, the PR 1 fallback-cascade hook.
 /// Guarded on orbit count (2^15 rows) instead of player count.

@@ -449,7 +449,9 @@ double max_orbit_excess(const OrbitIndex& index,
 }
 
 QuotientGame::QuotientGame(const Game& base, PlayerPartition partition)
-    : base_(&base), index_(std::move(partition)) {
+    : base_(&base),
+      index_(std::move(partition)),
+      cache_(index_.orbit_count()) {
   if (index_.num_players() != base.num_players()) {
     throw std::invalid_argument(
         "QuotientGame: partition does not match the game");
@@ -473,30 +475,12 @@ std::optional<double> QuotientGame::value_budgeted(
   });
 }
 
-const std::vector<double>& QuotientGame::orbit_values() const {
-  if (orbit_values_.empty() && index_.orbit_count() > 0) {
-    std::vector<double> table(
-        static_cast<std::size_t>(index_.orbit_count()));
-    exec::parallel_for(
-        0, index_.orbit_count(), kOrbitChunk,
-        [&](const exec::ChunkRange& r) {
-          for (std::uint64_t orbit = r.begin; orbit < r.end; ++orbit) {
-            table[static_cast<std::size_t>(orbit)] =
-                cache_.value_or_compute(orbit, [&] {
-                  return base_->value(
-                      Coalition::from_bits(index_.representative(orbit)));
-                });
-          }
-          return true;
-        });
-    orbit_values_ = std::move(table);
-  }
-  return orbit_values_;
+std::vector<double> QuotientGame::orbit_values() const {
+  return *orbit_values_budgeted(runtime::ComputeBudget::unlimited());
 }
 
 std::optional<std::vector<double>> QuotientGame::orbit_values_budgeted(
     const runtime::ComputeBudget& budget) const {
-  if (!orbit_values_.empty()) return orbit_values_;
   std::vector<double> table(static_cast<std::size_t>(index_.orbit_count()));
   const bool ok = exec::parallel_for_budgeted(
       0, index_.orbit_count(), kOrbitChunk, budget,
@@ -512,8 +496,7 @@ std::optional<std::vector<double>> QuotientGame::orbit_values_budgeted(
         return true;
       });
   if (!ok) return std::nullopt;
-  orbit_values_ = std::move(table);
-  return orbit_values_;
+  return table;
 }
 
 TabularGame QuotientGame::expand() const {

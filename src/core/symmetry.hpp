@@ -233,8 +233,8 @@ void close_monotone(const OrbitIndex& index, std::vector<double>& values);
                                       const std::vector<double>& per_type_x);
 
 /// A game quotiented by a player partition: V is evaluated once per
-/// orbit (on the canonical representative, memoized in a sharded
-/// exec::ValueCache keyed by orbit id) and read back for every mask in
+/// orbit (on the canonical representative, memoized in one
+/// exec::ValueCache indexed by orbit id) and read back for every mask in
 /// the orbit. The base game must actually be symmetric under the
 /// partition for the quotient to be exact — detection/verification is
 /// the caller's job (see verified_partition).
@@ -253,12 +253,13 @@ class QuotientGame final : public Game {
 
   [[nodiscard]] const OrbitIndex& orbits() const noexcept { return index_; }
 
-  /// All orbit values, evaluated in parallel (each orbit writes its own
-  /// slot; bit-identical at any thread count). Memoized.
-  [[nodiscard]] const std::vector<double>& orbit_values() const;
+  /// All orbit values, evaluated in parallel through the memo (each
+  /// orbit writes its own slot; bit-identical at any thread count).
+  [[nodiscard]] std::vector<double> orbit_values() const;
 
   /// Budgeted variant: charges one unit per orbit not already cached;
-  /// nullopt when the budget trips (a partial orbit table is useless).
+  /// nullopt when the budget trips (a partial orbit table is useless,
+  /// but the orbits it did evaluate stay memoized).
   [[nodiscard]] std::optional<std::vector<double>> orbit_values_budgeted(
       const runtime::ComputeBudget& budget) const;
 
@@ -278,7 +279,6 @@ class QuotientGame final : public Game {
   const Game* base_;
   OrbitIndex index_;
   mutable exec::ValueCache cache_;
-  mutable std::vector<double> orbit_values_;  // empty until materialised
 };
 
 }  // namespace fedshare::game

@@ -21,18 +21,28 @@ constexpr std::uint64_t kTabulateChunk = 16;
 Federation::Federation(LocationSpace space, DemandProfile demand)
     : space_(std::move(space)),
       demand_(std::move(demand)),
-      cache_(std::make_shared<exec::ValueCache>()),
-      closed_(std::make_shared<ClosedTable>()) {
+      tables_(std::make_shared<Tables>()) {
   demand_.validate();
 }
 
 double Federation::value(game::Coalition coalition) const {
-  std::call_once(closed_->once, [this] { closed_->game = build_game(); });
-  return closed_->game->value(coalition);
+  std::call_once(tables_->closed_once,
+                 [this] { tables_->closed = build_game(); });
+  return tables_->closed->value(coalition);
+}
+
+exec::ValueCache& Federation::memo() const {
+  std::call_once(tables_->memo_once, [this] {
+    if (num_facilities() > 24) {
+      throw std::invalid_argument("raw_value: n must be <= 24");
+    }
+    tables_->memo.emplace(std::uint64_t{1} << num_facilities());
+  });
+  return *tables_->memo;
 }
 
 double Federation::raw_value(game::Coalition coalition) const {
-  return cache_->value_or_compute(coalition.bits(), [&] {
+  return memo().value_or_compute(coalition.bits(), [&] {
     return coalition_value(space_, demand_, coalition);
   });
 }
@@ -114,10 +124,9 @@ std::vector<double> Federation::consumption_weights() const {
 void Federation::set_demand(DemandProfile demand) {
   demand.validate();
   demand_ = std::move(demand);
-  // Fresh memo and table rather than clear(): copies sharing the old
-  // ones keep their (still valid) values for the old demand profile.
-  cache_ = std::make_shared<exec::ValueCache>();
-  closed_ = std::make_shared<ClosedTable>();
+  // Fresh tables rather than clear(): copies sharing the old ones keep
+  // their (still valid) values for the old demand profile.
+  tables_ = std::make_shared<Tables>();
 }
 
 }  // namespace fedshare::model

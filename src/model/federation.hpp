@@ -52,15 +52,16 @@ class Federation {
 
   /// The greedy allocation value without the monotone closure — the
   /// direct output of the water-filling heuristic, memoised in the
-  /// instance's exec::ValueCache so each coalition's allocation is
+  /// instance's 2^n-entry table so each coalition's allocation is
   /// solved exactly once no matter how many tabulations, oracle probes
   /// or threads ask for it. This is what the symmetry oracle samples
-  /// and what every tabulation closes.
+  /// and what every tabulation closes. Requires num_facilities() <= 24.
   [[nodiscard]] double raw_value(game::Coalition coalition) const;
 
   /// The instance's raw V(S) memo (hit/miss statistics for benches).
-  [[nodiscard]] const exec::ValueCache& value_cache() const noexcept {
-    return *cache_;
+  /// Allocated by its first reader, like the closed table.
+  [[nodiscard]] const exec::ValueCache& value_cache() const {
+    return memo();
   }
 
   /// The federation's TU game, tabulated (all 2^n coalition values).
@@ -101,16 +102,21 @@ class Federation {
   void set_demand(DemandProfile demand);
 
  private:
-  /// value()'s closed table, built by the first caller.
-  struct ClosedTable {
-    std::once_flag once;
-    std::optional<game::TabularGame> game;
+  /// The demand-dependent tables, shared by copies and dropped by
+  /// set_demand(): the raw V(S) memo and value()'s closed table, each
+  /// built by its first caller.
+  struct Tables {
+    std::once_flag memo_once;
+    std::optional<exec::ValueCache> memo;
+    std::once_flag closed_once;
+    std::optional<game::TabularGame> closed;
   };
+
+  [[nodiscard]] exec::ValueCache& memo() const;
 
   LocationSpace space_;
   DemandProfile demand_;
-  std::shared_ptr<exec::ValueCache> cache_;
-  std::shared_ptr<ClosedTable> closed_;
+  std::shared_ptr<Tables> tables_;
 };
 
 }  // namespace fedshare::model

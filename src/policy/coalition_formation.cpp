@@ -2,8 +2,8 @@
 // structure subsystem's hedonic engine (structure/hedonic.hpp). The
 // engine reproduces this module's candidate order exactly — merge
 // collections by size then lexicographic, splits anchored on each
-// block's lowest member — while routing every V(S) through a shared
-// exec::ValueCache and lifting the block-count ceiling. The historical
+// block's lowest member — while reading V(S) from the game as given
+// and lifting the block-count ceiling. The historical
 // n <= 10 guard is kept here as this API's documented envelope (its
 // callers sized their games to it, and its error contract is tested);
 // larger games should call structure::hedonic_merge_split directly.

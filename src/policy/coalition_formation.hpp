@@ -13,7 +13,7 @@
 // (D_hp-stability in the Saad et al. terminology).
 //
 // This API is now a thin shim over structure/hedonic.hpp (same
-// dynamics, shared value cache, no block-count ceiling); it keeps its
+// dynamics, no block-count ceiling); it keeps its
 // historical n <= 10 envelope for compatibility. New code — and any
 // game larger than 10 players — should use
 // structure::hedonic_merge_split directly.

@@ -24,8 +24,9 @@
 // function value is actually computed (an allocation LP solved, a
 // simplex pivot, an exact-search node, a Monte-Carlo evaluation along a
 // permutation). Re-reads of already-materialised values are free: a
-// TabularGame lookup, an exec::ValueCache hit, or a re-tabulation of an
-// already tabular game charge nothing. This keeps deadlines and node
+// TabularGame lookup, an exec::ValueCache hit (a miss charges one unit
+// before computing), or a re-tabulation of an already tabular game
+// charge nothing. This keeps deadlines and node
 // caps proportional to real work, and makes repeated scheme evaluations
 // over one federation instance cost one tabulation, not many.
 #pragma once

@@ -32,15 +32,19 @@ runtime::StopReason stop_reason_of(const runtime::ComputeBudget& budget) {
              : reason;
 }
 
+ServeOptions clamped(ServeOptions options) {
+  options.max_facilities =
+      std::clamp(options.max_facilities, 1, model::kMaxFacilities);
+  return options;
+}
+
 }  // namespace
 
 ServiceState::ServiceState(ServeOptions options)
-    : options_(options),
+    : options_(clamped(options)),
       space_(model::LocationSpace::disjoint({})),
+      cache_(std::uint64_t{1} << options_.max_facilities),
       memo_(kAnswerMemoBytes) {
-  options_.max_facilities =
-      std::clamp(options_.max_facilities, 1, model::kMaxFacilities);
-  cache_ = std::make_shared<exec::ValueCache>();
   lp_offset_.assign(static_cast<std::size_t>(options_.max_facilities), -1);
   publish_snapshot();  // epoch 0: the empty federation, always complete
 }
@@ -203,14 +207,14 @@ bool ServiceState::tabulate_values(const runtime::ComputeBudget& budget,
     masks.push_back(sub);
   }
 
-  const std::uint64_t misses_before = cache_->misses();
+  const std::uint64_t misses_before = cache_.misses();
   const bool ok = exec::parallel_for_budgeted(
       0, masks.size(), 4, budget,
       [&](const exec::ChunkRange& r, const runtime::ComputeBudget& child) {
         for (std::uint64_t i = r.begin; i < r.end; ++i) {
           const std::uint64_t mask = masks[i];
           const auto value =
-              cache_->value_or_compute_budgeted(mask, child, [&] {
+              cache_.value_or_compute_budgeted(mask, child, [&] {
                 return model::coalition_value(space_, demand_,
                                               compact_coalition(mask));
               });
@@ -219,7 +223,7 @@ bool ServiceState::tabulate_values(const runtime::ComputeBudget& budget,
         return true;
       });
   result.values_recomputed +=
-      static_cast<std::size_t>(cache_->misses() - misses_before);
+      static_cast<std::size_t>(cache_.misses() - misses_before);
   return ok;
 }
 
@@ -388,7 +392,7 @@ bool ServiceState::publish_snapshot() {
                        << roster_[static_cast<std::size_t>(i)].slot;
         }
       }
-      const auto cached = cache_->lookup(slot_mask);
+      const auto cached = cache_.lookup(slot_mask);
       if (!cached) {
         throw std::logic_error("serve: publishing an incomplete lattice");
       }
@@ -507,10 +511,10 @@ ApplyResult ServiceState::apply(const Event& event,
   // the touched slot, or everything for a demand change.
   if (slot < 0) {
     result.invalidated =
-        cache_->invalidate_if([](std::uint64_t) { return true; });
+        cache_.invalidate_if([](std::uint64_t) { return true; });
   } else {
     const std::uint64_t bit = std::uint64_t{1} << slot;
-    result.invalidated = cache_->invalidate_if(
+    result.invalidated = cache_.invalidate_if(
         [bit](std::uint64_t mask) { return (mask & bit) != 0; });
   }
 
@@ -615,7 +619,7 @@ ServiceStats ServiceState::stats() const {
   s.epochs_tripped = epochs_tripped_;
   s.epochs_repaired = epochs_repaired_;
   s.repairs = repairs_;
-  s.cache = cache_->stats();
+  s.cache = cache_.stats();
   return s;
 }
 
@@ -655,7 +659,7 @@ CheckpointImage ServiceState::checkpoint_image() const {
     image.roster.push_back(std::move(mi));
   }
   image.demand = demand_;
-  image.cache = cache_->export_entries();
+  image.cache = cache_.export_entries();
   if (bound_.valid) {
     CheckpointImage::BoundImage bi;
     bi.mask = active_mask();
@@ -725,6 +729,12 @@ void ServiceState::restore(const CheckpointImage& image) {
       masks.push_back(mask);
     }
     std::sort(masks.begin(), masks.end());
+    if (!masks.empty() && masks.back() >= cache_.capacity()) {
+      throw ServeError("restore: cache mask out of range");
+    }
+    if (std::adjacent_find(masks.begin(), masks.end()) != masks.end()) {
+      throw ServeError("restore: duplicate cache mask");
+    }
     const std::uint64_t active = used_slots;
     std::uint64_t sub = 0;
     while (active != 0) {
@@ -764,8 +774,8 @@ void ServiceState::restore(const CheckpointImage& image) {
   demand_ = image.demand;
   rebuild_space();
 
-  cache_->clear();
-  for (const auto& [mask, value] : image.cache) cache_->store(mask, value);
+  cache_.clear();
+  for (const auto& [mask, value] : image.cache) cache_.store(mask, value);
   memo_.clear();  // never persisted: the first publish solves cold
 
   rebuild_template();

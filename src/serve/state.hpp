@@ -25,7 +25,8 @@
 //  * Incremental re-solve. The coalition lattice is keyed by *slot*
 //    masks (a facility keeps its slot for its whole tenure; leavers free
 //    their slot for later joiners). An event touching slot s invalidates
-//    only the masks containing s (exec::ValueCache::invalidate_if); the
+//    only the masks containing s (exec::ValueCache::invalidate_if clears
+//    their presence bits in the flat 2^max_facilities table); the
 //    surviving half of the lattice is reused bit-for-bit, which is sound
 //    because a coalition's pooled capacity vector depends only on its
 //    own members' configs in slot order. The LP-relaxation bound is kept
@@ -370,7 +371,7 @@ class ServiceState {
   /// Raw greedy V(S) memo keyed by slot mask. Raw values keep masks
   /// independent, so re-tabulation needs no level order;
   /// publish_snapshot() applies the monotone closure.
-  std::shared_ptr<exec::ValueCache> cache_;
+  exec::ValueCache cache_;  ///< 2^max_facilities keys
 
   /// LP bound state. The relaxation template spans every slot's
   /// *nominal* location block in slot order as of the last join or

@@ -21,9 +21,9 @@
 //
 // Budget contract (runtime/budget.hpp charging rule): one unit per
 // *distinct* V(S) materialisation, re-reads free — a TabularGame or a
-// warm exec::ValueCache makes the whole DP free, and V(S) is drawn from
-// whatever shared cache the Game carries (CachedGame, QuotientGame,
-// model::Federation's memo). When the budget trips the engine degrades
+// warm memo makes the whole DP free, and V(S) is drawn from whatever
+// memo the Game carries (CachedGame, QuotientGame, model::Federation's
+// raw table). When the budget trips the engine degrades
 // to the best structure it has fully evaluated so far — the better of
 // the grand coalition and the all-singletons partition (the two
 // polynomial-cost candidates it always evaluates first) — tagged

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/shapley.hpp"
-#include "exec/value_cache.hpp"
 
 namespace fedshare::structure {
 
@@ -90,16 +89,14 @@ HedonicResult hedonic_merge_split(const game::Game& g,
   }
   start.validate(n);
 
-  // Every V(S) the Shapley subgames touch flows through one shared
-  // cache: identical doubles to uncached evaluation (the base game is
-  // deterministic), each distinct coalition computed once per run.
-  exec::ValueCache cache;
-  const game::CachedGame cached(g, cache);
+  // V(S) is read from `g` itself: callers that want each coalition
+  // computed once pass a TabularGame (the CLI and the ablation bench
+  // do), so the engine keeps no memo of its own.
 
   HedonicResult result;
   std::vector<game::Coalition> blocks = start.unions;
   sort_partition(blocks);
-  std::vector<double> payoffs = payoffs_of_blocks(cached, blocks);
+  std::vector<double> payoffs = payoffs_of_blocks(g, blocks);
 
   while (result.iterations < options.max_operations) {
     bool changed = false;
@@ -129,7 +126,7 @@ HedonicResult hedonic_merge_split(const game::Game& g,
           if ((mask >> j) & 1u) merged = merged.united(blocks[j]);
         }
         std::vector<double> trial = payoffs;
-        block_shapley(cached, merged, trial);
+        block_shapley(g, merged, trial);
         if (pareto_improves(payoffs, trial, merged)) {
           std::vector<game::Coalition> next;
           for (std::size_t j = 0; j < num_blocks; ++j) {
@@ -149,7 +146,7 @@ HedonicResult hedonic_merge_split(const game::Game& g,
         for (std::size_t b = a + 1; b < num_blocks && !changed; ++b) {
           const game::Coalition merged = blocks[a].united(blocks[b]);
           std::vector<double> trial = payoffs;
-          block_shapley(cached, merged, trial);
+          block_shapley(g, merged, trial);
           if (pareto_improves(payoffs, trial, merged)) {
             std::vector<game::Coalition> next;
             for (std::size_t j = 0; j < num_blocks; ++j) {
@@ -179,8 +176,8 @@ HedonicResult hedonic_merge_split(const game::Game& g,
         const game::Coalition part2 = block.minus(part1);
         if (part2.empty()) return;
         std::vector<double> trial = payoffs;
-        block_shapley(cached, part1, trial);
-        block_shapley(cached, part2, trial);
+        block_shapley(g, part1, trial);
+        block_shapley(g, part2, trial);
         if (pareto_improves(payoffs, trial, block)) {
           blocks[a] = part1;
           blocks.push_back(part2);

@@ -12,10 +12,9 @@
 // This engine supersedes the original policy::merge_split (which
 // survives as a forwarding shim): candidate order is unchanged and
 // deterministic — merge collections by size then lexicographic, splits
-// anchored on each block's lowest member — but every V(S) evaluation
-// now flows through a shared exec::ValueCache, so the quadratic
-// re-reads across Shapley subgames are computed once; and the n <= 10
-// cap is gone. Beyond `max_merge_enumeration_blocks` blocks the
+// anchored on each block's lowest member — but V(S) is read from the
+// game as given (pass a TabularGame to compute each coalition once, as
+// the CLI and the ablation bench do), and the n <= 10 cap is gone. Beyond `max_merge_enumeration_blocks` blocks the
 // exhaustive 2^B collection sweep is replaced by deterministic pairwise
 // merges (lexicographic pairs) — a weaker rule that never fires in the
 // legacy domain, where exhaustive enumeration always applies.

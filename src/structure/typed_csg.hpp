@@ -9,7 +9,7 @@
 //
 // over the orbit lattice (core/symmetry.hpp) — prod_t (m_t + 1) states
 // instead of 2^n masks, with V(d) evaluated once per orbit through the
-// QuotientGame's sharded cache. Any concrete assignment of players to a
+// QuotientGame's orbit memo. Any concrete assignment of players to a
 // block's counts yields the same welfare (that is what symmetry means),
 // so the engine expands the count-vector solution to one canonical
 // CoalitionStructure (lowest-indexed unused members of each type) whose

@@ -1,12 +1,14 @@
 // Tests for the exec subsystem: deterministic parallel execution
-// (pool.hpp) and the sharded coalition-value cache (value_cache.hpp),
+// (pool.hpp) and the flat coalition-value memo (value_cache.hpp),
 // plus the determinism contract of the parallel consumers — tabulation,
 // Monte-Carlo Shapley, and outage sweeps must be bit-identical at any
 // thread count.
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -205,7 +207,7 @@ TEST_F(ExecTest, BudgetedNodeCapTripsAtAnyThreadCount) {
 // --- value cache ---------------------------------------------------------
 
 TEST_F(ExecTest, ValueCacheComputesOncePerMask) {
-  ValueCache cache;
+  ValueCache cache(64);
   std::atomic<int> computes{0};
   for (int round = 0; round < 3; ++round) {
     for (std::uint64_t mask = 1; mask <= 32; ++mask) {
@@ -220,11 +222,11 @@ TEST_F(ExecTest, ValueCacheComputesOncePerMask) {
   EXPECT_EQ(cache.size(), 32u);
   EXPECT_EQ(cache.misses(), 32u);
   EXPECT_EQ(cache.hits(), 64u);
-  EXPECT_NEAR(cache.hit_rate(), 64.0 / 96.0, 1e-12);
+  EXPECT_NEAR(cache.stats().hit_rate(), 64.0 / 96.0, 1e-12);
 }
 
 TEST_F(ExecTest, ValueCacheBudgetedHitIsFreeMissCharges) {
-  ValueCache cache;
+  ValueCache cache(16);
   const ComputeBudget budget = ComputeBudget().cap_nodes(1);
   // Miss: charges one unit.
   auto v = cache.value_or_compute_budgeted(7, budget, [] { return 3.0; });
@@ -241,9 +243,9 @@ TEST_F(ExecTest, ValueCacheBudgetedHitIsFreeMissCharges) {
 }
 
 TEST_F(ExecTest, ValueCacheSurvivesConcurrentMixedReadersAndWriters) {
-  ValueCache cache(8);
   constexpr int kThreads = 8;
   constexpr std::uint64_t kMasks = 512;
+  ValueCache cache(kMasks);
   std::atomic<bool> mismatch{false};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -300,8 +302,7 @@ TEST_F(ExecTest, TabulateBudgetedIsFreeForTabularGames) {
 TEST_F(ExecTest, TabulateBudgetedChargesOncePerDistinctCoalition) {
   fedshare::exec::set_threads(1);
   const FunctionGame g = make_game(5);
-  ValueCache cache;
-  const fedshare::game::CachedGame cached(g, cache);
+  const fedshare::game::CachedGame cached(g);
   const ComputeBudget first = ComputeBudget().cap_nodes(1u << 5);
   ASSERT_TRUE(fedshare::game::tabulate_budgeted(cached, first).has_value());
   EXPECT_EQ(first.used(), 32u);
@@ -402,7 +403,7 @@ TEST_F(ExecTest, FederationValueCacheSolvesEachCoalitionOnce) {
 // --- invalidate_if (the churn API) ---------------------------------------
 
 TEST_F(ExecTest, ValueCacheInvalidateIfDropsExactlyTheMatchingSlice) {
-  ValueCache cache;
+  ValueCache cache(16);
   for (std::uint64_t mask = 1; mask < 16; ++mask) {
     cache.store(mask, static_cast<double>(mask));
   }
@@ -423,7 +424,7 @@ TEST_F(ExecTest, ValueCacheInvalidateIfDropsExactlyTheMatchingSlice) {
 }
 
 TEST_F(ExecTest, ValueCacheStatsSnapshotsAllCounters) {
-  ValueCache cache;
+  ValueCache cache(8);
   (void)cache.value_or_compute(3, [] { return 1.0; });  // miss
   (void)cache.value_or_compute(3, [] { return 1.0; });  // hit
   (void)cache.lookup(5);  // lookup() alone does not count
@@ -441,6 +442,24 @@ TEST_F(ExecTest, ValueCacheStatsSnapshotsAllCounters) {
   EXPECT_EQ(cleared.invalidations, 0u);
 }
 
+TEST_F(ExecTest, ValueCacheKeySpaceIsFixedAndExportsAscending) {
+  ValueCache cache(130);  // three presence words, the last one partial
+  for (const std::uint64_t key : {129u, 64u, 0u, 63u, 65u}) {
+    cache.store(key, static_cast<double>(key) + 0.5);
+  }
+  cache.store(64, -1.0);  // a present key keeps its first value
+  EXPECT_THROW(cache.store(130, 1.0), std::out_of_range);
+  EXPECT_THROW((void)cache.lookup(130), std::out_of_range);
+  EXPECT_THROW((void)cache.value_or_compute(1000, [] { return 1.0; }),
+               std::out_of_range);
+  const auto entries = cache.export_entries();
+  const std::vector<std::pair<std::uint64_t, double>> expected = {
+      {0, 0.5}, {63, 63.5}, {64, 64.5}, {65, 65.5}, {129, 129.5}};
+  EXPECT_EQ(entries, expected);
+  EXPECT_EQ(cache.capacity(), 130u);
+  EXPECT_EQ(cache.size(), 5u);
+}
+
 // The churn race: one thread repeatedly invalidates a slice while
 // readers look up and writers re-materialise the same key space. Run
 // under TSan (tools/check.sh) this is the data-race certificate for the
@@ -448,8 +467,8 @@ TEST_F(ExecTest, ValueCacheStatsSnapshotsAllCounters) {
 // additionally pin the invariant that a racing reader sees either a
 // miss or a *current* value, never a torn or stale-after-clear one.
 TEST_F(ExecTest, ValueCacheConcurrentInvalidateVsReadIsSafe) {
-  ValueCache cache(8);
   constexpr std::uint64_t kMasks = 64;
+  ValueCache cache(kMasks);
   for (std::uint64_t mask = 1; mask < kMasks; ++mask) {
     cache.store(mask, static_cast<double>(mask));
   }
@@ -488,6 +507,48 @@ TEST_F(ExecTest, ValueCacheConcurrentInvalidateVsReadIsSafe) {
   for (auto& r : readers) r.join();
   EXPECT_EQ(torn.load(), 0u);
   EXPECT_EQ(cache.stats().invalidations, cache.invalidations());
+}
+
+// The invalidate-then-recompute pattern against a reader that saw the
+// old entries, made deterministic: the reader's reads of the values and
+// the rewriter's stores to them are ordered only in real time, by a
+// relaxed flag that carries no happens-before edge. Only the value
+// array's atomics keep the pair from being a data race, so under TSan
+// this test reports on every run if the values are plain doubles — the
+// randomised churn test above catches that only by chance.
+TEST_F(ExecTest, ValueCacheRewriteAfterAReaderIsRaceFree) {
+  const std::vector<std::uint64_t> keys = {5, 70, 200};  // three words
+  ValueCache cache(256);
+  for (const std::uint64_t key : keys) {
+    cache.store(key, static_cast<double>(key) + 0.25);
+  }
+  std::atomic<bool> read{false};
+  std::vector<double> seen(keys.size(), 0.0);
+  std::vector<double> rewritten(keys.size(), 0.0);
+  std::thread reader([&] {
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      seen[i] = cache.lookup(keys[i]).value_or(-1.0);
+    }
+    read.store(true, std::memory_order_relaxed);
+  });
+  std::thread rewriter([&] {
+    while (!read.load(std::memory_order_relaxed)) std::this_thread::yield();
+    (void)cache.invalidate_if([](std::uint64_t) { return true; });
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      rewritten[i] = cache.value_or_compute(
+          keys[i], [&] { return static_cast<double>(keys[i]) + 0.25; });
+    }
+  });
+  reader.join();
+  rewriter.join();
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(seen[i], static_cast<double>(keys[i]) + 0.25);
+    EXPECT_EQ(rewritten[i], static_cast<double>(keys[i]) + 0.25);
+  }
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.invalidations, 3u);
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.entries, 3u);
 }
 
 }  // namespace

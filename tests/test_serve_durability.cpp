@@ -534,21 +534,35 @@ TEST(ServeDurabilityTest, RestoreRejectsAnOutOfRangeBoundMask) {
   ServiceState state;
   for (const Event& event : script_events()) (void)state.apply(event);
   const CheckpointImage image = state.checkpoint_image();
+  const std::uint64_t past_lattice = std::uint64_t{1}
+                                     << image.options.max_facilities;
 
-  CheckpointImage broken = image;
+  CheckpointImage stray_bound = image;
   CheckpointImage::BoundImage stray;
-  stray.mask = std::uint64_t{1} << image.options.max_facilities;
+  stray.mask = past_lattice;
   stray.value = 1.0;
-  broken.bounds.push_back(stray);
-  // Through the codec too: the decoder reads the record, restore()
-  // rejects it.
-  const CheckpointImage decoded = fedshare::serve::decode_checkpoint(
-      fedshare::serve::encode_checkpoint(broken));
-  ServiceState fresh;
-  EXPECT_THROW(fresh.restore(decoded), ServeError);
-  // The failed restore left the target fresh.
-  EXPECT_NO_THROW(fresh.restore(image));
-  expect_bitwise_equal(fresh.query(), state.query(), "after failed restore");
+  stray_bound.bounds.push_back(stray);
+  CheckpointImage stray_cache = image;
+  stray_cache.cache.emplace_back(past_lattice, 1.0);
+  CheckpointImage repeated_cache = image;
+  ASSERT_FALSE(repeated_cache.cache.empty());
+  repeated_cache.cache.push_back(repeated_cache.cache.front());
+
+  for (const CheckpointImage* broken :
+       {&stray_bound, &stray_cache, &repeated_cache}) {
+    // Directly and through the codec: the decoder reads the record,
+    // restore() rejects it.
+    const CheckpointImage decoded = fedshare::serve::decode_checkpoint(
+        fedshare::serve::encode_checkpoint(*broken));
+    for (const CheckpointImage* input : {broken, &decoded}) {
+      ServiceState fresh;
+      EXPECT_THROW(fresh.restore(*input), ServeError);
+      // The failed restore left the target fresh.
+      EXPECT_NO_THROW(fresh.restore(image));
+      expect_bitwise_equal(fresh.query(), state.query(),
+                           "after failed restore");
+    }
+  }
 }
 
 // --- the torn-tail log parser --------------------------------------------

@@ -321,6 +321,14 @@ TEST(StructureHedonicTest, EngineHasNoPlayerCap) {
   EXPECT_TRUE(result.converged);
   ASSERT_EQ(result.partition.unions.size(), 1u);
   EXPECT_EQ(result.partition.unions[0], game::Coalition::grand(11));
+  // Nor a cap at table sizes: at n = 30 (no 2^n table fits) an additive
+  // game gives no block a strict gain, so singletons are stable.
+  const game::FunctionGame additive(30, [](game::Coalition s) {
+    return static_cast<double>(s.size());
+  });
+  const auto wide = hedonic_merge_split(additive);
+  EXPECT_TRUE(wide.converged);
+  EXPECT_EQ(wide.partition.unions.size(), 30u);
 }
 
 TEST(StructureHedonicTest, ConvergedResultIsMergeSplitStable) {

@@ -3,8 +3,9 @@
 # and once under AddressSanitizer + UndefinedBehaviorSanitizer (both runs
 # include the serve chaos harness: randomized churn vs batch-solve
 # equality) — then the concurrency-sensitive tests a third time under
-# ThreadSanitizer (the work-stealing pool, the sharded value cache with
-# concurrent invalidation, and the serve-layer apply/query races), then
+# ThreadSanitizer (the work-stealing pool, the flat value memo's
+# atomic presence bitmap under concurrent invalidation, and the
+# serve-layer apply/query races), then
 # the bitwise BatchSolver-chain and SIMD-lattice tests on their own (the
 # stage that must fail if vectorized or cached-frame re-solve results
 # drift from the scalar/per-probe reference by even one ulp), then the
