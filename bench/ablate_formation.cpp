@@ -3,9 +3,8 @@
 // paper) on the Fig. 4 configuration across diversity thresholds:
 // when does the grand federation assemble endogenously, and when do
 // facilities stay apart? Runs on the structure subsystem's hedonic
-// engine (structure/hedonic.hpp — cached values, no n cap), which the
-// legacy policy::merge_split API now forwards to; the final case
-// exercises n = 12, beyond the old implementation's n <= 10 limit.
+// engine (structure/hedonic.hpp), which has no player cap; the final
+// case exercises n = 12.
 #include <iostream>
 #include <string>
 #include <vector>
@@ -57,8 +56,7 @@ int main() {
                    io::format_double(total, 1)});
   }
 
-  // Past the legacy n <= 10 cap: 12 small facilities under a threshold
-  // economy. Merge-and-split settles on a D_hp-stable partition where
+  // 12 small facilities under a threshold economy. Merge-and-split settles on a D_hp-stable partition where
   // one block crosses the threshold — a local optimum, not necessarily
   // the grand federation.
   {
@@ -88,8 +86,8 @@ int main() {
                "l = 0 economy is subadditive and facilities stay alone —\n"
                "exactly the paper's Sec. 3.2.1 boundary between the\n"
                "regimes where federation is and is not self-sustaining.\n"
-               "The n = 12 case runs past the legacy engine's n <= 10 cap;\n"
-               "merge-split stops at a D_hp-stable local optimum (one block\n"
-               "over the threshold), not the welfare-optimal structure.\n";
+               "In the n = 12 case merge-split stops at a D_hp-stable local\n"
+               "optimum (one block over the threshold), not the\n"
+               "welfare-optimal structure.\n";
   return 0;
 }

@@ -11,8 +11,10 @@
 // rows/LPs/pivots/wall-times for typed n = 8..20 and for heterogeneous
 // federations (the default report's dense path, n = 6..10), each next
 // to the LP and pivot counts of the unfiltered reference loop
-// (tests/nucleolus_reference.hpp) where that loop finishes in seconds.
-// It supports `--smoke`:
+// (tests/nucleolus_reference.hpp) where that loop finishes in seconds,
+// and for the "flat" serve roster game (six near-additive facilities,
+// most rows tight at the least core) on both engines. It supports
+// `--smoke`:
 // dense-vs-quotient agreement, a fewer-LPs gate on the unfiltered loop
 // and a fewer-pivots gate on the filtered one on every n <= 10 case, a
 // bitwise gate on the dyadic two-type family, the n = 16
@@ -21,7 +23,8 @@
 // LPs the unfiltered loop would), a certification gate (every LP
 // certified) and a working-set gate (hetero n = 9 solves on both
 // engines, every LP certified, and passes the full-table excess scan)
-// — tools/check.sh runs it as a perf-smoke stage.
+// and a flat-game gate (both engines solve the serve roster game and
+// agree) — tools/check.sh runs it as a perf-smoke stage.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -44,6 +47,8 @@
 #include "lp/simplex.hpp"
 #include "model/federation.hpp"
 #include "nucleolus_reference.hpp"
+#include "serve/event.hpp"
+#include "serve/state.hpp"
 #include "verify/certified.hpp"
 
 namespace {
@@ -105,6 +110,32 @@ game::TabularGame hetero_game(int n) {
   const model::Federation fed =
       cli::federation_from_config(io::Config::parse_string(text));
   return fed.build_game();
+}
+
+// The game the serve layer publishes for perfbench's serve_flap roster:
+// a two-class demand and six small facilities (4-6 locations, 1 or 1.5
+// units, availability 0.9 down to 0.65), tabulated by serve::ServiceState.
+// The game is nearly additive: 56 of its 62 rows are tight at the least
+// core, its only level, and the release pass of tight_rows carries them.
+game::TabularGame flat_game() {
+  serve::ServiceState state;
+  serve::DemandUpdate demand;
+  demand.demand = model::DemandProfile::uniform(8.0, 6.0);
+  model::RequestClass second;
+  second.count = 3.0;
+  second.min_locations = 2.0;
+  second.units_per_location = 2.0;
+  demand.demand.classes.push_back(second);
+  (void)state.apply(demand);
+  for (int i = 0; i < 6; ++i) {
+    serve::FacilityJoin join;
+    join.config.name = "F" + std::to_string(i);
+    join.config.num_locations = 4 + i % 3;
+    join.config.units_per_location = 1.0 + 0.5 * (i % 2);
+    join.config.availability = 0.9 - 0.05 * i;
+    (void)state.apply(join);
+  }
+  return *state.snapshot()->game;
 }
 
 void BM_DenseNucleolus(benchmark::State& state) {
@@ -231,9 +262,9 @@ NucleolusRow measure_nucleolus(int types, int copies, int reps) {
   return row;
 }
 
-// Dense-formulation nucleolus of a heterogeneous federation (the
-// working-set loop), next to the unfiltered reference loop where that
-// loop finishes in seconds (n <= 8; it takes minutes from n = 9).
+// Dense-formulation nucleolus of a federation game (the working-set
+// loop), next to the unfiltered reference loop where that loop finishes
+// in seconds (n <= 8; it takes minutes from n = 9).
 struct HeteroRow {
   int n = 0;
   const char* engine = "";
@@ -248,8 +279,9 @@ struct HeteroRow {
   double ms_unfiltered = 0.0;
 };
 
-HeteroRow measure_hetero(int n, lp::SolverKind kind, int reps) {
-  const game::TabularGame tab = hetero_game(n);
+HeteroRow measure_dense(const game::TabularGame& tab, lp::SolverKind kind,
+                        int reps) {
+  const int n = tab.num_players();
   lp::SimplexOptions options;
   options.solver = kind;
   HeteroRow row;
@@ -311,14 +343,18 @@ void write_summary_json() {
   // revised engine. n = 9 and 10 run both engines, without the
   // unfiltered loop.
   std::vector<HeteroRow> hetero;
-  hetero.push_back(measure_hetero(6, lp::SolverKind::kDense, 5));
-  hetero.push_back(measure_hetero(6, lp::SolverKind::kRevised, 5));
-  hetero.push_back(measure_hetero(8, lp::SolverKind::kRevised, 3));
+  const auto kinds = {lp::SolverKind::kDense, lp::SolverKind::kRevised};
+  const game::TabularGame hetero6 = hetero_game(6);
+  for (const auto kind : kinds) hetero.push_back(measure_dense(hetero6, kind, 5));
+  hetero.push_back(measure_dense(hetero_game(8), lp::SolverKind::kRevised, 3));
   for (const int n : {9, 10}) {
-    for (const auto kind : {lp::SolverKind::kDense, lp::SolverKind::kRevised}) {
-      hetero.push_back(measure_hetero(n, kind, 5));
-    }
+    const game::TabularGame tab = hetero_game(n);
+    for (const auto kind : kinds) hetero.push_back(measure_dense(tab, kind, 5));
   }
+  // The serve roster game, where the revised engine wins.
+  std::vector<HeteroRow> flat;
+  const game::TabularGame flat_tab = flat_game();
+  for (const auto kind : kinds) flat.push_back(measure_dense(flat_tab, kind, 9));
   const char* out_env = std::getenv("FEDSHARE_BENCH_OUT");
   const std::string path = out_env != nullptr && *out_env != '\0'
                                ? out_env
@@ -333,6 +369,8 @@ void write_summary_json() {
   out << "  \"workload\": \"typed games (T types x k copies), revised "
          "simplex: dense 2^n-row formulation vs orbit-row quotient; "
          "hetero: distinct-facility federations on the dense formulation; "
+         "flat: the serve roster game of perfbench serve_flap (6 "
+         "near-additive facilities), dense formulation, both engines; "
          "*_unfiltered: the one-LP-per-row reference loop\",\n";
   out << "  \"cases\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -367,21 +405,27 @@ void write_summary_json() {
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
-  out << "  \"hetero\": [\n";
-  for (std::size_t i = 0; i < hetero.size(); ++i) {
-    const HeteroRow& h = hetero[i];
-    out << "    {\"n\": " << h.n << ", \"engine\": \"" << h.engine
-        << "\", \"rows\": " << h.rows << ", \"rounds\": " << h.rounds
-        << ", \"lps\": " << h.lps << ", \"pivots\": " << h.pivots
-        << ", \"ms\": " << h.ms;
-    if (h.unfiltered) {
-      out << ", \"lps_unfiltered\": " << h.lps_unfiltered
-          << ", \"pivots_unfiltered\": " << h.pivots_unfiltered
-          << ", \"ms_unfiltered\": " << h.ms_unfiltered;
+  const auto write_dense_rows = [&](const char* key,
+                                    const std::vector<HeteroRow>& list,
+                                    const char* close) {
+    out << "  \"" << key << "\": [\n";
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      const HeteroRow& h = list[i];
+      out << "    {\"n\": " << h.n << ", \"engine\": \"" << h.engine
+          << "\", \"rows\": " << h.rows << ", \"rounds\": " << h.rounds
+          << ", \"lps\": " << h.lps << ", \"pivots\": " << h.pivots
+          << ", \"ms\": " << h.ms;
+      if (h.unfiltered) {
+        out << ", \"lps_unfiltered\": " << h.lps_unfiltered
+            << ", \"pivots_unfiltered\": " << h.pivots_unfiltered
+            << ", \"ms_unfiltered\": " << h.ms_unfiltered;
+      }
+      out << "}" << (i + 1 < list.size() ? "," : "") << "\n";
     }
-    out << "}" << (i + 1 < hetero.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n";
+    out << "  ]" << close << "\n";
+  };
+  write_dense_rows("hetero", hetero, ",");
+  write_dense_rows("flat", flat, "");
   out << "}\n";
   std::cout << "(summary written to " << path << ")\n";
 }
@@ -584,6 +628,28 @@ int run_smoke() {
                   << broken << " coalitions)\n";
         ++failures;
       }
+    }
+  }
+
+  // Flat-game gate: the serve roster game, where most rows are tight at
+  // the least core, solves on both engines to the same allocation.
+  {
+    const game::TabularGame flat = flat_game();
+    std::vector<game::NucleolusResult> runs;
+    for (const auto kind : {lp::SolverKind::kDense, lp::SolverKind::kRevised}) {
+      lp::SimplexOptions options;
+      options.solver = kind;
+      runs.push_back(game::nucleolus(flat, options));
+      std::cout << "smoke flat n=6 (" << lp::to_string(kind)
+                << "): solved=" << (runs.back().solved ? 1 : 0)
+                << " lps=" << runs.back().lps_solved
+                << " pivots=" << runs.back().pivots << "\n";
+    }
+    if (!runs[0].solved || !runs[1].solved ||
+        max_abs_diff(runs[0].allocation, runs[1].allocation) > kAgreeTol) {
+      std::cerr << "perf_nucleolus --smoke: flat game unsolved or the "
+                   "engines disagree\n";
+      ++failures;
     }
   }
 

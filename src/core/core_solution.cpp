@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "lp/simplex.hpp"
 
@@ -12,11 +13,13 @@ LeastCoreResult least_core(const Game& game) {
   return least_core(game, lp::SimplexOptions{});
 }
 
-LeastCoreResult least_core(const Game& game, const lp::SimplexOptions& options,
-                           lp::Basis* warm) {
+LeastCoreResult least_core(const Game& game,
+                           const lp::SimplexOptions& options) {
   const int n = game.num_players();
-  if (n < 1 || n > 12) {
-    throw std::invalid_argument("least_core: n must be in [1, 12]");
+  if (n < 1 || n > kMaxLeastCorePlayers) {
+    throw std::invalid_argument(
+        "least_core: n must be in [1, kMaxLeastCorePlayers = " +
+        std::to_string(kMaxLeastCorePlayers) + "]");
   }
   const TabularGame tab = tabulate(game);
   const std::vector<double>& v = tab.values();
@@ -45,14 +48,7 @@ LeastCoreResult least_core(const Game& game, const lp::SimplexOptions& options,
   }
 
   LeastCoreResult out;
-  lp::Solution sol;
-  if (options.solver == lp::SolverKind::kRevised) {
-    lp::RevisedSimplex engine(prob, options);
-    sol = warm != nullptr ? engine.solve_from_basis(*warm) : engine.solve();
-    if (warm != nullptr && sol.optimal()) *warm = engine.basis();
-  } else {
-    sol = lp::solve(prob, options);
-  }
+  const lp::Solution sol = lp::solve(prob, options);
   if (!sol.optimal()) return out;
   out.solved = true;
   out.epsilon = sol.x[nv];

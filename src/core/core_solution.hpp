@@ -8,10 +8,13 @@
 #include <vector>
 
 #include "core/game.hpp"
-#include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
 
 namespace fedshare::game {
+
+/// Player ceiling of the least-core LP, which carries one row per proper
+/// coalition (2^n - 2 of them).
+inline constexpr int kMaxLeastCorePlayers = 12;
 
 /// Result of the least-core LP.
 struct LeastCoreResult {
@@ -20,18 +23,13 @@ struct LeastCoreResult {
   std::vector<double> allocation; ///< an optimal allocation x
 };
 
-/// Solves the least-core LP. Requires 1 <= n <= 12 (the LP has 2^n - 2
-/// coalition rows).
+/// Solves the least-core LP. Requires 1 <= n <= kMaxLeastCorePlayers.
 [[nodiscard]] LeastCoreResult least_core(const Game& game);
 
 /// Variant threading solver options through the LP (engine choice,
-/// tolerance, ComputeBudget). With SolverKind::kRevised and a non-null
-/// `warm`, the solve starts from *warm when it is non-empty and writes
-/// the optimal basis back, so a chain of least-core LPs over related
-/// games (demand sweeps, outage scenarios) re-solves in few pivots.
+/// tolerance, ComputeBudget).
 [[nodiscard]] LeastCoreResult least_core(const Game& game,
-                                         const lp::SimplexOptions& options,
-                                         lp::Basis* warm = nullptr);
+                                         const lp::SimplexOptions& options);
 
 /// Whether `allocation` lies in the core of `game`, up to `tolerance`.
 /// Checks efficiency (|x(N) - V(N)| <= tolerance) and coalitional

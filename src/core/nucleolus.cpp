@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "lp/batch_solver.hpp"
 #include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
 
@@ -41,66 +40,18 @@ constexpr std::uint64_t kMaxDenseRows =
 // the 20s sit at a few thousand orbit rows.
 constexpr std::uint64_t kMaxOrbitRows = std::uint64_t{1} << 15;
 
-// Warm-started chain over LPs that share one constraint set and differ
-// only in objective (the per-row aux-max probes and the per-type
-// uniqueness probes of a round). The previous optimum stays primal
-// feasible when only the objective moves, so each re-solve is a pure
-// phase-2 run from the last basis; a closure row appended mid-chain is
-// repaired by the dual simplex first. Revised engine only.
-class ObjectiveChain {
- public:
-  // From an already-built (and possibly row-patched) engine, seeded with
-  // the basis a previous chain over the same rows ended on — the
-  // round-to-round warm start of the probe chains.
-  ObjectiveChain(const lp::RevisedSimplex& engine, lp::Basis basis)
-      : solver_(engine), basis_(std::move(basis)) {}
-
-  // Replaces the whole objective vector and re-solves warm. Routed
-  // through lp::BatchSolver::solve_objective, so consecutive zero-pivot
-  // probes reuse the previous factorization and FTRAN'd basic values
-  // instead of rebuilding both per probe — the Solutions are bitwise
-  // what per-probe solve_from_basis calls would return.
-  [[nodiscard]] lp::Solution solve(const std::vector<double>& objective) {
-    lp::Basis next;
-    lp::Solution sol = solver_.solve_objective(objective, basis_, &next);
-    if (sol.optimal()) basis_ = std::move(next);
-    return sol;
-  }
-
-  // Appends a working-set row to the chain's engine; later probes start
-  // from the held basis with the row's slack basic.
-  void add_constraint(const std::vector<double>& row, lp::Relation relation,
-                      double rhs) {
-    solver_.add_constraint(row, relation, rhs);
-  }
-
-  [[nodiscard]] const lp::Basis& basis() const noexcept { return basis_; }
-
- private:
-  lp::BatchSolver solver_;
-  lp::Basis basis_;
-};
-
 // One probe LP over a shared, eps-pinned constraint set: maximizes
-// `objective` warm on `chain` when one is given (revised engine), else
-// cold on `problem` with its objective overwritten. Runs to closure:
-// `close(x)` appends the rows outside the working set that the optimum
-// x violates and says whether it appended any, and the LP re-solves
-// until none is violated. Counts every solve; returns the optimum, or
-// nullopt when a solve failed.
-template <typename Close>
-std::optional<double> probe_max(lp::Problem& problem, ObjectiveChain* chain,
+// `objective` through `solve(objective)`, which returns the optimum of
+// the current row set. Runs to closure: `close(x)` appends the rows
+// outside the working set that the optimum x violates and says whether
+// it appended any, and the LP re-solves until none is violated. Counts
+// every solve; returns the optimum, or nullopt when a solve failed.
+template <typename Solve, typename Close>
+std::optional<double> probe_max(Solve&& solve,
                                 const std::vector<double>& objective,
-                                const lp::SimplexOptions& options,
                                 NucleolusResult& out, Close&& close) {
-  if (chain == nullptr) {
-    for (std::size_t v = 0; v < objective.size(); ++v) {
-      problem.set_objective_coefficient(v, objective[v]);
-    }
-  }
   for (;;) {
-    const lp::Solution sol = chain != nullptr ? chain->solve(objective)
-                                              : lp::solve(problem, options);
+    const lp::Solution sol = solve(objective);
     ++out.lps_solved;
     out.pivots += sol.pivots;
     if (!sol.optimal()) return std::nullopt;
@@ -114,23 +65,18 @@ std::optional<double> probe_max(lp::Problem& problem, ObjectiveChain* chain,
 // above x*_v + kTol settles the question with one closed LP. Eps is
 // pinned at the current level: later rounds only shrink the feasible
 // set, so a unique x-projection here is final.
-template <typename Close>
-bool ranges_are_points(lp::Problem& problem, ObjectiveChain* chain,
-                       const std::vector<std::size_t>& vars,
+template <typename Solve, typename Close>
+bool ranges_are_points(Solve&& solve, const std::vector<std::size_t>& vars,
                        const std::vector<double>& x_star,
-                       const lp::SimplexOptions& options,
                        NucleolusResult& out, Close&& close) {
-  const std::size_t nv = problem.num_variables() - 1;
   std::vector<double> obj;
   for (const std::size_t v : vars) {
-    obj.assign(nv + 1, 0.0);
+    obj.assign(x_star.size() + 1, 0.0);
     obj[v] = 1.0;
-    const std::optional<double> hi =
-        probe_max(problem, chain, obj, options, out, close);
+    const std::optional<double> hi = probe_max(solve, obj, out, close);
     if (!hi.has_value() || *hi - x_star[v] > kTol) return false;
     obj[v] = -1.0;
-    const std::optional<double> lo =
-        probe_max(problem, chain, obj, options, out, close);
+    const std::optional<double> lo = probe_max(solve, obj, out, close);
     if (!lo.has_value() || *hi + *lo > kTol) return false;
   }
   return true;
@@ -440,9 +386,6 @@ NucleolusResult maschler(const OrbitIndex& index,
 
   std::optional<lp::RevisedSimplex> round_engine;
   std::optional<lp::RevisedSimplex> probe_engine;
-  // The probe chain of the current decision or uniqueness step (revised
-  // engine), which also receives every row joining meanwhile.
-  std::optional<ObjectiveChain> chain;
 
   std::vector<char> in_set(static_cast<std::size_t>(orbits), 0);
   std::vector<std::uint64_t> working;  // orbit of working row #k
@@ -455,9 +398,6 @@ NucleolusResult maschler(const OrbitIndex& index,
     if (round_engine.has_value()) {
       round_engine->add_constraint(row, lp::Relation::kGreaterEqual, v);
       probe_engine->add_constraint(row, lp::Relation::kGreaterEqual, v);
-    }
-    if (chain.has_value()) {
-      chain->add_constraint(row, lp::Relation::kGreaterEqual, v);
     }
     in_set[static_cast<std::size_t>(orbit)] = 1;
     working.push_back(orbit);
@@ -512,6 +452,25 @@ NucleolusResult maschler(const OrbitIndex& index,
 
   lp::Basis round_basis;
   lp::Basis probe_basis;
+  // Maximizes `objective` over the eps-pinned probe rows: cold on
+  // probe_prob under the dense engine; under the revised engine warm on
+  // the persistent probe_engine from the last probe optimum's basis,
+  // which every optimum overwrites (a row appended meanwhile enters with
+  // its slack basic).
+  const auto solve_probe = [&](const std::vector<double>& objective) {
+    if (!revised) {
+      for (std::size_t v = 0; v < objective.size(); ++v) {
+        probe_prob.set_objective_coefficient(v, objective[v]);
+      }
+      return lp::solve(probe_prob, options);
+    }
+    for (std::size_t v = 0; v < objective.size(); ++v) {
+      probe_engine->set_objective_coefficient(v, objective[v]);
+    }
+    lp::Solution sol = probe_engine->solve_from_basis(probe_basis);
+    if (sol.optimal()) probe_basis = probe_engine->basis();
+    return sol;
+  };
   std::vector<double> per_type;
   std::vector<double> objective;
   std::uint64_t num_active = orbits - 2;
@@ -561,8 +520,7 @@ NucleolusResult maschler(const OrbitIndex& index,
     //    settles most from this optimum, and the rest run aux-max probes
     //    with eps pinned (row o stays active iff some optimal solution
     //    pushes x(o) above V(o) - eps). All probes of the round run
-    //    against the same pre-fix row set (fixes are applied after),
-    //    chained warm through one BatchSolver frame built on first use.
+    //    against the same pre-fix row set (fixes are applied after).
     if (revised) {
       probe_engine->set_constraint_rhs(kPinRow, eps);
     } else {
@@ -576,18 +534,12 @@ NucleolusResult maschler(const OrbitIndex& index,
       return separate(x, eps);
     };
     const auto probe = [&](std::size_t i) {
-      if (revised && !chain.has_value()) {
-        chain.emplace(*probe_engine, std::move(probe_basis));
-      }
       objective = fill_row(working[active_rows[i] - 1], 0.0);
-      return probe_max(probe_prob, chain ? &*chain : nullptr, objective,
-                       options, out, close);
+      return probe_max(solve_probe, objective, out, close);
     };
     const auto tight =
         tight_rows(round_prob, sol, active_rows, options, out, probe, close);
     if (!tight.has_value()) return out;
-    if (chain.has_value()) probe_basis = chain->basis();
-    chain.reset();
 
     // Row-set patch: each tight row becomes an equality pinned at
     // V(o) - eps_r with the eps column dropped, in place.
@@ -616,13 +568,10 @@ NucleolusResult maschler(const OrbitIndex& index,
     //    fixed rows' span.
     if (num_active > 0) {
       if (fixed_span.full()) break;
-      if (revised) chain.emplace(*probe_engine, std::move(probe_basis));
-      const bool unique = ranges_are_points(
-          probe_prob, chain ? &*chain : nullptr, fixed_span.unpinned_axes(),
-          per_type, options, out, close);
-      if (revised) probe_basis = chain->basis();
-      chain.reset();
-      if (unique) break;
+      if (ranges_are_points(solve_probe, fixed_span.unpinned_axes(),
+                            per_type, out, close)) {
+        break;
+      }
     }
   }
 

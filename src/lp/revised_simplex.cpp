@@ -977,11 +977,7 @@ void RevisedSimplex::extract(Solution& out) const {
   std::vector<double> y(num_rows_);
   for (std::size_t p = 0; p < num_rows_; ++p) y[p] = internal_cost(basic_[p]);
   btran(y);
-  extract_core(y, out);
-}
 
-void RevisedSimplex::extract_core(const std::vector<double>& y, Solution& out,
-                                  const std::vector<double>* d_cache) const {
   // Full overwrite of every Solution field, so callers may pass a
   // reused object.
   out.farkas.clear();
@@ -1013,8 +1009,7 @@ void RevisedSimplex::extract_core(const std::vector<double>& y, Solution& out,
   bool have_duals = true;
   for (std::size_t v = 0; v < n_ && have_duals; ++v) {
     if (status_[v] == VarStatus::kBasic) continue;
-    const double d = d_cache != nullptr ? (*d_cache)[v]
-                                        : internal_cost(v) - column_dot(v, y);
+    const double d = internal_cost(v) - column_dot(v, y);
     if (std::abs(d) <= kDualTol) continue;
     if (status_[v] == VarStatus::kFreeNonbasic) {
       have_duals = false;  // free nonbasic with nonzero reduced cost

@@ -98,10 +98,6 @@ struct ProblemPatch {
 /// how callers re-solve a patched copy of a shared template.
 class RevisedSimplex {
  public:
-  /// BatchSolver drives the private solve machinery (prepare / adopt /
-  /// factorize / extract_core) to chain objective-only re-solves
-  /// against one cached factorization.
-  friend class BatchSolver;
   /// Builds the computational form of `problem`: singleton rows become
   /// variable bounds, remaining rows get one slack each. The instance
   /// remembers `options` (tolerance, budget, max_iterations) for every
@@ -233,16 +229,6 @@ class RevisedSimplex {
   bool run_dual(Solution& out);
   bool run_primal(Solution& out);
   void extract(Solution& out) const;
-  // The body of extract() given the btran'd basic-cost vector `y` —
-  // BatchSolver computes y against its cached frame and calls this
-  // directly, which is bitwise identical to extract() because y is a
-  // pure function of (lu_, etas_, basic_, objective_). `d_cache`, when
-  // non-null, supplies the per-column reduced costs against the same y
-  // (computed with the identical `internal_cost(v) - column_dot(v, y)`
-  // expression), saving the per-call recomputation without changing a
-  // single FP operation.
-  void extract_core(const std::vector<double>& y, Solution& out,
-                    const std::vector<double>* d_cache = nullptr) const;
 
   // Certificate construction (see lp::Solution). bound_farkas witnesses
   // a presolve-detected infeasibility (empty bound interval / violated

@@ -130,8 +130,8 @@ void audit_outcomes(const game::TabularGame& g,
   // every coalition row), so for quotient-computed nucleoli this is an
   // independent certificate that the expanded per-facility allocation is
   // excess-optimal on the whole 2^n lattice, not just on orbit rows.
-  // n <= 12 is the dense least-core ceiling.
-  if (n >= 2 && n <= 12 && std::abs(vn) > 1e-12) {
+  // kMaxLeastCorePlayers is the dense least-core ceiling.
+  if (n >= 2 && n <= game::kMaxLeastCorePlayers && std::abs(vn) > 1e-12) {
     for (const auto& outcome : outcomes) {
       if (outcome.scheme != game::Scheme::kNucleolus) continue;
       lp::SimplexOptions cold = lp_options;

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "lp/batch_solver.hpp"
 #include "lp/revised_simplex.hpp"
 
 namespace fedshare::game::reference {
@@ -16,24 +15,27 @@ namespace {
 constexpr double kTol = 1e-7;
 
 // Warm-started chain of objective-only re-solves over one constraint set
-// (revised engine), as the library's probe chains run them.
+// (revised engine): each probe sets the whole objective and re-solves
+// from the last optimum's basis, as the library's probes do.
 class ObjectiveChain {
  public:
   ObjectiveChain(const lp::Problem& prob, const lp::SimplexOptions& options)
-      : solver_(lp::RevisedSimplex(prob, options)) {}
+      : engine_(prob, options) {}
   ObjectiveChain(const lp::RevisedSimplex& engine, lp::Basis basis)
-      : solver_(engine), basis_(std::move(basis)) {}
+      : engine_(engine), basis_(std::move(basis)) {}
 
   [[nodiscard]] lp::Solution solve(const std::vector<double>& objective) {
-    lp::Basis next;
-    lp::Solution sol = solver_.solve_objective(objective, basis_, &next);
-    if (sol.optimal()) basis_ = std::move(next);
+    for (std::size_t v = 0; v < objective.size(); ++v) {
+      engine_.set_objective_coefficient(v, objective[v]);
+    }
+    lp::Solution sol = engine_.solve_from_basis(basis_);
+    if (sol.optimal()) basis_ = engine_.basis();
     return sol;
   }
   [[nodiscard]] const lp::Basis& basis() const noexcept { return basis_; }
 
  private:
-  lp::BatchSolver solver_;
+  lp::RevisedSimplex engine_;
   lp::Basis basis_;
 };
 

@@ -139,7 +139,7 @@ TEST(Nucleolus, MinimizesMaxExcessBelowShapley) {
 }
 
 TEST(LeastCore, RejectsOversizedGames) {
-  const FunctionGame g(13, [](Coalition s) {
+  const FunctionGame g(kMaxLeastCorePlayers + 1, [](Coalition s) {
     return static_cast<double>(s.size());
   });
   EXPECT_THROW((void)least_core(g), std::invalid_argument);

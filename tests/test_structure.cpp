@@ -2,8 +2,8 @@
 // anchored subset-lattice DP vs brute-force Bell(n) enumeration
 // (bitwise agreement — same canonical welfare fold), the typed CSG on
 // the symmetry quotient, budget degradation at exact unit boundaries,
-// the hedonic merge/split engine and its policy::merge_split shim, the
-// stability analyzer, and the CoalitionStructure validator's
+// the hedonic merge/split engine and its block payoffs, the stability
+// analyzer, and the CoalitionStructure validator's
 // line-precise error messages.
 #include <gtest/gtest.h>
 
@@ -21,7 +21,7 @@
 #include "core/owen.hpp"
 #include "core/symmetry.hpp"
 #include "exec/pool.hpp"
-#include "policy/coalition_formation.hpp"
+#include "model/federation.hpp"
 #include "runtime/budget.hpp"
 #include "structure/csg.hpp"
 #include "structure/hedonic.hpp"
@@ -293,30 +293,31 @@ double glove_value(game::Coalition s) {
   return std::min(left, right);
 }
 
-TEST(StructureHedonicTest, ShimReproducesEngineExactly) {
-  const game::FunctionGame g(4, [](game::Coalition s) {
-    double v = s.size() * 2.0;
-    if (s.contains(0) && s.contains(3)) v += 3.0;
-    return s.empty() ? 0.0 : v;
-  });
-  const auto engine = hedonic_merge_split(g);
-  const auto shim = policy::merge_split(g);
-  ASSERT_EQ(engine.partition.unions.size(), shim.partition.unions.size());
-  for (std::size_t k = 0; k < engine.partition.unions.size(); ++k) {
-    EXPECT_EQ(engine.partition.unions[k], shim.partition.unions[k]);
-  }
-  EXPECT_EQ(engine.payoffs, shim.payoffs);  // identical doubles
-  EXPECT_EQ(engine.iterations, shim.iterations);
-  EXPECT_EQ(engine.converged, shim.converged);
+TEST(PartitionPayoffs, BlocksEarnTheirValueSplitByShapley) {
+  const game::FunctionGame g(3, glove_value);
+  game::CoalitionStructure partition;
+  partition.unions = {game::Coalition::of({0, 1}),
+                      game::Coalition::single(2)};
+  const auto payoffs = partition_payoffs(g, partition);
+  // {0,1} is worth 1: split (1/2, 1/2) by within-block Shapley; {2}
+  // earns nothing alone.
+  EXPECT_NEAR(payoffs[0], 0.5, 1e-12);
+  EXPECT_NEAR(payoffs[1], 0.5, 1e-12);
+  EXPECT_NEAR(payoffs[2], 0.0, 1e-12);
+}
+
+TEST(PartitionPayoffs, ValidatesPartition) {
+  const game::FunctionGame g(3, glove_value);
+  game::CoalitionStructure bad;
+  bad.unions = {game::Coalition::of({0, 1})};
+  EXPECT_THROW((void)partition_payoffs(g, bad), std::invalid_argument);
 }
 
 TEST(StructureHedonicTest, EngineHasNoPlayerCap) {
-  // n = 11 throws through the legacy shim but runs on the engine.
   const game::FunctionGame g(11, [](game::Coalition s) {
     const double k = static_cast<double>(s.size());
     return k * k;
   });
-  EXPECT_THROW((void)policy::merge_split(g), std::invalid_argument);
   const auto result = hedonic_merge_split(g);
   EXPECT_TRUE(result.converged);
   ASSERT_EQ(result.partition.unions.size(), 1u);
@@ -359,6 +360,103 @@ TEST(StructureHedonicTest, OperationCapReportsNonConvergence) {
   const auto result = hedonic_merge_split(g, opts);
   EXPECT_FALSE(result.converged);
   EXPECT_EQ(result.iterations, 1);
+}
+
+// Merge-and-split dynamics on small games with a known outcome.
+
+TEST(MergeSplit, GloveGameFormsAValueCreatingCoalition) {
+  const game::FunctionGame g(3, glove_value);
+  const auto result = hedonic_merge_split(g);
+  EXPECT_TRUE(result.converged);
+  // Total payoff equals the total value generated; in the glove game a
+  // matched pair is formed (value 1 > the zero of singletons).
+  const double total = std::accumulate(result.payoffs.begin(),
+                                       result.payoffs.end(), 0.0);
+  EXPECT_NEAR(total, 1.0, 1e-9);
+  EXPECT_GT(result.iterations, 0);
+}
+
+TEST(MergeSplit, NegativeSynergyStaysApart) {
+  // Strictly subadditive game: any merge strictly hurts.
+  const game::FunctionGame g(3, [](game::Coalition s) {
+    return std::sqrt(static_cast<double>(s.size())) * 4.0;
+  });
+  const auto result = hedonic_merge_split(g);
+  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.partition.unions.size(), 3u);
+  EXPECT_EQ(result.iterations, 0);
+  for (const double p : result.payoffs) EXPECT_NEAR(p, 4.0, 1e-9);
+}
+
+TEST(MergeSplit, SuperadditiveGameReachesGrandCoalition) {
+  const game::FunctionGame g(4, [](game::Coalition s) {
+    const double k = s.size();
+    return k * k;
+  });
+  const auto result = hedonic_merge_split(g);
+  EXPECT_TRUE(result.converged);
+  ASSERT_EQ(result.partition.unions.size(), 1u);
+  EXPECT_EQ(result.partition.unions[0], game::Coalition::grand(4));
+  for (const double p : result.payoffs) EXPECT_NEAR(p, 4.0, 1e-9);
+}
+
+TEST(MergeSplit, SplitsAnInefficientGrandCoalition) {
+  // Start from the grand coalition of a subadditive game: it must split
+  // into singletons, each earning its stand-alone value.
+  const game::FunctionGame g(3, [](game::Coalition s) {
+    return std::sqrt(static_cast<double>(s.size())) * 4.0;
+  });
+  game::CoalitionStructure grand;
+  grand.unions = {game::Coalition::grand(3)};
+  const auto result = hedonic_merge_split(g, std::move(grand));
+  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.partition.unions.size(), 3u);
+  EXPECT_GT(result.iterations, 0);
+  for (const double p : result.payoffs) EXPECT_NEAR(p, 4.0, 1e-9);
+}
+
+TEST(MergeSplit, DeterministicAcrossRuns) {
+  const game::FunctionGame g(4, [](game::Coalition s) {
+    double v = s.size() * 2.0;
+    if (s.contains(0) && s.contains(3)) v += 3.0;
+    return s.empty() ? 0.0 : v;
+  });
+  const auto a = hedonic_merge_split(g);
+  const auto b = hedonic_merge_split(g);
+  ASSERT_EQ(a.partition.unions.size(), b.partition.unions.size());
+  for (std::size_t k = 0; k < a.partition.unions.size(); ++k) {
+    EXPECT_EQ(a.partition.unions[k], b.partition.unions[k]);
+  }
+  EXPECT_EQ(a.payoffs, b.payoffs);  // identical doubles
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.converged, b.converged);
+}
+
+TEST(MergeSplit, StabilityCheckAgreesWithDynamics) {
+  const game::FunctionGame g(3, glove_value);
+  const auto result = hedonic_merge_split(g);
+  ASSERT_TRUE(result.converged);
+  EXPECT_TRUE(is_merge_split_stable(g, result.partition));
+  game::CoalitionStructure singles;
+  for (int i = 0; i < 3; ++i) {
+    singles.unions.push_back(game::Coalition::single(i));
+  }
+  EXPECT_FALSE(is_merge_split_stable(g, singles));
+}
+
+TEST(MergeSplit, FederationGrandCoalitionWhenDiversityGates) {
+  // Paper setting, l = 1250: only the grand coalition serves the
+  // customer, so the dynamics must assemble everyone.
+  std::vector<model::FacilityConfig> configs{
+      {"F1", 100, 1.0, 1.0}, {"F2", 400, 1.0, 1.0}, {"F3", 800, 1.0, 1.0}};
+  model::Federation fed(model::LocationSpace::disjoint(configs),
+                        model::DemandProfile::single_experiment(1250.0));
+  const auto result = hedonic_merge_split(fed.build_game());
+  EXPECT_TRUE(result.converged);
+  ASSERT_EQ(result.partition.unions.size(), 1u);
+  for (const double p : result.payoffs) {
+    EXPECT_NEAR(p, 1300.0 / 3.0, 1e-6);  // equal thirds (Fig. 4 tail)
+  }
 }
 
 // --------------------------------------------------------- stability --

@@ -6,9 +6,9 @@
 # ThreadSanitizer (the work-stealing pool, the flat value memo's
 # atomic presence bitmap under concurrent invalidation, and the
 # serve-layer apply/query races), then
-# the bitwise BatchSolver-chain and SIMD-lattice tests on their own (the
-# stage that must fail if vectorized or cached-frame re-solve results
-# drift from the scalar/per-probe reference by even one ulp), then the
+# the bitwise SIMD-lattice tests on their own (the stage that must fail
+# if vectorized results drift from the scalar reference by even one
+# ulp), then the
 # perf-smoke gates: fast runs that fail when the dense and revised
 # simplex engines disagree, the warm start stops saving pivots, the
 # quotient tabulation or a certified LP chain stops being
@@ -54,9 +54,9 @@ cmake --build "$root/build-tsan" -j "$jobs" --target fedshare_tests
 ctest --test-dir "$root/build-tsan" -j "$jobs" --output-on-failure \
   -R 'ExecTest|LatticeProperty|SymmetryProperty|NucleolusQuotient|NucleolusFilters|ServeStateTest|ServeAnswerMemoTest|ServeChaosTest|ServeDurabilityTest|StructureParallelTest|CompareSchemes|EvaluateOutages'
 
-echo "== BatchSolver chain + SIMD lattice smoke (bitwise vs per-probe/scalar) =="
+echo "== SIMD lattice smoke (bitwise vs scalar) =="
 ctest --test-dir "$root/build" -j "$jobs" --output-on-failure \
-  -R 'BatchSolverObjectiveChain|LatticeSimd'
+  -R 'LatticeSimd'
 
 echo "== perf smoke (dense vs revised simplex on the bound chain, warm pivot savings) =="
 cmake --build "$root/build" -j "$jobs" --target perf_simplex
