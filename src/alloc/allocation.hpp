@@ -91,4 +91,13 @@ struct AllocationResult {
   std::vector<double> units_per_location;
 };
 
+/// Positions [first, first + count) of a pool's (capacity, index) order
+/// whose locations each consumed `units` resource units (see
+/// allocate_greedy in greedy.hpp).
+struct ConsumedRun {
+  std::size_t first = 0;
+  std::size_t count = 0;
+  double units = 0.0;
+};
+
 }  // namespace fedshare::alloc

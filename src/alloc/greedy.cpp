@@ -85,8 +85,8 @@ std::vector<SlotBin> slot_bins(const CapacityHistogram& histogram,
 }
 
 // Locations in identical state: same original capacity, remaining
-// capacity and per-class use. Their positions in the caller's location
-// order are order[first, first + count) (unused for histogram input).
+// capacity and per-class use, at positions [first, first + count) of the
+// bin-by-bin numbering (see ConsumedRun).
 struct Group {
   double capacity = 0.0;
   double remaining = 0.0;
@@ -335,6 +335,27 @@ class GroupGreedy {
   std::vector<double> served_;
 };
 
+// Runs the core on `histogram`'s bins, numbering locations bin by bin
+// in ascending capacity; `groups` ends holding every location's final
+// state.
+AllocationResult run_greedy(const CapacityHistogram& histogram,
+                            const std::vector<RequestClass>& classes,
+                            std::vector<Group>& groups) {
+  histogram.validate();
+  for (const auto& rc : classes) rc.validate();
+  CapacityHistogram canonical = histogram;
+  canonical.canonicalize();
+  groups.reserve(canonical.bins.size() + 2 * classes.size());
+  std::size_t first = 0;
+  for (const CapacityBin& b : canonical.bins) {
+    groups.push_back({b.capacity, b.capacity, b.count, first, {}});
+    first += b.count;
+  }
+  AllocationResult result;
+  GroupGreedy(groups, classes).run(result);
+  return result;
+}
+
 }  // namespace
 
 double slot_budget(const CapacityHistogram& histogram,
@@ -356,50 +377,56 @@ double max_feasible_experiments(const CapacityHistogram& histogram,
 
 AllocationResult allocate_greedy(const CapacityHistogram& histogram,
                                  const std::vector<RequestClass>& classes) {
-  histogram.validate();
-  for (const auto& rc : classes) rc.validate();
-  CapacityHistogram canonical = histogram;
-  canonical.canonicalize();
   std::vector<Group> groups;
-  groups.reserve(canonical.bins.size() + 2 * classes.size());
-  for (const CapacityBin& b : canonical.bins) {
-    groups.push_back({b.capacity, b.capacity, b.count, 0, {}});
+  return run_greedy(histogram, classes, groups);
+}
+
+AllocationResult allocate_greedy(const CapacityHistogram& histogram,
+                                 const std::vector<RequestClass>& classes,
+                                 std::vector<ConsumedRun>& runs) {
+  std::vector<Group> groups;
+  AllocationResult result = run_greedy(histogram, classes, groups);
+  runs.clear();
+  runs.reserve(groups.size());
+  for (const Group& g : groups) {
+    double units = 0.0;
+    for (const double u : g.used) units += u;
+    runs.push_back({g.first, g.count, units});
   }
-  AllocationResult result;
-  GroupGreedy(groups, classes).run(result);
+  std::sort(runs.begin(), runs.end(),
+            [](const ConsumedRun& a, const ConsumedRun& b) {
+              return a.first < b.first;
+            });
   return result;
 }
 
 AllocationResult allocate_greedy(const LocationPool& pool,
                                  const std::vector<RequestClass>& classes) {
   pool.validate();
-  for (const auto& rc : classes) rc.validate();
   const std::size_t num_loc = pool.num_locations();
   // Locations by (capacity, index): each run of equal capacity is one
-  // initial group, and every later split keeps its lowest indices first.
+  // histogram bin, numbered in that order.
   std::vector<std::size_t> order(num_loc);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
                      return pool.capacity[a] < pool.capacity[b];
                    });
-  std::vector<Group> groups;
-  for (std::size_t p = 0; p < num_loc; ++p) {
-    const double c = pool.capacity[order[p]];
-    if (!groups.empty() && groups.back().capacity == c) {
-      ++groups.back().count;
+  CapacityHistogram histogram;
+  for (const std::size_t l : order) {
+    const double c = pool.capacity[l];
+    if (!histogram.bins.empty() && histogram.bins.back().capacity == c) {
+      ++histogram.bins.back().count;
     } else {
-      groups.push_back({c, c, 1, p, {}});
+      histogram.bins.push_back({c, 1});
     }
   }
-  AllocationResult result;
-  GroupGreedy(groups, classes).run(result);
+  std::vector<ConsumedRun> runs;
+  AllocationResult result = allocate_greedy(histogram, classes, runs);
   result.units_per_location.assign(num_loc, 0.0);
-  for (const Group& g : groups) {
-    double units = 0.0;
-    for (const double u : g.used) units += u;
-    for (std::size_t p = g.first; p < g.first + g.count; ++p) {
-      result.units_per_location[order[p]] = units;
+  for (const ConsumedRun& run : runs) {
+    for (std::size_t p = run.first; p < run.first + run.count; ++p) {
+      result.units_per_location[order[p]] = run.units;
     }
   }
   return result;

@@ -36,10 +36,13 @@
 // segment where U(m) - m * threshold changes sign and solves its line,
 // with no bisection. A phase-1 reservation takes whole groups and splits
 // at most one (into fully taken, one partly taken and untouched
-// locations), so a run keeps at most K + 2 * (classes) groups. The
-// per-location overload groups equal capacities, runs the same core, and
-// hands each group's use back to its locations, lowest index first
-// within a split.
+// locations), so a run keeps at most K + 2 * (classes) groups. Each
+// group also keeps its place in the pool's (capacity, index) order: an
+// initial group holds its bin's range of positions, and a split hands
+// the lowest positions to the locations taken first. The final groups
+// are therefore runs of consecutive positions (ConsumedRun), and the
+// per-location overload only sorts the pool into that order and hands
+// each run's use back to its locations.
 //
 // Ties in need. Capacities such as 0.9 * 3 are not exact in binary, so
 // slots that meet a threshold exactly can sum a few ulps short of it.
@@ -71,6 +74,17 @@ namespace fedshare::alloc {
 [[nodiscard]] AllocationResult allocate_greedy(
     const CapacityHistogram& histogram,
     const std::vector<RequestClass>& classes);
+
+/// allocate_greedy on a histogram, also saying where the units went.
+/// The histogram's locations are numbered bin by bin in ascending
+/// capacity; `runs` (overwritten) tiles those positions in ascending
+/// `first`. Within a bin the numbering follows whatever order the caller
+/// gives that bin's locations: with a pool's (capacity, index) order
+/// each position's units are bitwise those that allocate_greedy(pool)
+/// reports for the location there.
+[[nodiscard]] AllocationResult allocate_greedy(
+    const CapacityHistogram& histogram,
+    const std::vector<RequestClass>& classes, std::vector<ConsumedRun>& runs);
 
 /// The slot-budget function U(m) = sum_l min(capacity_l / r, m) used by
 /// the greedy, summed over the histogram's bins.

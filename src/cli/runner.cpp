@@ -311,8 +311,9 @@ ReportResult run_report_result(const io::Config& config,
   int precision = 4;
   const auto options = config.sections_named("options");
   if (!options.empty()) {
-    precision =
-        static_cast<int>(options.front()->get_double_or("precision", 4.0));
+    // A double holds at most 17 significant digits; more decimals print
+    // noise, and at 70 they overran format_double's buffer.
+    precision = options.front()->get_int_or("precision", 4, 0, 17);
   }
 
   std::ostringstream out;

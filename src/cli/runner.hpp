@@ -17,7 +17,7 @@
 //   exponent = 1          # utility shape d (default 1)
 //
 //   [options]             # optional
-//   precision = 4         # digits in the report
+//   precision = 4         # digits in the report (an integer, 0..17)
 //
 // Facilities may optionally declare `region = <name>`; when any does,
 // the report adds a hierarchy section (quotient Shapley per region and

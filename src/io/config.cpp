@@ -76,6 +76,19 @@ double ConfigSection::get_double_or(const std::string& key,
   return find(key) ? get_double(key) : fallback;
 }
 
+int ConfigSection::get_int_or(const std::string& key, int fallback, int lo,
+                              int hi) const {
+  if (!find(key)) return fallback;
+  const double value = get_double(key);
+  if (value != std::floor(value) || value < lo || value > hi) {
+    throw ConfigError("'" + key + "' must be an integer in [" +
+                          std::to_string(lo) + ", " + std::to_string(hi) +
+                          "]",
+                      entry_line(key));
+  }
+  return static_cast<int>(value);
+}
+
 Config Config::parse(std::istream& in) {
   Config config;
   std::string raw_line;

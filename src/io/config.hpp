@@ -58,6 +58,12 @@ struct ConfigSection {
   /// Optional double with a default.
   [[nodiscard]] double get_double_or(const std::string& key,
                                      double fallback) const;
+
+  /// Optional integer in [lo, hi] with a default; throws ConfigError
+  /// (carrying the entry's line) when the value is fractional or out of
+  /// range.
+  [[nodiscard]] int get_int_or(const std::string& key, int fallback, int lo,
+                               int hi) const;
 };
 
 /// A parsed configuration file.

@@ -1,6 +1,10 @@
 #include "model/location_space.hpp"
 
 #include <algorithm>
+#include <cfloat>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 
@@ -61,6 +65,7 @@ LocationSpace LocationSpace::overlapping(std::vector<FacilityConfig> configs,
 
 void LocationSpace::build_types() {
   types_.clear();
+  grouped_ids_.clear();
   // A facility with uniform units whose id range meets no other
   // facility's range shares none of its locations, so it is one type,
   // found with no per-location pass. This covers every facility of a
@@ -88,8 +93,10 @@ void LocationSpace::build_types() {
       continue;
     }
     const int member = static_cast<int>(i);
-    types_.push_back({member_bit(member), {{member, f.effective_units_at(0)}},
-                      static_cast<std::size_t>(f.num_locations())});
+    types_.push_back({member_bit(member),
+                      {{member, f.effective_units_at(0)}},
+                      static_cast<std::size_t>(f.num_locations()), true,
+                      0});
     grouped[i] = 1;
   }
   if (!rest) return;
@@ -123,13 +130,16 @@ void LocationSpace::build_types() {
   for (std::size_t loc = 0; loc < universe; ++loc) {
     if (start[loc + 1] > start[loc]) covered.push_back(loc);
   }
-  std::sort(covered.begin(), covered.end(),
-            [&](std::size_t a, std::size_t b) {
-              return std::lexicographical_compare(begin(a), end(a), begin(b),
-                                                  end(b));
-            });
+  // Stable: each type's ids stay ascending.
+  std::stable_sort(covered.begin(), covered.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return std::lexicographical_compare(begin(a), end(a),
+                                                         begin(b), end(b));
+                   });
+  grouped_ids_.reserve(covered.size());
   for (std::size_t j = 0; j < covered.size(); ++j) {
     const std::size_t loc = covered[j];
+    grouped_ids_.push_back(static_cast<int>(loc));
     if (j > 0 && std::equal(begin(loc), end(loc), begin(covered[j - 1]),
                             end(covered[j - 1]))) {
       ++types_.back().count;
@@ -141,8 +151,18 @@ void LocationSpace::build_types() {
       type.covered_by |= member_bit(member);
     }
     type.count = 1;
+    type.ids_begin = j;
     types_.push_back(std::move(type));
   }
+}
+
+double LocationSpace::pooled_capacity(const LocationType& type,
+                                      std::uint64_t members) {
+  double capacity = 0.0;  // summed in member order, as in pool_for
+  for (const auto& [member, units] : type.units) {
+    if ((member_bit(member) & members) != 0) capacity += units;
+  }
+  return capacity;
 }
 
 const Facility& LocationSpace::facility(int id) const {
@@ -182,11 +202,8 @@ alloc::CapacityHistogram LocationSpace::capacity_histogram(
   histogram.bins.reserve(types_.size());
   for (const LocationType& type : types_) {
     if ((type.covered_by & coalition.bits()) == 0) continue;
-    double capacity = 0.0;  // summed in member order, as in pool_for
-    for (const auto& [member, units] : type.units) {
-      if ((member_bit(member) & coalition.bits()) != 0) capacity += units;
-    }
-    histogram.bins.push_back({capacity, type.count});
+    histogram.bins.push_back(
+        {pooled_capacity(type, coalition.bits()), type.count});
   }
   histogram.canonicalize();
   return histogram;
@@ -276,47 +293,161 @@ LocationSpace LocationSpace::with_outages(
   return degraded;
 }
 
-std::vector<double> LocationSpace::attribute_consumption(
+std::vector<double> LocationSpace::attribute_runs(
     game::Coalition coalition,
-    const std::vector<double>& units_per_location) const {
+    const std::vector<alloc::ConsumedRun>& runs) const {
   check_coalition(coalition);
-  const std::vector<int> ids = pooled_location_ids(coalition);
-  if (units_per_location.size() != ids.size()) {
-    throw std::invalid_argument(
-        "attribute_consumption: consumption vector does not match the "
-        "coalition's pool");
+  const std::uint64_t bits = coalition.bits();
+  // The coalition's types grouped into the pool's capacity bins,
+  // ascending; inside a bin, walk() takes locations in id order.
+  struct Cursor {
+    const LocationType* type;
+    double capacity;
+    std::size_t next;  // the type's locations attributed so far
+  };
+  std::vector<Cursor> cursors;
+  cursors.reserve(types_.size());
+  std::size_t total = 0;
+  for (const LocationType& type : types_) {
+    if ((type.covered_by & bits) == 0) continue;
+    cursors.push_back({&type, pooled_capacity(type, bits), 0});
+    total += type.count;
   }
-  // capacity_by_loc[pool index][facility] share.
+  std::stable_sort(cursors.begin(), cursors.end(),
+                   [](const Cursor& a, const Cursor& b) {
+                     return a.capacity < b.capacity;
+                   });
+  bool tiles = true;
+  std::size_t at = 0;
+  for (const alloc::ConsumedRun& run : runs) {
+    tiles = tiles && run.first == at;
+    at += run.count;
+  }
+  if (!tiles || at != total) {
+    throw std::invalid_argument(
+        "attribute_runs: runs do not tile the coalition's pool");
+  }
+
   std::vector<double> consumed(static_cast<std::size_t>(num_facilities()),
                                0.0);
-  // Pool index of each covered location id.
-  std::vector<std::size_t> rank(static_cast<std::size_t>(num_locations_), 0);
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    rank[static_cast<std::size_t>(ids[i])] = i;
-  }
-  std::vector<double> total_cap(ids.size(), 0.0);
-  for (const int member : coalition.members()) {
-    const auto mi = static_cast<std::size_t>(member);
-    const auto& locs = facility_locations_[mi];
-    for (std::size_t k = 0; k < locs.size(); ++k) {
-      total_cap[rank[static_cast<std::size_t>(locs[k])]] +=
-          facilities_[mi].effective_units_at(static_cast<int>(k));
+  // Attributes the cursor's next `count` locations, `units` each.
+  const auto credit = [&](Cursor& c, std::size_t count, double units) {
+    if (count == 0) return;
+    c.next += count;
+    if (!(c.capacity > 0.0)) return;
+    for (const auto& [member, member_units] : c.type->units) {
+      if ((member_bit(member) & bits) == 0) continue;
+      double& sum = consumed[static_cast<std::size_t>(member)];
+      sum = repeated_sum(sum, units * member_units / c.capacity, count);
     }
-  }
-  for (const int member : coalition.members()) {
-    const auto mi = static_cast<std::size_t>(member);
-    const auto& locs = facility_locations_[mi];
-    for (std::size_t k = 0; k < locs.size(); ++k) {
-      const std::size_t idx = rank[static_cast<std::size_t>(locs[k])];
-      if (total_cap[idx] > 0.0) {
-        consumed[mi] +=
-            units_per_location[idx] *
-            facilities_[mi].effective_units_at(static_cast<int>(k)) /
-            total_cap[idx];
+  };
+  // The id of a cursor's next location. An isolated type answers with
+  // its lowest id at every step: no other covered id lies in its range,
+  // so that id orders it against the other types just as well.
+  const auto next_id = [this](const Cursor& c) {
+    const LocationType& type = *c.type;
+    return type.isolated
+               ? facility_locations_[static_cast<std::size_t>(
+                                         type.units.front().first)]
+                     .front()
+               : grouped_ids_[type.ids_begin + c.next];
+  };
+  // Attributes the next `take` locations of the bin cursors[b, e), in id
+  // order, `units` each.
+  const auto walk = [&](std::size_t b, std::size_t e, std::size_t take,
+                        double units) {
+    while (take > 0) {
+      Cursor* low = nullptr;
+      int low_id = 0;
+      int other_id = INT_MAX;  // lowest next id of every other cursor
+      for (std::size_t k = b; k < e; ++k) {
+        Cursor& c = cursors[k];
+        if (c.next == c.type->count) continue;
+        const int id = next_id(c);
+        if (low == nullptr || id < low_id) {
+          if (low != nullptr) other_id = low_id;
+          low = &c;
+          low_id = id;
+        } else {
+          other_id = std::min(other_id, id);
+        }
+      }
+      const LocationType& type = *low->type;
+      std::size_t k = std::min(take, type.count - low->next);
+      if (!type.isolated && other_id != INT_MAX) {
+        const int* ids = grouped_ids_.data() + type.ids_begin + low->next;
+        std::size_t below = 1;  // ids[0] == low_id < other_id
+        while (below < k && ids[below] < other_id) ++below;
+        k = below;
+      }
+      credit(*low, k, units);
+      take -= k;
+    }
+  };
+
+  std::size_t r = 0;
+  std::size_t run_left = 0;  // positions of runs[r - 1] not yet attributed
+  for (std::size_t b = 0; b < cursors.size();) {
+    std::size_t e = b;
+    std::size_t bin_left = 0;
+    for (; e < cursors.size() && cursors[e].capacity == cursors[b].capacity;
+         ++e) {
+      bin_left += cursors[e].type->count;
+    }
+    while (bin_left > 0) {
+      while (run_left == 0) run_left = runs[r++].count;
+      const double units = runs[r - 1].units;
+      if (run_left >= bin_left) {
+        // The run holds the rest of the bin: every type gives what is left.
+        for (std::size_t k = b; k < e; ++k) {
+          credit(cursors[k], cursors[k].type->count - cursors[k].next, units);
+        }
+        run_left -= bin_left;
+        bin_left = 0;
+      } else {
+        walk(b, e, run_left, units);
+        bin_left -= run_left;
+        run_left = 0;
       }
     }
+    b = e;
   }
   return consumed;
+}
+
+double repeated_sum(double s, double t, std::size_t k) {
+  while (k > 0) {
+    if (t == 0.0) return s;
+    if (s < DBL_MIN) {  // zero or subnormal: one plain step
+      s += t;
+      --k;
+      continue;
+    }
+    // In units of the binade's ulp q: s = S, t = D + f with D whole and
+    // |f| <= 1/2, the binade's end is 2^53. While S + t stays below it,
+    // an addition rounds to S + D exactly.
+    const int e = std::ilogb(s);
+    const double q = std::ldexp(1.0, e - 52);
+    const double tq = t / q;
+    const double d = std::round(tq);
+    const double f = tq - d;
+    if (tq < 0x1p53 && std::abs(f) != 0.5) {
+      if (d == 0.0) return s;  // t rounds away here and in every binade above
+      const auto big_s = static_cast<std::uint64_t>(s / q);
+      const auto big_d = static_cast<std::uint64_t>(d);
+      const std::uint64_t room = (std::uint64_t{1} << 53) - big_s;
+      // Steps j with j * D + f < room.
+      const std::uint64_t steps = f < 0.0 ? room / big_d : (room - 1) / big_d;
+      const std::uint64_t j = std::min<std::uint64_t>(k, steps);
+      s = static_cast<double>(big_s + j * big_d) * q;
+      k -= static_cast<std::size_t>(j);
+      if (k == 0) return s;
+    }
+    // The step that leaves the binade (or a halfway tie), taken as is.
+    s += t;
+    --k;
+  }
+  return s;
 }
 
 }  // namespace fedshare::model

@@ -84,33 +84,63 @@ class LocationSpace {
   [[nodiscard]] LocationSpace with_outages(
       const std::vector<std::vector<bool>>& up) const;
 
-  /// Splits an allocation's per-location consumed units (aligned with
-  /// pool_for(coalition)) across facilities, pro-rata to each facility's
-  /// capacity at that location. Returns consumed units per facility
-  /// (all facilities; non-members get 0).
-  [[nodiscard]] std::vector<double> attribute_consumption(
+  /// Splits a greedy allocation's consumption across facilities,
+  /// pro-rata to each member's capacity at each location. `runs` are
+  /// those of alloc::allocate_greedy on capacity_histogram(coalition),
+  /// read as positions in pool_for(coalition)'s (capacity, location id)
+  /// order; they must tile every position. Returns consumed units per
+  /// facility (all facilities; non-members get 0).
+  ///
+  /// Works on location types, not locations: a run that covers the rest
+  /// of a capacity bin hands each of the bin's types its remaining count
+  /// at once, and only where a reservation ended inside a bin that two or
+  /// more types share are ids walked, in id order up to that boundary (an
+  /// isolated type moves as one block even then).
+  /// Each location's share is added one location at a time in id order
+  /// (repeated_sum), so on a space whose types are all isolated every
+  /// facility's total is bitwise the per-location attribution's.
+  [[nodiscard]] std::vector<double> attribute_runs(
       game::Coalition coalition,
-      const std::vector<double>& units_per_location) const;
+      const std::vector<alloc::ConsumedRun>& runs) const;
 
  private:
   LocationSpace() = default;
 
   // Locations that the same facilities cover with the same per-member
   // units: a coalition pools all of them at one capacity, or none.
+  // An isolated type (one uniform-units facility whose id range meets no
+  // other facility's) is all of that facility's locations, with no other
+  // covered location between its lowest id and its highest; a grouped
+  // type's ids are grouped_ids_[ids_begin, ids_begin + count), ascending.
   struct LocationType {
     std::uint64_t covered_by = 0;  // member bitmask
     std::vector<std::pair<int, double>> units;  // (member, units), ascending
     std::size_t count = 0;
+    bool isolated = false;
+    std::size_t ids_begin = 0;
   };
 
   std::vector<Facility> facilities_;
   std::vector<std::vector<int>> facility_locations_;  // ascending ids
   int num_locations_ = 0;
   std::vector<LocationType> types_;
+  std::vector<int> grouped_ids_;  // grouped types' ids, type by type
 
   void check_coalition(game::Coalition coalition) const;
+  // The type's capacity pooled over `members` (a bitmask).
+  static double pooled_capacity(const LocationType& type,
+                                std::uint64_t members);
   // Fills types_ from the facilities and their locations.
   void build_types();
 };
+
+/// s + t + ... + t with k terms t, added one at a time from the left in
+/// double arithmetic: bitwise the sum of k sequential `s += t`. Inside
+/// one binade of the running sum each addition rounds t to the same
+/// multiple of the binade's ulp, unless t lies exactly halfway between
+/// two (then the sum's last bit breaks the tie), so the additions that
+/// stay in the binade are taken in one exact step. Costs O(binades the
+/// sum crosses), or up to O(k) on halfway ties. Needs finite s, t >= 0.
+[[nodiscard]] double repeated_sum(double s, double t, std::size_t k);
 
 }  // namespace fedshare::model

@@ -4,14 +4,6 @@
 
 namespace fedshare::model {
 
-alloc::AllocationResult coalition_allocation(const LocationSpace& space,
-                                             const DemandProfile& demand,
-                                             game::Coalition coalition) {
-  demand.validate();
-  const alloc::LocationPool pool = space.pool_for(coalition);
-  return alloc::allocate_greedy(pool, demand.classes);
-}
-
 double coalition_value(const LocationSpace& space, const DemandProfile& demand,
                        game::Coalition coalition) {
   if (coalition.empty()) return 0.0;
@@ -22,11 +14,13 @@ double coalition_value(const LocationSpace& space, const DemandProfile& demand,
 
 std::vector<double> consumption_weights(const LocationSpace& space,
                                         const DemandProfile& demand) {
+  demand.validate();
   const game::Coalition grand =
       game::Coalition::grand(space.num_facilities());
-  const alloc::AllocationResult result =
-      coalition_allocation(space, demand, grand);
-  return space.attribute_consumption(grand, result.units_per_location);
+  std::vector<alloc::ConsumedRun> runs;
+  (void)alloc::allocate_greedy(space.capacity_histogram(grand),
+                               demand.classes, runs);
+  return space.attribute_runs(grand, runs);
 }
 
 namespace {

@@ -10,7 +10,6 @@
 
 #include <vector>
 
-#include "alloc/allocation.hpp"
 #include "core/coalition.hpp"
 #include "core/symmetry.hpp"
 #include "model/demand.hpp"
@@ -18,20 +17,19 @@
 
 namespace fedshare::model {
 
-/// Full allocation outcome for a coalition facing `demand`.
-[[nodiscard]] alloc::AllocationResult coalition_allocation(
-    const LocationSpace& space, const DemandProfile& demand,
-    game::Coalition coalition);
-
 /// V(S): total utility the coalition can generate (0 for the empty
 /// coalition). Runs the greedy on the coalition's capacity histogram,
-/// so it equals coalition_allocation(...).total_utility bitwise.
+/// so it equals allocate_greedy(pool_for(coalition), ...).total_utility
+/// bitwise.
 [[nodiscard]] double coalition_value(const LocationSpace& space,
                                      const DemandProfile& demand,
                                      game::Coalition coalition);
 
 /// Consumption weights for Eq. 7: units consumed from each facility's
-/// resources under the grand coalition's optimal allocation.
+/// resources under the grand coalition's optimal allocation. Runs the
+/// greedy on the grand coalition's capacity histogram and attributes
+/// its runs by location type (LocationSpace::attribute_runs), with no
+/// per-location pool.
 [[nodiscard]] std::vector<double> consumption_weights(
     const LocationSpace& space, const DemandProfile& demand);
 

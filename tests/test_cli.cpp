@@ -1,6 +1,7 @@
 // Tests for the CLI runner (config -> federation -> report).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -63,6 +64,27 @@ TEST(CliRunner, PrecisionOptionChangesOutput) {
   const std::string report = run_report_from_string(config);
   EXPECT_NE(report.find("0.22"), std::string::npos);
   EXPECT_EQ(report.find("0.2179"), std::string::npos);
+}
+
+TEST(CliRunner, PrecisionMustBeAnIntegerFromZeroToSeventeen) {
+  const std::string base = std::string(kPaperConfig) + "[options]\n";
+  const int line =
+      static_cast<int>(std::count(base.begin(), base.end(), '\n')) + 1;
+  for (const char* value : {"2.7", "-1", "18", "1e12"}) {
+    try {
+      (void)run_report_from_string(base + "precision = " + value + "\n");
+      FAIL() << "expected ConfigError for precision = " << value;
+    } catch (const io::ConfigError& e) {
+      EXPECT_EQ(e.line(), line) << value;
+      EXPECT_NE(std::string(e.what()).find("precision"), std::string::npos);
+    }
+  }
+  const std::string widest =
+      run_report_from_string(base + "precision = 17\n");
+  EXPECT_NE(widest.find("0.21794871794871795"), std::string::npos);
+  const std::string narrowest =
+      run_report_from_string(base + "precision = 0\n");
+  EXPECT_EQ(narrowest.find("0.2179"), std::string::npos);
 }
 
 TEST(CliRunner, RejectsMissingSections) {

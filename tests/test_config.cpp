@@ -115,6 +115,28 @@ TEST(Config, GetDoubleErrorsPointAtTheEntryLine) {
   }
 }
 
+TEST(Config, GetIntOrRequiresAnIntegerInRange) {
+  const auto cfg = Config::parse_string(
+      "[s]\na = 2.7\nb = -1\nc = 18\nd = 1e12\ne = 17\nf = 0\n");
+  const ConfigSection& s = cfg.sections[0];
+  EXPECT_EQ(s.get_int_or("e", 4, 0, 17), 17);
+  EXPECT_EQ(s.get_int_or("f", 4, 0, 17), 0);
+  EXPECT_EQ(s.get_int_or("absent", 4, 0, 17), 4);
+  const std::pair<const char*, int> bad[] = {
+      {"a", 2}, {"b", 3}, {"c", 4}, {"d", 5}};
+  for (const auto& [key, line] : bad) {
+    try {
+      (void)s.get_int_or(key, 4, 0, 17);
+      FAIL() << "expected ConfigError for " << key;
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.line(), line) << key;
+      EXPECT_NE(std::string(e.what()).find("integer in [0, 17]"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Config, RejectsNonFiniteDoubles) {
   const auto cfg =
       Config::parse_string("[s]\na = nan\nb = inf\nc = -inf\nd = NaN\n");

@@ -237,51 +237,11 @@ TEST(LocationSpace, HeterogeneousPoolUsesPerLocationUnits) {
   EXPECT_DOUBLE_EQ(pool.capacity[2], 6.0);
 }
 
-TEST(LocationSpace, HeterogeneousConsumptionAttribution) {
-  // One uniform facility overlapping one heterogeneous facility on the
-  // same 2-location universe.
-  FacilityConfig a;
-  a.name = "uniform";
-  a.num_locations = 2;
-  a.units_per_location = 2.0;
-  FacilityConfig b;
-  b.name = "het";
-  b.num_locations = 2;
-  b.custom_units = {6.0, 2.0};
-  const auto space = LocationSpace::overlapping({a, b}, 2, 3);
-  // Pool capacities: 8 and 4 (in location-id order; both cover both).
-  const auto consumed = space.attribute_consumption(
-      game::Coalition::grand(2), {4.0, 4.0});
-  // Location 0: a gets 4 * 2/8 = 1, b gets 3. Location 1: a gets
-  // 4 * 2/4 = 2, b gets 2.
-  EXPECT_NEAR(consumed[0], 3.0, 1e-12);
-  EXPECT_NEAR(consumed[1], 5.0, 1e-12);
-}
-
 TEST(LocationSpace, AvailabilityScalesPool) {
   std::vector<FacilityConfig> configs{{"A", 2, 10.0, 0.5}};
   const auto space = LocationSpace::disjoint(configs);
   const auto pool = space.pool_for(game::Coalition::single(0));
   for (const double c : pool.capacity) EXPECT_DOUBLE_EQ(c, 5.0);
-}
-
-TEST(LocationSpace, AttributeConsumptionProRata) {
-  std::vector<FacilityConfig> configs{{"A", 2, 1.0, 1.0},
-                                      {"B", 2, 3.0, 1.0}};
-  const auto space = LocationSpace::overlapping(configs, 2, 5);
-  const game::Coalition grand = game::Coalition::grand(2);
-  // Both facilities cover both locations; capacity 4 at each. Consume 2
-  // units at each location: A gets 2*2*(1/4) = 1, B gets 3.
-  const auto consumed = space.attribute_consumption(grand, {2.0, 2.0});
-  EXPECT_NEAR(consumed[0], 1.0, 1e-12);
-  EXPECT_NEAR(consumed[1], 3.0, 1e-12);
-}
-
-TEST(LocationSpace, AttributeConsumptionValidatesSize) {
-  const auto space = LocationSpace::disjoint(three_configs());
-  EXPECT_THROW((void)space.attribute_consumption(game::Coalition::grand(3),
-                                                 {1.0, 2.0}),
-               std::invalid_argument);
 }
 
 TEST(CoalitionValue, SingleExperimentMatchesClosedForm) {

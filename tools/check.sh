@@ -22,7 +22,9 @@
 # tabulation stops beating a cold re-tabulation, or an outage-end stops
 # reusing the memoised pre-outage answer bit for bit, then the
 # crash-recovery gate (tools/crash_check.sh: SIGKILL the serve CLI at
-# every epoch and require the resumed answer to be byte-identical), the end-to-end benchmark's self-test
+# every epoch and require the resumed answer to be byte-identical), the
+# outage report golden at 4 threads (each scenario's consumption weights
+# are computed on pool threads), the end-to-end benchmark's self-test
 # (perfbench/run.py --self-test: every workload for a few ops, every
 # declared metric printed, and corrupted outputs — a dropped nucleolus
 # row, shares not summing to 1, a stale serve answer — all rejected),
@@ -85,6 +87,11 @@ cmake --build "$root/build" -j "$jobs" --target perf_serve
 echo "== crash recovery (SIGKILL at every epoch, bitwise resume) =="
 cmake --build "$root/build" -j "$jobs" --target fedshare_cli
 "$root/tools/crash_check.sh" "$root/build"
+
+echo "== outage golden at 4 threads (scenario weights computed on pool threads) =="
+"$root/build/tools/fedshare_cli" --threads 4 --outage-scenarios 16 \
+  --outage-seed 7 "$root/configs/planetlab.ini" \
+  | diff "$root/tests/golden/planetlab_outage.txt" -
 
 echo "== end-to-end benchmark self-test (perfbench correctness checks) =="
 (cd "$root" && python3 perfbench/run.py --self-test)
