@@ -1,5 +1,6 @@
 #include "core/core_solution.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -47,8 +48,23 @@ LeastCoreResult least_core(const Game& game,
     prob.add_constraint(std::move(row), lp::Relation::kGreaterEqual, v[mask]);
   }
 
+  // The dense engine starts from the equal split V(N) / n with epsilon
+  // at the largest excess there, a point every excess row holds, so only
+  // the efficiency row takes a phase-1 artificial. The start depends on
+  // the game alone, never on an allocation a caller wants checked.
+  std::vector<double> start(nv + 1, v[grand] / static_cast<double>(n));
+  start[nv] = -std::numeric_limits<double>::infinity();
+  for (std::uint64_t mask = 1; mask < grand; ++mask) {
+    double x_s = 0.0;
+    for (int i = 0; i < n; ++i) {
+      if ((mask >> i) & 1u) x_s += start[static_cast<std::size_t>(i)];
+    }
+    start[nv] = std::max(start[nv], v[mask] - x_s);
+  }
+  if (!std::isfinite(start[nv])) start[nv] = 0.0;  // n == 1: no rows
+
   LeastCoreResult out;
-  const lp::Solution sol = lp::solve(prob, options);
+  const lp::Solution sol = lp::solve(prob, options, start);
   if (!sol.optimal()) return out;
   out.solved = true;
   out.epsilon = sol.x[nv];

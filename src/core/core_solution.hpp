@@ -24,6 +24,9 @@ struct LeastCoreResult {
 };
 
 /// Solves the least-core LP. Requires 1 <= n <= kMaxLeastCorePlayers.
+/// The dense engine starts from the equal split V(N) / n with epsilon
+/// at its largest excess, so the 2^n - 2 excess rows need no phase-1
+/// artificials.
 [[nodiscard]] LeastCoreResult least_core(const Game& game);
 
 /// Variant threading solver options through the LP (engine choice,

@@ -160,7 +160,8 @@ class RankTracker {
 //     where it is slack by more than kTol (released); an optimum
 //     <= kTol bounds every remaining row's slack by kTol over the whole
 //     optimal face (fixed). A pass that releases nothing while its
-//     optimum is still > kTol falls back to step 4.
+//     optimum is still > kTol falls back to step 4. Each pass starts
+//     from (x*, eps, y = 0), which satisfies all of its inequalities.
 //  4. One aux-max probe per row still undecided.
 // `least_core` is the round's LP over the working set (variable nv is
 // eps), `sol` its closed optimum, and `rows` the constraint indices of
@@ -199,6 +200,7 @@ std::optional<std::vector<char>> tight_rows(
   }
 
   std::vector<std::size_t> slot;
+  std::vector<double> start;  // (x*, eps, y = 0) holds every pass row
   while (!open.empty()) {
     const std::size_t m = open.size();
     const std::size_t none = m;
@@ -223,7 +225,9 @@ std::optional<std::vector<char>> tight_rows(
       cap[nv + 1 + k] = 1.0;
       pass.add_constraint(std::move(cap), lp::Relation::kLessEqual, 1.0);
     }
-    const lp::Solution pass_sol = lp::solve(pass, options);
+    start.assign(sol.x.begin(), sol.x.end());
+    start.resize(nv + 1 + m, 0.0);
+    const lp::Solution pass_sol = lp::solve(pass, options, start);
     ++out.lps_solved;
     out.pivots += pass_sol.pivots;
     if (!pass_sol.optimal()) break;
@@ -452,7 +456,25 @@ NucleolusResult maschler(const OrbitIndex& index,
 
   lp::Basis round_basis;
   lp::Basis probe_basis;
-  // Maximizes `objective` over the eps-pinned probe rows: cold on
+  // The dense engine starts every LP from `held`, the last optimum
+  // (x, eps) — before the first, the equal split V(N) / sum_t m_t. A
+  // round LP lifts held's eps to the largest excess over the active
+  // working rows first, so only the equalities need artificials. Probes
+  // and release passes start from the round optimum (x*, eps), which
+  // holds every inequality of the eps-pinned problems.
+  std::vector<double> held(
+      tv + 1, grand_value / static_cast<double>(part.num_players()));
+  const auto lift_eps = [&] {
+    std::optional<double> eps;
+    for (const lp::Constraint& c : round_prob.constraints()) {
+      if (c.relation != lp::Relation::kGreaterEqual) continue;
+      double ax = 0.0;
+      for (std::size_t t = 0; t < tv; ++t) ax += c.coefficients[t] * held[t];
+      eps = std::max(eps.value_or(c.rhs - ax), c.rhs - ax);
+    }
+    if (eps.has_value()) held[tv] = *eps;
+  };
+  // Maximizes `objective` over the eps-pinned probe rows: from held on
   // probe_prob under the dense engine; under the revised engine warm on
   // the persistent probe_engine from the last probe optimum's basis,
   // which every optimum overwrites (a row appended meanwhile enters with
@@ -462,7 +484,7 @@ NucleolusResult maschler(const OrbitIndex& index,
       for (std::size_t v = 0; v < objective.size(); ++v) {
         probe_prob.set_objective_coefficient(v, objective[v]);
       }
-      return lp::solve(probe_prob, options);
+      return lp::solve(probe_prob, options, held);
     }
     for (std::size_t v = 0; v < objective.size(); ++v) {
       probe_engine->set_objective_coefficient(v, objective[v]);
@@ -481,18 +503,21 @@ NucleolusResult maschler(const OrbitIndex& index,
     // 1. Least-core step, closed over the working set, warm from the
     //    previous solve's basis on the revised engine (the row set
     //    changed, but prepare() re-derives the computational form per
-    //    solve, and appended rows enter with their slacks basic).
+    //    solve, and appended rows enter with their slacks basic), from
+    //    held with its eps lifted on the dense engine.
     lp::Solution sol;
     for (;;) {
       if (revised) {
         sol = round_engine->solve_from_basis(round_basis);
         if (sol.optimal()) round_basis = round_engine->basis();
       } else {
-        sol = lp::solve(round_prob, options);
+        lift_eps();
+        sol = lp::solve(round_prob, options, held);
       }
       ++out.lps_solved;
       out.pivots += sol.pivots;
       if (!sol.optimal()) return out;
+      held = sol.x;
       if (!separate(sol.x, sol.x[tv])) break;
     }
     const double eps = sol.x[tv];

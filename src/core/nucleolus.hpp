@@ -37,7 +37,10 @@
 // full-row loop's up to rounding; a final scan of the whole table
 // confirms that no row outside the working set has an excess above the
 // last level (else solved == false). At hetero n = 10 the LPs carry a
-// few dozen of the 1022 rows.
+// few dozen of the 1022 rows. The dense engine starts each LP from the
+// point the loop holds (the last optimum, or the equal split before the
+// first), so phase 1 repairs only the equalities and the rows that
+// point violates.
 //
 // One loop runs the scheme, over weighted excess rows: one row per
 // *orbit* of a PlayerPartition, with per-type share variables x_t and

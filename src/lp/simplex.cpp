@@ -131,9 +131,71 @@ bool solver_kind_from_string(const std::string& name,
 
 namespace {
 
-Solution solve_dense(const Problem& problem, const SimplexOptions& options) {
+// A row the start violates by at most this, times max(1, |rhs|), counts
+// as satisfied. Rows tight at the start carry residuals of a few ulps
+// either way; without the allowance half of them would take artificials.
+constexpr double kStartSlack = 1e-12;
+
+// How one row enters the tableau: the sign that makes its rhs
+// non-negative, the relation after that flip, and the rhs itself.
+struct RowForm {
+  double sign = 1.0;
+  Relation relation = Relation::kLessEqual;
+  double rhs = 0.0;
+};
+
+// `shifted_rhs` is the row's rhs minus its activity at the start. A
+// <= row with a non-negative rhs, or a >= row with a non-positive one,
+// holds at the start and becomes a <= row with its slack basic; so does
+// a row violated by at most kStartSlack * max(1, |rhs|), its rhs clamped
+// to 0. Every other row keeps (or flips to) a >= or == relation and gets
+// an artificial.
+RowForm row_form(const Constraint& c, double shifted_rhs) {
+  const double allowance = kStartSlack * std::max(1.0, std::abs(c.rhs));
+  RowForm f;
+  f.relation = c.relation;
+  switch (c.relation) {
+    case Relation::kLessEqual:
+      if (shifted_rhs < -allowance) {
+        f.sign = -1.0;
+        f.relation = Relation::kGreaterEqual;
+      }
+      break;
+    case Relation::kGreaterEqual:
+      if (shifted_rhs <= allowance) {
+        f.sign = -1.0;
+        f.relation = Relation::kLessEqual;
+      }
+      break;
+    case Relation::kEqual:
+      if (shifted_rhs < 0.0) f.sign = -1.0;
+      break;
+  }
+  f.rhs = std::max(0.0, f.sign * shifted_rhs);
+  return f;
+}
+
+// `start`, when non-null, holds one entry per variable; the free ones
+// shift the tableau's coordinates (x_v = start_v + d_v).
+Solution solve_dense(const Problem& problem, const SimplexOptions& options,
+                     const std::vector<double>* start) {
   const std::size_t n = problem.num_variables();
   const std::size_t m = problem.num_constraints();
+
+  // Each row's form in the shifted coordinates.
+  std::vector<RowForm> forms(m);
+  for (std::size_t r = 0; r < m; ++r) {
+    const auto& c = problem.constraints()[r];
+    double shifted = c.rhs;
+    if (start != nullptr) {
+      double activity = 0.0;
+      for (std::size_t v = 0; v < n; ++v) {
+        if (problem.is_free(v)) activity += c.coefficients[v] * (*start)[v];
+      }
+      shifted -= activity;
+    }
+    forms[r] = row_form(c, shifted);
+  }
 
   // Map original variables to structural columns; free variables get a
   // second (negated) column.
@@ -147,16 +209,10 @@ Solution solve_dense(const Problem& problem, const SimplexOptions& options) {
   // Count slack and artificial columns.
   std::size_t num_slack = 0;
   std::size_t num_artificial = 0;
-  for (const auto& c : problem.constraints()) {
+  for (const RowForm& f : forms) {
     // After sign-normalisation (rhs >= 0), <= gets a slack; >= gets a
-    // surplus plus an artificial; == gets an artificial. A <= row whose
-    // rhs was negative flips to >=.
-    Relation rel = c.relation;
-    if (c.rhs < 0.0) {
-      if (rel == Relation::kLessEqual) rel = Relation::kGreaterEqual;
-      else if (rel == Relation::kGreaterEqual) rel = Relation::kLessEqual;
-    }
-    switch (rel) {
+    // surplus plus an artificial; == gets an artificial.
+    switch (f.relation) {
       case Relation::kLessEqual: ++num_slack; break;
       case Relation::kGreaterEqual: ++num_slack; ++num_artificial; break;
       case Relation::kEqual: ++num_artificial; break;
@@ -203,21 +259,15 @@ Solution solve_dense(const Problem& problem, const SimplexOptions& options) {
 
   for (std::size_t r = 0; r < m; ++r) {
     const auto& c = problem.constraints()[r];
-    double sign = 1.0;
-    Relation rel = c.relation;
-    if (c.rhs < 0.0) {
-      sign = -1.0;
-      if (rel == Relation::kLessEqual) rel = Relation::kGreaterEqual;
-      else if (rel == Relation::kGreaterEqual) rel = Relation::kLessEqual;
-    }
+    const double sign = forms[r].sign;
     row_sign[r] = sign;
     for (std::size_t v = 0; v < n; ++v) {
       const double a = sign * c.coefficients[v];
       t.body(r, pos_col[v]) += a;
       if (neg_col[v] != SIZE_MAX) t.body(r, neg_col[v]) -= a;
     }
-    t.body(r, t.total_cols) = sign * c.rhs;
-    switch (rel) {
+    t.body(r, t.total_cols) = forms[r].rhs;
+    switch (forms[r].relation) {
       case Relation::kLessEqual:
         t.body(r, slack_cursor) = 1.0;
         row_slack[r] = slack_cursor;
@@ -379,7 +429,10 @@ Solution solve_dense(const Problem& problem, const SimplexOptions& options) {
   result.x.assign(n, 0.0);
   for (std::size_t v = 0; v < n; ++v) {
     result.x[v] = structural_values[pos_col[v]];
-    if (neg_col[v] != SIZE_MAX) result.x[v] -= structural_values[neg_col[v]];
+    if (neg_col[v] != SIZE_MAX) {
+      result.x[v] -= structural_values[neg_col[v]];
+      if (start != nullptr) result.x[v] += (*start)[v];
+    }
   }
   double obj = 0.0;
   for (std::size_t v = 0; v < n; ++v) {
@@ -404,19 +457,39 @@ Solution solve_dense(const Problem& problem, const SimplexOptions& options) {
   return result;
 }
 
-}  // namespace
-
-Solution solve(const Problem& problem, const SimplexOptions& options) {
+// Engine dispatch; `start` is ignored by the revised engine.
+Solution dispatch(const Problem& problem, const SimplexOptions& options,
+                  const std::vector<double>* start) {
   if (options.solver == SolverKind::kRevised) {
     // The revised engine notifies the observer itself (it also owns the
     // warm-started entry points that never pass through this wrapper).
     return solve_revised(problem, options);
   }
-  Solution result = solve_dense(problem, options);
+  Solution result = solve_dense(problem, options, start);
   if (options.observer != nullptr) {
     options.observer->on_solve(problem, result);
   }
   return result;
+}
+
+}  // namespace
+
+Solution solve(const Problem& problem, const SimplexOptions& options) {
+  return dispatch(problem, options, nullptr);
+}
+
+Solution solve(const Problem& problem, const SimplexOptions& options,
+               const std::vector<double>& start) {
+  if (start.size() != problem.num_variables()) {
+    throw std::invalid_argument(
+        "lp::solve: start needs one entry per variable");
+  }
+  for (std::size_t v = 0; v < start.size(); ++v) {
+    if (problem.is_free(v) && !std::isfinite(start[v])) {
+      throw std::invalid_argument("lp::solve: start must be finite");
+    }
+  }
+  return dispatch(problem, options, &start);
 }
 
 }  // namespace fedshare::lp

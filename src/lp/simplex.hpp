@@ -3,6 +3,9 @@
 // Scope: the LPs in this library are small (core membership, least-core,
 // nucleolus steps, allocation relaxations — tens of rows/columns), so a
 // dense tableau with Bland's anti-cycling rule is both simple and robust.
+// A dense solve may be given a start point (see the solve overload):
+// rows the start satisfies then begin with their slacks basic, and
+// phase 1 only has to repair the rest.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +31,8 @@ enum class SolveStatus {
 [[nodiscard]] const char* to_string(SolveStatus status) noexcept;
 
 /// Which simplex engine solves the LP. kDense is the original two-phase
-/// tableau (robust, O(m*cols) per pivot, no warm starts); kRevised is
+/// tableau (robust, O(m*cols) per pivot, started from a point rather
+/// than a basis); kRevised is
 /// the bounded-variable revised simplex in lp/revised_simplex.hpp (LU
 /// basis + eta file, warm-startable). Both implement the same Problem
 /// semantics and agree on status and objective to solver tolerance.
@@ -125,7 +129,30 @@ struct SimplexOptions {
 
 /// Solves `problem` with the engine selected by `options.solver`
 /// (two-phase dense tableau by default).
+///
+/// The dense tableau starts from the origin after sign-normalising each
+/// row: a row whose rhs is on its slack side (<= rows with rhs >= 0,
+/// >= rows with rhs <= 0) begins with its slack or surplus basic, and
+/// only the others (and every == row) get a phase-1 artificial. A row
+/// violated at the origin by at most 1e-12 * max(1, |rhs|) counts as
+/// satisfied, its rhs clamped to the slack side.
 [[nodiscard]] Solution solve(const Problem& problem,
                              const SimplexOptions& options = {});
+
+/// Solves `problem` from the point `start` (one entry per variable).
+/// The dense tableau works in coordinates shifted to the start on the
+/// free variables, x_j = start_j + d_j, so the rows `start` satisfies
+/// (to the tolerance above) need no artificial; entries of non-free
+/// variables are ignored. Any start gives the same status and optimum
+/// as solve(problem, options) — a poor one only costs phase-1 pivots —
+/// and x, the objective and every certificate are reported in the
+/// original coordinates (the shift leaves the duals unchanged). The
+/// observer sees `problem` itself. Under SolverKind::kRevised the start
+/// is ignored: that engine warm-starts from bases (RevisedSimplex).
+/// Throws std::invalid_argument when `start` has the wrong size or a
+/// non-finite entry on a free variable.
+[[nodiscard]] Solution solve(const Problem& problem,
+                             const SimplexOptions& options,
+                             const std::vector<double>& start);
 
 }  // namespace fedshare::lp

@@ -245,6 +245,30 @@ TEST(CliRunner, ElevenFacilitiesWithoutTypesSkipTheNucleolus) {
   EXPECT_NE(result.text.find("\nbanzhaf "), std::string::npos);
 }
 
+// Ten distinct facilities (locations 130 + 110 i, units alternating 1
+// and 2): the dense ceiling's heterogeneous federation. The cheap audit
+// re-solves the full 2^10 - 2 row least-core LP to check the nucleolus
+// and must pass clean (CLI exit 0).
+TEST(CliRunner, CheapVerifyPassesOnTenHeterogeneousFacilities) {
+  std::string text;
+  for (int i = 0; i < 10; ++i) {
+    text += "[facility]\nname = F" + std::to_string(i) +
+            "\nlocations = " + std::to_string(130 + 110 * i) +
+            "\nunits = " + std::to_string(i % 2 + 1) + "\n";
+  }
+  text +=
+      "[demand]\ncount = 20\nmin_locations = 300\n"
+      "[demand]\ncount = 5\nmin_locations = 900\nexponent = 1.2\n";
+  ReportOptions opts;
+  opts.verify = verify::VerifyLevel::kCheap;
+  const auto result = run_report_result(io::Config::parse_string(text), opts);
+  EXPECT_FALSE(result.degraded());
+  EXPECT_TRUE(has_nucleolus_row(result.text));
+  EXPECT_NE(result.text.find("audit checks: "), std::string::npos);
+  EXPECT_NE(result.text.find(" (all passed)"), std::string::npos);
+  EXPECT_EQ(result.text.find("\nissue: "), std::string::npos);
+}
+
 TEST(CliRunner, ElevenInterchangeableFacilitiesGetTheQuotientNucleolus) {
   ReportOptions options;
   options.symmetry = game::SymmetryMode::kExact;

@@ -1,9 +1,15 @@
 // Tests for the LP substrate: matrix ops, problem building, simplex.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <vector>
+
 #include "lp/matrix.hpp"
 #include "lp/problem.hpp"
 #include "lp/simplex.hpp"
+#include "verify/certificates.hpp"
 
 namespace fedshare::lp {
 namespace {
@@ -170,6 +176,179 @@ TEST(Simplex, RedundantEqualityRowsHandled) {
   const Solution s = solve(p);
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.x[0], 2.0, 1e-8);
+}
+
+// --- Started dense solves ----------------------------------------------------
+
+// A least-core LP over three players: min eps s.t. x0 + x1 + x2 == 6 and
+// x(S) + eps >= V(S) for every proper S, all variables free.
+Problem least_core_lp() {
+  Problem p(4, Objective::kMinimize);
+  for (std::size_t v = 0; v < 4; ++v) p.set_free(v);
+  p.set_objective_coefficient(3, 1.0);
+  p.add_constraint({1.0, 1.0, 1.0, 0.0}, Relation::kEqual, 6.0);
+  const double values[] = {1.0, 0.5, 3.0, 2.0, 4.5, 3.5};
+  for (unsigned mask = 1; mask < 7; ++mask) {
+    std::vector<double> row(4, 0.0);
+    for (std::size_t i = 0; i < 3; ++i) row[i] = (mask >> i) & 1u ? 1.0 : 0.0;
+    row[3] = 1.0;
+    p.add_constraint(std::move(row), Relation::kGreaterEqual,
+                     values[mask - 1]);
+  }
+  return p;
+}
+
+// The started solve must reach the cold solve's status and objective,
+// and its certificate must hold against the original problem.
+void expect_matches_cold(const Problem& p, const std::vector<double>& start) {
+  const Solution cold = solve(p);
+  const Solution started = solve(p, {}, start);
+  ASSERT_EQ(started.status, cold.status);
+  if (cold.optimal()) {
+    EXPECT_NEAR(started.objective, cold.objective, 1e-9);
+    ASSERT_EQ(started.x.size(), p.num_variables());
+    ASSERT_EQ(started.duals.size(), p.num_constraints());
+  }
+  if (cold.status == SolveStatus::kInfeasible) {
+    ASSERT_EQ(started.farkas.size(), p.num_constraints());
+  }
+  const auto report = verify::check_lp(p, started);
+  EXPECT_TRUE(report.checked);
+  EXPECT_TRUE(report.valid) << report.detail;
+}
+
+TEST(StartedSolve, FeasibleStartMatchesColdWithFewerPivots) {
+  const Problem p = least_core_lp();
+  // Equal split with eps at the largest excess: every >= row holds.
+  std::vector<double> start = {2.0, 2.0, 2.0, 0.5};
+  expect_matches_cold(p, start);
+  EXPECT_LT(solve(p, {}, start).pivots, solve(p).pivots);
+}
+
+TEST(StartedSolve, InfeasibleStartMatchesCold) {
+  const Problem p = least_core_lp();
+  expect_matches_cold(p, {-40.0, 13.0, 7.5, -9.0});
+}
+
+TEST(StartedSolve, InfeasibleProblemCarriesAFarkasRay) {
+  Problem p(2, Objective::kMaximize);
+  p.set_free(0);
+  p.set_objective_coefficient(0, 1.0);
+  p.add_constraint({1.0, 1.0}, Relation::kLessEqual, 1.0);
+  p.add_constraint({1.0, -1.0}, Relation::kGreaterEqual, 3.0);
+  p.add_constraint({0.0, 1.0}, Relation::kGreaterEqual, 0.5);
+  expect_matches_cold(p, {0.25, 7.0});
+  expect_matches_cold(p, {-5.0, 0.0});
+  EXPECT_EQ(solve(p, {}, {0.25, 7.0}).status, SolveStatus::kInfeasible);
+}
+
+TEST(StartedSolve, NonFreeCoordinatesAreIgnored) {
+  Problem p(2, Objective::kMaximize);
+  p.set_objective_coefficient(0, 3.0);
+  p.set_objective_coefficient(1, 2.0);
+  p.add_constraint({1.0, 1.0}, Relation::kLessEqual, 4.0);
+  p.add_constraint({1.0, 3.0}, Relation::kGreaterEqual, 6.0);
+  const Solution cold = solve(p);
+  const Solution started =
+      solve(p, {}, {std::numeric_limits<double>::quiet_NaN(), -8.0});
+  ASSERT_TRUE(started.optimal());
+  EXPECT_EQ(started.x, cold.x);
+  EXPECT_EQ(started.duals, cold.duals);
+  EXPECT_EQ(started.pivots, cold.pivots);
+}
+
+TEST(StartedSolve, StartMustHaveOneFiniteEntryPerVariable) {
+  const Problem p = least_core_lp();
+  EXPECT_THROW((void)solve(p, {}, {1.0, 2.0, 3.0}), std::invalid_argument);
+  EXPECT_THROW((void)solve(p, {}, {1.0, 2.0, 3.0, 4.0, 5.0}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)solve(p, {}, {1.0, std::numeric_limits<double>::infinity(), 3.0,
+                          4.0}),
+      std::invalid_argument);
+  SimplexOptions revised;
+  revised.solver = SolverKind::kRevised;
+  EXPECT_THROW((void)solve(p, revised, {}), std::invalid_argument);
+}
+
+TEST(StartedSolve, RevisedEngineIgnoresTheStart) {
+  const Problem p = least_core_lp();
+  SimplexOptions revised;
+  revised.solver = SolverKind::kRevised;
+  const Solution cold = solve(p, revised);
+  const Solution started = solve(p, revised, {2.0, 2.0, 2.0, 0.5});
+  ASSERT_TRUE(started.optimal());
+  EXPECT_EQ(started.x, cold.x);
+  EXPECT_EQ(started.pivots, cold.pivots);
+}
+
+TEST(StartedSolve, ZeroRhsGreaterEqualRowTakesNoArtificial) {
+  // max -x - y s.t. x - y >= 0: the origin is optimal. An artificial on
+  // the zero-rhs row would cost a phase-1 pivot to drive out.
+  Problem p(2, Objective::kMaximize);
+  p.set_objective_coefficient(0, -1.0);
+  p.set_objective_coefficient(1, -1.0);
+  p.add_constraint({1.0, -1.0}, Relation::kGreaterEqual, 0.0);
+  const Solution s = solve(p);
+  ASSERT_TRUE(s.optimal());
+  EXPECT_EQ(s.pivots, 0u);
+  EXPECT_EQ(s.objective, 0.0);
+}
+
+TEST(StartedSolve, RowViolatedByRoundingCountsAsSatisfied) {
+  // min y s.t. x + y >= 1, x free. From x = 1 - 2^-50 the row is short
+  // by 2^-50, inside the 1e-12 allowance: no artificial, no pivot. From
+  // x = 0.5 it is violated outright and phase 1 repairs it.
+  Problem p(2, Objective::kMinimize);
+  p.set_free(0);
+  p.set_objective_coefficient(1, 1.0);
+  p.add_constraint({1.0, 1.0}, Relation::kGreaterEqual, 1.0);
+  const std::vector<double> near = {1.0 - std::ldexp(1.0, -50), 0.0};
+  const Solution s = solve(p, {}, near);
+  ASSERT_TRUE(s.optimal());
+  EXPECT_EQ(s.pivots, 0u);
+  EXPECT_EQ(s.x[0], near[0]);
+  expect_matches_cold(p, near);
+  const Solution far = solve(p, {}, {0.5, 0.0});
+  ASSERT_TRUE(far.optimal());
+  EXPECT_GT(far.pivots, 0u);
+  expect_matches_cold(p, {0.5, 0.0});
+}
+
+TEST(StartedSolve, UnboundedRayIsInOriginalCoordinates) {
+  Problem p(2, Objective::kMaximize);
+  p.set_free(0);
+  p.set_objective_coefficient(0, 1.0);
+  p.add_constraint({1.0, -1.0}, Relation::kLessEqual, 2.0);
+  expect_matches_cold(p, {5.0, 0.0});
+  EXPECT_EQ(solve(p, {}, {5.0, 0.0}).status, SolveStatus::kUnbounded);
+}
+
+class RecordingObserver final : public SolveObserver {
+ public:
+  void on_solve(const Problem& problem, Solution& solution) override {
+    seen = &problem;
+    rhs.clear();
+    for (const auto& c : problem.constraints()) rhs.push_back(c.rhs);
+    objective = solution.objective;
+  }
+  const Problem* seen = nullptr;
+  std::vector<double> rhs;
+  double objective = 0.0;
+};
+
+TEST(StartedSolve, ObserverSeesTheUnshiftedProblem) {
+  const Problem p = least_core_lp();
+  RecordingObserver observer;
+  SimplexOptions options;
+  options.observer = &observer;
+  const Solution s = solve(p, options, {2.0, 2.0, 2.0, 0.5});
+  EXPECT_EQ(observer.seen, &p);
+  std::vector<double> want;
+  for (const auto& c : p.constraints()) want.push_back(c.rhs);
+  EXPECT_EQ(observer.rhs, want);
+  EXPECT_EQ(observer.objective, s.objective);
+  EXPECT_TRUE(verify::check_lp(*observer.seen, s).valid);
 }
 
 }  // namespace

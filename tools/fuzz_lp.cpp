@@ -6,7 +6,11 @@
 // rhs-perturbed neighbour. Then it appends one random row to the warm
 // engine (RevisedSimplex::add_constraint, the nucleolus row-generation
 // step), re-solves warm, and checks that against a dense cold solve of
-// the grown problem. Any disagreement — status mismatch,
+// the grown problem. A second, started leg builds an LP over mostly free
+// variables around a random point — rows exactly tight there (up to the
+// rounding of their rhs), rows violated by less than 1e-12 relative,
+// rows violated outright and rows with slack — and solves it dense from
+// that point, dense cold and revised. Any disagreement — status mismatch,
 // objective divergence, or a certificate (verify/certificates.hpp) that
 // fails on a claimed answer — is a bug in at least one engine, and the
 // harness prints a self-contained reproduction and exits non-zero.
@@ -17,12 +21,14 @@
 //   --seed S      base RNG seed (default 1); case k uses seed S + k
 //
 // tools/check.sh runs `fuzz_lp --seconds 10` as a smoke gate.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lp/problem.hpp"
@@ -66,6 +72,70 @@ struct Case {
   // The row appended after the warm solve (never all zero).
   Constraint appended;
 };
+
+// An LP built around `point` for the started leg; see make_started_case.
+struct StartedCase {
+  Problem problem;
+  std::vector<double> point;
+};
+
+// Variables are free but for about one in six; the point's coordinates
+// are grid values plus thirds, so a row's activity there is rounded and
+// an "exactly tight" rhs sits within an ulp or two of it. Each row is
+// tight, short of its relation by about 1e-13 relative (inside the dense
+// engine's allowance), violated by 0.5-2, or slack by 0.5-2.
+StartedCase make_started_case(std::uint64_t seed) {
+  std::uint64_t rng = seed ^ 0x5741525445440000ULL;
+  const std::size_t n = 1 + pick(rng, 6);
+  const std::size_t m = 1 + pick(rng, 7);
+  const Objective sense =
+      pick(rng, 2) == 0 ? Objective::kMaximize : Objective::kMinimize;
+  StartedCase c{Problem(n, sense), {}};
+  for (std::size_t j = 0; j < n; ++j) {
+    c.problem.set_objective_coefficient(j, grid(rng));
+    if (pick(rng, 6) != 0) c.problem.set_free(j);
+    c.point.push_back(grid(rng) + static_cast<double>(pick(rng, 3)) / 3.0);
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    std::vector<double> coef(n);
+    for (auto& v : coef) v = grid(rng);
+    const Relation rel = static_cast<Relation>(pick(rng, 3));
+    // Summed last to first, so its rounding differs from the engine's.
+    double activity = 0.0;
+    for (std::size_t j = n; j-- > 0;) activity += coef[j] * c.point[j];
+    // +1 moves the rhs to where the point violates the row (an == row
+    // counts as a >= row here), -1 to where it has slack.
+    const double violate = rel == Relation::kLessEqual ? -1.0 : 1.0;
+    double rhs = activity;
+    switch (pick(rng, 4)) {
+      case 0: break;  // tight
+      case 1:
+        rhs += violate * 1e-13 * std::max(1.0, std::abs(activity));
+        break;
+      case 2:
+        rhs += violate * (0.5 + static_cast<double>(pick(rng, 4)) / 2.0);
+        break;
+      default:
+        rhs -= violate * (0.5 + static_cast<double>(pick(rng, 4)) / 2.0);
+        break;
+    }
+    c.problem.add_constraint(std::move(coef), rel, rhs);
+  }
+  // Half the cases box every variable around the point, so that more
+  // of them have an optimum; the rest stay free to be unbounded.
+  if (pick(rng, 2) == 0) {
+    for (std::size_t j = 0; j < n; ++j) {
+      std::vector<double> unit(n, 0.0);
+      unit[j] = 1.0;
+      const double half_width = 1.0 + static_cast<double>(pick(rng, 4));
+      c.problem.add_constraint(unit, Relation::kLessEqual,
+                               c.point[j] + half_width);
+      c.problem.add_constraint(std::move(unit), Relation::kGreaterEqual,
+                               c.point[j] - half_width);
+    }
+  }
+  return c;
+}
 
 Case make_case(std::uint64_t seed) {
   std::uint64_t rng = seed;
@@ -145,6 +215,52 @@ bool certificate_ok(const Problem& p, const Solution& s, std::string& why) {
   return true;
 }
 
+// Objective agreement, relative to the largest objective coefficient.
+bool objectives_agree(const Problem& p, double a, double b) {
+  double scale = 1.0;
+  for (double cj : p.objective()) scale = std::max(scale, std::abs(cj));
+  return std::abs(a - b) <= 1e-6 * scale * 8.0;
+}
+
+// The started leg: dense from the case's point and revised, both against
+// a dense cold solve.
+bool run_started_case(std::uint64_t seed, Failure& failure) {
+  const StartedCase c = make_started_case(seed);
+  const Solution cold = fedshare::lp::solve(c.problem);
+  const Solution started = fedshare::lp::solve(c.problem, {}, c.point);
+  SimplexOptions revised_opts;
+  revised_opts.solver = fedshare::lp::SolverKind::kRevised;
+  const Solution revised = fedshare::lp::solve(c.problem, revised_opts);
+  if (!comparable(cold.status) || !comparable(started.status) ||
+      !comparable(revised.status)) {
+    return true;
+  }
+  const std::pair<const char*, const Solution*> answers[] = {
+      {"dense cold", &cold}, {"dense started", &started},
+      {"revised", &revised}};
+  for (const auto& [name, s] : answers) {
+    std::string why;
+    if (!certificate_ok(c.problem, *s, why)) {
+      failure.what = std::string(name) + " certificate invalid: " + why;
+      return false;
+    }
+    if (s->status != cold.status) {
+      failure.what = std::string("status mismatch: dense cold=") +
+                     status_name(cold.status) + " " + name + "=" +
+                     status_name(s->status);
+      return false;
+    }
+    if (cold.optimal() &&
+        !objectives_agree(c.problem, s->objective, cold.objective)) {
+      failure.what = std::string("objective mismatch: dense cold=") +
+                     std::to_string(cold.objective) + " " + name + "=" +
+                     std::to_string(s->objective);
+      return false;
+    }
+  }
+  return true;
+}
+
 bool run_case(std::uint64_t seed, Failure& failure) {
   const Case c = make_case(seed);
   SimplexOptions dense_opts;
@@ -213,13 +329,9 @@ bool run_case(std::uint64_t seed, Failure& failure) {
       return false;
     }
   }
-  double scale = 1.0;
-  for (double cj : c.problem.objective()) {
-    scale = std::max(scale, std::abs(cj));
-  }
   for (const auto& a : answers) {
     if (a.oracle->status == SolveStatus::kOptimal &&
-        std::abs(a.s->objective - a.oracle->objective) > 1e-6 * scale * 8.0) {
+        !objectives_agree(c.problem, a.s->objective, a.oracle->objective)) {
       failure.what = std::string("objective mismatch: dense=") +
                      std::to_string(a.oracle->objective) + " " + a.name +
                      "=" + std::to_string(a.s->objective);
@@ -268,11 +380,20 @@ int main(int argc, char** argv) {
          (seconds <= 0.0 || elapsed() < seconds)) {
     Failure failure;
     const std::uint64_t case_seed = seed + cases;
-    if (!run_case(case_seed, failure)) {
+    const bool classic_ok = run_case(case_seed, failure);
+    if (!classic_ok || !run_started_case(case_seed, failure)) {
       std::cerr << "fuzz_lp: FAILED at case " << cases << " (seed "
                 << case_seed << "): " << failure.what << "\n";
       std::cerr << "reproduce with: fuzz_lp --seed " << case_seed
                 << " --cases 1 --seconds 0\n";
+      if (classic_ok) {
+        const StartedCase c = make_started_case(case_seed);
+        std::cerr << "(started leg; the start point is";
+        for (double v : c.point) std::cerr << ' ' << v;
+        std::cerr << ")\n";
+        dump(c.problem, std::cerr);
+        return 1;
+      }
       const Case c = make_case(case_seed);
       Problem grown = c.problem;
       grown.add_constraint(c.appended.coefficients, c.appended.relation,
@@ -284,6 +405,7 @@ int main(int argc, char** argv) {
     ++cases;
   }
   std::cout << "fuzz_lp: " << cases << " cases, 3 engines each plus an "
-            << "appended-row warm re-solve, no disagreements\n";
+            << "appended-row warm re-solve and a started dense solve, "
+            << "no disagreements\n";
   return 0;
 }
