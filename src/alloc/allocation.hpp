@@ -8,8 +8,8 @@
 // Continuous relaxation: experiment counts, location slots, and location
 // assignments are modelled as continuous quantities. This matches the
 // paper's numerical analysis (which evaluates closed forms) and keeps the
-// allocator exact for the d = 1 settings of Figs. 4-9; the exact integer
-// solver in exact.hpp validates it on small instances.
+// allocator exact for the d = 1 settings of Figs. 4-9; an exact integer
+// search in tests/exact_reference.hpp validates it on small instances.
 #pragma once
 
 #include <cstddef>

@@ -78,43 +78,17 @@ void RelaxationTemplate::apply_capacities(
   }
 }
 
-namespace {
-
-// Builds the relaxation LP for one concrete pool; shared by the throwing
-// and budgeted entry points. Returns nullopt for the trivial empty
-// instance (bound 0).
-std::optional<lp::Problem> build_relaxation(
-    const LocationPool& pool, const std::vector<RequestClass>& classes) {
-  pool.validate();
-  RelaxationTemplate tmpl(pool.num_locations(), classes);
-  if (tmpl.empty()) return std::nullopt;
-  lp::Problem prob = tmpl.problem();
-  tmpl.apply_capacities(prob, pool.capacity);
-  return prob;
-}
-
-}  // namespace
-
 double lp_upper_bound(const LocationPool& pool,
                       const std::vector<RequestClass>& classes) {
-  const auto prob = build_relaxation(pool, classes);
-  if (!prob) return 0.0;
-  const lp::Solution sol = lp::solve(*prob);
+  pool.validate();
+  const RelaxationTemplate tmpl(pool.num_locations(), classes);
+  if (tmpl.empty()) return 0.0;
+  lp::Problem prob = tmpl.problem();
+  tmpl.apply_capacities(prob, pool.capacity);
+  const lp::Solution sol = lp::solve(prob);
   if (!sol.optimal()) {
     throw std::runtime_error("lp_upper_bound: LP solve failed");
   }
-  return sol.objective;
-}
-
-std::optional<double> lp_upper_bound_budgeted(
-    const LocationPool& pool, const std::vector<RequestClass>& classes,
-    const runtime::ComputeBudget& budget) {
-  const auto prob = build_relaxation(pool, classes);
-  if (!prob) return 0.0;
-  lp::SimplexOptions options;
-  options.budget = &budget;
-  const lp::Solution sol = lp::solve(*prob, options);
-  if (!sol.optimal()) return std::nullopt;
   return sol.objective;
 }
 

@@ -3,10 +3,9 @@
 // Relaxes Eq. (2): assignments become fractional (y_{c,l} in [0, count_c])
 // and diversity thresholds are dropped. For d <= 1, per-experiment utility
 // satisfies u(x) = x^d <= x on x >= 1, so the LP optimum bounds the true
-// optimum from above. Used by tests to sandwich the greedy allocator, by
-// runtime::resilient_allocate as the quality certificate of the greedy
-// fallback, and (through RelaxationTemplate) by the serve layer's bound
-// on the grand coalition and the simplex performance bench.
+// optimum from above. Used by tests to sandwich the greedy allocator and
+// (through RelaxationTemplate) by the serve layer's bound on the grand
+// coalition and the simplex performance bench.
 #pragma once
 
 #include <cstddef>
@@ -16,7 +15,6 @@
 #include "alloc/allocation.hpp"
 #include "lp/problem.hpp"
 #include "lp/revised_simplex.hpp"
-#include "runtime/budget.hpp"
 
 namespace fedshare::alloc {
 
@@ -74,13 +72,5 @@ class RelaxationTemplate {
 /// Throws std::runtime_error if the LP fails to solve.
 [[nodiscard]] double lp_upper_bound(const LocationPool& pool,
                                     const std::vector<RequestClass>& classes);
-
-/// Budgeted variant: the simplex charges `budget` one unit per pivot.
-/// Returns nullopt (instead of throwing) when the budget trips or the LP
-/// otherwise fails, so fallback cascades can skip the certificate
-/// gracefully. Same domain requirements as lp_upper_bound.
-[[nodiscard]] std::optional<double> lp_upper_bound_budgeted(
-    const LocationPool& pool, const std::vector<RequestClass>& classes,
-    const runtime::ComputeBudget& budget);
 
 }  // namespace fedshare::alloc

@@ -108,12 +108,4 @@ double max_core_violation(const Game& game,
   return worst;
 }
 
-bool core_nonempty(const Game& game, double tolerance) {
-  const LeastCoreResult r = least_core(game);
-  if (!r.solved) {
-    throw std::runtime_error("core_nonempty: least-core LP did not solve");
-  }
-  return r.epsilon <= tolerance;
-}
-
 }  // namespace fedshare::game

@@ -42,9 +42,6 @@ struct LeastCoreResult {
                            const std::vector<double>& allocation,
                            double tolerance = 1e-6);
 
-/// Whether the core is non-empty (least-core epsilon <= tolerance).
-[[nodiscard]] bool core_nonempty(const Game& game, double tolerance = 1e-6);
-
 /// The maximum violation of `allocation` over all proper coalitions:
 /// max_S (V(S) - x(S)); <= 0 means the allocation satisfies every
 /// coalition. Does not check efficiency.

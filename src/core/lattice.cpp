@@ -32,34 +32,6 @@ inline std::uint64_t lo_of_pair(std::uint64_t p, int bit) noexcept {
   return ((p >> bit) << (bit + 1)) | low;
 }
 
-// The unbudgeted transform passes route through simd::add_pass /
-// simd::sub_pass (runtime AVX2 dispatch, scalar fallback); the budgeted
-// variant below keeps the scalar body — its per-chunk charge accounting
-// already dominates, and scalar-vs-SIMD bit-equality is guaranteed by
-// construction (see lattice_simd.hpp), so one reference body stays here.
-template <typename Op>
-bool transform_budgeted(std::vector<double>& values, int num_players,
-                        const runtime::ComputeBudget& budget, const Op& op) {
-  check_table(values, num_players);
-  if (num_players == 0) return true;
-  const std::uint64_t half = std::uint64_t{1} << (num_players - 1);
-  for (int bit = 0; bit < num_players; ++bit) {
-    const std::uint64_t step = std::uint64_t{1} << bit;
-    const bool ok = exec::parallel_for_budgeted(
-        0, half, kTransformChunk, budget,
-        [&](const exec::ChunkRange& r, const runtime::ComputeBudget& b) {
-          if (!b.charge(r.end - r.begin)) return false;
-          for (std::uint64_t p = r.begin; p < r.end; ++p) {
-            const std::uint64_t lo = lo_of_pair(p, bit);
-            op(values[lo | step], values[lo]);
-          }
-          return true;
-        });
-    if (!ok) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 void zeta_transform(std::vector<double>& values, int num_players) {
@@ -86,18 +58,6 @@ void moebius_transform(std::vector<double>& values, int num_players) {
                          return true;
                        });
   }
-}
-
-bool zeta_transform_budgeted(std::vector<double>& values, int num_players,
-                             const runtime::ComputeBudget& budget) {
-  return transform_budgeted(values, num_players, budget,
-                            [](double& hi, const double& lo) { hi += lo; });
-}
-
-bool moebius_transform_budgeted(std::vector<double>& values, int num_players,
-                                const runtime::ComputeBudget& budget) {
-  return transform_budgeted(values, num_players, budget,
-                            [](double& hi, const double& lo) { hi -= lo; });
 }
 
 std::vector<double> shapley_subset_weights(int num_players) {

@@ -17,11 +17,10 @@
 //    tests/test_lattice.cpp pins both claims (kernel vs. inline scalar
 //    reference, 1 thread vs. 4 threads, bit-for-bit).
 //
-//  * Budget charging. The *_budgeted variants charge one unit per
-//    coalition slot materialised per pass (2^(n-1) per player pass for
-//    the marginal kernels, 2^(n-1) per bit pass for the transforms) and
-//    return nullopt when the budget trips — a partial transform is not a
-//    meaningful table.
+//  * Budget charging. shapley_lattice_budgeted charges one unit per
+//    coalition slot materialised per player pass (2^(n-1) each) and
+//    returns nullopt when the budget trips — partial per-player sums are
+//    not a meaningful answer.
 //
 // Memory access: a bit pass walks 2^(n-1) (lo, hi) slot pairs where the
 // lo index enumerates contiguous blocks of 2^bit slots — two forward
@@ -51,16 +50,6 @@ void zeta_transform(std::vector<double>& values, int num_players);
 ///   v'[S] = sum_{T subseteq S} (-1)^(|S|-|T|) v[T].
 /// Applied to a value table this yields the Harsanyi dividends.
 void moebius_transform(std::vector<double>& values, int num_players);
-
-/// Budgeted transforms: charge one unit per slot pair per bit pass
-/// (n * 2^(n-1) total) and return false when the budget trips, leaving
-/// `values` in an unspecified partially-transformed state.
-[[nodiscard]] bool zeta_transform_budgeted(std::vector<double>& values,
-                                           int num_players,
-                                           const runtime::ComputeBudget& budget);
-[[nodiscard]] bool moebius_transform_budgeted(
-    std::vector<double>& values, int num_players,
-    const runtime::ComputeBudget& budget);
 
 /// The subset-formula weights w[s] = s! (n-s-1)! / n! for s = 0..n-1,
 /// computed in log space (finite up to n = 24). Exposed so tests can

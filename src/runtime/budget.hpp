@@ -7,8 +7,8 @@
 // deadline by more than one amortisation window. Header-only so the
 // low-level libraries (lp, alloc, core) can consume it without a link
 // dependency; the richer resilience machinery lives in
-// runtime/{outage,resilient}.hpp and the scheme comparison's cascade
-// in core/sharing.hpp.
+// runtime/outage.hpp and the scheme comparison's cascade in
+// core/sharing.hpp.
 //
 // A budget is intended for one solver invocation on one thread; the
 // cancellation token alone may be shared across threads (e.g. a control
@@ -22,8 +22,7 @@
 // Charging rule (what one unit means): a budget unit is charged exactly
 // once per *distinct* V(S) materialisation — i.e. when a characteristic-
 // function value is actually computed (an allocation LP solved, a
-// simplex pivot, an exact-search node, a Monte-Carlo evaluation along a
-// permutation). Re-reads of already-materialised values are free: a
+// simplex pivot, a Monte-Carlo evaluation along a permutation). Re-reads of already-materialised values are free: a
 // TabularGame lookup, an exec::ValueCache hit (a miss charges one unit
 // before computing), or a re-tabulation of an already tabular game
 // charge nothing. This keeps deadlines and node

@@ -64,8 +64,9 @@
 // Budget scope: the budget bounds the exponential work (one unit per
 // distinct V(S) materialisation, one per simplex pivot — the global
 // charging rule). Once the tables are complete, publishing a snapshot
-// (scheme evaluation over the tabulated game) runs to completion, the
-// same polynomial-floor philosophy as runtime/resilient.hpp.
+// (scheme evaluation over the tabulated game) runs to completion: a
+// deadline bounds the exponential work, not the polynomial floor that
+// any answer needs.
 #pragma once
 
 #include <cstdint>

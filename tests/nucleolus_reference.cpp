@@ -1,8 +1,12 @@
 #include "nucleolus_reference.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -339,6 +343,40 @@ NucleolusResult unfiltered_nucleolus_quotient(
   out.solved = true;
   out.allocation = expand_type_values(part, per_type);
   return out;
+}
+
+double surplus(const Game& game, const std::vector<double>& allocation,
+               int i, int j) {
+  const int n = game.num_players();
+  if (allocation.size() != static_cast<std::size_t>(n)) {
+    throw std::invalid_argument("surplus: allocation size must equal n");
+  }
+  if (i < 0 || j < 0 || i >= n || j >= n || i == j) {
+    throw std::invalid_argument("surplus: need distinct players in range");
+  }
+  double best = -std::numeric_limits<double>::infinity();
+  const std::uint64_t count = std::uint64_t{1} << n;
+  for (std::uint64_t mask = 1; mask < count; ++mask) {
+    if (((mask >> i) & 1u) == 0 || ((mask >> j) & 1u) != 0) continue;
+    double excess = game.value(Coalition::from_bits(mask));
+    for (std::uint64_t b = mask; b != 0; b &= b - 1) {
+      excess -= allocation[static_cast<std::size_t>(__builtin_ctzll(b))];
+    }
+    best = std::max(best, excess);
+  }
+  return best;
+}
+
+double max_surplus_imbalance(const Game& game,
+                             const std::vector<double>& allocation) {
+  double worst = 0.0;
+  for (int i = 0; i < game.num_players(); ++i) {
+    for (int j = i + 1; j < game.num_players(); ++j) {
+      worst = std::max(worst, std::abs(surplus(game, allocation, i, j) -
+                                       surplus(game, allocation, j, i)));
+    }
+  }
+  return worst;
 }
 
 }  // namespace fedshare::game::reference

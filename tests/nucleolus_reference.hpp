@@ -9,7 +9,13 @@
 // which rebuilds each round's LP with the fixed rows first; it stays as
 // an oracle within 1e-12 * scale, and bench/perf_nucleolus reports its
 // LP and pivot counts as the unfiltered dense baseline.
+//
+// The surplus helpers check a nucleolus from the kernel side: the
+// nucleolus is always a pre-kernel point (Maschler), so every pair of
+// players has balanced surpluses at it.
 #pragma once
+
+#include <vector>
 
 #include "core/game.hpp"
 #include "core/nucleolus.hpp"
@@ -25,5 +31,16 @@ namespace fedshare::game::reference {
 /// Orbit-row formulation, one aux-max probe per active orbit row.
 [[nodiscard]] NucleolusResult unfiltered_nucleolus_quotient(
     const QuotientGame& game, const lp::SimplexOptions& options);
+
+/// Surplus s_ij(x) = max over coalitions S with i in S, j not in S of
+/// V(S) - x(S): the best objection i can raise against j. Requires
+/// distinct players in range and one allocation entry per player.
+[[nodiscard]] double surplus(const Game& game,
+                             const std::vector<double>& allocation, int i,
+                             int j);
+
+/// Largest pairwise imbalance max_{i != j} |s_ij - s_ji| at `allocation`.
+[[nodiscard]] double max_surplus_imbalance(
+    const Game& game, const std::vector<double>& allocation);
 
 }  // namespace fedshare::game::reference

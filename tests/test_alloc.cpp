@@ -1,15 +1,18 @@
 // Tests for the allocation solvers: greedy water-filling, slot budgets,
-// LP relaxation, and the exact enumerator on hand-checked instances.
+// LP relaxation, and the reference exact enumerator
+// (tests/exact_reference.hpp) on hand-checked instances.
 #include <gtest/gtest.h>
 
-#include "alloc/exact.hpp"
 #include "alloc/greedy.hpp"
 #include "alloc/lp_relax.hpp"
+#include "exact_reference.hpp"
 #include "greedy_reference.hpp"
 #include "sim/rng.hpp"
 
 namespace fedshare::alloc {
 namespace {
+
+using reference::allocate_exact;
 
 CapacityHistogram histogram_of(std::vector<double> capacities) {
   return CapacityHistogram::of(LocationPool{std::move(capacities)});

@@ -1,12 +1,19 @@
-// Tests for core membership, least-core, and the nucleolus.
+// Tests for core membership, least-core, and the nucleolus, including
+// its pre-kernel property against the surplus oracle in
+// tests/nucleolus_reference.hpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "core/core_solution.hpp"
 #include "core/nucleolus.hpp"
 #include "core/properties.hpp"
 #include "core/shapley.hpp"
+#include "nucleolus_reference.hpp"
+#include "sim/rng.hpp"
 
 namespace fedshare::game {
 namespace {
@@ -37,7 +44,6 @@ TEST(LeastCore, EmptyCoreDetected) {
   const LeastCoreResult r = least_core(g);
   ASSERT_TRUE(r.solved);
   EXPECT_GT(r.epsilon, 1e-6);
-  EXPECT_FALSE(core_nonempty(g));
 }
 
 TEST(InCore, ChecksEfficiencyAndRationality) {
@@ -63,7 +69,9 @@ TEST(ConvexGame, ShapleyLiesInCore) {
     return k * k;
   });
   ASSERT_TRUE(is_convex(g));
-  EXPECT_TRUE(core_nonempty(g));
+  const LeastCoreResult lc = least_core(g);
+  ASSERT_TRUE(lc.solved);
+  EXPECT_LE(lc.epsilon, 1e-6);
   EXPECT_TRUE(in_core(g, shapley_exact(g)));
 }
 
@@ -99,7 +107,9 @@ TEST(Nucleolus, LiesInNonEmptyCore) {
     const double k = s.size();
     return k * k + (s.contains(0) ? k : 0.0);
   });
-  ASSERT_TRUE(core_nonempty(g));
+  const LeastCoreResult lc = least_core(g);
+  ASSERT_TRUE(lc.solved);
+  ASSERT_LE(lc.epsilon, 1e-6);
   const NucleolusResult r = nucleolus(g);
   ASSERT_TRUE(r.solved);
   EXPECT_TRUE(in_core(g, r.allocation, 1e-5));
@@ -150,6 +160,45 @@ TEST(Nucleolus, RejectsOversizedGames) {
     return static_cast<double>(s.size());
   });
   EXPECT_THROW((void)nucleolus(g), std::invalid_argument);
+}
+
+TEST(Surplus, HandComputedExample) {
+  // Glove game with the core allocation (1, 0, 0): s_12 looks at
+  // coalitions with 1 but not 2: {0}, {0,2}; excesses 0-1=-1, 1-1=0.
+  const FunctionGame g(3, glove_value);
+  EXPECT_DOUBLE_EQ(reference::surplus(g, {1.0, 0.0, 0.0}, 0, 1), 0.0);
+  // s_21: {1}, {1,2}: excesses 0, 0.
+  EXPECT_DOUBLE_EQ(reference::surplus(g, {1.0, 0.0, 0.0}, 1, 0), 0.0);
+  EXPECT_THROW((void)reference::surplus(g, {1.0, 0.0, 0.0}, 0, 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)reference::surplus(g, {1.0, 0.0}, 0, 1),
+               std::invalid_argument);
+}
+
+TEST(Prekernel, NucleolusLiesInThePrekernel) {
+  // Maschler: the nucleolus is always a pre-kernel point. Check on a
+  // handful of random monotone games that every pair of players has
+  // balanced surpluses at the LP solver's answer.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    sim::Xoshiro256 rng(seed);
+    const int n = 3 + static_cast<int>(rng.below(2));
+    const std::uint64_t count = std::uint64_t{1} << n;
+    std::vector<double> values(count, 0.0);
+    for (std::uint64_t mask = 1; mask < count; ++mask) {
+      double best = 0.0;
+      for (int p = 0; p < n; ++p) {
+        if ((mask >> p) & 1u) {
+          best = std::max(best, values[mask & ~(std::uint64_t{1} << p)]);
+        }
+      }
+      values[mask] = best + rng.uniform(0.0, 3.0);
+    }
+    const TabularGame g(n, std::move(values));
+    const auto nuc = nucleolus(g);
+    ASSERT_TRUE(nuc.solved) << "seed " << seed;
+    EXPECT_LE(reference::max_surplus_imbalance(g, nuc.allocation), 1e-5)
+        << "seed " << seed << ": nucleolus not surplus-balanced";
+  }
 }
 
 }  // namespace

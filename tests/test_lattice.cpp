@@ -183,50 +183,6 @@ TEST_F(LatticePropertyTest, KernelsAreThreadCountInvariantBitwise) {
   EXPECT_EQ(div1, dividends_lattice(tab));
 }
 
-TEST_F(LatticePropertyTest, BudgetedTransformsMatchPlainWhenUnlimited) {
-  const int n = 10;
-  const std::vector<double> v = random_table(n, 5);
-  std::vector<double> plain = v;
-  zeta_transform(plain, n);
-  std::vector<double> budgeted = v;
-  ASSERT_TRUE(zeta_transform_budgeted(budgeted, n,
-                                      runtime::ComputeBudget::unlimited()));
-  EXPECT_EQ(plain, budgeted);
-
-  std::vector<double> mplain = v;
-  moebius_transform(mplain, n);
-  std::vector<double> mbudgeted = v;
-  ASSERT_TRUE(moebius_transform_budgeted(mbudgeted, n,
-                                         runtime::ComputeBudget::unlimited()));
-  EXPECT_EQ(mplain, mbudgeted);
-}
-
-TEST_F(LatticePropertyTest, BudgetedTransformsTripOnTinyBudgets) {
-  const int n = 8;
-  std::vector<double> v = random_table(n, 6);
-  const runtime::ComputeBudget tiny = runtime::ComputeBudget().cap_nodes(3);
-  EXPECT_FALSE(zeta_transform_budgeted(v, n, tiny));
-  std::vector<double> w = random_table(n, 7);
-  EXPECT_FALSE(moebius_transform_budgeted(w, n, tiny));
-}
-
-TEST_F(LatticePropertyTest, BudgetedTransformChargesPerPairPerPass) {
-  const int n = 8;
-  // Exactly n * 2^(n-1) units: the full transform just fits.
-  const std::uint64_t exact =
-      static_cast<std::uint64_t>(n) * (std::uint64_t{1} << (n - 1));
-  std::vector<double> v = random_table(n, 8);
-  std::vector<double> plain = v;
-  zeta_transform(plain, n);
-  EXPECT_TRUE(zeta_transform_budgeted(
-      v, n, runtime::ComputeBudget().cap_nodes(exact)));
-  EXPECT_EQ(v, plain);
-  // One unit short must trip.
-  std::vector<double> w = random_table(n, 8);
-  EXPECT_FALSE(zeta_transform_budgeted(
-      w, n, runtime::ComputeBudget().cap_nodes(exact - 1)));
-}
-
 TEST_F(LatticePropertyTest, ShapleyBudgetedMatchesPlainAndTrips) {
   const int n = 10;
   const std::vector<double> v = random_table(n, 13);
@@ -250,9 +206,6 @@ TEST_F(LatticePropertyTest, BudgetedKernelsCancelUnderThreads) {
   EXPECT_FALSE(
       shapley_lattice_budgeted(tab, runtime::ComputeBudget().cap_nodes(100))
           .has_value());
-  std::vector<double> w = v;
-  EXPECT_FALSE(zeta_transform_budgeted(
-      w, n, runtime::ComputeBudget().cap_nodes(100)));
 }
 
 TEST_F(LatticePropertyTest, SingleAndZeroPlayerEdgeCases) {

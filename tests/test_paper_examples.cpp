@@ -128,14 +128,18 @@ TEST(PaperSec321, ConvexUtilityMakesGameConvexAndCoreNonEmpty) {
   const auto fed = fig4_federation(0.0, 1.5);
   const auto g = fed.build_game();
   EXPECT_TRUE(game::is_convex(g));
-  EXPECT_TRUE(game::core_nonempty(g));
+  const auto lc = game::least_core(g);
+  ASSERT_TRUE(lc.solved);
+  EXPECT_LE(lc.epsilon, 1e-6);
 }
 
 TEST(PaperSec321, LargeThresholdRestoresCoreUnderLinearUtility) {
   // "As l grows, more small coalitions are of zero value ... turning the
   // core non-empty."
   const auto g = fig4_federation(1250.0).build_game();
-  EXPECT_TRUE(game::core_nonempty(g));
+  const auto lc = game::least_core(g);
+  ASSERT_TRUE(lc.solved);
+  EXPECT_LE(lc.epsilon, 1e-6);
   const auto shares = game::shapley_shares(g);
   std::vector<double> payoffs(shares.size());
   for (std::size_t i = 0; i < shares.size(); ++i) {

@@ -1,14 +1,12 @@
 // Resilience subsystem: compute budgets, the fallback cascades (the
-// allocation cascade, the Shapley cascade and the scheme comparison
-// under a budget), and the outage fault-injection model.
+// Shapley cascade and the scheme comparison under a budget), and the
+// outage fault-injection model.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
 #include <thread>
 
-#include "alloc/exact.hpp"
-#include "alloc/greedy.hpp"
 #include "core/game.hpp"
 #include "core/shapley.hpp"
 #include "core/sharing.hpp"
@@ -19,7 +17,6 @@
 #include "model/location_space.hpp"
 #include "runtime/budget.hpp"
 #include "runtime/outage.hpp"
-#include "runtime/resilient.hpp"
 
 namespace fedshare::runtime {
 namespace {
@@ -104,19 +101,6 @@ TEST(BudgetedSolvers, SimplexReportsBudgetExhausted) {
   EXPECT_EQ(lp::solve(p, opt).status, lp::SolveStatus::kBudgetExhausted);
 }
 
-TEST(BudgetedSolvers, ExactAllocationReturnsNulloptOnBudgetTrip) {
-  alloc::LocationPool pool;
-  pool.capacity = {2.0, 2.0, 2.0, 2.0};
-  std::vector<alloc::RequestClass> classes(1);
-  classes[0].count = 4.0;
-  classes[0].min_locations = 2.0;
-  const ComputeBudget budget = ComputeBudget().cap_nodes(3);
-  EXPECT_FALSE(
-      alloc::allocate_exact(pool, classes, std::uint64_t{1} << 24, &budget)
-          .has_value());
-  EXPECT_TRUE(budget.exhausted());
-}
-
 TEST(BudgetedSolvers, ShapleyExactBudgetedMatchesUnbudgeted) {
   const game::TabularGame g(3, {0.0, 1.0, 2.0, 4.0, 3.0, 5.0, 6.0, 10.0});
   const auto budgeted = game::shapley_exact_budgeted(g, ComputeBudget());
@@ -150,61 +134,6 @@ TEST(BudgetedSolvers, AntitheticReturnsAtLeastOnePairOnTrip) {
   EXPECT_FALSE(mc.complete);
   EXPECT_GE(mc.samples, 2u);
   EXPECT_EQ(mc.samples % 2, 0u);
-}
-
-// --- the allocation cascade ----------------------------------------------
-
-TEST(ResilientAllocate, UsesExactEngineWhenInDomain) {
-  alloc::LocationPool pool;
-  pool.capacity = {2.0, 1.0, 1.0};
-  std::vector<alloc::RequestClass> classes(1);
-  classes[0].count = 2.0;
-  classes[0].min_locations = 1.0;
-  const auto r = resilient_allocate(pool, classes);
-  EXPECT_EQ(r.engine, AllocEngine::kExact);
-  EXPECT_TRUE(r.exact_attempted);
-  EXPECT_TRUE(r.note.empty());
-  const auto direct = alloc::allocate_exact(pool, classes);
-  ASSERT_TRUE(direct.has_value());
-  EXPECT_NEAR(r.result.total_utility, direct->total_utility, 1e-12);
-  // d = 1, so the LP certificate applies.
-  ASSERT_TRUE(r.upper_bound.has_value());
-  ASSERT_TRUE(r.optimality_gap.has_value());
-  EXPECT_GE(*r.optimality_gap, 0.0);
-}
-
-TEST(ResilientAllocate, FallsBackToGreedyOutsideExactDomain) {
-  alloc::LocationPool pool;
-  pool.capacity = {4.0, 4.0};
-  std::vector<alloc::RequestClass> classes(1);
-  classes[0].count = 20.0;  // > 8 experiments: out of the exact domain
-  classes[0].min_locations = 1.0;
-  const auto r = resilient_allocate(pool, classes);
-  EXPECT_EQ(r.engine, AllocEngine::kGreedy);
-  EXPECT_FALSE(r.exact_attempted);
-  EXPECT_TRUE(r.note.empty());  // greedy is the standard engine here
-  const auto greedy = alloc::allocate_greedy(pool, classes);
-  EXPECT_NEAR(r.result.total_utility, greedy.total_utility, 1e-12);
-}
-
-TEST(ResilientAllocate, FallsBackToGreedyWithNoteOnBudgetTrip) {
-  alloc::LocationPool pool;
-  pool.capacity = {2.0, 2.0, 2.0, 2.0};
-  std::vector<alloc::RequestClass> classes(1);
-  classes[0].count = 4.0;
-  classes[0].min_locations = 2.0;
-  const ComputeBudget budget = ComputeBudget().cap_nodes(3);
-  const auto r = resilient_allocate(pool, classes, budget);
-  EXPECT_EQ(r.engine, AllocEngine::kGreedy);
-  EXPECT_TRUE(r.exact_attempted);
-  EXPECT_NE(r.note.find("greedy fallback"), std::string::npos) << r.note;
-  const auto greedy = alloc::allocate_greedy(pool, classes);
-  EXPECT_NEAR(r.result.total_utility, greedy.total_utility, 1e-12);
-}
-
-TEST(ResilientAllocate, EngineNames) {
-  EXPECT_STREQ(to_string(AllocEngine::kExact), "exact");
-  EXPECT_STREQ(to_string(AllocEngine::kGreedy), "greedy");
 }
 
 // --- the Shapley cascade -------------------------------------------------

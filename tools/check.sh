@@ -1,6 +1,8 @@
 #!/bin/sh
-# Run the full test suite twice — once in the plain RelWithDebInfo build
-# and once under AddressSanitizer + UndefinedBehaviorSanitizer (both runs
+# Check that every library header has a user path
+# (tools/check_reachable.sh: no src/ header that only its own .cpp and
+# tests/ include), then run the full test suite twice — once in the
+# plain RelWithDebInfo build and once under AddressSanitizer + UndefinedBehaviorSanitizer (both runs
 # include the serve chaos harness: randomized churn vs batch-solve
 # equality) — then the concurrency-sensitive tests a third time under
 # ThreadSanitizer (the work-stealing pool, the flat value memo's
@@ -37,6 +39,9 @@ set -eu
 
 root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 jobs=$(nproc 2>/dev/null || echo 4)
+
+echo "== reachability (every library header has a user path) =="
+"$root/tools/check_reachable.sh"
 
 echo "== plain build =="
 cmake -S "$root" -B "$root/build" -DCMAKE_BUILD_TYPE=RelWithDebInfo
