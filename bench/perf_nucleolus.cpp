@@ -13,7 +13,12 @@
 // to the LP and pivot counts of the unfiltered reference loop
 // (tests/nucleolus_reference.hpp) where that loop finishes in seconds,
 // and for the "flat" serve roster game (six near-additive facilities,
-// most rows tight at the least core) on both engines. It supports
+// most rows tight at the least core). The typed and quotient cases run
+// on the started dense engine every user path runs; the hetero and
+// flat games also run on the revised engine, which lp::solve runs cold
+// per LP, as a cross-check. The unfiltered reference loops of the typed
+// cases run on the revised engine (their LP counts do not depend on
+// it; the dense engine would take minutes at n = 20). It supports
 // `--smoke`:
 // dense-vs-quotient agreement, a fewer-LPs gate on the unfiltered loop
 // and a fewer-pivots gate on the filtered one on every n <= 10 case, a
@@ -21,8 +26,9 @@
 // row-ratio and dense-refusal gates, an LP-ratio gate (a heterogeneous
 // n = 8 dense-engine nucleolus solves at most 10% of the rows x rounds
 // LPs the unfiltered loop would), a certification gate (every LP
-// certified) and a working-set gate (hetero n = 9 solves on both
-// engines, every LP certified, and passes the full-table excess scan)
+// certified, on both engines) and a working-set gate (hetero n = 9
+// solves on both engines, every LP certified, and passes the full-table
+// excess scan)
 // and a flat-game gate (both engines solve the serve roster game and
 // agree) — tools/check.sh runs it as a perf-smoke stage.
 #include <benchmark/benchmark.h>
@@ -142,9 +148,8 @@ void BM_DenseNucleolus(benchmark::State& state) {
   const auto partition =
       typed_partition(4, static_cast<int>(state.range(0)));
   const game::TabularGame tab = game::tabulate(typed_game(partition, 1));
-  const auto options = revised_options();
   for (auto _ : state) {
-    const auto r = game::nucleolus(tab, options);
+    const auto r = game::nucleolus(tab);
     benchmark::DoNotOptimize(r.allocation.data());
   }
 }
@@ -156,9 +161,8 @@ void BM_QuotientNucleolus(benchmark::State& state) {
   const game::FunctionGame base = typed_game(partition, 1);
   const game::QuotientGame quotient(base, partition);
   (void)quotient.orbit_values();  // measure the LP chain, not the memo fill
-  const auto options = revised_options();
   for (auto _ : state) {
-    const auto r = game::nucleolus_quotient(quotient, options);
+    const auto r = game::nucleolus_quotient(quotient);
     benchmark::DoNotOptimize(r.allocation.data());
   }
 }
@@ -216,13 +220,15 @@ struct NucleolusRow {
   double diff = 0.0;  ///< max |dense - quotient| allocation (when both ran)
 };
 
-// Also runs the unfiltered reference loop for the *_unfiltered counts,
-// and times its quotient run: what `--symmetry exact/auto` took before
-// the tightness filters.
+// Times both formulations on the default (dense) engine. Also runs the
+// unfiltered reference loop on the revised engine for the *_unfiltered
+// counts, and times its quotient run: what `--symmetry exact/auto` took
+// before the tightness filters.
 NucleolusRow measure_nucleolus(int types, int copies, int reps) {
   const auto partition = typed_partition(types, copies);
   const game::FunctionGame base = typed_game(partition, 1);
-  const auto options = revised_options();
+  const lp::SimplexOptions options;
+  const auto reference_options = revised_options();
 
   NucleolusRow row;
   row.types = types;
@@ -240,7 +246,8 @@ NucleolusRow measure_nucleolus(int types, int copies, int reps) {
   game::NucleolusResult q_ref;
   row.quotient_ms_unfiltered = time_ms(
       [&] {
-        q_ref = game::reference::unfiltered_nucleolus_quotient(quotient, options);
+        q_ref = game::reference::unfiltered_nucleolus_quotient(
+            quotient, reference_options);
       },
       reps);
   row.quotient_lps_unfiltered = q_ref.lps_solved;
@@ -255,7 +262,8 @@ NucleolusRow measure_nucleolus(int types, int copies, int reps) {
     row.diff = max_abs_diff(d.allocation, q.allocation);
     row.dense_ms =
         time_ms([&] { (void)game::nucleolus(tab, options); }, reps);
-    const auto d_ref = game::reference::unfiltered_nucleolus(tab, options);
+    const auto d_ref =
+        game::reference::unfiltered_nucleolus(tab, reference_options);
     row.dense_lps_unfiltered = d_ref.lps_solved;
     row.dense_pivots_unfiltered = d_ref.pivots;
   }
@@ -351,7 +359,7 @@ void write_summary_json() {
     const game::TabularGame tab = hetero_game(n);
     for (const auto kind : kinds) hetero.push_back(measure_dense(tab, kind, 5));
   }
-  // The serve roster game, where the revised engine wins.
+  // The serve roster game, which serve publishes.
   std::vector<HeteroRow> flat;
   const game::TabularGame flat_tab = flat_game();
   for (const auto kind : kinds) flat.push_back(measure_dense(flat_tab, kind, 9));
@@ -366,12 +374,14 @@ void write_summary_json() {
   }
   out << "{\n";
   out << "  \"bench\": \"nucleolus\",\n";
-  out << "  \"workload\": \"typed games (T types x k copies), revised "
+  out << "  \"workload\": \"typed games (T types x k copies), dense "
          "simplex: dense 2^n-row formulation vs orbit-row quotient; "
          "hetero: distinct-facility federations on the dense formulation; "
          "flat: the serve roster game of perfbench serve_flap (6 "
-         "near-additive facilities), dense formulation, both engines; "
-         "*_unfiltered: the one-LP-per-row reference loop\",\n";
+         "near-additive facilities), dense formulation; hetero and flat "
+         "on both engines, revised solving each LP cold; *_unfiltered: "
+         "the one-LP-per-row reference loop (revised engine on the typed "
+         "cases)\",\n";
   out << "  \"cases\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const NucleolusRow& r = rows[i];
@@ -480,13 +490,12 @@ int run_smoke() {
   // so the two formulations produce the identical doubles.
   {
     const auto partition = typed_partition(2, 2);
-    const auto options = revised_options();
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
       const game::TabularGame tab =
           game::tabulate(typed_game(partition, seed * 7919));
-      const auto d = game::nucleolus(tab, options);
+      const auto d = game::nucleolus(tab);
       const game::QuotientGame quotient(tab, partition);
-      const auto q = game::nucleolus_quotient(quotient, options);
+      const auto q = game::nucleolus_quotient(quotient);
       const double diff = max_abs_diff(d.allocation, q.allocation);
       if (diff != 0.0) {
         std::cerr << "perf_nucleolus --smoke: dyadic family seed " << seed
@@ -515,7 +524,7 @@ int run_smoke() {
       ++failures;
     }
     const game::QuotientGame quotient(base, partition);
-    const auto q = game::nucleolus_quotient(quotient, revised_options());
+    const auto q = game::nucleolus_quotient(quotient);
     const std::uint64_t dense_rows = (std::uint64_t{1} << 16) - 2;
     std::cout << "smoke n=16: quotient solved=" << (q.solved ? 1 : 0)
               << " rows " << dense_rows << " -> " << q.excess_rows << " ("
@@ -566,7 +575,7 @@ int run_smoke() {
 
   // Certification gate: every LP of a full run carries a validated
   // certificate (or is repaired by the cascade) — the orbit-row chain on
-  // a typed game, and the dense-formulation chain (rounds, release
+  // a typed game and the dense-formulation chain (rounds, release
   // passes and probes) on the heterogeneous n = 8 game, both engines.
   const auto certify = [&](const char* what, lp::SolverKind kind,
                            const auto& solve) {
@@ -592,12 +601,11 @@ int run_smoke() {
     const auto partition = typed_partition(4, 2);
     const game::TabularGame tab = game::tabulate(typed_game(partition, 1));
     const game::QuotientGame quotient(tab, partition);
-    certify("typed 4x2 quotient", lp::SolverKind::kRevised,
-            [&](const lp::SimplexOptions& o) {
-              return game::nucleolus_quotient(quotient, o);
-            });
     const game::TabularGame hetero = hetero_game(8);
     for (const auto kind : {lp::SolverKind::kDense, lp::SolverKind::kRevised}) {
+      certify("typed 4x2 quotient", kind, [&](const lp::SimplexOptions& o) {
+        return game::nucleolus_quotient(quotient, o);
+      });
       certify("hetero n=8 dense formulation", kind,
               [&](const lp::SimplexOptions& o) {
                 return game::nucleolus(hetero, o);

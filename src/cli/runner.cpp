@@ -400,7 +400,6 @@ ReportResult run_report_result(const io::Config& config,
   // (audit_outcomes detaches it for its own solves); cheap and full both
   // audit the finished comparison.
   lp::SimplexOptions lp_options;
-  lp_options.solver = ropts.lp_solver;
   lp_options.budget = &budget;
   verify::VerifyOptions verify_options;
   verify_options.level = ropts.verify;

@@ -40,11 +40,6 @@
 //                            maps to exec::set_threads() before the
 //                            report runs. Results are identical at any
 //                            thread count.
-//   --lp-solver <dense|revised>
-//                            simplex engine for the nucleolus LPs.
-//                            `revised` is the LU-factorized engine with
-//                            warm-started solve chains; `dense` (the
-//                            default) is the historical tableau solver.
 //   --verify <off|cheap|full>
 //                            verification level (see verify/). `cheap`
 //                            audits the game and every scheme outcome
@@ -106,11 +101,11 @@ struct ReportOptions {
   int outage_scenarios = 0;
   /// Seed for the outage sampler.
   std::uint64_t outage_seed = 1;
-  /// Simplex engine for the nucleolus LPs (--lp-solver). kDense is the
-  /// historical engine; kRevised is the factorized-basis engine with
-  /// warm-started chains. Both produce the same shares to within the
-  /// report's printed precision.
-  lp::SolverKind lp_solver = lp::SolverKind::kDense;
+  /// The engine the nucleolus LPs run on: always the started dense
+  /// engine, which lp::SimplexOptions selects by default. Not settable;
+  /// kept only because perfbench/ reads it, until the benchmark next
+  /// changes.
+  static constexpr lp::SolverKind lp_solver = lp::SolverKind::kDense;
   /// Verification level (--verify). kOff runs no audit; kCheap appends
   /// a Verification section with the game/outcome audits; kFull
   /// additionally certifies every LP solve through the verification

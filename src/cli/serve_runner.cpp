@@ -137,7 +137,6 @@ ServeRunResult run_serve(std::istream& events,
   const std::vector<serve::Event> log = serve::parse_event_log(events);
 
   serve::ServeOptions serve_options;
-  serve_options.lp_solver = options.lp_solver;
   serve_options.track_bounds = options.track_bounds;
   serve::ServiceState state(serve_options);
 

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "lp/simplex.hpp"
 #include "runtime/budget.hpp"
 
 namespace fedshare::cli {
@@ -27,8 +26,6 @@ struct ServeRunOptions {
   /// (stale-but-bounded) and the run is reported degraded. Unset =
   /// unlimited, fully deterministic output.
   std::optional<double> deadline_ms;
-  /// Simplex engine for the nucleolus LPs in each epoch's answer.
-  lp::SolverKind lp_solver = lp::SolverKind::kRevised;
   /// Maintain the grand coalition's LP-relaxation bound (one warm
   /// dual-simplex re-solve per epoch).
   bool track_bounds = true;

@@ -65,6 +65,7 @@ LeastCoreResult least_core(const Game& game,
 
   LeastCoreResult out;
   const lp::Solution sol = lp::solve(prob, options, start);
+  out.status = sol.status;
   if (!sol.optimal()) return out;
   out.solved = true;
   out.epsilon = sol.x[nv];

@@ -19,6 +19,7 @@ inline constexpr int kMaxLeastCorePlayers = 12;
 /// Result of the least-core LP.
 struct LeastCoreResult {
   bool solved = false;            ///< LP solved to optimality
+  lp::SolveStatus status = lp::SolveStatus::kInfeasible;  ///< LP outcome
   double epsilon = 0.0;           ///< minimal uniform excess bound
   std::vector<double> allocation; ///< an optimal allocation x
 };

@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
 
 namespace fedshare::game {
@@ -340,7 +339,6 @@ NucleolusResult maschler(const OrbitIndex& index,
       kSeparationTol * std::max(1.0, std::abs(grand_value));
 
   const auto tv = static_cast<std::size_t>(T);  // eps lives at index tv
-  const bool revised = options.solver == lp::SolverKind::kRevised;
   const std::size_t batch = tv + 1;
 
   std::vector<int> counts;
@@ -358,12 +356,10 @@ NucleolusResult maschler(const OrbitIndex& index,
   };
 
   // Both LPs open with the efficiency row; the probe problem's eps pin
-  // follows it (a singleton the revised engine presolves into a bound).
-  // Working row #k is then constraint 1 + k of round_prob and 2 + k of
-  // probe_prob. Fixing a row between rounds patches it in place
-  // (relation flip, eps coefficient dropped, rhs) on the problems and
-  // the persistent revised engines; a row joining the working set is
-  // appended to all of them.
+  // follows it. Working row #k is then constraint 1 + k of round_prob
+  // and 2 + k of probe_prob. Fixing a row between rounds patches it in
+  // place (relation flip, eps coefficient dropped, rhs) on both
+  // problems; a row joining the working set is appended to both.
   lp::Problem round_prob(tv + 1, lp::Objective::kMinimize);
   lp::Problem probe_prob(tv + 1, lp::Objective::kMaximize);
   for (std::size_t v = 0; v <= tv; ++v) {
@@ -388,9 +384,6 @@ NucleolusResult maschler(const OrbitIndex& index,
     probe_prob.add_constraint(std::move(pin), lp::Relation::kEqual, 0.0);
   }
 
-  std::optional<lp::RevisedSimplex> round_engine;
-  std::optional<lp::RevisedSimplex> probe_engine;
-
   std::vector<char> in_set(static_cast<std::size_t>(orbits), 0);
   std::vector<std::uint64_t> working;  // orbit of working row #k
   std::vector<char> fixed;             // per working row
@@ -399,10 +392,6 @@ NucleolusResult maschler(const OrbitIndex& index,
     const double v = values[static_cast<std::size_t>(orbit)];
     round_prob.add_constraint(row, lp::Relation::kGreaterEqual, v);
     probe_prob.add_constraint(row, lp::Relation::kGreaterEqual, v);
-    if (round_engine.has_value()) {
-      round_engine->add_constraint(row, lp::Relation::kGreaterEqual, v);
-      probe_engine->add_constraint(row, lp::Relation::kGreaterEqual, v);
-    }
     in_set[static_cast<std::size_t>(orbit)] = 1;
     working.push_back(orbit);
     fixed.push_back(0);
@@ -419,10 +408,6 @@ NucleolusResult maschler(const OrbitIndex& index,
     for (const std::uint64_t o : seeds) {
       if (index.is_proper(o)) add_row(o);
     }
-  }
-  if (revised) {
-    round_engine.emplace(round_prob, options);
-    probe_engine.emplace(probe_prob, options);
   }
 
   ExcessScan scan(index, values);
@@ -454,14 +439,12 @@ NucleolusResult maschler(const OrbitIndex& index,
     return keep > 0;
   };
 
-  lp::Basis round_basis;
-  lp::Basis probe_basis;
-  // The dense engine starts every LP from `held`, the last optimum
-  // (x, eps) — before the first, the equal split V(N) / sum_t m_t. A
-  // round LP lifts held's eps to the largest excess over the active
-  // working rows first, so only the equalities need artificials. Probes
-  // and release passes start from the round optimum (x*, eps), which
-  // holds every inequality of the eps-pinned problems.
+  // Every LP starts from `held`, the last optimum (x, eps) — before the
+  // first, the equal split V(N) / sum_t m_t. A round LP lifts held's eps
+  // to the largest excess over the active working rows first, so only
+  // the equalities need artificials. Probes and release passes start
+  // from the round optimum (x*, eps), which holds every inequality of
+  // the eps-pinned problems.
   std::vector<double> held(
       tv + 1, grand_value / static_cast<double>(part.num_players()));
   const auto lift_eps = [&] {
@@ -474,24 +457,12 @@ NucleolusResult maschler(const OrbitIndex& index,
     }
     if (eps.has_value()) held[tv] = *eps;
   };
-  // Maximizes `objective` over the eps-pinned probe rows: from held on
-  // probe_prob under the dense engine; under the revised engine warm on
-  // the persistent probe_engine from the last probe optimum's basis,
-  // which every optimum overwrites (a row appended meanwhile enters with
-  // its slack basic).
+  // Maximizes `objective` over the eps-pinned probe rows from held.
   const auto solve_probe = [&](const std::vector<double>& objective) {
-    if (!revised) {
-      for (std::size_t v = 0; v < objective.size(); ++v) {
-        probe_prob.set_objective_coefficient(v, objective[v]);
-      }
-      return lp::solve(probe_prob, options, held);
-    }
     for (std::size_t v = 0; v < objective.size(); ++v) {
-      probe_engine->set_objective_coefficient(v, objective[v]);
+      probe_prob.set_objective_coefficient(v, objective[v]);
     }
-    lp::Solution sol = probe_engine->solve_from_basis(probe_basis);
-    if (sol.optimal()) probe_basis = probe_engine->basis();
-    return sol;
+    return lp::solve(probe_prob, options, held);
   };
   std::vector<double> per_type;
   std::vector<double> objective;
@@ -500,20 +471,12 @@ NucleolusResult maschler(const OrbitIndex& index,
   fixed_span.add(round_prob.constraints()[0].coefficients);  // efficiency
 
   while (num_active > 0) {
-    // 1. Least-core step, closed over the working set, warm from the
-    //    previous solve's basis on the revised engine (the row set
-    //    changed, but prepare() re-derives the computational form per
-    //    solve, and appended rows enter with their slacks basic), from
-    //    held with its eps lifted on the dense engine.
+    // 1. Least-core step, closed over the working set, from held with
+    //    its eps lifted.
     lp::Solution sol;
     for (;;) {
-      if (revised) {
-        sol = round_engine->solve_from_basis(round_basis);
-        if (sol.optimal()) round_basis = round_engine->basis();
-      } else {
-        lift_eps();
-        sol = lp::solve(round_prob, options, held);
-      }
+      lift_eps();
+      sol = lp::solve(round_prob, options, held);
       ++out.lps_solved;
       out.pivots += sol.pivots;
       if (!sol.optimal()) return out;
@@ -546,11 +509,7 @@ NucleolusResult maschler(const OrbitIndex& index,
     //    with eps pinned (row o stays active iff some optimal solution
     //    pushes x(o) above V(o) - eps). All probes of the round run
     //    against the same pre-fix row set (fixes are applied after).
-    if (revised) {
-      probe_engine->set_constraint_rhs(kPinRow, eps);
-    } else {
-      probe_prob.set_constraint_rhs(kPinRow, eps);
-    }
+    probe_prob.set_constraint_rhs(kPinRow, eps);
     std::vector<std::size_t> active_rows;
     for (std::size_t k = 0; k < working.size(); ++k) {
       if (fixed[k] == 0) active_rows.push_back(1 + k);
@@ -576,10 +535,6 @@ NucleolusResult maschler(const OrbitIndex& index,
       fill_row(working[k], 0.0);
       round_prob.set_constraint(1 + k, row, lp::Relation::kEqual, bound);
       probe_prob.set_constraint(2 + k, row, lp::Relation::kEqual, bound);
-      if (revised) {
-        round_engine->set_constraint(1 + k, row, lp::Relation::kEqual, bound);
-        probe_engine->set_constraint(2 + k, row, lp::Relation::kEqual, bound);
-      }
       fixed_span.add(row);
       fixed[k] = 1;
       --num_active;

@@ -79,7 +79,6 @@ RevisedSimplex::RevisedSimplex(const Problem& problem, SimplexOptions options)
     }
   }
   num_cols_ = n_ + num_rows_;
-  built_rows_ = num_rows_;
   if (options_.observer != nullptr) mirror_ = problem;
 }
 
@@ -89,96 +88,6 @@ void RevisedSimplex::set_constraint_rhs(std::size_t constraint, double rhs) {
   }
   constraint_rhs_[constraint] = rhs;
   if (mirror_.has_value()) mirror_->set_constraint_rhs(constraint, rhs);
-}
-
-void RevisedSimplex::set_constraint(std::size_t constraint,
-                                    const std::vector<double>& coefficients,
-                                    Relation relation, double rhs) {
-  if (constraint >= constraint_map_.size()) {
-    throw std::out_of_range("RevisedSimplex: constraint index out of range");
-  }
-  if (coefficients.size() != n_) {
-    throw std::invalid_argument(
-        "RevisedSimplex::set_constraint: coefficient count must match "
-        "variables");
-  }
-  ConstraintMap& map = constraint_map_[constraint];
-  if (map.is_bound) {
-    throw std::invalid_argument(
-        "RevisedSimplex::set_constraint: constraint was presolved into a "
-        "variable bound; only real rows can be replaced in place");
-  }
-  bool any = false;
-  for (const double c : coefficients) {
-    if (c != 0.0) { any = true; break; }
-  }
-  if (!any) {
-    throw std::invalid_argument(
-        "RevisedSimplex::set_constraint: row must keep at least one "
-        "nonzero coefficient");
-  }
-  const std::size_t row = map.index;
-  // Rewrite the row's entry in every structural column. Column entry
-  // lists are kept sorted by row (construction order), so removal and
-  // in-place update preserve the deterministic iteration order; an
-  // insertion goes to its sorted slot.
-  for (std::size_t v = 0; v < n_; ++v) {
-    auto& col = cols_[v];
-    auto it = std::lower_bound(
-        col.begin(), col.end(), row,
-        [](const ColEntry& e, std::size_t r) { return e.row < r; });
-    const bool present = it != col.end() && it->row == row;
-    const double c = coefficients[v];
-    if (c == 0.0) {
-      if (present) col.erase(it);
-    } else if (present) {
-      it->value = c;
-    } else {
-      col.insert(it, ColEntry{row, c});
-    }
-  }
-  map.relation = relation;
-  row_relation_[row] = relation;
-  constraint_rhs_[constraint] = rhs;
-  if (mirror_.has_value()) {
-    mirror_->set_constraint(constraint, coefficients, relation, rhs);
-  }
-}
-
-void RevisedSimplex::add_constraint(const std::vector<double>& coefficients,
-                                    Relation relation, double rhs) {
-  if (coefficients.size() != n_) {
-    throw std::invalid_argument(
-        "RevisedSimplex::add_constraint: coefficient count must match "
-        "variables");
-  }
-  if (std::all_of(coefficients.begin(), coefficients.end(),
-                  [](double c) { return c == 0.0; })) {
-    throw std::invalid_argument(
-        "RevisedSimplex::add_constraint: row needs a nonzero coefficient");
-  }
-  const std::size_t row = num_rows_;
-  ConstraintMap map;
-  map.index = row;
-  map.relation = relation;
-  constraint_map_.push_back(map);
-  constraint_rhs_.push_back(rhs);
-  row_relation_.push_back(relation);
-  row_constraint_.push_back(constraint_map_.size() - 1);
-  // The new row has the largest index, so appending keeps every column's
-  // entry list sorted by row.
-  for (std::size_t v = 0; v < n_; ++v) {
-    if (coefficients[v] != 0.0) cols_[v].push_back({row, coefficients[v]});
-  }
-  ++num_rows_;
-  ++num_cols_;
-  if (has_basis_) {
-    status_.push_back(VarStatus::kBasic);
-    basic_.push_back(n_ + row);
-  }
-  if (mirror_.has_value()) {
-    mirror_->add_constraint(coefficients, relation, rhs);
-  }
 }
 
 void RevisedSimplex::set_bounds(std::size_t variable, double lower,
@@ -191,17 +100,6 @@ void RevisedSimplex::set_bounds(std::size_t variable, double lower,
   // Declared bounds have no Problem-level representation: the mirror no
   // longer describes the LP being solved, so observers go silent.
   mirror_.reset();
-}
-
-void RevisedSimplex::set_objective_coefficient(std::size_t variable,
-                                               double coefficient) {
-  if (variable >= n_) {
-    throw std::out_of_range("RevisedSimplex: variable index out of range");
-  }
-  objective_[variable] = coefficient;
-  if (mirror_.has_value()) {
-    mirror_->set_objective_coefficient(variable, coefficient);
-  }
 }
 
 void RevisedSimplex::apply(const ProblemPatch& patch) {
@@ -1186,19 +1084,8 @@ Solution RevisedSimplex::solve_from_basis(const Basis& basis) {
     return out;
   }
 
-  // A snapshot of this instance taken before add_constraint appended
-  // rows lacks their slacks, which enter the basis.
-  Basis grown;
-  if (basis.num_structural == n_ && basis.status.size() < num_cols_ &&
-      basis.status.size() >= n_ + built_rows_) {
-    grown.status = basis.status;
-    grown.status.resize(num_cols_, VarStatus::kBasic);
-    grown.num_structural = n_;
-  }
-  const Basis& warm = grown.empty() ? basis : grown;
-
-  if (warm.status.size() == num_cols_) {
-    adopt_statuses(warm);
+  if (basis.status.size() == num_cols_) {
+    adopt_statuses(basis);
     if (!factorize()) return solve();
     compute_basic_values();
     if (dual_feasible()) {

@@ -36,10 +36,14 @@ enum class SolveStatus {
 /// the bounded-variable revised simplex in lp/revised_simplex.hpp (LU
 /// basis + eta file, warm-startable). Both implement the same Problem
 /// semantics and agree on status and objective to solver tolerance.
+/// The code picks the engine by LP shape, not the user: the small
+/// nucleolus and least-core LPs run on started dense solves, and the
+/// serve layer's LP-relaxation bound, thousands of location rows
+/// re-solved every epoch, on a warm RevisedSimplex.
 enum class SolverKind { kDense, kRevised };
 
 /// Human-readable solver name ("dense" / "revised"), and its inverse
-/// (returns false on unknown names) for CLI flag parsing.
+/// (returns false on unknown names) for decoding checkpoints.
 [[nodiscard]] const char* to_string(SolverKind kind) noexcept;
 [[nodiscard]] bool solver_kind_from_string(const std::string& name,
                                            SolverKind& out) noexcept;
@@ -119,8 +123,9 @@ struct SimplexOptions {
   /// trips the solve returns kBudgetExhausted instead of spinning until
   /// max_iterations. Not owned; must outlive the solve call.
   const runtime::ComputeBudget* budget = nullptr;
-  /// Engine selection; solve() dispatches on this, so every existing
-  /// call site can be switched per-solve (e.g. the CLI's --lp-solver).
+  /// Engine selection; solve() dispatches on this. No user path sets
+  /// kRevised: tests, benches and the verify cascade use it to
+  /// cross-check the dense engine with a cold revised solve.
   SolverKind solver = SolverKind::kDense;
   /// Optional post-solve hook (see SolveObserver). Not owned; must
   /// outlive every solve. nullptr (the default) is zero-overhead.

@@ -213,8 +213,12 @@ CheckpointImage decode_checkpoint(std::string_view text) {
         static_cast<int>(parse_u64(expect_kv(t1, "max_facilities")));
     image.options.track_bounds =
         parse_u64(expect_kv(t2, "track_bounds")) != 0;
+    // Files written while serve ran the revised nucleolus say
+    // `revised`. A checkpoint holds no nucleolus state (every answer is
+    // recomputed after restore), so either engine's name is accepted.
     const std::string solver = expect_kv(t3, "lp_solver");
-    if (!lp::solver_kind_from_string(solver, image.options.lp_solver)) {
+    lp::SolverKind written = lp::SolverKind::kDense;
+    if (!lp::solver_kind_from_string(solver, written)) {
       throw ServeError("checkpoint: unknown lp_solver '" + solver + "'");
     }
   }

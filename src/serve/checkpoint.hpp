@@ -14,7 +14,7 @@
 //   fedshare-checkpoint v1          header: magic + format version
 //   epoch 12
 //   log-offset 12                   events of the durable log consumed
-//   options max_facilities=12 track_bounds=1 lp_solver=revised
+//   options max_facilities=12 track_bounds=1 lp_solver=dense
 //   history tripped=1 repaired=1 repairs=1
 //   members 2
 //   slot=0 outage=1 seed=7 scenario=3 up=1011
@@ -40,6 +40,10 @@
 // v1 files written while the service kept a bound per slot mask carry
 // one `b` record per mask, ascending; the decoder still reads and
 // validates them all, and restore() keeps the active mask's record.
+//
+// v1 files written while serve ran its nucleolus on the revised engine
+// say `lp_solver=revised`. A checkpoint holds no nucleolus state (every
+// answer is recomputed after restore), so they restore like `dense`.
 //
 // The `cache` records hold raw greedy values. v1 files written while the
 // serve memo held monotone-closed values carry closed values there

@@ -424,10 +424,8 @@ bool ServiceState::publish_snapshot() {
       answer.skipped = hit->skipped;
       reused = true;
     } else {
-      lp::SimplexOptions lp_options;
-      lp_options.solver = options_.lp_solver;
       game::SchemeComparison comparison = game::compare_schemes(
-          *snap->game, availability, consumption, lp_options);
+          *snap->game, availability, consumption);
       answer.outcomes = std::move(comparison.outcomes);
       answer.skipped = std::move(comparison.skipped);
       // Keep only clean rows: a comparison cut short by a solver
@@ -680,14 +678,12 @@ void ServiceState::restore(const CheckpointImage& image) {
     throw ServeError("restore: state is not fresh");
   }
   if (image.options.max_facilities != options_.max_facilities ||
-      image.options.track_bounds != options_.track_bounds ||
-      image.options.lp_solver != options_.lp_solver) {
+      image.options.track_bounds != options_.track_bounds) {
     // Slot masks / bounds are not portable across max_facilities
-    // or track_bounds, and lp_solver changes the nucleolus LPs inside
-    // published answers — any mismatch breaks bitwise recovery.
+    // or track_bounds — any mismatch breaks bitwise recovery.
     throw ServeError(
         "restore: checkpoint options disagree with this service "
-        "(max_facilities/track_bounds/lp_solver)");
+        "(max_facilities/track_bounds)");
   }
   if (static_cast<int>(image.roster.size()) > options_.max_facilities) {
     throw ServeError("restore: roster exceeds max_facilities");

@@ -40,8 +40,9 @@
 //    falls back cold through the verify::certify_or_escalate cascade.
 //  * Published-answer memo. Publishing runs game::compare_schemes on
 //    the closed V(S) table and the availability and consumption
-//    weights; the LP engine is fixed per state and publish runs
-//    unbudgeted, so those three vectors are its whole input. A per-
+//    weights with default lp::SimplexOptions (the report's call, so
+//    the published nucleolus is the report's), unbudgeted, so those
+//    three vectors are its whole input. A per-
 //    state serve::AnswerMemo keys every comparison that was not cut
 //    short by their bit patterns: a hash finds the entry and a bitwise
 //    compare of all three full vectors confirms it, so a hash collision
@@ -91,8 +92,11 @@ namespace fedshare::serve {
 
 /// Knobs for a ServiceState.
 struct ServeOptions {
-  /// Simplex engine for the nucleolus LPs inside scheme evaluation.
-  lp::SolverKind lp_solver = lp::SolverKind::kRevised;
+  /// The engine the nucleolus LPs inside scheme evaluation run on:
+  /// always the started dense engine, which lp::SimplexOptions selects
+  /// by default. Not settable; kept only because perfbench/ reads it,
+  /// until the benchmark next changes.
+  static constexpr lp::SolverKind lp_solver = lp::SolverKind::kDense;
   /// Maintain the grand coalition's LP-relaxation bound (an upper bound
   /// on V(N), one warm dual-simplex re-solve per epoch). Off = greedy V
   /// only.

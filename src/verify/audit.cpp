@@ -137,7 +137,14 @@ void audit_outcomes(const game::TabularGame& g,
       lp::SimplexOptions cold = lp_options;
       cold.observer = nullptr;  // the audit's own solves are not audited
       const auto lc = game::least_core(g, cold);
-      if (!lc.solved) break;
+      if (!lc.solved) {
+        report.add_note("nucleolus",
+                        std::string("excess optimality unchecked: the "
+                                    "least-core LP ended ") +
+                            lp::to_string(lc.status),
+                        0.0);
+        break;
+      }
       const double excess = game::max_core_violation(g, outcome.payoffs);
       ++report.checks;
       if (excess > lc.epsilon + tol) {

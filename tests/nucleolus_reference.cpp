@@ -18,28 +18,38 @@ namespace {
 
 constexpr double kTol = 1e-7;
 
+// Solves `prob` on a fresh revised engine, warm from `basis`, and keeps
+// the optimum's basis for the next solve. Every edit goes to the
+// lp::Problem; the engine is rebuilt per solve, so the start carries
+// over only through the basis.
+lp::Solution solve_warm(const lp::Problem& prob,
+                        const lp::SimplexOptions& options, lp::Basis& basis) {
+  lp::RevisedSimplex engine(prob, options);
+  lp::Solution sol = engine.solve_from_basis(basis);
+  if (sol.optimal()) basis = engine.basis();
+  return sol;
+}
+
 // Warm-started chain of objective-only re-solves over one constraint set
 // (revised engine): each probe sets the whole objective and re-solves
-// from the last optimum's basis, as the library's probes do.
+// from the last optimum's basis.
 class ObjectiveChain {
  public:
-  ObjectiveChain(const lp::Problem& prob, const lp::SimplexOptions& options)
-      : engine_(prob, options) {}
-  ObjectiveChain(const lp::RevisedSimplex& engine, lp::Basis basis)
-      : engine_(engine), basis_(std::move(basis)) {}
+  ObjectiveChain(lp::Problem prob, const lp::SimplexOptions& options,
+                 lp::Basis basis = {})
+      : prob_(std::move(prob)), options_(options), basis_(std::move(basis)) {}
 
   [[nodiscard]] lp::Solution solve(const std::vector<double>& objective) {
     for (std::size_t v = 0; v < objective.size(); ++v) {
-      engine_.set_objective_coefficient(v, objective[v]);
+      prob_.set_objective_coefficient(v, objective[v]);
     }
-    lp::Solution sol = engine_.solve_from_basis(basis_);
-    if (sol.optimal()) basis_ = engine_.basis();
-    return sol;
+    return solve_warm(prob_, options_, basis_);
   }
   [[nodiscard]] const lp::Basis& basis() const noexcept { return basis_; }
 
  private:
-  lp::RevisedSimplex engine_;
+  lp::Problem prob_;
+  lp::SimplexOptions options_;
   lp::Basis basis_;
 };
 
@@ -148,9 +158,7 @@ NucleolusResult unfiltered_nucleolus(const TabularGame& tab,
     prob.set_objective_coefficient(nv, 1.0);
     lp::Solution sol;
     if (revised) {
-      lp::RevisedSimplex engine(prob, options);
-      sol = engine.solve_from_basis(round_basis);
-      if (sol.optimal()) round_basis = engine.basis();
+      sol = solve_warm(prob, options, round_basis);
     } else {
       sol = lp::solve(prob, options);
     }
@@ -263,12 +271,6 @@ NucleolusResult unfiltered_nucleolus_quotient(
   pin[tv] = 1.0;
   probe_prob.add_constraint(pin, lp::Relation::kEqual, 0.0);
 
-  std::optional<lp::RevisedSimplex> round_engine;
-  std::optional<lp::RevisedSimplex> probe_engine;
-  if (revised) {
-    round_engine.emplace(round_prob, options);
-    probe_engine.emplace(probe_prob, options);
-  }
   lp::Basis round_basis;
   lp::Basis probe_basis;
   std::vector<double> per_type;
@@ -283,8 +285,7 @@ NucleolusResult unfiltered_nucleolus_quotient(
   while (num_active > 0) {
     lp::Solution sol;
     if (revised) {
-      sol = round_engine->solve_from_basis(round_basis);
-      if (sol.optimal()) round_basis = round_engine->basis();
+      sol = solve_warm(round_prob, options, round_basis);
     } else {
       sol = lp::solve(round_prob, options);
     }
@@ -295,13 +296,9 @@ NucleolusResult unfiltered_nucleolus_quotient(
     out.levels.push_back(eps);
     per_type.assign(sol.x.begin(), sol.x.begin() + T);
 
-    if (revised) {
-      probe_engine->set_constraint_rhs(pin_row, eps);
-    } else {
-      probe_prob.set_constraint_rhs(pin_row, eps);
-    }
+    probe_prob.set_constraint_rhs(pin_row, eps);
     std::optional<ObjectiveChain> chain;
-    if (revised) chain.emplace(*probe_engine, std::move(probe_basis));
+    if (revised) chain.emplace(probe_prob, options, std::move(probe_basis));
     std::vector<std::pair<std::size_t, double>> newly_fixed;
     for (std::size_t k = 0; k < proper.size(); ++k) {
       if (!active[k]) continue;
@@ -321,17 +318,15 @@ NucleolusResult unfiltered_nucleolus_quotient(
       const std::size_t cidx = 1 + k;
       round_prob.set_constraint(cidx, row, lp::Relation::kEqual, bound);
       probe_prob.set_constraint(cidx, row, lp::Relation::kEqual, bound);
-      if (revised) {
-        round_engine->set_constraint(cidx, row, lp::Relation::kEqual, bound);
-        probe_engine->set_constraint(cidx, row, lp::Relation::kEqual, bound);
-      }
       active[k] = 0;
       --num_active;
     }
 
     if (num_active > 0) {
       std::optional<ObjectiveChain> probe_chain;
-      if (revised) probe_chain.emplace(*probe_engine, std::move(probe_basis));
+      if (revised) {
+        probe_chain.emplace(probe_prob, options, std::move(probe_basis));
+      }
       const auto solve = [&](const std::vector<double>& obj) {
         return revised ? probe_chain->solve(obj) : cold(obj);
       };

@@ -221,30 +221,23 @@ TEST(RevisedSimplex, ApplyPatchEqualsIndividualSetters) {
 }
 
 TEST(RevisedSimplex, ObjectiveChangeWarmResolveMatchesDense) {
-  // Same constraint set, family of objectives: the previous optimum
-  // stays primal feasible, so each re-solve is a phase-2-only run.
+  // Same constraint set, family of objectives, each solved on an engine
+  // built for it from the previous objective's optimal basis: that
+  // basis stays primal feasible, so each re-solve is a phase-2-only run.
   Problem p(3, Objective::kMaximize);
   p.add_constraint({1.0, 1.0, 1.0}, Relation::kLessEqual, 10.0);
   p.add_constraint({1.0, 2.0, 0.0}, Relation::kLessEqual, 12.0);
   p.add_constraint({0.0, 1.0, 3.0}, Relation::kLessEqual, 15.0);
-  RevisedSimplex engine(p);
   Basis basis;
   const double costs[4][3] = {
       {1.0, 2.0, 3.0}, {3.0, 1.0, 0.5}, {0.2, 0.4, 5.0}, {2.0, 2.0, 2.0}};
   for (const auto& c : costs) {
-    Problem fresh(3, Objective::kMaximize);
-    fresh.add_constraint({1.0, 1.0, 1.0}, Relation::kLessEqual, 10.0);
-    fresh.add_constraint({1.0, 2.0, 0.0}, Relation::kLessEqual, 12.0);
-    fresh.add_constraint({0.0, 1.0, 3.0}, Relation::kLessEqual, 15.0);
-    for (std::size_t j = 0; j < 3; ++j) {
-      engine.set_objective_coefficient(j, c[j]);
-      fresh.set_objective_coefficient(j, c[j]);
-    }
-    const Solution warm =
-        basis.empty() ? engine.solve() : engine.solve_from_basis(basis);
+    for (std::size_t j = 0; j < 3; ++j) p.set_objective_coefficient(j, c[j]);
+    RevisedSimplex engine(p);
+    const Solution warm = engine.solve_from_basis(basis);
     ASSERT_TRUE(warm.optimal());
     basis = engine.basis();
-    const Solution dense = solve(fresh);
+    const Solution dense = solve(p);
     ASSERT_TRUE(dense.optimal());
     EXPECT_NEAR(warm.objective, dense.objective, 1e-8);
   }
@@ -275,125 +268,6 @@ TEST(RevisedSimplex, CrashPathAcceptsForeignBasis) {
   ASSERT_TRUE(warm.optimal());
   ASSERT_TRUE(dense.optimal());
   EXPECT_NEAR(warm.objective, dense.objective, 1e-8);
-}
-
-// The row-generation step: appending a row to a solved instance grows
-// the basis by the row's slack, and a warm re-solve from the pre-append
-// basis lands on the cold optimum of the grown problem.
-TEST(RevisedSimplex, AppendedViolatedRowResolvesWarmLikeColdGrownProblem) {
-  Problem p(2, Objective::kMaximize);
-  p.set_objective_coefficient(0, 3.0);
-  p.set_objective_coefficient(1, 2.0);
-  p.add_constraint({1.0, 1.0}, Relation::kLessEqual, 4.0);
-  p.add_constraint({1.0, 3.0}, Relation::kLessEqual, 6.0);
-  RevisedSimplex engine(p);
-  ASSERT_TRUE(engine.solve().optimal());  // (4, 0)
-  const Basis before = engine.basis();
-  const std::size_t rows = engine.num_rows();
-
-  // x - y <= 1 cuts (4, 0) off.
-  engine.add_constraint({1.0, -1.0}, Relation::kLessEqual, 1.0);
-  p.add_constraint({1.0, -1.0}, Relation::kLessEqual, 1.0);
-  EXPECT_EQ(engine.num_rows(), rows + 1);
-  EXPECT_EQ(engine.basis().status.size(), before.status.size() + 1);
-  const Solution warm = engine.solve_from_basis(before);
-  const Solution cold = solve(p);
-  ASSERT_EQ(warm.status, cold.status);
-  ASSERT_TRUE(warm.optimal());
-  EXPECT_GT(warm.pivots, 0u);
-  EXPECT_NEAR(warm.objective, cold.objective, 1e-9);
-  EXPECT_EQ(engine.basis().status.size(), engine.num_columns());
-}
-
-TEST(RevisedSimplex, AppendedSatisfiedRowCostsNoPivot) {
-  Problem p(2, Objective::kMaximize);
-  p.set_objective_coefficient(0, 3.0);
-  p.set_objective_coefficient(1, 2.0);
-  p.add_constraint({1.0, 1.0}, Relation::kLessEqual, 4.0);
-  p.add_constraint({1.0, 3.0}, Relation::kLessEqual, 6.0);
-  RevisedSimplex engine(p);
-  const Solution first = engine.solve();
-  ASSERT_TRUE(first.optimal());
-  const Basis before = engine.basis();
-  engine.add_constraint({1.0, 1.0}, Relation::kLessEqual, 10.0);
-  const Solution again = engine.solve_from_basis(before);
-  ASSERT_TRUE(again.optimal());
-  EXPECT_EQ(again.pivots, 0u);
-  EXPECT_EQ(again.objective, first.objective);
-  EXPECT_EQ(again.x, first.x);
-}
-
-// Row generation on a least-core LP: start from the singleton and
-// "all but one" rows, append the most violated excess row after each
-// warm re-solve, and agree with a cold dense solve of the same grown
-// problem at every step, and with the full LP at the end.
-TEST(RevisedSimplex, RowGenerationReachesTheFullLeastCore) {
-  const int n = 5;
-  const std::uint64_t grand = (std::uint64_t{1} << n) - 1;
-  std::vector<double> v(grand + 1, 0.0);
-  for (std::uint64_t m = 1; m <= grand; ++m) {
-    const int size = __builtin_popcountll(m);
-    v[m] = size * (1.0 + 0.25 * static_cast<double>((m * 7919) % 17));
-  }
-  const auto row = [&](std::uint64_t mask, double eps) {
-    std::vector<double> r(static_cast<std::size_t>(n) + 1, 0.0);
-    for (int i = 0; i < n; ++i) r[static_cast<std::size_t>(i)] = (mask >> i) & 1u;
-    r[static_cast<std::size_t>(n)] = eps;
-    return r;
-  };
-  const auto base = [&] {
-    Problem p(static_cast<std::size_t>(n) + 1, Objective::kMinimize);
-    for (int i = 0; i <= n; ++i) p.set_free(static_cast<std::size_t>(i));
-    p.set_objective_coefficient(static_cast<std::size_t>(n), 1.0);
-    p.add_constraint(row(grand, 0.0), Relation::kEqual, v[grand]);
-    return p;
-  };
-  Problem full = base();
-  for (std::uint64_t m = 1; m < grand; ++m) {
-    full.add_constraint(row(m, 1.0), Relation::kGreaterEqual, v[m]);
-  }
-  Problem grown = base();
-  std::vector<char> in(grand + 1, 0);
-  for (int i = 0; i < n; ++i) {
-    for (const std::uint64_t m :
-         {std::uint64_t{1} << i, grand ^ (std::uint64_t{1} << i)}) {
-      grown.add_constraint(row(m, 1.0), Relation::kGreaterEqual, v[m]);
-      in[m] = 1;
-    }
-  }
-  RevisedSimplex engine(grown, revised_options());
-  Solution sol = engine.solve();
-  int appended = 0;
-  for (;;) {
-    ASSERT_TRUE(sol.optimal());
-    const Solution cold = solve(grown);
-    ASSERT_TRUE(cold.optimal());
-    EXPECT_NEAR(sol.objective, cold.objective, 1e-9);
-    std::uint64_t worst = 0;
-    double worst_violation = 1e-9;
-    for (std::uint64_t m = 1; m < grand; ++m) {
-      if (in[m] != 0) continue;
-      double x = sol.x[static_cast<std::size_t>(n)];
-      for (int i = 0; i < n; ++i) {
-        if ((m >> i) & 1u) x += sol.x[static_cast<std::size_t>(i)];
-      }
-      if (v[m] - x > worst_violation) {
-        worst_violation = v[m] - x;
-        worst = m;
-      }
-    }
-    if (worst == 0) break;
-    const Basis before = engine.basis();
-    engine.add_constraint(row(worst, 1.0), Relation::kGreaterEqual, v[worst]);
-    grown.add_constraint(row(worst, 1.0), Relation::kGreaterEqual, v[worst]);
-    in[worst] = 1;
-    ++appended;
-    sol = engine.solve_from_basis(before);
-  }
-  EXPECT_GT(appended, 0);
-  const Solution whole = solve(full);
-  ASSERT_TRUE(whole.optimal());
-  EXPECT_NEAR(sol.objective, whole.objective, 1e-9);
 }
 
 TEST(RevisedSimplex, HonorsNodeCapBudget) {

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -472,6 +473,73 @@ TEST(ServeStateTest, ElevenFacilitiesRecordTheSkippedNucleolus) {
   }
 }
 
+// The nucleolus row of the service's current answer, checked bitwise
+// against game::compare_schemes with default SimplexOptions on the same
+// snapshot — the call the report makes — so serve and the report share
+// one nucleolus.
+void expect_served_nucleolus_is_the_reports(const ServiceState& state,
+                                            const std::string& what) {
+  SCOPED_TRACE(what);
+  const auto snap = state.snapshot();
+  if (!snap->game.has_value()) return;  // no facility yet
+  std::vector<double> availability;
+  for (const auto& f : snap->space.facilities()) {
+    availability.push_back(f.availability_weight());
+  }
+  const auto report = fedshare::game::compare_schemes(
+      *snap->game, availability,
+      fedshare::model::consumption_weights(snap->space, snap->demand));
+  const auto nucleolus_of = [](const auto& outcomes) {
+    const auto it = std::find_if(
+        outcomes.begin(), outcomes.end(), [](const auto& o) {
+          return o.scheme == fedshare::game::Scheme::kNucleolus;
+        });
+    return it == outcomes.end() ? nullptr : &*it;
+  };
+  const auto answer = state.query();
+  const auto* want = nucleolus_of(report.outcomes);
+  const auto* got = nucleolus_of(answer.outcomes);
+  ASSERT_NE(want, nullptr);
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->payoffs, want->payoffs);
+  EXPECT_EQ(got->shares, want->shares);
+  EXPECT_EQ(got->in_core, want->in_core);
+}
+
+// Every epoch of the demo script, and the six-facility flat roster of
+// perfbench's serve_flap (near-additive: most rows tight at the least
+// core).
+TEST(ServeStateTest, PublishedNucleolusIsTheReportsBitwise) {
+  std::ifstream in(std::string(FEDSHARE_SOURCE_DIR) +
+                   "/configs/serve_demo.events");
+  ASSERT_TRUE(in) << "missing configs/serve_demo.events";
+  ServiceState demo;
+  for (const Event& event : fedshare::serve::parse_event_log(in)) {
+    const ApplyResult r = demo.apply(event);
+    expect_served_nucleolus_is_the_reports(
+        demo, "demo epoch " + std::to_string(r.epoch));
+  }
+
+  ServiceState flat;
+  DemandUpdate demand;
+  demand.demand = fedshare::model::DemandProfile::uniform(8.0, 6.0);
+  fedshare::model::RequestClass second;
+  second.count = 3.0;
+  second.min_locations = 2.0;
+  second.units_per_location = 2.0;
+  demand.demand.classes.push_back(second);
+  (void)flat.apply(demand);
+  for (int i = 0; i < 6; ++i) {
+    FacilityJoin join;
+    join.config.name = "F" + std::to_string(i);
+    join.config.num_locations = 4 + i % 3;
+    join.config.units_per_location = 1.0 + 0.5 * (i % 2);
+    join.config.availability = 0.9 - 0.05 * i;
+    (void)flat.apply(join);
+  }
+  expect_served_nucleolus_is_the_reports(flat, "flat roster");
+}
+
 // A serve epoch's rows are game::compare_schemes on that snapshot's
 // game, bit for bit: with the engine the service runs, and again with
 // the CLI's --verify full observer riding on the LP options.
@@ -491,7 +559,6 @@ TEST(ServeStateTest, EpochOutcomesAreCompareSchemesBitwise) {
   const std::vector<double> consumption =
       fedshare::model::consumption_weights(snap->space, snap->demand);
   fedshare::lp::SimplexOptions lp_options;
-  lp_options.solver = state.options().lp_solver;
   fedshare::verify::VerifyOptions full;
   full.level = fedshare::verify::VerifyLevel::kFull;
   fedshare::verify::CertifyingObserver observer(full, lp_options);
@@ -596,12 +663,9 @@ TEST(ServeAnswerMemoTest, FlapScriptAnswersEqualAFreshReplayOfEachPrefix) {
     for (const auto& f : snap->space.facilities()) {
       availability.push_back(f.availability_weight());
     }
-    fedshare::lp::SimplexOptions lp_options;
-    lp_options.solver = state.options().lp_solver;
     const auto cold = fedshare::game::compare_schemes(
         *snap->game, availability,
-        fedshare::model::consumption_weights(snap->space, snap->demand),
-        lp_options);
+        fedshare::model::consumption_weights(snap->space, snap->demand));
     EpochAnswer want = answers.back();
     want.outcomes = cold.outcomes;
     want.skipped = cold.skipped;

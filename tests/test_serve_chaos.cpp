@@ -281,11 +281,9 @@ void expect_matches_batch(const EpochAnswer& answer, const Shadow& shadow,
   }
   const std::vector<double> consumption =
       fedshare::model::consumption_weights(space, shadow.demand);
-  fedshare::lp::SimplexOptions lp_options;
-  lp_options.solver = fedshare::lp::SolverKind::kRevised;
-  const auto outcomes = fedshare::game::compare_schemes(
-                            game, availability, consumption, lp_options)
-                            .outcomes;
+  const auto outcomes =
+      fedshare::game::compare_schemes(game, availability, consumption)
+          .outcomes;
 
   ASSERT_EQ(answer.outcomes.size(), outcomes.size());
   const fedshare::game::SchemeOutcome* shapley = nullptr;

@@ -335,6 +335,36 @@ TEST(VerifyAudit, SubadditiveGameIsNotedNotFailed) {
   }
 }
 
+// The nucleolus check re-solves the least core under the report's LP
+// options, budget included. When that LP cannot finish the check is not
+// counted, and a note names the LP status instead of skipping silently.
+TEST(VerifyAudit, ExhaustedBudgetNotesTheUncheckedNucleolus) {
+  const auto g = convex_game(6);
+  const auto outcomes = game::compare_schemes(g, {}, {}).outcomes;
+  VerifyOptions vopts;
+  vopts.level = VerifyLevel::kCheap;
+
+  verify::AuditReport checked;
+  verify::audit_outcomes(g, outcomes, SimplexOptions{}, vopts, checked);
+  EXPECT_TRUE(checked.notes.empty());
+
+  runtime::ComputeBudget spent;
+  spent.cap_nodes(0);
+  (void)spent.charge();
+  ASSERT_TRUE(spent.exhausted());
+  SimplexOptions lp_options;
+  lp_options.budget = &spent;
+  verify::AuditReport unchecked;
+  verify::audit_outcomes(g, outcomes, lp_options, vopts, unchecked);
+  EXPECT_TRUE(unchecked.passed);
+  EXPECT_EQ(unchecked.checks + 1, checked.checks);
+  ASSERT_EQ(unchecked.notes.size(), 1u);
+  EXPECT_EQ(unchecked.notes[0].check, "nucleolus");
+  EXPECT_NE(unchecked.notes[0].detail.find("budget-exhausted"),
+            std::string::npos)
+      << unchecked.notes[0].detail;
+}
+
 // The scheme comparison plus its audit, wired as the CLI report wires
 // --verify: at kFull a CertifyingObserver rides on the comparison's LP
 // options, and every level but kOff audits the finished outcomes.

@@ -11,6 +11,9 @@
 # Also exercises the torn-tail path: garbage appended to the log (a
 # half-written line, as a power cut mid-append would leave) must yield
 # exit code 4 with a note on stderr and, still, the identical answer.
+# Finally it resumes the committed tests/fixtures/serve_demo_log_revised
+# directory, whose checkpoints say `lp_solver=revised`, and requires the
+# golden answer.
 #
 # Usage: tools/crash_check.sh [build-dir]   (default: ./build)
 set -uo pipefail
@@ -135,8 +138,30 @@ if ! cmp -s "$workdir/reference.answer" "$workdir/compacted.answer"; then
   failures=$((failures + 1))
 fi
 
+# A compacted log directory whose checkpoints were written while serve
+# ran its nucleolus on the revised engine (`lp_solver=revised` on their
+# options line) still restores: resuming the demo script from a copy of
+# it replays nothing, and the answer must equal the golden's.
+dir="$workdir/log_revised"
+cp -R "$root/tests/fixtures/serve_demo_log_revised" "$dir"
+"$cli" --serve "$events" --log-dir "$dir" \
+  > "$workdir/revised.txt" 2> "$workdir/revised.err"
+rc=$?
+if [[ $rc -ne 0 ]]; then
+  echo "crash_check: resume from the revised-engine checkpoint exited $rc" >&2
+  cat "$workdir/revised.err" >&2
+  failures=$((failures + 1))
+fi
+answer_section "$workdir/revised.txt" > "$workdir/revised.answer"
+answer_section "$root/tests/golden/serve_demo.txt" > "$workdir/golden.answer"
+if ! cmp -s "$workdir/golden.answer" "$workdir/revised.answer"; then
+  echo "crash_check: answer drift after the revised-engine checkpoint:" >&2
+  diff "$workdir/golden.answer" "$workdir/revised.answer" >&2 || true
+  failures=$((failures + 1))
+fi
+
 if [[ $failures -eq 0 ]]; then
-  echo "crash-check PASSED ($(( (num_events - 1) * 2 )) kill points, torn tail, compaction)"
+  echo "crash-check PASSED ($(( (num_events - 1) * 2 )) kill points, torn tail, compaction, revised-engine checkpoint)"
   exit 0
 fi
 echo "crash-check FAILED ($failures failures)" >&2

@@ -14,7 +14,6 @@
 #include "cli/runner.hpp"
 #include "cli/serve_runner.hpp"
 #include "exec/pool.hpp"
-#include "lp/simplex.hpp"
 #include "serve/event.hpp"
 #include "serve/log.hpp"
 #include "verify/certificates.hpp"
@@ -25,18 +24,16 @@ constexpr const char* kUsage =
     R"(usage: fedshare_cli <federation.ini> [--dump-game <out-file>]
                     [--deadline-ms <ms>] [--outage-scenarios <k>]
                     [--outage-seed <seed>] [--threads <n>]
-                    [--lp-solver <dense|revised>]
                     [--verify <off|cheap|full>]
                     [--symmetry <off|auto|exact>]
                     [--structure <off|optimal|hedonic>]
                     [--cache-stats]
        fedshare_cli --serve <events-file> [--deadline-ms <ms>]
-                    [--threads <n>] [--lp-solver <dense|revised>]
-                    [--no-bounds] [--log-dir <dir>]
+                    [--threads <n>] [--no-bounds] [--log-dir <dir>]
                     [--checkpoint-every <n>] [--retain-checkpoints <k>]
                     [--maintenance] [--crash-at-epoch <k>]
        fedshare_cli --compact <log-dir> [--retain-checkpoints <k>]
-                    [--lp-solver <dense|revised>] [--no-bounds]
+                    [--no-bounds]
 
 Computes coalition values, game properties and sharing-scheme shares
 (Shapley, proportional, consumption, equal, nucleolus, Banzhaf) for the
@@ -97,11 +94,6 @@ Resilience options:
                            default). Results are identical at any
                            thread count; with 1 the output is
                            byte-identical to earlier releases
-  --lp-solver <kind>       simplex engine for the nucleolus LPs:
-                           'dense' (default, the historical tableau
-                           solver) or 'revised' (LU-factorized basis
-                           with warm-started solve chains — much
-                           faster on larger games, same shares)
   --verify <level>         verification level: 'off' (default, no
                            checks, unchanged output), 'cheap' (audit
                            the game and every sharing outcome; appends
@@ -170,7 +162,6 @@ int main(int argc, char** argv) {
   std::string serve_path;
   std::string compact_dir;
   bool serve_bounds = true;
-  bool lp_solver_set = false;
   std::string log_dir;
   double checkpoint_every = 0.0;
   double retain_checkpoints = 2.0;
@@ -265,21 +256,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       fedshare::exec::set_threads(static_cast<int>(value));
-      continue;
-    }
-    if (arg == "--lp-solver") {
-      if (i + 1 >= argc) {
-        std::cerr << "fedshare_cli: --lp-solver needs a value\n";
-        return 2;
-      }
-      lp_solver_set = true;
-      if (!fedshare::lp::solver_kind_from_string(
-              argv[++i], report_options.lp_solver)) {
-        std::cerr << "fedshare_cli: --lp-solver must be 'dense' or "
-                     "'revised', got '"
-                  << argv[i] << "'\n";
-        return 2;
-      }
       continue;
     }
     if (arg == "--verify" || arg.rfind("--verify=", 0) == 0) {
@@ -388,7 +364,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     fedshare::serve::ServeOptions serve_options;
-    if (lp_solver_set) serve_options.lp_solver = report_options.lp_solver;
     serve_options.track_bounds = serve_bounds;
     fedshare::serve::DurableLogOptions log_options;
     log_options.checkpoint_every =
@@ -429,7 +404,6 @@ int main(int argc, char** argv) {
     }
     fedshare::cli::ServeRunOptions serve_options;
     serve_options.deadline_ms = report_options.deadline_ms;
-    if (lp_solver_set) serve_options.lp_solver = report_options.lp_solver;
     serve_options.track_bounds = serve_bounds;
     if (!log_dir.empty()) serve_options.log_dir = log_dir;
     serve_options.checkpoint_every =

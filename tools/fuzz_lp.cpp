@@ -3,17 +3,15 @@
 // Generates random bounded LPs on a small coefficient grid and solves
 // each three ways: dense two-phase tableau, revised simplex from a cold
 // basis, and revised simplex warm-started from the optimal basis of an
-// rhs-perturbed neighbour. Then it appends one random row to the warm
-// engine (RevisedSimplex::add_constraint, the nucleolus row-generation
-// step), re-solves warm, and checks that against a dense cold solve of
-// the grown problem. A second, started leg builds an LP over mostly free
-// variables around a random point — rows exactly tight there (up to the
-// rounding of their rhs), rows violated by less than 1e-12 relative,
-// rows violated outright and rows with slack — and solves it dense from
-// that point, dense cold and revised. Any disagreement — status mismatch,
-// objective divergence, or a certificate (verify/certificates.hpp) that
-// fails on a claimed answer — is a bug in at least one engine, and the
-// harness prints a self-contained reproduction and exits non-zero.
+// rhs-perturbed neighbour. A second, started leg builds an LP over
+// mostly free variables around a random point — rows exactly tight
+// there (up to the rounding of their rhs), rows violated by less than
+// 1e-12 relative, rows violated outright and rows with slack — and
+// solves it dense from that point, dense cold and revised. Any
+// disagreement — status mismatch, objective divergence, or a
+// certificate (verify/certificates.hpp) that fails on a claimed answer
+// — is a bug in at least one engine, and the harness prints a
+// self-contained reproduction and exits non-zero.
 //
 // Usage: fuzz_lp [--seconds N] [--cases N] [--seed S]
 //   --seconds N   wall-clock budget (default 10; 0 = no time limit)
@@ -26,6 +24,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -38,7 +37,6 @@
 
 namespace {
 
-using fedshare::lp::Constraint;
 using fedshare::lp::Objective;
 using fedshare::lp::Problem;
 using fedshare::lp::Relation;
@@ -69,8 +67,6 @@ struct Case {
   Problem problem;
   // The rhs-perturbed neighbour solved first to seed the warm start.
   std::vector<double> neighbour_rhs;
-  // The row appended after the warm solve (never all zero).
-  Constraint appended;
 };
 
 // An LP built around `point` for the started leg; see make_started_case.
@@ -157,11 +153,6 @@ Case make_case(std::uint64_t seed) {
     c.neighbour_rhs.push_back(rhs + (static_cast<double>(pick(rng, 5)) - 2.0));
     c.problem.add_constraint(std::move(coef), rel, rhs);
   }
-  c.appended.coefficients.resize(n);
-  for (auto& v : c.appended.coefficients) v = grid(rng);
-  c.appended.coefficients[pick(rng, n)] = 1.0 + static_cast<double>(pick(rng, 3));
-  c.appended.relation = static_cast<Relation>(pick(rng, 3));
-  c.appended.rhs = grid(rng);
   return c;
 }
 
@@ -222,6 +213,36 @@ bool objectives_agree(const Problem& p, double a, double b) {
   return std::abs(a - b) <= 1e-6 * scale * 8.0;
 }
 
+using Answer = std::pair<const char*, const Solution*>;
+
+// Every answer, the oracle's included, must carry a valid certificate
+// and agree with the oracle, answers[0], on status and objective.
+bool answers_agree(const Problem& p, std::initializer_list<Answer> answers,
+                   Failure& failure) {
+  const auto& [oracle_name, oracle] = *answers.begin();
+  for (const auto& [name, s] : answers) {
+    std::string why;
+    if (!certificate_ok(p, *s, why)) {
+      failure.what = std::string(name) + " certificate invalid: " + why;
+      return false;
+    }
+    if (s->status != oracle->status) {
+      failure.what = std::string("status mismatch: ") + oracle_name + "=" +
+                     status_name(oracle->status) + " " + name + "=" +
+                     status_name(s->status);
+      return false;
+    }
+    if (oracle->optimal() &&
+        !objectives_agree(p, s->objective, oracle->objective)) {
+      failure.what = std::string("objective mismatch: ") + oracle_name +
+                     "=" + std::to_string(oracle->objective) + " " + name +
+                     "=" + std::to_string(s->objective);
+      return false;
+    }
+  }
+  return true;
+}
+
 // The started leg: dense from the case's point and revised, both against
 // a dense cold solve.
 bool run_started_case(std::uint64_t seed, Failure& failure) {
@@ -235,30 +256,11 @@ bool run_started_case(std::uint64_t seed, Failure& failure) {
       !comparable(revised.status)) {
     return true;
   }
-  const std::pair<const char*, const Solution*> answers[] = {
-      {"dense cold", &cold}, {"dense started", &started},
-      {"revised", &revised}};
-  for (const auto& [name, s] : answers) {
-    std::string why;
-    if (!certificate_ok(c.problem, *s, why)) {
-      failure.what = std::string(name) + " certificate invalid: " + why;
-      return false;
-    }
-    if (s->status != cold.status) {
-      failure.what = std::string("status mismatch: dense cold=") +
-                     status_name(cold.status) + " " + name + "=" +
-                     status_name(s->status);
-      return false;
-    }
-    if (cold.optimal() &&
-        !objectives_agree(c.problem, s->objective, cold.objective)) {
-      failure.what = std::string("objective mismatch: dense cold=") +
-                     std::to_string(cold.objective) + " " + name + "=" +
-                     std::to_string(s->objective);
-      return false;
-    }
-  }
-  return true;
+  return answers_agree(c.problem,
+                       {{"dense cold", &cold},
+                        {"dense started", &started},
+                        {"revised", &revised}},
+                       failure);
 }
 
 bool run_case(std::uint64_t seed, Failure& failure) {
@@ -283,62 +285,13 @@ bool run_case(std::uint64_t seed, Failure& failure) {
   }
   const Solution warm = warm_engine.solve_from_basis(basis);
 
-  // Row generation: append the extra row and re-solve warm from the
-  // basis of the solve before it; the oracle is a dense cold solve of
-  // the grown problem.
-  const fedshare::lp::Basis before_append = warm_engine.basis();
-  Problem grown = c.problem;
-  grown.add_constraint(c.appended.coefficients, c.appended.relation,
-                       c.appended.rhs);
-  warm_engine.add_constraint(c.appended.coefficients, c.appended.relation,
-                             c.appended.rhs);
-  const Solution appended = warm_engine.solve_from_basis(before_append);
-  const Solution grown_dense = fedshare::lp::solve(grown, dense_opts);
-
   if (!comparable(dense.status) || !comparable(revised.status) ||
-      !comparable(warm.status) || !comparable(appended.status) ||
-      !comparable(grown_dense.status)) {
+      !comparable(warm.status)) {
     return true;  // a limit tripped; nothing to compare
   }
-
-  struct Answer {
-    const char* name;
-    const Problem* problem;
-    const Solution* s;
-    const Solution* oracle;
-  };
-  const Answer answers[] = {
-      {"dense", &c.problem, &dense, &dense},
-      {"revised", &c.problem, &revised, &dense},
-      {"warm", &c.problem, &warm, &dense},
-      {"grown dense", &grown, &grown_dense, &grown_dense},
-      {"appended-row warm", &grown, &appended, &grown_dense}};
-
-  for (const auto& a : answers) {
-    std::string why;
-    if (!certificate_ok(*a.problem, *a.s, why)) {
-      failure.what = std::string(a.name) + " certificate invalid: " + why;
-      return false;
-    }
-  }
-  for (const auto& a : answers) {
-    if (a.s->status != a.oracle->status) {
-      failure.what = std::string("status mismatch: dense=") +
-                     status_name(a.oracle->status) + " " + a.name + "=" +
-                     status_name(a.s->status);
-      return false;
-    }
-  }
-  for (const auto& a : answers) {
-    if (a.oracle->status == SolveStatus::kOptimal &&
-        !objectives_agree(c.problem, a.s->objective, a.oracle->objective)) {
-      failure.what = std::string("objective mismatch: dense=") +
-                     std::to_string(a.oracle->objective) + " " + a.name +
-                     "=" + std::to_string(a.s->objective);
-      return false;
-    }
-  }
-  return true;
+  return answers_agree(
+      c.problem, {{"dense", &dense}, {"revised", &revised}, {"warm", &warm}},
+      failure);
 }
 
 }  // namespace
@@ -394,18 +347,12 @@ int main(int argc, char** argv) {
         dump(c.problem, std::cerr);
         return 1;
       }
-      const Case c = make_case(case_seed);
-      Problem grown = c.problem;
-      grown.add_constraint(c.appended.coefficients, c.appended.relation,
-                           c.appended.rhs);
-      std::cerr << "(the last row is the appended one)\n";
-      dump(grown, std::cerr);
+      dump(make_case(case_seed).problem, std::cerr);
       return 1;
     }
     ++cases;
   }
-  std::cout << "fuzz_lp: " << cases << " cases, 3 engines each plus an "
-            << "appended-row warm re-solve and a started dense solve, "
-            << "no disagreements\n";
+  std::cout << "fuzz_lp: " << cases << " cases, 3 engines each plus a "
+            << "started dense solve, no disagreements\n";
   return 0;
 }
