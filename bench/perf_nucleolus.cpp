@@ -5,12 +5,12 @@
 //
 // The headline workload is 4 facility types with 4 identical players
 // each (n = 16): every probe LP carries 5^4 - 2 = 623 orbit rows where
-// the dense formulation would need 2^16 - 2 = 65534 — past its own
-// guard, so dense cannot attempt the case at all. The binary writes
-// BENCH_nucleolus.json (override the path with FEDSHARE_BENCH_OUT) with
-// rows/LPs/pivots/wall-times for typed n = 8..20 and for heterogeneous
-// federations (the default report's dense path, n = 6..10), each next
-// to the LP and pivot counts of the unfiltered reference loop
+// the dense formulation would need 2^16 - 2 = 65534 — past
+// kMaxExcessRows, so dense cannot attempt the case at all. The binary
+// writes BENCH_nucleolus.json (override the path with FEDSHARE_BENCH_OUT)
+// with rows/LPs/pivots/wall-times for typed n = 8..20 and for
+// heterogeneous federations (the default report's dense path, n = 6..12),
+// each next to the LP and pivot counts of the unfiltered reference loop
 // (tests/nucleolus_reference.hpp) where that loop finishes in seconds,
 // and for the "flat" serve roster game (six near-additive facilities,
 // most rows tight at the least core). The typed and quotient cases run
@@ -26,11 +26,13 @@
 // row-ratio and dense-refusal gates, an LP-ratio gate (a heterogeneous
 // n = 8 dense-engine nucleolus solves at most 10% of the rows x rounds
 // LPs the unfiltered loop would), a certification gate (every LP
-// certified, on both engines) and a working-set gate (hetero n = 9
+// certified, on both engines), a working-set gate (hetero n = 9
 // solves on both engines, every LP certified, and passes the full-table
-// excess scan)
-// and a flat-game gate (both engines solve the serve roster game and
-// agree) — tools/check.sh runs it as a perf-smoke stage.
+// excess scan), a least-core gate (hetero n = 9 least_core epsilon
+// against the full-row LP), a hetero n = 12 gate (the dense nucleolus
+// solves and passes the full-table scan) and a flat-game gate (both
+// engines solve the serve roster game and agree) — tools/check.sh runs
+// it as a perf-smoke stage.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -46,6 +48,7 @@
 #include <vector>
 
 #include "cli/runner.hpp"
+#include "core/core_solution.hpp"
 #include "core/game.hpp"
 #include "core/nucleolus.hpp"
 #include "core/symmetry.hpp"
@@ -153,7 +156,7 @@ void BM_DenseNucleolus(benchmark::State& state) {
     benchmark::DoNotOptimize(r.allocation.data());
   }
 }
-BENCHMARK(BM_DenseNucleolus)->Arg(2);  // n = 8 (the dense ceiling is 10)
+BENCHMARK(BM_DenseNucleolus)->Arg(2);  // n = 8
 
 void BM_QuotientNucleolus(benchmark::State& state) {
   const auto partition =
@@ -204,7 +207,7 @@ struct NucleolusRow {
   int n = 0;
   std::uint64_t dense_rows = 0;   ///< 2^n - 2 (what dense would carry)
   std::uint64_t orbit_rows = 0;   ///< prod_t (m_t + 1) - 2
-  bool dense_attempted = false;   ///< n <= 10 only
+  bool dense_attempted = false;   ///< n <= 10 (the reference loop's reach)
   double dense_ms = 0.0;
   double quotient_ms = 0.0;
   double quotient_ms_unfiltered = 0.0;
@@ -271,8 +274,10 @@ NucleolusRow measure_nucleolus(int types, int copies, int reps) {
 }
 
 // Dense-formulation nucleolus of a federation game (the working-set
-// loop), next to the unfiltered reference loop where that loop finishes
-// in seconds (n <= 8; it takes minutes from n = 9).
+// loop), next to the unfiltered reference loop on the same engine when
+// `unfiltered` is set: only where that loop finishes in seconds (n <= 8
+// on the revised engine, n <= 6 on the dense one; it takes minutes from
+// n = 9).
 struct HeteroRow {
   int n = 0;
   const char* engine = "";
@@ -288,7 +293,7 @@ struct HeteroRow {
 };
 
 HeteroRow measure_dense(const game::TabularGame& tab, lp::SolverKind kind,
-                        int reps) {
+                        int reps, bool unfiltered) {
   const int n = tab.num_players();
   lp::SimplexOptions options;
   options.solver = kind;
@@ -301,7 +306,7 @@ HeteroRow measure_dense(const game::TabularGame& tab, lp::SolverKind kind,
   row.lps = r.lps_solved;
   row.pivots = r.pivots;
   row.ms = time_ms([&] { (void)game::nucleolus(tab, options); }, reps);
-  if (n <= 8) {
+  if (unfiltered) {
     row.unfiltered = true;
     game::NucleolusResult ref;
     row.ms_unfiltered = time_ms(
@@ -341,28 +346,33 @@ int excess_scan_failures(const game::NucleolusResult& r,
 void write_summary_json() {
   std::vector<NucleolusRow> rows;
   rows.push_back(measure_nucleolus(4, 2, 3));  // n = 8
-  rows.push_back(measure_nucleolus(5, 2, 3));  // n = 10, dense ceiling
+  rows.push_back(measure_nucleolus(5, 2, 3));  // n = 10
   rows.push_back(measure_nucleolus(4, 3, 3));  // n = 12, quotient only
   rows.push_back(measure_nucleolus(4, 4, 3));  // n = 16 (the headline)
   rows.push_back(measure_nucleolus(4, 5, 1));  // n = 20
-  // The default report's path: dense formulation, dense engine at n = 6
-  // (the default-report benchmark's size); the n = 8 unfiltered
-  // dense-engine loop takes most of a minute, so n = 8 runs on the
-  // revised engine. n = 9 and 10 run both engines, without the
-  // unfiltered loop.
+  // The default report's path: the dense formulation on both engines at
+  // n = 6 (the default-report benchmark's size), 8, 9 and 10, and on the
+  // dense engine at n = 12, the CLI's largest federation. The unfiltered
+  // loop runs at n = 6, and at n = 8 on the revised engine only: on the
+  // dense one it takes most of a minute.
   std::vector<HeteroRow> hetero;
   const auto kinds = {lp::SolverKind::kDense, lp::SolverKind::kRevised};
-  const game::TabularGame hetero6 = hetero_game(6);
-  for (const auto kind : kinds) hetero.push_back(measure_dense(hetero6, kind, 5));
-  hetero.push_back(measure_dense(hetero_game(8), lp::SolverKind::kRevised, 3));
-  for (const int n : {9, 10}) {
+  for (const int n : {6, 8, 9, 10}) {
     const game::TabularGame tab = hetero_game(n);
-    for (const auto kind : kinds) hetero.push_back(measure_dense(tab, kind, 5));
+    for (const auto kind : kinds) {
+      const bool unfiltered =
+          n == 6 || (n == 8 && kind == lp::SolverKind::kRevised);
+      hetero.push_back(measure_dense(tab, kind, n == 8 ? 3 : 5, unfiltered));
+    }
   }
+  hetero.push_back(
+      measure_dense(hetero_game(12), lp::SolverKind::kDense, 5, false));
   // The serve roster game, which serve publishes.
   std::vector<HeteroRow> flat;
   const game::TabularGame flat_tab = flat_game();
-  for (const auto kind : kinds) flat.push_back(measure_dense(flat_tab, kind, 9));
+  for (const auto kind : kinds) {
+    flat.push_back(measure_dense(flat_tab, kind, 9, true));
+  }
   const char* out_env = std::getenv("FEDSHARE_BENCH_OUT");
   const std::string path = out_env != nullptr && *out_env != '\0'
                                ? out_env
@@ -519,8 +529,8 @@ int run_smoke() {
       dense_refused = true;
     }
     if (!dense_refused) {
-      std::cerr << "perf_nucleolus --smoke: dense accepted n=16 (the row "
-                   "guard is gone)\n";
+      std::cerr << "perf_nucleolus --smoke: dense accepted n=16 (past "
+                   "kMaxExcessRows)\n";
       ++failures;
     }
     const game::QuotientGame quotient(base, partition);
@@ -636,6 +646,49 @@ int run_smoke() {
                   << broken << " coalitions)\n";
         ++failures;
       }
+    }
+  }
+
+  // Least-core gate: least_core, the working-set loop's first round,
+  // against the full-row least-core LP solved cold on the revised engine
+  // (the unfiltered loop's first LP), at hetero n = 9 (510 rows).
+  {
+    const game::TabularGame hetero = hetero_game(9);
+    const auto lc = game::least_core(hetero);
+    const lp::Solution full =
+        game::reference::full_row_least_core(hetero, revised_options());
+    const double scale = std::max(1.0, std::abs(hetero.grand_value()));
+    const double gap =
+        full.optimal() ? std::abs(lc.epsilon - full.x.back()) : 0.0;
+    std::cout << "smoke least core hetero n=9: solved=" << (lc.solved ? 1 : 0)
+              << " eps=" << lc.epsilon << " |eps - full-row eps|=" << gap
+              << "\n";
+    if (!lc.solved || !full.optimal() || gap > 1e-12 * scale) {
+      std::cerr << "perf_nucleolus --smoke: least_core disagrees with the "
+                   "full-row LP at hetero n=9 (gap "
+                << gap << ", tol " << 1e-12 * scale << ")\n";
+      ++failures;
+    }
+  }
+
+  // Hetero n = 12, the CLI's largest federation: the dense nucleolus
+  // solves on 4094 rows and passes the full-table excess scan.
+  {
+    const game::TabularGame hetero = hetero_game(12);
+    const auto t0 = std::chrono::steady_clock::now();
+    const game::NucleolusResult r = game::nucleolus(hetero);
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    const int broken = excess_scan_failures(r, hetero);
+    std::cout << "smoke hetero n=12 dense: solved=" << (r.solved ? 1 : 0)
+              << " rounds=" << r.levels.size() << " lps=" << r.lps_solved
+              << " ms=" << ms << " full-table scan failures=" << broken
+              << "\n";
+    if (!r.solved || broken != 0) {
+      std::cerr << "perf_nucleolus --smoke: hetero n=12 dense nucleolus "
+                   "unsolved or fails the full-table excess scan\n";
+      ++failures;
     }
   }
 

@@ -415,13 +415,8 @@ ReportResult run_report_result(const io::Config& config,
   if (rs.shapley_engine == game::ShapleyEngine::kMonteCarlo) {
     result.degraded_sections.emplace_back("shapley (monte-carlo fallback)");
   }
-  for (auto& skipped : rs.skipped) {
+  for (const auto& skipped : rs.skipped) {
     result.degraded_sections.push_back(skipped.scheme);
-    // The game layer names no flag; the report knows which one lifts
-    // the dense ceiling.
-    if (skipped.size_limit && skipped.scheme == "nucleolus") {
-      skipped.reason += "; use --symmetry auto|exact";
-    }
   }
   std::vector<std::string> notes = rs.notes();
   for (const auto& o : rs.outcomes) {

@@ -71,9 +71,8 @@
 //                            leaves the output untouched.
 //
 // Every flag combination runs the same report body. A report that
-// leaves a scheme out (a budget trip, or the nucleolus past the dense
-// ceiling without --symmetry) says why in a Resilience section, and the
-// CLI exits 3.
+// leaves a scheme out (e.g. after a budget trip) says why in a
+// Resilience section, and the CLI exits 3.
 #pragma once
 
 #include <cstdint>

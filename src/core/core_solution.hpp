@@ -2,7 +2,8 @@
 //
 // C = { v : sum_N v_i = V(N), sum_S v_i >= V(S) for all S }. Emptiness is
 // decided via the least-core linear program: minimise epsilon subject to
-// x(S) >= V(S) - epsilon; the core is non-empty iff epsilon* <= 0.
+// x(S) >= V(S) - epsilon; the core is non-empty iff epsilon* <= 0. That
+// LP is also the nucleolus's first round, and least_core runs it there.
 #pragma once
 
 #include <vector>
@@ -12,9 +13,11 @@
 
 namespace fedshare::game {
 
-/// Player ceiling of the least-core LP, which carries one row per proper
-/// coalition (2^n - 2 of them).
-inline constexpr int kMaxLeastCorePlayers = 12;
+/// A least-core dual weight y_S > 0 on the excess row of a coalition.
+struct CoalitionWeight {
+  Coalition coalition;
+  double weight = 0.0;
+};
 
 /// Result of the least-core LP.
 struct LeastCoreResult {
@@ -22,18 +25,21 @@ struct LeastCoreResult {
   lp::SolveStatus status = lp::SolveStatus::kInfeasible;  ///< LP outcome
   double epsilon = 0.0;           ///< minimal uniform excess bound
   std::vector<double> allocation; ///< an optimal allocation x
+  /// The optimum's dual weights y_S > 0 (empty when the engine gave no
+  /// duals): they certify epsilon as a lower bound on the largest excess
+  /// of every efficient allocation (verify::least_core_bound).
+  std::vector<CoalitionWeight> weights;
 };
 
-/// Solves the least-core LP. Requires 1 <= n <= kMaxLeastCorePlayers.
-/// The dense engine starts from the equal split V(N) / n with epsilon
-/// at its largest excess, so the 2^n - 2 excess rows need no phase-1
-/// artificials.
-[[nodiscard]] LeastCoreResult least_core(const Game& game);
-
-/// Variant threading solver options through the LP (engine choice,
-/// tolerance, ComputeBudget).
-[[nodiscard]] LeastCoreResult least_core(const Game& game,
-                                         const lp::SimplexOptions& options);
+/// Solves the least-core LP as the first round of the nucleolus loop on
+/// the all-singletons partition (core/nucleolus.cpp): the same working
+/// set, closed over all 2^n - 2 excess rows, and the same started LP,
+/// under `options` (engine, tolerance, ComputeBudget). Requires n >= 1
+/// and at most kMaxExcessRows excess rows (n <= 15), else throws
+/// std::invalid_argument; n = 1 has no excess row, so epsilon is
+/// unbounded (solved == false, status kUnbounded).
+[[nodiscard]] LeastCoreResult least_core(
+    const Game& game, const lp::SimplexOptions& options = {});
 
 /// Whether `allocation` lies in the core of `game`, up to `tolerance`.
 /// Checks efficiency (|x(N) - V(N)| <= tolerance) and coalitional

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/core_solution.hpp"
 #include "lp/simplex.hpp"
 
 namespace fedshare::game {
@@ -32,12 +33,18 @@ constexpr double kRankTol = 1e-9;
 // differential tests require, yet above the rounding of an excess.
 constexpr double kSeparationTol = 1e-12;
 
-// Dense formulation ceiling in excess rows, for the refusal message.
-constexpr std::uint64_t kMaxDenseRows =
-    (std::uint64_t{1} << kMaxDenseNucleolusPlayers) - 2;
-// Orbit-row formulation ceiling. Generous: typed federations with n in
-// the 20s sit at a few thousand orbit rows.
-constexpr std::uint64_t kMaxOrbitRows = std::uint64_t{1} << 15;
+// The excess rows of `index`; a game with no player, or one past
+// kMaxExcessRows, is refused on behalf of `who`.
+std::uint64_t checked_excess_rows(const char* who, const OrbitIndex& index) {
+  const std::uint64_t rows = index.orbit_count() - 2;
+  if (index.num_players() < 1 || rows > kMaxExcessRows) {
+    throw std::invalid_argument(
+        std::string(who) + ": " +
+        (index.num_players() < 1 ? "need at least one player"
+                                 : excess_rows_refusal(rows)));
+  }
+  return rows;
+}
 
 // One probe LP over a shared, eps-pinned constraint set: maximizes
 // `objective` through `solve(objective)`, which returns the optimum of
@@ -326,9 +333,14 @@ class ExcessScan {
 // optimal, for the full LP, so each level, decision and the allocation
 // are the full loop's. Fixed rows are always in the set; every row
 // outside it is an active a.x + eps >= V row of every round.
+//
+// With `least` set the loop stops after the first round's closed LP,
+// the least-core LP, and fills `least` from its optimum (least_core on
+// the all-singletons partition, where orbit ids are coalition masks).
 NucleolusResult maschler(const OrbitIndex& index,
                          const std::vector<double>& values,
-                         const lp::SimplexOptions& options) {
+                         const lp::SimplexOptions& options,
+                         LeastCoreResult* least = nullptr) {
   const PlayerPartition& part = index.partition();
   const int T = index.num_types();
   const std::uint64_t orbits = index.orbit_count();
@@ -464,7 +476,8 @@ NucleolusResult maschler(const OrbitIndex& index,
     }
     return lp::solve(probe_prob, options, held);
   };
-  std::vector<double> per_type;
+  // A one-player game has no excess row: its answer is held's V(N).
+  std::vector<double> per_type(held.begin(), held.begin() + T);
   std::vector<double> objective;
   std::uint64_t num_active = orbits - 2;
   RankTracker fixed_span(tv);
@@ -479,6 +492,7 @@ NucleolusResult maschler(const OrbitIndex& index,
       sol = lp::solve(round_prob, options, held);
       ++out.lps_solved;
       out.pivots += sol.pivots;
+      if (least != nullptr) least->status = sol.status;
       if (!sol.optimal()) return out;
       held = sol.x;
       if (!separate(sol.x, sol.x[tv])) break;
@@ -486,6 +500,16 @@ NucleolusResult maschler(const OrbitIndex& index,
     const double eps = sol.x[tv];
     out.levels.push_back(eps);
     per_type.assign(sol.x.begin(), sol.x.begin() + T);
+    if (least != nullptr) {
+      *least = {true, sol.status, eps, expand_type_values(part, per_type), {}};
+      for (std::size_t k = 0; k + 1 < sol.duals.size(); ++k) {
+        if (sol.duals[1 + k] > 0.0) {
+          least->weights.push_back(
+              {Coalition::from_bits(working[k]), sol.duals[1 + k]});
+        }
+      }
+      return out;
+    }
 
     // Rows outside the working set within kTol of tight at x* join it
     // with zero duals, so that every row left outside is slack by more
@@ -571,53 +595,34 @@ NucleolusResult maschler(const OrbitIndex& index,
 
 }  // namespace
 
-NucleolusResult nucleolus(const Game& game) {
-  return nucleolus(game, lp::SimplexOptions{});
+std::string excess_rows_refusal(std::uint64_t rows) {
+  return std::to_string(rows) + " excess rows exceed kMaxExcessRows = " +
+         std::to_string(kMaxExcessRows);
 }
 
 NucleolusResult nucleolus(const Game& game,
                           const lp::SimplexOptions& options) {
-  const int n = game.num_players();
-  if (n < 1) {
-    throw std::invalid_argument("nucleolus: need at least one player");
-  }
-  // The dense formulation carries one excess row per proper coalition.
-  if (!dense_nucleolus_fits(n)) {
-    throw std::invalid_argument(
-        "nucleolus: dense formulation needs 2^" + std::to_string(n) +
-        " - 2 excess rows per probe LP (max " +
-        std::to_string(kMaxDenseRows) +
-        "); run the orbit-row quotient formulation instead "
-        "(--symmetry auto/exact, nucleolus_quotient)");
-  }
-  if (n == 1) {
-    NucleolusResult out;
-    out.solved = true;
-    out.allocation = {game.grand_value()};
-    return out;
-  }
   // The all-singletons partition: one orbit per coalition mask.
-  return maschler(OrbitIndex(PlayerPartition::identity(n)),
-                  tabulate(game).values(), options);
+  const OrbitIndex index(PlayerPartition::identity(game.num_players()));
+  (void)checked_excess_rows("nucleolus", index);
+  return maschler(index, tabulate(game).values(), options);
+}
+
+LeastCoreResult least_core(const Game& game,
+                           const lp::SimplexOptions& options) {
+  const OrbitIndex index(PlayerPartition::identity(game.num_players()));
+  (void)checked_excess_rows("least_core", index);
+  LeastCoreResult out;
+  out.status = lp::SolveStatus::kUnbounded;  // stands for n = 1: no row
+  (void)maschler(index, tabulate(game).values(), options, &out);
+  return out;
 }
 
 NucleolusResult nucleolus_quotient(const QuotientGame& game,
                                    const lp::SimplexOptions& options) {
   const OrbitIndex& index = game.orbits();
-  const std::uint64_t orbits = index.orbit_count();
-  if (orbits < 2) {
-    throw std::invalid_argument("nucleolus_quotient: need at least one player");
-  }
-  const std::uint64_t rows = orbits - 2;
-  if (rows > kMaxOrbitRows) {
-    throw std::invalid_argument(
-        "nucleolus_quotient: " + std::to_string(rows) +
-        " orbit rows exceed the " + std::to_string(kMaxOrbitRows) +
-        "-row ceiling; coarsen the type partition");
-  }
-
   NucleolusResult out;
-  out.excess_rows = rows;
+  out.excess_rows = checked_excess_rows("nucleolus_quotient", index);
 
   // Orbit values, budget-degradable: with a ComputeBudget attached each
   // orbit materialisation charges one unit, and a trip surfaces as
@@ -629,12 +634,6 @@ NucleolusResult nucleolus_quotient(const QuotientGame& game,
     values = std::move(*budgeted);
   } else {
     values = game.orbit_values();
-  }
-
-  if (game.num_players() == 1) {
-    out.solved = true;
-    out.allocation = {values[static_cast<std::size_t>(orbits - 1)]};
-    return out;
   }
   return maschler(index, values, options);
 }

@@ -48,18 +48,20 @@
 // the row of orbit c reading sum_t c_t * x_t + eps >= V(c).
 //  * dense      — nucleolus(game) runs it on the all-singletons
 //    partition, where every orbit is a coalition mask and the weights
-//    are its bits: 2^n - 2 rows, refused past dense_nucleolus_fits.
+//    are its bits: 2^n - 2 rows.
 //  * orbit-row  — nucleolus_quotient runs it on the partition of a
 //    symmetric game: prod_t (m_t + 1) - 2 rows. The nucleolus of a
 //    symmetric game is symmetric (swapping two same-type players
 //    permutes the excess multiset, and the nucleolus is unique), so
 //    restricting the LPs to the symmetric subspace loses nothing and the
 //    per-type optimum expands to the per-player allocation with members
-//    of a type sharing equally. Bounded only by orbit count, it lifts
-//    the ceiling from n = 10 to larger typed federations.
+//    of a type sharing equally. Counting orbits, not coalitions, it
+//    reaches typed federations far past n = 15.
+// Both stop at kMaxExcessRows. least_core is the dense loop's first round.
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/game.hpp"
@@ -83,28 +85,22 @@ struct NucleolusResult {
   std::uint64_t pivots = 0;
 };
 
-/// Player ceiling of the dense formulation: n players have 2^n - 2
-/// excess rows, so 10 players have 1022 for the closure scans to read.
-inline constexpr int kMaxDenseNucleolusPlayers = 10;
+/// Ceiling on the excess rows of either formulation, all of which each
+/// closure scan reads: 2^n - 2 dense (n <= 15), or the proper orbits.
+inline constexpr std::uint64_t kMaxExcessRows = std::uint64_t{1} << 15;
 
-/// True when nucleolus(game) accepts an n-player game by size (it still
-/// needs n >= 1). Past the ceiling only the orbit-row formulation runs.
-[[nodiscard]] constexpr bool dense_nucleolus_fits(int n) noexcept {
-  return n <= kMaxDenseNucleolusPlayers;
-}
+/// "<rows> excess rows exceed kMaxExcessRows = 32768": the one refusal
+/// of nucleolus, nucleolus_quotient, least_core and compare_schemes.
+[[nodiscard]] std::string excess_rows_refusal(std::uint64_t rows);
 
 /// Computes the nucleolus on the dense formulation (one excess row per
-/// coalition). Games past dense_nucleolus_fits (n > 10) are refused with
-/// a message pointing at the orbit-row formulation (--symmetry
-/// auto/exact).
-[[nodiscard]] NucleolusResult nucleolus(const Game& game);
-
-/// Variant threading solver options (in particular a ComputeBudget)
-/// through every internal LP. When the budget trips mid-scheme the
-/// result comes back with solved == false rather than hanging; callers
-/// degrade (the CLI drops the nucleolus row with a resilience note).
-[[nodiscard]] NucleolusResult nucleolus(const Game& game,
-                                        const lp::SimplexOptions& options);
+/// coalition). Games past kMaxExcessRows (n > 15) are refused with
+/// std::invalid_argument. `options` (in particular a ComputeBudget)
+/// reach every internal LP. When the budget trips mid-scheme the result
+/// comes back with solved == false rather than hanging; callers degrade
+/// (the CLI drops the nucleolus row with a resilience note).
+[[nodiscard]] NucleolusResult nucleolus(
+    const Game& game, const lp::SimplexOptions& options = {});
 
 /// Orbit-row nucleolus of a game quotiented by a player partition. The
 /// base game must actually be symmetric under the partition (the
@@ -112,7 +108,7 @@ inline constexpr int kMaxDenseNucleolusPlayers = 10;
 /// from the QuotientGame's orbit memo — with options.budget set they
 /// are materialised under the budget (one unit per orbit row) and a
 /// trip returns solved == false, the PR 1 fallback-cascade hook.
-/// Guarded on orbit count (2^15 rows) instead of player count.
+/// Refuses partitions past kMaxExcessRows with std::invalid_argument.
 [[nodiscard]] NucleolusResult nucleolus_quotient(
     const QuotientGame& game, const lp::SimplexOptions& options = {});
 

@@ -166,16 +166,17 @@ SchemeComparison compare_schemes(
   push(Scheme::kEqual, equal_shares(n));
 
   // Nucleolus: the orbit-row formulation for a non-trivial partition,
-  // the dense one within its ceiling; anything else is a recorded skip.
+  // the dense one otherwise. A missing table, either formulation past
+  // kMaxExcessRows or a spent budget is a recorded skip.
   const bool quotient_path = partition != nullptr && !partition->is_trivial();
   if (!tab) {
     out.skipped.push_back({"nucleolus", no_table});
-  } else if (!quotient_path && !dense_nucleolus_fits(n)) {
+  } else if (const std::uint64_t rows = quotient_path
+                                            ? partition->orbit_count() - 2
+                                            : (std::uint64_t{1} << n) - 2;
+             rows > kMaxExcessRows) {
     out.skipped.push_back(
-        {"nucleolus",
-         "n = " + std::to_string(n) + " exceeds the dense ceiling of " +
-             std::to_string(kMaxDenseNucleolusPlayers),
-         /*size_limit=*/true});
+        {"nucleolus", excess_rows_refusal(rows), /*size_limit=*/true});
   } else if (budget.exhausted()) {
     out.skipped.push_back({"nucleolus", runtime::stop_label(budget)});
   } else {

@@ -132,9 +132,9 @@ struct SchemeComparison {
 /// resilient_shapley, and a Monte-Carlo row leaves its core unchecked.
 /// The nucleolus runs the orbit-row quotient formulation when
 /// `partition` is non-trivial (the game must be symmetric under it; see
-/// verified_partition), the dense formulation within
-/// dense_nucleolus_fits otherwise; a size limit, a budget trip or a
-/// failed LP chain becomes a recorded skip. Core membership is checked
+/// verified_partition), the dense formulation otherwise; either one
+/// past kMaxExcessRows, a budget trip or a failed LP chain becomes a
+/// recorded skip. Core membership is checked
 /// for n <= 16. `lp_options` (engine, observer) reach every nucleolus
 /// LP; `info`, when non-null, receives the quotient-path telemetry.
 [[nodiscard]] SchemeComparison compare_schemes(

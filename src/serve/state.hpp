@@ -141,7 +141,7 @@ struct EpochAnswer {
   /// core membership. Empty when the roster is empty.
   std::vector<game::SchemeOutcome> outcomes;
   /// The schemes the comparison left out, and why (e.g. the nucleolus
-  /// past its dense ceiling).
+  /// after a budget trip).
   std::vector<game::SkippedScheme> skipped;
   /// Join surplus per facility: Shapley payoff minus standalone value
   /// (the incentive to federate; >= 0 for superadditive epochs).

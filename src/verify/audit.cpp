@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include "core/core_solution.hpp"
+#include "core/nucleolus.hpp"
 
 namespace fedshare::verify {
 
@@ -124,39 +128,76 @@ void audit_outcomes(const game::TabularGame& g,
     }
   }
 
-  // Nucleolus excess optimality: its maximum excess must match the
-  // least-core epsilon — the first level of the lexicographic minimum.
-  // Checked from the raw full-lattice data (the dense least-core LP over
-  // every coalition row), so for quotient-computed nucleoli this is an
-  // independent certificate that the expanded per-facility allocation is
-  // excess-optimal on the whole 2^n lattice, not just on orbit rows.
-  // kMaxLeastCorePlayers is the dense least-core ceiling.
-  if (n >= 2 && n <= game::kMaxLeastCorePlayers && std::abs(vn) > 1e-12) {
-    for (const auto& outcome : outcomes) {
-      if (outcome.scheme != game::Scheme::kNucleolus) continue;
-      lp::SimplexOptions cold = lp_options;
-      cold.observer = nullptr;  // the audit's own solves are not audited
-      const auto lc = game::least_core(g, cold);
-      if (!lc.solved) {
-        report.add_note("nucleolus",
-                        std::string("excess optimality unchecked: the "
-                                    "least-core LP ended ") +
-                            lp::to_string(lc.status),
-                        0.0);
-        break;
-      }
-      const double excess = game::max_core_violation(g, outcome.payoffs);
-      ++report.checks;
-      if (excess > lc.epsilon + tol) {
-        report.add_issue("nucleolus",
-                         "max excess " + std::to_string(excess) +
-                             " exceeds least-core epsilon " +
-                             std::to_string(lc.epsilon),
-                         excess - lc.epsilon);
-      }
-      break;
+  // Nucleolus first level, certified from the raw table: the least
+  // core's dual weights, checked against V, bound every efficient
+  // allocation's largest excess from below, and the nucleolus must reach
+  // that bound. Only the weights come from an LP, so the check holds
+  // whichever formulation computed the nucleolus.
+  const auto nucleolus =
+      std::find_if(outcomes.begin(), outcomes.end(), [](const auto& o) {
+        return o.scheme == game::Scheme::kNucleolus;
+      });
+  if (nucleolus == outcomes.end() || n < 2 || std::abs(vn) <= 1e-12) return;
+  const std::uint64_t rows = (std::uint64_t{1} << n) - 2;
+  if (rows > game::kMaxExcessRows) {
+    report.add_note("nucleolus",
+                    "first level unchecked: " + game::excess_rows_refusal(rows),
+                    0.0);
+    return;
+  }
+  lp::SimplexOptions cold = lp_options;
+  cold.observer = nullptr;  // the audit's own solves are not audited
+  const auto lc = game::least_core(g, cold);
+  if (lc.weights.empty()) {  // unsolved, or no duals to check
+    report.add_note("nucleolus",
+                    std::string("first level unchecked: least core ") +
+                        lp::to_string(lc.status) + " with no weights",
+                    0.0);
+    return;
+  }
+  const ExcessBound bound = least_core_bound(g, lc.weights, options.tolerance);
+  const double excess = game::max_core_violation(g, nucleolus->payoffs);
+  ++report.checks;
+  if (!bound.rejected.empty()) {
+    report.add_issue("nucleolus", "least-core weights " + bound.rejected, 0.0);
+  } else if (excess > bound.bound + tol) {
+    report.add_issue("nucleolus",
+                     "max excess " + std::to_string(excess) +
+                         " exceeds the least-core bound " +
+                         std::to_string(bound.bound),
+                     excess - bound.bound);
+  }
+}
+
+ExcessBound least_core_bound(const game::TabularGame& g,
+                             const std::vector<game::CoalitionWeight>& weights,
+                             double tolerance) {
+  const int n = g.num_players();
+  std::vector<double> cover(static_cast<std::size_t>(n), 0.0);
+  double total = 0.0;
+  double weighted = 0.0;
+  for (const auto& [coalition, y] : weights) {
+    const std::uint64_t mask = coalition.bits();
+    if (mask == 0 || mask >= (std::uint64_t{1} << n) - 1 || !(y >= 0.0)) {
+      return {0.0, "reject " + std::to_string(y) + " on " +
+                       coalition.to_string() + ": negative or not proper"};
+    }
+    total += y;
+    weighted += y * g.values()[mask];
+    for (int i = 0; i < n; ++i) {
+      if ((mask >> i) & 1u) cover[static_cast<std::size_t>(i)] += y;
     }
   }
+  const double lambda =
+      std::accumulate(cover.begin(), cover.end(), 0.0) / static_cast<double>(n);
+  const auto [lo, hi] = std::minmax_element(cover.begin(), cover.end());
+  if (std::abs(total - 1.0) > tolerance ||
+      std::max(lambda - *lo, *hi - lambda) > tolerance) {
+    return {0.0, "are unbalanced: they sum to " + std::to_string(total) +
+                     " and cover players " + std::to_string(*lo) + " to " +
+                     std::to_string(*hi)};
+  }
+  return {weighted - lambda * g.grand_value(), ""};
 }
 
 }  // namespace fedshare::verify

@@ -15,9 +15,11 @@
 //  * efficiency — every sharing rule's shares sum to 1 and its payoffs
 //    to V(N) (Eq. 4-7 all normalise; a drifting sum corrupts every
 //    downstream comparison);
-//  * nucleolus  — the nucleolus payoff's maximum excess equals the
-//    least-core epsilon (the nucleolus lexicographically minimises
-//    excesses, so its first level must match the least-core optimum);
+//  * nucleolus  — the nucleolus payoff's maximum excess reaches the
+//    lower bound that the least-core dual weights certify on the raw
+//    table (the nucleolus lexicographically minimises excesses, so its
+//    first level is the least-core optimum); the LP is trusted for the
+//    weights only, and they are checked before use;
 //  * core       — the reported in_core flags agree with a recomputed
 //    max-violation residual.
 //
@@ -33,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "core/core_solution.hpp"
 #include "core/game.hpp"
 #include "core/sharing.hpp"
 #include "lp/simplex.hpp"
@@ -74,10 +77,26 @@ struct AuditReport {
 
 /// Audits scheme outcomes against `game` (efficiency, core residuals,
 /// nucleolus excess optimality), appending to `report`. `lp_options`
-/// configures the least-core re-solve used by the nucleolus check.
+/// configures the least-core solve whose weights the nucleolus check
+/// uses. Past game::kMaxExcessRows that check is a note, not a solve.
 void audit_outcomes(const game::TabularGame& game,
                     const std::vector<game::SchemeOutcome>& outcomes,
                     const lp::SimplexOptions& lp_options,
                     const VerifyOptions& options, AuditReport& report);
+
+/// A lower bound on the largest excess of every efficient allocation,
+/// or, when `rejected` is set, why the weights behind it certify nothing.
+struct ExcessBound {
+  double bound = 0.0;    ///< sum_S y_S V(S) - lambda V(N)
+  std::string rejected;  ///< empty when the weights passed every check
+};
+
+/// Checks least-core dual weights against `game`'s table: proper
+/// coalitions, y >= 0, and, to `tolerance`, sum y = 1 and an equal cover
+/// sum_{S ni i} y_S = lambda of every player. Then every x with x(N) =
+/// V(N) has max_S (V(S) - x(S)) >= sum_S y_S (V(S) - x(S)) = the bound.
+[[nodiscard]] ExcessBound least_core_bound(
+    const game::TabularGame& game,
+    const std::vector<game::CoalitionWeight>& weights, double tolerance);
 
 }  // namespace fedshare::verify

@@ -212,6 +212,20 @@ NucleolusResult unfiltered_nucleolus(const TabularGame& tab,
   return out;
 }
 
+lp::Solution full_row_least_core(const TabularGame& tab,
+                                 const lp::SimplexOptions& options) {
+  const int n = tab.num_players();
+  const std::uint64_t grand = (std::uint64_t{1} << n) - 1;
+  RoundContext ctx;
+  ctx.n = n;
+  ctx.grand_value = tab.values()[grand];
+  ctx.values = &tab.values();
+  for (std::uint64_t mask = 1; mask < grand; ++mask) ctx.active.push_back(mask);
+  lp::Problem prob = ctx.base_problem();
+  prob.set_objective_coefficient(static_cast<std::size_t>(n), 1.0);
+  return lp::solve(prob, options);
+}
+
 NucleolusResult unfiltered_nucleolus_quotient(
     const QuotientGame& game, const lp::SimplexOptions& options) {
   const OrbitIndex& index = game.orbits();

@@ -28,6 +28,13 @@ namespace fedshare::game::reference {
 [[nodiscard]] NucleolusResult unfiltered_nucleolus(
     const TabularGame& game, const lp::SimplexOptions& options);
 
+/// The first LP of unfiltered_nucleolus: the full-row least-core LP
+/// (every 2^n - 2 excess row), solved cold. Its optimum's eps is
+/// levels[0] without the rest of the loop, which takes minutes from
+/// n = 9.
+[[nodiscard]] lp::Solution full_row_least_core(
+    const TabularGame& game, const lp::SimplexOptions& options);
+
 /// Orbit-row formulation, one aux-max probe per active orbit row.
 [[nodiscard]] NucleolusResult unfiltered_nucleolus_quotient(
     const QuotientGame& game, const lp::SimplexOptions& options);

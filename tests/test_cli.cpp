@@ -210,11 +210,11 @@ TEST(CliRunner, NoRegionKeysNoHierarchySection) {
   EXPECT_EQ(report.find("Hierarchy"), std::string::npos);
 }
 
-// Eleven facilities: past the dense nucleolus ceiling (10) and, with
-// distinct location counts, without interchangeable facilities. The
-// default report leaves the nucleolus row out, says why in the
-// Resilience section, and reports itself degraded (CLI exit 3) with no
-// budget involved.
+// Eleven facilities. With distinct location counts no two facilities
+// are interchangeable, and the default report runs the dense nucleolus
+// on 2^11 - 2 excess rows, well under kMaxExcessRows: a nucleolus row,
+// no Resilience section, CLI exit 0. The game is nearly additive, so
+// most rows are tight at the least core.
 std::string eleven_facilities(bool distinct) {
   std::string config;
   for (int i = 0; i < 11; ++i) {
@@ -229,44 +229,55 @@ bool has_nucleolus_row(const std::string& report) {
   return report.find("\nnucleolus ") != std::string::npos;
 }
 
-TEST(CliRunner, ElevenFacilitiesWithoutTypesSkipTheNucleolus) {
+TEST(CliRunner, ElevenFacilitiesWithoutTypesGetTheDenseNucleolus) {
   const auto result = run_report_result(
       io::Config::parse_string(eleven_facilities(true)), ReportOptions{});
-  EXPECT_TRUE(result.degraded());
-  EXPECT_EQ(result.degraded_sections,
-            std::vector<std::string>{"nucleolus"});
+  EXPECT_FALSE(result.degraded());
+  EXPECT_TRUE(result.degraded_sections.empty());
   EXPECT_EQ(result.stop, runtime::StopReason::kNone);
-  EXPECT_NE(result.text.find("Resilience"), std::string::npos);
-  EXPECT_NE(result.text.find(
-                "note: nucleolus: skipped (n = 11 exceeds the dense ceiling "
-                "of 10; use --symmetry auto|exact)"),
-            std::string::npos);
-  EXPECT_FALSE(has_nucleolus_row(result.text));
+  EXPECT_EQ(result.text.find("Resilience"), std::string::npos);
+  EXPECT_TRUE(has_nucleolus_row(result.text));
   EXPECT_NE(result.text.find("\nbanzhaf "), std::string::npos);
 }
 
-// Ten distinct facilities (locations 130 + 110 i, units alternating 1
-// and 2): the dense ceiling's heterogeneous federation. The cheap audit
-// re-solves the full 2^10 - 2 row least-core LP to check the nucleolus
-// and must pass clean (CLI exit 0).
-TEST(CliRunner, CheapVerifyPassesOnTenHeterogeneousFacilities) {
+// n distinct facilities (locations 130 + 110 i, units alternating 1
+// and 2): the default report's heterogeneous federation.
+std::string hetero_facilities(int n) {
   std::string text;
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 0; i < n; ++i) {
     text += "[facility]\nname = F" + std::to_string(i) +
             "\nlocations = " + std::to_string(130 + 110 * i) +
             "\nunits = " + std::to_string(i % 2 + 1) + "\n";
   }
-  text +=
-      "[demand]\ncount = 20\nmin_locations = 300\n"
-      "[demand]\ncount = 5\nmin_locations = 900\nexponent = 1.2\n";
+  return text +
+         "[demand]\ncount = 20\nmin_locations = 300\n"
+         "[demand]\ncount = 5\nmin_locations = 900\nexponent = 1.2\n";
+}
+
+// The cheap audit certifies the nucleolus's first level with the least
+// core's dual weights and must pass clean (CLI exit 0).
+void expect_cheap_verify_passes(int n) {
+  SCOPED_TRACE("n = " + std::to_string(n));
   ReportOptions opts;
   opts.verify = verify::VerifyLevel::kCheap;
-  const auto result = run_report_result(io::Config::parse_string(text), opts);
+  const auto result =
+      run_report_result(io::Config::parse_string(hetero_facilities(n)), opts);
   EXPECT_FALSE(result.degraded());
   EXPECT_TRUE(has_nucleolus_row(result.text));
   EXPECT_NE(result.text.find("audit checks: "), std::string::npos);
   EXPECT_NE(result.text.find(" (all passed)"), std::string::npos);
   EXPECT_EQ(result.text.find("\nissue: "), std::string::npos);
+}
+
+TEST(CliRunner, CheapVerifyPassesOnTenHeterogeneousFacilities) {
+  expect_cheap_verify_passes(10);
+}
+
+// The CLI's largest federations, 11 and 12 facilities: 2046 and 4094
+// dense excess rows.
+TEST(CliRunner, CheapVerifyPassesOnTwelveHeterogeneousFacilities) {
+  expect_cheap_verify_passes(11);
+  expect_cheap_verify_passes(12);
 }
 
 TEST(CliRunner, ElevenInterchangeableFacilitiesGetTheQuotientNucleolus) {

@@ -6,12 +6,15 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/core_solution.hpp"
 #include "core/nucleolus.hpp"
 #include "core/properties.hpp"
 #include "core/shapley.hpp"
+#include "core/symmetry.hpp"
 #include "nucleolus_reference.hpp"
 #include "sim/rng.hpp"
 
@@ -148,18 +151,64 @@ TEST(Nucleolus, MinimizesMaxExcessBelowShapley) {
             max_core_violation(g, shap) + 1e-9);
 }
 
-TEST(LeastCore, RejectsOversizedGames) {
-  const FunctionGame g(kMaxLeastCorePlayers + 1, [](Coalition s) {
-    return static_cast<double>(s.size());
+// kMaxExcessRows = 2^15 rows: n = 15 has 2^15 - 2 dense excess rows, the
+// largest game that fits, and n = 16 the smallest that does not. The
+// test games are |S|^2 plus a bonus for one singleton-type player.
+FunctionGame squared_plus_bonus(int n, int lucky) {
+  return FunctionGame(n, [lucky](Coalition s) {
+    const double k = s.size();
+    return k * k + (s.contains(lucky) ? 1.0 : 0.0);
   });
-  EXPECT_THROW((void)least_core(g), std::invalid_argument);
+}
+
+// Players 0..m-1 form one type, every other player is its own type.
+PlayerPartition one_type_of(int m, int n) {
+  std::vector<int> type_of(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    type_of[static_cast<std::size_t>(i)] = i < m ? 0 : i - m + 1;
+  }
+  return PlayerPartition::from_type_of(type_of);
+}
+
+TEST(LeastCore, RejectsOversizedGames) {
+  try {
+    (void)least_core(squared_plus_bonus(16, 0));
+    FAIL() << "least_core accepted 65534 excess rows";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "least_core: " + excess_rows_refusal(65534));
+  }
 }
 
 TEST(Nucleolus, RejectsOversizedGames) {
-  const FunctionGame g(11, [](Coalition s) {
-    return static_cast<double>(s.size());
-  });
-  EXPECT_THROW((void)nucleolus(g), std::invalid_argument);
+  EXPECT_THROW((void)nucleolus(squared_plus_bonus(16, 0)),
+               std::invalid_argument);
+}
+
+// The largest games under the ceiling, one per formulation: dense n = 15
+// (32766 rows) and n = 16 as one triple plus 13 singletons (4 * 2^13 - 2
+// = 32766 orbit rows). Both solve, and least_core is the dense run's
+// first round.
+TEST(Nucleolus, SolvesAtTheExcessRowCeiling) {
+  const TabularGame dense_game = tabulate(squared_plus_bonus(15, 0));
+  const NucleolusResult dense = nucleolus(dense_game);
+  ASSERT_TRUE(dense.solved);
+  EXPECT_EQ(dense.excess_rows, 32766u);
+  const LeastCoreResult lc = least_core(dense_game);
+  ASSERT_TRUE(lc.solved);
+  EXPECT_EQ(lc.epsilon, dense.levels[0]);
+  EXPECT_NEAR(max_core_violation(dense_game, dense.allocation), lc.epsilon,
+              1e-9);
+
+  const FunctionGame typed = squared_plus_bonus(16, 15);
+  const QuotientGame quotient(typed, one_type_of(3, 16));
+  const NucleolusResult orbit = nucleolus_quotient(quotient);
+  ASSERT_TRUE(orbit.solved);
+  EXPECT_EQ(orbit.excess_rows, 32766u);
+  EXPECT_NEAR(
+      std::accumulate(orbit.allocation.begin(), orbit.allocation.end(), 0.0),
+      typed.grand_value(), 1e-9 * typed.grand_value());
+  EXPECT_EQ(orbit.allocation[0], orbit.allocation[2]);
 }
 
 TEST(Surplus, HandComputedExample) {

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "cli/runner.hpp"
+#include "core/core_solution.hpp"
 #include "core/game.hpp"
 #include "core/nucleolus.hpp"
 #include "core/symmetry.hpp"
@@ -32,6 +33,7 @@
 #include "model/federation.hpp"
 #include "nucleolus_reference.hpp"
 #include "sim/rng.hpp"
+#include "verify/audit.hpp"
 #include "verify/certified.hpp"
 
 namespace fedshare::game {
@@ -351,6 +353,41 @@ TEST_P(NucleolusFilters, OrbitLoopMatchesUnfilteredBitwise) {
   }
   EXPECT_LT(filtered_lps * 5, reference_lps)
       << filtered_lps << " filtered vs " << reference_lps << " reference LPs";
+}
+
+// least_core is the working-set loop's first round, stopped there: on
+// every game of the mask corpus, both engines, its epsilon is the
+// full-row loop's first level within 1e-12 * scale, and its dual weights
+// certify that level from the table alone (verify::least_core_bound).
+// The reference runs on the revised engine, whose unfiltered loop
+// finishes in well under a second at n = 7.
+TEST_P(NucleolusFilters, LeastCoreIsTheFullRowFirstLevel) {
+  const Family family = GetParam();
+  sim::Xoshiro256 rng(0x1EA57C0 + static_cast<std::uint64_t>(family));
+  for (int n = 2; n <= 7; ++n) {
+    for (int seed = 0; seed < 9; ++seed) {
+      const TabularGame g = mask_game(family, n, rng);
+      const double scale = std::max(1.0, std::abs(g.grand_value()));
+      const NucleolusResult want = reference::unfiltered_nucleolus(
+          g, with_engine(lp::SolverKind::kRevised));
+      ASSERT_TRUE(want.solved);
+      for (const auto kind :
+           {lp::SolverKind::kDense, lp::SolverKind::kRevised}) {
+        const std::string what = std::string(name_of(family)) + " n=" +
+                                 std::to_string(n) + " seed " +
+                                 std::to_string(seed) + " " +
+                                 lp::to_string(kind);
+        const LeastCoreResult got = least_core(g, with_engine(kind));
+        ASSERT_TRUE(got.solved) << what;
+        EXPECT_LE(std::abs(got.epsilon - want.levels[0]), 1e-12 * scale)
+            << what;
+        const verify::ExcessBound bound =
+            verify::least_core_bound(g, got.weights, 1e-9);
+        ASSERT_EQ(bound.rejected, "") << what;
+        EXPECT_LE(std::abs(bound.bound - got.epsilon), 1e-9 * scale) << what;
+      }
+    }
+  }
 }
 
 // The dual filter's threshold follows SimplexOptions.tolerance (kept

@@ -358,29 +358,30 @@ TEST_F(NucleolusQuotientTest, ReportsOrbitRowTelemetry) {
   EXPECT_FALSE(r.levels.empty());
 }
 
-// The dense formulation's hard throw became a row-count guard whose
-// message points at the quotient escape hatch.
-TEST_F(NucleolusQuotientTest, DenseGuardNamesSymmetryFlag) {
-  const FunctionGame big(11, [](Coalition s) {
+// Both formulations share one row-count guard, kMaxExcessRows, and one
+// message naming the row count and the constant. Dense n = 16 carries
+// 2^16 - 2 = 65534 rows, one past the largest game that fits (n = 15).
+TEST_F(NucleolusQuotientTest, DenseGuardNamesTheExcessRowCeiling) {
+  const FunctionGame big(16, [](Coalition s) {
     return static_cast<double>(s.size());
   });
   try {
     (void)nucleolus(big);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("--symmetry"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("rows"), std::string::npos);
+    EXPECT_EQ(std::string(e.what()),
+              "nucleolus: 65534 excess rows exceed kMaxExcessRows = 32768");
   }
 }
 
 // The quotient formulation guards on orbit count, not player count: a
-// partition whose orbit space explodes is refused with an actionable
-// message, while large n with few types sails through.
+// partition whose orbit space explodes is refused with the same message,
+// while large n with few types sails through.
 TEST_F(NucleolusQuotientTest, QuotientGuardRejectsOrbitBlowup) {
   std::vector<int> type_of(24);
   for (int i = 0; i < 24; ++i) type_of[static_cast<std::size_t>(i)] = i / 3;
   const PlayerPartition partition = PlayerPartition::from_type_of(type_of);
-  // 8 types x 3 copies: 4^8 - 2 = 65534 orbit rows > the 2^15 ceiling.
+  // 8 types x 3 copies: 4^8 - 2 = 65534 orbit rows > kMaxExcessRows.
   const FunctionGame base(24, [](Coalition s) {
     return static_cast<double>(s.size());
   });
@@ -389,7 +390,8 @@ TEST_F(NucleolusQuotientTest, QuotientGuardRejectsOrbitBlowup) {
     (void)nucleolus_quotient(quotient, {});
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("orbit rows"), std::string::npos);
+    EXPECT_EQ(std::string(e.what()),
+              "nucleolus_quotient: " + excess_rows_refusal(65534));
   }
 }
 

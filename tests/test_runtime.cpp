@@ -6,10 +6,12 @@
 #include <chrono>
 #include <cmath>
 #include <thread>
+#include <vector>
 
 #include "core/game.hpp"
 #include "core/shapley.hpp"
 #include "core/sharing.hpp"
+#include "core/symmetry.hpp"
 #include "lp/problem.hpp"
 #include "lp/simplex.hpp"
 #include "model/demand.hpp"
@@ -277,20 +279,34 @@ TEST(CompareSchemesResilient, NodeCapTrippingInsideTheNucleolusIsRecorded) {
   EXPECT_EQ(rs.notes()[0], "nucleolus: skipped (node-cap)");
 }
 
+// n = 16: 2^16 - 2 dense rows, and 3 * 2^14 - 2 orbit rows for one pair
+// plus 14 singletons. Both formulations are past kMaxExcessRows, and
+// each gives a recorded size skip naming its row count, never a throw.
 TEST(CompareSchemesResilient, NucleolusPastTheDenseCeilingIsASizeSkip) {
-  const game::FunctionGame base(11, [](game::Coalition c) {
+  const game::FunctionGame base(16, [](game::Coalition c) {
     return static_cast<double>(c.size() * c.size());
   });
   const game::TabularGame g = game::tabulate(base);
-  const auto rs = game::compare_schemes(g, {}, {});
-  ASSERT_EQ(rs.skipped.size(), 1u);
-  EXPECT_EQ(rs.skipped[0].scheme, "nucleolus");
-  // The game layer names no CLI flag; the report adds the hint.
-  EXPECT_EQ(rs.skipped[0].reason, "n = 11 exceeds the dense ceiling of 10");
-  EXPECT_TRUE(rs.skipped[0].size_limit);
-  EXPECT_FALSE(rs.cut_short());
-  for (const auto& o : rs.outcomes) {
-    EXPECT_NE(o.scheme, game::Scheme::kNucleolus);
+  std::vector<int> type_of(16);
+  for (int i = 0; i < 16; ++i) {
+    type_of[static_cast<std::size_t>(i)] = i < 2 ? 0 : i - 1;
+  }
+  const auto pair = game::PlayerPartition::from_type_of(type_of);
+  for (const auto* partition : {static_cast<const game::PlayerPartition*>(
+                                    nullptr),
+                                &pair}) {
+    const auto rs = game::compare_schemes(g, {}, {}, {}, partition);
+    ASSERT_EQ(rs.skipped.size(), 1u);
+    EXPECT_EQ(rs.skipped[0].scheme, "nucleolus");
+    EXPECT_EQ(rs.skipped[0].reason,
+              partition == nullptr
+                  ? "65534 excess rows exceed kMaxExcessRows = 32768"
+                  : "49150 excess rows exceed kMaxExcessRows = 32768");
+    EXPECT_TRUE(rs.skipped[0].size_limit);
+    EXPECT_FALSE(rs.cut_short());
+    for (const auto& o : rs.outcomes) {
+      EXPECT_NE(o.scheme, game::Scheme::kNucleolus);
+    }
   }
 }
 

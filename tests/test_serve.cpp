@@ -444,35 +444,6 @@ TEST(ServeStateTest, StatsAggregateAcrossEvents) {
   EXPECT_EQ(stats.cache.invalidations, 2u);  // outage dropped masks 1, 3
 }
 
-// Ten joins under an exhausted budget leave every epoch unpublished; the
-// eleventh, unbudgeted, publishes n = 11 in one go. The nucleolus is
-// past its dense ceiling there, and the answer says so instead of
-// dropping the row silently. The serve layer has no --symmetry, so the
-// reason names no flag.
-TEST(ServeStateTest, ElevenFacilitiesRecordTheSkippedNucleolus) {
-  ServiceState state;
-  (void)state.apply(demand_event(4.0, 50.0));
-  for (int i = 0; i < 10; ++i) {
-    const ApplyResult tripped =
-        state.apply(join_event("F" + std::to_string(i), 20 + i, 1.0, 1.0),
-                    ComputeBudget().cap_nodes(0));
-    ASSERT_FALSE(tripped.complete) << "join " << i;
-  }
-  ASSERT_TRUE(state.apply(join_event("F10", 30, 1.0, 1.0)).complete);
-  const auto answer = state.query();
-  ASSERT_FALSE(answer.stale());
-  ASSERT_EQ(answer.num_facilities, 11);
-  ASSERT_EQ(answer.skipped.size(), 1u);
-  EXPECT_EQ(answer.skipped[0].scheme, "nucleolus");
-  EXPECT_EQ(answer.skipped[0].reason,
-            "n = 11 exceeds the dense ceiling of 10");
-  EXPECT_TRUE(answer.skipped[0].size_limit);
-  for (const auto& o : answer.outcomes) {
-    EXPECT_NE(o.scheme, fedshare::game::Scheme::kNucleolus);
-    EXPECT_TRUE(o.in_core.has_value());
-  }
-}
-
 // The nucleolus row of the service's current answer, checked bitwise
 // against game::compare_schemes with default SimplexOptions on the same
 // snapshot — the call the report makes — so serve and the report share
@@ -504,6 +475,32 @@ void expect_served_nucleolus_is_the_reports(const ServiceState& state,
   EXPECT_EQ(got->payoffs, want->payoffs);
   EXPECT_EQ(got->shares, want->shares);
   EXPECT_EQ(got->in_core, want->in_core);
+}
+
+// Ten joins under an exhausted budget leave every epoch unpublished; the
+// eleventh, unbudgeted, publishes n = 11 in one go, nucleolus included:
+// its 2046 dense excess rows are well under kMaxExcessRows.
+TEST(ServeStateTest, ElevenFacilitiesPublishTheNucleolus) {
+  ServiceState state;
+  (void)state.apply(demand_event(4.0, 50.0));
+  for (int i = 0; i < 10; ++i) {
+    const ApplyResult tripped =
+        state.apply(join_event("F" + std::to_string(i), 20 + i, 1.0, 1.0),
+                    ComputeBudget().cap_nodes(0));
+    ASSERT_FALSE(tripped.complete) << "join " << i;
+  }
+  ASSERT_TRUE(state.apply(join_event("F10", 30, 1.0, 1.0)).complete);
+  const auto answer = state.query();
+  ASSERT_FALSE(answer.stale());
+  ASSERT_EQ(answer.num_facilities, 11);
+  EXPECT_TRUE(answer.skipped.empty());
+  bool has_nucleolus = false;
+  for (const auto& o : answer.outcomes) {
+    has_nucleolus |= o.scheme == fedshare::game::Scheme::kNucleolus;
+    EXPECT_TRUE(o.in_core.has_value());
+  }
+  EXPECT_TRUE(has_nucleolus);
+  expect_served_nucleolus_is_the_reports(state, "n = 11");
 }
 
 // Every epoch of the demo script, and the six-facility flat roster of

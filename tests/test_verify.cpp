@@ -7,11 +7,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <type_traits>
 #include <vector>
 
 #include "alloc/lp_relax.hpp"
 #include "cli/runner.hpp"
+#include "core/core_solution.hpp"
 #include "core/game.hpp"
 #include "core/nucleolus.hpp"
 #include "core/sharing.hpp"
@@ -363,6 +365,98 @@ TEST(VerifyAudit, ExhaustedBudgetNotesTheUncheckedNucleolus) {
   EXPECT_NE(unchecked.notes[0].detail.find("budget-exhausted"),
             std::string::npos)
       << unchecked.notes[0].detail;
+}
+
+// The first-level certificate: |S|^2 on six players has a one-point
+// least core, the equal split with epsilon = -5, so moving 0.1 of
+// payoff from player 0 to player 1 raises the nucleolus row's largest
+// excess to -4.9, above the bound the least-core weights certify. Every
+// other check still passes, and the check count does not move.
+TEST(VerifyAudit, PerturbedNucleolusFailsTheFirstLevelCertificate) {
+  const auto g = convex_game(6);
+  auto outcomes = game::compare_schemes(g, {}, {}).outcomes;
+  VerifyOptions vopts;
+  vopts.level = VerifyLevel::kCheap;
+  verify::AuditReport clean;
+  verify::audit_outcomes(g, outcomes, SimplexOptions{}, vopts, clean);
+  ASSERT_TRUE(clean.passed);
+
+  for (auto& o : outcomes) {
+    if (o.scheme != game::Scheme::kNucleolus) continue;
+    o.payoffs[0] -= 0.1;
+    o.payoffs[1] += 0.1;
+  }
+  verify::AuditReport perturbed;
+  verify::audit_outcomes(g, outcomes, SimplexOptions{}, vopts, perturbed);
+  EXPECT_FALSE(perturbed.passed);
+  EXPECT_EQ(perturbed.checks, clean.checks);
+  ASSERT_EQ(perturbed.issues.size(), 1u);
+  EXPECT_EQ(perturbed.issues[0].check, "nucleolus");
+  EXPECT_NEAR(perturbed.issues[0].magnitude, 0.1, 1e-9);
+}
+
+// least_core_bound trusts the weights only after checking them against
+// the table: the least core's own weights certify epsilon, while a
+// negative entry, an unbalanced cover, a sum off 1 or an improper
+// coalition certifies nothing.
+TEST(VerifyAudit, LeastCoreBoundRejectsBadWeights) {
+  const auto g = convex_game(6);
+  const auto lc = game::least_core(g);
+  ASSERT_TRUE(lc.solved);
+  const auto good = verify::least_core_bound(g, lc.weights, 1e-9);
+  ASSERT_EQ(good.rejected, "");
+  EXPECT_NEAR(good.bound, lc.epsilon, 1e-9);
+  EXPECT_NEAR(lc.epsilon, -5.0, 1e-9);
+
+  using W = game::CoalitionWeight;
+  const auto c = [](std::uint64_t bits) {
+    return game::Coalition::from_bits(bits);
+  };
+  const auto rejected = [&](const std::vector<W>& weights,
+                            const std::string& why) {
+    const auto b = verify::least_core_bound(g, weights, 1e-9);
+    EXPECT_NE(b.rejected.find(why), std::string::npos) << b.rejected;
+  };
+  // Singletons at 1/6 each are balanced (lambda = 1/6): the bound is
+  // sum_i V({i}) / 6 - V(N) / 6 = 1 - 6 = -5.
+  std::vector<W> singletons;
+  for (int i = 0; i < 6; ++i) singletons.push_back({c(1u << i), 1.0 / 6});
+  const auto balanced = verify::least_core_bound(g, singletons, 1e-9);
+  ASSERT_EQ(balanced.rejected, "");
+  EXPECT_NEAR(balanced.bound, -5.0, 1e-12);
+
+  auto negative = singletons;
+  negative[0].weight = -1.0 / 6;
+  negative[1].weight = 3.0 / 6;
+  rejected(negative, "negative");
+  rejected({{c(0b000011), 0.5}, {c(0b000100), 0.5}}, "unbalanced");
+  auto doubled = singletons;
+  for (auto& w : doubled) w.weight *= 2.0;
+  rejected(doubled, "sum to");
+  rejected({{c(0b111111), 1.0}}, "not proper");
+  rejected({{c(0b1000000), 1.0}}, "not proper");
+}
+
+// Past kMaxExcessRows (dense n = 16) the audit solves no least core:
+// the first-level check is a note naming the row count and the
+// constant, and nothing fails.
+TEST(VerifyAudit, PastTheCeilingNotesTheUncheckedNucleolus) {
+  const auto g = convex_game(16);
+  game::SchemeOutcome nucleolus;
+  nucleolus.scheme = game::Scheme::kNucleolus;
+  nucleolus.shares.assign(16, 1.0 / 16);
+  nucleolus.payoffs.assign(16, g.grand_value() / 16);
+  VerifyOptions vopts;
+  vopts.level = VerifyLevel::kCheap;
+  verify::AuditReport report;
+  verify::audit_outcomes(g, {nucleolus}, SimplexOptions{}, vopts, report);
+  EXPECT_TRUE(report.passed);
+  EXPECT_EQ(report.checks, 2u);  // shares and efficiency only
+  ASSERT_EQ(report.notes.size(), 1u);
+  EXPECT_EQ(report.notes[0].check, "nucleolus");
+  EXPECT_EQ(report.notes[0].detail,
+            "first level unchecked: 65534 excess rows exceed "
+            "kMaxExcessRows = 32768");
 }
 
 // The scheme comparison plus its audit, wired as the CLI report wires

@@ -4,7 +4,7 @@
 # summary mode with FEDSHARE_BENCH_OUT pointing at the repo root. The
 # google-benchmark timings are skipped (--benchmark_filter=SKIPALL);
 # only the summaries are measured. Takes a few minutes; perf_nucleolus
-# alone takes about one (it also runs the unfiltered reference loop).
+# alone takes about two (it also runs the unfiltered reference loop).
 #
 # Usage: tools/bench_all.sh [build-dir] [bench ...]
 #   build-dir  defaults to ./build (configured RelWithDebInfo if absent)

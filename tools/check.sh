@@ -77,7 +77,7 @@ echo "== quotient smoke (quotient tabulation bitwise vs full) =="
 cmake --build "$root/build" -j "$jobs" --target perf_quotient
 "$root/build/bench/perf_quotient" --smoke
 
-echo "== nucleolus smoke (quotient vs dense, LP-ratio, certification and hetero n = 9 working-set gates) =="
+echo "== nucleolus smoke (quotient vs dense, LP-ratio, certification, hetero n = 9 working-set and least-core, hetero n = 12 gates) =="
 cmake --build "$root/build" -j "$jobs" --target perf_nucleolus
 "$root/build/bench/perf_nucleolus" --smoke
 

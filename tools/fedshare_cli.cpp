@@ -352,6 +352,11 @@ int main(int argc, char** argv) {
       }
       continue;
     }
+    if (arg.rfind("--", 0) == 0) {
+      std::cerr << "fedshare_cli: unknown option '" << arg << "'\n"
+                << kUsage;
+      return 2;
+    }
     if (!config_path.empty()) {
       std::cerr << kUsage;
       return 2;
