@@ -1,7 +1,7 @@
 // Nucleolus macrobenchmark: the orbit-row quotient formulation against
 // the dense 2^n-row formulation it replaces on typed games, and the
-// tightness filters (slack, dual, batched release, rank-first
-// uniqueness) against the unfiltered one-LP-per-row loop.
+// tightness filters (slack, dual, batched release; the fixed rows' rank
+// decides uniqueness) against the unfiltered one-LP-per-row loop.
 //
 // The headline workload is 4 facility types with 4 identical players
 // each (n = 16): every probe LP carries 5^4 - 2 = 623 orbit rows where
@@ -9,8 +9,9 @@
 // kMaxExcessRows, so dense cannot attempt the case at all. The binary
 // writes BENCH_nucleolus.json (override the path with FEDSHARE_BENCH_OUT)
 // with rows/LPs/pivots/wall-times for typed n = 8..20 and for
-// heterogeneous federations (the default report's dense path, n = 6..12),
-// each next to the LP and pivot counts of the unfiltered reference loop
+// heterogeneous federations (the default report's dense path, n = 6..12)
+// and the typed n = 8 federation of configs/typed8.ini (25 rounds on the
+// dense path), each next to the LP and pivot counts of the unfiltered reference loop
 // (tests/nucleolus_reference.hpp) where that loop finishes in seconds,
 // and for the "flat" serve roster game (six near-additive facilities,
 // most rows tight at the least core). The typed and quotient cases run
@@ -30,7 +31,8 @@
 // solves on both engines, every LP certified, and passes the full-table
 // excess scan), a least-core gate (hetero n = 9 least_core epsilon
 // against the full-row LP), a hetero n = 12 gate (the dense nucleolus
-// solves and passes the full-table scan) and a flat-game gate (both
+// solves in at most 13 LPs and passes the full-table scan) and a
+// flat-game gate (both
 // engines solve the serve roster game and agree) — tools/check.sh runs
 // it as a perf-smoke stage.
 #include <benchmark/benchmark.h>
@@ -102,16 +104,16 @@ lp::SimplexOptions revised_options() {
   return options;
 }
 
-// A federation of n distinct facilities (locations 130, 240, ..., units
-// alternating 1 and 2) under the default report's two demand classes:
-// no two players are interchangeable, so only the dense formulation
-// applies — the `fedshare_cli <config>` path.
-game::TabularGame hetero_game(int n) {
+// The game of a federation of n facilities, facility i with
+// locations(i) locations and units(i) units, under the default report's
+// two demand classes.
+template <typename Locations, typename Units>
+game::TabularGame federation_game(int n, Locations locations, Units units) {
   std::string text;
   for (int i = 0; i < n; ++i) {
     text += "[facility]\nname = F" + std::to_string(i) +
-            "\nlocations = " + std::to_string(130 + 110 * i) +
-            "\nunits = " + std::to_string(i % 2 + 1) + "\n\n";
+            "\nlocations = " + std::to_string(locations(i)) +
+            "\nunits = " + std::to_string(units(i)) + "\n\n";
   }
   text +=
       "[demand]\ncount = 20\nmin_locations = 300\n\n"
@@ -119,6 +121,23 @@ game::TabularGame hetero_game(int n) {
   const model::Federation fed =
       cli::federation_from_config(io::Config::parse_string(text));
   return fed.build_game();
+}
+
+// n distinct facilities (locations 130, 240, ..., units alternating 1
+// and 2): no two players are interchangeable, so only the dense
+// formulation applies — the `fedshare_cli <config>` path.
+game::TabularGame hetero_game(int n) {
+  return federation_game(
+      n, [](int i) { return 130 + 110 * i; }, [](int i) { return i % 2 + 1; });
+}
+
+// The typed recipe of configs/typed8.ini: type t = i % 4 with 100 (t + 1)
+// locations and t % 2 + 1 units. The default report runs it on the dense
+// formulation, where at n = 8 it takes 25 rounds.
+game::TabularGame typed_federation_game(int n) {
+  return federation_game(
+      n, [](int i) { return 100 * (i % 4 + 1); },
+      [](int i) { return i % 4 % 2 + 1; });
 }
 
 // The game the serve layer publishes for perfbench's serve_flap roster:
@@ -367,6 +386,10 @@ void write_summary_json() {
   }
   hetero.push_back(
       measure_dense(hetero_game(12), lp::SolverKind::kDense, 5, false));
+  // The typed n = 8 federation on the default report's (dense) path.
+  const std::vector<HeteroRow> typed_federation = {
+      measure_dense(typed_federation_game(8), lp::SolverKind::kDense, 5,
+                    false)};
   // The serve roster game, which serve publishes.
   std::vector<HeteroRow> flat;
   const game::TabularGame flat_tab = flat_game();
@@ -388,7 +411,9 @@ void write_summary_json() {
          "simplex: dense 2^n-row formulation vs orbit-row quotient; "
          "hetero: distinct-facility federations on the dense formulation; "
          "flat: the serve roster game of perfbench serve_flap (6 "
-         "near-additive facilities), dense formulation; hetero and flat "
+         "near-additive facilities), dense formulation; typed_federation: "
+         "the typed n = 8 federation of configs/typed8.ini, dense "
+         "formulation on the dense engine; hetero and flat "
          "on both engines, revised solving each LP cold; *_unfiltered: "
          "the one-LP-per-row reference loop (revised engine on the typed "
          "cases)\",\n";
@@ -445,6 +470,7 @@ void write_summary_json() {
     out << "  ]" << close << "\n";
   };
   write_dense_rows("hetero", hetero, ",");
+  write_dense_rows("typed_federation", typed_federation, ",");
   write_dense_rows("flat", flat, "");
   out << "}\n";
   std::cout << "(summary written to " << path << ")\n";
@@ -672,7 +698,9 @@ int run_smoke() {
   }
 
   // Hetero n = 12, the CLI's largest federation: the dense nucleolus
-  // solves on 4094 rows and passes the full-table excess scan.
+  // solves on 4094 rows in at most 13 LPs (6 rounds; with the fixed
+  // rows' rank deciding uniqueness no LP probes it) and passes the
+  // full-table excess scan.
   {
     const game::TabularGame hetero = hetero_game(12);
     const auto t0 = std::chrono::steady_clock::now();
@@ -685,9 +713,10 @@ int run_smoke() {
               << " rounds=" << r.levels.size() << " lps=" << r.lps_solved
               << " ms=" << ms << " full-table scan failures=" << broken
               << "\n";
-    if (!r.solved || broken != 0) {
+    if (!r.solved || broken != 0 || r.lps_solved > 13) {
       std::cerr << "perf_nucleolus --smoke: hetero n=12 dense nucleolus "
-                   "unsolved or fails the full-table excess scan\n";
+                   "unsolved, over 13 LPs or fails the full-table excess "
+                   "scan\n";
       ++failures;
     }
   }

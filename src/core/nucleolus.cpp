@@ -65,33 +65,11 @@ std::optional<double> probe_max(Solve&& solve,
   }
 }
 
-// Uniqueness probes: maximizes +x_v and -x_v for every share variable
-// in `vars` (min x_v == -max -x_v) and reports whether each range is a
-// point. `x_star` is the round's optimum, a feasible point, so a max
-// above x*_v + kTol settles the question with one closed LP. Eps is
-// pinned at the current level: later rounds only shrink the feasible
-// set, so a unique x-projection here is final.
-template <typename Solve, typename Close>
-bool ranges_are_points(Solve&& solve, const std::vector<std::size_t>& vars,
-                       const std::vector<double>& x_star,
-                       NucleolusResult& out, Close&& close) {
-  std::vector<double> obj;
-  for (const std::size_t v : vars) {
-    obj.assign(x_star.size() + 1, 0.0);
-    obj[v] = 1.0;
-    const std::optional<double> hi = probe_max(solve, obj, out, close);
-    if (!hi.has_value() || *hi - x_star[v] > kTol) return false;
-    obj[v] = -1.0;
-    const std::optional<double> lo = probe_max(solve, obj, out, close);
-    if (!lo.has_value() || *hi + *lo > kTol) return false;
-  }
-  return true;
-}
-
 // Running rank of the efficiency row plus the fixed excess rows over
-// the share columns (eps dropped). Full rank means the fixed equalities
-// alone pin the allocation to a point, so the +/- uniqueness probes
-// would all report max == min and can be skipped.
+// the share columns (eps dropped). It alone decides uniqueness: the
+// fixed rows are the implicit equalities of the round's optimal face,
+// which cut out its affine hull, so the face is a point exactly when
+// they reach full rank.
 class RankTracker {
  public:
   explicit RankTracker(std::size_t nv) : nv_(nv) {}
@@ -111,21 +89,6 @@ class RankTracker {
   }
 
   [[nodiscard]] bool full() const noexcept { return basis_.size() == nv_; }
-
-  // Share variables whose unit vector is outside the span. Every other
-  // x_v is a fixed combination of the fixed rows' values, so it is
-  // constant over the round's optimal face and its probes would report
-  // a point.
-  [[nodiscard]] std::vector<std::size_t> unpinned_axes() const {
-    std::vector<std::size_t> axes;
-    std::vector<double> e;
-    for (std::size_t v = 0; v < nv_; ++v) {
-      e.assign(nv_, 0.0);
-      e[v] = 1.0;
-      if (reduce(e) > kRankTol) axes.push_back(v);
-    }
-    return axes;
-  }
 
  private:
   // Reduces `row` against the span in place and returns the largest
@@ -453,10 +416,11 @@ NucleolusResult maschler(const OrbitIndex& index,
 
   // Every LP starts from `held`, the last optimum (x, eps) — before the
   // first, the equal split V(N) / sum_t m_t. A round LP lifts held's eps
-  // to the largest excess over the active working rows first, so only
-  // the equalities need artificials. Probes and release passes start
-  // from the round optimum (x*, eps), which holds every inequality of
-  // the eps-pinned problems.
+  // to the largest excess over the active working rows first, so every
+  // inequality holds, and lp::solve substitutes out the equalities held
+  // satisfies (efficiency and the rows fixed tight at it). Probes and
+  // release passes start from the round optimum (x*, eps), which holds
+  // every inequality of the eps-pinned problems and their eps pin.
   std::vector<double> held(
       tv + 1, grand_value / static_cast<double>(part.num_players()));
   const auto lift_eps = [&] {
@@ -566,17 +530,9 @@ NucleolusResult maschler(const OrbitIndex& index,
     }
     if (!fixed_any) break;  // numerically stuck; answer stands
 
-    // 3. Uniqueness on the patched rows (eps still pinned): full rank of
-    //    the fixed equalities decides it without an LP; below full rank
-    //    at most 2T closed probes — one +/- pair per type outside the
-    //    fixed rows' span.
-    if (num_active > 0) {
-      if (fixed_span.full()) break;
-      if (ranges_are_points(solve_probe, fixed_span.unpinned_axes(),
-                            per_type, out, close)) {
-        break;
-      }
-    }
+    // 3. Uniqueness: the allocation is a point once the fixed equalities
+    //    reach full rank; below it the next round goes on.
+    if (fixed_span.full()) break;
   }
 
   // Postcondition, one scan of the full table: no coalition outside the

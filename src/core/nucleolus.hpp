@@ -20,9 +20,10 @@
 //    capped-slack LPs (max sum y_S, 0 <= y_S <= 1) that release every
 //    row some optimum leaves slack and fix the rest once the optimum
 //    reaches zero; a pass that stalls falls back to per-row probes;
-//  * rank-first uniqueness — the allocation is unique once the fixed
-//    rows plus efficiency reach full rank; below it only players
-//    outside their span are probed.
+//  * rank decides uniqueness — the fixed rows are the implicit
+//    equalities of the round's optimal face, which cut out its affine
+//    hull, so the allocation is unique exactly when they and efficiency
+//    reach full rank; below it the next round runs, with no LP asking.
 // Each step reaches the decision the per-row LP would, so the fixed
 // set, every round's LP, and the result are the unfiltered scheme's.
 //
@@ -30,7 +31,7 @@
 // (row generation, after Hallefjord, Helming & Jørnsten 1995), seeded
 // with the per-type "one member" and "all but one" rows, which with
 // efficiency bound every share to a box. Each LP — least core, release
-// pass, aux-max and uniqueness probe — runs to closure: one scan of the
+// pass and aux-max probe — runs to closure: one scan of the
 // V table finds the rows its optimum violates, the most violated join,
 // and it re-solves until none is violated. A relaxation optimum that
 // violates no row is optimal for the full LP, so the answer is the
@@ -39,9 +40,10 @@
 // last level (else solved == false). At hetero n = 10 the LPs carry a
 // few dozen of the 1022 rows. Every LP goes through lp::solve started
 // at the point the loop holds (the last optimum, or the equal split
-// before the first), so phase 1 repairs only the equalities and the
-// rows that point violates. SolverKind::kRevised, kept as a
-// cross-check, solves each of them cold.
+// before the first). The equalities hold there (efficiency, the fixed
+// rows, the eps pin), so the engine substitutes them out, and phase 1
+// repairs only the rows that point violates. SolverKind::kRevised,
+// kept as a cross-check, solves each of them cold.
 //
 // One loop runs the scheme, over weighted excess rows: one row per
 // *orbit* of a PlayerPartition, with per-type share variables x_t and

@@ -155,16 +155,18 @@ OrbitIndex::OrbitIndex(PlayerPartition partition)
     }
   }
   orbit_count_ = stride;
-  level_.resize(static_cast<std::size_t>(orbit_count_));
-  for (std::uint64_t orbit = 0; orbit < orbit_count_; ++orbit) {
-    int total = 0;
-    for (int t = 0; t < T; ++t) {
-      const auto ut = static_cast<std::size_t>(t);
-      total += static_cast<int>(
-          (orbit / stride_[ut]) %
-          (static_cast<std::uint64_t>(partition_.multiplicity(t)) + 1));
+  // A mixed-radix odometer over the type counts: stepping from o - 1 to
+  // o carries into the lowest type t present in o and leaves every digit
+  // below it at zero, so level(o) = level(o - stride_t) + 1.
+  level_.assign(static_cast<std::size_t>(orbit_count_), 0);
+  std::vector<int> digits(static_cast<std::size_t>(T), 0);
+  for (std::size_t o = 1; o < level_.size(); ++o) {
+    std::size_t t = 0;
+    while (digits[t] == partition_.multiplicity(static_cast<int>(t))) {
+      digits[t++] = 0;
     }
-    level_[static_cast<std::size_t>(orbit)] = total;
+    ++digits[t];
+    level_[o] = level_[o - static_cast<std::size_t>(stride_[t])] + 1;
   }
 }
 

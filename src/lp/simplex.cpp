@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "lp/matrix.hpp"
 #include "lp/revised_simplex.hpp"
@@ -135,6 +136,10 @@ namespace {
 // as satisfied. Rows tight at the start carry residuals of a few ulps
 // either way; without the allowance half of them would take artificials.
 constexpr double kStartSlack = 1e-12;
+// A satisfied equality is substituted out through a free coefficient
+// only above this times the row's largest original coefficient; a row
+// with nothing left above it has reduced to 0 = 0.
+constexpr double kPivotFloor = 1e-9;
 
 // How one row enters the tableau: the sign that makes its rhs
 // non-negative, the relation after that flip, and the rhs itself.
@@ -175,33 +180,181 @@ RowForm row_form(const Constraint& c, double shifted_rhs) {
   return f;
 }
 
+// The equalities the start satisfies, substituted out before the
+// tableau is built. Each such row, in order, is reduced against the
+// rows already used and solved for the free, not yet eliminated
+// variable with its largest coefficient; the rows already used are
+// updated too (Gauss-Jordan). Each row of `rows` then holds 1 on its
+// pivot and 0 on every other pivot, and reads pivot + sum_kept w_j d_j
+// = 0 in the shifted coordinates (its rhs is taken as met). Only these
+// few rows are stored: reduce() applies them to any other row.
+struct Substitution {
+  std::vector<std::vector<double>> rows;  // eliminated rows, pivot order
+  std::vector<std::size_t> source;        // each one's constraint index
+  std::vector<std::size_t> pivot;         // each one's variable
+  std::vector<char> eliminated;           // per variable
+  std::vector<char> kept;                 // per row: enters the tableau
+  std::vector<double> objective;          // reduced against `rows`
+
+  // `a` less a[pivot] times each stored row: 0 on every pivot column.
+  void reduce(const std::vector<double>& a, std::vector<double>& out) const {
+    out = a;
+    for (std::size_t e = 0; e < rows.size(); ++e) {
+      const double f = a[pivot[e]];
+      if (f == 0.0) continue;
+      for (std::size_t j = 0; j < out.size(); ++j) out[j] -= f * rows[e][j];
+    }
+    for (const std::size_t v : pivot) out[v] = 0.0;
+  }
+};
+
+Substitution substitute(const Problem& problem,
+                        const std::vector<double>& shifted) {
+  const std::size_t n = problem.num_variables();
+  const std::size_t m = problem.num_constraints();
+  Substitution s;
+  s.eliminated.assign(n, 0);
+  s.kept.assign(m, 1);
+  std::vector<double> w;
+  for (std::size_t r = 0; r < m; ++r) {
+    const auto& c = problem.constraints()[r];
+    if (c.relation != Relation::kEqual ||
+        std::abs(shifted[r]) > kStartSlack * std::max(1.0, std::abs(c.rhs))) {
+      continue;
+    }
+    double scale = 0.0;
+    for (const double a : c.coefficients) scale = std::max(scale, std::abs(a));
+    const double floor = kPivotFloor * scale;
+    s.reduce(c.coefficients, w);
+    std::size_t v = n;
+    double best = floor;
+    double largest = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      largest = std::max(largest, std::abs(w[j]));
+      if (problem.is_free(j) && s.eliminated[j] == 0 &&
+          std::abs(w[j]) > best) {
+        best = std::abs(w[j]);
+        v = j;
+      }
+    }
+    if (v == n) {
+      // Nothing free to solve for: the row keeps an artificial, unless it
+      // has reduced to 0 = 0 and is dropped (its multiplier is 0).
+      if (largest <= floor) s.kept[r] = 0;
+      continue;
+    }
+    const double inv = 1.0 / w[v];
+    for (double& x : w) x *= inv;
+    w[v] = 1.0;
+    for (std::vector<double>& row : s.rows) {
+      const double f = row[v];
+      if (f == 0.0) continue;
+      for (std::size_t j = 0; j < n; ++j) row[j] -= f * w[j];
+      row[v] = 0.0;
+    }
+    s.rows.push_back(std::move(w));
+    s.source.push_back(r);
+    s.pivot.push_back(v);
+    s.eliminated[v] = 1;
+    s.kept[r] = 0;
+  }
+  s.reduce(problem.objective(), s.objective);
+  return s;
+}
+
+// Fills each eliminated variable of the direction `d` from its row:
+// d_pivot = -sum over kept columns of w_j d_j.
+void back_substitute(const Substitution& s, std::vector<double>& d) {
+  for (std::size_t e = 0; e < s.rows.size(); ++e) {
+    double sum = 0.0;
+    for (std::size_t j = 0; j < d.size(); ++j) {
+      if (s.eliminated[j] == 0) sum += s.rows[e][j] * d[j];
+    }
+    d[s.pivot[e]] = -sum;
+  }
+}
+
+// Completes the multipliers `y` (set on the tableau's rows, 0 on the
+// rest) with those of the eliminated rows, so that c_v = y^T A_v on every
+// eliminated column v: solves y_E A_EV = c_V - y_K A_KV on the original
+// coefficients, with c = 0 for a Farkas ray (`objective` null). Every
+// other column's y^T A_j is then the reduced problem's.
+void complete_multipliers(const Problem& problem, const Substitution& s,
+                          const std::vector<double>* objective,
+                          std::vector<double>& y) {
+  const std::size_t k = s.rows.size();
+  if (k == 0) return;
+  const auto& cons = problem.constraints();
+  // Equation i is column pivot[i]; unknown j is y[source[j]]. The sum
+  // over every row takes y_K, as y is still 0 on the eliminated rows.
+  Matrix a(k, k + 1);
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t v = s.pivot[i];
+    double rhs = objective != nullptr ? (*objective)[v] : 0.0;
+    for (std::size_t r = 0; r < cons.size(); ++r) {
+      rhs -= y[r] * cons[r].coefficients[v];
+    }
+    for (std::size_t j = 0; j < k; ++j) {
+      a(i, j) = cons[s.source[j]].coefficients[v];
+    }
+    a(i, k) = rhs;
+  }
+  // Gaussian elimination with partial pivoting, then back-substitution.
+  for (std::size_t col = 0; col < k; ++col) {
+    std::size_t p = col;
+    for (std::size_t i = col + 1; i < k; ++i) {
+      if (std::abs(a(i, col)) > std::abs(a(p, col))) p = i;
+    }
+    a.swap_rows(col, p);
+    for (std::size_t i = col + 1; i < k; ++i) {
+      const double f = a(i, col) / a(col, col);
+      if (f != 0.0) a.add_scaled_row(i, col, -f);
+    }
+  }
+  for (std::size_t i = k; i-- > 0;) {
+    double v = a(i, k);
+    for (std::size_t j = i + 1; j < k; ++j) v -= a(i, j) * y[s.source[j]];
+    y[s.source[i]] = v / a(i, i);
+  }
+}
+
 // `start`, when non-null, holds one entry per variable; the free ones
-// shift the tableau's coordinates (x_v = start_v + d_v).
+// shift the tableau's coordinates (x_v = start_v + d_v). A cold solve
+// starts at the origin.
 Solution solve_dense(const Problem& problem, const SimplexOptions& options,
                      const std::vector<double>* start) {
   const std::size_t n = problem.num_variables();
   const std::size_t m = problem.num_constraints();
 
-  // Each row's form in the shifted coordinates.
-  std::vector<RowForm> forms(m);
+  // Each row's rhs in the shifted coordinates.
+  std::vector<double> shifted(m);
   for (std::size_t r = 0; r < m; ++r) {
     const auto& c = problem.constraints()[r];
-    double shifted = c.rhs;
+    shifted[r] = c.rhs;
     if (start != nullptr) {
-      double activity = 0.0;
       for (std::size_t v = 0; v < n; ++v) {
-        if (problem.is_free(v)) activity += c.coefficients[v] * (*start)[v];
+        if (problem.is_free(v)) shifted[r] -= c.coefficients[v] * (*start)[v];
       }
-      shifted -= activity;
     }
-    forms[r] = row_form(c, shifted);
   }
+  const Substitution sub = substitute(problem, shifted);
 
-  // Map original variables to structural columns; free variables get a
+  // The tableau's rows are the kept rows; `source` maps each back.
+  std::vector<std::size_t> source;
+  std::vector<RowForm> forms;
+  for (std::size_t r = 0; r < m; ++r) {
+    if (sub.kept[r] == 0) continue;
+    source.push_back(r);
+    forms.push_back(row_form(problem.constraints()[r], shifted[r]));
+  }
+  const std::size_t mk = source.size();
+
+  // Map kept variables to structural columns; free variables get a
   // second (negated) column.
-  std::vector<std::size_t> pos_col(n), neg_col(n, SIZE_MAX);
+  std::vector<std::size_t> pos_col(n, SIZE_MAX), neg_col(n, SIZE_MAX);
   std::size_t structural = 0;
   for (std::size_t v = 0; v < n; ++v) {
+    if (sub.eliminated[v] != 0) continue;
     pos_col[v] = structural++;
     if (problem.is_free(v)) neg_col[v] = structural++;
   }
@@ -222,47 +375,26 @@ Solution solve_dense(const Problem& problem, const SimplexOptions& options,
   Tableau t;
   t.total_cols = structural + num_slack + num_artificial;
   t.artificial_begin = structural + num_slack;
-  t.body = Matrix(m == 0 ? 1 : m, t.total_cols + 1, 0.0);
-  t.basis.assign(m, 0);
-
-  // Handle the degenerate no-constraint case directly.
-  if (m == 0) {
-    Solution s;
-    // Unbounded iff any objective coefficient pushes a variable up.
-    const double sense = problem.sense() == Objective::kMaximize ? 1.0 : -1.0;
-    for (std::size_t v = 0; v < n; ++v) {
-      const double c = sense * problem.objective()[v];
-      if (c > 0.0 || (problem.is_free(v) && c < 0.0)) {
-        s.status = SolveStatus::kUnbounded;
-        s.ray.assign(n, 0.0);
-        s.ray[v] = c > 0.0 ? 1.0 : -1.0;
-        return s;
-      }
-    }
-    s.status = SolveStatus::kOptimal;
-    s.objective = 0.0;
-    s.x.assign(n, 0.0);
-    return s;
-  }
+  t.body = Matrix(mk, t.total_cols + 1, 0.0);
+  t.basis.assign(mk, 0);
 
   std::size_t slack_cursor = structural;
   std::size_t art_cursor = t.artificial_begin;
-  std::vector<bool> has_artificial_row(m, false);
-  // Per-row bookkeeping for certificate extraction: the sign applied
-  // during rhs normalisation, and which slack/surplus and artificial
-  // column (if any) belongs to each row — those columns' reduced costs
-  // are the simplex multipliers in normalized row space.
-  std::vector<double> row_sign(m, 1.0);
-  std::vector<double> row_slack_sign(m, 1.0);
-  std::vector<std::size_t> row_slack(m, SIZE_MAX);
-  std::vector<std::size_t> row_art(m, SIZE_MAX);
+  // Per-row bookkeeping for certificate extraction: which slack/surplus
+  // and artificial column (if any) belongs to each tableau row — those
+  // columns' reduced costs are the simplex multipliers in normalized row
+  // space.
+  std::vector<double> row_slack_sign(mk, 1.0);
+  std::vector<std::size_t> row_slack(mk, SIZE_MAX);
+  std::vector<std::size_t> row_art(mk, SIZE_MAX);
 
-  for (std::size_t r = 0; r < m; ++r) {
-    const auto& c = problem.constraints()[r];
+  std::vector<double> reduced;
+  for (std::size_t r = 0; r < mk; ++r) {
+    sub.reduce(problem.constraints()[source[r]].coefficients, reduced);
     const double sign = forms[r].sign;
-    row_sign[r] = sign;
     for (std::size_t v = 0; v < n; ++v) {
-      const double a = sign * c.coefficients[v];
+      if (pos_col[v] == SIZE_MAX) continue;
+      const double a = sign * reduced[v];
       t.body(r, pos_col[v]) += a;
       if (neg_col[v] != SIZE_MAX) t.body(r, neg_col[v]) -= a;
     }
@@ -282,13 +414,11 @@ Solution solve_dense(const Problem& problem, const SimplexOptions& options,
         t.body(r, art_cursor) = 1.0;
         row_art[r] = art_cursor;
         t.basis[r] = art_cursor++;
-        has_artificial_row[r] = true;
         break;
       case Relation::kEqual:
         t.body(r, art_cursor) = 1.0;
         row_art[r] = art_cursor;
         t.basis[r] = art_cursor++;
-        has_artificial_row[r] = true;
         break;
     }
   }
@@ -304,8 +434,8 @@ Solution solve_dense(const Problem& problem, const SimplexOptions& options,
     for (std::size_t j = t.artificial_begin; j < t.total_cols; ++j) {
       phase1[j] = 1.0;
     }
-    for (std::size_t r = 0; r < m; ++r) {
-      if (has_artificial_row[r]) {
+    for (std::size_t r = 0; r < mk; ++r) {
+      if (row_art[r] != SIZE_MAX) {
         const double* row = t.body.row_data(r);
         for (std::size_t cidx = 0; cidx <= t.total_cols; ++cidx) {
           phase1[cidx] -= row[cidx];
@@ -326,17 +456,21 @@ Solution solve_dense(const Problem& problem, const SimplexOptions& options,
       // Farkas certificate from the phase-1 duals. With w the optimal
       // multipliers of min sum(artificials) over the normalized rows,
       // w^T A' <= 0 column-wise while w^T b' equals the (positive)
-      // attained infeasibility, so y_r = row_sign_r * w_r witnesses
+      // attained infeasibility, so y_r = sign_r * w_r witnesses
       // infeasibility in original constraint space. w is read off the
       // phase-1 reduced-cost row: 1 - cost at the row's artificial, or
-      // -slack_sign * cost at its slack when the row never had one.
+      // -slack_sign * cost at its slack when the row never had one. The
+      // eliminated rows' entries then cancel their columns.
       result.farkas.assign(m, 0.0);
-      double ytb = 0.0;
-      for (std::size_t r = 0; r < m; ++r) {
+      for (std::size_t r = 0; r < mk; ++r) {
         const double w = row_art[r] != SIZE_MAX
                              ? 1.0 - phase1[row_art[r]]
                              : -row_slack_sign[r] * phase1[row_slack[r]];
-        result.farkas[r] = row_sign[r] * w;
+        result.farkas[source[r]] = forms[r].sign * w;
+      }
+      complete_multipliers(problem, sub, nullptr, result.farkas);
+      double ytb = 0.0;
+      for (std::size_t r = 0; r < m; ++r) {
         ytb += result.farkas[r] * problem.constraints()[r].rhs;
       }
       // Guard against numerical junk: a Farkas ray must strictly
@@ -346,7 +480,7 @@ Solution solve_dense(const Problem& problem, const SimplexOptions& options,
     }
     // Pivot any artificial still in the basis out (degenerate rows), or
     // leave it at value zero if its row is all-zero over real columns.
-    for (std::size_t r = 0; r < m; ++r) {
+    for (std::size_t r = 0; r < mk; ++r) {
       if (t.basis[r] >= t.artificial_begin) {
         std::size_t enter = t.total_cols;
         for (std::size_t j = 0; j < t.artificial_begin; ++j) {
@@ -358,7 +492,7 @@ Solution solve_dense(const Problem& problem, const SimplexOptions& options,
         if (enter == t.total_cols) continue;  // redundant row
         const double pivot = t.body(r, enter);
         t.body.scale_row(r, 1.0 / pivot);
-        for (std::size_t rr = 0; rr < m; ++rr) {
+        for (std::size_t rr = 0; rr < mk; ++rr) {
           if (rr == r) continue;
           const double f = t.body(rr, enter);
           if (f != 0.0) t.body.add_scaled_row(rr, r, -f);
@@ -368,16 +502,17 @@ Solution solve_dense(const Problem& problem, const SimplexOptions& options,
     }
   }
 
-  // Phase 2: the real objective. Build the canonical reduced-cost row for
-  // maximization (cost[j] = -c_j, then zero out basic columns).
+  // Phase 2: the substituted objective. Build the canonical reduced-cost
+  // row for maximization (cost[j] = -c_j, then zero out basic columns).
   const double sense = problem.sense() == Objective::kMaximize ? 1.0 : -1.0;
   std::vector<double> phase2(t.total_cols + 1, 0.0);
   for (std::size_t v = 0; v < n; ++v) {
-    const double c = sense * problem.objective()[v];
+    if (pos_col[v] == SIZE_MAX) continue;
+    const double c = sense * sub.objective[v];
     phase2[pos_col[v]] = -c;
     if (neg_col[v] != SIZE_MAX) phase2[neg_col[v]] = c;
   }
-  for (std::size_t r = 0; r < m; ++r) {
+  for (std::size_t r = 0; r < mk; ++r) {
     const double cb = -phase2[t.basis[r]];
     if (cb != 0.0) {
       const double* row = t.body.row_data(r);
@@ -390,25 +525,37 @@ Solution solve_dense(const Problem& problem, const SimplexOptions& options,
   const SolveStatus s2 =
       run_phase(t, phase2, options, true, pivots, &unbounded_enter);
   result.pivots = pivots;
+
+  // The structural columns' values (or, when unbounded, their steps
+  // along the ray) recombined per kept variable, the eliminated ones
+  // filled in from their rows.
+  std::vector<double> column(structural, 0.0);
+  const auto recombine = [&] {
+    std::vector<double> d(n, 0.0);
+    for (std::size_t v = 0; v < n; ++v) {
+      if (pos_col[v] == SIZE_MAX) continue;
+      d[v] = column[pos_col[v]];
+      if (neg_col[v] != SIZE_MAX) d[v] -= column[neg_col[v]];
+    }
+    back_substitute(sub, d);
+    return d;
+  };
+
   if (s2 != SolveStatus::kOptimal) {
     result.status = s2;
     if (s2 == SolveStatus::kUnbounded && unbounded_enter < t.total_cols) {
       // Recession direction from the entering column: the entering
       // variable steps +1 while each basic variable moves by minus its
-      // tableau coefficient; recombining the split columns yields a ray
-      // over the original variables.
-      std::vector<double> d(structural, 0.0);
-      if (unbounded_enter < structural) d[unbounded_enter] = 1.0;
-      for (std::size_t r = 0; r < m; ++r) {
+      // tableau coefficient.
+      if (unbounded_enter < structural) column[unbounded_enter] = 1.0;
+      for (std::size_t r = 0; r < mk; ++r) {
         if (t.basis[r] < structural) {
-          d[t.basis[r]] = -t.body(r, unbounded_enter);
+          column[t.basis[r]] = -t.body(r, unbounded_enter);
         }
       }
-      result.ray.assign(n, 0.0);
+      result.ray = recombine();
       double cd = 0.0;
       for (std::size_t v = 0; v < n; ++v) {
-        result.ray[v] = d[pos_col[v]];
-        if (neg_col[v] != SIZE_MAX) result.ray[v] -= d[neg_col[v]];
         cd += problem.objective()[v] * result.ray[v];
       }
       const bool improves = problem.sense() == Objective::kMaximize
@@ -420,22 +567,15 @@ Solution solve_dense(const Problem& problem, const SimplexOptions& options,
   }
 
   // Extract the solution.
-  std::vector<double> structural_values(structural, 0.0);
-  for (std::size_t r = 0; r < m; ++r) {
+  for (std::size_t r = 0; r < mk; ++r) {
     if (t.basis[r] < structural) {
-      structural_values[t.basis[r]] = t.body(r, t.total_cols);
+      column[t.basis[r]] = t.body(r, t.total_cols);
     }
   }
-  result.x.assign(n, 0.0);
-  for (std::size_t v = 0; v < n; ++v) {
-    result.x[v] = structural_values[pos_col[v]];
-    if (neg_col[v] != SIZE_MAX) {
-      result.x[v] -= structural_values[neg_col[v]];
-      if (start != nullptr) result.x[v] += (*start)[v];
-    }
-  }
+  result.x = recombine();
   double obj = 0.0;
   for (std::size_t v = 0; v < n; ++v) {
+    if (start != nullptr && problem.is_free(v)) result.x[v] += (*start)[v];
     obj += problem.objective()[v] * result.x[v];
   }
   result.objective = obj;
@@ -446,14 +586,16 @@ Solution solve_dense(const Problem& problem, const SimplexOptions& options,
   // (cost zero, identity column), or slack_sign * the reduced cost of
   // its slack. Mapping back to original coordinates multiplies by the
   // rhs-normalisation sign and by the sense exposure so that the
-  // conventions documented on lp::Solution hold for either sense.
+  // conventions documented on lp::Solution hold for either sense. The
+  // eliminated rows' multipliers then close their columns' reduced costs.
   result.duals.assign(m, 0.0);
-  for (std::size_t r = 0; r < m; ++r) {
+  for (std::size_t r = 0; r < mk; ++r) {
     const double w = row_art[r] != SIZE_MAX
                          ? phase2[row_art[r]]
                          : row_slack_sign[r] * phase2[row_slack[r]];
-    result.duals[r] = sense * row_sign[r] * w;
+    result.duals[source[r]] = sense * forms[r].sign * w;
   }
+  complete_multipliers(problem, sub, &problem.objective(), result.duals);
   return result;
 }
 

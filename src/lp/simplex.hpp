@@ -4,8 +4,9 @@
 // nucleolus steps, allocation relaxations — tens of rows/columns), so a
 // dense tableau with Bland's anti-cycling rule is both simple and robust.
 // A dense solve may be given a start point (see the solve overload):
-// rows the start satisfies then begin with their slacks basic, and
-// phase 1 only has to repair the rest.
+// rows the start satisfies then begin with their slacks basic, the
+// equalities it satisfies are substituted out, and phase 1 only has to
+// repair the rest.
 #pragma once
 
 #include <cstdint>
@@ -138,18 +139,31 @@ struct SimplexOptions {
 /// The dense tableau starts from the origin after sign-normalising each
 /// row: a row whose rhs is on its slack side (<= rows with rhs >= 0,
 /// >= rows with rhs <= 0) begins with its slack or surplus basic, and
-/// only the others (and every == row) get a phase-1 artificial. A row
-/// violated at the origin by at most 1e-12 * max(1, |rhs|) counts as
-/// satisfied, its rhs clamped to the slack side.
+/// only the others get a phase-1 artificial. A row violated at the
+/// origin by at most 1e-12 * max(1, |rhs|) counts as satisfied, its rhs
+/// clamped to the slack side.
+///
+/// An == row satisfied that way takes no artificial either: the free,
+/// not yet eliminated variable with its largest coefficient is
+/// substituted out through it (Gauss-Jordan on the rows and the
+/// objective) before the tableau is built, unless that coefficient is at
+/// most 1e-9 of the row's largest. Such a row then keeps its artificial
+/// when it still has a non-free coefficient, and is dropped with dual 0
+/// when it has reduced to 0 = 0 (a duplicate or combination of rows
+/// already used). Certificates keep their meaning in the original
+/// problem: the eliminated variables' x and ray entries come from
+/// back-substitution, and the eliminated rows' duals and Farkas entries
+/// from the square system that zeroes their columns' reduced costs.
 [[nodiscard]] Solution solve(const Problem& problem,
                              const SimplexOptions& options = {});
 
 /// Solves `problem` from the point `start` (one entry per variable).
 /// The dense tableau works in coordinates shifted to the start on the
 /// free variables, x_j = start_j + d_j, so the rows `start` satisfies
-/// (to the tolerance above) need no artificial; entries of non-free
-/// variables are ignored. Any start gives the same status and optimum
-/// as solve(problem, options) — a poor one only costs phase-1 pivots —
+/// (to the tolerance above) need no artificial, and the equalities among
+/// them are substituted out as above; entries of non-free variables are
+/// ignored. Any start gives the same status and optimum as
+/// solve(problem, options) — a poor one only costs phase-1 pivots —
 /// and x, the objective and every certificate are reported in the
 /// original coordinates (the shift leaves the duals unchanged). The
 /// observer sees `problem` itself. Under SolverKind::kRevised the start

@@ -1,14 +1,17 @@
 // Reference nucleolus: the classical Maschler loops with no tightness
 // filters. Every round runs one aux-max LP for every active excess row
 // and the +/- uniqueness probes for every share variable. Kept out of
-// the library. The orbit-row loop has the row layout core/nucleolus.cpp
-// runs for both of its entry points (the dense one on the
-// all-singletons partition), so the differential test
-// (tests/test_nucleolus_filters.cpp) requires the filtered scheme to
-// match it bitwise. The mask-row loop is the historical dense layout,
-// which rebuilds each round's LP with the fixed rows first; it stays as
-// an oracle within 1e-12 * scale, and bench/perf_nucleolus reports its
-// LP and pivot counts as the unfiltered dense baseline.
+// the library, which reads uniqueness off the fixed rows' rank and runs
+// no such probe: these probes are the independent oracle that the rank
+// test ends the loop exactly when the allocation is a point. The
+// orbit-row loop has the row layout core/nucleolus.cpp runs for both of
+// its entry points (the dense one on the all-singletons partition), so
+// the differential test (tests/test_nucleolus_filters.cpp) requires the
+// filtered scheme to match it within 1e-12 * scale on the same number
+// of levels. The mask-row loop is the historical dense layout, which
+// rebuilds each round's LP with the fixed rows first; it stays as an
+// oracle within the same tolerance, and bench/perf_nucleolus reports
+// its LP and pivot counts as the unfiltered dense baseline.
 //
 // The surplus helpers check a nucleolus from the kernel side: the
 // nucleolus is always a pre-kernel point (Maschler), so every pair of

@@ -324,6 +324,161 @@ TEST(StartedSolve, UnboundedRayIsInOriginalCoordinates) {
   EXPECT_EQ(solve(p, {}, {5.0, 0.0}).status, SolveStatus::kUnbounded);
 }
 
+// --- Satisfied equalities substituted out ----------------------------------
+
+void expect_certified(const Problem& p, const Solution& s) {
+  const auto report = verify::check_lp(p, s);
+  EXPECT_TRUE(report.checked);
+  EXPECT_TRUE(report.valid) << report.detail;
+}
+
+TEST(StartedSolve, EpsPinnedLpStartedAtItsOptimumTakesNoPivot) {
+  // The least-core LP re-solved with eps pinned at its optimum, from
+  // that optimum: efficiency and the pin are substituted out, every >=
+  // row holds, and the substituted objective is 0, so the start is
+  // optimal as it stands. The pin carries eps's objective as its dual.
+  const Problem round = least_core_lp();
+  const Solution opt = solve(round);
+  ASSERT_TRUE(opt.optimal());
+  Problem pinned = round;
+  pinned.add_constraint({0.0, 0.0, 0.0, 1.0}, Relation::kEqual, opt.x[3]);
+  const Solution s = solve(pinned, {}, opt.x);
+  ASSERT_TRUE(s.optimal());
+  EXPECT_EQ(s.pivots, 0u);
+  EXPECT_EQ(s.x, opt.x);
+  EXPECT_EQ(s.objective, opt.objective);
+  ASSERT_EQ(s.duals.size(), pinned.num_constraints());
+  EXPECT_NEAR(s.duals.back(), 1.0, 1e-12);
+  expect_certified(pinned, s);
+}
+
+TEST(StartedSolve, EliminatedRowsCarryTheirDualsUnderBothSenses) {
+  // max 3 x0 + x1 + x2 / 2 s.t. x0 + x1 + x2 == 4, x0 - x1 <= 1,
+  // x1 <= 2, x2 <= 3; x0, x1 free, x2 >= 0. The optimum (2.5, 1.5, 0)
+  // has the unique duals (2, 1, 0, 0). From (2, 2, 0) the equality holds
+  // and x0 is substituted out, so its dual comes from the completion;
+  // the cold solve keeps the row and reads it off the tableau.
+  for (const Objective sense : {Objective::kMaximize, Objective::kMinimize}) {
+    const double c = sense == Objective::kMaximize ? 1.0 : -1.0;
+    Problem p(3, sense);
+    p.set_free(0);
+    p.set_free(1);
+    p.set_objective_coefficient(0, 3.0 * c);
+    p.set_objective_coefficient(1, 1.0 * c);
+    p.set_objective_coefficient(2, 0.5 * c);
+    p.add_constraint({1.0, 1.0, 1.0}, Relation::kEqual, 4.0);
+    p.add_constraint({1.0, -1.0, 0.0}, Relation::kLessEqual, 1.0);
+    p.add_constraint({0.0, 1.0, 0.0}, Relation::kLessEqual, 2.0);
+    p.add_constraint({0.0, 0.0, 1.0}, Relation::kLessEqual, 3.0);
+    const Solution cold = solve(p);
+    const Solution started = solve(p, {}, {2.0, 2.0, 0.0});
+    for (const Solution* s : {&cold, &started}) {
+      ASSERT_TRUE(s->optimal());
+      EXPECT_NEAR(s->objective, 9.0 * c, 1e-12);
+      EXPECT_NEAR(s->x[0], 2.5, 1e-12);
+      EXPECT_NEAR(s->x[1], 1.5, 1e-12);
+      EXPECT_NEAR(s->x[2], 0.0, 1e-12);
+      ASSERT_EQ(s->duals.size(), 4u);
+      EXPECT_NEAR(s->duals[0], 2.0 * c, 1e-12);
+      EXPECT_NEAR(s->duals[1], 1.0 * c, 1e-12);
+      EXPECT_NEAR(s->duals[2], 0.0, 1e-12);
+      EXPECT_NEAR(s->duals[3], 0.0, 1e-12);
+      expect_certified(p, *s);
+    }
+  }
+}
+
+TEST(StartedSolve, DependentEqualitiesAreDroppedWithZeroDuals) {
+  // max x0 + 2 x2 over free x0..x2 s.t. r0: x0 + x1 == 2, r1: x1 - x2 ==
+  // 0, r2 a duplicate of r0, r3 = r0 + r1, x0 <= 3, x2 <= 5. From
+  // (1, 1, 1) r0 and r1 substitute x0 and x1 out, and r2 and r3 reduce
+  // to 0 = 0: dropped, with dual 0. Optimum x = (-3, 5, 5), objective 7,
+  // duals (1, -1, 0, 0, 0, 1).
+  Problem p(3, Objective::kMaximize);
+  for (std::size_t v = 0; v < 3; ++v) p.set_free(v);
+  p.set_objective_coefficient(0, 1.0);
+  p.set_objective_coefficient(2, 2.0);
+  p.add_constraint({1.0, 1.0, 0.0}, Relation::kEqual, 2.0);
+  p.add_constraint({0.0, 1.0, -1.0}, Relation::kEqual, 0.0);
+  p.add_constraint({1.0, 1.0, 0.0}, Relation::kEqual, 2.0);
+  p.add_constraint({1.0, 2.0, -1.0}, Relation::kEqual, 2.0);
+  p.add_constraint({1.0, 0.0, 0.0}, Relation::kLessEqual, 3.0);
+  p.add_constraint({0.0, 0.0, 1.0}, Relation::kLessEqual, 5.0);
+  const Solution s = solve(p, {}, {1.0, 1.0, 1.0});
+  ASSERT_TRUE(s.optimal());
+  EXPECT_NEAR(s.objective, 7.0, 1e-12);
+  const std::vector<double> want_x = {-3.0, 5.0, 5.0};
+  const std::vector<double> want_y = {1.0, -1.0, 0.0, 0.0, 0.0, 1.0};
+  for (std::size_t v = 0; v < 3; ++v) EXPECT_NEAR(s.x[v], want_x[v], 1e-12);
+  ASSERT_EQ(s.duals.size(), want_y.size());
+  for (std::size_t r = 0; r < want_y.size(); ++r) {
+    EXPECT_NEAR(s.duals[r], want_y[r], 1e-12) << "row " << r;
+  }
+  expect_certified(p, s);
+  expect_matches_cold(p, {1.0, 1.0, 1.0});
+}
+
+TEST(StartedSolve, SatisfiedEqualityOverNonFreeColumnsKeepsItsArtificial) {
+  // max x0 + x1 s.t. x0 == 1, x1 + x2 == 0, x1 <= 5; x0 free, x1, x2 >=
+  // 0. Both equalities hold at the start, but the second has no free
+  // column to solve for and does not reduce to 0 = 0: it stays in the
+  // tableau and still forces x1 = x2 = 0.
+  Problem p(3, Objective::kMaximize);
+  p.set_free(0);
+  p.set_objective_coefficient(0, 1.0);
+  p.set_objective_coefficient(1, 1.0);
+  p.add_constraint({1.0, 0.0, 0.0}, Relation::kEqual, 1.0);
+  p.add_constraint({0.0, 1.0, 1.0}, Relation::kEqual, 0.0);
+  p.add_constraint({0.0, 1.0, 0.0}, Relation::kLessEqual, 5.0);
+  const Solution s = solve(p, {}, {1.0, 7.0, 7.0});
+  ASSERT_TRUE(s.optimal());
+  EXPECT_NEAR(s.objective, 1.0, 1e-12);
+  EXPECT_EQ(s.x[1], 0.0);
+  EXPECT_EQ(s.x[2], 0.0);
+  expect_certified(p, s);
+  expect_matches_cold(p, {1.0, 7.0, 7.0});
+}
+
+TEST(StartedSolve, FarkasRayCompletesAnEliminatedRowsMultiplier) {
+  // x0 - x1 == 0, x0 >= 3, x1 <= 1 over free x0, x1: infeasible, and
+  // every Farkas ray needs the equality (y = (-t, t, -t), y^T b = 2t).
+  // From (1, 1) the equality is substituted out, so its multiplier is
+  // the completion's.
+  Problem p(2, Objective::kMaximize);
+  p.set_free(0);
+  p.set_free(1);
+  p.add_constraint({1.0, -1.0}, Relation::kEqual, 0.0);
+  p.add_constraint({1.0, 0.0}, Relation::kGreaterEqual, 3.0);
+  p.add_constraint({0.0, 1.0}, Relation::kLessEqual, 1.0);
+  const Solution s = solve(p, {}, {1.0, 1.0});
+  ASSERT_EQ(s.status, SolveStatus::kInfeasible);
+  ASSERT_EQ(s.farkas.size(), 3u);
+  EXPECT_LT(s.farkas[0], 0.0);
+  EXPECT_NEAR(s.farkas[0], -s.farkas[1], 1e-12);
+  EXPECT_NEAR(s.farkas[0], s.farkas[2], 1e-12);
+  expect_certified(p, s);
+  expect_matches_cold(p, {1.0, 1.0});
+}
+
+TEST(StartedSolve, UnboundedRayExtendsToEliminatedVariables) {
+  // max x0 s.t. x0 - 2 x1 == 0, x1 >= 0 over free x0, x1: from (2, 1)
+  // the equality substitutes x1 = x0 / 2 out, and the ray must still
+  // move x1 along with x0.
+  Problem p(2, Objective::kMaximize);
+  p.set_free(0);
+  p.set_free(1);
+  p.set_objective_coefficient(0, 1.0);
+  p.add_constraint({1.0, -2.0}, Relation::kEqual, 0.0);
+  p.add_constraint({0.0, 1.0}, Relation::kGreaterEqual, 0.0);
+  const Solution s = solve(p, {}, {2.0, 1.0});
+  ASSERT_EQ(s.status, SolveStatus::kUnbounded);
+  ASSERT_EQ(s.ray.size(), 2u);
+  EXPECT_GT(s.ray[0], 0.0);
+  EXPECT_NEAR(s.ray[1], 0.5 * s.ray[0], 1e-12);
+  expect_certified(p, s);
+  expect_matches_cold(p, {2.0, 1.0});
+}
+
 class RecordingObserver final : public SolveObserver {
  public:
   void on_solve(const Problem& problem, Solution& solution) override {

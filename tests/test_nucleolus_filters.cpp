@@ -1,9 +1,10 @@
 // Differential regression test for the nucleolus tightness filters and
 // the working set they run on (core/nucleolus.cpp: slack filter, dual
-// filter, batched release, rank-first uniqueness, row generation). The
+// filter, batched release, rank decides uniqueness, row generation). The
 // reference (nucleolus_reference.hpp) is the classical loop that carries
 // every excess row in every LP and runs one aux-max LP for every active
-// row and the +/- probes every round. The working-set loop solves
+// row and the +/- uniqueness probes every round, where the working-set
+// loop reads uniqueness off the fixed rows' rank alone. It solves
 // different but equivalent LPs, so on every game of the corpus, for
 // both formulations and both simplex engines, it must fix the same
 // number of levels and agree on the allocation and every level within
@@ -466,6 +467,44 @@ TEST(NucleolusWorkingSet, HeteroEightMatchesUnfilteredDense) {
 
 TEST(NucleolusWorkingSet, HeteroEightMatchesUnfilteredRevised) {
   expect_hetero_eight_matches_unfiltered(lp::SolverKind::kRevised);
+}
+
+// Rank decides uniqueness: a round ends the loop when efficiency and the
+// fixed rows reach full rank, and otherwise the next round runs; no LP
+// asks whether the optimal face is a point. Two hand-checked
+// three-player games pin the allocation, the levels and the LP count on
+// the default engine.
+//
+// Every pair worth 1, V(N) = 1.2: the three pair rows are tight at
+// eps = 0.2 with duals 1/3 each, so the dual filter fixes them and with
+// efficiency they reach rank 3 after one LP. x = (0.4, 0.4, 0.4).
+TEST(NucleolusRankTermination, FirstFaceIsAPointAfterOneLp) {
+  const TabularGame g(3, {0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.2});
+  const NucleolusResult r = nucleolus(g);
+  ASSERT_TRUE(r.solved);
+  EXPECT_EQ(r.lps_solved, 1u);
+  ASSERT_EQ(r.levels.size(), 1u);
+  EXPECT_NEAR(r.levels[0], 0.2, 1e-12);
+  for (const double x : r.allocation) EXPECT_NEAR(x, 0.4, 1e-12);
+}
+
+// Only {0, 1} is worth anything, V({0, 1}) = V(N) = 1. Round one reaches
+// eps = 0 on the segment x = (t, 1 - t, 0), 0 <= t <= 1, and fixes the
+// rows of {0, 1} and {2}, rank 2 with efficiency. Round two splits the
+// pair's value: eps = -0.5 at x = (0.5, 0.5, 0), where the singleton
+// rows of 0 and 1 reach rank 3.
+TEST(NucleolusRankTermination, FirstFaceIsASegmentSoASecondRoundRuns) {
+  const TabularGame g(3, {0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0});
+  const NucleolusResult r = nucleolus(g);
+  ASSERT_TRUE(r.solved);
+  EXPECT_EQ(r.lps_solved, 3u);
+  ASSERT_EQ(r.levels.size(), 2u);
+  EXPECT_NEAR(r.levels[0], 0.0, 1e-12);
+  EXPECT_NEAR(r.levels[1], -0.5, 1e-12);
+  ASSERT_EQ(r.allocation.size(), 3u);
+  EXPECT_NEAR(r.allocation[0], 0.5, 1e-12);
+  EXPECT_NEAR(r.allocation[1], 0.5, 1e-12);
+  EXPECT_NEAR(r.allocation[2], 0.0, 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(

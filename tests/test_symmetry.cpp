@@ -124,6 +124,37 @@ TEST_F(SymmetryPropertyTest, OrbitIndexRoundTripsEveryMask) {
   }
 }
 
+TEST_F(SymmetryPropertyTest, LevelTableIsTheDigitSumOfEveryOrbitId) {
+  // Identity partition: the orbit id is the mask, its level the popcount.
+  for (int n = 1; n <= 12; ++n) {
+    const OrbitIndex index(PlayerPartition::identity(n));
+    ASSERT_EQ(index.orbit_count(), std::uint64_t{1} << n);
+    for (std::uint64_t orbit = 0; orbit < index.orbit_count(); ++orbit) {
+      ASSERT_EQ(index.level(orbit), std::popcount(orbit)) << n;
+    }
+  }
+  // Typed partitions: the level is the digit sum of the mixed-radix id
+  // (radix m_t + 1 per type, lowest type first).
+  const std::vector<std::vector<int>> typed = {
+      {0, 0, 0, 1, 1, 2},       {0, 1, 2, 3, 0, 1, 2, 3},
+      {0, 0, 0, 0, 0},          {4, 4, 1, 0, 1, 4, 4, 2, 0},
+      {0, 1, 1, 2, 2, 2, 3, 3, 3, 3}};
+  for (const std::vector<int>& type_of : typed) {
+    const OrbitIndex index(PlayerPartition::from_type_of(type_of));
+    for (std::uint64_t orbit = 0; orbit < index.orbit_count(); ++orbit) {
+      std::uint64_t rest = orbit;
+      int digit_sum = 0;
+      for (int t = 0; t < index.num_types(); ++t) {
+        const auto radix = static_cast<std::uint64_t>(
+            index.partition().multiplicity(t) + 1);
+        digit_sum += static_cast<int>(rest % radix);
+        rest /= radix;
+      }
+      ASSERT_EQ(index.level(orbit), digit_sum) << orbit;
+    }
+  }
+}
+
 TEST_F(SymmetryPropertyTest, SuccessorPredecessorAreInverse) {
   const OrbitIndex index(PlayerPartition::from_type_of({0, 0, 0, 1, 1, 2}));
   for (std::uint64_t orbit = 0; orbit < index.orbit_count(); ++orbit) {

@@ -6,8 +6,9 @@
 // rhs-perturbed neighbour. A second, started leg builds an LP over
 // mostly free variables around a random point — rows exactly tight
 // there (up to the rounding of their rhs), rows violated by less than
-// 1e-12 relative, rows violated outright and rows with slack — and
-// solves it dense from that point, dense cold and revised. Any
+// 1e-12 relative, rows violated outright and rows with slack, and in a
+// third of the cases several tight == rows, some linearly dependent —
+// and solves it dense from that point, dense cold and revised. Any
 // disagreement — status mismatch, objective divergence, or a
 // certificate (verify/certificates.hpp) that fails on a claimed answer
 // — is a bug in at least one engine, and the harness prints a
@@ -80,25 +81,59 @@ struct StartedCase {
 // an "exactly tight" rhs sits within an ulp or two of it. Each row is
 // tight, short of its relation by about 1e-13 relative (inside the dense
 // engine's allowance), violated by 0.5-2, or slack by 0.5-2.
+//
+// A third of the cases are equality-rich: every variable is free, and
+// the rows open with 1-3 == rows tight at the point followed by 1-2 more
+// that scale or combine earlier ones. The started solve then substitutes
+// variables out through the tight rows, drops the rows that reduce to
+// 0 = 0, and completes the eliminated rows' multipliers in its duals and
+// Farkas rays and their components in its unbounded rays.
 StartedCase make_started_case(std::uint64_t seed) {
   std::uint64_t rng = seed ^ 0x5741525445440000ULL;
   const std::size_t n = 1 + pick(rng, 6);
   const std::size_t m = 1 + pick(rng, 7);
   const Objective sense =
       pick(rng, 2) == 0 ? Objective::kMaximize : Objective::kMinimize;
+  const bool equality_rich = pick(rng, 3) == 0;
   StartedCase c{Problem(n, sense), {}};
   for (std::size_t j = 0; j < n; ++j) {
     c.problem.set_objective_coefficient(j, grid(rng));
-    if (pick(rng, 6) != 0) c.problem.set_free(j);
+    if (equality_rich || pick(rng, 6) != 0) c.problem.set_free(j);
     c.point.push_back(grid(rng) + static_cast<double>(pick(rng, 3)) / 3.0);
+  }
+  // Summed last to first, so its rounding differs from the engine's.
+  const auto activity_at_point = [&](const std::vector<double>& coef) {
+    double activity = 0.0;
+    for (std::size_t j = n; j-- > 0;) activity += coef[j] * c.point[j];
+    return activity;
+  };
+  if (equality_rich) {
+    std::vector<std::vector<double>> tight(1 + pick(rng, 3));
+    for (auto& coef : tight) {
+      coef.resize(n);
+      for (auto& v : coef) v = grid(rng);
+    }
+    // Dependent rows: a multiple of one earlier row (a duplicate when the
+    // factor is 1, 0 = 0 when it is 0), or the sum of two.
+    for (std::size_t k = 1 + pick(rng, 2); k > 0; --k) {
+      const std::vector<double> a = tight[pick(rng, tight.size())];
+      const std::vector<double> b = tight[pick(rng, tight.size())];
+      const double alpha = pick(rng, 3) == 0 ? 1.0 : grid(rng);
+      const double beta = pick(rng, 2) == 0 ? 0.0 : 1.0;
+      std::vector<double> coef(n);
+      for (std::size_t j = 0; j < n; ++j) coef[j] = alpha * a[j] + beta * b[j];
+      tight.push_back(std::move(coef));
+    }
+    for (auto& coef : tight) {
+      const double rhs = activity_at_point(coef);
+      c.problem.add_constraint(std::move(coef), Relation::kEqual, rhs);
+    }
   }
   for (std::size_t i = 0; i < m; ++i) {
     std::vector<double> coef(n);
     for (auto& v : coef) v = grid(rng);
     const Relation rel = static_cast<Relation>(pick(rng, 3));
-    // Summed last to first, so its rounding differs from the engine's.
-    double activity = 0.0;
-    for (std::size_t j = n; j-- > 0;) activity += coef[j] * c.point[j];
+    const double activity = activity_at_point(coef);
     // +1 moves the rhs to where the point violates the row (an == row
     // counts as a >= row here), -1 to where it has slack.
     const double violate = rel == Relation::kLessEqual ? -1.0 : 1.0;
