@@ -86,40 +86,81 @@ std::vector<SlotBin> slot_bins(const CapacityHistogram& histogram,
 
 // Locations in identical state: same original capacity, remaining
 // capacity and per-class use, at positions [first, first + count) of the
-// bin-by-bin numbering (see ConsumedRun).
+// bin-by-bin numbering (see ConsumedRun). The per-class use is row `slot`
+// of Scratch::used.
 struct Group {
   double capacity = 0.0;
   double remaining = 0.0;
   std::size_t count = 0;
   std::size_t first = 0;
-  std::vector<double> used;  // units per location, by class index
+  std::size_t slot = 0;
 };
 
-// The greedy on groups. `groups` start one per distinct capacity,
-// ascending by capacity; on return they hold every location's final
-// state. Fills `result` except units_per_location.
+// The buffers of one greedy run, kept per thread and reused by the next
+// run on that thread, so a run allocates nothing but its result once
+// they have grown to its shape. A run on K bins and C classes keeps at
+// most K + 2C groups (see greedy.hpp), each with its own row of C
+// doubles in `used`.
+struct Scratch {
+  std::vector<Group> groups;
+  std::vector<double> used;  // units per location, slot-major by class
+  std::size_t slots = 0;     // rows of `used` handed out this run
+  // Admission order of the last class list, and the (r, l) pairs it was
+  // sorted by: a run on the same pairs reuses it.
+  std::vector<std::size_t> order;
+  std::vector<double> order_key;
+  std::vector<double> served;
+  std::vector<std::size_t> rank;
+  std::vector<SlotBin> bins;
+  CapacityHistogram canonical;  // a copy, for an input not yet canonical
+};
+
+Scratch& scratch() {
+  thread_local Scratch s;
+  return s;
+}
+
+// Admission priority: cheapest units-per-utility first (ascending r);
+// within equal cost, hardest diversity threshold first — frugal
+// reservations mean the easy classes lose nothing by waiting, while
+// threshold-gated classes must be admitted before the slack is spread.
+// Sorted only when the classes' (r, l) pairs differ from the last run's.
+void admission_order(const std::vector<RequestClass>& classes, Scratch& s) {
+  bool same = s.order_key.size() == 2 * classes.size();
+  for (std::size_t i = 0; same && i < classes.size(); ++i) {
+    same = s.order_key[2 * i] == classes[i].units_per_location &&
+           s.order_key[2 * i + 1] == classes[i].min_locations;
+  }
+  if (same) return;
+  s.order_key.clear();  // until the new order is complete
+  s.order.resize(classes.size());
+  std::iota(s.order.begin(), s.order.end(), std::size_t{0});
+  std::stable_sort(s.order.begin(), s.order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     if (classes[a].units_per_location !=
+                         classes[b].units_per_location) {
+                       return classes[a].units_per_location <
+                              classes[b].units_per_location;
+                     }
+                     return classes[a].min_locations >
+                            classes[b].min_locations;
+                   });
+  for (const RequestClass& rc : classes) {
+    s.order_key.push_back(rc.units_per_location);
+    s.order_key.push_back(rc.min_locations);
+  }
+}
+
+// The greedy on groups. The scratch's groups start one per distinct
+// capacity, ascending by capacity; on return they hold every location's
+// final state. Fills `result` except units_per_location.
 class GroupGreedy {
  public:
-  GroupGreedy(std::vector<Group>& groups,
-              const std::vector<RequestClass>& classes)
-      : groups_(groups), classes_(classes), order_(classes.size()),
-        served_(classes.size(), 0.0) {
-    // Admission priority: cheapest units-per-utility first (ascending r);
-    // within equal cost, hardest diversity threshold first — frugal
-    // reservations mean the easy classes lose nothing by waiting, while
-    // threshold-gated classes must be admitted before the slack is spread.
-    std::iota(order_.begin(), order_.end(), std::size_t{0});
-    std::stable_sort(order_.begin(), order_.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       if (classes[a].units_per_location !=
-                           classes[b].units_per_location) {
-                         return classes[a].units_per_location <
-                                classes[b].units_per_location;
-                       }
-                       return classes[a].min_locations >
-                              classes[b].min_locations;
-                     });
-    for (Group& g : groups_) g.used.assign(classes.size(), 0.0);
+  GroupGreedy(Scratch& s, const std::vector<RequestClass>& classes)
+      : s_(s), groups_(s.groups), classes_(classes), order_(s.order),
+        served_(s.served) {
+    admission_order(classes, s);
+    served_.assign(classes.size(), 0.0);
   }
 
   void run(AllocationResult& result) {
@@ -143,10 +184,11 @@ class GroupGreedy {
       if (served_[idx] <= 0.0 || rc.exponent > 1.0) continue;
       const double r = rc.units_per_location;
       for (Group& g : groups_) {
+        double& used = used_of(g, idx);
         const double ceiling = r * std::min(g.capacity / r, served_[idx]);
-        const double extra = std::min(g.remaining, ceiling - g.used[idx]);
+        const double extra = std::min(g.remaining, ceiling - used);
         if (extra > 0.0) {
-          g.used[idx] += extra;
+          used += extra;
           g.remaining -= extra;
         }
       }
@@ -158,7 +200,7 @@ class GroupGreedy {
       if (rc.exponent <= 1.0 && served_[idx] > 0.0) {
         double units = 0.0;
         for (const Group& g : groups_) {
-          units += static_cast<double>(g.count) * g.used[idx];
+          units += static_cast<double>(g.count) * used_of(g, idx);
         }
         const double x = units / rc.units_per_location / served_[idx];
         oc.served = served_[idx];
@@ -172,20 +214,38 @@ class GroupGreedy {
   }
 
  private:
+  [[nodiscard]] double& used_of(const Group& g, std::size_t idx) const {
+    return s_.used[g.slot * classes_.size() + idx];
+  }
+
+  // A copy of `g` with its own row of per-class use.
+  [[nodiscard]] Group clone(const Group& g) const {
+    Group copy = g;
+    copy.slot = s_.slots++;
+    const std::size_t c = classes_.size();
+    const double* from = s_.used.data() + g.slot * c;
+    std::copy(from, from + c, s_.used.data() + copy.slot * c);
+    return copy;
+  }
+
   // Phase-1 visiting order (the tie order documented in greedy.hpp).
   [[nodiscard]] bool visits_before(const Group& a, const Group& b) const {
     if (a.remaining != b.remaining) return a.remaining > b.remaining;
     if (a.capacity != b.capacity) return a.capacity > b.capacity;
     for (const std::size_t idx : order_) {
-      if (a.used[idx] != b.used[idx]) return a.used[idx] > b.used[idx];
+      const double ua = used_of(a, idx);
+      const double ub = used_of(b, idx);
+      if (ua != ub) return ua > ub;
     }
     return false;
   }
 
-  // Group indices in visiting order, and U's bins at r (ascending slots).
-  std::vector<std::size_t> visit_order(double r,
-                                       std::vector<SlotBin>& bins) const {
-    std::vector<std::size_t> rank(groups_.size());
+  // Sorts the scratch's rank into visiting order and fills its bins with
+  // U's bins at r (ascending slots).
+  void visit_order(double r) {
+    std::vector<std::size_t>& rank = s_.rank;
+    std::vector<SlotBin>& bins = s_.bins;
+    rank.resize(groups_.size());
     std::iota(rank.begin(), rank.end(), std::size_t{0});
     std::sort(rank.begin(), rank.end(), [&](std::size_t a, std::size_t b) {
       return visits_before(groups_[a], groups_[b]);
@@ -201,7 +261,6 @@ class GroupGreedy {
         bins.push_back({slots, count});
       }
     }
-    return rank;
   }
 
   // Convex classes (d > 1): concentrate. Experiments are filled one by
@@ -213,8 +272,8 @@ class GroupGreedy {
     ClassOutcome out;
     const double r = rc.units_per_location;
     const double threshold = rc.effective_threshold();
-    std::vector<SlotBin> bins;
-    (void)visit_order(r, bins);
+    visit_order(r);
+    const std::vector<SlotBin>& bins = s_.bins;
     const double m_star = upper_root(bins, threshold);
     if (m_star <= 0.0) return out;
 
@@ -241,7 +300,7 @@ class GroupGreedy {
     for (Group& g : groups_) {
       const double before = g.remaining;
       g.remaining -= r * std::min(before / r, served);
-      g.used[idx] = before - g.remaining;
+      used_of(g, idx) = before - g.remaining;
     }
     return out;
   }
@@ -254,13 +313,12 @@ class GroupGreedy {
     const RequestClass& rc = classes_[idx];
     const double r = rc.units_per_location;
     const double threshold = rc.effective_threshold();
-    std::vector<SlotBin> bins;
-    const std::vector<std::size_t> rank = visit_order(r, bins);
-    const double m = std::min(rc.count, upper_root(bins, threshold));
+    visit_order(r);
+    const double m = std::min(rc.count, upper_root(s_.bins, threshold));
     if (m <= 0.0) return;
     served_[idx] = m;
     double need = m * threshold;
-    for (const std::size_t gi : rank) {
+    for (const std::size_t gi : s_.rank) {
       if (need <= kNeedEps) break;
       const double full = std::min(groups_[gi].remaining / r, m);
       if (!(full > 0.0)) continue;
@@ -273,20 +331,20 @@ class GroupGreedy {
       // The reservation ends inside this group: the first k locations
       // give `full`, the next gives what is left (if it counts), the rest
       // nothing.
-      Group rest = groups_[gi];
+      Group rest = clone(groups_[gi]);
       rest.first += k;
       rest.count = n - k;
       if (need > kNeedEps) {
-        Group part = rest;
+        Group part = clone(rest);
         part.count = 1;
         take(part, idx, need * r);
-        groups_.push_back(std::move(part));
+        groups_.push_back(part);
         ++rest.first;
         --rest.count;
       }
       groups_[gi].count = k;
       take(groups_[gi], idx, full * r);
-      if (rest.count > 0) groups_.push_back(std::move(rest));
+      if (rest.count > 0) groups_.push_back(rest);
       if (k == 0) {
         groups_.erase(groups_.begin() + static_cast<std::ptrdiff_t>(gi));
       }
@@ -324,36 +382,57 @@ class GroupGreedy {
     return k;
   }
 
-  static void take(Group& g, std::size_t idx, double units) {
-    g.used[idx] += units;
+  void take(Group& g, std::size_t idx, double units) const {
+    used_of(g, idx) += units;
     g.remaining -= units;
   }
 
+  Scratch& s_;
   std::vector<Group>& groups_;
   const std::vector<RequestClass>& classes_;
-  std::vector<std::size_t> order_;
-  std::vector<double> served_;
+  const std::vector<std::size_t>& order_;
+  std::vector<double>& served_;
 };
 
+// Whether `histogram` is already canonical: capacities strictly
+// ascending, counts positive.
+bool is_canonical(const CapacityHistogram& histogram) {
+  const std::vector<CapacityBin>& bins = histogram.bins;
+  for (std::size_t i = 0; i < bins.size(); ++i) {
+    if (bins[i].count == 0) return false;
+    if (i > 0 && !(bins[i - 1].capacity < bins[i].capacity)) return false;
+  }
+  return true;
+}
+
 // Runs the core on `histogram`'s bins, numbering locations bin by bin
-// in ascending capacity; `groups` ends holding every location's final
-// state.
-AllocationResult run_greedy(const CapacityHistogram& histogram,
-                            const std::vector<RequestClass>& classes,
-                            std::vector<Group>& groups) {
+// in ascending capacity; the thread's scratch groups end holding every
+// location's final state, and the scratch is returned.
+Scratch& run_greedy(const CapacityHistogram& histogram,
+                    const std::vector<RequestClass>& classes,
+                    AllocationResult& result) {
   histogram.validate();
   for (const auto& rc : classes) rc.validate();
-  CapacityHistogram canonical = histogram;
-  canonical.canonicalize();
-  groups.reserve(canonical.bins.size() + 2 * classes.size());
+  Scratch& s = scratch();
+  const CapacityHistogram* canonical = &histogram;
+  if (!is_canonical(histogram)) {
+    s.canonical.bins.assign(histogram.bins.begin(), histogram.bins.end());
+    s.canonical.canonicalize();
+    canonical = &s.canonical;
+  }
+  const std::size_t max_groups =
+      canonical->bins.size() + 2 * classes.size();
+  s.groups.clear();
+  s.groups.reserve(max_groups);
+  s.used.assign(max_groups * classes.size(), 0.0);
+  s.slots = 0;
   std::size_t first = 0;
-  for (const CapacityBin& b : canonical.bins) {
-    groups.push_back({b.capacity, b.capacity, b.count, first, {}});
+  for (const CapacityBin& b : canonical->bins) {
+    s.groups.push_back({b.capacity, b.capacity, b.count, first, s.slots++});
     first += b.count;
   }
-  AllocationResult result;
-  GroupGreedy(groups, classes).run(result);
-  return result;
+  GroupGreedy(s, classes).run(result);
+  return s;
 }
 
 }  // namespace
@@ -377,20 +456,22 @@ double max_feasible_experiments(const CapacityHistogram& histogram,
 
 AllocationResult allocate_greedy(const CapacityHistogram& histogram,
                                  const std::vector<RequestClass>& classes) {
-  std::vector<Group> groups;
-  return run_greedy(histogram, classes, groups);
+  AllocationResult result;
+  (void)run_greedy(histogram, classes, result);
+  return result;
 }
 
 AllocationResult allocate_greedy(const CapacityHistogram& histogram,
                                  const std::vector<RequestClass>& classes,
                                  std::vector<ConsumedRun>& runs) {
-  std::vector<Group> groups;
-  AllocationResult result = run_greedy(histogram, classes, groups);
+  AllocationResult result;
+  const Scratch& s = run_greedy(histogram, classes, result);
+  const std::size_t c = classes.size();
   runs.clear();
-  runs.reserve(groups.size());
-  for (const Group& g : groups) {
+  runs.reserve(s.groups.size());
+  for (const Group& g : s.groups) {
     double units = 0.0;
-    for (const double u : g.used) units += u;
+    for (std::size_t idx = 0; idx < c; ++idx) units += s.used[g.slot * c + idx];
     runs.push_back({g.first, g.count, units});
   }
   std::sort(runs.begin(), runs.end(),

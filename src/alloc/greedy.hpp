@@ -44,6 +44,16 @@
 // per-location overload only sorts the pool into that order and hands
 // each run's use back to its locations.
 //
+// Scratch. V(S) runs this greedy once per coalition, 2^n times per
+// table, so a run keeps its groups, their per-class use (one flat row of
+// C doubles per group, at most (K + 2C) * C doubles), the admission order
+// and the visiting order in buffers private to greedy.cpp, one set per
+// thread, reused by the thread's next run. A histogram that is already
+// canonical (as LocationSpace::capacity_histogram returns it) is read in
+// place, and the classes are re-sorted only when their (r, l) pairs
+// change. A run then allocates only its AllocationResult; the arithmetic
+// is that of fresh buffers, bit for bit.
+//
 // Ties in need. Capacities such as 0.9 * 3 are not exact in binary, so
 // slots that meet a threshold exactly can sum a few ulps short of it.
 // Whether U(1) reaches a threshold, and whether a convex experiment's

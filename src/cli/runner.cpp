@@ -312,7 +312,7 @@ ReportResult run_report_result(const io::Config& config,
   const auto options = config.sections_named("options");
   if (!options.empty()) {
     // A double holds at most 17 significant digits; more decimals print
-    // noise, and at 70 they overran format_double's buffer.
+    // noise.
     precision = options.front()->get_int_or("precision", 4, 0, 17);
   }
 

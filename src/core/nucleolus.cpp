@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -110,6 +111,17 @@ class RankTracker {
   std::vector<double> scratch_;
 };
 
+// The memory one Maschler chain reuses from LP to LP: the dense
+// engine's workspace, shared by the round LPs, their closure re-solves,
+// the probes and the release passes, and the release pass's problem,
+// rebuilt in place for each pass. It lives as long as the chain.
+struct ChainBuffers {
+  lp::DenseWorkspace lp;
+  lp::Problem pass{1, lp::Objective::kMaximize};
+  std::vector<std::size_t> slot;   // per constraint: its y column, or none
+  std::vector<double> start;       // (x*, eps, y = 0)
+};
+
 // Decides which active excess rows of one round are tight in every
 // least-core optimum — the fixed set of the classical scheme, which runs
 // one aux-max LP per row (max a.x with eps pinned; tight iff the max is
@@ -146,7 +158,7 @@ template <typename Probe, typename Close>
 std::optional<std::vector<char>> tight_rows(
     const lp::Problem& least_core, const lp::Solution& sol,
     const std::vector<std::size_t>& rows, const lp::SimplexOptions& options,
-    NucleolusResult& out, Probe&& probe, Close&& close) {
+    NucleolusResult& out, ChainBuffers& buf, Probe&& probe, Close&& close) {
   const std::size_t nv = least_core.num_variables() - 1;
   const double eps = sol.x[nv];
   const auto& cons = least_core.constraints();
@@ -168,35 +180,34 @@ std::optional<std::vector<char>> tight_rows(
     open.push_back(i);
   }
 
-  std::vector<std::size_t> slot;
-  std::vector<double> start;  // (x*, eps, y = 0) holds every pass row
+  // Each pass: every working row, a y column on each open one, then the
+  // eps pin and the y caps, written over the chain's pass problem.
+  lp::Problem& pass = buf.pass;
   while (!open.empty()) {
     const std::size_t m = open.size();
     const std::size_t none = m;
-    slot.assign(cons.size(), none);
-    for (std::size_t k = 0; k < m; ++k) slot[rows[open[k]]] = k;
-    lp::Problem pass(nv + 1 + m, lp::Objective::kMaximize);
+    const std::size_t width = nv + 1 + m;
+    buf.slot.assign(cons.size(), none);
+    for (std::size_t k = 0; k < m; ++k) buf.slot[rows[open[k]]] = k;
+    pass.reshape(width, cons.size() + 1 + m);
     for (std::size_t v = 0; v <= nv; ++v) pass.set_free(v);
     for (std::size_t r = 0; r < cons.size(); ++r) {
-      std::vector<double> a = cons[r].coefficients;
-      a.resize(nv + 1 + m, 0.0);
-      if (slot[r] != none) a[nv + 1 + slot[r]] = -1.0;
-      pass.add_constraint(std::move(a), cons[r].relation, cons[r].rhs);
+      const std::span<double> a =
+          pass.edit_constraint(r, cons[r].relation, cons[r].rhs);
+      std::copy(cons[r].coefficients.begin(), cons[r].coefficients.end(),
+                a.begin());
+      if (buf.slot[r] != none) a[nv + 1 + buf.slot[r]] = -1.0;
     }
-    {
-      std::vector<double> pin(nv + 1 + m, 0.0);
-      pin[nv] = 1.0;
-      pass.add_constraint(std::move(pin), lp::Relation::kEqual, eps);
-    }
+    pass.edit_constraint(cons.size(), lp::Relation::kEqual, eps)[nv] = 1.0;
     for (std::size_t k = 0; k < m; ++k) {
       pass.set_objective_coefficient(nv + 1 + k, 1.0);
-      std::vector<double> cap(nv + 1 + m, 0.0);
-      cap[nv + 1 + k] = 1.0;
-      pass.add_constraint(std::move(cap), lp::Relation::kLessEqual, 1.0);
+      pass.edit_constraint(cons.size() + 1 + k, lp::Relation::kLessEqual,
+                           1.0)[nv + 1 + k] = 1.0;
     }
-    start.assign(sol.x.begin(), sol.x.end());
-    start.resize(nv + 1 + m, 0.0);
-    const lp::Solution pass_sol = lp::solve(pass, options, start);
+    buf.start.assign(sol.x.begin(), sol.x.end());
+    buf.start.resize(width, 0.0);
+    const lp::Solution pass_sol =
+        lp::solve(pass, options, buf.start, buf.lp);
     ++out.lps_solved;
     out.pivots += pass_sol.pivots;
     if (!pass_sol.optimal()) break;
@@ -423,6 +434,7 @@ NucleolusResult maschler(const OrbitIndex& index,
   // every inequality of the eps-pinned problems and their eps pin.
   std::vector<double> held(
       tv + 1, grand_value / static_cast<double>(part.num_players()));
+  ChainBuffers buf;
   const auto lift_eps = [&] {
     std::optional<double> eps;
     for (const lp::Constraint& c : round_prob.constraints()) {
@@ -438,7 +450,7 @@ NucleolusResult maschler(const OrbitIndex& index,
     for (std::size_t v = 0; v < objective.size(); ++v) {
       probe_prob.set_objective_coefficient(v, objective[v]);
     }
-    return lp::solve(probe_prob, options, held);
+    return lp::solve(probe_prob, options, held, buf.lp);
   };
   // A one-player game has no excess row: its answer is held's V(N).
   std::vector<double> per_type(held.begin(), held.begin() + T);
@@ -453,7 +465,7 @@ NucleolusResult maschler(const OrbitIndex& index,
     lp::Solution sol;
     for (;;) {
       lift_eps();
-      sol = lp::solve(round_prob, options, held);
+      sol = lp::solve(round_prob, options, held, buf.lp);
       ++out.lps_solved;
       out.pivots += sol.pivots;
       if (least != nullptr) least->status = sol.status;
@@ -509,8 +521,8 @@ NucleolusResult maschler(const OrbitIndex& index,
       objective = fill_row(working[active_rows[i] - 1], 0.0);
       return probe_max(solve_probe, objective, out, close);
     };
-    const auto tight =
-        tight_rows(round_prob, sol, active_rows, options, out, probe, close);
+    const auto tight = tight_rows(round_prob, sol, active_rows, options, out,
+                                  buf, probe, close);
     if (!tight.has_value()) return out;
 
     // Row-set patch: each tight row becomes an equality pinned at
@@ -521,8 +533,14 @@ NucleolusResult maschler(const OrbitIndex& index,
       const std::size_t k = active_rows[i] - 1;
       const double bound = values[static_cast<std::size_t>(working[k])] - eps;
       fill_row(working[k], 0.0);
-      round_prob.set_constraint(1 + k, row, lp::Relation::kEqual, bound);
-      probe_prob.set_constraint(2 + k, row, lp::Relation::kEqual, bound);
+      std::ranges::copy(
+          row,
+          round_prob.edit_constraint(1 + k, lp::Relation::kEqual, bound)
+              .begin());
+      std::ranges::copy(
+          row,
+          probe_prob.edit_constraint(2 + k, lp::Relation::kEqual, bound)
+              .begin());
       fixed_span.add(row);
       fixed[k] = 1;
       --num_active;

@@ -1,8 +1,8 @@
 #include "io/table.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -68,9 +68,25 @@ std::string Table::to_string() const {
 
 std::string format_double(double value, int precision) {
   if (precision < 0) precision = 0;
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", precision, value);
-  return buf;
+  // Sign, the 309 integer digits of the largest finite double, the
+  // point and `precision` decimals; "-inf" and "-nan" are shorter.
+  constexpr std::size_t kIntegerPart = 1 + 309;
+  const std::size_t size =
+      kIntegerPart + 1 + static_cast<std::size_t>(precision);
+  char stack[kIntegerPart + 1 + 32];
+  std::string heap;
+  char* first = stack;
+  if (size > sizeof stack) {
+    heap.resize(size);
+    first = heap.data();
+  }
+  const std::to_chars_result r = std::to_chars(
+      first, first + size, value, std::chars_format::fixed, precision);
+  if (!heap.empty()) {
+    heap.resize(static_cast<std::size_t>(r.ptr - first));
+    return heap;
+  }
+  return std::string(first, r.ptr);
 }
 
 std::string format_percent(double fraction, int precision) {

@@ -51,7 +51,9 @@ class Table {
   std::vector<Align> aligns_;
 };
 
-/// Formats a double with `precision` digits after the decimal point.
+/// Formats a double with `precision` digits after the decimal point
+/// (negative counts as 0), byte for byte as printf's "%.*f" would, at
+/// any magnitude and precision: "nan", "inf" and "-0.0000" included.
 [[nodiscard]] std::string format_double(double value, int precision = 4);
 
 /// Formats a double as a percentage with `precision` digits, e.g. "12.3%".

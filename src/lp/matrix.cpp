@@ -22,21 +22,8 @@ double Matrix::at(std::size_t r, std::size_t c) const {
   return (*this)(r, c);
 }
 
-void Matrix::add_scaled_row(std::size_t r, std::size_t src, double factor) {
-  if (r >= rows_ || src >= rows_) {
-    throw std::out_of_range("Matrix::add_scaled_row: row out of range");
-  }
-  double* dst = row_data(r);
-  const double* s = row_data(src);
-  for (std::size_t c = 0; c < cols_; ++c) dst[c] += factor * s[c];
-}
-
-void Matrix::scale_row(std::size_t r, double factor) {
-  if (r >= rows_) {
-    throw std::out_of_range("Matrix::scale_row: row out of range");
-  }
-  double* dst = row_data(r);
-  for (std::size_t c = 0; c < cols_; ++c) dst[c] *= factor;
+void Matrix::throw_row_out_of_range() {
+  throw std::out_of_range("Matrix: row out of range");
 }
 
 void Matrix::swap_rows(std::size_t a, std::size_t b) {

@@ -42,10 +42,20 @@ class Matrix {
   [[nodiscard]] double at(std::size_t r, std::size_t c) const;
 
   /// row(r) += factor * row(src). Rows must be distinct and in range.
-  void add_scaled_row(std::size_t r, std::size_t src, double factor);
+  /// Inline, like scale_row: a simplex pivot makes one call per row.
+  void add_scaled_row(std::size_t r, std::size_t src, double factor) {
+    if (r >= rows_ || src >= rows_) throw_row_out_of_range();
+    double* dst = row_data(r);
+    const double* s = row_data(src);
+    for (std::size_t c = 0; c < cols_; ++c) dst[c] += factor * s[c];
+  }
 
   /// row(r) *= factor.
-  void scale_row(std::size_t r, double factor);
+  void scale_row(std::size_t r, double factor) {
+    if (r >= rows_) throw_row_out_of_range();
+    double* dst = row_data(r);
+    for (std::size_t c = 0; c < cols_; ++c) dst[c] *= factor;
+  }
 
   /// Swaps two rows.
   void swap_rows(std::size_t a, std::size_t b);
@@ -59,6 +69,8 @@ class Matrix {
   }
 
  private:
+  [[noreturn]] static void throw_row_out_of_range();
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;

@@ -56,11 +56,34 @@ void Problem::set_constraint(std::size_t constraint,
   constraints_[constraint] = {std::move(coefficients), relation, rhs};
 }
 
-bool Problem::is_free(std::size_t variable) const {
-  if (variable >= free_.size()) {
-    throw std::out_of_range("Problem: variable index out of range");
+void Problem::reshape(std::size_t num_variables,
+                      std::size_t num_constraints) {
+  if (num_variables == 0) {
+    throw std::invalid_argument("Problem: need at least one variable");
   }
-  return free_[variable];
+  objective_.assign(num_variables, 0.0);
+  free_.assign(num_variables, false);
+  constraints_.resize(num_constraints);
+  for (Constraint& c : constraints_) {
+    c.coefficients.assign(num_variables, 0.0);
+    c.relation = Relation::kLessEqual;
+    c.rhs = 0.0;
+  }
+}
+
+std::span<double> Problem::edit_constraint(std::size_t constraint,
+                                           Relation relation, double rhs) {
+  if (constraint >= constraints_.size()) {
+    throw std::out_of_range("Problem: constraint index out of range");
+  }
+  Constraint& c = constraints_[constraint];
+  c.relation = relation;
+  c.rhs = rhs;
+  return c.coefficients;
+}
+
+void Problem::throw_variable_out_of_range() {
+  throw std::out_of_range("Problem: variable index out of range");
 }
 
 }  // namespace fedshare::lp

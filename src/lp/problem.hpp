@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace fedshare::lp {
@@ -56,6 +57,21 @@ class Problem {
                       std::vector<double> coefficients, Relation relation,
                       double rhs);
 
+  /// Re-shapes the problem in place to `num_variables` variables (all
+  /// non-negative, objective 0) and `num_constraints` constraints
+  /// 0 <= 0, for a family of LPs of changing shape rebuilt between
+  /// solves: the storage of the constraints kept is reused, so a rebuild
+  /// no larger than an earlier one allocates nothing. Fill the rows with
+  /// edit_constraint.
+  void reshape(std::size_t num_variables, std::size_t num_constraints);
+
+  /// Sets an existing constraint's relation and rhs and returns its
+  /// coefficients (one per variable) for writing in place; the view is
+  /// valid until the next call that adds constraints or reshapes.
+  [[nodiscard]] std::span<double> edit_constraint(std::size_t constraint,
+                                                  Relation relation,
+                                                  double rhs);
+
   [[nodiscard]] std::size_t num_variables() const noexcept {
     return objective_.size();
   }
@@ -69,9 +85,16 @@ class Problem {
   [[nodiscard]] const std::vector<Constraint>& constraints() const noexcept {
     return constraints_;
   }
-  [[nodiscard]] bool is_free(std::size_t variable) const;
+  /// Whether `variable` is free; throws std::out_of_range past the last
+  /// one. Inline: the dense engine asks once per coefficient it reads.
+  [[nodiscard]] bool is_free(std::size_t variable) const {
+    if (variable >= free_.size()) throw_variable_out_of_range();
+    return free_[variable];
+  }
 
  private:
+  [[noreturn]] static void throw_variable_out_of_range();
+
   Objective sense_;
   std::vector<double> objective_;
   std::vector<bool> free_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -18,7 +20,6 @@ namespace {
 // variables, then the right-hand side as the final column.
 struct Tableau {
   Matrix body;                  // m x (total_cols + 1)
-  std::vector<double> cost;     // phase-2 reduced-cost row, size total_cols+1
   std::vector<std::size_t> basis;  // basic variable per row
   std::size_t total_cols = 0;
   std::size_t artificial_begin = 0;
@@ -184,38 +185,50 @@ RowForm row_form(const Constraint& c, double shifted_rhs) {
 // tableau is built. Each such row, in order, is reduced against the
 // rows already used and solved for the free, not yet eliminated
 // variable with its largest coefficient; the rows already used are
-// updated too (Gauss-Jordan). Each row of `rows` then holds 1 on its
+// updated too (Gauss-Jordan). Each stored row then holds 1 on its
 // pivot and 0 on every other pivot, and reads pivot + sum_kept w_j d_j
 // = 0 in the shifted coordinates (its rhs is taken as met). Only these
-// few rows are stored: reduce() applies them to any other row.
+// few rows are stored, one after another in `rows`: reduce() applies
+// them to any other row.
 struct Substitution {
-  std::vector<std::vector<double>> rows;  // eliminated rows, pivot order
+  std::size_t n = 0;                      // variables, the row length
+  std::vector<double> rows;               // eliminated rows, pivot order
   std::vector<std::size_t> source;        // each one's constraint index
   std::vector<std::size_t> pivot;         // each one's variable
   std::vector<char> eliminated;           // per variable
   std::vector<char> kept;                 // per row: enters the tableau
   std::vector<double> objective;          // reduced against `rows`
 
+  [[nodiscard]] std::size_t size() const noexcept { return pivot.size(); }
+  [[nodiscard]] const double* row(std::size_t e) const noexcept {
+    return rows.data() + e * n;
+  }
+
   // `a` less a[pivot] times each stored row: 0 on every pivot column.
   void reduce(const std::vector<double>& a, std::vector<double>& out) const {
-    out = a;
-    for (std::size_t e = 0; e < rows.size(); ++e) {
+    out.assign(a.begin(), a.end());
+    for (std::size_t e = 0; e < size(); ++e) {
       const double f = a[pivot[e]];
       if (f == 0.0) continue;
-      for (std::size_t j = 0; j < out.size(); ++j) out[j] -= f * rows[e][j];
+      const double* w = row(e);
+      for (std::size_t j = 0; j < out.size(); ++j) out[j] -= f * w[j];
     }
     for (const std::size_t v : pivot) out[v] = 0.0;
   }
 };
 
-Substitution substitute(const Problem& problem,
-                        const std::vector<double>& shifted) {
+// Fills `s` (every field overwritten) for `problem` at the shifted rhs;
+// `w` is scratch.
+void substitute(const Problem& problem, const std::vector<double>& shifted,
+                Substitution& s, std::vector<double>& w) {
   const std::size_t n = problem.num_variables();
   const std::size_t m = problem.num_constraints();
-  Substitution s;
+  s.n = n;
+  s.rows.clear();
+  s.source.clear();
+  s.pivot.clear();
   s.eliminated.assign(n, 0);
   s.kept.assign(m, 1);
-  std::vector<double> w;
   for (std::size_t r = 0; r < m; ++r) {
     const auto& c = problem.constraints()[r];
     if (c.relation != Relation::kEqual ||
@@ -246,29 +259,30 @@ Substitution substitute(const Problem& problem,
     const double inv = 1.0 / w[v];
     for (double& x : w) x *= inv;
     w[v] = 1.0;
-    for (std::vector<double>& row : s.rows) {
+    for (std::size_t e = 0; e < s.size(); ++e) {
+      double* row = s.rows.data() + e * n;
       const double f = row[v];
       if (f == 0.0) continue;
       for (std::size_t j = 0; j < n; ++j) row[j] -= f * w[j];
       row[v] = 0.0;
     }
-    s.rows.push_back(std::move(w));
+    s.rows.insert(s.rows.end(), w.begin(), w.end());
     s.source.push_back(r);
     s.pivot.push_back(v);
     s.eliminated[v] = 1;
     s.kept[r] = 0;
   }
   s.reduce(problem.objective(), s.objective);
-  return s;
 }
 
 // Fills each eliminated variable of the direction `d` from its row:
 // d_pivot = -sum over kept columns of w_j d_j.
 void back_substitute(const Substitution& s, std::vector<double>& d) {
-  for (std::size_t e = 0; e < s.rows.size(); ++e) {
+  for (std::size_t e = 0; e < s.size(); ++e) {
+    const double* w = s.row(e);
     double sum = 0.0;
     for (std::size_t j = 0; j < d.size(); ++j) {
-      if (s.eliminated[j] == 0) sum += s.rows[e][j] * d[j];
+      if (s.eliminated[j] == 0) sum += w[j] * d[j];
     }
     d[s.pivot[e]] = -sum;
   }
@@ -278,16 +292,16 @@ void back_substitute(const Substitution& s, std::vector<double>& d) {
 // rest) with those of the eliminated rows, so that c_v = y^T A_v on every
 // eliminated column v: solves y_E A_EV = c_V - y_K A_KV on the original
 // coefficients, with c = 0 for a Farkas ray (`objective` null). Every
-// other column's y^T A_j is then the reduced problem's.
+// other column's y^T A_j is then the reduced problem's. `a` is scratch.
 void complete_multipliers(const Problem& problem, const Substitution& s,
                           const std::vector<double>* objective,
-                          std::vector<double>& y) {
-  const std::size_t k = s.rows.size();
+                          std::vector<double>& y, Matrix& a) {
+  const std::size_t k = s.size();
   if (k == 0) return;
   const auto& cons = problem.constraints();
   // Equation i is column pivot[i]; unknown j is y[source[j]]. The sum
   // over every row takes y_K, as y is still 0 on the eliminated rows.
-  Matrix a(k, k + 1);
+  a.assign(k, k + 1, 0.0);
   for (std::size_t i = 0; i < k; ++i) {
     const std::size_t v = s.pivot[i];
     double rhs = objective != nullptr ? (*objective)[v] : 0.0;
@@ -318,16 +332,46 @@ void complete_multipliers(const Problem& problem, const Substitution& s,
   }
 }
 
+}  // namespace
+
+// Every buffer solve_dense fills, reused from solve to solve: each is
+// overwritten (assign, clear) before it is read, so a solve through a
+// used workspace sees what a fresh one would.
+struct DenseWorkspace::Buffers {
+  std::vector<double> shifted;  // each row's rhs in shifted coordinates
+  Substitution sub;
+  std::vector<double> scratch;  // substitute()'s and the tableau's rows
+  std::vector<std::size_t> source;  // tableau row -> constraint
+  std::vector<RowForm> forms;
+  std::vector<std::size_t> pos_col;
+  std::vector<std::size_t> neg_col;
+  Tableau t;
+  std::vector<double> row_slack_sign;
+  std::vector<std::size_t> row_slack;
+  std::vector<std::size_t> row_art;
+  std::vector<double> phase1;
+  std::vector<double> phase2;
+  std::vector<double> column;  // structural columns' values or steps
+  Matrix square;               // complete_multipliers' system
+};
+
+DenseWorkspace::DenseWorkspace() : buffers_(std::make_unique<Buffers>()) {}
+DenseWorkspace::~DenseWorkspace() = default;
+
+namespace {
+
 // `start`, when non-null, holds one entry per variable; the free ones
 // shift the tableau's coordinates (x_v = start_v + d_v). A cold solve
 // starts at the origin.
 Solution solve_dense(const Problem& problem, const SimplexOptions& options,
-                     const std::vector<double>* start) {
+                     const std::vector<double>* start,
+                     DenseWorkspace::Buffers& ws) {
   const std::size_t n = problem.num_variables();
   const std::size_t m = problem.num_constraints();
 
   // Each row's rhs in the shifted coordinates.
-  std::vector<double> shifted(m);
+  std::vector<double>& shifted = ws.shifted;
+  shifted.resize(m);
   for (std::size_t r = 0; r < m; ++r) {
     const auto& c = problem.constraints()[r];
     shifted[r] = c.rhs;
@@ -337,11 +381,14 @@ Solution solve_dense(const Problem& problem, const SimplexOptions& options,
       }
     }
   }
-  const Substitution sub = substitute(problem, shifted);
+  substitute(problem, shifted, ws.sub, ws.scratch);
+  const Substitution& sub = ws.sub;
 
   // The tableau's rows are the kept rows; `source` maps each back.
-  std::vector<std::size_t> source;
-  std::vector<RowForm> forms;
+  std::vector<std::size_t>& source = ws.source;
+  std::vector<RowForm>& forms = ws.forms;
+  source.clear();
+  forms.clear();
   for (std::size_t r = 0; r < m; ++r) {
     if (sub.kept[r] == 0) continue;
     source.push_back(r);
@@ -351,7 +398,10 @@ Solution solve_dense(const Problem& problem, const SimplexOptions& options,
 
   // Map kept variables to structural columns; free variables get a
   // second (negated) column.
-  std::vector<std::size_t> pos_col(n, SIZE_MAX), neg_col(n, SIZE_MAX);
+  std::vector<std::size_t>& pos_col = ws.pos_col;
+  std::vector<std::size_t>& neg_col = ws.neg_col;
+  pos_col.assign(n, SIZE_MAX);
+  neg_col.assign(n, SIZE_MAX);
   std::size_t structural = 0;
   for (std::size_t v = 0; v < n; ++v) {
     if (sub.eliminated[v] != 0) continue;
@@ -372,10 +422,10 @@ Solution solve_dense(const Problem& problem, const SimplexOptions& options,
     }
   }
 
-  Tableau t;
+  Tableau& t = ws.t;
   t.total_cols = structural + num_slack + num_artificial;
   t.artificial_begin = structural + num_slack;
-  t.body = Matrix(mk, t.total_cols + 1, 0.0);
+  t.body.assign(mk, t.total_cols + 1, 0.0);
   t.basis.assign(mk, 0);
 
   std::size_t slack_cursor = structural;
@@ -384,11 +434,14 @@ Solution solve_dense(const Problem& problem, const SimplexOptions& options,
   // and artificial column (if any) belongs to each tableau row — those
   // columns' reduced costs are the simplex multipliers in normalized row
   // space.
-  std::vector<double> row_slack_sign(mk, 1.0);
-  std::vector<std::size_t> row_slack(mk, SIZE_MAX);
-  std::vector<std::size_t> row_art(mk, SIZE_MAX);
+  std::vector<double>& row_slack_sign = ws.row_slack_sign;
+  std::vector<std::size_t>& row_slack = ws.row_slack;
+  std::vector<std::size_t>& row_art = ws.row_art;
+  row_slack_sign.assign(mk, 1.0);
+  row_slack.assign(mk, SIZE_MAX);
+  row_art.assign(mk, SIZE_MAX);
 
-  std::vector<double> reduced;
+  std::vector<double>& reduced = ws.scratch;
   for (std::size_t r = 0; r < mk; ++r) {
     sub.reduce(problem.constraints()[source[r]].coefficients, reduced);
     const double sign = forms[r].sign;
@@ -430,7 +483,8 @@ Solution solve_dense(const Problem& problem, const SimplexOptions& options,
   // cost row: start with +1 on each artificial, then subtract the rows in
   // which artificials are basic so reduced costs of the basis are zero.
   if (num_artificial > 0) {
-    std::vector<double> phase1(t.total_cols + 1, 0.0);
+    std::vector<double>& phase1 = ws.phase1;
+    phase1.assign(t.total_cols + 1, 0.0);
     for (std::size_t j = t.artificial_begin; j < t.total_cols; ++j) {
       phase1[j] = 1.0;
     }
@@ -468,7 +522,7 @@ Solution solve_dense(const Problem& problem, const SimplexOptions& options,
                              : -row_slack_sign[r] * phase1[row_slack[r]];
         result.farkas[source[r]] = forms[r].sign * w;
       }
-      complete_multipliers(problem, sub, nullptr, result.farkas);
+      complete_multipliers(problem, sub, nullptr, result.farkas, ws.square);
       double ytb = 0.0;
       for (std::size_t r = 0; r < m; ++r) {
         ytb += result.farkas[r] * problem.constraints()[r].rhs;
@@ -505,7 +559,8 @@ Solution solve_dense(const Problem& problem, const SimplexOptions& options,
   // Phase 2: the substituted objective. Build the canonical reduced-cost
   // row for maximization (cost[j] = -c_j, then zero out basic columns).
   const double sense = problem.sense() == Objective::kMaximize ? 1.0 : -1.0;
-  std::vector<double> phase2(t.total_cols + 1, 0.0);
+  std::vector<double>& phase2 = ws.phase2;
+  phase2.assign(t.total_cols + 1, 0.0);
   for (std::size_t v = 0; v < n; ++v) {
     if (pos_col[v] == SIZE_MAX) continue;
     const double c = sense * sub.objective[v];
@@ -529,7 +584,8 @@ Solution solve_dense(const Problem& problem, const SimplexOptions& options,
   // The structural columns' values (or, when unbounded, their steps
   // along the ray) recombined per kept variable, the eliminated ones
   // filled in from their rows.
-  std::vector<double> column(structural, 0.0);
+  std::vector<double>& column = ws.column;
+  column.assign(structural, 0.0);
   const auto recombine = [&] {
     std::vector<double> d(n, 0.0);
     for (std::size_t v = 0; v < n; ++v) {
@@ -595,33 +651,32 @@ Solution solve_dense(const Problem& problem, const SimplexOptions& options,
                          : row_slack_sign[r] * phase2[row_slack[r]];
     result.duals[source[r]] = sense * forms[r].sign * w;
   }
-  complete_multipliers(problem, sub, &problem.objective(), result.duals);
+  complete_multipliers(problem, sub, &problem.objective(), result.duals,
+                       ws.square);
   return result;
 }
 
-// Engine dispatch; `start` is ignored by the revised engine.
+// Engine dispatch; `start` and `workspace` are ignored by the revised
+// engine, and a dense solve without a workspace gets a fresh one.
 Solution dispatch(const Problem& problem, const SimplexOptions& options,
-                  const std::vector<double>* start) {
+                  const std::vector<double>* start,
+                  DenseWorkspace* workspace) {
   if (options.solver == SolverKind::kRevised) {
     // The revised engine notifies the observer itself (it also owns the
     // warm-started entry points that never pass through this wrapper).
     return solve_revised(problem, options);
   }
-  Solution result = solve_dense(problem, options, start);
+  std::optional<DenseWorkspace> own;
+  if (workspace == nullptr) workspace = &own.emplace();
+  Solution result =
+      solve_dense(problem, options, start, workspace->buffers());
   if (options.observer != nullptr) {
     options.observer->on_solve(problem, result);
   }
   return result;
 }
 
-}  // namespace
-
-Solution solve(const Problem& problem, const SimplexOptions& options) {
-  return dispatch(problem, options, nullptr);
-}
-
-Solution solve(const Problem& problem, const SimplexOptions& options,
-               const std::vector<double>& start) {
+void check_start(const Problem& problem, const std::vector<double>& start) {
   if (start.size() != problem.num_variables()) {
     throw std::invalid_argument(
         "lp::solve: start needs one entry per variable");
@@ -631,7 +686,24 @@ Solution solve(const Problem& problem, const SimplexOptions& options,
       throw std::invalid_argument("lp::solve: start must be finite");
     }
   }
-  return dispatch(problem, options, &start);
+}
+
+}  // namespace
+
+Solution solve(const Problem& problem, const SimplexOptions& options) {
+  return dispatch(problem, options, nullptr, nullptr);
+}
+
+Solution solve(const Problem& problem, const SimplexOptions& options,
+               const std::vector<double>& start) {
+  check_start(problem, start);
+  return dispatch(problem, options, &start, nullptr);
+}
+
+Solution solve(const Problem& problem, const SimplexOptions& options,
+               const std::vector<double>& start, DenseWorkspace& workspace) {
+  check_start(problem, start);
+  return dispatch(problem, options, &start, &workspace);
 }
 
 }  // namespace fedshare::lp

@@ -6,10 +6,12 @@
 // A dense solve may be given a start point (see the solve overload):
 // rows the start satisfies then begin with their slacks basic, the
 // equalities it satisfies are substituted out, and phase 1 only has to
-// repair the rest.
+// repair the rest. A chain of solves may share one DenseWorkspace, which
+// the caller owns, so the tableau is not re-allocated for every LP.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -173,5 +175,41 @@ struct SimplexOptions {
 [[nodiscard]] Solution solve(const Problem& problem,
                              const SimplexOptions& options,
                              const std::vector<double>& start);
+
+/// The dense engine's working memory: the tableau, its cost rows, the
+/// substitution of satisfied equalities and the per-row bookkeeping.
+/// A solve without one builds all of these afresh. A caller that runs a
+/// chain of solves owns one workspace for the whole chain and passes it
+/// to each, so the buffers are allocated once, at the chain's largest
+/// shape, and freed when the caller drops the workspace; the nucleolus
+/// keeps one per Maschler chain (core/nucleolus.cpp). The workspace is
+/// deliberately never thread_local or global: a large chain's tableau
+/// (a release pass on a near-additive n = 12 game can peak near 1 GB)
+/// must not stay pinned to a pool thread that outlives the chain. Every
+/// buffer is overwritten before it is read, so a solve through a used
+/// workspace is bitwise the solve through a fresh one. One workspace
+/// serves one solve at a time: it is not thread-safe.
+class DenseWorkspace {
+ public:
+  DenseWorkspace();
+  ~DenseWorkspace();
+  DenseWorkspace(const DenseWorkspace&) = delete;
+  DenseWorkspace& operator=(const DenseWorkspace&) = delete;
+
+  /// The buffers themselves, defined in lp/simplex.cpp.
+  struct Buffers;
+  [[nodiscard]] Buffers& buffers() noexcept { return *buffers_; }
+
+ private:
+  std::unique_ptr<Buffers> buffers_;
+};
+
+/// solve(problem, options, start) with the dense engine's buffers taken
+/// from `workspace` (ignored under SolverKind::kRevised): same status,
+/// x, objective, pivots and certificates, bit for bit.
+[[nodiscard]] Solution solve(const Problem& problem,
+                             const SimplexOptions& options,
+                             const std::vector<double>& start,
+                             DenseWorkspace& workspace);
 
 }  // namespace fedshare::lp

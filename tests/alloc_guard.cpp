@@ -1,0 +1,135 @@
+// Heap-allocation regression guard for the kernels that run many times
+// per report: the V(S) greedy behind a 2^n tabulation, and the started
+// dense LP chain of the nucleolus.
+//
+// This binary replaces the global operator new with one that counts its
+// calls, warms each kernel up once (so the per-thread greedy scratch and
+// lazily built statics are in place), and then asserts an upper bound on
+// the allocations of one more run. The bounds are the counts measured
+// once the kernels stopped allocating per call (tabulation: 164, the
+// coalition's histogram and result and the table itself; nucleolus:
+// 245, with one dense-LP workspace per chain and the release pass
+// rebuilt in place), rounded up to the next ten so that another
+// standard library's growth policy does not trip them. The code before
+// that change made 908 and 515 here, so the guard fails on it, as it
+// will on a change that puts heap churn back into these loops. Raise a
+// bound only together with a note on what the new allocations buy.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <iostream>
+#include <new>
+#include <string>
+
+#include "cli/runner.hpp"
+#include "core/game.hpp"
+#include "core/nucleolus.hpp"
+#include "exec/pool.hpp"
+#include "io/config.hpp"
+#include "model/federation.hpp"
+
+// Every plain, array and nothrow form of operator new and delete is
+// replaced, so that each allocation is counted and every pair of new and
+// delete lands on malloc and free (a sanitizer that intercepts only some
+// forms would otherwise see a mismatch).
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+constexpr std::uint64_t kTabulationBound = 170;
+constexpr std::uint64_t kNucleolusBound = 250;
+
+void* counted_malloc(std::size_t size) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+// Every delete releases through this one out-of-line function, so the
+// compiler never sees free() or a plain delete next to a new-expression
+// of another form and warns of a mismatch this replacement makes valid.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = counted_malloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  release(p);
+}
+
+namespace fedshare {
+namespace {
+
+// Six distinct facilities on bands of [100, 1000] with units alternating
+// 1 and 2, under the default report's two demand classes: the shape of
+// the end-to-end report benchmark's configs.
+model::Federation banded_federation() {
+  const int locations[] = {168, 331, 462, 617, 790, 934};
+  std::string text;
+  for (int i = 0; i < 6; ++i) {
+    text += "[facility]\nname = F" + std::to_string(i) +
+            "\nlocations = " + std::to_string(locations[i]) +
+            "\nunits = " + std::to_string(i % 2 + 1) + "\n\n";
+  }
+  text +=
+      "[demand]\ncount = 20\nmin_locations = 300\n\n"
+      "[demand]\ncount = 5\nmin_locations = 900\nexponent = 1.2\n";
+  return cli::federation_from_config(io::Config::parse_string(text));
+}
+
+template <typename Fn>
+std::uint64_t allocations_of(Fn&& fn) {
+  const std::uint64_t before = g_allocations.load();
+  fn();
+  return g_allocations.load() - before;
+}
+
+// A fresh federation's table: 63 greedy runs behind a cold memo.
+TEST(AllocGuard, BandedSixFacilityTabulation) {
+  exec::set_threads(1);
+  const model::Federation warm = banded_federation();
+  (void)warm.build_game();
+  const model::Federation fed = banded_federation();
+  std::uint64_t count = 0;
+  const std::uint64_t allocations = allocations_of([&] {
+    count = fed.build_game().values().size();
+  });
+  ASSERT_EQ(count, 64u);
+  RecordProperty("allocations", std::to_string(allocations));
+  std::cout << "tabulation: " << allocations << " allocations\n";
+  EXPECT_LE(allocations, kTabulationBound);
+}
+
+TEST(AllocGuard, NucleolusOfTheBandedTable) {
+  exec::set_threads(1);
+  const game::TabularGame g = banded_federation().build_game();
+  (void)game::nucleolus(g, {});
+  game::NucleolusResult r;
+  const std::uint64_t allocations =
+      allocations_of([&] { r = game::nucleolus(g, {}); });
+  ASSERT_TRUE(r.solved);
+  RecordProperty("allocations", std::to_string(allocations));
+  std::cout << "nucleolus: " << allocations << " allocations, "
+            << r.lps_solved << " LPs\n";
+  EXPECT_LE(allocations, kNucleolusBound);
+}
+
+}  // namespace
+}  // namespace fedshare

@@ -4,9 +4,11 @@
 // Monte-Carlo Shapley, and outage sweeps must be bit-identical at any
 // thread count.
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -398,6 +400,51 @@ TEST_F(ExecTest, FederationValueCacheSolvesEachCoalitionOnce) {
   // The second tabulation added no new LP solves.
   EXPECT_EQ(fed.value_cache().misses(), misses_after_first);
   EXPECT_GT(fed.value_cache().hits(), 0u);
+}
+
+// Each pool worker runs the V(S) greedy on its own per-thread scratch
+// (alloc/greedy.cpp), which keeps the shape of the last coalition it
+// solved. Eight overlapping facilities of mixed units under a concave,
+// a diversity-gated and a convex class give coalitions of many
+// histogram sizes, so a worker's scratch moves between shapes; a fresh
+// federation each time keeps the memo from hiding the greedy.
+TEST_F(ExecTest, FederationTabulationIsBitIdenticalAcrossThreadCounts) {
+  const auto fresh_game = [] {
+    std::vector<fedshare::model::FacilityConfig> configs;
+    for (int i = 0; i < 8; ++i) {
+      configs.push_back({"F" + std::to_string(i), 6 + 3 * i,
+                         1.0 + 0.5 * (i % 3), 1.0 - 0.05 * (i % 4), {}});
+    }
+    fedshare::model::DemandProfile demand =
+        fedshare::model::DemandProfile::uniform(6.0, 4.0);
+    fedshare::model::RequestClass gated;
+    gated.count = 3.0;
+    gated.min_locations = 20.0;
+    gated.units_per_location = 2.0;
+    demand.classes.push_back(gated);
+    fedshare::model::RequestClass convex;
+    convex.count = 2.0;
+    convex.min_locations = 5.0;
+    convex.exponent = 1.3;
+    demand.classes.push_back(convex);
+    const fedshare::model::Federation fed(
+        fedshare::model::LocationSpace::overlapping(configs, 40, 11),
+        demand);
+    return fed.build_game();
+  };
+  const auto bits = [](const std::vector<double>& v) {
+    std::vector<std::uint64_t> out;
+    for (const double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+    return out;
+  };
+  fedshare::exec::set_threads(1);
+  const TabularGame serial = fresh_game();
+  for (const int threads : {2, 4}) {
+    fedshare::exec::set_threads(threads);
+    const TabularGame parallel = fresh_game();
+    EXPECT_EQ(bits(serial.values()), bits(parallel.values()))
+        << "threads=" << threads;
+  }
 }
 
 // --- invalidate_if (the churn API) ---------------------------------------

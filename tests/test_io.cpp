@@ -1,7 +1,12 @@
 // Tests for the io substrate: tables, CSV escaping, ASCII plots.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <random>
 #include <sstream>
+#include <string>
 
 #include "io/ascii_plot.hpp"
 #include "io/csv.hpp"
@@ -59,6 +64,60 @@ TEST(FormatDouble, RoundsToPrecision) {
 
 TEST(FormatDouble, NegativePrecisionClampsToZero) {
   EXPECT_EQ(format_double(1.9, -3), "2");
+}
+
+// printf's "%.*f" into a buffer that holds the whole result.
+std::string printf_fixed(double value, int precision) {
+  const int size = std::snprintf(nullptr, 0, "%.*f", precision, value);
+  std::string out(static_cast<std::size_t>(size) + 1, '\0');
+  std::snprintf(out.data(), out.size(), "%.*f", precision, value);
+  out.pop_back();
+  return out;
+}
+
+TEST(FormatDouble, LargeValuesKeepEveryDigit) {
+  EXPECT_EQ(format_double(1e50, 17), printf_fixed(1e50, 17));
+  EXPECT_EQ(format_double(1e50, 17).size(), 51u + 1u + 17u);
+  EXPECT_EQ(format_double(1e300, 4), printf_fixed(1e300, 4));
+  EXPECT_EQ(format_double(1e300, 4).size(), 301u + 1u + 4u);
+  const double largest = std::numeric_limits<double>::max();
+  for (const int p : {0, 4, 17, 400}) {
+    EXPECT_EQ(format_double(largest, p), printf_fixed(largest, p)) << p;
+    EXPECT_EQ(format_double(-largest, p), printf_fixed(-largest, p)) << p;
+  }
+  EXPECT_EQ(format_double(std::numeric_limits<double>::denorm_min(), 1100),
+            printf_fixed(std::numeric_limits<double>::denorm_min(), 1100));
+}
+
+TEST(FormatDouble, SignedZeroNanAndInfinityMatchPrintf) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const int p : {0, 4, 17}) {
+    for (const double v : {-0.0, 0.0, nan, -nan, inf, -inf}) {
+      EXPECT_EQ(format_double(v, p), printf_fixed(v, p)) << v << " @" << p;
+    }
+  }
+  EXPECT_EQ(format_double(-0.0, 4), "-0.0000");
+  EXPECT_EQ(format_double(inf, 4), "inf");
+  EXPECT_EQ(format_double(-inf, 4), "-inf");
+}
+
+TEST(FormatDouble, RoundingMatchesPrintf) {
+  // 0.00005 and 0.00015 are not exact in binary: each rounds by the
+  // side of the tie its binary value lies on. 2.5 is an exact tie.
+  EXPECT_EQ(format_double(0.00005, 4), printf_fixed(0.00005, 4));
+  EXPECT_EQ(format_double(0.00015, 4), printf_fixed(0.00015, 4));
+  EXPECT_EQ(format_double(2.5, 0), printf_fixed(2.5, 0));
+  EXPECT_EQ(format_double(2.5, 0), "2");
+  std::mt19937_64 rng(20261019);
+  std::uniform_real_distribution<double> mantissa(-10.0, 10.0);
+  std::uniform_int_distribution<int> exponent(-12, 12);
+  std::uniform_int_distribution<int> precision(0, 17);
+  for (int i = 0; i < 2000; ++i) {
+    const double v = std::ldexp(mantissa(rng), 3 * exponent(rng));
+    const int p = precision(rng);
+    ASSERT_EQ(format_double(v, p), printf_fixed(v, p)) << v << " @" << p;
+  }
 }
 
 TEST(FormatPercent, ScalesFraction) {

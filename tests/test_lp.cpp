@@ -1,8 +1,12 @@
 // Tests for the LP substrate: matrix ops, problem building, simplex.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -51,6 +55,34 @@ TEST(Problem, ValidatesInputs) {
   EXPECT_THROW(p.add_constraint({1.0}, Relation::kLessEqual, 1.0),
                std::invalid_argument);
   EXPECT_THROW(p.set_free(5), std::out_of_range);
+}
+
+TEST(Problem, ReshapeClearsEveryRowAndEditWritesInPlace) {
+  Problem p(3, Objective::kMaximize);
+  p.set_free(0);
+  p.set_objective_coefficient(1, 2.0);
+  p.add_constraint({1.0, 1.0, 1.0}, Relation::kEqual, 4.0);
+  p.add_constraint({0.0, 1.0, 0.0}, Relation::kGreaterEqual, 1.0);
+  p.reshape(2, 3);
+  EXPECT_EQ(p.num_variables(), 2u);
+  EXPECT_EQ(p.num_constraints(), 3u);
+  EXPECT_EQ(p.objective(), std::vector<double>(2, 0.0));
+  EXPECT_FALSE(p.is_free(0));
+  for (const Constraint& c : p.constraints()) {
+    EXPECT_EQ(c.coefficients, std::vector<double>(2, 0.0));
+    EXPECT_EQ(c.relation, Relation::kLessEqual);
+    EXPECT_EQ(c.rhs, 0.0);
+  }
+  const std::span<double> row = p.edit_constraint(2, Relation::kEqual, 5.0);
+  ASSERT_EQ(row.size(), 2u);
+  row[1] = -1.0;
+  EXPECT_EQ(p.constraints()[2].coefficients, (std::vector<double>{0.0, -1.0}));
+  EXPECT_EQ(p.constraints()[2].relation, Relation::kEqual);
+  EXPECT_EQ(p.constraints()[2].rhs, 5.0);
+  EXPECT_THROW((void)p.edit_constraint(3, Relation::kEqual, 0.0),
+               std::out_of_range);
+  EXPECT_THROW(p.reshape(0, 1), std::invalid_argument);
+  EXPECT_THROW((void)p.is_free(2), std::out_of_range);
 }
 
 TEST(Simplex, SolvesSimpleMaximization) {
@@ -477,6 +509,122 @@ TEST(StartedSolve, UnboundedRayExtendsToEliminatedVariables) {
   EXPECT_NEAR(s.ray[1], 0.5 * s.ray[0], 1e-12);
   expect_certified(p, s);
   expect_matches_cold(p, {2.0, 1.0});
+}
+
+// --- One workspace across solves ------------------------------------------
+
+// The bit patterns of a vector, so that -0.0 and 0.0 (and NaNs) count as
+// different.
+std::vector<std::uint64_t> bits(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  for (const double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+void expect_bitwise_equal(const Solution& a, const Solution& b) {
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.objective),
+            std::bit_cast<std::uint64_t>(b.objective));
+  EXPECT_EQ(a.pivots, b.pivots);
+  EXPECT_EQ(bits(a.x), bits(b.x));
+  EXPECT_EQ(bits(a.duals), bits(b.duals));
+  EXPECT_EQ(bits(a.farkas), bits(b.farkas));
+  EXPECT_EQ(bits(a.ray), bits(b.ray));
+}
+
+// The least-core LP of an n-player game with V(S) = |S|^1.5 + (mask % 7)
+// / 4 (all variables free), started from the equal split with eps at the
+// largest excess: 2^n - 1 rows, n + 1 columns.
+struct StartedLp {
+  Problem problem;
+  std::vector<double> start;
+};
+
+StartedLp large_least_core_lp(int n) {
+  const auto nv = static_cast<std::size_t>(n);
+  StartedLp lp{Problem(nv + 1, Objective::kMinimize), {}};
+  for (std::size_t v = 0; v <= nv; ++v) lp.problem.set_free(v);
+  lp.problem.set_objective_coefficient(nv, 1.0);
+  const auto value = [](unsigned mask) {
+    const double size = std::popcount(mask);
+    return std::pow(size, 1.5) + static_cast<double>(mask % 7) / 4.0;
+  };
+  const unsigned grand = (1u << n) - 1;
+  std::vector<double> row(nv + 1, 1.0);
+  row[nv] = 0.0;
+  lp.problem.add_constraint(row, Relation::kEqual, value(grand));
+  const double share = value(grand) / n;
+  double eps = -std::numeric_limits<double>::infinity();
+  for (unsigned mask = 1; mask < grand; ++mask) {
+    for (std::size_t i = 0; i < nv; ++i) row[i] = (mask >> i) & 1u ? 1.0 : 0.0;
+    row[nv] = 1.0;
+    lp.problem.add_constraint(row, Relation::kGreaterEqual, value(mask));
+    eps = std::max(eps, value(mask) - share * std::popcount(mask));
+  }
+  lp.start.assign(nv, share);
+  lp.start.push_back(eps);
+  return lp;
+}
+
+TEST(StartedSolve, ReusedWorkspaceMatchesFreshSolveBitwise) {
+  std::vector<StartedLp> chain;
+  chain.push_back(large_least_core_lp(8));  // 255 rows x 9 columns first
+  chain.push_back({least_core_lp(), {2.0, 2.0, 2.0, 0.5}});
+  {
+    // Infeasible: x0 - x1 == 0, x0 >= 3, x1 <= 1 (a Farkas ray).
+    Problem p(2, Objective::kMaximize);
+    p.set_free(0);
+    p.set_free(1);
+    p.add_constraint({1.0, -1.0}, Relation::kEqual, 0.0);
+    p.add_constraint({1.0, 0.0}, Relation::kGreaterEqual, 3.0);
+    p.add_constraint({0.0, 1.0}, Relation::kLessEqual, 1.0);
+    chain.push_back({p, {1.0, 1.0}});
+  }
+  {
+    // Unbounded: max x0 s.t. x0 - 2 x1 == 0, x1 >= 0 (a recession ray).
+    Problem p(2, Objective::kMaximize);
+    p.set_free(0);
+    p.set_free(1);
+    p.set_objective_coefficient(0, 1.0);
+    p.add_constraint({1.0, -2.0}, Relation::kEqual, 0.0);
+    p.add_constraint({0.0, 1.0}, Relation::kGreaterEqual, 0.0);
+    chain.push_back({p, {2.0, 1.0}});
+  }
+  {
+    // Wider than the first in columns, shorter in rows, non-free columns
+    // and a satisfied equality that keeps its artificial.
+    Problem p(12, Objective::kMaximize);
+    p.set_free(0);
+    for (std::size_t v = 0; v < 12; ++v) {
+      p.set_objective_coefficient(v, 1.0 + static_cast<double>(v % 3));
+    }
+    std::vector<double> sum(12, 1.0);
+    p.add_constraint(sum, Relation::kLessEqual, 10.0);
+    std::vector<double> eq(12, 0.0);
+    eq[0] = 1.0;
+    p.add_constraint(eq, Relation::kEqual, 1.0);
+    eq.assign(12, 0.0);
+    eq[4] = 1.0;
+    eq[5] = 1.0;
+    p.add_constraint(eq, Relation::kEqual, 0.0);
+    chain.push_back({p, std::vector<double>(12, 1.0)});
+  }
+  chain.push_back(large_least_core_lp(5));
+  chain.push_back(large_least_core_lp(8));  // the first shape again
+
+  DenseWorkspace workspace;
+  for (std::size_t k = 0; k < chain.size(); ++k) {
+    SCOPED_TRACE(k);
+    const Solution fresh = solve(chain[k].problem, {}, chain[k].start);
+    const Solution reused =
+        solve(chain[k].problem, {}, chain[k].start, workspace);
+    expect_bitwise_equal(reused, fresh);
+    expect_certified(chain[k].problem, reused);
+  }
+  EXPECT_EQ(solve(chain[2].problem, {}, chain[2].start, workspace).status,
+            SolveStatus::kInfeasible);
+  EXPECT_EQ(solve(chain[3].problem, {}, chain[3].start, workspace).status,
+            SolveStatus::kUnbounded);
 }
 
 class RecordingObserver final : public SolveObserver {

@@ -12,7 +12,11 @@
 // disagreement — status mismatch, objective divergence, or a
 // certificate (verify/certificates.hpp) that fails on a claimed answer
 // — is a bug in at least one engine, and the harness prints a
-// self-contained reproduction and exits non-zero.
+// self-contained reproduction and exits non-zero. Every case's dense
+// started solve (and, on the first leg, a dense solve from the origin)
+// runs once more through one DenseWorkspace shared by the whole run,
+// which last held another case's shape; it must agree with the fresh
+// solve bit for bit (status, objective, pivots, x and certificates).
 //
 // Usage: fuzz_lp [--seconds N] [--cases N] [--seed S]
 //   --seconds N   wall-clock budget (default 10; 0 = no time limit)
@@ -21,6 +25,7 @@
 //
 // tools/check.sh runs `fuzz_lp --seconds 10` as a smoke gate.
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -38,6 +43,7 @@
 
 namespace {
 
+using fedshare::lp::DenseWorkspace;
 using fedshare::lp::Objective;
 using fedshare::lp::Problem;
 using fedshare::lp::Relation;
@@ -278,12 +284,47 @@ bool answers_agree(const Problem& p, std::initializer_list<Answer> answers,
   return true;
 }
 
+// Whether two solves agree bit for bit: status, objective, pivots, x
+// and every certificate.
+bool bitwise_equal(const Solution& a, const Solution& b) {
+  const auto same = [](const std::vector<double>& u,
+                       const std::vector<double>& v) {
+    return u.size() == v.size() &&
+           std::equal(u.begin(), u.end(), v.begin(), [](double x, double y) {
+             return std::bit_cast<std::uint64_t>(x) ==
+                    std::bit_cast<std::uint64_t>(y);
+           });
+  };
+  return a.status == b.status && a.pivots == b.pivots &&
+         std::bit_cast<std::uint64_t>(a.objective) ==
+             std::bit_cast<std::uint64_t>(b.objective) &&
+         same(a.x, b.x) && same(a.duals, b.duals) &&
+         same(a.farkas, b.farkas) && same(a.ray, b.ray);
+}
+
+// The workspace leg: `problem` solved from `point` through the workspace
+// every case of the run shares (so it last held another case's shape)
+// must be bitwise the solve through a fresh one, `fresh`.
+bool workspace_agrees(const Problem& problem, const std::vector<double>& point,
+                      const Solution& fresh, DenseWorkspace& workspace,
+                      Failure& failure) {
+  const Solution reused = fedshare::lp::solve(problem, {}, point, workspace);
+  if (bitwise_equal(reused, fresh)) return true;
+  failure.what = "a solve through the shared workspace differs from a "
+                 "fresh solve";
+  return false;
+}
+
 // The started leg: dense from the case's point and revised, both against
-// a dense cold solve.
-bool run_started_case(std::uint64_t seed, Failure& failure) {
+// a dense cold solve, and the started solve again through `workspace`.
+bool run_started_case(std::uint64_t seed, DenseWorkspace& workspace,
+                      Failure& failure) {
   const StartedCase c = make_started_case(seed);
   const Solution cold = fedshare::lp::solve(c.problem);
   const Solution started = fedshare::lp::solve(c.problem, {}, c.point);
+  if (!workspace_agrees(c.problem, c.point, started, workspace, failure)) {
+    return false;
+  }
   SimplexOptions revised_opts;
   revised_opts.solver = fedshare::lp::SolverKind::kRevised;
   const Solution revised = fedshare::lp::solve(c.problem, revised_opts);
@@ -298,11 +339,19 @@ bool run_started_case(std::uint64_t seed, Failure& failure) {
                        failure);
 }
 
-bool run_case(std::uint64_t seed, Failure& failure) {
+bool run_case(std::uint64_t seed, DenseWorkspace& workspace,
+              Failure& failure) {
   const Case c = make_case(seed);
   SimplexOptions dense_opts;
   dense_opts.solver = fedshare::lp::SolverKind::kDense;
   const Solution dense = fedshare::lp::solve(c.problem, dense_opts);
+  {
+    const std::vector<double> origin(c.problem.num_variables(), 0.0);
+    const Solution fresh = fedshare::lp::solve(c.problem, {}, origin);
+    if (!workspace_agrees(c.problem, origin, fresh, workspace, failure)) {
+      return false;
+    }
+  }
 
   fedshare::lp::RevisedSimplex cold(c.problem);
   const Solution revised = cold.solve();
@@ -363,13 +412,15 @@ int main(int argc, char** argv) {
         .count();
   };
 
+  // Shared by every case of the run, cold and started legs alike.
+  DenseWorkspace workspace;
   std::uint64_t cases = 0;
   while ((max_cases == 0 || cases < max_cases) &&
          (seconds <= 0.0 || elapsed() < seconds)) {
     Failure failure;
     const std::uint64_t case_seed = seed + cases;
-    const bool classic_ok = run_case(case_seed, failure);
-    if (!classic_ok || !run_started_case(case_seed, failure)) {
+    const bool classic_ok = run_case(case_seed, workspace, failure);
+    if (!classic_ok || !run_started_case(case_seed, workspace, failure)) {
       std::cerr << "fuzz_lp: FAILED at case " << cases << " (seed "
                 << case_seed << "): " << failure.what << "\n";
       std::cerr << "reproduce with: fuzz_lp --seed " << case_seed
@@ -388,6 +439,7 @@ int main(int argc, char** argv) {
     ++cases;
   }
   std::cout << "fuzz_lp: " << cases << " cases, 3 engines each plus a "
-            << "started dense solve, no disagreements\n";
+            << "started dense solve and two shared-workspace re-solves, "
+            << "no disagreements\n";
   return 0;
 }
