@@ -20,21 +20,6 @@ void LocationPool::validate() const {
   }
 }
 
-CapacityHistogram CapacityHistogram::of(const LocationPool& pool) {
-  pool.validate();
-  CapacityHistogram hist;
-  hist.bins.reserve(pool.capacity.size());
-  for (const double c : pool.capacity) hist.bins.push_back({c, 1});
-  hist.canonicalize();
-  return hist;
-}
-
-std::size_t CapacityHistogram::num_locations() const noexcept {
-  std::size_t total = 0;
-  for (const CapacityBin& b : bins) total += b.count;
-  return total;
-}
-
 void CapacityHistogram::canonicalize() {
   std::sort(bins.begin(), bins.end(),
             [](const CapacityBin& a, const CapacityBin& b) {

@@ -43,12 +43,6 @@ struct CapacityBin {
 struct CapacityHistogram {
   std::vector<CapacityBin> bins;
 
-  /// The histogram of a per-location pool, in canonical form. Validates
-  /// the pool first.
-  [[nodiscard]] static CapacityHistogram of(const LocationPool& pool);
-
-  [[nodiscard]] std::size_t num_locations() const noexcept;
-
   /// Sorts bins by capacity, merges equal capacities and drops empty
   /// bins. Capacities must be valid (not NaN).
   void canonicalize();

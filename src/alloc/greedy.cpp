@@ -443,17 +443,6 @@ double slot_budget(const CapacityHistogram& histogram,
   return budget_at(slot_bins(histogram, units_per_location), m);
 }
 
-double max_feasible_experiments(const CapacityHistogram& histogram,
-                                double units_per_location, double threshold) {
-  if (threshold < 1.0) {
-    throw std::invalid_argument(
-        "max_feasible_experiments: threshold must be >= 1");
-  }
-  check_units(units_per_location, "max_feasible_experiments");
-  histogram.validate();
-  return upper_root(slot_bins(histogram, units_per_location), threshold);
-}
-
 AllocationResult allocate_greedy(const CapacityHistogram& histogram,
                                  const std::vector<RequestClass>& classes) {
   AllocationResult result;
@@ -478,38 +467,6 @@ AllocationResult allocate_greedy(const CapacityHistogram& histogram,
             [](const ConsumedRun& a, const ConsumedRun& b) {
               return a.first < b.first;
             });
-  return result;
-}
-
-AllocationResult allocate_greedy(const LocationPool& pool,
-                                 const std::vector<RequestClass>& classes) {
-  pool.validate();
-  const std::size_t num_loc = pool.num_locations();
-  // Locations by (capacity, index): each run of equal capacity is one
-  // histogram bin, numbered in that order.
-  std::vector<std::size_t> order(num_loc);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return pool.capacity[a] < pool.capacity[b];
-                   });
-  CapacityHistogram histogram;
-  for (const std::size_t l : order) {
-    const double c = pool.capacity[l];
-    if (!histogram.bins.empty() && histogram.bins.back().capacity == c) {
-      ++histogram.bins.back().count;
-    } else {
-      histogram.bins.push_back({c, 1});
-    }
-  }
-  std::vector<ConsumedRun> runs;
-  AllocationResult result = allocate_greedy(histogram, classes, runs);
-  result.units_per_location.assign(num_loc, 0.0);
-  for (const ConsumedRun& run : runs) {
-    for (std::size_t p = run.first; p < run.first + run.count; ++p) {
-      result.units_per_location[order[p]] = run.units;
-    }
-  }
   return result;
 }
 

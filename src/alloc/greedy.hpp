@@ -40,9 +40,9 @@
 // group also keeps its place in the pool's (capacity, index) order: an
 // initial group holds its bin's range of positions, and a split hands
 // the lowest positions to the locations taken first. The final groups
-// are therefore runs of consecutive positions (ConsumedRun), and the
-// per-location overload only sorts the pool into that order and hands
-// each run's use back to its locations.
+// are therefore runs of consecutive positions (ConsumedRun): a caller
+// that numbers a pool's locations that way hands each run's use back to
+// its locations (model::consumption_weights does, per facility).
 //
 // Scratch. V(S) runs this greedy once per coalition, 2^n times per
 // table, so a run keeps its groups, their per-class use (one flat row of
@@ -72,15 +72,10 @@
 
 namespace fedshare::alloc {
 
-/// Allocates `classes` on `pool`, returning per-class outcomes and
-/// per-location consumption. Inputs are validated; see file comment for
-/// the algorithm and its optimality domain.
-[[nodiscard]] AllocationResult allocate_greedy(
-    const LocationPool& pool, const std::vector<RequestClass>& classes);
-
-/// The same allocation on a capacity histogram (any bin order): the
-/// outcomes are bitwise those of allocate_greedy on a pool with that
-/// capacity multiset. `units_per_location` is left empty.
+/// Allocates `classes` on a capacity histogram (any bin order),
+/// returning per-class outcomes; by the tie order above they depend
+/// only on the capacity multiset. Inputs are validated.
+/// `units_per_location` is left empty.
 [[nodiscard]] AllocationResult allocate_greedy(
     const CapacityHistogram& histogram,
     const std::vector<RequestClass>& classes);
@@ -89,9 +84,8 @@ namespace fedshare::alloc {
 /// The histogram's locations are numbered bin by bin in ascending
 /// capacity; `runs` (overwritten) tiles those positions in ascending
 /// `first`. Within a bin the numbering follows whatever order the caller
-/// gives that bin's locations: with a pool's (capacity, index) order
-/// each position's units are bitwise those that allocate_greedy(pool)
-/// reports for the location there.
+/// gives that bin's locations, e.g. a pool's (capacity, index) order,
+/// which model::LocationSpace::attribute_runs reads the runs back in.
 [[nodiscard]] AllocationResult allocate_greedy(
     const CapacityHistogram& histogram,
     const std::vector<RequestClass>& classes, std::vector<ConsumedRun>& runs);
@@ -100,13 +94,5 @@ namespace fedshare::alloc {
 /// the greedy, summed over the histogram's bins.
 [[nodiscard]] double slot_budget(const CapacityHistogram& histogram,
                                  double units_per_location, double m);
-
-/// Largest m with U(m) >= m * threshold (0 if even one experiment cannot
-/// reach the threshold, with the slack above), solved exactly over U's
-/// breakpoints.
-/// `threshold` must be >= 1.
-[[nodiscard]] double max_feasible_experiments(
-    const CapacityHistogram& histogram, double units_per_location,
-    double threshold);
 
 }  // namespace fedshare::alloc

@@ -597,19 +597,6 @@ ReportResult run_report_result(const io::Config& config,
   return result;
 }
 
-std::string run_report(const io::Config& config) {
-  return run_report(config, ReportOptions{});
-}
-
-std::string run_report(const io::Config& config,
-                       const ReportOptions& options) {
-  return run_report_result(config, options).text;
-}
-
-std::string run_report_from_string(const std::string& text) {
-  return run_report(io::Config::parse_string(text));
-}
-
 std::string dump_game_text(const io::Config& config) {
   const model::Federation fed = federation_from_config(config);
   std::ostringstream out;

@@ -89,7 +89,7 @@
 
 namespace fedshare::cli {
 
-/// Knobs for run_report. Default-constructed options give the plain
+/// Knobs for run_report_result. Default-constructed options give the plain
 /// report: unlimited budget, no optional sections.
 struct ReportOptions {
   /// Compute budget for the exponential solvers (tabulation, exact
@@ -140,17 +140,6 @@ struct ReportOptions {
 [[nodiscard]] model::Federation federation_from_config(
     const io::Config& config);
 
-/// Full report: coalition values, game properties, and every sharing
-/// scheme with core membership. Deterministic text output.
-[[nodiscard]] std::string run_report(const io::Config& config);
-
-/// Report with options. With default options this is run_report(config);
-/// with a deadline the solvers degrade gracefully (the report always
-/// completes) and a Resilience section is appended; with outage
-/// scenarios an outage-distribution section is appended.
-[[nodiscard]] std::string run_report(const io::Config& config,
-                                     const ReportOptions& options);
-
 /// A report plus degradation telemetry, so callers (the CLI) can turn
 /// "some section degraded or some scheme was skipped" into a nonzero
 /// exit code and a stderr note instead of silently printing a reduced
@@ -169,13 +158,13 @@ struct ReportResult {
   }
 };
 
-/// run_report with telemetry; `text` is byte-identical to
-/// run_report(config, options).
+/// Full report: coalition values, game properties, and every sharing
+/// scheme with core membership. Deterministic text output. With a
+/// deadline the solvers degrade gracefully (the report always
+/// completes) and a Resilience section is appended; with outage
+/// scenarios an outage-distribution section is appended.
 [[nodiscard]] ReportResult run_report_result(const io::Config& config,
                                              const ReportOptions& options);
-
-/// Convenience: parse `text` and report; rethrows io::ConfigError.
-[[nodiscard]] std::string run_report_from_string(const std::string& text);
 
 /// The federation's characteristic function serialized in the
 /// fedshare-game v1 format (see core/game_io.hpp), for `--dump-game`.

@@ -235,10 +235,4 @@ ServeRunResult run_serve(std::istream& events,
   return result;
 }
 
-ServeRunResult run_serve_from_string(const std::string& events,
-                                     const ServeRunOptions& options) {
-  std::istringstream in(events);
-  return run_serve(in, options);
-}
-
 }  // namespace fedshare::cli

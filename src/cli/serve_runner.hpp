@@ -86,8 +86,4 @@ struct ServeRunResult {
 [[nodiscard]] ServeRunResult run_serve(std::istream& events,
                                        const ServeRunOptions& options = {});
 
-/// Convenience: run_serve on a string.
-[[nodiscard]] ServeRunResult run_serve_from_string(
-    const std::string& events, const ServeRunOptions& options = {});
-
 }  // namespace fedshare::cli

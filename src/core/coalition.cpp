@@ -26,12 +26,6 @@ Coalition Coalition::single(int player) {
   return from_bits(std::uint64_t{1} << player);
 }
 
-Coalition Coalition::of(std::initializer_list<int> players) {
-  Coalition c;
-  for (const int p : players) c = c.with(p);
-  return c;
-}
-
 bool Coalition::contains(int player) const {
   check_player(player);
   return (bits_ >> player) & 1u;

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -25,9 +24,6 @@ class Coalition {
 
   /// The singleton coalition {player}.
   static Coalition single(int player);
-
-  /// A coalition from an explicit member list, e.g. Coalition::of({0, 2}).
-  static Coalition of(std::initializer_list<int> players);
 
   /// A coalition directly from a bitmask.
   static constexpr Coalition from_bits(std::uint64_t bits) noexcept {

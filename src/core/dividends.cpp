@@ -17,38 +17,6 @@ std::vector<double> harsanyi_dividends(const Game& game) {
   return dividends_lattice(tabulate(game));
 }
 
-TabularGame game_from_dividends(int num_players,
-                                const std::vector<double>& dividends) {
-  if (num_players < 0 || num_players > 24) {
-    throw std::invalid_argument("game_from_dividends: n must be in [0, 24]");
-  }
-  const std::uint64_t count = std::uint64_t{1} << num_players;
-  if (dividends.size() != count) {
-    throw std::invalid_argument(
-        "game_from_dividends: need exactly 2^n dividends");
-  }
-  std::vector<double> v = dividends;
-  // Fast zeta transform (inverse of the Moebius transform).
-  zeta_transform(v, num_players);
-  return TabularGame(num_players, std::move(v));
-}
-
-std::vector<double> shapley_from_dividends(const Game& game) {
-  const int n = game.num_players();
-  const std::vector<double> d = harsanyi_dividends(game);
-  std::vector<double> phi(static_cast<std::size_t>(n), 0.0);
-  for (std::uint64_t mask = 1; mask < d.size(); ++mask) {
-    const double share =
-        d[mask] / static_cast<double>(__builtin_popcountll(mask));
-    std::uint64_t b = mask;
-    while (b != 0) {
-      phi[static_cast<std::size_t>(__builtin_ctzll(b))] += share;
-      b &= b - 1;
-    }
-  }
-  return phi;
-}
-
 std::vector<std::vector<double>> interaction_index(const Game& game) {
   const int n = game.num_players();
   if (n > 20) {

@@ -4,8 +4,8 @@
 // V = sum_S d_S * u_S with dividends d_S given by the Moebius transform
 // of V. The dividends localise synergy — d_S != 0 means coalition S
 // carries value that no sub-coalition explains — and yield:
-//   * the Shapley value, phi_i = sum_{S ni i} d_S / |S| (an independent
-//     cross-check of the marginal-contribution engine), and
+//   * the Shapley value, phi_i = sum_{S ni i} d_S / |S| (the tests'
+//     independent cross-check of the marginal-contribution engine), and
 //   * the pairwise Shapley interaction index,
 //     I_ij = sum_{S containing i,j} d_S / (|S| - 1),
 //     positive when i and j are complements, negative for substitutes —
@@ -23,14 +23,6 @@ namespace fedshare::game {
 /// is 0). Computed by the fast Moebius transform, O(n * 2^n).
 /// Requires n <= 24.
 [[nodiscard]] std::vector<double> harsanyi_dividends(const Game& game);
-
-/// Reconstructs V from dividends (inverse/zeta transform); used by the
-/// round-trip tests. `dividends` must have 2^n entries.
-[[nodiscard]] TabularGame game_from_dividends(
-    int num_players, const std::vector<double>& dividends);
-
-/// Shapley values from dividends: phi_i = sum_{S ni i} d_S / |S|.
-[[nodiscard]] std::vector<double> shapley_from_dividends(const Game& game);
 
 /// Pairwise Shapley interaction matrix: entry (i, j) is I_ij for i != j,
 /// 0 on the diagonal. Symmetric. Requires n <= 20.

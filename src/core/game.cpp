@@ -15,13 +15,6 @@ namespace {
 // games the per-chunk overhead is still negligible next to 2^n calls.
 constexpr std::uint64_t kTabulateChunk = 16;
 
-std::uint64_t cached_game_capacity(const Game& base) {
-  if (base.num_players() > 24) {
-    throw std::invalid_argument("CachedGame: n must be <= 24");
-  }
-  return std::uint64_t{1} << base.num_players();
-}
-
 }  // namespace
 
 std::optional<double> Game::value_budgeted(
@@ -59,21 +52,6 @@ std::optional<double> TabularGame::value_budgeted(
   return value(coalition);
 }
 
-TabularGame TabularGame::zero_normalized() const {
-  std::vector<double> out(values_.size());
-  for (std::uint64_t mask = 0; mask < values_.size(); ++mask) {
-    double singles = 0.0;
-    std::uint64_t b = mask;
-    while (b != 0) {
-      const int p = __builtin_ctzll(b);
-      singles += values_[std::uint64_t{1} << p];
-      b &= b - 1;
-    }
-    out[mask] = values_[mask] - singles;
-  }
-  return TabularGame(num_players_, std::move(out));
-}
-
 FunctionGame::FunctionGame(int num_players, ValueFn fn)
     : num_players_(num_players), fn_(std::move(fn)) {
   if (num_players < 0 || num_players > Coalition::kMaxPlayers) {
@@ -89,22 +67,6 @@ double FunctionGame::value(Coalition coalition) const {
     throw std::out_of_range("FunctionGame::value: coalition out of range");
   }
   return fn_(coalition);
-}
-
-CachedGame::CachedGame(const Game& base)
-    : base_(&base), cache_(cached_game_capacity(base)) {}
-
-int CachedGame::num_players() const { return base_->num_players(); }
-
-double CachedGame::value(Coalition coalition) const {
-  return cache_.value_or_compute(
-      coalition.bits(), [&] { return base_->value(coalition); });
-}
-
-std::optional<double> CachedGame::value_budgeted(
-    Coalition coalition, const runtime::ComputeBudget& budget) const {
-  return cache_.value_or_compute_budgeted(
-      coalition.bits(), budget, [&] { return base_->value(coalition); });
 }
 
 TabularGame tabulate(const Game& game) {

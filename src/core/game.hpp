@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/coalition.hpp"
-#include "exec/value_cache.hpp"
 #include "runtime/budget.hpp"
 
 namespace fedshare::game {
@@ -36,9 +35,9 @@ class Game {
   /// Budget-aware V(S). Follows the charging rule in runtime/budget.hpp:
   /// one unit per *distinct* V(S) materialisation, re-reads free. The
   /// default charges one unit then evaluates (every call materialises);
-  /// TabularGame re-reads are free; CachedGame charges only on a cache
-  /// miss. Returns nullopt when the budget trips before the value is
-  /// produced.
+  /// TabularGame re-reads are free; QuotientGame charges only when an
+  /// orbit is first materialised. Returns nullopt when the budget trips
+  /// before the value is produced.
   [[nodiscard]] virtual std::optional<double> value_budgeted(
       Coalition coalition, const runtime::ComputeBudget& budget) const;
 
@@ -69,10 +68,6 @@ class TabularGame final : public Game {
     return values_;
   }
 
-  /// Returns the 0-normalisation of this game:
-  /// V0(S) = V(S) - sum_{i in S} V({i}).
-  [[nodiscard]] TabularGame zero_normalized() const;
-
  private:
   int num_players_;
   std::vector<double> values_;
@@ -95,31 +90,6 @@ class FunctionGame final : public Game {
   ValueFn fn_;
 };
 
-/// A game decorated with a memo of its own 2^n values: each distinct
-/// V(S) is computed at most once and then shared by every consumer
-/// (tabulation, Shapley subgames, core checks). Thread-safe whenever the
-/// base game is. Budget accounting follows the charging rule: a hit is
-/// free, a miss charges one unit.
-class CachedGame final : public Game {
- public:
-  /// `base` is not owned and must outlive this game; n <= 24.
-  explicit CachedGame(const Game& base);
-
-  [[nodiscard]] int num_players() const override;
-  [[nodiscard]] double value(Coalition coalition) const override;
-  [[nodiscard]] std::optional<double> value_budgeted(
-      Coalition coalition,
-      const runtime::ComputeBudget& budget) const override;
-
-  [[nodiscard]] const exec::ValueCache& cache() const noexcept {
-    return cache_;
-  }
-
- private:
-  const Game* base_;
-  mutable exec::ValueCache cache_;
-};
-
 /// Evaluates `game` on every coalition and returns the tabular form.
 /// Requires num_players() <= 24. Already-tabular games return a copy of
 /// their table without re-evaluating. Masks are evaluated in parallel
@@ -130,8 +100,8 @@ class CachedGame final : public Game {
 /// Budgeted tabulation: returns nullopt when `budget` trips before all
 /// 2^n values are materialised. Charging follows the charging rule in
 /// runtime/budget.hpp via Game::value_budgeted — one unit per distinct
-/// V(S) materialisation, so an already-tabular game (or a CachedGame
-/// hit) tabulates for free. Same requirements as tabulate(); runs in
+/// V(S) materialisation, so an already-tabular game (or a memo hit)
+/// tabulates for free. Same requirements as tabulate(); runs in
 /// parallel under the exec executor with forked child budgets.
 [[nodiscard]] std::optional<TabularGame> tabulate_budgeted(
     const Game& game, const runtime::ComputeBudget& budget);

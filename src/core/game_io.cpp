@@ -1,35 +1,8 @@
 #include "core/game_io.hpp"
 
-#include <istream>
-#include <limits>
 #include <ostream>
-#include <sstream>
-#include <stdexcept>
-#include <string>
 
 namespace fedshare::game {
-
-namespace {
-
-// Reads the next content line (skipping blanks and '#' comments);
-// returns false at end of stream.
-bool next_line(std::istream& in, std::string& line) {
-  while (std::getline(in, line)) {
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    if (line[first] == '#') continue;
-    line = line.substr(first);
-    while (!line.empty() &&
-           (line.back() == '\r' || line.back() == ' ' ||
-            line.back() == '\t')) {
-      line.pop_back();
-    }
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 void save_game(std::ostream& out, const TabularGame& game) {
   out << "fedshare-game v1\n";
@@ -37,54 +10,6 @@ void save_game(std::ostream& out, const TabularGame& game) {
   out << "# values indexed by coalition bitmask\n";
   out.precision(17);
   for (const double v : game.values()) out << v << "\n";
-}
-
-TabularGame load_game(std::istream& in) {
-  std::string line;
-  if (!next_line(in, line) || line != "fedshare-game v1") {
-    throw std::runtime_error("load_game: missing 'fedshare-game v1' header");
-  }
-  if (!next_line(in, line) || line.rfind("players ", 0) != 0) {
-    throw std::runtime_error("load_game: missing 'players <n>' line");
-  }
-  int n = 0;
-  try {
-    n = std::stoi(line.substr(8));
-  } catch (const std::exception&) {
-    throw std::runtime_error("load_game: bad player count");
-  }
-  if (n < 0 || n > 24) {
-    throw std::runtime_error("load_game: player count out of [0, 24]");
-  }
-  const std::uint64_t count = std::uint64_t{1} << n;
-  std::vector<double> values;
-  values.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    if (!next_line(in, line)) {
-      throw std::runtime_error("load_game: expected " +
-                               std::to_string(count) + " values, got " +
-                               std::to_string(i));
-    }
-    std::size_t used = 0;
-    double v = 0.0;
-    try {
-      v = std::stod(line, &used);
-    } catch (const std::exception&) {
-      throw std::runtime_error("load_game: bad value '" + line + "'");
-    }
-    if (used != line.size()) {
-      throw std::runtime_error("load_game: trailing junk in '" + line + "'");
-    }
-    values.push_back(v);
-  }
-  if (next_line(in, line)) {
-    throw std::runtime_error("load_game: unexpected trailing content");
-  }
-  try {
-    return TabularGame(n, std::move(values));
-  } catch (const std::invalid_argument& e) {
-    throw std::runtime_error(std::string("load_game: ") + e.what());
-  }
 }
 
 }  // namespace fedshare::game

@@ -1,8 +1,9 @@
 // Plain-text serialization for tabular games.
 //
 // Computing V(S) can be expensive (allocation runs, DES campaigns);
-// save_game/load_game let a characteristic function be computed once,
-// stored, inspected, and shared between tools. Format:
+// save_game writes a characteristic function once (the CLI's
+// --dump-game) so it can be stored, inspected and shared between tools.
+// Format:
 //
 //   fedshare-game v1
 //   players <n>
@@ -10,7 +11,9 @@
 //   <value of coalition mask 1>
 //   ...            (2^n lines, index = coalition bitmask)
 //
-// Lines starting with '#' and blank lines are ignored on load.
+// Lines starting with '#' and blank lines carry no data. No program
+// reads the format back; the tests' reader (tests/game_reference.hpp)
+// checks the round trip.
 #pragma once
 
 #include <iosfwd>
@@ -21,9 +24,5 @@ namespace fedshare::game {
 
 /// Writes `game` in the fedshare-game v1 format.
 void save_game(std::ostream& out, const TabularGame& game);
-
-/// Parses a fedshare-game v1 stream; throws std::runtime_error with a
-/// description on malformed input.
-[[nodiscard]] TabularGame load_game(std::istream& in);
 
 }  // namespace fedshare::game

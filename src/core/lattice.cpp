@@ -34,19 +34,6 @@ inline std::uint64_t lo_of_pair(std::uint64_t p, int bit) noexcept {
 
 }  // namespace
 
-void zeta_transform(std::vector<double>& values, int num_players) {
-  check_table(values, num_players);
-  const std::uint64_t half =
-      num_players > 0 ? std::uint64_t{1} << (num_players - 1) : 0;
-  for (int bit = 0; bit < num_players; ++bit) {
-    exec::parallel_for(0, half, kTransformChunk,
-                       [&](const exec::ChunkRange& r) {
-                         simd::add_pass(values.data(), r.begin, r.end, bit);
-                         return true;
-                       });
-  }
-}
-
 void moebius_transform(std::vector<double>& values, int num_players) {
   check_table(values, num_players);
   const std::uint64_t half =

@@ -2,13 +2,13 @@
 //
 // Every exact solidarity quantity this library computes — Shapley,
 // Banzhaf, Harsanyi dividends — is a linear functional of the value
-// table v[0..2^n) over the subset lattice. This module hosts the three
+// table v[0..2^n) over the subset lattice. This module hosts the
 // kernels as O(n * 2^n) passes engineered around two contracts:
 //
 //  * Bitwise reproducibility. Each kernel performs *exactly* the same
 //    floating-point operations in *exactly* the same order as the
 //    historical scalar loop it replaces, at any exec thread count:
-//      - the zeta/Moebius transforms touch every slot once per bit pass
+//      - the Moebius transform touches every slot once per bit pass
 //        (slot updates are independent within a pass), so scheduling is
 //        unobservable;
 //      - the Shapley/Banzhaf kernels accumulate each player's sum over
@@ -39,16 +39,12 @@
 
 namespace fedshare::game {
 
-/// In-place fast zeta transform over the subset lattice:
-///   v'[S] = sum_{T subseteq S} v[T].
-/// O(n * 2^n); `values` must have exactly 2^num_players entries. Runs
-/// bit pass by bit pass through exec::parallel_for; bit-identical at any
-/// thread count (each slot is written by exactly one chunk per pass).
-void zeta_transform(std::vector<double>& values, int num_players);
-
-/// In-place fast Moebius transform (the inverse of zeta_transform):
-///   v'[S] = sum_{T subseteq S} (-1)^(|S|-|T|) v[T].
-/// Applied to a value table this yields the Harsanyi dividends.
+/// In-place fast Moebius transform
+///   v'[S] = sum_{T subseteq S} (-1)^(|S|-|T|) v[T],
+/// the inverse of the zeta transform (subset sums). Applied to a value
+/// table this yields the Harsanyi dividends. Runs bit pass by bit pass
+/// through exec::parallel_for; bit-identical at any thread count (each
+/// slot is written by exactly one chunk per pass).
 void moebius_transform(std::vector<double>& values, int num_players);
 
 /// The subset-formula weights w[s] = s! (n-s-1)! / n! for s = 0..n-1,

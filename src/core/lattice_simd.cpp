@@ -56,15 +56,6 @@ bool use_runs() noexcept {
 
 // ---- scalar reference bodies ------------------------------------------
 
-void add_pass_scalar(double* values, std::uint64_t begin, std::uint64_t end,
-                     int bit) {
-  const std::uint64_t step = std::uint64_t{1} << bit;
-  for (std::uint64_t p = begin; p < end; ++p) {
-    const std::uint64_t lo = lo_of_pair(p, bit);
-    values[lo | step] += values[lo];
-  }
-}
-
 void sub_pass_scalar(double* values, std::uint64_t begin, std::uint64_t end,
                      int bit) {
   const std::uint64_t step = std::uint64_t{1} << bit;
@@ -90,18 +81,6 @@ double marginal_scalar(const double* v, int num_players, int i,
 // ---- run bodies (contiguous lo/hi, bit >= 2) --------------------------
 
 #if FEDSHARE_X86
-__attribute__((target("avx2"))) void add_run_avx2(double* hi,
-                                                  const double* lo,
-                                                  std::uint64_t len) {
-  std::uint64_t j = 0;
-  for (; j + 4 <= len; j += 4) {
-    const __m256d a = _mm256_loadu_pd(hi + j);
-    const __m256d b = _mm256_loadu_pd(lo + j);
-    _mm256_storeu_pd(hi + j, _mm256_add_pd(a, b));
-  }
-  for (; j < len; ++j) hi[j] += lo[j];
-}
-
 __attribute__((target("avx2"))) void sub_run_avx2(double* hi,
                                                   const double* lo,
                                                   std::uint64_t len) {
@@ -142,18 +121,6 @@ __attribute__((target("avx2"))) void marginal_tile_const_avx2(
   for (; j < len; ++j) t[j] = scale * (hi[j] - lo[j]);
 }
 #endif  // FEDSHARE_X86
-
-void add_run(double* hi, const double* lo, std::uint64_t len, bool vec) {
-#if FEDSHARE_X86
-  if (vec) {
-    add_run_avx2(hi, lo, len);
-    return;
-  }
-#else
-  (void)vec;
-#endif
-  for (std::uint64_t j = 0; j < len; ++j) hi[j] += lo[j];
-}
 
 void sub_run(double* hi, const double* lo, std::uint64_t len, bool vec) {
 #if FEDSHARE_X86
@@ -214,19 +181,6 @@ Mode mode() noexcept { return g_mode.load(std::memory_order_relaxed); }
 bool cpu_has_avx2() noexcept {
   static const bool has = detect_avx2();
   return has;
-}
-
-void add_pass(double* values, std::uint64_t begin, std::uint64_t end,
-              int bit) {
-  if (bit < 2 || !use_runs()) {
-    add_pass_scalar(values, begin, end, bit);
-    return;
-  }
-  const bool vec = use_vector();
-  pass_by_runs(values, begin, end, bit,
-               [&](double* hi, const double* lo, std::uint64_t len) {
-                 add_run(hi, lo, len, vec);
-               });
 }
 
 void sub_pass(double* values, std::uint64_t begin, std::uint64_t end,

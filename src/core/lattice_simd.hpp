@@ -1,13 +1,13 @@
 // Runtime-dispatched SIMD kernels for the subset-lattice hot loops.
 //
-// Two shapes dominate core/lattice.cpp: the zeta/Moebius pair passes
-// (hi ±= lo over all pairs of a bit) and the Shapley/Banzhaf marginal
+// Two shapes dominate core/lattice.cpp: the Moebius pair pass
+// (hi -= lo over all pairs of a bit) and the Shapley/Banzhaf marginal
 // sums (acc += w * (v[hi] - v[lo]) over all pairs of a player's bit).
 // Both are legal to vectorize under the repo's bitwise-determinism
 // contract:
 //
 //  * Pair passes: within one bit pass every slot belongs to exactly one
-//    (lo, hi) pair, so the per-slot update `hi ±= lo` is independent of
+//    (lo, hi) pair, so the per-slot update `hi -= lo` is independent of
 //    every other slot's — vector lanes only interleave *independent*
 //    operations and never reorder any slot's own FP sequence.
 //  * Marginal sums: the per-pair product w * (v[hi] - v[lo]) is one
@@ -44,12 +44,8 @@ void set_mode(Mode mode) noexcept;
 /// True when this process can execute the AVX2 paths.
 [[nodiscard]] bool cpu_has_avx2() noexcept;
 
-/// Zeta pair pass over pair indices [begin, end) of `bit`:
-/// values[lo | 2^bit] += values[lo], each pair independent.
-void add_pass(double* values, std::uint64_t begin, std::uint64_t end,
-              int bit);
-
-/// Moebius pair pass: values[lo | 2^bit] -= values[lo].
+/// Moebius pair pass over pair indices [begin, end) of `bit`:
+/// values[lo | 2^bit] -= values[lo], each pair independent.
 void sub_pass(double* values, std::uint64_t begin, std::uint64_t end,
               int bit);
 

@@ -579,7 +579,11 @@ NucleolusResult nucleolus(const Game& game,
   // The all-singletons partition: one orbit per coalition mask.
   const OrbitIndex index(PlayerPartition::identity(game.num_players()));
   (void)checked_excess_rows("nucleolus", index);
-  return maschler(index, tabulate(game).values(), options);
+  // A TabularGame's table is read in place; any other game is tabulated.
+  std::optional<TabularGame> storage;
+  const TabularGame& tab = *borrow_or_tabulate(
+      game, runtime::ComputeBudget::unlimited(), storage);
+  return maschler(index, tab.values(), options);
 }
 
 LeastCoreResult least_core(const Game& game,
@@ -588,7 +592,10 @@ LeastCoreResult least_core(const Game& game,
   (void)checked_excess_rows("least_core", index);
   LeastCoreResult out;
   out.status = lp::SolveStatus::kUnbounded;  // stands for n = 1: no row
-  (void)maschler(index, tabulate(game).values(), options, &out);
+  std::optional<TabularGame> storage;
+  const TabularGame& tab = *borrow_or_tabulate(
+      game, runtime::ComputeBudget::unlimited(), storage);
+  (void)maschler(index, tab.values(), options, &out);
   return out;
 }
 

@@ -2,14 +2,7 @@
 
 #include <stdexcept>
 
-#include "io/table.hpp"
-
 namespace fedshare::game {
-
-std::string ViolationWitness::to_string() const {
-  return first.to_string() + " vs " + second.to_string() +
-         " (deficit " + io::format_double(deficit, 6) + ")";
-}
 
 std::optional<ViolationWitness> superadditivity_violation(const Game& game,
                                                           double tolerance) {

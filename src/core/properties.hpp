@@ -7,7 +7,6 @@
 #pragma once
 
 #include <optional>
-#include <string>
 
 #include "core/coalition.hpp"
 #include "core/game.hpp"
@@ -19,8 +18,6 @@ struct ViolationWitness {
   Coalition first;
   Coalition second;
   double deficit = 0.0;  ///< how far the inequality fails (positive)
-
-  [[nodiscard]] std::string to_string() const;
 };
 
 /// Superadditivity: V(S u T) >= V(S) + V(T) for all disjoint S, T.

@@ -216,15 +216,6 @@ std::uint64_t OrbitIndex::representative(std::uint64_t orbit) const {
   return mask;
 }
 
-double OrbitIndex::orbit_size(std::uint64_t orbit) const {
-  double size = 1.0;
-  const std::vector<int> c = counts(orbit);
-  for (int t = 0; t < num_types(); ++t) {
-    size *= choose(t, c[static_cast<std::size_t>(t)]);
-  }
-  return size;
-}
-
 std::optional<std::uint64_t> OrbitIndex::successor(std::uint64_t orbit,
                                                    int type) const {
   const auto ut = static_cast<std::size_t>(type);
@@ -245,23 +236,6 @@ std::optional<std::uint64_t> OrbitIndex::predecessor(std::uint64_t orbit,
 
 double OrbitIndex::choose(int type, int k) const {
   return binom_[static_cast<std::size_t>(type)][static_cast<std::size_t>(k)];
-}
-
-bool verify_symmetry(const Game& game, const PlayerPartition& partition,
-                     int samples, std::uint64_t seed, double tolerance) {
-  if (partition.num_players() != game.num_players()) {
-    throw std::invalid_argument(
-        "verify_symmetry: partition does not match the game");
-  }
-  for (int t = 0; t < partition.num_types(); ++t) {
-    const std::vector<int>& mem = partition.members(t);
-    for (std::size_t k = 1; k < mem.size(); ++k) {
-      if (!pair_symmetric(game, mem[0], mem[k], samples, seed, tolerance)) {
-        return false;
-      }
-    }
-  }
-  return true;
 }
 
 PlayerPartition verified_partition(const Game& game,
@@ -334,14 +308,13 @@ TabularGame expand_orbit_table(const OrbitIndex& index,
 
 namespace {
 
-// Shared body of the quotient Shapley/Banzhaf formulas: for each type t
-// and each orbit c with c_t < m_t, the coalitions S without a given
-// type-t player i and with counts c number C(m_t - 1, c_t) *
-// prod_{u != t} C(m_u, c_u), and each contributes
-// weight(|c|) * (V(c + e_t) - V(c)) to phi_i.
+// The quotient Shapley formula: for each type t and each orbit c with
+// c_t < m_t, the coalitions S without a given type-t player i and with
+// counts c number C(m_t - 1, c_t) * prod_{u != t} C(m_u, c_u), and each
+// contributes weight(|c|) * (V(c + e_t) - V(c)) to phi_i.
 std::vector<double> quotient_marginal_sum(
     const OrbitIndex& index, const std::vector<double>& orbit_values,
-    const std::vector<double>* size_weight, double uniform_weight) {
+    const std::vector<double>& size_weight) {
   const int n = index.num_players();
   const int T = index.num_types();
   if (orbit_values.size() != index.orbit_count()) {
@@ -376,10 +349,7 @@ std::vector<double> quotient_marginal_sum(
         if (u == t) continue;
         ways *= index.choose(u, c[static_cast<std::size_t>(u)]);
       }
-      const double w =
-          size_weight != nullptr
-              ? (*size_weight)[static_cast<std::size_t>(s)]
-              : uniform_weight;
+      const double w = size_weight[static_cast<std::size_t>(s)];
       phi_type[static_cast<std::size_t>(t)] +=
           ways * w * (orbit_values[succ] - orbit_values[orbit]);
     }
@@ -399,18 +369,7 @@ std::vector<double> shapley_from_orbit_table(
   const int n = index.num_players();
   if (n == 0) return {};
   const std::vector<double> weight = shapley_subset_weights(n);
-  return quotient_marginal_sum(index, orbit_values, &weight, 0.0);
-}
-
-std::vector<double> banzhaf_from_orbit_table(
-    const OrbitIndex& index, const std::vector<double>& orbit_values) {
-  const int n = index.num_players();
-  if (n < 1 || n > 24) {
-    throw std::invalid_argument(
-        "banzhaf_from_orbit_table: n must be in [1, 24]");
-  }
-  const double scale = 1.0 / static_cast<double>(std::uint64_t{1} << (n - 1));
-  return quotient_marginal_sum(index, orbit_values, nullptr, scale);
+  return quotient_marginal_sum(index, orbit_values, weight);
 }
 
 std::vector<double> expand_type_values(const PlayerPartition& partition,
@@ -425,29 +384,6 @@ std::vector<double> expand_type_values(const PlayerPartition& partition,
         per_type[static_cast<std::size_t>(partition.type_of(i))];
   }
   return out;
-}
-
-double orbit_excess(const OrbitIndex& index,
-                    const std::vector<double>& orbit_values,
-                    const std::vector<double>& per_type_x,
-                    std::uint64_t orbit) {
-  std::vector<int> c = index.counts(orbit);
-  double xs = 0.0;
-  for (int t = 0; t < index.num_types(); ++t) {
-    const auto ut = static_cast<std::size_t>(t);
-    xs += static_cast<double>(c[ut]) * per_type_x[ut];
-  }
-  return orbit_values[static_cast<std::size_t>(orbit)] - xs;
-}
-
-double max_orbit_excess(const OrbitIndex& index,
-                        const std::vector<double>& orbit_values,
-                        const std::vector<double>& per_type_x) {
-  double worst = -std::numeric_limits<double>::infinity();
-  for (std::uint64_t o = 1; o + 1 < index.orbit_count(); ++o) {
-    worst = std::max(worst, orbit_excess(index, orbit_values, per_type_x, o));
-  }
-  return worst;
 }
 
 QuotientGame::QuotientGame(const Game& base, PlayerPartition partition)
@@ -501,16 +437,8 @@ std::optional<std::vector<double>> QuotientGame::orbit_values_budgeted(
   return table;
 }
 
-TabularGame QuotientGame::expand() const {
-  return expand_orbit_table(index_, orbit_values());
-}
-
 std::vector<double> QuotientGame::shapley() const {
   return shapley_from_orbit_table(index_, orbit_values());
-}
-
-std::vector<double> QuotientGame::banzhaf_raw() const {
-  return banzhaf_from_orbit_table(index_, orbit_values());
 }
 
 }  // namespace fedshare::game

@@ -8,13 +8,13 @@
 // masks to its orbit — the type-count vector (c_1, ..., c_T) — of which
 // there are only prod_t (m_t + 1). A QuotientGame evaluates the base
 // game once per orbit (on a canonical representative mask) and expands
-// orbit values back to the full lattice, to per-player Shapley values
-// (symmetric players provably receive equal Shapley payoffs), and to
-// raw Banzhaf values, with multiplicity weights.
+// orbit values back to the full lattice and to per-player Shapley values
+// (symmetric players provably receive equal Shapley payoffs), with
+// multiplicity weights.
 //
 // Detection is layered: model::Federation proposes a candidate
 // partition from exact facility-parameter equality, and the generic
-// Game-level oracle here (verify_symmetry / verified_partition) checks
+// Game-level oracle here (verified_partition) checks
 // candidate symmetries on sampled coalitions — swapping two same-type
 // players across a random coalition boundary must leave V unchanged —
 // splitting any type that fails. --symmetry=exact trusts the candidate;
@@ -114,11 +114,6 @@ class OrbitIndex {
   /// allocation-free flavour the orbit-row LP builders iterate with.
   void counts_into(std::uint64_t orbit, std::vector<int>& out) const;
 
-  /// The grand orbit id (every type at full multiplicity).
-  [[nodiscard]] std::uint64_t grand_orbit() const noexcept {
-    return orbit_count_ - 1;
-  }
-
   /// True for the orbits that carry an excess row in the quotient
   /// nucleolus LP: neither the empty orbit (id 0) nor the grand orbit.
   [[nodiscard]] bool is_proper(std::uint64_t orbit) const noexcept {
@@ -133,9 +128,6 @@ class OrbitIndex {
   [[nodiscard]] int level(std::uint64_t orbit) const noexcept {
     return level_[static_cast<std::size_t>(orbit)];
   }
-
-  /// Number of coalition masks in the orbit: prod_t C(m_t, c_t).
-  [[nodiscard]] double orbit_size(std::uint64_t orbit) const;
 
   /// The orbit with one more / one fewer member of `type`, or nullopt
   /// at the boundary. These are the quotient-lattice edges used by the
@@ -156,17 +148,6 @@ class OrbitIndex {
   std::vector<std::vector<double>> binom_; // binom_[t][k] = C(m_t, k)
   std::uint64_t orbit_count_ = 1;
 };
-
-/// Sampling oracle: draws `samples` random coalitions and, for each
-/// type with two or more members, swaps a random same-type pair across
-/// the coalition boundary; returns false as soon as some swap moves V
-/// by more than `tolerance * (1 + |V|)`. A true result is
-/// probabilistic evidence, not proof.
-[[nodiscard]] bool verify_symmetry(const Game& game,
-                                   const PlayerPartition& partition,
-                                   int samples = 64,
-                                   std::uint64_t seed = 0x5eedULL,
-                                   double tolerance = 1e-9);
 
 /// Oracle-refined partition: each type of `candidate` is tested member
 /// by member against its first member; members that fail any sampled
@@ -202,35 +183,12 @@ void close_monotone(const OrbitIndex& index, std::vector<double>& values);
 [[nodiscard]] std::vector<double> shapley_from_orbit_table(
     const OrbitIndex& index, const std::vector<double>& orbit_values);
 
-/// Raw Banzhaf values from a per-orbit table (same quotient formula
-/// with the uniform 2^-(n-1) weight).
-[[nodiscard]] std::vector<double> banzhaf_from_orbit_table(
-    const OrbitIndex& index, const std::vector<double>& orbit_values);
-
 /// Expands a per-type vector to a per-player vector (members of a type
 /// all receive that type's entry). The read-back half of the orbit-row
 /// nucleolus: symmetric players provably receive equal nucleolus
 /// payoffs, so the quotient LP's per-type shares ARE the allocation.
 [[nodiscard]] std::vector<double> expand_type_values(
     const PlayerPartition& partition, const std::vector<double>& per_type);
-
-/// The excess V(o) - sum_t c_t(o) * x_t of one orbit under per-type
-/// shares `per_type_x`. Every mask in the orbit has exactly this excess
-/// under the expanded allocation, which is the expansion-correctness
-/// hook the swap-test oracle and the auditors lean on: checking one row
-/// per orbit proves the property for all prod_t C(m_t, c_t) masks.
-[[nodiscard]] double orbit_excess(const OrbitIndex& index,
-                                  const std::vector<double>& orbit_values,
-                                  const std::vector<double>& per_type_x,
-                                  std::uint64_t orbit);
-
-/// max over proper orbits of orbit_excess(): equals the full-lattice
-/// max_core_violation of the expanded allocation whenever the base game
-/// really is symmetric under the partition. Auditors compare the two to
-/// certify a quotient nucleolus from raw full-lattice data.
-[[nodiscard]] double max_orbit_excess(const OrbitIndex& index,
-                                      const std::vector<double>& orbit_values,
-                                      const std::vector<double>& per_type_x);
 
 /// A game quotiented by a player partition: V is evaluated once per
 /// orbit (on the canonical representative, memoized in one
@@ -263,12 +221,8 @@ class QuotientGame final : public Game {
   [[nodiscard]] std::optional<std::vector<double>> orbit_values_budgeted(
       const runtime::ComputeBudget& budget) const;
 
-  /// Full-lattice expansion of orbit_values().
-  [[nodiscard]] TabularGame expand() const;
-
-  /// Per-player Shapley / raw Banzhaf via the quotient formulas.
+  /// Per-player Shapley values via the quotient formula.
   [[nodiscard]] std::vector<double> shapley() const;
-  [[nodiscard]] std::vector<double> banzhaf_raw() const;
 
   /// Orbit-cache statistics (LPs actually solved = misses).
   [[nodiscard]] const exec::ValueCache& cache() const noexcept {

@@ -264,8 +264,6 @@ int threads() {
   return threads_locked();
 }
 
-bool in_parallel_region() noexcept { return tls_in_parallel; }
-
 bool parallel_for(std::uint64_t begin, std::uint64_t end,
                   std::uint64_t chunk_size,
                   const std::function<bool(const ChunkRange&)>& body) {

@@ -106,10 +106,6 @@ void set_threads(int n);
 /// Current global thread count (resolves FEDSHARE_THREADS on first call).
 [[nodiscard]] int threads();
 
-/// True while the calling thread is executing a chunk body of any pool
-/// (nested parallel calls run inline).
-[[nodiscard]] bool in_parallel_region() noexcept;
-
 /// parallel_for on the global pool (inline when threads() == 1 or when
 /// already inside a parallel region).
 bool parallel_for(std::uint64_t begin, std::uint64_t end,

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "io/table.hpp"
@@ -32,15 +31,6 @@ void AsciiPlot::add_series(Series series) {
   series_.push_back(std::move(series));
 }
 
-void AsciiPlot::set_y_range(double y_min, double y_max) {
-  if (!(y_min < y_max)) {
-    throw std::invalid_argument("AsciiPlot: need y_min < y_max");
-  }
-  fixed_y_ = true;
-  y_min_ = y_min;
-  y_max_ = y_max;
-}
-
 void AsciiPlot::print(std::ostream& out) const {
   if (series_.empty()) {
     out << "(empty plot)\n";
@@ -48,18 +38,16 @@ void AsciiPlot::print(std::ostream& out) const {
   }
   double x_min = std::numeric_limits<double>::infinity();
   double x_max = -x_min;
-  double y_min = fixed_y_ ? y_min_ : std::numeric_limits<double>::infinity();
-  double y_max = fixed_y_ ? y_max_ : -std::numeric_limits<double>::infinity();
+  double y_min = std::numeric_limits<double>::infinity();
+  double y_max = -y_min;
   for (const auto& s : series_) {
     for (const double v : s.x) {
       x_min = std::min(x_min, v);
       x_max = std::max(x_max, v);
     }
-    if (!fixed_y_) {
-      for (const double v : s.y) {
-        y_min = std::min(y_min, v);
-        y_max = std::max(y_max, v);
-      }
+    for (const double v : s.y) {
+      y_min = std::min(y_min, v);
+      y_max = std::max(y_max, v);
     }
   }
   if (x_max == x_min) x_max = x_min + 1.0;
@@ -73,7 +61,6 @@ void AsciiPlot::print(std::ostream& out) const {
     for (std::size_t p = 0; p < s.x.size(); ++p) {
       const double fx = (s.x[p] - x_min) / (x_max - x_min);
       const double fy = (s.y[p] - y_min) / (y_max - y_min);
-      if (fy < 0.0 || fy > 1.0) continue;  // outside a fixed y-range
       const int col = std::clamp(
           static_cast<int>(std::lround(fx * (width_ - 1))), 0, width_ - 1);
       const int row = std::clamp(
@@ -113,12 +100,6 @@ void AsciiPlot::print(std::ostream& out) const {
   for (std::size_t si = 0; si < series_.size(); ++si) {
     out << "  [" << kGlyphs[si] << "] " << series_[si].name << '\n';
   }
-}
-
-std::string AsciiPlot::to_string() const {
-  std::ostringstream oss;
-  print(oss);
-  return oss.str();
 }
 
 }  // namespace fedshare::io

@@ -20,7 +20,7 @@ struct Series {
 ///
 /// Each series is drawn with its own glyph (1, 2, 3, ... then a, b, c ...).
 /// Overlapping points show the glyph of the later series. Axis ranges are
-/// computed from the data unless fixed via set_y_range().
+/// computed from the data.
 class AsciiPlot {
  public:
   /// Creates a plot area of `width` x `height` characters (both >= 8).
@@ -29,24 +29,15 @@ class AsciiPlot {
   /// Adds a series; empty series are ignored. x and y must match in size.
   void add_series(Series series);
 
-  /// Fixes the y-axis range instead of auto-scaling (min < max required).
-  void set_y_range(double y_min, double y_max);
-
   /// Sets the x-axis label printed under the plot.
   void set_x_label(std::string label) { x_label_ = std::move(label); }
 
   /// Renders the plot, a legend, and axis annotations to `out`.
   void print(std::ostream& out) const;
 
-  /// Renders into a string (convenience for tests).
-  [[nodiscard]] std::string to_string() const;
-
  private:
   int width_;
   int height_;
-  bool fixed_y_ = false;
-  double y_min_ = 0.0;
-  double y_max_ = 1.0;
   std::string x_label_;
   std::vector<Series> series_;
 };

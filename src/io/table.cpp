@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace fedshare::io {
@@ -58,12 +57,6 @@ void Table::print(std::ostream& out) const {
   }
   out << std::string(total, '-') << '\n';
   for (const auto& row : rows_) emit(row);
-}
-
-std::string Table::to_string() const {
-  std::ostringstream oss;
-  print(oss);
-  return oss.str();
 }
 
 std::string format_double(double value, int precision) {

@@ -42,9 +42,6 @@ class Table {
   /// Renders the table (header, separator, rows) to `out`.
   void print(std::ostream& out) const;
 
-  /// Renders the table into a string (convenience for tests).
-  [[nodiscard]] std::string to_string() const;
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

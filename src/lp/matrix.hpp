@@ -9,13 +9,11 @@
 
 namespace fedshare::lp {
 
-/// Dense row-major matrix. Indices are checked in at(); operator() is not.
+/// Dense row-major matrix. Element access is unchecked; the row
+/// operations check their row indices.
 class Matrix {
  public:
   Matrix() = default;
-
-  /// Creates a rows x cols matrix filled with `fill`.
-  Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
 
   /// Re-shapes to rows x cols filled with `fill`, reusing the existing
   /// allocation when capacity allows (the revised simplex refactorizes
@@ -36,10 +34,6 @@ class Matrix {
   double operator()(std::size_t r, std::size_t c) const noexcept {
     return data_[r * cols_ + c];
   }
-
-  /// Checked element access; throws std::out_of_range.
-  double& at(std::size_t r, std::size_t c);
-  [[nodiscard]] double at(std::size_t r, std::size_t c) const;
 
   /// row(r) += factor * row(src). Rows must be distinct and in range.
   /// Inline, like scale_row: a simplex pivot makes one call per row.

@@ -329,12 +329,6 @@ void RevisedSimplex::adopt_statuses(const Basis& basis) {
   has_basis_ = true;
 }
 
-std::vector<double> RevisedSimplex::column(std::size_t j) const {
-  std::vector<double> col;
-  column_into(j, col);
-  return col;
-}
-
 void RevisedSimplex::column_into(std::size_t j,
                                  std::vector<double>& col) const {
   col.assign(num_rows_, 0.0);

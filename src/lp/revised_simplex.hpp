@@ -176,7 +176,6 @@ class RevisedSimplex {
   bool factorize();
   void ftran(std::vector<double>& v) const;
   void btran(std::vector<double>& v) const;
-  [[nodiscard]] std::vector<double> column(std::size_t j) const;
   void column_into(std::size_t j, std::vector<double>& col) const;
   [[nodiscard]] double column_dot(std::size_t j,
                                   const std::vector<double>& y) const;

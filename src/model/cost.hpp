@@ -4,14 +4,10 @@
 // alpha < beta < gamma, plus a fixed per-federation cost c_F covering the
 // administrative/technical/legal overhead of federating. The paper's
 // numerical analysis ignores provision costs (pre-federation sunk
-// investments); the model is kept for the incentive analyses in
-// policy/incentives.hpp.
+// investments); the model prices contributed locations in the
+// provision game of policy/equilibrium.hpp. The net-value game the
+// section argues from lives with its test (tests/cost_reference.hpp).
 #pragma once
-
-#include <vector>
-
-#include "core/game.hpp"
-#include "model/facility.hpp"
 
 namespace fedshare::model {
 
@@ -22,31 +18,8 @@ struct CostModel {
   double gamma = 0.0;  ///< weight on availability T_i
   double federation_fixed_cost = 0.0;  ///< c_F, paid once by the coalition
 
-  /// Provision cost of one facility: alpha*L + beta*R + gamma*T.
-  [[nodiscard]] double facility_cost(const Facility& facility) const;
-
-  /// Net value of a coalition: gross value minus member provision costs
-  /// minus c_F (0 members => 0, no fixed cost).
-  [[nodiscard]] double net_value(double gross_value,
-                                 const std::vector<Facility>& members) const;
-
   /// Throws std::invalid_argument on negative parameters.
   void validate() const;
 };
-
-}  // namespace fedshare::model
-
-namespace fedshare::model {
-
-/// The net-value game: V_net(S) = V(S) - sum of member provision costs
-/// - c_F for non-empty S (empty coalition stays 0). Because the cost
-/// terms are additive across players (c_F split aside), the paper's
-/// Sec. 2.3.2 claim — "our solutions for dividing the value will not be
-/// significantly affected by the actual costs involved" — holds exactly
-/// for the Shapley value: phi_i(V_net) = phi_i(V) - c_i - c_F/n, which
-/// tests assert via Shapley additivity.
-[[nodiscard]] game::TabularGame net_value_game(
-    const game::Game& gross, const std::vector<Facility>& facilities,
-    const CostModel& cost);
 
 }  // namespace fedshare::model

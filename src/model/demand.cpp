@@ -36,12 +36,6 @@ DemandProfile DemandProfile::saturating(double min_locations, double exponent,
                  units_per_location);
 }
 
-double DemandProfile::total_count() const noexcept {
-  double total = 0.0;
-  for (const auto& rc : classes) total += rc.count;
-  return total;
-}
-
 void DemandProfile::validate() const {
   for (const auto& rc : classes) rc.validate();
 }

@@ -36,9 +36,6 @@ struct DemandProfile {
   static DemandProfile saturating(double min_locations, double exponent = 1.0,
                                   double units_per_location = 1.0);
 
-  /// Total requested experiments across classes.
-  [[nodiscard]] double total_count() const noexcept;
-
   /// Throws std::invalid_argument if any class is invalid.
   void validate() const;
 };

@@ -121,12 +121,4 @@ std::vector<double> Federation::consumption_weights() const {
   return model::consumption_weights(space_, demand_);
 }
 
-void Federation::set_demand(DemandProfile demand) {
-  demand.validate();
-  demand_ = std::move(demand);
-  // Fresh tables rather than clear(): copies sharing the old ones keep
-  // their (still valid) values for the old demand profile.
-  tables_ = std::make_shared<Tables>();
-}
-
 }  // namespace fedshare::model

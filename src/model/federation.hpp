@@ -47,7 +47,7 @@ class Federation {
   /// config); the closure (game::close_monotone) makes V monotone by
   /// construction. Reads the closed table build_game() returns, built
   /// once on first use (so num_facilities() <= 24) and shared by copies
-  /// like the memo; set_demand() drops it.
+  /// like the memo.
   [[nodiscard]] double value(game::Coalition coalition) const;
 
   /// The greedy allocation value without the monotone closure — the
@@ -97,14 +97,9 @@ class Federation {
   /// coalition's optimal allocation.
   [[nodiscard]] std::vector<double> consumption_weights() const;
 
-  /// Replaces the demand profile (used by the demand-sweep benches).
-  /// Drops the V(S) memo and the closed table: both depend on demand.
-  void set_demand(DemandProfile demand);
-
  private:
-  /// The demand-dependent tables, shared by copies and dropped by
-  /// set_demand(): the raw V(S) memo and value()'s closed table, each
-  /// built by its first caller.
+  /// The tables shared by copies: the raw V(S) memo and value()'s
+  /// closed table, each built by its first caller.
   struct Tables {
     std::once_flag memo_once;
     std::optional<exec::ValueCache> memo;

@@ -53,8 +53,8 @@ class LocationSpace {
   [[nodiscard]] int distinct_locations(game::Coalition coalition) const;
 
   /// The capacity multiset of pool_for(coalition), in canonical form:
-  /// each capacity is summed exactly as pool_for sums it, so
-  /// CapacityHistogram::of(pool_for(c)) equals it bitwise. Costs
+  /// each capacity is summed exactly as pool_for sums it, so binning
+  /// pool_for(c)'s capacities gives it bitwise. Costs
   /// O(location types * |coalition|), with no per-location pass.
   [[nodiscard]] alloc::CapacityHistogram capacity_histogram(
       game::Coalition coalition) const;

@@ -19,8 +19,7 @@ namespace fedshare::model {
 
 /// V(S): total utility the coalition can generate (0 for the empty
 /// coalition). Runs the greedy on the coalition's capacity histogram,
-/// so it equals allocate_greedy(pool_for(coalition), ...).total_utility
-/// bitwise.
+/// which depends only on the capacity multiset of pool_for(coalition).
 [[nodiscard]] double coalition_value(const LocationSpace& space,
                                      const DemandProfile& demand,
                                      game::Coalition coalition);

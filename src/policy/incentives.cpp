@@ -35,17 +35,4 @@ std::vector<IncentivePoint> provision_curve(
   return curve;
 }
 
-std::vector<double> marginal_payoffs(
-    const std::vector<IncentivePoint>& curve) {
-  std::vector<double> out;
-  if (curve.size() < 2) return out;
-  out.reserve(curve.size() - 1);
-  for (std::size_t i = 1; i < curve.size(); ++i) {
-    const double dl = curve[i].locations - curve[i - 1].locations;
-    out.push_back(dl > 0.0 ? (curve[i].payoff - curve[i - 1].payoff) / dl
-                           : 0.0);
-  }
-  return out;
-}
-
 }  // namespace fedshare::policy

@@ -30,10 +30,4 @@ struct IncentivePoint {
     const std::vector<int>& location_grid, const model::DemandProfile& demand,
     const SharingPolicy& policy);
 
-/// Marginal payoff per added location between consecutive grid points
-/// (forward differences; size = points - 1). Used by the stability
-/// analysis: large spikes indicate threshold-driven provision jumps.
-[[nodiscard]] std::vector<double> marginal_payoffs(
-    const std::vector<IncentivePoint>& curve);
-
 }  // namespace fedshare::policy

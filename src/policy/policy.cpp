@@ -1,20 +1,6 @@
 #include "policy/policy.hpp"
 
-#include <stdexcept>
-
-#include "core/nucleolus.hpp"
-#include "core/shapley.hpp"
-
 namespace fedshare::policy {
-
-std::vector<double> SharingPolicy::payoffs(
-    const model::Federation& federation) const {
-  const double total =
-      federation.value(game::Coalition::grand(federation.num_facilities()));
-  std::vector<double> s = shares(federation);
-  for (double& v : s) v *= total;
-  return s;
-}
 
 std::vector<double> ShapleyPolicy::shares(
     const model::Federation& federation) const {
@@ -24,39 +10,6 @@ std::vector<double> ShapleyPolicy::shares(
 std::vector<double> ProportionalAvailabilityPolicy::shares(
     const model::Federation& federation) const {
   return game::proportional_shares(federation.availability_weights());
-}
-
-std::vector<double> ProportionalConsumptionPolicy::shares(
-    const model::Federation& federation) const {
-  return game::proportional_shares(federation.consumption_weights());
-}
-
-std::vector<double> EqualPolicy::shares(
-    const model::Federation& federation) const {
-  return game::equal_shares(federation.num_facilities());
-}
-
-std::vector<double> NucleolusPolicy::shares(
-    const model::Federation& federation) const {
-  return game::nucleolus_shares(federation.build_game());
-}
-
-std::unique_ptr<SharingPolicy> make_policy(game::Scheme scheme) {
-  switch (scheme) {
-    case game::Scheme::kShapley:
-      return std::make_unique<ShapleyPolicy>();
-    case game::Scheme::kProportionalAvailability:
-      return std::make_unique<ProportionalAvailabilityPolicy>();
-    case game::Scheme::kProportionalConsumption:
-      return std::make_unique<ProportionalConsumptionPolicy>();
-    case game::Scheme::kEqual:
-      return std::make_unique<EqualPolicy>();
-    case game::Scheme::kNucleolus:
-      return std::make_unique<NucleolusPolicy>();
-    case game::Scheme::kBanzhaf:
-      break;  // no dedicated policy; fall through to the error
-  }
-  throw std::invalid_argument("make_policy: unsupported scheme");
 }
 
 }  // namespace fedshare::policy

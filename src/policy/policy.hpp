@@ -1,12 +1,12 @@
 // Federation sharing policies (the pipeline in the paper's Fig. 3).
 //
 // A SharingPolicy turns a Federation (providers + demand) into a share
-// vector s with sum(s) = 1; payoffs are s_i * V(N). Concrete policies
-// wrap the game-theoretic schemes in core/sharing.hpp, wiring in the
-// model-derived weight vectors where the scheme needs them.
+// vector s with sum(s) = 1; payoffs are s_i * V(N). The two concrete
+// policies wrap the Shapley and availability-proportional schemes of
+// core/sharing.hpp, the pair the incentive, sensitivity and equilibrium
+// analyses compare.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,10 +26,6 @@ class SharingPolicy {
 
   /// Policy name for reports.
   [[nodiscard]] virtual std::string name() const = 0;
-
-  /// Payoffs: shares * V(N).
-  [[nodiscard]] std::vector<double> payoffs(
-      const model::Federation& federation) const;
 };
 
 /// Normalised Shapley value policy (the paper's recommendation).
@@ -49,35 +45,5 @@ class ProportionalAvailabilityPolicy final : public SharingPolicy {
     return "prop-availability";
   }
 };
-
-/// Consumption-proportional policy (Eq. 7: weights = consumed units under
-/// the grand coalition's allocation).
-class ProportionalConsumptionPolicy final : public SharingPolicy {
- public:
-  [[nodiscard]] std::vector<double> shares(
-      const model::Federation& federation) const override;
-  [[nodiscard]] std::string name() const override {
-    return "prop-consumption";
-  }
-};
-
-/// Equal-split policy.
-class EqualPolicy final : public SharingPolicy {
- public:
-  [[nodiscard]] std::vector<double> shares(
-      const model::Federation& federation) const override;
-  [[nodiscard]] std::string name() const override { return "equal"; }
-};
-
-/// Nucleolus policy (requires <= 10 facilities).
-class NucleolusPolicy final : public SharingPolicy {
- public:
-  [[nodiscard]] std::vector<double> shares(
-      const model::Federation& federation) const override;
-  [[nodiscard]] std::string name() const override { return "nucleolus"; }
-};
-
-/// Factory from the scheme enum.
-[[nodiscard]] std::unique_ptr<SharingPolicy> make_policy(game::Scheme scheme);
 
 }  // namespace fedshare::policy

@@ -99,12 +99,6 @@ void DurableLog::scan() {
   std::sort(checkpoint_epochs_.begin(), checkpoint_epochs_.end());
 }
 
-std::vector<std::uint64_t> DurableLog::checkpoint_epochs() const {
-  std::vector<std::uint64_t> epochs(checkpoint_epochs_.rbegin(),
-                                    checkpoint_epochs_.rend());
-  return epochs;
-}
-
 RecoveryReport DurableLog::recover(ServiceState& state) {
   RecoveryReport report;
 

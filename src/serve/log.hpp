@@ -96,8 +96,6 @@ class DurableLog {
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
   /// Durable events (== the epoch the log can reproduce).
   [[nodiscard]] std::uint64_t events() const noexcept { return events_; }
-  /// Epochs with a checkpoint on disk, newest first.
-  [[nodiscard]] std::vector<std::uint64_t> checkpoint_epochs() const;
 
  private:
   void scan();

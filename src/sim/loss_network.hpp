@@ -1,9 +1,8 @@
 // Analytic loss-network formulas (the paper's Sec. 6 future-work
 // direction, after Paschalidis & Liu).
 //
-// Provides Erlang-B for single-class links and the Kaufman-Roberts
-// recursion for multi-class links, plus a reduced-load (Erlang fixed
-// point) approximation for an experiment that must be admitted at
+// Provides Erlang-B for single-class links, plus a reduced-load (Erlang
+// fixed point) approximation for an experiment that must be admitted at
 // several locations at once. These give closed-form cross-checks for the
 // multiplexing simulator.
 #pragma once
@@ -17,19 +16,6 @@ namespace fedshare::sim {
 /// integer-capacity link of `servers` circuits. Uses the numerically
 /// stable recursive form. servers >= 0, erlangs >= 0.
 [[nodiscard]] double erlang_b(double erlangs, int servers);
-
-/// One class for Kaufman-Roberts: offered load (erlangs) and the integer
-/// number of circuits one call occupies.
-struct KrClass {
-  double offered_load = 0.0;
-  int circuits_per_call = 1;
-};
-
-/// Kaufman-Roberts recursion: per-class blocking probabilities on a
-/// shared link of `capacity` circuits. capacity >= 0; loads >= 0;
-/// circuits_per_call >= 1.
-[[nodiscard]] std::vector<double> kaufman_roberts(
-    int capacity, const std::vector<KrClass>& classes);
 
 /// Reduced-load approximation for "diversity" calls that need one circuit
 /// at each of `locations_needed` distinct locations, where every location

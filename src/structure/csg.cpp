@@ -67,15 +67,6 @@ std::optional<StructureMode> structure_mode_from_string(
   return std::nullopt;
 }
 
-const char* to_string(StructureMode mode) {
-  switch (mode) {
-    case StructureMode::kOff: return "off";
-    case StructureMode::kOptimal: return "optimal";
-    case StructureMode::kHedonic: return "hedonic";
-  }
-  return "unknown";
-}
-
 double structure_welfare(const game::Game& g,
                          const game::CoalitionStructure& partition) {
   partition.validate(g.num_players());

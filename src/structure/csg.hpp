@@ -22,8 +22,8 @@
 // Budget contract (runtime/budget.hpp charging rule): one unit per
 // *distinct* V(S) materialisation, re-reads free — a TabularGame or a
 // warm memo makes the whole DP free, and V(S) is drawn from whatever
-// memo the Game carries (CachedGame, QuotientGame, model::Federation's
-// raw table). When the budget trips the engine degrades
+// memo the Game carries (QuotientGame, model::Federation's raw table).
+// When the budget trips the engine degrades
 // to the best structure it has fully evaluated so far — the better of
 // the grand coalition and the all-singletons partition (the two
 // polynomial-cost candidates it always evaluates first) — tagged
@@ -50,7 +50,6 @@ enum class StructureMode {
 /// Parses "off" / "optimal" / "hedonic"; nullopt otherwise.
 [[nodiscard]] std::optional<StructureMode> structure_mode_from_string(
     const std::string& text);
-[[nodiscard]] const char* to_string(StructureMode mode);
 
 /// Outcome of a coalition-structure search.
 struct StructureResult {

@@ -247,16 +247,6 @@ bool verify_level_from_string(const std::string& name,
   return true;
 }
 
-const char* to_string(CascadeRung rung) noexcept {
-  switch (rung) {
-    case CascadeRung::kPrimary: return "primary";
-    case CascadeRung::kRefined: return "refined";
-    case CascadeRung::kRevisedCold: return "revised-cold";
-    case CascadeRung::kDenseCold: return "dense-cold";
-  }
-  return "?";
-}
-
 CertificateReport check_lp(const lp::Problem& problem,
                            const lp::Solution& solution, double tolerance) {
   switch (solution.status) {

@@ -50,8 +50,6 @@ enum class VerifyLevel { kOff, kCheap, kFull };
 /// consulted only when every earlier rung's certificate failed.
 enum class CascadeRung { kPrimary, kRefined, kRevisedCold, kDenseCold };
 
-[[nodiscard]] const char* to_string(CascadeRung rung) noexcept;
-
 /// Knobs for the verification layer.
 struct VerifyOptions {
   VerifyLevel level = VerifyLevel::kOff;

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "alloc/greedy.hpp"
+#include "pool_reference.hpp"
 
 namespace fedshare::model::reference {
 
@@ -11,7 +11,7 @@ alloc::AllocationResult coalition_allocation(const LocationSpace& space,
                                              game::Coalition coalition) {
   demand.validate();
   const alloc::LocationPool pool = space.pool_for(coalition);
-  return alloc::allocate_greedy(pool, demand.classes);
+  return alloc::reference::pool_greedy(pool, demand.classes);
 }
 
 std::vector<double> attribute_consumption(

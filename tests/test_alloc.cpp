@@ -7,15 +7,29 @@
 #include "alloc/lp_relax.hpp"
 #include "exact_reference.hpp"
 #include "greedy_reference.hpp"
+#include "pool_reference.hpp"
 #include "sim/rng.hpp"
 
 namespace fedshare::alloc {
 namespace {
 
 using reference::allocate_exact;
+using reference::pool_greedy;
 
 CapacityHistogram histogram_of(std::vector<double> capacities) {
-  return CapacityHistogram::of(LocationPool{std::move(capacities)});
+  return reference::histogram_of(LocationPool{std::move(capacities)});
+}
+
+// m* through the allocator: a linear class (d = 1) with more experiments
+// than any pool can hold is admitted up to the largest m with
+// U(m) >= m * threshold. `threshold` must be >= 1.
+double max_feasible_experiments(const CapacityHistogram& histogram,
+                                double units_per_location, double threshold) {
+  RequestClass rc;
+  rc.count = 1e9;
+  rc.min_locations = threshold;
+  rc.units_per_location = units_per_location;
+  return allocate_greedy(histogram, {rc}).per_class[0].served;
 }
 
 LocationPool uniform_pool(int locations, double capacity) {
@@ -118,8 +132,7 @@ TEST(CapacityHistogram, CanonicalizeSortsMergesAndDropsEmptyBins) {
   EXPECT_EQ(h.bins[0].count, 1u);
   EXPECT_EQ(h.bins[1].capacity, 3.0);
   EXPECT_EQ(h.bins[1].count, 6u);
-  EXPECT_EQ(h.num_locations(), 7u);
-  EXPECT_THROW((void)CapacityHistogram::of(LocationPool{{1.0, -1.0}}),
+  EXPECT_THROW((void)reference::histogram_of(LocationPool{{1.0, -1.0}}),
                std::invalid_argument);
 }
 
@@ -128,7 +141,7 @@ TEST(Greedy, HistogramInputMatchesThePoolBitwise) {
   const std::vector<RequestClass> classes = {make_class(3, 4),
                                              make_class(2, 2, 2.0, 0.5),
                                              make_class(1, 3, 1.0, 1.5)};
-  const auto by_pool = allocate_greedy(pool, classes);
+  const auto by_pool = pool_greedy(pool, classes);
   // Bin order does not matter either.
   const CapacityHistogram shuffled{{{3, 2}, {0.5, 1}, {1, 2}, {2, 3}}};
   const auto by_histogram = allocate_greedy(shuffled, classes);
@@ -141,14 +154,9 @@ TEST(Greedy, HistogramInputMatchesThePoolBitwise) {
               by_pool.per_class[k].utility);
   }
   EXPECT_EQ(slot_budget(shuffled, 1.0, 2.0),
-            slot_budget(CapacityHistogram::of(pool), 1.0, 2.0));
+            slot_budget(reference::histogram_of(pool), 1.0, 2.0));
   EXPECT_EQ(slot_budget(shuffled, 1.0, 2.0),
             reference::slot_budget(pool.capacity, 1.0, 2.0));
-}
-
-TEST(MaxFeasibleExperiments, RejectsThresholdBelowOne) {
-  EXPECT_THROW((void)max_feasible_experiments(histogram_of({1.0}), 1.0, 0.5),
-               std::invalid_argument);
 }
 
 TEST(Greedy, ConvexExperimentMeetingItsThresholdExactlyIsServed) {
@@ -156,7 +164,7 @@ TEST(Greedy, ConvexExperimentMeetingItsThresholdExactlyIsServed) {
   // experiment 2 the four with at least 2 slots: exactly 4, which meets
   // the threshold, though U(2) - U(1) = 8.45 - 4.45 rounds below 4.
   const LocationPool pool{{0.45, 2.25, 2.7, 2.7, 2.7}};
-  const auto result = allocate_greedy(pool, {make_class(10, 4, 1.0, 2.0)});
+  const auto result = pool_greedy(pool, {make_class(10, 4, 1.0, 2.0)});
   EXPECT_EQ(result.per_class[0].served, 2.0);
   EXPECT_NEAR(result.total_utility, 4.45 * 4.45 + 16.0, 1e-12);
   const auto want =
@@ -180,7 +188,7 @@ TEST(Greedy, LeftoverSlotsMeetingAThresholdExactlyAdmit) {
             make_class(3, 10, 0.5, 1.0)}},
       };
   for (const auto& [pool, classes] : cases) {
-    const auto got = allocate_greedy(pool, classes);
+    const auto got = pool_greedy(pool, classes);
     const auto want = reference::per_location_greedy(pool, classes);
     for (std::size_t k = 0; k < classes.size(); ++k) {
       EXPECT_NEAR(got.per_class[k].served, want.per_class[k].served, 1e-12)
@@ -194,7 +202,7 @@ TEST(Greedy, LeftoverSlotsMeetingAThresholdExactlyAdmit) {
 
 TEST(Greedy, SingleExperimentTakesAllLocations) {
   const auto result =
-      allocate_greedy(uniform_pool(10, 1.0), {make_class(1, 5)});
+      pool_greedy(uniform_pool(10, 1.0), {make_class(1, 5)});
   EXPECT_DOUBLE_EQ(result.total_utility, 10.0);  // d=1: utility = locations
   EXPECT_DOUBLE_EQ(result.per_class[0].served, 1.0);
   EXPECT_DOUBLE_EQ(result.per_class[0].locations_per_experiment, 10.0);
@@ -203,7 +211,7 @@ TEST(Greedy, SingleExperimentTakesAllLocations) {
 
 TEST(Greedy, BlocksBelowThreshold) {
   const auto result =
-      allocate_greedy(uniform_pool(4, 1.0), {make_class(1, 5)});
+      pool_greedy(uniform_pool(4, 1.0), {make_class(1, 5)});
   EXPECT_DOUBLE_EQ(result.total_utility, 0.0);
   EXPECT_DOUBLE_EQ(result.per_class[0].served, 0.0);
 }
@@ -212,7 +220,7 @@ TEST(Greedy, SaturatingDemandFillsCapacity) {
   // 6 locations x capacity 3, threshold 2, lots of experiments:
   // all 18 units get used (d = 1).
   const auto result =
-      allocate_greedy(uniform_pool(6, 3.0), {make_class(1000, 2)});
+      pool_greedy(uniform_pool(6, 3.0), {make_class(1000, 2)});
   EXPECT_NEAR(result.total_utility, 18.0, 1e-6);
   EXPECT_NEAR(result.total_units, 18.0, 1e-6);
 }
@@ -221,7 +229,7 @@ TEST(Greedy, ThresholdLimitsServedCount) {
   // 4 locations x capacity 10, threshold 4: every experiment needs all 4
   // locations, so served = min(count, capacity per location) = 10.
   const auto result =
-      allocate_greedy(uniform_pool(4, 10.0), {make_class(100, 4)});
+      pool_greedy(uniform_pool(4, 10.0), {make_class(100, 4)});
   EXPECT_NEAR(result.per_class[0].served, 10.0, 1e-6);
   EXPECT_NEAR(result.total_utility, 40.0, 1e-6);
 }
@@ -230,7 +238,7 @@ TEST(Greedy, ConcaveUtilityUsesEqualSplit) {
   // d = 0.5, 2 experiments on 8 locations x 1: each gets 4 locations;
   // utility = 2 * sqrt(4) = 4.
   const auto result =
-      allocate_greedy(uniform_pool(8, 1.0), {make_class(2, 1, 1.0, 0.5)});
+      pool_greedy(uniform_pool(8, 1.0), {make_class(2, 1, 1.0, 0.5)});
   EXPECT_NEAR(result.total_utility, 4.0, 1e-9);
   EXPECT_NEAR(result.per_class[0].locations_per_experiment, 4.0, 1e-9);
 }
@@ -239,7 +247,7 @@ TEST(Greedy, ConvexUtilityConcentrates) {
   // d = 2, 2 experiments on 4 locations x capacity 1: convex prefers one
   // experiment with all 4 (16) over two with 2 each (8). Threshold 1.
   const auto result =
-      allocate_greedy(uniform_pool(4, 1.0), {make_class(2, 1, 1.0, 2.0)});
+      pool_greedy(uniform_pool(4, 1.0), {make_class(2, 1, 1.0, 2.0)});
   EXPECT_NEAR(result.total_utility, 16.0, 1e-9);
   EXPECT_NEAR(result.per_class[0].served, 1.0, 1e-9);
 }
@@ -248,7 +256,7 @@ TEST(Greedy, ConvexWithDeepCapacityServesSequentially) {
   // d = 2, capacity 2 per location: two experiments can both take all 4
   // locations -> utility 32.
   const auto result =
-      allocate_greedy(uniform_pool(4, 2.0), {make_class(2, 1, 1.0, 2.0)});
+      pool_greedy(uniform_pool(4, 2.0), {make_class(2, 1, 1.0, 2.0)});
   EXPECT_NEAR(result.total_utility, 32.0, 1e-9);
   EXPECT_NEAR(result.per_class[0].served, 2.0, 1e-9);
 }
@@ -257,7 +265,7 @@ TEST(Greedy, HigherRUsesMoreUnits) {
   // r = 4 (the CDN archetype): one experiment on 6 locations x 4 units
   // uses 24 units for 6 locations of utility.
   const auto result =
-      allocate_greedy(uniform_pool(6, 4.0), {make_class(1, 2, 4.0)});
+      pool_greedy(uniform_pool(6, 4.0), {make_class(1, 2, 4.0)});
   EXPECT_NEAR(result.total_utility, 6.0, 1e-9);
   EXPECT_NEAR(result.total_units, 24.0, 1e-9);
 }
@@ -265,7 +273,7 @@ TEST(Greedy, HigherRUsesMoreUnits) {
 TEST(Greedy, ClassPriorityCheapestUnitsFirst) {
   // Two classes compete for 4 locations x 2 units: the r=1 class (double
   // the utility per unit) is admitted first and absorbs everything.
-  const auto result = allocate_greedy(
+  const auto result = pool_greedy(
       uniform_pool(4, 2.0),
       {make_class(1, 1, 2.0), make_class(8, 1, 1.0)});
   EXPECT_NEAR(result.per_class[1].served, 8.0, 1e-6);
@@ -276,7 +284,7 @@ TEST(Greedy, ClassPriorityCheapestUnitsFirst) {
 TEST(Greedy, MixedClassesShareCapacity) {
   // Saturating low-threshold class + blocked high-threshold class: only
   // the feasible class consumes.
-  const auto result = allocate_greedy(
+  const auto result = pool_greedy(
       uniform_pool(5, 2.0),
       {make_class(100, 1), make_class(100, 10)});
   EXPECT_NEAR(result.per_class[0].units, 10.0, 1e-9);
@@ -285,7 +293,7 @@ TEST(Greedy, MixedClassesShareCapacity) {
 
 TEST(Greedy, UnitsPerLocationTracksConsumption) {
   const auto result =
-      allocate_greedy(uniform_pool(3, 2.0), {make_class(2, 1)});
+      pool_greedy(uniform_pool(3, 2.0), {make_class(2, 1)});
   ASSERT_EQ(result.units_per_location.size(), 3u);
   for (const double u : result.units_per_location) {
     EXPECT_NEAR(u, 2.0, 1e-9);
@@ -293,17 +301,17 @@ TEST(Greedy, UnitsPerLocationTracksConsumption) {
 }
 
 TEST(Greedy, EmptyPoolYieldsZero) {
-  const auto result = allocate_greedy(LocationPool{}, {make_class(1, 1)});
+  const auto result = pool_greedy(LocationPool{}, {make_class(1, 1)});
   EXPECT_DOUBLE_EQ(result.total_utility, 0.0);
 }
 
 TEST(Greedy, ValidatesInputs) {
   LocationPool bad;
   bad.capacity = {-1.0};
-  EXPECT_THROW((void)allocate_greedy(bad, {}), std::invalid_argument);
+  EXPECT_THROW((void)pool_greedy(bad, {}), std::invalid_argument);
   RequestClass rc;
   rc.count = -1.0;
-  EXPECT_THROW((void)allocate_greedy(uniform_pool(1, 1.0), {rc}),
+  EXPECT_THROW((void)pool_greedy(uniform_pool(1, 1.0), {rc}),
                std::invalid_argument);
 }
 
@@ -355,7 +363,7 @@ TEST(LpRelax, BoundsGreedyFromAbove) {
   const LocationPool pool = uniform_pool(5, 2.0);
   const std::vector<RequestClass> classes{make_class(3, 2)};
   const double bound = lp_upper_bound(pool, classes);
-  const auto greedy = allocate_greedy(pool, classes);
+  const auto greedy = pool_greedy(pool, classes);
   EXPECT_GE(bound + 1e-9, greedy.total_utility);
 }
 
@@ -364,7 +372,7 @@ TEST(LpRelax, TightWhenThresholdsAreSlack) {
   const LocationPool pool = uniform_pool(4, 3.0);
   const std::vector<RequestClass> classes{make_class(5, 1)};
   const double bound = lp_upper_bound(pool, classes);
-  const auto greedy = allocate_greedy(pool, classes);
+  const auto greedy = pool_greedy(pool, classes);
   EXPECT_NEAR(bound, greedy.total_utility, 1e-6);
 }
 

@@ -14,10 +14,13 @@
 #include "greedy_reference.hpp"
 #include "model/location_space.hpp"
 #include "model/value.hpp"
+#include "pool_reference.hpp"
 #include "sim/rng.hpp"
 
 namespace fedshare::alloc {
 namespace {
+
+using reference::pool_greedy;
 
 struct Instance {
   LocationPool pool;
@@ -59,7 +62,7 @@ TEST_P(GreedyVsExact, GreedyMatchesExactOnUnitResourceLinearInstances) {
   const auto exact = reference::allocate_exact(inst.pool, inst.classes);
   ASSERT_TRUE(exact.has_value())
       << "seed " << GetParam() << ": exact search hit its node cap";
-  const auto greedy = allocate_greedy(inst.pool, inst.classes);
+  const auto greedy = pool_greedy(inst.pool, inst.classes);
   // Continuous relaxation can only help, so greedy >= exact. When the
   // relaxation happens to serve integral experiment counts it must agree
   // with the integer optimum exactly; a fractional count may legitimately
@@ -85,13 +88,13 @@ TEST_P(GreedyVsExact, GreedyMatchesExactOnUnitResourceLinearInstances) {
 TEST_P(GreedyVsExact, LpBoundDominatesBoth) {
   const Instance inst = random_instance(GetParam());
   const double bound = lp_upper_bound(inst.pool, inst.classes);
-  const auto greedy = allocate_greedy(inst.pool, inst.classes);
+  const auto greedy = pool_greedy(inst.pool, inst.classes);
   EXPECT_GE(bound + 1e-6, greedy.total_utility) << "seed " << GetParam();
 }
 
 TEST_P(GreedyVsExact, ConsumptionNeverExceedsCapacity) {
   const Instance inst = random_instance(GetParam());
-  const auto greedy = allocate_greedy(inst.pool, inst.classes);
+  const auto greedy = pool_greedy(inst.pool, inst.classes);
   ASSERT_EQ(greedy.units_per_location.size(), inst.pool.num_locations());
   for (std::size_t l = 0; l < inst.pool.num_locations(); ++l) {
     EXPECT_LE(greedy.units_per_location[l], inst.pool.capacity[l] + 1e-9);
@@ -103,7 +106,7 @@ TEST_P(GreedyVsExact, ConsumptionNeverExceedsCapacity) {
 
 TEST_P(GreedyVsExact, ServedExperimentsMeetTheirThreshold) {
   const Instance inst = random_instance(GetParam());
-  const auto greedy = allocate_greedy(inst.pool, inst.classes);
+  const auto greedy = pool_greedy(inst.pool, inst.classes);
   for (std::size_t c = 0; c < inst.classes.size(); ++c) {
     const auto& oc = greedy.per_class[c];
     if (oc.served > 0.0) {
@@ -121,21 +124,21 @@ class GreedyMonotonicity : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(GreedyMonotonicity, MoreCapacityNeverHurts) {
   const Instance inst = random_instance(GetParam());
-  const auto base = allocate_greedy(inst.pool, inst.classes);
+  const auto base = pool_greedy(inst.pool, inst.classes);
   LocationPool bigger = inst.pool;
   for (double& c : bigger.capacity) c += 1.0;
   bigger.capacity.push_back(2.0);  // plus a fresh location
-  const auto grown = allocate_greedy(bigger, inst.classes);
+  const auto grown = pool_greedy(bigger, inst.classes);
   EXPECT_GE(grown.total_utility + 1e-9, base.total_utility)
       << "seed " << GetParam();
 }
 
 TEST_P(GreedyMonotonicity, MoreDemandNeverHurts) {
   const Instance inst = random_instance(GetParam());
-  const auto base = allocate_greedy(inst.pool, inst.classes);
+  const auto base = pool_greedy(inst.pool, inst.classes);
   auto more = inst.classes;
   for (auto& rc : more) rc.count += 2.0;
-  const auto grown = allocate_greedy(inst.pool, more);
+  const auto grown = pool_greedy(inst.pool, more);
   EXPECT_GE(grown.total_utility + 1e-9, base.total_utility)
       << "seed " << GetParam();
 }
@@ -179,11 +182,11 @@ TEST(GreedyLocationOrder, TiedRemainingCapacityIgnoresPosition) {
   const std::vector<RequestClass> classes = {make_class(1, 5, 1, 1),
                                              make_class(1, 2, 1, 0.5)};
   std::vector<double> caps = {1, 1, 1, 1, 2, 2, 2};
-  const AllocationResult first = allocate_greedy(LocationPool{caps}, classes);
+  const AllocationResult first = pool_greedy(LocationPool{caps}, classes);
   EXPECT_NEAR(first.total_utility, 7.0 + std::sqrt(3.0), 1e-12);
   int orders = 0;
   while (std::next_permutation(caps.begin(), caps.end())) {
-    expect_same_outcomes(allocate_greedy(LocationPool{caps}, classes), first);
+    expect_same_outcomes(pool_greedy(LocationPool{caps}, classes), first);
     ++orders;
   }
   EXPECT_EQ(orders, 34);
@@ -209,7 +212,7 @@ TEST_P(GreedyLocationOrderProperty, PermutingThePoolChangesNothing) {
                                  static_cast<double>(rng.below(7)),
                                  r[rng.below(4)], d[rng.below(3)]));
   }
-  const AllocationResult base = allocate_greedy(pool, classes);
+  const AllocationResult base = pool_greedy(pool, classes);
   std::vector<double> base_units = base.units_per_location;
   std::sort(base_units.begin(), base_units.end());
   for (int shuffle = 0; shuffle < 8; ++shuffle) {
@@ -217,7 +220,7 @@ TEST_P(GreedyLocationOrderProperty, PermutingThePoolChangesNothing) {
     for (std::size_t l = permuted.capacity.size(); l > 1; --l) {
       std::swap(permuted.capacity[l - 1], permuted.capacity[rng.below(l)]);
     }
-    const AllocationResult moved = allocate_greedy(permuted, classes);
+    const AllocationResult moved = pool_greedy(permuted, classes);
     expect_same_outcomes(moved, base);
     std::vector<double> units = moved.units_per_location;
     std::sort(units.begin(), units.end());
@@ -328,7 +331,7 @@ TEST_P(HistogramCoreDifferential, MatchesThePerLocationReference) {
     const auto coalition = game::Coalition::from_bits(mask);
     const LocationPool pool = space.pool_for(coalition);
     const CapacityHistogram histogram = space.capacity_histogram(coalition);
-    const CapacityHistogram of_pool = CapacityHistogram::of(pool);
+    const CapacityHistogram of_pool = reference::histogram_of(pool);
     ASSERT_EQ(histogram.bins.size(), of_pool.bins.size()) << "mask " << mask;
     for (std::size_t b = 0; b < of_pool.bins.size(); ++b) {
       EXPECT_EQ(histogram.bins[b].capacity, of_pool.bins[b].capacity);
@@ -340,7 +343,7 @@ TEST_P(HistogramCoreDifferential, MatchesThePerLocationReference) {
     const AllocationResult want =
         reference::per_location_greedy(pool, demand.classes);
     const AllocationResult by_location =
-        allocate_greedy(pool, demand.classes);
+        pool_greedy(pool, demand.classes);
     const AllocationResult by_histogram =
         allocate_greedy(histogram, demand.classes);
     const std::string what = "seed " + std::to_string(GetParam()) +

@@ -10,9 +10,13 @@
 #include "cli/runner.hpp"
 #include "core/game_io.hpp"
 #include "exec/pool.hpp"
+#include "cli_fixtures.hpp"
+#include "game_reference.hpp"
 
 namespace fedshare::cli {
 namespace {
+
+using game::reference::coalition_of;
 
 constexpr const char* kPaperConfig =
     "[facility]\n"
@@ -38,7 +42,7 @@ TEST(CliRunner, BuildsFederationFromConfig) {
 }
 
 TEST(CliRunner, ReportContainsPaperNumbers) {
-  const std::string report = run_report_from_string(kPaperConfig);
+  const std::string report = fixtures::report_from_string(kPaperConfig);
   // Sec. 4.1 coalition values and the Shapley/proportional shares.
   EXPECT_NE(report.find("F1+F2"), std::string::npos);
   EXPECT_NE(report.find("1300"), std::string::npos);
@@ -61,7 +65,7 @@ TEST(CliRunner, DefaultsApplyWhenKeysOmitted) {
 TEST(CliRunner, PrecisionOptionChangesOutput) {
   const std::string config = std::string(kPaperConfig) +
                              "[options]\nprecision = 2\n";
-  const std::string report = run_report_from_string(config);
+  const std::string report = fixtures::report_from_string(config);
   EXPECT_NE(report.find("0.22"), std::string::npos);
   EXPECT_EQ(report.find("0.2179"), std::string::npos);
 }
@@ -72,7 +76,7 @@ TEST(CliRunner, PrecisionMustBeAnIntegerFromZeroToSeventeen) {
       static_cast<int>(std::count(base.begin(), base.end(), '\n')) + 1;
   for (const char* value : {"2.7", "-1", "18", "1e12"}) {
     try {
-      (void)run_report_from_string(base + "precision = " + value + "\n");
+      (void)fixtures::report_from_string(base + "precision = " + value + "\n");
       FAIL() << "expected ConfigError for precision = " << value;
     } catch (const io::ConfigError& e) {
       EXPECT_EQ(e.line(), line) << value;
@@ -80,31 +84,31 @@ TEST(CliRunner, PrecisionMustBeAnIntegerFromZeroToSeventeen) {
     }
   }
   const std::string widest =
-      run_report_from_string(base + "precision = 17\n");
+      fixtures::report_from_string(base + "precision = 17\n");
   EXPECT_NE(widest.find("0.21794871794871795"), std::string::npos);
   const std::string narrowest =
-      run_report_from_string(base + "precision = 0\n");
+      fixtures::report_from_string(base + "precision = 0\n");
   EXPECT_EQ(narrowest.find("0.2179"), std::string::npos);
 }
 
 TEST(CliRunner, RejectsMissingSections) {
-  EXPECT_THROW((void)run_report_from_string("[demand]\ncount = 1\n"),
+  EXPECT_THROW((void)fixtures::report_from_string("[demand]\ncount = 1\n"),
                io::ConfigError);
   EXPECT_THROW(
-      (void)run_report_from_string("[facility]\nlocations = 5\n"),
+      (void)fixtures::report_from_string("[facility]\nlocations = 5\n"),
       io::ConfigError);
 }
 
 TEST(CliRunner, RejectsBadValuesWithConfigError) {
-  EXPECT_THROW((void)run_report_from_string(
+  EXPECT_THROW((void)fixtures::report_from_string(
                    "[facility]\nlocations = -5\n[demand]\n"),
                io::ConfigError);
-  EXPECT_THROW((void)run_report_from_string(
+  EXPECT_THROW((void)fixtures::report_from_string(
                    "[facility]\nlocations = 2.5\n[demand]\n"),
                io::ConfigError);
   // Invalid demand domain surfaces as ConfigError, not a bare
   // invalid_argument.
-  EXPECT_THROW((void)run_report_from_string(
+  EXPECT_THROW((void)fixtures::report_from_string(
                    "[facility]\nlocations = 5\n[demand]\nexponent = -1\n"),
                io::ConfigError);
 }
@@ -112,7 +116,7 @@ TEST(CliRunner, RejectsBadValuesWithConfigError) {
 TEST(CliRunner, RangeErrorsPointAtTheOffendingLine) {
   // Negative units on line 3.
   try {
-    (void)run_report_from_string(
+    (void)fixtures::report_from_string(
         "[facility]\nlocations = 5\nunits = -1\n[demand]\n");
     FAIL() << "expected ConfigError";
   } catch (const io::ConfigError& e) {
@@ -121,7 +125,7 @@ TEST(CliRunner, RangeErrorsPointAtTheOffendingLine) {
   }
   // Availability outside (0, 1], line 3.
   try {
-    (void)run_report_from_string(
+    (void)fixtures::report_from_string(
         "[facility]\nlocations = 5\navailability = 1.5\n[demand]\n");
     FAIL() << "expected ConfigError";
   } catch (const io::ConfigError& e) {
@@ -129,12 +133,12 @@ TEST(CliRunner, RangeErrorsPointAtTheOffendingLine) {
     EXPECT_NE(std::string(e.what()).find("availability"), std::string::npos);
   }
   EXPECT_THROW(
-      (void)run_report_from_string(
+      (void)fixtures::report_from_string(
           "[facility]\nlocations = 5\navailability = 0\n[demand]\n"),
       io::ConfigError);
   // Negative demand count, line 4.
   try {
-    (void)run_report_from_string(
+    (void)fixtures::report_from_string(
         "[facility]\nlocations = 5\n[demand]\ncount = -2\n");
     FAIL() << "expected ConfigError";
   } catch (const io::ConfigError& e) {
@@ -142,7 +146,7 @@ TEST(CliRunner, RangeErrorsPointAtTheOffendingLine) {
     EXPECT_NE(std::string(e.what()).find("count"), std::string::npos);
   }
   // Non-finite values are rejected by the parser layer.
-  EXPECT_THROW((void)run_report_from_string(
+  EXPECT_THROW((void)fixtures::report_from_string(
                    "[facility]\nlocations = 5\navailability = nan\n"
                    "[demand]\n"),
                io::ConfigError);
@@ -154,7 +158,7 @@ TEST(CliRunner, RejectsTooManyFacilities) {
     config += "[facility]\nlocations = 2\n";
   }
   config += "[demand]\n";
-  EXPECT_THROW((void)run_report_from_string(config), io::ConfigError);
+  EXPECT_THROW((void)fixtures::report_from_string(config), io::ConfigError);
 }
 
 TEST(CliRunner, MultipleDemandClassesSupported) {
@@ -169,8 +173,8 @@ TEST(CliRunner, MultipleDemandClassesSupported) {
 }
 
 TEST(CliRunner, ReportIsDeterministic) {
-  EXPECT_EQ(run_report_from_string(kPaperConfig),
-            run_report_from_string(kPaperConfig));
+  EXPECT_EQ(fixtures::report_from_string(kPaperConfig),
+            fixtures::report_from_string(kPaperConfig));
 }
 
 // The value memo is looked up once per mask per tabulation, so the
@@ -185,9 +189,9 @@ TEST(CliRunner, CacheStatsReportIsThreadIndependent) {
   opts.cache_stats = true;
   opts.verify = verify::VerifyLevel::kFull;
   exec::set_threads(1);
-  const std::string one = run_report(config, opts);
+  const std::string one = run_report_result(config, opts).text;
   exec::set_threads(4);
-  const std::string four = run_report(config, opts);
+  const std::string four = run_report_result(config, opts).text;
   exec::set_threads(1);
   EXPECT_EQ(one, four);
   EXPECT_NE(one.find("Value cache"), std::string::npos);
@@ -199,14 +203,14 @@ TEST(CliRunner, RegionKeysProduceHierarchySection) {
       "[facility]\nname = G-Lab\nlocations = 60\nregion = PLE\n"
       "[facility]\nname = PLC\nlocations = 300\n"
       "[demand]\ncount = 5\nmin_locations = 300\n";
-  const std::string report = run_report_from_string(config);
+  const std::string report = fixtures::report_from_string(config);
   EXPECT_NE(report.find("Hierarchy (Owen value)"), std::string::npos);
   EXPECT_NE(report.find("quotient Shapley share"), std::string::npos);
   EXPECT_NE(report.find("G-Lab"), std::string::npos);
 }
 
 TEST(CliRunner, NoRegionKeysNoHierarchySection) {
-  const std::string report = run_report_from_string(kPaperConfig);
+  const std::string report = fixtures::report_from_string(kPaperConfig);
   EXPECT_EQ(report.find("Hierarchy"), std::string::npos);
 }
 
@@ -322,7 +326,7 @@ TEST(CliRunner, GenerousDeadlineKeepsTheExactEngines) {
   const auto config = io::Config::parse_string(kPaperConfig);
   ReportOptions opts;
   opts.deadline_ms = 60'000.0;
-  const std::string report = run_report(config, opts);
+  const std::string report = run_report_result(config, opts).text;
   EXPECT_NE(report.find("Resilience"), std::string::npos);
   EXPECT_NE(report.find("coalition table: complete"), std::string::npos);
   EXPECT_NE(report.find("shapley engine: exact"), std::string::npos);
@@ -341,7 +345,7 @@ TEST(CliRunner, ExpiredDeadlineStillProducesACompleteReport) {
   ReportOptions opts;
   opts.deadline_ms = 0.0;
   const std::string report =
-      run_report(io::Config::parse_string(config), opts);
+      run_report_result(io::Config::parse_string(config), opts).text;
   EXPECT_NE(report.find("Resilience"), std::string::npos);
   EXPECT_NE(report.find("truncated"), std::string::npos);
   EXPECT_NE(report.find("monte-carlo"), std::string::npos);
@@ -375,24 +379,24 @@ TEST(CliRunner, OutageSectionIsDeterministicGivenTheSeed) {
   ReportOptions opts;
   opts.outage_scenarios = 6;
   opts.outage_seed = 17;
-  const std::string a = run_report(parsed, opts);
-  const std::string b = run_report(parsed, opts);
+  const std::string a = run_report_result(parsed, opts).text;
+  const std::string b = run_report_result(parsed, opts).text;
   EXPECT_EQ(a, b);
   EXPECT_NE(a.find("Outage distribution"), std::string::npos);
   EXPECT_NE(a.find("scenarios: 6/6 (seed 17)"), std::string::npos);
   ReportOptions other = opts;
   other.outage_seed = 18;
-  EXPECT_NE(a, run_report(parsed, other));
+  EXPECT_NE(a, run_report_result(parsed, other).text);
 }
 
 TEST(CliRunner, DumpGameRoundTripsThroughLoader) {
   const auto config = io::Config::parse_string(kPaperConfig);
   const std::string text = dump_game_text(config);
   std::istringstream in(text);
-  const auto g = game::load_game(in);
+  const auto g = game::reference::load_game(in);
   EXPECT_EQ(g.num_players(), 3);
   EXPECT_DOUBLE_EQ(g.grand_value(), 1300.0);
-  EXPECT_DOUBLE_EQ(g.value(game::Coalition::of({0, 1})), 500.0);
+  EXPECT_DOUBLE_EQ(g.value(coalition_of({0, 1})), 500.0);
 }
 
 }  // namespace

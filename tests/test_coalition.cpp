@@ -4,9 +4,12 @@
 #include <set>
 
 #include "core/coalition.hpp"
+#include "game_reference.hpp"
 
 namespace fedshare::game {
 namespace {
+
+using reference::coalition_of;
 
 TEST(Coalition, EmptyAndGrand) {
   EXPECT_TRUE(Coalition().empty());
@@ -33,7 +36,7 @@ TEST(Coalition, SingleAndMembership) {
 }
 
 TEST(Coalition, WithWithout) {
-  Coalition c = Coalition::of({0, 2});
+  Coalition c = coalition_of({0, 2});
   EXPECT_EQ(c.with(2), c);  // idempotent
   EXPECT_EQ(c.with(1).size(), 3);
   EXPECT_EQ(c.without(5), c);
@@ -41,9 +44,9 @@ TEST(Coalition, WithWithout) {
 }
 
 TEST(Coalition, SetOperations) {
-  const Coalition a = Coalition::of({0, 1});
-  const Coalition b = Coalition::of({1, 2});
-  EXPECT_EQ(a.united(b), Coalition::of({0, 1, 2}));
+  const Coalition a = coalition_of({0, 1});
+  const Coalition b = coalition_of({1, 2});
+  EXPECT_EQ(a.united(b), coalition_of({0, 1, 2}));
   EXPECT_EQ(a.intersected(b), Coalition::single(1));
   EXPECT_EQ(a.minus(b), Coalition::single(0));
   EXPECT_TRUE(Coalition::single(1).is_subset_of(a));
@@ -52,7 +55,7 @@ TEST(Coalition, SetOperations) {
 }
 
 TEST(Coalition, MembersAscending) {
-  const auto members = Coalition::of({5, 1, 9}).members();
+  const auto members = coalition_of({5, 1, 9}).members();
   ASSERT_EQ(members.size(), 3u);
   EXPECT_EQ(members[0], 1);
   EXPECT_EQ(members[1], 5);
@@ -61,7 +64,7 @@ TEST(Coalition, MembersAscending) {
 
 TEST(Coalition, ToString) {
   EXPECT_EQ(Coalition().to_string(), "{}");
-  EXPECT_EQ(Coalition::of({2, 0}).to_string(), "{0,2}");
+  EXPECT_EQ(coalition_of({2, 0}).to_string(), "{0,2}");
 }
 
 TEST(AllCoalitions, EnumeratesPowerSet) {
@@ -80,7 +83,7 @@ TEST(AllCoalitions, RejectsLargeN) {
 }
 
 TEST(ForEachSubset, VisitsAllSubsetsOnce) {
-  const Coalition s = Coalition::of({1, 3, 4});
+  const Coalition s = coalition_of({1, 3, 4});
   std::set<std::uint64_t> seen;
   for_each_subset(s, [&](Coalition sub) {
     EXPECT_TRUE(sub.is_subset_of(s));

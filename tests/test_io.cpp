@@ -15,11 +15,19 @@
 namespace fedshare::io {
 namespace {
 
+// What print() writes, as a string.
+template <typename Printable>
+std::string rendered(const Printable& printable) {
+  std::ostringstream out;
+  printable.print(out);
+  return out.str();
+}
+
 TEST(Table, RendersHeaderSeparatorAndRows) {
   Table t({"name", "value"});
   t.add_row({"alpha", "1"});
   t.add_row({"beta", "22"});
-  const std::string s = t.to_string();
+  const std::string s = rendered(t);
   EXPECT_NE(s.find("name"), std::string::npos);
   EXPECT_NE(s.find("alpha"), std::string::npos);
   EXPECT_NE(s.find("22"), std::string::npos);
@@ -47,7 +55,7 @@ TEST(Table, RightAlignmentPadsLeft) {
   Table t({"col"});
   t.add_row({"1"});
   t.add_row({"100"});
-  const std::string s = t.to_string();
+  const std::string s = rendered(t);
   EXPECT_NE(s.find("  1\n"), std::string::npos);
 }
 
@@ -143,7 +151,7 @@ TEST(Csv, WritesRows) {
 TEST(AsciiPlot, RendersSeriesGlyphsAndLegend) {
   AsciiPlot p(20, 10);
   p.add_series({"rising", {0, 1, 2, 3}, {0, 1, 2, 3}});
-  const std::string s = p.to_string();
+  const std::string s = rendered(p);
   EXPECT_NE(s.find('1'), std::string::npos);
   EXPECT_NE(s.find("rising"), std::string::npos);
 }
@@ -157,22 +165,9 @@ TEST(AsciiPlot, RejectsMismatchedSeries) {
   EXPECT_THROW(p.add_series({"bad", {0, 1}, {0}}), std::invalid_argument);
 }
 
-TEST(AsciiPlot, FixedYRangeClipsOutliers) {
-  AsciiPlot p(20, 10);
-  p.set_y_range(0.0, 1.0);
-  p.add_series({"s", {0, 1}, {0.5, 100.0}});
-  const std::string s = p.to_string();
-  EXPECT_NE(s.find("1.00"), std::string::npos);  // top axis label
-}
-
 TEST(AsciiPlot, EmptyPlotPrintsPlaceholder) {
   AsciiPlot p(20, 10);
-  EXPECT_NE(p.to_string().find("empty"), std::string::npos);
-}
-
-TEST(AsciiPlot, RejectsInvertedYRange) {
-  AsciiPlot p(20, 10);
-  EXPECT_THROW(p.set_y_range(1.0, 1.0), std::invalid_argument);
+  EXPECT_NE(rendered(p).find("empty"), std::string::npos);
 }
 
 }  // namespace

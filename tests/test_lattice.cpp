@@ -10,6 +10,7 @@
 #include "core/game.hpp"
 #include "core/lattice.hpp"
 #include "exec/pool.hpp"
+#include "game_reference.hpp"
 #include "runtime/budget.hpp"
 #include "sim/rng.hpp"
 
@@ -32,17 +33,8 @@ std::vector<double> random_table(int n, std::uint64_t seed,
   return v;  // v[0] == 0 by construction
 }
 
-// The historical in-place transforms: the mask-conditional loops the
-// kernels replace. Same slot updates, same order within each bit pass.
-void zeta_reference(std::vector<double>& v, int n) {
-  for (int bit = 0; bit < n; ++bit) {
-    const std::uint64_t b = std::uint64_t{1} << bit;
-    for (std::uint64_t mask = 0; mask < v.size(); ++mask) {
-      if (mask & b) v[mask] += v[mask ^ b];
-    }
-  }
-}
-
+// The historical in-place transform: the mask-conditional loop the
+// kernel replaces. Same slot updates, same order within each bit pass.
 void moebius_reference(std::vector<double>& v, int n) {
   for (int bit = 0; bit < n; ++bit) {
     const std::uint64_t b = std::uint64_t{1} << bit;
@@ -85,16 +77,6 @@ std::vector<double> banzhaf_reference(const std::vector<double>& v, int n) {
   return beta;
 }
 
-TEST_F(LatticePropertyTest, ZetaMatchesScalarReferenceBitwise) {
-  for (int n = 1; n <= 12; n += 1) {
-    std::vector<double> kernel = random_table(n, 0xabcu + n);
-    std::vector<double> reference = kernel;
-    zeta_transform(kernel, n);
-    zeta_reference(reference, n);
-    ASSERT_EQ(kernel, reference) << "n=" << n;
-  }
-}
-
 TEST_F(LatticePropertyTest, MoebiusMatchesScalarReferenceBitwise) {
   for (int n = 1; n <= 12; n += 1) {
     std::vector<double> kernel = random_table(n, 0xdefu + n);
@@ -106,10 +88,11 @@ TEST_F(LatticePropertyTest, MoebiusMatchesScalarReferenceBitwise) {
 }
 
 TEST_F(LatticePropertyTest, ZetaMatchesNaiveSubsetSum) {
+  // The zeta loop the Moebius inversion tests invert with.
   const int n = 9;
   const std::vector<double> v = random_table(n, 7, /*integral=*/true);
   std::vector<double> transformed = v;
-  zeta_transform(transformed, n);
+  reference::zeta_transform(transformed, n);
   for (std::uint64_t mask = 0; mask < v.size(); ++mask) {
     double sum = 0.0;
     std::uint64_t sub = mask;
@@ -127,7 +110,7 @@ TEST_F(LatticePropertyTest, MoebiusInvertsZetaOnIntegralTables) {
   const int n = 11;
   const std::vector<double> original = random_table(n, 21, /*integral=*/true);
   std::vector<double> v = original;
-  zeta_transform(v, n);
+  reference::zeta_transform(v, n);
   moebius_transform(v, n);
   ASSERT_EQ(v, original);
 }
@@ -163,8 +146,6 @@ TEST_F(LatticePropertyTest, KernelsAreThreadCountInvariantBitwise) {
   const TabularGame tab(n, v);
 
   exec::set_threads(1);
-  std::vector<double> zeta1 = v;
-  zeta_transform(zeta1, n);
   std::vector<double> moebius1 = v;
   moebius_transform(moebius1, n);
   const std::vector<double> phi1 = shapley_lattice(tab);
@@ -172,11 +153,8 @@ TEST_F(LatticePropertyTest, KernelsAreThreadCountInvariantBitwise) {
   const std::vector<double> div1 = dividends_lattice(tab);
 
   exec::set_threads(4);
-  std::vector<double> zeta4 = v;
-  zeta_transform(zeta4, n);
   std::vector<double> moebius4 = v;
   moebius_transform(moebius4, n);
-  EXPECT_EQ(zeta1, zeta4);
   EXPECT_EQ(moebius1, moebius4);
   EXPECT_EQ(phi1, shapley_lattice(tab));
   EXPECT_EQ(beta1, banzhaf_lattice(tab));
@@ -210,12 +188,10 @@ TEST_F(LatticePropertyTest, BudgetedKernelsCancelUnderThreads) {
 
 TEST_F(LatticePropertyTest, SingleAndZeroPlayerEdgeCases) {
   std::vector<double> v0{0.0};
-  zeta_transform(v0, 0);
+  moebius_transform(v0, 0);
   EXPECT_EQ(v0, std::vector<double>{0.0});
 
   std::vector<double> v1{0.0, 4.5};
-  zeta_transform(v1, 1);
-  EXPECT_EQ(v1, (std::vector<double>{0.0, 4.5}));
   moebius_transform(v1, 1);
   EXPECT_EQ(v1, (std::vector<double>{0.0, 4.5}));
 

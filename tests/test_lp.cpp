@@ -19,22 +19,18 @@ namespace fedshare::lp {
 namespace {
 
 TEST(Matrix, ConstructAndAccess) {
-  Matrix m(2, 3, 1.5);
+  Matrix m;
+  m.assign(2, 3, 1.5);
   EXPECT_EQ(m.rows(), 2u);
   EXPECT_EQ(m.cols(), 3u);
   EXPECT_DOUBLE_EQ(m(1, 2), 1.5);
   m(0, 0) = 7.0;
-  EXPECT_DOUBLE_EQ(m.at(0, 0), 7.0);
-}
-
-TEST(Matrix, AtThrowsOutOfRange) {
-  Matrix m(2, 2);
-  EXPECT_THROW(m.at(2, 0), std::out_of_range);
-  EXPECT_THROW(m.at(0, 2), std::out_of_range);
+  EXPECT_DOUBLE_EQ(m.row_data(0)[0], 7.0);
 }
 
 TEST(Matrix, RowOperations) {
-  Matrix m(2, 2);
+  Matrix m;
+  m.assign(2, 2, 0.0);
   m(0, 0) = 1.0;
   m(0, 1) = 2.0;
   m(1, 0) = 3.0;

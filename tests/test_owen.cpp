@@ -10,9 +10,12 @@
 #include "core/owen.hpp"
 #include "core/shapley.hpp"
 #include "model/hierarchy.hpp"
+#include "game_reference.hpp"
 
 namespace fedshare {
 namespace {
+
+using game::reference::coalition_of;
 
 double glove_value(game::Coalition s) {
   const int left = s.contains(0) ? 1 : 0;
@@ -29,7 +32,7 @@ game::CoalitionStructure singletons(int n) {
 TEST(CoalitionStructure, Validation) {
   game::CoalitionStructure cs;
   EXPECT_THROW(cs.validate(2), std::invalid_argument);  // no unions
-  cs.unions = {game::Coalition::of({0, 1}), game::Coalition::single(1)};
+  cs.unions = {coalition_of({0, 1}), game::Coalition::single(1)};
   EXPECT_THROW(cs.validate(2), std::invalid_argument);  // overlap
   cs.unions = {game::Coalition::single(0)};
   EXPECT_THROW(cs.validate(2), std::invalid_argument);  // incomplete
@@ -67,7 +70,7 @@ TEST(OwenValue, EfficiencyHolds) {
     return k * k + (s.contains(1) ? 2.0 : 0.0);
   });
   game::CoalitionStructure cs;
-  cs.unions = {game::Coalition::of({0, 1}), game::Coalition::of({2, 3})};
+  cs.unions = {coalition_of({0, 1}), coalition_of({2, 3})};
   const auto owen = game::owen_value(g, cs);
   EXPECT_NEAR(std::accumulate(owen.begin(), owen.end(), 0.0),
               g.grand_value(), 1e-9);
@@ -83,8 +86,8 @@ TEST(OwenValue, QuotientConsistency) {
     return s.empty() ? 0.0 : v;
   });
   game::CoalitionStructure cs;
-  cs.unions = {game::Coalition::of({0, 1}), game::Coalition::of({2}),
-               game::Coalition::of({3})};
+  cs.unions = {coalition_of({0, 1}), coalition_of({2}),
+               coalition_of({3})};
   const auto owen = game::owen_value(g, cs);
   const auto quotient = game::quotient_game(g, cs);
   const auto union_shapley = game::shapley_exact(quotient);
@@ -103,7 +106,7 @@ TEST(OwenValue, UnionizingChangesBargainingPower) {
   const game::FunctionGame g(3, glove_value);
   const auto separate = game::owen_value(g, singletons(3));
   game::CoalitionStructure bloc;
-  bloc.unions = {game::Coalition::single(0), game::Coalition::of({1, 2})};
+  bloc.unions = {game::Coalition::single(0), coalition_of({1, 2})};
   const auto unified = game::owen_value(g, bloc);
   EXPECT_GT(unified[1] + unified[2], separate[1] + separate[2]);
   EXPECT_LT(unified[0], separate[0]);
@@ -176,7 +179,7 @@ TEST(OwenValue, MatchesBruteForceOrderingAverage) {
     return s.empty() ? 0.0 : v;
   });
   game::CoalitionStructure cs;
-  cs.unions = {game::Coalition::of({0, 1}), game::Coalition::of({2, 3}),
+  cs.unions = {coalition_of({0, 1}), coalition_of({2, 3}),
                game::Coalition::single(4)};
   const auto fast = game::owen_value(g, cs);
   const auto brute = owen_by_orderings(g, cs);
@@ -189,7 +192,7 @@ TEST(OwenValue, MatchesBruteForceOrderingAverage) {
 TEST(QuotientGame, ValuesMatchUnionsOfUnions) {
   const game::FunctionGame g(3, glove_value);
   game::CoalitionStructure cs;
-  cs.unions = {game::Coalition::single(0), game::Coalition::of({1, 2})};
+  cs.unions = {game::Coalition::single(0), coalition_of({1, 2})};
   const auto q = game::quotient_game(g, cs);
   EXPECT_EQ(q.num_players(), 2);
   EXPECT_DOUBLE_EQ(q.value(game::Coalition::single(0)), 0.0);

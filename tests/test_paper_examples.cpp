@@ -15,9 +15,12 @@
 #include "core/properties.hpp"
 #include "core/sharing.hpp"
 #include "model/federation.hpp"
+#include "game_reference.hpp"
 
 namespace fedshare {
 namespace {
+
+using game::reference::coalition_of;
 
 model::Federation fig4_federation(double threshold, double exponent = 1.0) {
   std::vector<model::FacilityConfig> configs{
@@ -32,8 +35,8 @@ TEST(PaperSec41, CoalitionValuesAtL500) {
   EXPECT_DOUBLE_EQ(g.value(game::Coalition::single(0)), 0.0);
   EXPECT_DOUBLE_EQ(g.value(game::Coalition::single(1)), 0.0);
   EXPECT_DOUBLE_EQ(g.value(game::Coalition::single(2)), 800.0);
-  EXPECT_DOUBLE_EQ(g.value(game::Coalition::of({0, 1})), 500.0);
-  EXPECT_DOUBLE_EQ(g.value(game::Coalition::of({1, 2})), 1200.0);
+  EXPECT_DOUBLE_EQ(g.value(coalition_of({0, 1})), 500.0);
+  EXPECT_DOUBLE_EQ(g.value(coalition_of({1, 2})), 1200.0);
   EXPECT_DOUBLE_EQ(g.value(game::Coalition::grand(3)), 1300.0);
 }
 

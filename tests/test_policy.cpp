@@ -24,27 +24,16 @@ model::Federation paper_federation(double threshold) {
 
 TEST(Policies, AllShareVectorsSumToOne) {
   const auto fed = paper_federation(500.0);
-  const game::Scheme schemes[] = {
-      game::Scheme::kShapley, game::Scheme::kProportionalAvailability,
-      game::Scheme::kProportionalConsumption, game::Scheme::kEqual,
-      game::Scheme::kNucleolus};
-  for (const auto scheme : schemes) {
-    const auto policy = make_policy(scheme);
+  const ShapleyPolicy shapley;
+  const ProportionalAvailabilityPolicy proportional;
+  for (const SharingPolicy* policy :
+       {static_cast<const SharingPolicy*>(&shapley),
+        static_cast<const SharingPolicy*>(&proportional)}) {
     const auto shares = policy->shares(fed);
     ASSERT_EQ(shares.size(), 3u) << policy->name();
     EXPECT_NEAR(std::accumulate(shares.begin(), shares.end(), 0.0), 1.0,
                 1e-9)
         << policy->name();
-  }
-}
-
-TEST(Policies, PayoffsScaleByGrandValue) {
-  const auto fed = paper_federation(500.0);
-  const ShapleyPolicy policy;
-  const auto shares = policy.shares(fed);
-  const auto payoffs = policy.payoffs(fed);
-  for (std::size_t i = 0; i < shares.size(); ++i) {
-    EXPECT_NEAR(payoffs[i], shares[i] * 1300.0, 1e-9);
   }
 }
 
@@ -65,11 +54,6 @@ TEST(Policies, ProportionalIgnoresDemandShapleyDoesNot) {
   EXPECT_NEAR(s0[2], 800.0 / 1300.0, 1e-9);
 }
 
-TEST(Policies, FactoryRejectsBanzhaf) {
-  EXPECT_THROW((void)make_policy(game::Scheme::kBanzhaf),
-               std::invalid_argument);
-}
-
 TEST(Incentives, CurveTracksLocationSweep) {
   const ShapleyPolicy policy;
   const auto curve = provision_curve(
@@ -83,17 +67,6 @@ TEST(Incentives, CurveTracksLocationSweep) {
   }
 }
 
-TEST(Incentives, MarginalPayoffsAreForwardDifferences) {
-  const ShapleyPolicy policy;
-  const auto curve = provision_curve(
-      three_configs(), 0, {0, 100, 200},
-      model::DemandProfile::single_experiment(0.0), policy);
-  const auto marginals = marginal_payoffs(curve);
-  ASSERT_EQ(marginals.size(), 2u);
-  EXPECT_NEAR(marginals[0], (curve[1].payoff - curve[0].payoff) / 100.0,
-              1e-12);
-}
-
 TEST(Incentives, RejectsBadInputs) {
   const ShapleyPolicy policy;
   EXPECT_THROW((void)provision_curve(three_configs(), 5, {1},
@@ -104,7 +77,6 @@ TEST(Incentives, RejectsBadInputs) {
                                      model::DemandProfile::single_experiment(0),
                                      policy),
                std::invalid_argument);
-  EXPECT_TRUE(marginal_payoffs({}).empty());
 }
 
 ProvisionGame small_game() {

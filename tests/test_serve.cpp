@@ -26,9 +26,11 @@
 #include "serve/event.hpp"
 #include "serve/state.hpp"
 #include "verify/certified.hpp"
+#include "cli_fixtures.hpp"
 
 namespace {
 
+using fedshare::cli::fixtures::serve_from_string;
 using fedshare::runtime::ComputeBudget;
 using fedshare::runtime::StopReason;
 using fedshare::serve::ApplyResult;
@@ -855,7 +857,7 @@ TEST(ServeRunnerTest, RendersEventLogAnswerAndStats) {
       "join name=B locations=2 units=1 availability=0.8\n"
       "outage-start name=A seed=7 scenario=1\n"
       "outage-end name=A\n";
-  const auto result = fedshare::cli::run_serve_from_string(events);
+  const auto result = serve_from_string(events);
   EXPECT_FALSE(result.degraded);
   EXPECT_FALSE(result.error.has_value());
   EXPECT_NE(result.text.find("Event log"), std::string::npos);
@@ -864,7 +866,7 @@ TEST(ServeRunnerTest, RendersEventLogAnswerAndStats) {
   EXPECT_NE(result.text.find("shapley"), std::string::npos);
   EXPECT_EQ(result.text.find("STALE"), std::string::npos);
   // Deterministic: the same file renders the same bytes.
-  EXPECT_EQ(fedshare::cli::run_serve_from_string(events).text, result.text);
+  EXPECT_EQ(serve_from_string(events).text, result.text);
 }
 
 TEST(ServeRunnerTest, SemanticallyInvalidEventStopsTheRunWithError) {
@@ -872,7 +874,7 @@ TEST(ServeRunnerTest, SemanticallyInvalidEventStopsTheRunWithError) {
       "join name=A locations=2\n"
       "leave name=NOPE\n"
       "join name=B locations=2\n";
-  const auto result = fedshare::cli::run_serve_from_string(events);
+  const auto result = serve_from_string(events);
   ASSERT_TRUE(result.error.has_value());
   EXPECT_NE(result.error->find("NOPE"), std::string::npos);
   // The run stopped at the invalid event: B never joined.
@@ -881,7 +883,7 @@ TEST(ServeRunnerTest, SemanticallyInvalidEventStopsTheRunWithError) {
 }
 
 TEST(ServeRunnerTest, MalformedEventFileThrows) {
-  EXPECT_THROW((void)fedshare::cli::run_serve_from_string("bogus line\n"),
+  EXPECT_THROW((void)serve_from_string("bogus line\n"),
                ServeError);
 }
 

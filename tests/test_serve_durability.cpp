@@ -65,6 +65,25 @@ struct TempDir {
   std::string path;
 };
 
+// Epochs of the checkpoint files in `dir`
+// (checkpoint-<zero-padded epoch>.ckpt), newest first.
+std::vector<std::uint64_t> checkpoint_epochs(const std::string& dir) {
+  const std::string prefix = "checkpoint-";
+  const std::string suffix = ".ckpt";
+  std::vector<std::uint64_t> epochs;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.size() > prefix.size() + suffix.size() &&
+        name.compare(0, prefix.size(), prefix) == 0 &&
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+            0) {
+      epochs.push_back(std::stoull(name.substr(prefix.size())));
+    }
+  }
+  std::sort(epochs.rbegin(), epochs.rend());
+  return epochs;
+}
+
 // A fixed script with every event kind, a realised outage, and a
 // two-class demand (multi-row LPs => a real basis behind the bound).
 const std::vector<std::string>& script_lines() {
@@ -702,7 +721,7 @@ TEST(ServeDurabilityTest, DurableLogRecoversBitwiseWithCheckpointSuffix) {
     EXPECT_EQ(log.events(), events.size());
     // Checkpoints at 3, 6, 9 — pruned to the newest two.
     const std::vector<std::uint64_t> expected{9, 6};
-    EXPECT_EQ(log.checkpoint_epochs(), expected);
+    EXPECT_EQ(checkpoint_epochs(dir.path), expected);
     EXPECT_FALSE(fs::exists(dir.path + "/checkpoint-000000000003.ckpt"));
   }
 
@@ -972,7 +991,7 @@ TEST(ServeDurabilityTest, DueCheckpointIsDeferredWhileDirty) {
     (void)state.apply(events[i]);
     log.append(events[i], state);
   }
-  ASSERT_FALSE(log.checkpoint_epochs().empty());
+  ASSERT_FALSE(checkpoint_epochs(dir.path).empty());
 
   // A budget-tripped apply leaves the state dirty: the due checkpoint
   // must be deferred, not taken (it would freeze a stale answer).
@@ -980,13 +999,13 @@ TEST(ServeDurabilityTest, DueCheckpointIsDeferredWhileDirty) {
       state.apply(events.back(), ComputeBudget().cap_nodes(0));
   ASSERT_FALSE(tripped.complete);
   log.append(events.back(), state);
-  EXPECT_EQ(log.checkpoint_epochs().front(), events.size() - 1);
+  EXPECT_EQ(checkpoint_epochs(dir.path).front(), events.size() - 1);
   EXPECT_FALSE(log.checkpoint_now(state));  // still dirty
 
   // Once the epoch heals the deferred checkpoint lands.
   ASSERT_TRUE(state.repair().complete);
   EXPECT_TRUE(log.checkpoint_now(state));
-  EXPECT_EQ(log.checkpoint_epochs().front(), events.size());
+  EXPECT_EQ(checkpoint_epochs(dir.path).front(), events.size());
 }
 
 // --- the maintenance thread ----------------------------------------------

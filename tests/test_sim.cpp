@@ -10,9 +10,12 @@
 #include "sim/loss_network.hpp"
 #include "sim/multiplex_sim.hpp"
 #include "sim/rng.hpp"
+#include "loss_reference.hpp"
 
 namespace fedshare::sim {
 namespace {
+
+using reference::kaufman_roberts;
 
 TEST(Rng, DeterministicStreams) {
   Xoshiro256 a(123), b(123), c(124);

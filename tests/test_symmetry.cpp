@@ -22,9 +22,12 @@
 #include "model/value.hpp"
 #include "runtime/budget.hpp"
 #include "sim/rng.hpp"
+#include "game_reference.hpp"
 
 namespace fedshare::game {
 namespace {
+
+using reference::coalition_of;
 
 class SymmetryPropertyTest : public ::testing::Test {
  protected:
@@ -66,6 +69,16 @@ PlayerPartition random_partition(int n, sim::Xoshiro256& rng) {
   return PlayerPartition::from_type_of(type_of);
 }
 
+// Number of coalition masks in an orbit: prod_t C(m_t, c_t).
+double orbit_size(const OrbitIndex& index, std::uint64_t orbit) {
+  const std::vector<int> c = index.counts(orbit);
+  double size = 1.0;
+  for (int t = 0; t < index.num_types(); ++t) {
+    size *= index.choose(t, c[static_cast<std::size_t>(t)]);
+  }
+  return size;
+}
+
 TEST_F(SymmetryPropertyTest, ModeParsingRoundTrips) {
   EXPECT_EQ(symmetry_mode_from_string("off"), SymmetryMode::kOff);
   EXPECT_EQ(symmetry_mode_from_string("auto"), SymmetryMode::kAuto);
@@ -96,7 +109,7 @@ TEST_F(SymmetryPropertyTest, OrbitIndexRoundTripsEveryMask) {
     const std::uint64_t size = std::uint64_t{1} << n;
     double total_orbit_size = 0.0;
     for (std::uint64_t orbit = 0; orbit < index.orbit_count(); ++orbit) {
-      total_orbit_size += index.orbit_size(orbit);
+      total_orbit_size += orbit_size(index, orbit);
       // representative lies in its own orbit at the right level.
       const std::uint64_t rep = index.representative(orbit);
       ASSERT_EQ(index.orbit_of(rep), orbit);
@@ -194,7 +207,8 @@ TEST_F(SymmetryPropertyTest, QuotientExpansionMatchesBruteForceExactly) {
     const FunctionGame base = typed_game(partition, rng.next());
     const QuotientGame quotient(base, partition);
     const TabularGame brute = tabulate(base);
-    const TabularGame expanded = quotient.expand();
+    const TabularGame expanded =
+        expand_orbit_table(quotient.orbits(), quotient.orbit_values());
     // Same-orbit masks share one FP evaluation, so equality is exact.
     ASSERT_EQ(expanded.values(), brute.values())
         << "n=" << n << " types=" << partition.num_types();
@@ -243,7 +257,9 @@ TEST_F(SymmetryPropertyTest, QuotientBanzhafAndDividendsMatchBruteForce) {
     const PlayerPartition partition = random_partition(n, rng);
     const FunctionGame base = typed_game(partition, rng.next());
     const QuotientGame quotient(base, partition);
-    const std::vector<double> quick = quotient.banzhaf_raw();
+    const TabularGame expanded =
+        expand_orbit_table(quotient.orbits(), quotient.orbit_values());
+    const std::vector<double> quick = banzhaf_raw(expanded);
     const std::vector<double> slow = banzhaf_raw(base);
     double scale = 1.0;
     for (const double b : slow) scale = std::max(scale, std::abs(b));
@@ -253,7 +269,7 @@ TEST_F(SymmetryPropertyTest, QuotientBanzhafAndDividendsMatchBruteForce) {
     }
     // Dividends of the expanded table == dividends of the base game
     // (the expansion is value-for-value identical).
-    ASSERT_EQ(harsanyi_dividends(quotient.expand()),
+    ASSERT_EQ(harsanyi_dividends(expanded),
               harsanyi_dividends(base));
   }
 }
@@ -265,12 +281,14 @@ TEST_F(SymmetryPropertyTest, ExpansionAndShapleyAreThreadCountInvariant) {
 
   exec::set_threads(1);
   const QuotientGame q1(base, partition);
-  const std::vector<double> values1 = q1.expand().values();
+  const std::vector<double> values1 =
+      expand_orbit_table(q1.orbits(), q1.orbit_values()).values();
   const std::vector<double> shapley1 = q1.shapley();
 
   exec::set_threads(4);
   const QuotientGame q4(base, partition);
-  EXPECT_EQ(values1, q4.expand().values());
+  EXPECT_EQ(values1,
+            expand_orbit_table(q4.orbits(), q4.orbit_values()).values());
   EXPECT_EQ(shapley1, q4.shapley());
 }
 
@@ -315,7 +333,6 @@ TEST_F(SymmetryPropertyTest, OracleAcceptsSymmetricGames) {
     const int n = 4 + static_cast<int>(rng.below(6));
     const PlayerPartition partition = random_partition(n, rng);
     const FunctionGame base = typed_game(partition, rng.next());
-    EXPECT_TRUE(verify_symmetry(base, partition));
     const PlayerPartition verified = verified_partition(base, partition);
     EXPECT_EQ(verified.num_types(), partition.num_types());
   }
@@ -331,7 +348,6 @@ TEST_F(SymmetryPropertyTest, OracleRejectsFalseSymmetryClaims) {
   });
   const PlayerPartition all_one =
       PlayerPartition::from_type_of({0, 0, 0, 0, 0});
-  EXPECT_FALSE(verify_symmetry(asymmetric, all_one));
   EXPECT_TRUE(verified_partition(asymmetric, all_one).is_trivial());
 }
 
@@ -344,7 +360,6 @@ TEST_F(SymmetryPropertyTest, OracleSplitsOnlyTheImpostor) {
     return acc * std::sqrt(static_cast<double>(s.size()));
   });
   const PlayerPartition claim = PlayerPartition::from_type_of({0, 0, 0});
-  EXPECT_FALSE(verify_symmetry(partial, claim));
   const PlayerPartition split = verified_partition(partial, claim);
   EXPECT_EQ(split.num_types(), 2);
   EXPECT_EQ(split.type_of(0), split.type_of(1));
@@ -396,9 +411,9 @@ TEST_F(SymmetryPropertyTest, SameTypeSwapKeepsTiedGreedyValues) {
   ASSERT_EQ(exact.num_types(), 2);
   ASSERT_EQ(exact.type_of(0), exact.type_of(2));
   EXPECT_EQ(model::coalition_value(fed.space(), fed.demand(),
-                                   Coalition::of({0, 1})),
+                                   coalition_of({0, 1})),
             model::coalition_value(fed.space(), fed.demand(),
-                                   Coalition::of({1, 2})));
+                                   coalition_of({1, 2})));
   EXPECT_EQ(fed.build_game(SymmetryMode::kExact).values(),
             fed.build_game().values());
 }
@@ -464,13 +479,13 @@ TEST_F(SymmetryPropertyTest, GreedyDipIsClosedToMonotone) {
   // {PLC, PLJ} *lowers* the heuristic's value. This is the bug the
   // monotone closure exists for — pin that it is still present in the
   // raw function so the regression test keeps guarding something real.
-  const double raw_pair = fed.raw_value(Coalition::of({0, 4}));
-  const double raw_triple = fed.raw_value(Coalition::of({0, 1, 4}));
+  const double raw_pair = fed.raw_value(coalition_of({0, 4}));
+  const double raw_triple = fed.raw_value(coalition_of({0, 1, 4}));
   EXPECT_GT(raw_pair, raw_triple);
   // The closed value must not dip.
-  EXPECT_GE(fed.value(Coalition::of({0, 1, 4})),
-            fed.value(Coalition::of({0, 4})));
-  EXPECT_GE(fed.value(Coalition::of({0, 1, 4})), raw_pair);
+  EXPECT_GE(fed.value(coalition_of({0, 1, 4})),
+            fed.value(coalition_of({0, 4})));
+  EXPECT_GE(fed.value(coalition_of({0, 1, 4})), raw_pair);
 }
 
 TEST_F(SymmetryPropertyTest, ClosedGameIsMonotoneEverywhere) {

@@ -737,24 +737,24 @@ min_locations = 2
 
 TEST(VerifyCli, DefaultOutputByteIdentical) {
   const auto config = io::Config::parse_string(kCliConfig);
-  const std::string base = cli::run_report(config);
+  const std::string base = cli::run_report_result(config, {}).text;
   cli::ReportOptions off;  // verify defaults to kOff
-  EXPECT_EQ(cli::run_report(config, off), base);
+  EXPECT_EQ(cli::run_report_result(config, off).text, base);
 }
 
 TEST(VerifyCli, VerifySectionAppears) {
   const auto config = io::Config::parse_string(kCliConfig);
-  const std::string base = cli::run_report(config);
+  const std::string base = cli::run_report_result(config, {}).text;
   cli::ReportOptions opts;
   opts.verify = VerifyLevel::kCheap;
-  const std::string cheap = cli::run_report(config, opts);
+  const std::string cheap = cli::run_report_result(config, opts).text;
   EXPECT_NE(cheap.find("Verification"), std::string::npos);
   EXPECT_NE(cheap.find("level: cheap"), std::string::npos);
   // The report body before the Verification section is unchanged.
   EXPECT_EQ(cheap.compare(0, base.size(), base), 0);
 
   opts.verify = VerifyLevel::kFull;
-  const std::string full = cli::run_report(config, opts);
+  const std::string full = cli::run_report_result(config, opts).text;
   EXPECT_NE(full.find("lp solves:"), std::string::npos);
   EXPECT_EQ(full.find("UNCERTIFIED"), std::string::npos);
 }
@@ -764,7 +764,7 @@ TEST(VerifyCli, ResilientPathCarriesVerification) {
   cli::ReportOptions opts;
   opts.deadline_ms = 60000.0;
   opts.verify = VerifyLevel::kFull;
-  const std::string report = cli::run_report(config, opts);
+  const std::string report = cli::run_report_result(config, opts).text;
   EXPECT_NE(report.find("Resilience"), std::string::npos);
   EXPECT_NE(report.find("Verification"), std::string::npos);
   EXPECT_NE(report.find("level: full"), std::string::npos);

@@ -1,10 +1,12 @@
 #!/bin/sh
-# Check that every library header has a user path
-# (tools/check_reachable.sh: no src/ header that only its own .cpp and
-# tests/ include), then run the full test suite twice — once in the
-# plain RelWithDebInfo build and once under AddressSanitizer + UndefinedBehaviorSanitizer (both runs
-# include the serve chaos harness: randomized churn vs batch-solve
-# equality) — then the concurrency-sensitive tests a third time under
+# Check that every library header and every library function has a user
+# path (tools/check_reachable.sh: no src/ header that only its own .cpp
+# and tests/ include, and no src/ function that no program links in a
+# -ffunction-sections / --gc-sections build), then run the full test
+# suite twice — once in the plain RelWithDebInfo build and once under
+# AddressSanitizer + UndefinedBehaviorSanitizer (both runs include the
+# serve chaos harness: randomized churn vs batch-solve equality) — then
+# the concurrency-sensitive tests a third time under
 # ThreadSanitizer (the work-stealing pool, the flat value memo's
 # atomic presence bitmap under concurrent invalidation, and the
 # serve-layer apply/query races), then
@@ -40,7 +42,7 @@ set -eu
 root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 jobs=$(nproc 2>/dev/null || echo 4)
 
-echo "== reachability (every library header has a user path) =="
+echo "== reachability (every library header and function has a user path) =="
 "$root/tools/check_reachable.sh"
 
 echo "== plain build =="
