@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "core/game_io.hpp"
+#include "core/limits.hpp"
 #include "core/owen.hpp"
 #include "core/shapley.hpp"
 #include "core/properties.hpp"
@@ -172,10 +173,10 @@ model::Federation federation_from_config(const io::Config& config) {
   if (facility_sections.empty()) {
     throw io::ConfigError("config needs at least one [facility] section");
   }
-  if (facility_sections.size() >
-      static_cast<std::size_t>(model::kMaxFacilities)) {
-    throw io::ConfigError("at most " + std::to_string(model::kMaxFacilities) +
-                          " facilities supported (2^n coalition values)");
+  const auto n = static_cast<std::int64_t>(facility_sections.size());
+  if (limits::exceeds(n, limits::kMaxFacilities)) {
+    throw io::ConfigError(
+        limits::refusal("[facility] sections", n, limits::kMaxFacilities));
   }
   std::vector<model::FacilityConfig> configs;
   for (const auto* section : facility_sections) {

@@ -1,17 +1,11 @@
 #include "core/banzhaf.hpp"
 
-#include <stdexcept>
-
 #include "core/lattice.hpp"
 #include "core/shapley.hpp"
 
 namespace fedshare::game {
 
 std::vector<double> banzhaf_raw(const Game& game) {
-  const int n = game.num_players();
-  if (n < 1 || n > 24) {
-    throw std::invalid_argument("banzhaf_raw: n must be in [1, 24]");
-  }
   // Lattice kernel: per-player passes in ascending mask order, which is
   // the scalar loop's accumulation sequence — bitwise-neutral rewire.
   return banzhaf_lattice(tabulate(game));

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "core/limits.hpp"
+
 namespace fedshare::game {
 
 namespace {
@@ -66,10 +68,8 @@ std::string Coalition::to_string() const {
 }
 
 std::vector<Coalition> all_coalitions(int num_players) {
-  if (num_players < 0 || num_players > 24) {
-    throw std::invalid_argument(
-        "all_coalitions: n must be in [0, 24]; use sampling beyond that");
-  }
+  if (num_players < 0) throw std::invalid_argument("all_coalitions: n < 0");
+  limits::require("all_coalitions", num_players, limits::kMaxTablePlayers);
   const std::uint64_t count = std::uint64_t{1} << num_players;
   std::vector<Coalition> out;
   out.reserve(count);

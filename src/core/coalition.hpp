@@ -79,8 +79,8 @@ class Coalition {
 };
 
 /// All 2^n coalitions over n players, in mask order (empty first, grand
-/// last). Throws std::invalid_argument unless 0 <= n <= 24 (guards against
-/// accidental exponential blowups; larger n should use sampling).
+/// last). Throws std::invalid_argument for n < 0 or n past
+/// kMaxTablePlayers (core/limits.hpp); larger n should use sampling.
 [[nodiscard]] std::vector<Coalition> all_coalitions(int num_players);
 
 /// Calls `fn(subset)` for every subset of `s`, including the empty set and

@@ -5,6 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/limits.hpp"
+
 namespace fedshare::game {
 
 bool in_core(const Game& game, const std::vector<double>& allocation,
@@ -26,9 +28,7 @@ double max_core_violation(const Game& game,
     throw std::invalid_argument(
         "max_core_violation: allocation size must equal n");
   }
-  if (n > 24) {
-    throw std::invalid_argument("max_core_violation: n must be <= 24");
-  }
+  limits::require("max_core_violation", n, limits::kMaxTablePlayers);
   const std::uint64_t grand = (std::uint64_t{1} << n) - 1;
   double worst = -std::numeric_limits<double>::infinity();
   for (std::uint64_t mask = 1; mask < grand; ++mask) {

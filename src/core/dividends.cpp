@@ -1,27 +1,24 @@
 #include "core/dividends.hpp"
 
-#include <stdexcept>
+#include <optional>
 
 #include "core/lattice.hpp"
+#include "core/limits.hpp"
 
 namespace fedshare::game {
 
 std::vector<double> harsanyi_dividends(const Game& game) {
-  const int n = game.num_players();
-  if (n > 24) {
-    throw std::invalid_argument("harsanyi_dividends: n must be <= 24");
-  }
   // Fast Moebius transform via the cache-blocked lattice kernel; each
   // slot is updated once per bit pass, so the result is bitwise
-  // identical to the old serial mask-conditional loop.
-  return dividends_lattice(tabulate(game));
+  // identical to the old serial mask-conditional loop. A tabular game's
+  // table is read in place: the result is the one copy.
+  std::optional<TabularGame> storage;
+  return dividends_lattice(*borrow_or_tabulate(game, {}, storage));
 }
 
 std::vector<std::vector<double>> interaction_index(const Game& game) {
   const int n = game.num_players();
-  if (n > 20) {
-    throw std::invalid_argument("interaction_index: n must be <= 20");
-  }
+  limits::require("interaction_index", n, limits::kMaxPairScanPlayers);
   const std::vector<double> d = harsanyi_dividends(game);
   const auto nn = static_cast<std::size_t>(n);
   std::vector<std::vector<double>> index(nn, std::vector<double>(nn, 0.0));

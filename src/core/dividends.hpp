@@ -21,11 +21,11 @@ namespace fedshare::game {
 
 /// Harsanyi dividends indexed by coalition bitmask (d of the empty set
 /// is 0). Computed by the fast Moebius transform, O(n * 2^n).
-/// Requires n <= 24.
+/// Requires n <= kMaxTablePlayers (core/limits.hpp).
 [[nodiscard]] std::vector<double> harsanyi_dividends(const Game& game);
 
 /// Pairwise Shapley interaction matrix: entry (i, j) is I_ij for i != j,
-/// 0 on the diagonal. Symmetric. Requires n <= 20.
+/// 0 on the diagonal. Symmetric. Requires n <= kMaxPairScanPlayers.
 [[nodiscard]] std::vector<std::vector<double>> interaction_index(
     const Game& game);
 

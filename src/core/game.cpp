@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/limits.hpp"
 #include "exec/pool.hpp"
 
 namespace fedshare::game {
@@ -26,9 +27,8 @@ std::optional<double> Game::value_budgeted(
 
 TabularGame::TabularGame(int num_players, std::vector<double> values)
     : num_players_(num_players), values_(std::move(values)) {
-  if (num_players < 0 || num_players > 24) {
-    throw std::invalid_argument("TabularGame: n must be in [0, 24]");
-  }
+  if (num_players < 0) throw std::invalid_argument("TabularGame: n < 0");
+  limits::require("TabularGame", num_players, limits::kMaxTablePlayers);
   const std::size_t expected = std::size_t{1} << num_players;
   if (values_.size() != expected) {
     throw std::invalid_argument("TabularGame: need exactly 2^n values");
@@ -71,9 +71,7 @@ double FunctionGame::value(Coalition coalition) const {
 
 TabularGame tabulate(const Game& game) {
   const int n = game.num_players();
-  if (n > 24) {
-    throw std::invalid_argument("tabulate: n must be <= 24");
-  }
+  limits::require("tabulate", n, limits::kMaxTablePlayers);
   if (const auto* tab = dynamic_cast<const TabularGame*>(&game)) {
     return *tab;  // already materialised: copy the table
   }
@@ -96,9 +94,7 @@ TabularGame tabulate(const Game& game) {
 std::optional<TabularGame> tabulate_budgeted(
     const Game& game, const runtime::ComputeBudget& budget) {
   const int n = game.num_players();
-  if (n > 24) {
-    throw std::invalid_argument("tabulate_budgeted: n must be <= 24");
-  }
+  limits::require("tabulate_budgeted", n, limits::kMaxTablePlayers);
   if (const auto* tab = dynamic_cast<const TabularGame*>(&game)) {
     return *tab;  // re-reads are free under the charging rule
   }

@@ -91,10 +91,12 @@ class FunctionGame final : public Game {
 };
 
 /// Evaluates `game` on every coalition and returns the tabular form.
-/// Requires num_players() <= 24. Already-tabular games return a copy of
-/// their table without re-evaluating. Masks are evaluated in parallel
-/// when the exec executor has threads > 1; each mask writes its own
-/// slot, so the result is bit-identical at any thread count.
+/// Requires num_players() <= kMaxTablePlayers (core/limits.hpp).
+/// Already-tabular games return a copy of their table without
+/// re-evaluating (borrow_or_tabulate reads it in place). Masks are
+/// evaluated in parallel when the exec executor has threads > 1; each
+/// mask writes its own slot, so the result is bit-identical at any
+/// thread count.
 [[nodiscard]] TabularGame tabulate(const Game& game);
 
 /// Budgeted tabulation: returns nullopt when `budget` trips before all

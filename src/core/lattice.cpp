@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/lattice_simd.hpp"
+#include "core/limits.hpp"
 #include "exec/pool.hpp"
 
 namespace fedshare::game {
@@ -16,9 +17,8 @@ namespace {
 constexpr std::uint64_t kTransformChunk = 1u << 14;
 
 void check_table(const std::vector<double>& values, int num_players) {
-  if (num_players < 0 || num_players > 24) {
-    throw std::invalid_argument("lattice: n must be in [0, 24]");
-  }
+  if (num_players < 0) throw std::invalid_argument("lattice: n < 0");
+  limits::require("lattice", num_players, limits::kMaxTablePlayers);
   if (values.size() != (std::size_t{1} << num_players)) {
     throw std::invalid_argument("lattice: need exactly 2^n values");
   }
@@ -48,10 +48,11 @@ void moebius_transform(std::vector<double>& values, int num_players) {
 }
 
 std::vector<double> shapley_subset_weights(int num_players) {
-  if (num_players < 0 || num_players > 24) {
-    throw std::invalid_argument(
-        "shapley_subset_weights: n must be in [0, 24]");
+  if (num_players < 0) {
+    throw std::invalid_argument("shapley_subset_weights: n < 0");
   }
+  limits::require("shapley_subset_weights", num_players,
+                  limits::kMaxTablePlayers);
   const int n = num_players;
   std::vector<double> log_fact(static_cast<std::size_t>(n) + 1, 0.0);
   for (int k = 2; k <= n; ++k) {
@@ -152,9 +153,7 @@ std::optional<std::vector<double>> shapley_lattice_budgeted(
 
 std::vector<double> banzhaf_lattice(const TabularGame& tab) {
   const int n = tab.num_players();
-  if (n < 1 || n > 24) {
-    throw std::invalid_argument("banzhaf_lattice: n must be in [1, 24]");
-  }
+  if (n < 1) throw std::invalid_argument("banzhaf_lattice: n < 1");
   const std::vector<double>& v = tab.values();
   const double scale = 1.0 / static_cast<double>(std::uint64_t{1} << (n - 1));
   std::vector<double> beta(static_cast<std::size_t>(n), 0.0);

@@ -48,8 +48,8 @@ namespace fedshare::game {
 void moebius_transform(std::vector<double>& values, int num_players);
 
 /// The subset-formula weights w[s] = s! (n-s-1)! / n! for s = 0..n-1,
-/// computed in log space (finite up to n = 24). Exposed so tests can
-/// reproduce the scalar reference loop with the exact same table.
+/// computed in log space, for n up to kMaxTablePlayers. Exposed so tests
+/// can reproduce the scalar reference loop with the exact same table.
 [[nodiscard]] std::vector<double> shapley_subset_weights(int num_players);
 
 /// Exact Shapley values from a tabulated game via per-player lattice

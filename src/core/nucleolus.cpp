@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/core_solution.hpp"
+#include "core/limits.hpp"
 #include "lp/simplex.hpp"
 
 namespace fedshare::game {
@@ -38,7 +39,8 @@ constexpr double kSeparationTol = 1e-12;
 // kMaxExcessRows, is refused on behalf of `who`.
 std::uint64_t checked_excess_rows(const char* who, const OrbitIndex& index) {
   const std::uint64_t rows = index.orbit_count() - 2;
-  if (index.num_players() < 1 || rows > kMaxExcessRows) {
+  if (index.num_players() < 1 ||
+      limits::exceeds(rows, limits::kMaxExcessRows)) {
     throw std::invalid_argument(
         std::string(who) + ": " +
         (index.num_players() < 1 ? "need at least one player"
@@ -570,8 +572,9 @@ NucleolusResult maschler(const OrbitIndex& index,
 }  // namespace
 
 std::string excess_rows_refusal(std::uint64_t rows) {
-  return std::to_string(rows) + " excess rows exceed kMaxExcessRows = " +
-         std::to_string(kMaxExcessRows);
+  return std::to_string(rows) + " excess rows exceed " +
+         std::string(limits::kMaxExcessRows.name) + " = " +
+         std::to_string(limits::kMaxExcessRows.value);
 }
 
 NucleolusResult nucleolus(const Game& game,

@@ -87,12 +87,9 @@ struct NucleolusResult {
   std::uint64_t pivots = 0;
 };
 
-/// Ceiling on the excess rows of either formulation, all of which each
-/// closure scan reads: 2^n - 2 dense (n <= 15), or the proper orbits.
-inline constexpr std::uint64_t kMaxExcessRows = std::uint64_t{1} << 15;
-
 /// "<rows> excess rows exceed kMaxExcessRows = 32768": the one refusal
-/// of nucleolus, nucleolus_quotient, least_core and compare_schemes.
+/// of nucleolus, nucleolus_quotient, least_core and compare_schemes past
+/// their row ceiling (core/limits.hpp).
 [[nodiscard]] std::string excess_rows_refusal(std::uint64_t rows);
 
 /// Computes the nucleolus on the dense formulation (one excess row per

@@ -1,8 +1,11 @@
 #include "core/owen.hpp"
 
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
+
+#include "core/limits.hpp"
 
 namespace fedshare::game {
 
@@ -79,11 +82,10 @@ std::vector<double> shapley_weights(int n) {
 std::vector<double> owen_value(const Game& game,
                                const CoalitionStructure& structure) {
   const int n = game.num_players();
-  if (n > 20) {
-    throw std::invalid_argument("owen_value: n must be <= 20");
-  }
+  limits::require("owen_value", n, limits::kMaxPairScanPlayers);
   structure.validate(n);
-  const TabularGame tab = tabulate(game);
+  std::optional<TabularGame> storage;
+  const TabularGame& tab = *borrow_or_tabulate(game, {}, storage);
   const auto m = static_cast<int>(structure.unions.size());
   const std::vector<double> union_w = shapley_weights(m);
 
@@ -141,9 +143,7 @@ TabularGame quotient_game(const Game& game,
   const int n = game.num_players();
   structure.validate(n);
   const auto m = static_cast<int>(structure.unions.size());
-  if (m > 24) {
-    throw std::invalid_argument("quotient_game: too many unions");
-  }
+  limits::require("quotient_game (unions)", m, limits::kMaxTablePlayers);
   const std::uint64_t count = std::uint64_t{1} << m;
   std::vector<double> values(count, 0.0);
   for (std::uint64_t mask = 0; mask < count; ++mask) {

@@ -33,7 +33,8 @@ struct CoalitionStructure {
   [[nodiscard]] std::size_t union_of(int player) const;
 };
 
-/// Exact Owen value of every player. Requires n <= 20 and
+/// Exact Owen value of every player. Requires n <= kMaxPairScanPlayers
+/// (core/limits.hpp) and
 /// 2^(#unions) * 2^(max union size) * n to stay small (the computation
 /// enumerates union-subsets x within-union subsets).
 [[nodiscard]] std::vector<double> owen_value(
@@ -41,7 +42,7 @@ struct CoalitionStructure {
 
 /// The quotient game between unions: players are union indices, and
 /// V_q(H) = V(union of the unions in H). Useful for the top level of a
-/// hierarchical federation.
+/// hierarchical federation. Requires at most kMaxTablePlayers unions.
 [[nodiscard]] TabularGame quotient_game(const Game& game,
                                         const CoalitionStructure& structure);
 

@@ -1,18 +1,17 @@
 #include "core/properties.hpp"
 
-#include <stdexcept>
+#include "core/limits.hpp"
 
 namespace fedshare::game {
 
 std::optional<ViolationWitness> superadditivity_violation(const Game& game,
                                                           double tolerance) {
   const int n = game.num_players();
-  if (n > 16) {
-    throw std::invalid_argument(
-        "superadditivity_violation: n must be <= 16 (O(3^n) check)");
-  }
-  const TabularGame tab = tabulate(game);
-  const std::vector<double>& v = tab.values();
+  limits::require("superadditivity_violation", n,
+                  limits::kMaxDisjointPairPlayers);
+  std::optional<TabularGame> storage;
+  const std::vector<double>& v =
+      borrow_or_tabulate(game, {}, storage)->values();
   const std::uint64_t grand = (std::uint64_t{1} << n) - 1;
 
   std::optional<ViolationWitness> worst;
@@ -37,11 +36,10 @@ std::optional<ViolationWitness> superadditivity_violation(const Game& game,
 std::optional<ViolationWitness> convexity_violation(const Game& game,
                                                     double tolerance) {
   const int n = game.num_players();
-  if (n > 20) {
-    throw std::invalid_argument("convexity_violation: n must be <= 20");
-  }
-  const TabularGame tab = tabulate(game);
-  const std::vector<double>& v = tab.values();
+  limits::require("convexity_violation", n, limits::kMaxPairScanPlayers);
+  std::optional<TabularGame> storage;
+  const std::vector<double>& v =
+      borrow_or_tabulate(game, {}, storage)->values();
   const std::uint64_t count = std::uint64_t{1} << n;
 
   std::optional<ViolationWitness> worst;
@@ -67,11 +65,10 @@ std::optional<ViolationWitness> convexity_violation(const Game& game,
 std::optional<ViolationWitness> monotonicity_violation(const Game& game,
                                                        double tolerance) {
   const int n = game.num_players();
-  if (n > 20) {
-    throw std::invalid_argument("monotonicity_violation: n must be <= 20");
-  }
-  const TabularGame tab = tabulate(game);
-  const std::vector<double>& v = tab.values();
+  limits::require("monotonicity_violation", n, limits::kMaxPairScanPlayers);
+  std::optional<TabularGame> storage;
+  const std::vector<double>& v =
+      borrow_or_tabulate(game, {}, storage)->values();
   const std::uint64_t count = std::uint64_t{1} << n;
 
   std::optional<ViolationWitness> worst;

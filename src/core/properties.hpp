@@ -22,19 +22,22 @@ struct ViolationWitness {
 
 /// Superadditivity: V(S u T) >= V(S) + V(T) for all disjoint S, T.
 /// Returns a witness of the worst violation, or nullopt if superadditive.
-/// Requires n <= 16 (the check enumerates all disjoint pairs, O(3^n)).
+/// Requires n <= kMaxDisjointPairPlayers (core/limits.hpp): the check
+/// enumerates all disjoint pairs, O(3^n).
 [[nodiscard]] std::optional<ViolationWitness> superadditivity_violation(
     const Game& game, double tolerance = 1e-9);
 
 /// Convexity (supermodularity), checked via the equivalent pairwise
 /// marginal condition: for all S and i != j not in S,
 /// V(S+i+j) - V(S+j) >= V(S+i) - V(S). Returns the worst violation
-/// witness ({S+i}, {S+j}) or nullopt if convex. Requires n <= 20.
+/// witness ({S+i}, {S+j}) or nullopt if convex. Requires n <=
+/// kMaxPairScanPlayers.
 [[nodiscard]] std::optional<ViolationWitness> convexity_violation(
     const Game& game, double tolerance = 1e-9);
 
 /// Monotonicity: V(S) <= V(T) whenever S is a subset of T (checked via
 /// single-player extensions). Returns a witness (S, S+i) or nullopt.
+/// Requires n <= kMaxPairScanPlayers.
 [[nodiscard]] std::optional<ViolationWitness> monotonicity_violation(
     const Game& game, double tolerance = 1e-9);
 

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "core/lattice.hpp"
+#include "core/limits.hpp"
 #include "exec/pool.hpp"
 
 namespace fedshare::game {
@@ -36,12 +37,7 @@ struct SplitMix64 {
 }  // namespace
 
 std::vector<double> shapley_exact(const Game& game) {
-  const int n = game.num_players();
-  if (n == 0) return {};
-  if (n > 24) {
-    throw std::invalid_argument(
-        "shapley_exact: n must be <= 24; use shapley_monte_carlo");
-  }
+  if (game.num_players() == 0) return {};
   // The lattice kernel accumulates each phi[i] in the same order as the
   // scalar subset formula, so this rewire is bitwise-neutral.
   return shapley_lattice(tabulate(game));
@@ -49,12 +45,7 @@ std::vector<double> shapley_exact(const Game& game) {
 
 std::optional<std::vector<double>> shapley_exact_budgeted(
     const Game& game, const runtime::ComputeBudget& budget) {
-  const int n = game.num_players();
-  if (n == 0) return std::vector<double>{};
-  if (n > 24) {
-    throw std::invalid_argument(
-        "shapley_exact_budgeted: n must be <= 24; use shapley_monte_carlo");
-  }
+  if (game.num_players() == 0) return std::vector<double>{};
   std::optional<TabularGame> storage;
   const TabularGame* tab = borrow_or_tabulate(game, budget, storage);
   if (tab == nullptr) return std::nullopt;
@@ -64,11 +55,7 @@ std::optional<std::vector<double>> shapley_exact_budgeted(
 std::vector<double> shapley_permutations(const Game& game) {
   const int n = game.num_players();
   if (n == 0) return {};
-  if (n > 10) {
-    throw std::invalid_argument(
-        "shapley_permutations: n must be <= 10 (n! blowup); use "
-        "shapley_exact");
-  }
+  limits::require("shapley_permutations", n, limits::kMaxPermutationPlayers);
   const TabularGame tab = tabulate(game);
 
   std::vector<int> order(static_cast<std::size_t>(n));
@@ -374,7 +361,8 @@ ResilientShapley resilient_shapley(const Game& game,
                                    const runtime::ComputeBudget& budget) {
   ResilientShapley out;
   std::string cause;
-  if (game.num_players() <= 24) {
+  const int n = game.num_players();
+  if (!limits::exceeds(n, limits::kMaxTablePlayers)) {
     if (auto exact = shapley_exact_budgeted(game, budget)) {
       out.phi = std::move(*exact);
       return out;
@@ -382,7 +370,7 @@ ResilientShapley resilient_shapley(const Game& game,
     cause = std::string("exact Shapley budget exhausted (") +
             runtime::stop_label(budget) + ")";
   } else {
-    cause = "n > 24 puts exact Shapley out of reach";
+    cause = limits::refusal("exact Shapley", n, limits::kMaxTablePlayers);
   }
 
   // Monte-Carlo fallback. If the caller's budget already tripped, run

@@ -3,9 +3,11 @@
 //
 // Three engines are provided:
 //  * shapley_exact       — marginal-contribution subset formula,
-//                          O(2^n * n); the default for n <= 24.
+//                          O(2^n * n); the default up to
+//                          kMaxTablePlayers (core/limits.hpp).
 //  * shapley_permutations— direct enumeration of all n! orderings,
-//                          O(n! * n); cross-check for n <= 10.
+//                          O(n! * n); cross-check up to
+//                          kMaxPermutationPlayers.
 //  * shapley_monte_carlo — uniform permutation sampling with standard
 //                          errors; for large n (hierarchical federations).
 // resilient_shapley chains them under a ComputeBudget: exact first,
@@ -23,7 +25,7 @@ namespace fedshare::game {
 
 /// Exact Shapley values, phi[i] for each player, via the subset formula
 /// phi_i = sum_{S not containing i} |S|!(n-|S|-1)!/n! (V(S+i) - V(S)).
-/// The game is tabulated once; requires n <= 24.
+/// The game is tabulated once; requires n <= kMaxTablePlayers.
 [[nodiscard]] std::vector<double> shapley_exact(const Game& game);
 
 /// Budgeted exact Shapley: charges `budget` one unit per V(S) evaluation
@@ -37,7 +39,8 @@ namespace fedshare::game {
 
 /// Exact Shapley values by enumerating all n! player orderings and
 /// averaging marginal contributions. Exponentially slower than
-/// shapley_exact; kept as an independent cross-check. Requires n <= 10.
+/// shapley_exact; kept as an independent cross-check. Requires n <=
+/// kMaxPermutationPlayers.
 [[nodiscard]] std::vector<double> shapley_permutations(const Game& game);
 
 /// Monte-Carlo Shapley estimate.
@@ -94,11 +97,11 @@ struct ResilientShapley {
 
 /// Shapley cascade: shapley_exact_budgeted under `budget`, degrading to
 /// antithetic Monte Carlo with reported standard errors when the budget
-/// trips or n > 24. The Monte Carlo stage draws at most 4096
-/// permutations (seed 1, so the estimate is deterministic) under
-/// `budget`, or under a fresh 50 ms grace deadline when `budget` has
-/// already tripped, so a too-tight deadline still yields an estimate of
-/// at least one antithetic pair.
+/// trips or n is past kMaxTablePlayers. The Monte Carlo stage draws at
+/// most 4096 permutations (seed 1, so the estimate is deterministic)
+/// under `budget`, or under a fresh 50 ms grace deadline when `budget`
+/// has already tripped, so a too-tight deadline still yields an
+/// estimate of at least one antithetic pair.
 [[nodiscard]] ResilientShapley resilient_shapley(
     const Game& game, const runtime::ComputeBudget& budget = {});
 

@@ -7,6 +7,7 @@
 
 #include "core/banzhaf.hpp"
 #include "core/core_solution.hpp"
+#include "core/limits.hpp"
 #include "core/nucleolus.hpp"
 #include "core/shapley.hpp"
 
@@ -140,7 +141,9 @@ SchemeComparison compare_schemes(
       o.payoffs[i] = shares[i] * total;
     }
     o.shares = std::move(shares);
-    if (check_core && tab && n <= 16) o.in_core = in_core(*tab, o.payoffs);
+    if (check_core && tab && !limits::exceeds(n, limits::kMaxCorePlayers)) {
+      o.in_core = in_core(*tab, o.payoffs);
+    }
     out.outcomes.push_back(std::move(o));
   };
 
@@ -174,7 +177,7 @@ SchemeComparison compare_schemes(
   } else if (const std::uint64_t rows = quotient_path
                                             ? partition->orbit_count() - 2
                                             : (std::uint64_t{1} << n) - 2;
-             rows > kMaxExcessRows) {
+             limits::exceeds(rows, limits::kMaxExcessRows)) {
     out.skipped.push_back(
         {"nucleolus", excess_rows_refusal(rows), /*size_limit=*/true});
   } else if (budget.exhausted()) {
@@ -188,7 +191,7 @@ SchemeComparison compare_schemes(
         info->attempted = true;
         info->used = r.solved;
         info->orbit_rows = r.excess_rows;
-        info->dense_rows = n < 63 ? (std::uint64_t{1} << n) - 2 : 0;
+        info->dense_rows = (std::uint64_t{1} << n) - 2;
         info->lps_solved = r.lps_solved;
         info->pivots = r.pivots;
         const auto stats = quotient.cache().stats();
@@ -214,8 +217,11 @@ SchemeComparison compare_schemes(
   }
   if (!tab) {
     out.skipped.push_back({"core membership", no_table});
-  } else if (n > 16) {
-    out.skipped.push_back({"core membership", "n > 16", /*size_limit=*/true});
+  } else if (limits::exceeds(n, limits::kMaxCorePlayers)) {
+    out.skipped.push_back(
+        {"core membership",
+         limits::refusal("compare_schemes", n, limits::kMaxCorePlayers),
+         /*size_limit=*/true});
   }
   return out;
 }

@@ -49,7 +49,7 @@ enum class Scheme {
 [[nodiscard]] std::vector<double> shapley_shares(const Game& game);
 
 /// Nucleolus-based shares (allocation / V(N)); falls back to equal shares
-/// when V(N) is ~0. Requires n <= 10.
+/// when V(N) is ~0. Requires at most kMaxExcessRows excess rows.
 [[nodiscard]] std::vector<double> nucleolus_shares(const Game& game);
 
 /// Variant threading LP solver options (engine choice, tolerance,
@@ -63,8 +63,8 @@ struct SchemeOutcome {
   std::vector<double> shares;    ///< sums to 1
   std::vector<double> payoffs;   ///< shares * V(N)
   /// Whether the payoff vector lies in the core; nullopt when it was
-  /// not checked (no coalition table, n > 16, or a Monte-Carlo Shapley
-  /// estimate, whose verdict would be the estimate's).
+  /// not checked (no coalition table, n past kMaxCorePlayers, or a
+  /// Monte-Carlo Shapley estimate, whose verdict would be the estimate's).
   std::optional<bool> in_core;
 };
 
@@ -87,7 +87,8 @@ struct QuotientNucleolusInfo {
 /// A scheme (or the core check) a comparison did not answer, and why.
 struct SkippedScheme {
   std::string scheme;  ///< "nucleolus", "banzhaf" or "core membership"
-  std::string reason;  ///< e.g. "deadline", "n > 16"
+  /// e.g. "deadline", or a refusal naming the ceiling (core/limits.hpp)
+  std::string reason;
   /// True when the instance's size alone rules it out (the same for
   /// every run at this n); false when the budget or a solver failure
   /// cut it short.
@@ -134,9 +135,10 @@ struct SchemeComparison {
 /// `partition` is non-trivial (the game must be symmetric under it; see
 /// verified_partition), the dense formulation otherwise; either one
 /// past kMaxExcessRows, a budget trip or a failed LP chain becomes a
-/// recorded skip. Core membership is checked
-/// for n <= 16. `lp_options` (engine, observer) reach every nucleolus
-/// LP; `info`, when non-null, receives the quotient-path telemetry.
+/// recorded skip. Core membership is checked for n <= kMaxCorePlayers
+/// (core/limits.hpp) and is a size skip past it. `lp_options` (engine,
+/// observer) reach every nucleolus LP; `info`, when non-null, receives
+/// the quotient-path telemetry.
 [[nodiscard]] SchemeComparison compare_schemes(
     const Game& game, const std::vector<double>& availability_weights,
     const std::vector<double>& consumption_weights,

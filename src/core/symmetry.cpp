@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "core/lattice.hpp"
+#include "core/limits.hpp"
 #include "exec/pool.hpp"
 
 namespace fedshare::game {
@@ -45,9 +46,7 @@ constexpr std::uint64_t kOrbitChunk = 4;
 // 1 + |V|).
 bool pair_symmetric(const Game& game, int a, int b, int samples,
                     std::uint64_t seed, double tolerance) {
-  const int n = game.num_players();
-  const std::uint64_t all = n >= 64 ? ~std::uint64_t{0}
-                                    : (std::uint64_t{1} << n) - 1;
+  const std::uint64_t all = Coalition::grand(game.num_players()).bits();
   const std::uint64_t bit_a = std::uint64_t{1} << a;
   const std::uint64_t bit_b = std::uint64_t{1} << b;
   SplitMix64 rng{seed ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(
@@ -286,9 +285,7 @@ void close_monotone(const OrbitIndex& index, std::vector<double>& values) {
 TabularGame expand_orbit_table(const OrbitIndex& index,
                                const std::vector<double>& orbit_values) {
   const int n = index.num_players();
-  if (n > 24) {
-    throw std::invalid_argument("expand_orbit_table: n must be <= 24");
-  }
+  limits::require("expand_orbit_table", n, limits::kMaxTablePlayers);
   if (orbit_values.size() != index.orbit_count()) {
     throw std::invalid_argument(
         "expand_orbit_table: need one value per orbit");

@@ -12,9 +12,10 @@
 //    from the ChunkRange alone — outputs go to per-index or per-chunk
 //    slots, RNG streams are seeded from chunk_seed(base_seed, index) —
 //    so execution order is unobservable.
-//  * Ordered reduction. parallel_reduce combines per-chunk partials in
-//    ascending chunk order after the join, fixing the floating-point
-//    summation order independent of scheduling.
+//  * Ordered reduction. A caller that reduces keeps one partial per
+//    chunk and folds them in ascending chunk order after the join,
+//    fixing the floating-point summation order independent of
+//    scheduling.
 //
 // Scheduling: each participant (the calling thread plus the workers)
 // owns a contiguous span of chunk indices and pops from its front; idle
@@ -38,7 +39,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "runtime/budget.hpp"
 
@@ -127,31 +127,5 @@ bool parallel_for_budgeted(
     const runtime::ComputeBudget& parent,
     const std::function<bool(const ChunkRange&,
                              const runtime::ComputeBudget&)>& body);
-
-/// Ordered parallel reduction: `map` produces one partial per chunk
-/// (stored in a per-chunk slot), then the partials are folded with
-/// `combine` in ascending chunk order on the calling thread. The fold
-/// order — and therefore the floating-point rounding — is a pure
-/// function of the decomposition, so the result is bit-identical for
-/// any thread count.
-template <typename T, typename MapFn, typename CombineFn>
-[[nodiscard]] T parallel_reduce(std::uint64_t begin, std::uint64_t end,
-                                std::uint64_t chunk_size, T init, MapFn&& map,
-                                CombineFn&& combine) {
-  if (end <= begin) return init;
-  const std::uint64_t items = end - begin;
-  const std::uint64_t chunk = chunk_size == 0 ? 1 : chunk_size;
-  const std::uint64_t num_chunks = (items + chunk - 1) / chunk;
-  std::vector<T> partials(num_chunks);
-  parallel_for(begin, end, chunk, [&](const ChunkRange& r) {
-    partials[r.index] = map(r);
-    return true;
-  });
-  T acc = std::move(init);
-  for (std::uint64_t c = 0; c < num_chunks; ++c) {
-    acc = combine(std::move(acc), std::move(partials[c]));
-  }
-  return acc;
-}
 
 }  // namespace fedshare::exec

@@ -1,7 +1,7 @@
 // Flat memo table for coalition values.
 //
 // A ValueCache maps small dense integer keys — a coalition bitmask below
-// 2^n, a serve slot mask below 2^max_facilities, or an orbit id — to
+// 2^n, a serve slot mask below 2^kMaxFacilities, or an orbit id — to
 // V(S) so that each coalition's characteristic-function evaluation (an
 // allocation in the paper's model) is computed once per table and then
 // shared by every consumer: tabulation, the symmetry oracle, and the

@@ -25,7 +25,6 @@ void CsvWriter::write_row(const std::vector<std::string>& cells) {
     out_ << escape(cells[i]);
   }
   out_ << '\n';
-  ++rows_;
 }
 
 void CsvWriter::write_row(const std::vector<double>& values, int precision) {

@@ -26,15 +26,11 @@ class CsvWriter {
   /// Convenience: writes a row of doubles with the given precision.
   void write_row(const std::vector<double>& values, int precision = 6);
 
-  /// Number of rows written so far.
-  [[nodiscard]] std::size_t rows_written() const noexcept { return rows_; }
-
   /// Escapes a single cell according to RFC 4180 (exposed for tests).
   [[nodiscard]] static std::string escape(const std::string& cell);
 
  private:
   std::ostream& out_;
-  std::size_t rows_ = 0;
 };
 
 }  // namespace fedshare::io

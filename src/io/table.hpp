@@ -28,14 +28,6 @@ class Table {
   /// Appends one row. Must not have more cells than there are headers.
   void add_row(std::vector<std::string> cells);
 
-  /// Number of data rows added so far.
-  [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
-
-  /// Number of columns (fixed at construction).
-  [[nodiscard]] std::size_t column_count() const noexcept {
-    return headers_.size();
-  }
-
   /// Sets the alignment for one column (default is kRight).
   void set_align(std::size_t column, Align align);
 

@@ -136,12 +136,6 @@ class RevisedSimplex {
   /// Cumulative simplex iterations across all solves on this instance.
   [[nodiscard]] std::uint64_t pivots() const noexcept { return pivots_; }
 
-  /// Rows remaining after singleton presolve (the basis dimension).
-  [[nodiscard]] std::size_t num_rows() const noexcept { return num_rows_; }
-  /// Structural variables + slacks.
-  [[nodiscard]] std::size_t num_columns() const noexcept {
-    return num_cols_;
-  }
   [[nodiscard]] std::size_t num_structural() const noexcept { return n_; }
 
  private:

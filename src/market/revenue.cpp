@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/limits.hpp"
 #include "core/sharing.hpp"
 #include "model/value.hpp"
 
@@ -25,11 +26,7 @@ SettlementReport evaluate_settlement(const model::LocationSpace& space,
                                      const RevenueModel& revenue) {
   revenue.validate();
   const int n = space.num_facilities();
-  if (n > model::kMaxFacilities) {
-    throw std::invalid_argument("evaluate_settlement: at most " +
-                                std::to_string(model::kMaxFacilities) +
-                                " facilities");
-  }
+  limits::require("evaluate_settlement", n, limits::kMaxFacilities);
   for (const auto& c : customers) {
     c.demand.validate();
     if (c.sponsor_facility < 0 || c.sponsor_facility >= n) {

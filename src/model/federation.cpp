@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/limits.hpp"
 #include "exec/pool.hpp"
 #include "model/value.hpp"
 
@@ -33,9 +34,7 @@ double Federation::value(game::Coalition coalition) const {
 
 exec::ValueCache& Federation::memo() const {
   std::call_once(tables_->memo_once, [this] {
-    if (num_facilities() > 24) {
-      throw std::invalid_argument("raw_value: n must be <= 24");
-    }
+    limits::require("raw_value", num_facilities(), limits::kMaxTablePlayers);
     tables_->memo.emplace(std::uint64_t{1} << num_facilities());
   });
   return *tables_->memo;
@@ -78,9 +77,7 @@ std::optional<game::TabularGame> Federation::build_game_budgeted(
   const game::PlayerPartition partition = symmetry_partition(mode);
   const int n = num_facilities();
   if (partition.is_trivial()) {
-    if (n > 24) {
-      throw std::invalid_argument("tabulate: n must be <= 24");
-    }
+    limits::require("build_game", n, limits::kMaxTablePlayers);
     // Each mask writes its own slot and charges one unit, so the table
     // is bit-identical to the serial loop at any thread count; the memo
     // lookups are one per mask, so its counters are too.

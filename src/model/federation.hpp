@@ -46,8 +46,8 @@ class Federation {
   /// pools mislead it (V({0,4}) > V({0,1,4}) on the PlanetLab-style
   /// config); the closure (game::close_monotone) makes V monotone by
   /// construction. Reads the closed table build_game() returns, built
-  /// once on first use (so num_facilities() <= 24) and shared by copies
-  /// like the memo.
+  /// once on first use (so num_facilities() <= kMaxTablePlayers) and
+  /// shared by copies like the memo.
   [[nodiscard]] double value(game::Coalition coalition) const;
 
   /// The greedy allocation value without the monotone closure — the
@@ -55,7 +55,8 @@ class Federation {
   /// instance's 2^n-entry table so each coalition's allocation is
   /// solved exactly once no matter how many tabulations, oracle probes
   /// or threads ask for it. This is what the symmetry oracle samples
-  /// and what every tabulation closes. Requires num_facilities() <= 24.
+  /// and what every tabulation closes. Requires num_facilities() <=
+  /// kMaxTablePlayers (core/limits.hpp).
   [[nodiscard]] double raw_value(game::Coalition coalition) const;
 
   /// The instance's raw V(S) memo (hit/miss statistics for benches).
@@ -65,7 +66,7 @@ class Federation {
   }
 
   /// The federation's TU game, tabulated (all 2^n coalition values).
-  /// Requires num_facilities() <= 24.
+  /// Requires num_facilities() <= kMaxTablePlayers.
   [[nodiscard]] game::TabularGame build_game() const;
 
   /// The player partition the symmetry engine would quotient with:

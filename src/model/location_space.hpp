@@ -17,10 +17,6 @@
 
 namespace fedshare::model {
 
-/// Largest federation the report, serve, settlement and simulated-game
-/// paths accept: each builds a 2^n coalition table.
-inline constexpr int kMaxFacilities = 12;
-
 /// Immutable assignment of facilities to locations.
 class LocationSpace {
  public:

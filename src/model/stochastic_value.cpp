@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/limits.hpp"
+
 namespace fedshare::model {
 
 game::TabularGame simulated_game(const LocationSpace& space,
@@ -11,11 +13,7 @@ game::TabularGame simulated_game(const LocationSpace& space,
                                  const sim::SimConfig& config,
                                  ArrivalScaling scaling) {
   const int n = space.num_facilities();
-  if (n > kMaxFacilities) {
-    throw std::invalid_argument("simulated_game: at most " +
-                                std::to_string(kMaxFacilities) +
-                                " facilities (2^n simulations)");
-  }
+  limits::require("simulated_game", n, limits::kMaxFacilities);
   const std::uint64_t count = std::uint64_t{1} << n;
   std::vector<double> values(count, 0.0);
   for (std::uint64_t mask = 1; mask < count; ++mask) {

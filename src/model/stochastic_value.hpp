@@ -30,8 +30,8 @@ enum class ArrivalScaling {
 /// Tabulates V(S) = utility rate of the DES run on coalition S's pool.
 /// Each coalition uses the same config (and so the same seed — paired
 /// randomness reduces the variance of coalition comparisons). The empty
-/// coalition is fixed at 0. Requires <= kMaxFacilities facilities (2^n
-/// simulations).
+/// coalition is fixed at 0. Requires at most kMaxFacilities
+/// (core/limits.hpp) facilities: 2^n simulations.
 [[nodiscard]] game::TabularGame simulated_game(
     const LocationSpace& space, const std::vector<sim::TrafficClass>& traffic,
     const sim::SimConfig& config,

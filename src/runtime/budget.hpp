@@ -195,10 +195,6 @@ class ComputeBudget {
 
   [[nodiscard]] StopReason stop_reason() const noexcept { return stop_; }
   [[nodiscard]] std::uint64_t used() const noexcept { return used_; }
-  [[nodiscard]] bool limited() const noexcept {
-    return has_deadline_ || has_node_cap_ || token_.cancelled() ||
-           aux_token_.cancelled() || stop_ != StopReason::kNone;
-  }
 
  private:
   // Clock reads are amortised over this many charged units. Units range

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <vector>
 
+#include "core/limits.hpp"
 #include "io/atomic_file.hpp"
 #include "lp/simplex.hpp"
 
@@ -100,7 +101,7 @@ std::string encode_checkpoint(const CheckpointImage& image) {
   // recorded explicitly so a reader can pick its replay suffix without
   // knowing that invariant.
   out << "log-offset " << image.epoch << '\n';
-  out << "options max_facilities=" << image.options.max_facilities
+  out << "options max_facilities=" << limits::kMaxFacilities.value
       << " track_bounds=" << (image.options.track_bounds ? 1 : 0)
       << " lp_solver=" << lp::to_string(image.options.lp_solver) << '\n';
   out << "history tripped=" << image.epochs_tripped
@@ -209,8 +210,13 @@ CheckpointImage decode_checkpoint(std::string_view text) {
     if (!(in >> kw >> t1 >> t2 >> t3) || kw != "options") {
       throw ServeError("checkpoint: expected options line");
     }
-    image.options.max_facilities =
-        static_cast<int>(parse_u64(expect_kv(t1, "max_facilities")));
+    // The roster width is a constant; a file written for another width
+    // has slot masks this service cannot read.
+    if (parse_u64(expect_kv(t1, "max_facilities")) !=
+        static_cast<std::uint64_t>(limits::kMaxFacilities.value)) {
+      throw ServeError("checkpoint: max_facilities is not " +
+                       std::to_string(limits::kMaxFacilities.value));
+    }
     image.options.track_bounds =
         parse_u64(expect_kv(t2, "track_bounds")) != 0;
     // Files written while serve ran the revised nucleolus say

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/limits.hpp"
 #include "core/symmetry.hpp"
 #include "exec/pool.hpp"
 #include "model/value.hpp"
@@ -15,10 +16,13 @@ namespace fedshare::serve {
 namespace {
 
 // Byte budget of the published-answer memo. One entry of a
-// model::kMaxFacilities = 12 roster holds a 4096-double table (32 KiB)
+// kMaxFacilities = 12 roster holds a 4096-double table (32 KiB)
 // plus its weights and rows, so the memo keeps the ~30 most recent games
 // of the largest roster, and hundreds of a 6-facility one.
 constexpr std::size_t kAnswerMemoBytes = std::size_t{1} << 20;
+
+// Roster slots: one per facility the service accepts.
+constexpr auto kSlots = static_cast<std::size_t>(limits::kMaxFacilities.value);
 
 // Refreshes a budget's stop reason after a failed stage (the amortised
 // charge path may not have recorded a deadline yet).
@@ -32,20 +36,14 @@ runtime::StopReason stop_reason_of(const runtime::ComputeBudget& budget) {
              : reason;
 }
 
-ServeOptions clamped(ServeOptions options) {
-  options.max_facilities =
-      std::clamp(options.max_facilities, 1, model::kMaxFacilities);
-  return options;
-}
-
 }  // namespace
 
 ServiceState::ServiceState(ServeOptions options)
-    : options_(clamped(options)),
+    : options_(options),
       space_(model::LocationSpace::disjoint({})),
-      cache_(std::uint64_t{1} << options_.max_facilities),
+      cache_(std::uint64_t{1} << limits::kMaxFacilities.value),
       memo_(kAnswerMemoBytes) {
-  lp_offset_.assign(static_cast<std::size_t>(options_.max_facilities), -1);
+  lp_offset_.assign(kSlots, -1);
   publish_snapshot();  // epoch 0: the empty federation, always complete
 }
 
@@ -83,12 +81,13 @@ int ServiceState::validate_and_stage(const Event& event) {
       throw ServeError("join: facility '" + e->config.name +
                        "' is already federated");
     }
-    if (static_cast<int>(roster_.size()) >= options_.max_facilities) {
-      throw ServeError("join: roster full (" +
-                       std::to_string(options_.max_facilities) + " slots)");
+    const auto joined = static_cast<std::int64_t>(roster_.size()) + 1;
+    if (limits::exceeds(joined, limits::kMaxFacilities)) {
+      throw ServeError(
+          limits::refusal("join: roster full", joined, limits::kMaxFacilities));
     }
     // Smallest free slot; leavers free their slot for later joiners, so
-    // the lattice never outgrows 2^max_facilities masks.
+    // the lattice never outgrows 2^kMaxFacilities masks.
     const std::uint64_t used = active_mask();
     int slot = 0;
     while (used >> slot & 1) ++slot;
@@ -231,7 +230,7 @@ void ServiceState::rebuild_template() {
   lp_template_.reset();
   lp_proto_.reset();
   bound_.basis = lp::Basis{};  // belongs to the old layout/objective
-  lp_offset_.assign(static_cast<std::size_t>(options_.max_facilities), -1);
+  lp_offset_.assign(kSlots, -1);
   lp_locations_ = 0;
   for (const Member& m : roster_) {
     lp_offset_[static_cast<std::size_t>(m.slot)] =
@@ -677,20 +676,16 @@ void ServiceState::restore(const CheckpointImage& image) {
   if (epoch_ != 0 || !log_.empty()) {
     throw ServeError("restore: state is not fresh");
   }
-  if (image.options.max_facilities != options_.max_facilities ||
-      image.options.track_bounds != options_.track_bounds) {
-    // Slot masks / bounds are not portable across max_facilities
-    // or track_bounds — any mismatch breaks bitwise recovery.
+  if (image.options.track_bounds != options_.track_bounds) {
+    // Bounds are not portable across track_bounds: a mismatch breaks
+    // bitwise recovery.
     throw ServeError(
         "restore: checkpoint options disagree with this service "
-        "(max_facilities/track_bounds)");
-  }
-  if (static_cast<int>(image.roster.size()) > options_.max_facilities) {
-    throw ServeError("restore: roster exceeds max_facilities");
+        "(track_bounds)");
   }
   std::uint64_t used_slots = 0;
   for (const auto& mi : image.roster) {
-    if (mi.slot < 0 || mi.slot >= options_.max_facilities) {
+    if (mi.slot < 0 || mi.slot >= limits::kMaxFacilities.value) {
       throw ServeError("restore: member slot out of range");
     }
     if (used_slots >> mi.slot & 1) {
@@ -743,7 +738,7 @@ void ServiceState::restore(const CheckpointImage& image) {
     }
   }
   for (const auto& bi : image.bounds) {
-    if (bi.mask >= (std::uint64_t{1} << options_.max_facilities)) {
+    if (bi.mask >= (std::uint64_t{1} << limits::kMaxFacilities.value)) {
       throw ServeError("restore: bound mask out of range");
     }
   }

@@ -26,7 +26,7 @@
 //    masks (a facility keeps its slot for its whole tenure; leavers free
 //    their slot for later joiners). An event touching slot s invalidates
 //    only the masks containing s (exec::ValueCache::invalidate_if clears
-//    their presence bits in the flat 2^max_facilities table); the
+//    their presence bits in the flat 2^kMaxFacilities table); the
 //    surviving half of the lattice is reused bit-for-bit, which is sound
 //    because a coalition's pooled capacity vector depends only on its
 //    own members' configs in slot order. The LP-relaxation bound is kept
@@ -101,9 +101,6 @@ struct ServeOptions {
   /// on V(N), one warm dual-simplex re-solve per epoch). Off = greedy V
   /// only.
   bool track_bounds = true;
-  /// Roster capacity (slots). At most model::kMaxFacilities — the 2^n
-  /// tables.
-  int max_facilities = model::kMaxFacilities;
 };
 
 /// What one apply()/repair() call did.
@@ -316,8 +313,8 @@ class ServiceState {
   /// cache, grand-coalition bound with its basis) and publishes the checkpoint
   /// epoch's snapshot. Only valid on a fresh state; throws ServeError
   /// otherwise or when image.options disagree with this state's options
-  /// (slot masks and bounds are not portable across max_facilities /
-  /// track_bounds). After restore, applying the
+  /// (bounds are not portable across track_bounds). The roster has
+  /// kMaxFacilities (core/limits.hpp) slots. After restore, applying the
   /// logged suffix reproduces the uncrashed run bit-for-bit; note
   /// log() returns only the post-restore suffix (full history lives in
   /// the durable log, see serve/log.hpp).
@@ -376,7 +373,7 @@ class ServiceState {
   /// Raw greedy V(S) memo keyed by slot mask. Raw values keep masks
   /// independent, so re-tabulation needs no level order;
   /// publish_snapshot() applies the monotone closure.
-  exec::ValueCache cache_;  ///< 2^max_facilities keys
+  exec::ValueCache cache_;  ///< 2^kMaxFacilities keys
 
   /// LP bound state. The relaxation template spans every slot's
   /// *nominal* location block in slot order as of the last join or

@@ -23,7 +23,6 @@ bool EventQueue::run_next() {
   Entry e = queue_.top();
   queue_.pop();
   now_ = e.time;
-  ++processed_;
   e.handler(now_);
   return true;
 }

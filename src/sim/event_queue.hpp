@@ -30,9 +30,6 @@ class EventQueue {
   [[nodiscard]] double now() const noexcept { return now_; }
 
   [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
-  [[nodiscard]] std::uint64_t processed() const noexcept {
-    return processed_;
-  }
 
  private:
   struct Entry {
@@ -50,7 +47,6 @@ class EventQueue {
   std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t processed_ = 0;
 };
 
 }  // namespace fedshare::sim

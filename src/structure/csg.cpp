@@ -1,10 +1,12 @@
 #include "structure/csg.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "core/limits.hpp"
 #include "exec/pool.hpp"
 
 namespace fedshare::structure {
@@ -81,11 +83,8 @@ double structure_welfare(const game::Game& g,
 StructureResult optimal_structure(const game::Game& g,
                                   const runtime::ComputeBudget& budget) {
   const int n = g.num_players();
-  if (n < 1 || n > 18) {
-    throw std::invalid_argument(
-        "optimal_structure: n must be in [1, 18] (the DP walks ~3^n/2 "
-        "lattice edges)");
-  }
+  if (n < 1) throw std::invalid_argument("optimal_structure: n < 1");
+  limits::require("optimal_structure", n, limits::kMaxCsgPlayers);
   const std::uint64_t used_before = budget.used();
 
   // Incumbent phase: the two polynomial-cost candidate structures,
@@ -194,12 +193,11 @@ StructureResult optimal_structure(const game::Game& g,
 
 StructureResult brute_force_structure(const game::Game& g) {
   const int n = g.num_players();
-  if (n < 1 || n > 12) {
-    throw std::invalid_argument(
-        "brute_force_structure: n must be in [1, 12] (Bell(n) partitions)");
-  }
-  const game::TabularGame tab = game::tabulate(g);
-  const std::vector<double>& v = tab.values();
+  if (n < 1) throw std::invalid_argument("brute_force_structure: n < 1");
+  limits::require("brute_force_structure", n, limits::kMaxPartitionPlayers);
+  std::optional<game::TabularGame> storage;
+  const std::vector<double>& v =
+      game::borrow_or_tabulate(g, {}, storage)->values();
 
   StructureResult result;
   result.welfare = 0.0;

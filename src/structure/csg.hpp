@@ -84,7 +84,8 @@ struct StructureResult {
     const game::Game& game, const game::CoalitionStructure& partition);
 
 /// Welfare-optimal coalition structure via the anchored subset-lattice
-/// DP. Requires 1 <= n <= 18 (the sweep walks ~3^n / 2 lattice edges).
+/// DP. Requires 1 <= n <= kMaxCsgPlayers (core/limits.hpp): the sweep
+/// walks ~3^n / 2 lattice edges.
 /// Deterministic — bit-identical structure and welfare at any exec
 /// thread count; see the budget contract above for degraded results.
 [[nodiscard]] StructureResult optimal_structure(
@@ -93,8 +94,8 @@ struct StructureResult {
 /// Brute-force reference: enumerates all Bell(n) set partitions
 /// (restricted-growth recursion) and folds each candidate's welfare in
 /// the same canonical order as the DP, so the two engines' optima agree
-/// bitwise. Requires 1 <= n <= 12. `splits_considered` reports the
-/// number of partitions enumerated.
+/// bitwise. Requires 1 <= n <= kMaxPartitionPlayers. `splits_considered`
+/// reports the number of partitions enumerated.
 [[nodiscard]] StructureResult brute_force_structure(const game::Game& game);
 
 }  // namespace fedshare::structure

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/core_solution.hpp"
+#include "core/limits.hpp"
 #include "core/nucleolus.hpp"
 
 namespace fedshare::verify {
@@ -43,7 +44,13 @@ void AuditReport::add_note(std::string check, std::string detail,
 AuditReport audit_game(const game::Game& g, const VerifyOptions& options) {
   AuditReport report;
   const int n = g.num_players();
-  if (n <= 1 || n > 30) return report;
+  if (n <= 1) return report;
+  if (limits::exceeds(n, limits::kMaxAuditPlayers)) {
+    report.add_note("sampling",
+                    limits::refusal("audit_game", n, limits::kMaxAuditPlayers),
+                    0.0);
+    return report;
+  }
   const std::uint64_t full = (std::uint64_t{1} << n) - 1;
   const double tol = options.tolerance;
   std::uint64_t rng = options.audit_seed;
@@ -139,7 +146,7 @@ void audit_outcomes(const game::TabularGame& g,
       });
   if (nucleolus == outcomes.end() || n < 2 || std::abs(vn) <= 1e-12) return;
   const std::uint64_t rows = (std::uint64_t{1} << n) - 2;
-  if (rows > game::kMaxExcessRows) {
+  if (limits::exceeds(rows, limits::kMaxExcessRows)) {
     report.add_note("nucleolus",
                     "first level unchecked: " + game::excess_rows_refusal(rows),
                     0.0);

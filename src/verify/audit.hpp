@@ -71,14 +71,15 @@ struct AuditReport {
 /// Spot-checks monotonicity and superadditivity of `game` on
 /// `options.audit_samples` sampled coalition pairs (deterministic in
 /// `options.audit_seed`). Exhaustive pairs are sampled with replacement;
-/// n <= 1 games are vacuously clean.
+/// n <= 1 games are vacuously clean, and a game past kMaxAuditPlayers
+/// (core/limits.hpp) gets a note instead of samples.
 [[nodiscard]] AuditReport audit_game(const game::Game& game,
                                      const VerifyOptions& options);
 
 /// Audits scheme outcomes against `game` (efficiency, core residuals,
 /// nucleolus excess optimality), appending to `report`. `lp_options`
 /// configures the least-core solve whose weights the nucleolus check
-/// uses. Past game::kMaxExcessRows that check is a note, not a solve.
+/// uses. Past kMaxExcessRows that check is a note, not a solve.
 void audit_outcomes(const game::TabularGame& game,
                     const std::vector<game::SchemeOutcome>& outcomes,
                     const lp::SimplexOptions& lp_options,

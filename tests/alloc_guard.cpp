@@ -1,6 +1,7 @@
 // Heap-allocation regression guard for the kernels that run many times
-// per report: the V(S) greedy behind a 2^n tabulation, and the started
-// dense LP chain of the nucleolus.
+// per report: the V(S) greedy behind a 2^n tabulation, the started
+// dense LP chain of the nucleolus, and the table scans that read a
+// tabulated game in place (the property checks and the dividends).
 //
 // This binary replaces the global operator new with one that counts its
 // calls, warms each kernel up once (so the per-thread greedy scratch and
@@ -14,6 +15,9 @@
 // that change made 908 and 515 here, so the guard fails on it, as it
 // will on a change that puts heap churn back into these loops. Raise a
 // bound only together with a note on what the new allocations buy.
+// The table scans have exact counts: the property checks allocate
+// nothing, and the dividends allocate their result only. Code that
+// copied the 2^n table made 3 and 2 allocations there.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,8 +28,10 @@
 #include <string>
 
 #include "cli/runner.hpp"
+#include "core/dividends.hpp"
 #include "core/game.hpp"
 #include "core/nucleolus.hpp"
+#include "core/properties.hpp"
 #include "exec/pool.hpp"
 #include "io/config.hpp"
 #include "model/federation.hpp"
@@ -129,6 +135,30 @@ TEST(AllocGuard, NucleolusOfTheBandedTable) {
   std::cout << "nucleolus: " << allocations << " allocations, "
             << r.lps_solved << " LPs\n";
   EXPECT_LE(allocations, kNucleolusBound);
+}
+
+// The report's property checks on its own table: three scans, no copy.
+TEST(AllocGuard, PropertiesOfTheBandedTable) {
+  exec::set_threads(1);
+  const game::TabularGame g = banded_federation().build_game();
+  game::PropertyReport r = game::analyze_properties(g);
+  const std::uint64_t allocations =
+      allocations_of([&] { r = game::analyze_properties(g); });
+  std::cout << "properties: " << allocations << " allocations\n";
+  EXPECT_TRUE(r.monotone);
+  EXPECT_EQ(allocations, 0u);
+}
+
+// The dividends transform the table in their result, the one allocation.
+TEST(AllocGuard, DividendsOfTheBandedTable) {
+  exec::set_threads(1);
+  const game::TabularGame g = banded_federation().build_game();
+  std::vector<double> d = game::harsanyi_dividends(g);
+  const std::uint64_t allocations =
+      allocations_of([&] { d = game::harsanyi_dividends(g); });
+  std::cout << "dividends: " << allocations << " allocations\n";
+  ASSERT_EQ(d.size(), g.values().size());
+  EXPECT_EQ(allocations, 1u);
 }
 
 }  // namespace

@@ -143,25 +143,6 @@ TEST_F(ExecTest, NestedParallelForDegradesInline) {
   EXPECT_EQ(inner_total.load(), 32);
 }
 
-TEST_F(ExecTest, ParallelReduceIsBitIdenticalAcrossThreadCounts) {
-  auto reduce = [](int threads) {
-    fedshare::exec::set_threads(threads);
-    return fedshare::exec::parallel_reduce(
-        0, 10000, 64, 0.0,
-        [](const ChunkRange& r) {
-          double s = 0.0;
-          for (std::uint64_t i = r.begin; i < r.end; ++i) {
-            s += std::sqrt(static_cast<double>(i) + 0.25);
-          }
-          return s;
-        },
-        [](double a, double b) { return a + b; });
-  };
-  const double serial = reduce(1);
-  EXPECT_EQ(serial, reduce(2));
-  EXPECT_EQ(serial, reduce(4));
-}
-
 // --- budget integration --------------------------------------------------
 
 TEST_F(ExecTest, BudgetedDeadlineCancelsWholeJob) {

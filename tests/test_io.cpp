@@ -27,19 +27,22 @@ TEST(Table, RendersHeaderSeparatorAndRows) {
   Table t({"name", "value"});
   t.add_row({"alpha", "1"});
   t.add_row({"beta", "22"});
-  const std::string s = rendered(t);
-  EXPECT_NE(s.find("name"), std::string::npos);
-  EXPECT_NE(s.find("alpha"), std::string::npos);
-  EXPECT_NE(s.find("22"), std::string::npos);
-  EXPECT_NE(s.find("---"), std::string::npos);
-  EXPECT_EQ(t.row_count(), 2u);
-  EXPECT_EQ(t.column_count(), 2u);
+  // Two columns, right-aligned to their widest cell; two data rows.
+  EXPECT_EQ(rendered(t),
+            " name  value\n"
+            "------------\n"
+            "alpha      1\n"
+            " beta     22\n");
 }
 
 TEST(Table, PadsShortRows) {
   Table t({"a", "b", "c"});
   t.add_row({"x"});
-  EXPECT_EQ(t.row_count(), 1u);
+  // One data row, its missing cells printed empty.
+  EXPECT_EQ(rendered(t),
+            "a  b  c\n"
+            "-------\n"
+            "x      \n");
 }
 
 TEST(Table, RejectsOverlongRows) {
@@ -145,7 +148,6 @@ TEST(Csv, WritesRows) {
   w.write_row(std::vector<std::string>{"x", "y"});
   w.write_row(std::vector<double>{1.5, 2.25}, 2);
   EXPECT_EQ(oss.str(), "x,y\n1.50,2.25\n");
-  EXPECT_EQ(w.rows_written(), 2u);
 }
 
 TEST(AsciiPlot, RendersSeriesGlyphsAndLegend) {

@@ -135,11 +135,12 @@ TEST(RevisedSimplex, SingletonRowsPresolveIntoBounds) {
   p.add_constraint({1.0, 0.0}, Relation::kLessEqual, 7.0);
   p.add_constraint({1.0, 1.0}, Relation::kLessEqual, 9.0);
   RevisedSimplex engine(p);
-  EXPECT_EQ(engine.num_rows(), 1u);
   EXPECT_EQ(engine.num_structural(), 2u);
   const Solution s = engine.solve();
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, 9.0, 1e-8);
+  // The basis spans the structurals and one slack per surviving row.
+  EXPECT_EQ(engine.basis().status.size(), 2u + 1u);
 }
 
 TEST(RevisedSimplex, ReportsPivotsAndBasis) {
@@ -156,7 +157,7 @@ TEST(RevisedSimplex, ReportsPivotsAndBasis) {
   EXPECT_EQ(engine.pivots(), s.pivots);
   const Basis b = engine.basis();
   EXPECT_FALSE(b.empty());
-  EXPECT_EQ(b.status.size(), engine.num_columns());
+  EXPECT_EQ(b.status.size(), engine.num_structural() + 2u);  // + 2 slacks
   EXPECT_EQ(b.num_structural, engine.num_structural());
 }
 

@@ -30,7 +30,6 @@ TEST(ComputeBudget, UnlimitedNeverTrips) {
   for (int i = 0; i < 10000; ++i) ASSERT_TRUE(b.charge());
   EXPECT_FALSE(b.exhausted());
   EXPECT_EQ(b.stop_reason(), StopReason::kNone);
-  EXPECT_FALSE(b.limited());
 }
 
 TEST(ComputeBudget, NodeCapTripsAtTheCap) {
@@ -40,7 +39,6 @@ TEST(ComputeBudget, NodeCapTripsAtTheCap) {
   EXPECT_FALSE(b.charge());
   EXPECT_EQ(b.stop_reason(), StopReason::kNodeCap);
   EXPECT_TRUE(b.exhausted());
-  EXPECT_TRUE(b.limited());
 }
 
 TEST(ComputeBudget, TrippedStaysTripped) {

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "cli/serve_runner.hpp"
+#include "core/limits.hpp"
 #include "core/sharing.hpp"
 #include "exec/pool.hpp"
 #include "lp/simplex.hpp"
@@ -199,14 +200,27 @@ TEST(ServeStateTest, InvalidEventsThrowWithoutAdvancingTheEpoch) {
   EXPECT_EQ(state.log().size(), 2u);
 }
 
+// The roster holds kMaxFacilities members; the next join is refused with
+// a message naming the entry. The joins skip their re-solve (a zero node
+// cap): the roster check comes first and is all this test reads.
 TEST(ServeStateTest, RosterCapIsEnforced) {
   fedshare::serve::ServeOptions options;
-  options.max_facilities = 2;
   options.track_bounds = false;
   ServiceState state(options);
-  (void)state.apply(join_event("A", 1, 1.0, 1.0));
-  (void)state.apply(join_event("B", 1, 1.0, 1.0));
-  EXPECT_THROW((void)state.apply(join_event("C", 1, 1.0, 1.0)), ServeError);
+  const int cap = static_cast<int>(fedshare::limits::kMaxFacilities.value);
+  for (int i = 0; i < cap; ++i) {
+    (void)state.apply(join_event("F" + std::to_string(i), 1, 1.0, 1.0),
+                      ComputeBudget().cap_nodes(0));
+  }
+  EXPECT_EQ(state.log().size(), static_cast<std::size_t>(cap));
+  try {
+    (void)state.apply(join_event("extra", 1, 1.0, 1.0),
+                      ComputeBudget().cap_nodes(0));
+    FAIL() << "a join past kMaxFacilities was accepted";
+  } catch (const ServeError& e) {
+    EXPECT_NE(std::string(e.what()).find("kMaxFacilities"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ServeStateTest, LeaversFreeTheirSlotForLaterJoiners) {

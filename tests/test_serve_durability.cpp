@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/limits.hpp"
 #include "io/atomic_file.hpp"
 #include "runtime/budget.hpp"
 #include "serve/checkpoint.hpp"
@@ -134,7 +135,6 @@ void expect_bitwise_equal(const EpochAnswer& a, const EpochAnswer& b,
 void expect_images_equal(const CheckpointImage& a, const CheckpointImage& b) {
   EXPECT_EQ(a.epoch, b.epoch);
   EXPECT_EQ(a.options.track_bounds, b.options.track_bounds);
-  EXPECT_EQ(a.options.max_facilities, b.options.max_facilities);
   ASSERT_EQ(a.roster.size(), b.roster.size());
   for (std::size_t i = 0; i < a.roster.size(); ++i) {
     SCOPED_TRACE("member " + std::to_string(i));
@@ -407,11 +407,6 @@ TEST(ServeDurabilityTest, RestoreRejectsMismatchedOptionsAndUsedStates) {
   ServiceState wrong_options(no_bounds);
   EXPECT_THROW(wrong_options.restore(image), ServeError);
 
-  ServeOptions small;
-  small.max_facilities = 4;
-  ServiceState wrong_width(small);
-  EXPECT_THROW(wrong_width.restore(image), ServeError);
-
   ServiceState used;
   (void)used.apply(script_events().front());
   EXPECT_THROW(used.restore(image), ServeError);
@@ -463,6 +458,21 @@ TEST(ServeDurabilityTest, RevisedEngineCheckpointRestoresToTheLiveAnswer) {
   }
 }
 
+// The roster width is kMaxFacilities, and every checkpoint records it as
+// max_facilities=12. A file that records another width is outside input
+// whose slot masks mean something else: the decoder rejects it.
+TEST(ServeDurabilityTest, DecoderRejectsAnotherRosterWidth) {
+  ServiceState state;
+  for (const Event& event : script_events()) (void)state.apply(event);
+  const std::string text =
+      fedshare::serve::encode_checkpoint(state.checkpoint_image());
+  ASSERT_NE(text.find("options max_facilities=12 "), std::string::npos);
+  EXPECT_NO_THROW((void)fedshare::serve::decode_checkpoint(text));
+  const std::string narrow =
+      rewrite_with_fresh_crc(text, "max_facilities=12", "max_facilities=11");
+  EXPECT_THROW((void)fedshare::serve::decode_checkpoint(narrow), ServeError);
+}
+
 // The slot mask of an image's roster.
 std::uint64_t roster_mask(const CheckpointImage& image) {
   std::uint64_t mask = 0;
@@ -504,7 +514,7 @@ TEST(ServeDurabilityTest, LegacyBoundRecordsRestoreLikeTheTrimmedImage) {
     CheckpointImage padded = trimmed;
     padded.bounds.clear();
     const std::uint64_t limit = std::uint64_t{1}
-                                << padded.options.max_facilities;
+                                << fedshare::limits::kMaxFacilities.value;
     for (std::uint64_t mask = 1; mask < limit && mask < 64; ++mask) {
       if (mask == active.mask) {
         padded.bounds.push_back(active);
@@ -591,7 +601,7 @@ TEST(ServeDurabilityTest, RestoreRejectsAnOutOfRangeBoundMask) {
   for (const Event& event : script_events()) (void)state.apply(event);
   const CheckpointImage image = state.checkpoint_image();
   const std::uint64_t past_lattice = std::uint64_t{1}
-                                     << image.options.max_facilities;
+                                     << fedshare::limits::kMaxFacilities.value;
 
   CheckpointImage stray_bound = image;
   CheckpointImage::BoundImage stray;

@@ -130,7 +130,6 @@ TEST(EventQueue, RunsInTimeOrderWithStableTies) {
   EXPECT_EQ(order[1], 2);
   EXPECT_EQ(order[2], 3);
   EXPECT_DOUBLE_EQ(q.now(), 2.0);
-  EXPECT_EQ(q.processed(), 3u);
 }
 
 TEST(EventQueue, RunUntilStopsAtHorizon) {

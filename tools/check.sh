@@ -1,8 +1,12 @@
 #!/bin/sh
 # Check that every library header and every library function has a user
 # path (tools/check_reachable.sh: no src/ header that only its own .cpp
-# and tests/ include, and no src/ function that no program links in a
-# -ffunction-sections / --gc-sections build), then run the full test
+# and tests/ include, no src/ function that no program links in a
+# -ffunction-sections / --gc-sections build, and no inline function of
+# a src/ header that no user path names), that every size ceiling reads
+# the size contract (tools/check_limits.sh: no comparison of a player,
+# union or facility count with a literal of 10 or more in src/ outside
+# src/core/limits.hpp), then run the full test
 # suite twice — once in the plain RelWithDebInfo build and once under
 # AddressSanitizer + UndefinedBehaviorSanitizer (both runs include the
 # serve chaos harness: randomized churn vs batch-solve equality) — then
@@ -44,6 +48,9 @@ jobs=$(nproc 2>/dev/null || echo 4)
 
 echo "== reachability (every library header and function has a user path) =="
 "$root/tools/check_reachable.sh"
+
+echo "== size contract (every size ceiling reads src/core/limits.hpp) =="
+"$root/tools/check_limits.sh"
 
 echo "== plain build =="
 cmake -S "$root" -B "$root/build" -DCMAKE_BUILD_TYPE=RelWithDebInfo
