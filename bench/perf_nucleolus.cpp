@@ -31,10 +31,11 @@
 // solves on both engines, every LP certified, and passes the full-table
 // excess scan), a least-core gate (hetero n = 9 least_core epsilon
 // against the full-row LP), a hetero n = 12 gate (the dense nucleolus
-// solves in at most 13 LPs and passes the full-table scan) and a
-// flat-game gate (both
-// engines solve the serve roster game and agree) — tools/check.sh runs
-// it as a perf-smoke stage.
+// solves in at most 13 LPs and passes the full-table scan), a flat-game
+// gate (both engines solve the serve roster game and agree) and two
+// retirement gates (the near-additive n = 12 federation solves in at
+// most 2 LPs, typed n = 8 in at most 12, both passing the full-table
+// scan) — tools/check.sh runs it as a perf-smoke stage.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -47,6 +48,7 @@
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cli/runner.hpp"
@@ -133,7 +135,7 @@ game::TabularGame hetero_game(int n) {
 
 // The typed recipe of configs/typed8.ini: type t = i % 4 with 100 (t + 1)
 // locations and t % 2 + 1 units. The default report runs it on the dense
-// formulation, where at n = 8 it takes 25 rounds.
+// formulation, where at n = 8 it has 25 levels, 3 of them LP rounds.
 game::TabularGame typed_federation_game(int n) {
   return federation_game(
       n, [](int i) { return 100 * (i % 4 + 1); },
@@ -718,6 +720,44 @@ int run_smoke() {
                    "unsolved, over 13 LPs or fails the full-table excess "
                    "scan\n";
       ++failures;
+    }
+  }
+
+  // Retirement gates: a row in the span of efficiency, the fixed rows
+  // and the round's dual-tight rows takes no LP. The near-additive
+  // n = 12 federation (the `eleven_facilities` recipe of
+  // tests/test_cli.cpp: locations 20 + i, one class of 4 x 50) has
+  // almost all 4094 rows tight at the least core, in that span: at most
+  // 2 LPs, where its release pass took 2 s and 1 GB. Typed n = 8 has 25
+  // levels but raises the rank in 3 rounds: at most 12 LPs, against 54
+  // when every level took its round.
+  {
+    std::string text;
+    for (int i = 0; i < 12; ++i) {
+      text += "[facility]\nname = F" + std::to_string(i) +
+              "\nlocations = " + std::to_string(20 + i) + "\n\n";
+    }
+    text += "[demand]\ncount = 4\nmin_locations = 50\n";
+    const game::TabularGame near_additive =
+        cli::federation_from_config(io::Config::parse_string(text))
+            .build_game();
+    const game::TabularGame typed = typed_federation_game(8);
+    for (const auto& [what, g, most] :
+         {std::tuple{"near-additive n=12", &near_additive, 2},
+          std::tuple{"typed federation n=8", &typed, 12}}) {
+      const game::NucleolusResult r = game::nucleolus(*g);
+      const int broken = excess_scan_failures(r, *g);
+      std::cout << "smoke " << what << " dense: solved=" << (r.solved ? 1 : 0)
+                << " levels=" << r.levels.size() << " lps=" << r.lps_solved
+                << " pivots=" << r.pivots
+                << " full-table scan failures=" << broken << "\n";
+      if (!r.solved || broken != 0 ||
+          r.lps_solved > static_cast<std::uint64_t>(most)) {
+        std::cerr << "perf_nucleolus --smoke: " << what
+                  << " nucleolus unsolved, over " << most
+                  << " LPs or fails the full-table excess scan\n";
+        ++failures;
+      }
     }
   }
 

@@ -60,6 +60,12 @@ inline constexpr Limit kMaxAuditPlayers{"kMaxAuditPlayers", 30};
 inline constexpr Limit kMaxExcessRows{"kMaxExcessRows",
                                       std::int64_t{1} << 15};
 
+/// Blocks of a partition whose every collection of two or more (2^B)
+/// the hedonic merge phase enumerates: hedonic_merge_split. Past it the
+/// phase merges pairs only and notes why.
+inline constexpr Limit kMaxMergeEnumerationBlocks{
+    "kMaxMergeEnumerationBlocks", 16};
+
 /// Facilities of one federation on the report, serve, settlement and
 /// simulated-game paths; also the serve roster's slot count, whose
 /// 2^kMaxFacilities memo the service holds by value.

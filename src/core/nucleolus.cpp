@@ -1,9 +1,12 @@
 #include "core/nucleolus.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -49,6 +52,39 @@ std::uint64_t checked_excess_rows(const char* who, const OrbitIndex& index) {
   return rows;
 }
 
+// The largest n whose dense formulation, 2^n - 2 rows, fits
+// kMaxExcessRows.
+constexpr int kMaxDensePlayers = [] {
+  int n = 1;
+  while (!limits::exceeds((std::int64_t{1} << (n + 1)) - 2,
+                          limits::kMaxExcessRows)) {
+    ++n;
+  }
+  return n;
+}();
+
+// The all-singletons index of an n-player game, where every orbit is a
+// coalition mask: built once per n and kept, as it never changes. A game
+// with no player, or one past kMaxExcessRows, is refused on behalf of
+// `who`, as checked_excess_rows does.
+const OrbitIndex& identity_index(const char* who, int n) {
+  if (n < 1) {
+    throw std::invalid_argument(std::string(who) +
+                                ": need at least one player");
+  }
+  if (n > kMaxDensePlayers) {
+    throw std::invalid_argument(
+        std::string(who) + ": " +
+        excess_rows_refusal(PlayerPartition::identity(n).orbit_count() - 2));
+  }
+  static std::array<std::once_flag, kMaxDensePlayers + 1> once;
+  static std::array<std::optional<OrbitIndex>, kMaxDensePlayers + 1> cache;
+  const auto i = static_cast<std::size_t>(n);
+  std::call_once(once[i],
+                 [&] { cache[i].emplace(PlayerPartition::identity(n)); });
+  return *cache[i];
+}
+
 // One probe LP over a shared, eps-pinned constraint set: maximizes
 // `objective` through `solve(objective)`, which returns the optimum of
 // the current row set. Runs to closure: `close(x)` appends the rows
@@ -72,16 +108,14 @@ std::optional<double> probe_max(Solve&& solve,
 // the share columns (eps dropped). It alone decides uniqueness: the
 // fixed rows are the implicit equalities of the round's optimal face,
 // which cut out its affine hull, so the face is a point exactly when
-// they reach full rank.
+// they reach full rank. A row in the span has the same a.x on every
+// point where those equalities hold.
 class RankTracker {
  public:
   explicit RankTracker(std::size_t nv) : nv_(nv) {}
 
-  void add(const std::vector<double>& row) {
-    if (full()) return;
-    scratch_.assign(row.begin(),
-                    row.begin() + static_cast<std::ptrdiff_t>(nv_));
-    if (reduce(scratch_) <= kRankTol) return;
+  void add(std::span<const double> row) {
+    if (full() || residue(row) <= kRankTol) return;
     std::size_t pivot = 0;
     for (std::size_t j = 1; j < nv_; ++j) {
       if (std::abs(scratch_[j]) > std::abs(scratch_[pivot])) pivot = j;
@@ -91,20 +125,28 @@ class RankTracker {
     basis_.emplace_back(pivot, scratch_);
   }
 
+  // Whether `row`'s share columns lie in the span.
+  [[nodiscard]] bool spans(std::span<const double> row) {
+    return full() || residue(row) <= kRankTol;
+  }
+
   [[nodiscard]] bool full() const noexcept { return basis_.size() == nv_; }
 
  private:
-  // Reduces `row` against the span in place and returns the largest
-  // residual magnitude. Each stored row is zero on every earlier pivot
-  // column, so one forward sweep reduces against the whole span.
-  double reduce(std::vector<double>& row) const {
+  // Reduces `row`'s share columns against the span into scratch_ and
+  // returns the largest residual magnitude. Each stored row is zero on
+  // every earlier pivot column, so one forward sweep reduces against the
+  // whole span.
+  double residue(std::span<const double> row) {
+    scratch_.assign(row.begin(),
+                    row.begin() + static_cast<std::ptrdiff_t>(nv_));
     for (const auto& [pivot, b] : basis_) {
-      const double f = row[pivot];
+      const double f = scratch_[pivot];
       if (f == 0.0) continue;
-      for (std::size_t j = 0; j < nv_; ++j) row[j] -= f * b[j];
+      for (std::size_t j = 0; j < nv_; ++j) scratch_[j] -= f * b[j];
     }
     double mag = 0.0;
-    for (const double r : row) mag = std::max(mag, std::abs(r));
+    for (const double r : scratch_) mag = std::max(mag, std::abs(r));
     return mag;
   }
 
@@ -115,11 +157,13 @@ class RankTracker {
 
 // The memory one Maschler chain reuses from LP to LP: the dense
 // engine's workspace, shared by the round LPs, their closure re-solves,
-// the probes and the release passes, and the release pass's problem,
-// rebuilt in place for each pass. It lives as long as the chain.
+// the probes and the release passes, and the problems of the release
+// pass and of the step-4 probe, rebuilt in place for each solve. It
+// lives as long as the chain.
 struct ChainBuffers {
   lp::DenseWorkspace lp;
   lp::Problem pass{1, lp::Objective::kMaximize};
+  lp::Problem probe{1, lp::Objective::kMaximize};
   std::vector<std::size_t> slot;   // per constraint: its y column, or none
   std::vector<double> start;       // (x*, eps, y = 0)
 };
@@ -137,6 +181,12 @@ struct ChainBuffers {
 //     dual-feasibility noise) is binding in every primal optimum
 //     (complementary slackness against that dual optimum), so the
 //     probe's max equals the bound: fixed.
+//  2b. Span filter. Efficiency, the rows fixed in earlier rounds and the
+//     dual-tight rows hold as equalities on the whole optimal face, so
+//     a row in their span (share columns) has a.x = a.x* there: a
+//     zero-slack one is tight in every optimum, fixed. `fixed_span`
+//     holds efficiency and the earlier fixed rows; the dual-tight rows
+//     join it here, as they are fixed this round.
 //  3. Batched release. The zero-slack, zero-dual rows left over share
 //     capped-slack passes: max sum y_S with a.x + eps - y_S >= V,
 //     0 <= y_S <= 1, eps pinned. A row with y_S > kTol has an optimum
@@ -160,7 +210,8 @@ template <typename Probe, typename Close>
 std::optional<std::vector<char>> tight_rows(
     const lp::Problem& least_core, const lp::Solution& sol,
     const std::vector<std::size_t>& rows, const lp::SimplexOptions& options,
-    NucleolusResult& out, ChainBuffers& buf, Probe&& probe, Close&& close) {
+    NucleolusResult& out, ChainBuffers& buf, RankTracker& fixed_span,
+    Probe&& probe, Close&& close) {
   const std::size_t nv = least_core.num_variables() - 1;
   const double eps = sol.x[nv];
   const auto& cons = least_core.constraints();
@@ -181,6 +232,15 @@ std::optional<std::vector<char>> tight_rows(
     }
     open.push_back(i);
   }
+  // Step 2b.
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (tight[i] != 0) fixed_span.add(cons[rows[i]].coefficients);
+  }
+  std::erase_if(open, [&](std::size_t i) {
+    if (!fixed_span.spans(cons[rows[i]].coefficients)) return false;
+    tight[i] = 1;
+    return true;
+  });
 
   // Each pass: every working row, a y column on each open one, then the
   // eps pin and the y caps, written over the chain's pass problem.
@@ -278,6 +338,36 @@ class ExcessScan {
   std::vector<double> excess_;
 };
 
+// Merges the constant excesses of retired rows into `levels`, the LP
+// rounds' levels in round order, into the level list of the classical
+// loop, which spends each round on the largest excess still unfixed and
+// fixes with it every constant one within kTol below. A retired excess
+// above the next LP level is a round of its own, unless it lies within
+// kTol of the level kept before it; an LP level within kTol below a
+// retired one is that round, whose optimum is the larger. The loop stops
+// after the last LP round, so a retired excess below that level is no
+// level. Sorts `retired`.
+void merge_levels(std::vector<double>& levels, std::vector<double>& retired) {
+  if (retired.empty()) return;
+  std::ranges::sort(retired, std::greater<>());
+  std::vector<double> merged;
+  bool lp_in_group = false;  // the last kept level is an LP round's
+  std::size_t j = 0;
+  for (const double level : levels) {
+    for (; j < retired.size() && retired[j] > level; ++j) {
+      if (merged.empty() || retired[j] < merged.back() - kTol) {
+        merged.push_back(retired[j]);
+        lp_in_group = false;
+      }
+    }
+    if (merged.empty() || lp_in_group || level < merged.back() - kTol) {
+      merged.push_back(level);
+    }
+    lp_in_group = true;
+  }
+  levels = std::move(merged);
+}
+
 // The Maschler scheme on weighted excess rows, one per proper orbit of
 // `index`. Variables are per-type shares x_0..x_{T-1} plus eps, all
 // free. The efficiency row reads sum_t m_t * x_t == V(N); the excess row
@@ -308,7 +398,20 @@ class ExcessScan {
 // violated. A relaxation optimum that violates no row is feasible, hence
 // optimal, for the full LP, so each level, decision and the allocation
 // are the full loop's. Fixed rows are always in the set; every row
-// outside it is an active a.x + eps >= V row of every round.
+// outside it is an active a.x + eps >= V row of every round, or retired.
+//
+// Retirement (Maschler, Peleg & Shapley 1979; Benedek, Fliege & Nguyen
+// 2021): from the second round on, every LP holds efficiency and the
+// fixed rows as equalities, so an active row in their span (fixed_span)
+// has one excess e on every point it reaches. Such a row takes no LP.
+// The classical loop would give it a round of its own at level e, or
+// fix it in the LP round within kTol of e, and never raise the rank with
+// it; here it is retired at e, out of every later LP. The test runs only
+// where it is cheap: on the active working rows at each round start (a
+// retired working row becomes the equality a.x = a.x*, which the started
+// solves substitute out) and on the rows a round LP's closure finds
+// violated (marked instead of joining). merge_levels lists the retired
+// excesses among the LP rounds' levels at the end.
 //
 // With `least` set the loop stops after the first round's closed LP,
 // the least-core LP, and fills `least` from its optimum (least_core on
@@ -343,44 +446,34 @@ NucleolusResult maschler(const OrbitIndex& index,
     return row;
   };
 
-  // Both LPs open with the efficiency row; the probe problem's eps pin
-  // follows it. Working row #k is then constraint 1 + k of round_prob
-  // and 2 + k of probe_prob. Fixing a row between rounds patches it in
-  // place (relation flip, eps coefficient dropped, rhs) on both
-  // problems; a row joining the working set is appended to both.
+  // The round LP opens with the efficiency row; working row #k is then
+  // its constraint 1 + k. Fixing or retiring a row between rounds
+  // patches it in place (relation flip, eps coefficient dropped, rhs); a
+  // row joining the working set is appended. A step-4 probe builds its
+  // problem from this one (solve_probe).
   lp::Problem round_prob(tv + 1, lp::Objective::kMinimize);
-  lp::Problem probe_prob(tv + 1, lp::Objective::kMaximize);
-  for (std::size_t v = 0; v <= tv; ++v) {
-    round_prob.set_free(v);
-    probe_prob.set_free(v);
-  }
+  for (std::size_t v = 0; v <= tv; ++v) round_prob.set_free(v);
   {
     std::vector<double> eff(tv + 1, 0.0);
     for (int t = 0; t < T; ++t) {
       eff[static_cast<std::size_t>(t)] =
           static_cast<double>(part.multiplicity(t));
     }
-    round_prob.add_constraint(eff, lp::Relation::kEqual, grand_value);
-    probe_prob.add_constraint(std::move(eff), lp::Relation::kEqual,
+    round_prob.add_constraint(std::move(eff), lp::Relation::kEqual,
                               grand_value);
   }
   round_prob.set_objective_coefficient(tv, 1.0);
-  constexpr std::size_t kPinRow = 1;
-  {
-    std::vector<double> pin(tv + 1, 0.0);
-    pin[tv] = 1.0;
-    probe_prob.add_constraint(std::move(pin), lp::Relation::kEqual, 0.0);
-  }
 
-  std::vector<char> in_set(static_cast<std::size_t>(orbits), 0);
+  // Per orbit: outside the working set, in it, or retired outside it.
+  enum : char { kOutside, kWorking, kRetired };
+  std::vector<char> in_set(static_cast<std::size_t>(orbits), kOutside);
   std::vector<std::uint64_t> working;  // orbit of working row #k
-  std::vector<char> fixed;             // per working row
+  std::vector<char> fixed;             // per working row: fixed or retired
   const auto add_row = [&](std::uint64_t orbit) {
     fill_row(orbit, 1.0);
-    const double v = values[static_cast<std::size_t>(orbit)];
-    round_prob.add_constraint(row, lp::Relation::kGreaterEqual, v);
-    probe_prob.add_constraint(row, lp::Relation::kGreaterEqual, v);
-    in_set[static_cast<std::size_t>(orbit)] = 1;
+    round_prob.add_constraint(row, lp::Relation::kGreaterEqual,
+                              values[static_cast<std::size_t>(orbit)]);
+    in_set[static_cast<std::size_t>(orbit)] = kWorking;
     working.push_back(orbit);
     fixed.push_back(0);
   };
@@ -398,20 +491,32 @@ NucleolusResult maschler(const OrbitIndex& index,
     }
   }
 
+  std::uint64_t num_active = orbits - 2;
+  RankTracker fixed_span(tv);
+  fixed_span.add(round_prob.constraints()[0].coefficients);  // efficiency
+  std::vector<double> retired;  // the constant excess of each retired row
+
   ExcessScan scan(index, values);
   std::vector<std::uint64_t> violated;
   // One closure step at shares x and level eps: appends the (up to
   // `batch`) rows outside the working set with V(o) - x(o) - eps above
   // the separation tolerance, most violated first, and says whether it
-  // appended any.
-  const auto separate = [&](const std::vector<double>& x, double eps) {
+  // appended any. With `retire` set (a round LP from the second round
+  // on) a violated row in the fixed span is retired instead.
+  const auto separate = [&](const std::vector<double>& x, double eps,
+                            bool retire) {
     const std::vector<double>& excess = scan.at(x);
     violated.clear();
     for (std::uint64_t o = 1; o + 1 < orbits; ++o) {
-      if (in_set[static_cast<std::size_t>(o)] == 0 &&
-          excess[static_cast<std::size_t>(o)] - eps > sep_tol) {
-        violated.push_back(o);
+      const auto s = static_cast<std::size_t>(o);
+      if (in_set[s] != kOutside || !(excess[s] - eps > sep_tol)) continue;
+      if (retire && fixed_span.spans(fill_row(o, 0.0))) {
+        in_set[s] = kRetired;
+        retired.push_back(excess[s]);
+        --num_active;
+        continue;
       }
+      violated.push_back(o);
     }
     const auto worse = [&](std::uint64_t a, std::uint64_t b) {
       const double ea = excess[static_cast<std::size_t>(a)];
@@ -431,9 +536,10 @@ NucleolusResult maschler(const OrbitIndex& index,
   // first, the equal split V(N) / sum_t m_t. A round LP lifts held's eps
   // to the largest excess over the active working rows first, so every
   // inequality holds, and lp::solve substitutes out the equalities held
-  // satisfies (efficiency and the rows fixed tight at it). Probes and
-  // release passes start from the round optimum (x*, eps), which holds
-  // every inequality of the eps-pinned problems and their eps pin.
+  // satisfies (efficiency and the rows fixed tight or retired at it).
+  // Probes and release passes start from the round optimum (x*, eps),
+  // which holds every inequality of the eps-pinned problems and their
+  // eps pin.
   std::vector<double> held(
       tv + 1, grand_value / static_cast<double>(part.num_players()));
   ChainBuffers buf;
@@ -447,21 +553,52 @@ NucleolusResult maschler(const OrbitIndex& index,
     }
     if (eps.has_value()) held[tv] = *eps;
   };
-  // Maximizes `objective` over the eps-pinned probe rows from held.
-  const auto solve_probe = [&](const std::vector<double>& objective) {
-    for (std::size_t v = 0; v < objective.size(); ++v) {
-      probe_prob.set_objective_coefficient(v, objective[v]);
+  // Maximizes `objective` from held over the round's rows with eps pinned
+  // at `eps`: round_prob's rows with the pin after efficiency, so working
+  // row #k is constraint 2 + k.
+  const auto solve_probe = [&](const std::vector<double>& objective,
+                               double eps) {
+    const std::vector<lp::Constraint>& cons = round_prob.constraints();
+    lp::Problem& probe = buf.probe;
+    probe.reshape(tv + 1, cons.size() + 1);
+    for (std::size_t v = 0; v <= tv; ++v) {
+      probe.set_free(v);
+      probe.set_objective_coefficient(v, objective[v]);
     }
-    return lp::solve(probe_prob, options, held, buf.lp);
+    probe.edit_constraint(1, lp::Relation::kEqual, eps)[tv] = 1.0;
+    for (std::size_t r = 0; r < cons.size(); ++r) {
+      std::ranges::copy(
+          cons[r].coefficients,
+          probe.edit_constraint(r == 0 ? 0 : r + 1, cons[r].relation,
+                                cons[r].rhs)
+              .begin());
+    }
+    return lp::solve(probe, options, held, buf.lp);
   };
   // A one-player game has no excess row: its answer is held's V(N).
   std::vector<double> per_type(held.begin(), held.begin() + T);
   std::vector<double> objective;
-  std::uint64_t num_active = orbits - 2;
-  RankTracker fixed_span(tv);
-  fixed_span.add(round_prob.constraints()[0].coefficients);  // efficiency
 
   while (num_active > 0) {
+    // 0. Retirement of the active working rows in the fixed span, at
+    //    their excess at held, the last optimum, where every fixed row
+    //    is tight.
+    const bool retire = !out.levels.empty();
+    for (std::size_t k = 0; retire && k < working.size(); ++k) {
+      if (fixed[k] != 0 || !fixed_span.spans(fill_row(working[k], 0.0))) {
+        continue;
+      }
+      double ax = 0.0;
+      for (std::size_t t = 0; t < tv; ++t) ax += row[t] * held[t];
+      retired.push_back(values[static_cast<std::size_t>(working[k])] - ax);
+      std::ranges::copy(
+          row,
+          round_prob.edit_constraint(1 + k, lp::Relation::kEqual, ax).begin());
+      fixed[k] = 1;
+      --num_active;
+    }
+    if (num_active == 0) break;  // all retired: the last answer stands
+
     // 1. Least-core step, closed over the working set, from held with
     //    its eps lifted.
     lp::Solution sol;
@@ -473,7 +610,7 @@ NucleolusResult maschler(const OrbitIndex& index,
       if (least != nullptr) least->status = sol.status;
       if (!sol.optimal()) return out;
       held = sol.x;
-      if (!separate(sol.x, sol.x[tv])) break;
+      if (!separate(sol.x, sol.x[tv], retire)) break;
     }
     const double eps = sol.x[tv];
     out.levels.push_back(eps);
@@ -496,7 +633,7 @@ NucleolusResult maschler(const OrbitIndex& index,
     {
       const std::vector<double>& excess = scan.at(sol.x);
       for (std::uint64_t o = 1; o + 1 < orbits; ++o) {
-        if (in_set[static_cast<std::size_t>(o)] == 0 &&
+        if (in_set[static_cast<std::size_t>(o)] == kOutside &&
             excess[static_cast<std::size_t>(o)] >= eps - kTol) {
           add_row(o);
         }
@@ -511,20 +648,22 @@ NucleolusResult maschler(const OrbitIndex& index,
     //    with eps pinned (row o stays active iff some optimal solution
     //    pushes x(o) above V(o) - eps). All probes of the round run
     //    against the same pre-fix row set (fixes are applied after).
-    probe_prob.set_constraint_rhs(kPinRow, eps);
     std::vector<std::size_t> active_rows;
     for (std::size_t k = 0; k < working.size(); ++k) {
       if (fixed[k] == 0) active_rows.push_back(1 + k);
     }
     const auto close = [&](const std::vector<double>& x) {
-      return separate(x, eps);
+      return separate(x, eps, false);
+    };
+    const auto solve_pinned = [&](const std::vector<double>& obj) {
+      return solve_probe(obj, eps);
     };
     const auto probe = [&](std::size_t i) {
       objective = fill_row(working[active_rows[i] - 1], 0.0);
-      return probe_max(solve_probe, objective, out, close);
+      return probe_max(solve_pinned, objective, out, close);
     };
     const auto tight = tight_rows(round_prob, sol, active_rows, options, out,
-                                  buf, probe, close);
+                                  buf, fixed_span, probe, close);
     if (!tight.has_value()) return out;
 
     // Row-set patch: each tight row becomes an equality pinned at
@@ -539,10 +678,6 @@ NucleolusResult maschler(const OrbitIndex& index,
           row,
           round_prob.edit_constraint(1 + k, lp::Relation::kEqual, bound)
               .begin());
-      std::ranges::copy(
-          row,
-          probe_prob.edit_constraint(2 + k, lp::Relation::kEqual, bound)
-              .begin());
       fixed_span.add(row);
       fixed[k] = 1;
       --num_active;
@@ -556,13 +691,17 @@ NucleolusResult maschler(const OrbitIndex& index,
   }
 
   // Postcondition, one scan of the full table: no coalition outside the
-  // working set has an excess above the last level at the answer.
-  const std::vector<double>& excess = scan.at(per_type);
-  for (std::uint64_t o = 1; o + 1 < orbits; ++o) {
-    if (in_set[static_cast<std::size_t>(o)] == 0 &&
-        excess[static_cast<std::size_t>(o)] - out.levels.back() > sep_tol) {
-      return out;
+  // working set, retired ones aside, has an excess above the last LP
+  // round's level at the answer. (A one-player game has neither.)
+  if (!out.levels.empty()) {
+    const std::vector<double>& excess = scan.at(per_type);
+    for (std::uint64_t o = 1; o + 1 < orbits; ++o) {
+      if (in_set[static_cast<std::size_t>(o)] == kOutside &&
+          excess[static_cast<std::size_t>(o)] - out.levels.back() > sep_tol) {
+        return out;
+      }
     }
+    merge_levels(out.levels, retired);
   }
   out.solved = true;
   out.allocation = expand_type_values(part, per_type);
@@ -580,8 +719,7 @@ std::string excess_rows_refusal(std::uint64_t rows) {
 NucleolusResult nucleolus(const Game& game,
                           const lp::SimplexOptions& options) {
   // The all-singletons partition: one orbit per coalition mask.
-  const OrbitIndex index(PlayerPartition::identity(game.num_players()));
-  (void)checked_excess_rows("nucleolus", index);
+  const OrbitIndex& index = identity_index("nucleolus", game.num_players());
   // A TabularGame's table is read in place; any other game is tabulated.
   std::optional<TabularGame> storage;
   const TabularGame& tab = *borrow_or_tabulate(
@@ -591,8 +729,7 @@ NucleolusResult nucleolus(const Game& game,
 
 LeastCoreResult least_core(const Game& game,
                            const lp::SimplexOptions& options) {
-  const OrbitIndex index(PlayerPartition::identity(game.num_players()));
-  (void)checked_excess_rows("least_core", index);
+  const OrbitIndex& index = identity_index("least_core", game.num_players());
   LeastCoreResult out;
   out.status = lp::SolveStatus::kUnbounded;  // stands for n = 1: no row
   std::optional<TabularGame> storage;

@@ -16,6 +16,9 @@
 //  * dual filter — a row whose dual is positive by a margin above the
 //    engine's tolerance is tight in every optimum (complementary
 //    slackness): it is fixed, no LP;
+//  * span filter — efficiency, the fixed rows and the dual-tight rows
+//    hold as equalities on the optimal face, so a zero-slack row in
+//    their span is tight on all of it: it is fixed, no LP;
 //  * batched release — the remaining zero-slack, zero-dual rows share
 //    capped-slack LPs (max sum y_S, 0 <= y_S <= 1) that release every
 //    row some optimum leaves slack and fix the rest once the optimum
@@ -26,6 +29,11 @@
 //    reach full rank; below it the next round runs, with no LP asking.
 // Each step reaches the decision the per-row LP would, so the fixed
 // set, every round's LP, and the result are the unfiltered scheme's.
+// Across rounds, an active row in the span of efficiency and the fixed
+// rows has a constant excess on every later LP's feasible region; it is
+// retired at that excess with no LP (Maschler, Peleg & Shapley 1979),
+// where the classical scheme would spend a round on it, and the level
+// list names it as that round would.
 //
 // The LPs do not carry every excess row. They run over a working set
 // (row generation, after Hallefjord, Helming & Jørnsten 1995), seeded
@@ -76,7 +84,9 @@ namespace fedshare::game {
 struct NucleolusResult {
   bool solved = false;             ///< all LPs solved to optimality
   std::vector<double> allocation;  ///< the nucleolus payoff vector
-  std::vector<double> levels;      ///< epsilon level fixed at each round
+  /// The epsilon level of each round of the classical scheme, in order:
+  /// the LP rounds' optima and the retired rows' constant excesses.
+  std::vector<double> levels;
   /// Introspection for the bench/report layers (filled by both
   /// formulations): excess rows of the formulation (2^n - 2, or the
   /// proper orbits), of which the LPs carry a working set; LPs solved

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/limits.hpp"
 #include "core/shapley.hpp"
 
 namespace fedshare::structure {
@@ -107,9 +108,9 @@ HedonicResult hedonic_merge_split(const game::Game& g,
     // value, e.g. grand-coalition-only thresholds). Past the
     // enumeration ceiling, deterministic pairwise merges.
     const std::size_t num_blocks = blocks.size();
+    const auto block_count = static_cast<std::int64_t>(num_blocks);
     if (num_blocks >= 2 &&
-        num_blocks <=
-            static_cast<std::size_t>(options.max_merge_enumeration_blocks)) {
+        !limits::exceeds(block_count, limits::kMaxMergeEnumerationBlocks)) {
       std::vector<std::uint32_t> collections;
       for (std::uint32_t mask = 1;
            mask < (std::uint32_t{1} << num_blocks); ++mask) {
@@ -142,6 +143,12 @@ HedonicResult hedonic_merge_split(const game::Game& g,
         }
       }
     } else if (num_blocks >= 2) {
+      if (result.note.empty()) {
+        result.note =
+            limits::refusal("hedonic_merge_split", block_count,
+                            limits::kMaxMergeEnumerationBlocks) +
+            "; merges were pairwise";
+      }
       for (std::size_t a = 0; a < num_blocks && !changed; ++a) {
         for (std::size_t b = a + 1; b < num_blocks && !changed; ++b) {
           const game::Coalition merged = blocks[a].united(blocks[b]);

@@ -13,12 +13,14 @@
 // lexicographic, splits anchored on each block's lowest member — and
 // V(S) is read from the game as given (pass a TabularGame to compute
 // each coalition once, as the CLI and the ablation bench do); there is
-// no player cap. Beyond `max_merge_enumeration_blocks` blocks the
-// exhaustive 2^B collection sweep is replaced by deterministic pairwise
-// merges (lexicographic pairs) — a weaker rule that never fires up to
-// 16 blocks, where exhaustive enumeration always applies.
+// no player cap. Beyond kMaxMergeEnumerationBlocks (core/limits.hpp)
+// blocks the exhaustive 2^B collection sweep is replaced by
+// deterministic pairwise merges (lexicographic pairs), a weaker rule,
+// and the result says so in its note; up to the entry exhaustive
+// enumeration always applies.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "core/game.hpp"
@@ -30,9 +32,6 @@ namespace fedshare::structure {
 struct HedonicOptions {
   /// Merge/split operations applied before giving up on convergence.
   int max_operations = 200;
-  /// Up to this many blocks, merges enumerate every collection of >= 2
-  /// blocks (2^B candidates); above it, only pairwise merges.
-  int max_merge_enumeration_blocks = 16;
 };
 
 /// Outcome of the dynamics.
@@ -41,6 +40,9 @@ struct HedonicResult {
   std::vector<double> payoffs;         ///< payoffs under it
   int iterations = 0;                  ///< operations applied
   bool converged = false;              ///< no admissible operation remains
+  /// Empty, or why some merge phase enumerated pairs only: a refusal
+  /// naming kMaxMergeEnumerationBlocks.
+  std::string note;
 };
 
 /// Payoffs of all players under a partition: each block S earns V(S),

@@ -214,14 +214,14 @@ TEST(CliRunner, NoRegionKeysNoHierarchySection) {
   EXPECT_EQ(report.find("Hierarchy"), std::string::npos);
 }
 
-// Eleven facilities. With distinct location counts no two facilities
-// are interchangeable, and the default report runs the dense nucleolus
-// on 2^11 - 2 excess rows, well under kMaxExcessRows: a nucleolus row,
-// no Resilience section, CLI exit 0. The game is nearly additive, so
-// most rows are tight at the least core.
-std::string eleven_facilities(bool distinct) {
+// Eleven facilities (or `n`). With distinct location counts no two
+// facilities are interchangeable, and the default report runs the dense
+// nucleolus on 2^11 - 2 excess rows, well under kMaxExcessRows: a
+// nucleolus row, no Resilience section, CLI exit 0. The game is nearly
+// additive, so most rows are tight at the least core.
+std::string eleven_facilities(bool distinct, int n = 11) {
   std::string config;
-  for (int i = 0; i < 11; ++i) {
+  for (int i = 0; i < n; ++i) {
     config += "[facility]\nname = F" + std::to_string(i) +
               "\nlocations = " + std::to_string(distinct ? 20 + i : 20) +
               "\n";
@@ -242,6 +242,24 @@ TEST(CliRunner, ElevenFacilitiesWithoutTypesGetTheDenseNucleolus) {
   EXPECT_EQ(result.text.find("Resilience"), std::string::npos);
   EXPECT_TRUE(has_nucleolus_row(result.text));
   EXPECT_NE(result.text.find("\nbanzhaf "), std::string::npos);
+}
+
+// The same recipe at 12 facilities, the CLI's largest federation: almost
+// all 4094 rows are tight at the least core, and in the span of
+// efficiency and the dual-tight rows, so the nucleolus is one LP and
+// every scheme reports (exit 0).
+TEST(CliRunner, TwelveNearAdditiveFacilitiesReportEveryScheme) {
+  const auto result = run_report_result(
+      io::Config::parse_string(eleven_facilities(true, 12)), ReportOptions{});
+  EXPECT_FALSE(result.degraded());
+  EXPECT_TRUE(result.degraded_sections.empty());
+  EXPECT_EQ(result.text.find("Resilience"), std::string::npos);
+  EXPECT_EQ(result.text.find("skipped"), std::string::npos);
+  for (const char* scheme : {"\nshapley ", "\nprop-availability ",
+                             "\nprop-consumption ", "\nequal ",
+                             "\nnucleolus ", "\nbanzhaf "}) {
+    EXPECT_NE(result.text.find(scheme), std::string::npos) << scheme;
+  }
 }
 
 // n distinct facilities (locations 130 + 110 i, units alternating 1

@@ -78,11 +78,14 @@ TEST(ConvexGame, ShapleyLiesInCore) {
   EXPECT_TRUE(in_core(g, shapley_exact(g)));
 }
 
+// One player has no excess row: no LP, no level, and V(N) is the answer.
 TEST(Nucleolus, SinglePlayerGetsEverything) {
   const TabularGame g(1, {0.0, 7.0});
   const NucleolusResult r = nucleolus(g);
   ASSERT_TRUE(r.solved);
   EXPECT_NEAR(r.allocation[0], 7.0, 1e-9);
+  EXPECT_EQ(r.lps_solved, 0u);
+  EXPECT_TRUE(r.levels.empty());
 }
 
 TEST(Nucleolus, TwoPlayerSplitsSurplusEqually) {

@@ -32,6 +32,7 @@
 #include "model/stochastic_value.hpp"
 #include "serve/state.hpp"
 #include "structure/csg.hpp"
+#include "structure/hedonic.hpp"
 #include "verify/audit.hpp"
 
 namespace fedshare {
@@ -210,6 +211,12 @@ std::vector<Row> rows() {
        })},
       {"shapley_permutations", kMaxPermutationPlayers,
        throwing([](int n) { (void)game::shapley_permutations(cheap(n)); })},
+      // Past the ceiling the merge phase pairs blocks and notes why. One
+      // operation from the singletons: a merge at `n` blocks.
+      {"hedonic_merge_split", kMaxMergeEnumerationBlocks, [](int n) {
+         return structure::hedonic_merge_split(cheap(n), {.max_operations = 1})
+             .note;
+       }},
 
       // Past the ceiling the audit samples nothing and notes why.
       {"audit_game", kMaxAuditPlayers, [](int n) {
@@ -294,7 +301,8 @@ TEST(Limits, EveryEntryHasAGuardedRow) {
       limits::kMaxDisjointPairPlayers, limits::kMaxCorePlayers,
       limits::kMaxCsgPlayers,         limits::kMaxPartitionPlayers,
       limits::kMaxPermutationPlayers, limits::kMaxAuditPlayers,
-      limits::kMaxExcessRows,         limits::kMaxFacilities};
+      limits::kMaxExcessRows,         limits::kMaxFacilities,
+      limits::kMaxMergeEnumerationBlocks};
   const std::vector<Row> all = rows();
   for (const Limit& entry : entries) {
     SCOPED_TRACE(std::string(entry.name));

@@ -433,21 +433,29 @@ TEST_P(NucleolusFilters, MatchesUnfilteredAtNonDefaultTolerance) {
   }
 }
 
-// A federation of n distinct facilities under the default report's two
-// demand classes (bench/perf_nucleolus's hetero_game): the dense path of
-// `fedshare_cli <config>`, where no two players are interchangeable.
-TabularGame hetero_game(int n) {
+// A federation of n facilities, facility i with locations(i) locations
+// and units(i) units, under the default report's two demand classes.
+template <typename Locations, typename Units>
+TabularGame federation_game(int n, Locations locations, Units units) {
   std::string text;
   for (int i = 0; i < n; ++i) {
     text += "[facility]\nname = F" + std::to_string(i) +
-            "\nlocations = " + std::to_string(130 + 110 * i) +
-            "\nunits = " + std::to_string(i % 2 + 1) + "\n\n";
+            "\nlocations = " + std::to_string(locations(i)) +
+            "\nunits = " + std::to_string(units(i)) + "\n\n";
   }
   text +=
       "[demand]\ncount = 20\nmin_locations = 300\n\n"
       "[demand]\ncount = 5\nmin_locations = 900\nexponent = 1.2\n";
   return cli::federation_from_config(io::Config::parse_string(text))
       .build_game();
+}
+
+// n distinct facilities (bench/perf_nucleolus's hetero_game): the dense
+// path of `fedshare_cli <config>`, where no two players are
+// interchangeable.
+TabularGame hetero_game(int n) {
+  return federation_game(
+      n, [](int i) { return 130 + 110 * i; }, [](int i) { return i % 2 + 1; });
 }
 
 // Heterogeneous n = 8 against the unfiltered orbit reference on the
@@ -490,14 +498,16 @@ TEST(NucleolusRankTermination, FirstFaceIsAPointAfterOneLp) {
 
 // Only {0, 1} is worth anything, V({0, 1}) = V(N) = 1. Round one reaches
 // eps = 0 on the segment x = (t, 1 - t, 0), 0 <= t <= 1, and fixes the
-// rows of {0, 1} and {2}, rank 2 with efficiency. Round two splits the
-// pair's value: eps = -0.5 at x = (0.5, 0.5, 0), where the singleton
+// rows of {0, 1} and {2}, rank 2 with efficiency. One of the two is
+// dual-tight; the other is efficiency less it, so the span filter fixes
+// it without a release pass: round one takes one LP. Round two splits
+// the pair's value: eps = -0.5 at x = (0.5, 0.5, 0), where the singleton
 // rows of 0 and 1 reach rank 3.
 TEST(NucleolusRankTermination, FirstFaceIsASegmentSoASecondRoundRuns) {
   const TabularGame g(3, {0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0});
   const NucleolusResult r = nucleolus(g);
   ASSERT_TRUE(r.solved);
-  EXPECT_EQ(r.lps_solved, 3u);
+  EXPECT_EQ(r.lps_solved, 2u);
   ASSERT_EQ(r.levels.size(), 2u);
   EXPECT_NEAR(r.levels[0], 0.0, 1e-12);
   EXPECT_NEAR(r.levels[1], -0.5, 1e-12);
@@ -505,6 +515,89 @@ TEST(NucleolusRankTermination, FirstFaceIsASegmentSoASecondRoundRuns) {
   EXPECT_NEAR(r.allocation[0], 0.5, 1e-12);
   EXPECT_NEAR(r.allocation[1], 0.5, 1e-12);
   EXPECT_NEAR(r.allocation[2], 0.0, 1e-12);
+}
+
+// Retirement: from the second round on, an active row in the span of
+// efficiency and the fixed rows has a constant excess and takes no LP;
+// the loop lists it as a level only where the classical loop would.
+//
+// The typed n = 8 federation of configs/typed8.ini on the dense path: 25
+// levels, of which only 3 take an LP round (rank 1 -> 3 -> 7 -> 8); the
+// other 22 are retired rows' excesses. The classical loop spends a round
+// on each. 9 LPs in all, closure re-solves included, against 54 when
+// every level took its LP round. The reference runs on the revised
+// engine, where its 6000-odd LPs take seconds, not a minute.
+TEST(NucleolusRetirement, TypedFederationEightListsEveryLevel) {
+  const TabularGame g = federation_game(
+      8, [](int i) { return 100 * (i % 4 + 1); },
+      [](int i) { return i % 4 % 2 + 1; });
+  const NucleolusResult want =
+      identity_reference(g, with_engine(lp::SolverKind::kRevised));
+  ASSERT_EQ(want.levels.size(), 25u);
+  for (const auto kind : {lp::SolverKind::kDense, lp::SolverKind::kRevised}) {
+    const NucleolusResult got = nucleolus(g, with_engine(kind));
+    const std::string what =
+        std::string("typed federation n=8 ") + lp::to_string(kind);
+    expect_close(got, want, g.grand_value(), what);
+    expect_excesses_within_levels(got, g, what);
+    if (kind == lp::SolverKind::kDense) {
+      EXPECT_EQ(got.lps_solved, 9u);
+    }
+  }
+}
+
+// Four players; players 0 and 1 are worth 0.4 alone and {2, 3} 0.5, so
+// round one reaches eps = 0.1 at x = (0.3, 0.3, s, 0.4 - s), fixing {0},
+// {1} and {2, 3} (rank 3). In their span, {0, 2, 3} and {1, 2, 3} have
+// the constant excesses 0.6 - 0.7 = -0.1 and 0.2 - 0.7 = -0.5: both are
+// retired at round two's start. Round two splits 0.4 between players 2
+// and 3 at eps = -0.2 and reaches full rank. The classical loop gives
+// -0.1 a round of its own but stops before -0.5: levels 0.1, -0.1, -0.2.
+TEST(NucleolusRetirement, RetiredExcessBelowTheLastLevelIsNoLevel) {
+  std::vector<double> v(16, 0.0);
+  v[0b0001] = 0.4;  // {0}
+  v[0b0010] = 0.4;  // {1}
+  v[0b0011] = 0.1;  // {0, 1}
+  v[0b1100] = 0.5;  // {2, 3}
+  v[0b1101] = 0.6;  // {0, 2, 3}
+  v[0b1110] = 0.2;  // {1, 2, 3}
+  v[0b1111] = 1.0;
+  const TabularGame g(4, std::move(v));
+  for (const auto kind : {lp::SolverKind::kDense, lp::SolverKind::kRevised}) {
+    const auto options = with_engine(kind);
+    const NucleolusResult got = nucleolus(g, options);
+    const std::string what = std::string("retired ") + lp::to_string(kind);
+    expect_close(got, reference::unfiltered_nucleolus(g, options),
+                 g.grand_value(), what);
+    ASSERT_EQ(got.levels.size(), 3u) << what;
+    EXPECT_NEAR(got.levels[0], 0.1, 1e-12) << what;
+    EXPECT_NEAR(got.levels[1], -0.1, 1e-12) << what;
+    EXPECT_NEAR(got.levels[2], -0.2, 1e-12) << what;
+    const std::vector<double> want = {0.3, 0.3, 0.2, 0.2};
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_NEAR(got.allocation[i], want[i], 1e-12) << what << " " << i;
+    }
+  }
+}
+
+// One type: its efficiency row alone has full rank, so every proper
+// orbit's excess is constant from the start. No row is retired before
+// the first LP, as the classical loop runs that round and stops; every
+// other constant excess stays unlisted.
+TEST(NucleolusRetirement, NoRetirementBeforeTheFirstRound) {
+  const FunctionGame squares(5, [](Coalition s) {
+    return static_cast<double>(s.size() * s.size());
+  });
+  const QuotientGame one_type(squares,
+                              PlayerPartition::from_type_of({0, 0, 0, 0, 0}));
+  const NucleolusResult got = nucleolus_quotient(one_type);
+  expect_close(got,
+               reference::unfiltered_nucleolus_quotient(
+                   one_type, with_engine(lp::SolverKind::kDense)),
+               25.0, "one type");
+  EXPECT_EQ(got.lps_solved, 1u);
+  ASSERT_EQ(got.levels.size(), 1u);
+  for (const double x : got.allocation) EXPECT_DOUBLE_EQ(x, 5.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -6,6 +6,7 @@
 // probe, and the row-count guards that replaced the hard n <= 10 throw.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -251,11 +252,18 @@ TEST_F(NucleolusQuotientTest, BudgetTripDegrades) {
 // chain: the result degrades to solved == false with no allocation. A
 // cap of exactly that many units returns the unbudgeted answer bit for
 // bit. Both entry points (the quotient path also charges one unit per
-// orbit materialised), both engines.
+// orbit materialised), both engines. The game needs a chain of several
+// LPs: each pair of one member of either type is worth 4 on top of 1 per
+// member, V = 4 min(c_0, c_1) + |S|, which takes two levels (typed_game
+// settles in one LP).
 TEST_F(NucleolusQuotientTest, BudgetTripInsideLpChainDegrades) {
   const PlayerPartition partition =
       PlayerPartition::from_type_of({0, 0, 0, 1, 1, 1});
-  const TabularGame tab = tabulate(typed_game(partition, 99));
+  const TabularGame tab = tabulate(FunctionGame(6, [&](Coalition s) {
+    int counts[2] = {0, 0};
+    for (const int i : s.members()) ++counts[partition.type_of(i)];
+    return 4.0 * std::min(counts[0], counts[1]) + s.size();
+  }));
   for (const auto kind : {lp::SolverKind::kDense, lp::SolverKind::kRevised}) {
     for (const bool quotient : {false, true}) {
       const auto run = [&](const runtime::ComputeBudget* budget) {
