@@ -88,6 +88,14 @@ TEST(GoldenTest, Typed8SymmetryReportMatchesSnapshot) {
   expect_report_matches("typed8", "typed8_symmetry", options);
 }
 
+// The CLI's largest federation, 12 hetero-recipe facilities whose names
+// run from 1 to 16 characters, at six decimals: a 4095-row
+// coalition-value table with labels of every width, and the dense
+// nucleolus on 4094 rows.
+TEST(GoldenTest, Hetero12ReportMatchesSnapshot) {
+  expect_report_matches("hetero12");
+}
+
 // The Resilience and Outage distribution sections, plus the hierarchy
 // section (planetlab declares regions), as requested by
 // --outage-scenarios.

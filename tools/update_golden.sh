@@ -27,6 +27,7 @@ mkdir -p "$root/tests/golden"
 "$cli" "$root/configs/typed8.ini" > "$root/tests/golden/typed8.txt"
 "$cli" --symmetry exact "$root/configs/typed8.ini" \
   > "$root/tests/golden/typed8_symmetry.txt"
+"$cli" "$root/configs/hetero12.ini" > "$root/tests/golden/hetero12.txt"
 "$cli" --outage-scenarios 16 --outage-seed 7 "$root/configs/planetlab.ini" \
   > "$root/tests/golden/planetlab_outage.txt"
 # The cache counters are the same at any thread count (one memo lookup
@@ -37,6 +38,6 @@ mkdir -p "$root/tests/golden"
   > "$root/tests/golden/serve_demo.txt"
 
 for f in sec41 planetlab planetlab_structure planetlab_outage \
-    planetlab_cache_stats typed8 typed8_symmetry serve_demo; do
+    planetlab_cache_stats typed8 typed8_symmetry hetero12 serve_demo; do
   echo "updated tests/golden/$f.txt"
 done
