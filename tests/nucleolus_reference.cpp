@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "lp/revised_simplex.hpp"
+#include "lp/simplex.hpp"
 
 namespace fedshare::game::reference {
 
@@ -289,11 +290,16 @@ NucleolusResult unfiltered_nucleolus_quotient(
   lp::Basis probe_basis;
   std::vector<double> per_type;
   std::size_t num_active = proper.size();
-  const auto cold = [&](const std::vector<double>& obj) {
+  // The dense leg starts every probe from the round optimum, which lies
+  // on the eps-pinned face (the rows a round fixes are tight at every
+  // optimum), and runs the whole chain in one workspace.
+  lp::DenseWorkspace workspace;
+  std::vector<double> round_optimum;
+  const auto started = [&](const std::vector<double>& obj) {
     for (std::size_t v = 0; v <= tv; ++v) {
       probe_prob.set_objective_coefficient(v, obj[v]);
     }
-    return lp::solve(probe_prob, options);
+    return lp::solve(probe_prob, options, round_optimum, workspace);
   };
 
   while (num_active > 0) {
@@ -309,6 +315,7 @@ NucleolusResult unfiltered_nucleolus_quotient(
     const double eps = sol.x[tv];
     out.levels.push_back(eps);
     per_type.assign(sol.x.begin(), sol.x.begin() + T);
+    round_optimum = sol.x;
 
     probe_prob.set_constraint_rhs(pin_row, eps);
     std::optional<ObjectiveChain> chain;
@@ -317,7 +324,7 @@ NucleolusResult unfiltered_nucleolus_quotient(
     for (std::size_t k = 0; k < proper.size(); ++k) {
       if (!active[k]) continue;
       const std::vector<double> obj = row_of(proper[k], 0.0);
-      const lp::Solution aux = revised ? chain->solve(obj) : cold(obj);
+      const lp::Solution aux = revised ? chain->solve(obj) : started(obj);
       ++out.lps_solved;
       out.pivots += aux.pivots;
       if (!aux.optimal()) return out;
@@ -342,7 +349,7 @@ NucleolusResult unfiltered_nucleolus_quotient(
         probe_chain.emplace(probe_prob, options, std::move(probe_basis));
       }
       const auto solve = [&](const std::vector<double>& obj) {
-        return revised ? probe_chain->solve(obj) : cold(obj);
+        return revised ? probe_chain->solve(obj) : started(obj);
       };
       const bool unique = ranges_are_points(tv, solve, out);
       if (revised) probe_basis = probe_chain->basis();
