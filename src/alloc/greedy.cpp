@@ -1,7 +1,9 @@
 #include "alloc/greedy.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -113,6 +115,8 @@ struct Scratch {
   std::vector<std::size_t> rank;
   std::vector<SlotBin> bins;
   CapacityHistogram canonical;  // a copy, for an input not yet canonical
+  CapacityHistogram input;      // scratch_histogram(), filled by callers
+  AllocationResult result;      // greedy_total_utility's outcomes
 };
 
 Scratch& scratch() {
@@ -357,14 +361,20 @@ class GroupGreedy {
   // `need` by their takes with the rounding of one subtraction per
   // location — so the greedy's decisions do not depend on how locations
   // are grouped. When `full` is a multiple of need's ulp every such
-  // subtraction is exact, and the count and the rest take O(1).
+  // subtraction is exact, and the count and the rest take O(1). That
+  // test reads the bits (multiple_of_pow2): std::fmod would do a long
+  // division over the exponent gap, some 50 steps for a fractional
+  // `full`, on every call.
   static std::size_t take_full(double& need, double full, std::size_t n) {
     const auto gives_full = [full](double left) {
       return left > kNeedEps && left >= full;
     };
     std::size_t k = 0;
-    const double ulp = std::ldexp(1.0, std::ilogb(need) - 52);
-    if (std::fmod(full, ulp) == 0.0) {
+    // need > kNeedEps is normal, so its ulp is 2^(unbiased exponent - 52).
+    const int ulp_exponent =
+        static_cast<int>(std::bit_cast<std::uint64_t>(need) >> 52 & 0x7ff) -
+        1023 - 52;
+    if (multiple_of_pow2(full, ulp_exponent)) {
       const double q = std::floor(need / full);
       k = q >= static_cast<double>(n) ? n : static_cast<std::size_t>(q);
       const auto left = [&](std::size_t j) {
@@ -407,10 +417,10 @@ bool is_canonical(const CapacityHistogram& histogram) {
 
 // Runs the core on `histogram`'s bins, numbering locations bin by bin
 // in ascending capacity; the thread's scratch groups end holding every
-// location's final state, and the scratch is returned.
-Scratch& run_greedy(const CapacityHistogram& histogram,
-                    const std::vector<RequestClass>& classes,
-                    AllocationResult& result) {
+// location's final state.
+void run_greedy(const CapacityHistogram& histogram,
+                const std::vector<RequestClass>& classes,
+                AllocationResult& result) {
   histogram.validate();
   for (const auto& rc : classes) rc.validate();
   Scratch& s = scratch();
@@ -432,10 +442,21 @@ Scratch& run_greedy(const CapacityHistogram& histogram,
     first += b.count;
   }
   GroupGreedy(s, classes).run(result);
-  return s;
 }
 
 }  // namespace
+
+bool multiple_of_pow2(double x, int e) noexcept {
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  const auto biased = static_cast<int>(bits >> 52 & 0x7ff);
+  std::uint64_t significand = bits & ((std::uint64_t{1} << 52) - 1);
+  int weight = -1074;  // of the significand's lowest bit, subnormal or not
+  if (biased != 0) {
+    significand |= std::uint64_t{1} << 52;
+    weight = biased - 1075;
+  }
+  return significand == 0 || weight + std::countr_zero(significand) >= e;
+}
 
 double slot_budget(const CapacityHistogram& histogram,
                    double units_per_location, double m) {
@@ -443,18 +464,30 @@ double slot_budget(const CapacityHistogram& histogram,
   return budget_at(slot_bins(histogram, units_per_location), m);
 }
 
+double greedy_total_utility(const CapacityHistogram& histogram,
+                            const std::vector<RequestClass>& classes) {
+  AllocationResult& result = scratch().result;
+  result.total_utility = 0.0;
+  result.total_units = 0.0;
+  run_greedy(histogram, classes, result);
+  return result.total_utility;
+}
+
+CapacityHistogram& scratch_histogram() { return scratch().input; }
+
 AllocationResult allocate_greedy(const CapacityHistogram& histogram,
                                  const std::vector<RequestClass>& classes) {
   AllocationResult result;
-  (void)run_greedy(histogram, classes, result);
+  run_greedy(histogram, classes, result);
   return result;
 }
 
 AllocationResult allocate_greedy(const CapacityHistogram& histogram,
                                  const std::vector<RequestClass>& classes,
                                  std::vector<ConsumedRun>& runs) {
-  AllocationResult result;
-  const Scratch& s = run_greedy(histogram, classes, result);
+  AllocationResult result = allocate_greedy(histogram, classes);
+  // The thread's scratch still holds the run's final groups.
+  const Scratch& s = scratch();
   const std::size_t c = classes.size();
   runs.clear();
   runs.reserve(s.groups.size());

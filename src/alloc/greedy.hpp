@@ -51,8 +51,11 @@
 // thread, reused by the thread's next run. A histogram that is already
 // canonical (as LocationSpace::capacity_histogram returns it) is read in
 // place, and the classes are re-sorted only when their (r, l) pairs
-// change. A run then allocates only its AllocationResult; the arithmetic
-// is that of fresh buffers, bit for bit.
+// change. A run then allocates only its AllocationResult, and the V(S)
+// path (greedy_total_utility) not even that: it fills the coalition's
+// histogram into the scratch (scratch_histogram) and keeps the
+// per-class outcomes there too, so a warm V(S) allocates nothing. The
+// arithmetic is that of fresh buffers, bit for bit.
 //
 // Ties in need. Capacities such as 0.9 * 3 are not exact in binary, so
 // slots that meet a threshold exactly can sum a few ulps short of it.
@@ -89,6 +92,26 @@ namespace fedshare::alloc {
 [[nodiscard]] AllocationResult allocate_greedy(
     const CapacityHistogram& histogram,
     const std::vector<RequestClass>& classes, std::vector<ConsumedRun>& runs);
+
+/// allocate_greedy(histogram, classes).total_utility, bit for bit, with
+/// the per-class outcomes kept in the calling thread's scratch: once the
+/// scratch has grown to the run's shape, a run allocates nothing. The
+/// V(S) path; allocate_greedy serves the callers that read the outcomes.
+[[nodiscard]] double greedy_total_utility(
+    const CapacityHistogram& histogram,
+    const std::vector<RequestClass>& classes);
+
+/// A histogram of the calling thread's scratch, for a caller to fill
+/// (LocationSpace::capacity_histogram_into) and hand to
+/// greedy_total_utility; the thread's next fill reuses its bins.
+[[nodiscard]] CapacityHistogram& scratch_histogram();
+
+/// Whether x is an integer multiple of 2^e, read off its bits: its
+/// lowest set significand bit weighs 2^e or more (0 is a multiple of
+/// anything). Equal to std::fmod(x, std::ldexp(1.0, e)) == 0.0 for
+/// every finite x and every e at which 2^e is a finite double, without
+/// fmod's long division over the exponent gap.
+[[nodiscard]] bool multiple_of_pow2(double x, int e) noexcept;
 
 /// The slot-budget function U(m) = sum_l min(capacity_l / r, m) used by
 /// the greedy, summed over the histogram's bins.

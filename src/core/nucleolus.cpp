@@ -1,12 +1,10 @@
 #include "core/nucleolus.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -63,11 +61,10 @@ constexpr int kMaxDensePlayers = [] {
   return n;
 }();
 
-// The all-singletons index of an n-player game, where every orbit is a
-// coalition mask: built once per n and kept, as it never changes. A game
-// with no player, or one past kMaxExcessRows, is refused on behalf of
-// `who`, as checked_excess_rows does.
-const OrbitIndex& identity_index(const char* who, int n) {
+// The all-singletons index of an n-player game (identity_index), for a
+// game with at least one player whose 2^n - 2 rows fit kMaxExcessRows;
+// any other is refused on behalf of `who`, as checked_excess_rows does.
+const OrbitIndex& dense_index(const char* who, int n) {
   if (n < 1) {
     throw std::invalid_argument(std::string(who) +
                                 ": need at least one player");
@@ -77,12 +74,7 @@ const OrbitIndex& identity_index(const char* who, int n) {
         std::string(who) + ": " +
         excess_rows_refusal(PlayerPartition::identity(n).orbit_count() - 2));
   }
-  static std::array<std::once_flag, kMaxDensePlayers + 1> once;
-  static std::array<std::optional<OrbitIndex>, kMaxDensePlayers + 1> cache;
-  const auto i = static_cast<std::size_t>(n);
-  std::call_once(once[i],
-                 [&] { cache[i].emplace(PlayerPartition::identity(n)); });
-  return *cache[i];
+  return identity_index(n);
 }
 
 // One probe LP over a shared, eps-pinned constraint set: maximizes
@@ -719,7 +711,7 @@ std::string excess_rows_refusal(std::uint64_t rows) {
 NucleolusResult nucleolus(const Game& game,
                           const lp::SimplexOptions& options) {
   // The all-singletons partition: one orbit per coalition mask.
-  const OrbitIndex& index = identity_index("nucleolus", game.num_players());
+  const OrbitIndex& index = dense_index("nucleolus", game.num_players());
   // A TabularGame's table is read in place; any other game is tabulated.
   std::optional<TabularGame> storage;
   const TabularGame& tab = *borrow_or_tabulate(
@@ -729,7 +721,7 @@ NucleolusResult nucleolus(const Game& game,
 
 LeastCoreResult least_core(const Game& game,
                            const lp::SimplexOptions& options) {
-  const OrbitIndex& index = identity_index("least_core", game.num_players());
+  const OrbitIndex& index = dense_index("least_core", game.num_players());
   LeastCoreResult out;
   out.status = lp::SolveStatus::kUnbounded;  // stands for n = 1: no row
   std::optional<TabularGame> storage;

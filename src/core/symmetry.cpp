@@ -1,8 +1,10 @@
 #include "core/symmetry.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <mutex>
 #include <stdexcept>
 
 #include "core/lattice.hpp"
@@ -267,9 +269,36 @@ PlayerPartition verified_partition(const Game& game,
   return PlayerPartition::from_type_of(type_of);
 }
 
+const OrbitIndex& identity_index(int n) {
+  if (n < 0) {
+    throw std::invalid_argument("identity_index: negative player count");
+  }
+  limits::require("identity_index", n, limits::kMaxTablePlayers);
+  constexpr auto kSizes =
+      static_cast<std::size_t>(limits::kMaxTablePlayers.value) + 1;
+  static std::array<std::once_flag, kSizes> once;
+  static std::array<std::optional<OrbitIndex>, kSizes> cache;
+  const auto i = static_cast<std::size_t>(n);
+  std::call_once(once[i],
+                 [&] { cache[i].emplace(PlayerPartition::identity(n)); });
+  return *cache[i];
+}
+
 void close_monotone(const OrbitIndex& index, std::vector<double>& values) {
   if (values.size() != index.orbit_count()) {
     throw std::invalid_argument("close_monotone: need one value per orbit");
+  }
+  if (index.partition().is_trivial()) {
+    // Orbits are masks and types are players: a predecessor per set bit,
+    // visited from the lowest bit up, as the loop below visits types.
+    for (std::uint64_t mask = 1; mask < values.size(); ++mask) {
+      double best = values[mask];
+      for (std::uint64_t rest = mask; rest != 0; rest &= rest - 1) {
+        best = std::max(best, values[mask ^ (rest & (~rest + 1))]);
+      }
+      values[mask] = best;
+    }
+    return;
   }
   for (std::uint64_t orbit = 1; orbit < index.orbit_count(); ++orbit) {
     double best = values[static_cast<std::size_t>(orbit)];

@@ -149,6 +149,12 @@ class OrbitIndex {
   std::uint64_t orbit_count_ = 1;
 };
 
+/// The all-singletons index of an n-player game, PlayerPartition::
+/// identity(n), whose orbit ids are the coalition masks: built on first
+/// use for each n and kept, as it never changes. n past
+/// limits::kMaxTablePlayers (or negative) throws std::invalid_argument.
+[[nodiscard]] const OrbitIndex& identity_index(int n);
+
 /// Oracle-refined partition: each type of `candidate` is tested member
 /// by member against its first member; members that fail any sampled
 /// swap are split out as singleton types. The result is always safe to
@@ -164,9 +170,11 @@ class OrbitIndex {
 /// a smaller id — and types in ascending order; the empty orbit keeps
 /// its value. On PlayerPartition::identity(n) orbit ids are masks and
 /// types are players, so this is the per-mask max sequence raw(S), then
-/// V'(S \ {i}) for i ascending. For a symmetric game the closed orbit
-/// table expands to the closed full table (the subsets of an orbit's
-/// masks cover exactly the count vectors below it). Idempotent.
+/// V'(S \ {i}) for i ascending, and it runs that way: over the set bits
+/// of each mask, with no per-digit division. For a symmetric game the
+/// closed orbit table expands to the closed full table (the subsets of
+/// an orbit's masks cover exactly the count vectors below it).
+/// Idempotent.
 void close_monotone(const OrbitIndex& index, std::vector<double>& values);
 
 /// Expands a per-orbit value table to the full 2^n lattice. Parallel

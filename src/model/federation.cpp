@@ -93,7 +93,7 @@ std::optional<game::TabularGame> Federation::build_game_budgeted(
           return true;
         });
     if (!complete) return std::nullopt;
-    game::close_monotone(game::OrbitIndex(partition), values);
+    game::close_monotone(game::identity_index(n), values);
     return game::TabularGame(n, std::move(values));
   }
   const game::FunctionGame raw(

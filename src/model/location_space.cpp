@@ -197,16 +197,21 @@ int LocationSpace::distinct_locations(game::Coalition coalition) const {
 
 alloc::CapacityHistogram LocationSpace::capacity_histogram(
     game::Coalition coalition) const {
-  check_coalition(coalition);
   alloc::CapacityHistogram histogram;
-  histogram.bins.reserve(types_.size());
+  capacity_histogram_into(coalition, histogram);
+  return histogram;
+}
+
+void LocationSpace::capacity_histogram_into(
+    game::Coalition coalition, alloc::CapacityHistogram& out) const {
+  check_coalition(coalition);
+  out.bins.clear();
+  out.bins.reserve(types_.size());
   for (const LocationType& type : types_) {
     if ((type.covered_by & coalition.bits()) == 0) continue;
-    histogram.bins.push_back(
-        {pooled_capacity(type, coalition.bits()), type.count});
+    out.bins.push_back({pooled_capacity(type, coalition.bits()), type.count});
   }
-  histogram.canonicalize();
-  return histogram;
+  out.canonicalize();
 }
 
 double LocationSpace::overlap(int facility_a, int facility_b) const {

@@ -55,6 +55,11 @@ class LocationSpace {
   [[nodiscard]] alloc::CapacityHistogram capacity_histogram(
       game::Coalition coalition) const;
 
+  /// capacity_histogram(coalition) into `out`, whose bins are
+  /// overwritten and whose storage is reused.
+  void capacity_histogram_into(game::Coalition coalition,
+                               alloc::CapacityHistogram& out) const;
+
   /// Fraction of facility a's locations also covered by facility b
   /// (the empirical overlap o_ab); 0 when a has no locations.
   [[nodiscard]] double overlap(int facility_a, int facility_b) const;

@@ -7,9 +7,9 @@ namespace fedshare::model {
 double coalition_value(const LocationSpace& space, const DemandProfile& demand,
                        game::Coalition coalition) {
   if (coalition.empty()) return 0.0;
-  return alloc::allocate_greedy(space.capacity_histogram(coalition),
-                                demand.classes)
-      .total_utility;
+  alloc::CapacityHistogram& histogram = alloc::scratch_histogram();
+  space.capacity_histogram_into(coalition, histogram);
+  return alloc::greedy_total_utility(histogram, demand.classes);
 }
 
 std::vector<double> consumption_weights(const LocationSpace& space,

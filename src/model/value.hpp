@@ -20,6 +20,8 @@ namespace fedshare::model {
 /// V(S): total utility the coalition can generate (0 for the empty
 /// coalition). Runs the greedy on the coalition's capacity histogram,
 /// which depends only on the capacity multiset of pool_for(coalition).
+/// The histogram and the outcomes live in the greedy's per-thread
+/// scratch, so a warm call allocates nothing.
 [[nodiscard]] double coalition_value(const LocationSpace& space,
                                      const DemandProfile& demand,
                                      game::Coalition coalition);

@@ -31,24 +31,39 @@ double quantile(const std::vector<double>& sorted, double p) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
+// One facility's mask: each of `count` locations is up when its draw
+// is below T_i. uniform() < 1.0 always holds, so T_i = 1 means never
+// down, exactly, not just in expectation.
+std::vector<bool> draw_mask(sim::Xoshiro256& rng, std::size_t count,
+                            double availability) {
+  std::vector<bool> mask(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    mask[k] = rng.uniform() < availability;
+  }
+  return mask;
+}
+
 }  // namespace
 
 OutageScenario OutageModel::sample(const model::LocationSpace& space,
                                    std::uint64_t scenario) const {
   sim::Xoshiro256 rng = scenario_rng(seed_, scenario);
   OutageScenario s;
-  s.up.resize(static_cast<std::size_t>(space.num_facilities()));
+  s.up.reserve(static_cast<std::size_t>(space.num_facilities()));
   for (int i = 0; i < space.num_facilities(); ++i) {
-    const double t = space.facility(i).availability();
-    auto& mask = s.up[static_cast<std::size_t>(i)];
-    mask.resize(space.locations_of(i).size());
-    for (std::size_t k = 0; k < mask.size(); ++k) {
-      // uniform() < 1.0 always holds, so T_i = 1 means never down —
-      // exactly, not just in expectation.
-      mask[k] = rng.uniform() < t;
-    }
+    s.up.push_back(draw_mask(rng, space.locations_of(i).size(),
+                             space.facility(i).availability()));
   }
   return s;
+}
+
+std::vector<bool> OutageModel::sample_locations(std::uint64_t scenario,
+                                                std::size_t skip,
+                                                std::size_t count,
+                                                double availability) const {
+  sim::Xoshiro256 rng = scenario_rng(seed_, scenario);
+  for (std::size_t k = 0; k < skip; ++k) (void)rng.next();
+  return draw_mask(rng, count, availability);
 }
 
 model::LocationSpace OutageModel::degrade(const model::LocationSpace& space,

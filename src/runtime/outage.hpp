@@ -42,6 +42,18 @@ class OutageModel {
   [[nodiscard]] OutageScenario sample(const model::LocationSpace& space,
                                       std::uint64_t scenario) const;
 
+  /// The mask sample() draws for `count` locations at availability
+  /// `availability` when `skip` locations come before them: scenario
+  /// `scenario`'s stream takes one draw per location, facility by
+  /// facility, whatever the facility's T_i, so the first `skip` draws
+  /// are passed over and the stream stops after these `count`. On a
+  /// disjoint space, facility i's mask with skip = the locations of
+  /// facilities 0..i-1 is sample(space, scenario).up[i], draw for draw.
+  [[nodiscard]] std::vector<bool> sample_locations(std::uint64_t scenario,
+                                                   std::size_t skip,
+                                                   std::size_t count,
+                                                   double availability) const;
+
   /// The degraded space realising sample(space, scenario).
   [[nodiscard]] model::LocationSpace degrade(const model::LocationSpace& space,
                                              std::uint64_t scenario) const;

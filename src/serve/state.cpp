@@ -124,17 +124,20 @@ int ServiceState::validate_and_stage(const Event& event) {
     // Sample the mask against the *nominal* space of the roster — a
     // pure function of (seed, scenario, roster configs in slot order),
     // which is what replay determinism rests on. Each location of the
-    // facility survives independently with probability T_i.
-    std::vector<model::FacilityConfig> nominal;
-    nominal.reserve(roster_.size());
-    for (const Member& r : roster_) nominal.push_back(r.config);
-    const runtime::OutageScenario scenario =
-        runtime::OutageModel(e->seed).sample(
-            model::LocationSpace::disjoint(std::move(nominal)), e->scenario);
+    // facility survives independently with probability T_i. The nominal
+    // space is disjoint, so the facility's draws follow one draw per
+    // nominal location of the members before it.
+    std::size_t skip = 0;
+    for (int i = 0; i < idx; ++i) {
+      skip += static_cast<std::size_t>(
+          roster_[static_cast<std::size_t>(i)].config.num_locations);
+    }
+    m.up = runtime::OutageModel(e->seed).sample_locations(
+        e->scenario, skip, static_cast<std::size_t>(m.config.num_locations),
+        m.config.availability);
     m.outage = true;
     m.outage_seed = e->seed;
     m.outage_scenario = e->scenario;
-    m.up = scenario.up[static_cast<std::size_t>(idx)];
     return m.slot;
   }
   if (const auto* e = std::get_if<OutageEnd>(&event)) {
@@ -317,9 +320,12 @@ bool ServiceState::resolve_bound(const runtime::ComputeBudget& budget,
   // Warm from the previous epoch's optimal basis when the template kept
   // it (an outage is a pure rhs patch — a dual-simplex re-solve; a leave
   // keeps it minus the departed columns); an empty basis (after a join
-  // or a demand update) solves cold.
+  // or a demand update) solves cold. The prototype is copy-assigned into
+  // the long-lived engine, which reuses its buffers: the state is a
+  // fresh copy's, bit for bit.
   const bool warm = !bound_.basis.empty();
-  lp::RevisedSimplex engine = *lp_proto_;
+  lp_engine_ = *lp_proto_;
+  lp::RevisedSimplex& engine = *lp_engine_;
   engine.apply(lp_template_->capacity_patch(caps));
   engine.set_budget(&budget);
   lp::Solution sol = engine.solve_from_basis(bound_.basis);
@@ -399,8 +405,7 @@ bool ServiceState::publish_snapshot() {
     }
     // Compact index i is the i-th active slot in ascending order, so the
     // identity closure visits subsets exactly as the slot lattice would.
-    game::close_monotone(
-        game::OrbitIndex(game::PlayerPartition::identity(m)), values);
+    game::close_monotone(game::identity_index(m), values);
     snap->game.emplace(m, std::move(values));
 
     answer.grand_value = snap->game->grand_value();

@@ -383,6 +383,9 @@ class ServiceState {
   /// leave a pure rhs patch, warm-started from bound_'s basis.
   std::optional<alloc::RelaxationTemplate> lp_template_;
   std::optional<lp::RevisedSimplex> lp_proto_;
+  /// The engine each epoch's bound solve runs on: *lp_proto_ assigned
+  /// into it, so its buffers outlive the epoch.
+  std::optional<lp::RevisedSimplex> lp_engine_;
   std::vector<int> lp_offset_;  ///< per slot, block start (-1 = no block)
   std::size_t lp_locations_ = 0;
   BoundEntry bound_;

@@ -2,14 +2,17 @@
 // per report: the V(S) greedy behind a 2^n tabulation, the started
 // dense LP chain of the nucleolus, and the table scans that read a
 // tabulated game in place (the property checks and the dividends);
-// and for one whole default report.
+// for one whole default report; and for one serve outage flap.
 //
 // This binary replaces the global operator new with one that counts its
 // calls, warms each kernel up once (so the per-thread greedy scratch and
 // lazily built statics are in place), and then asserts an upper bound on
 // the allocations of one more run. The bounds are the counts measured
-// once the kernels stopped allocating per call (tabulation: 164, the
-// coalition's histogram and result and the table itself; nucleolus:
+// once the kernels stopped allocating per call (tabulation: 19, the
+// table and build_game's other fixed costs, none per mask, since V(S)
+// fills its histogram and keeps its per-class outcomes in the greedy's
+// per-thread scratch; it made 164 while each V(S) allocated both;
+// nucleolus:
 // 185, with one dense-LP workspace per chain, the release pass and the
 // probe problem rebuilt in place, each working row stored once and the
 // all-singletons orbit index built once per n), rounded up to the next
@@ -23,10 +26,16 @@
 // nothing, and the dividends allocate their result only. Code that
 // copied the 2^n table made 3 and 2 allocations there.
 // One whole default report of the banded config (federation, table,
-// every scheme and the rendered text) is bounded the same way: 460
-// allocations with the report appended to one string and each table's
-// cells in one arena, so 470. The report made 618 while it went through
-// an ostringstream with a std::string per table cell and per label.
+// every scheme and the rendered text) is bounded the same way: 315
+// allocations with the report appended to one string, each table's
+// cells in one arena and an allocation-free V(S), so 320. The report
+// made 618 while it went through an ostringstream with a std::string
+// per table cell and per label, and 460 while each V(S) allocated.
+// One warm outage flap of the serve roster (outage-start and
+// outage-end, each re-tabulating 32 masks, re-solving the bound and
+// publishing from the answer memo) makes 183, so 190. It made 559
+// while each V(S) allocated, the bound engine was copy-constructed per
+// epoch and the outage mask was drawn from a whole nominal space.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -44,6 +53,8 @@
 #include "exec/pool.hpp"
 #include "io/config.hpp"
 #include "model/federation.hpp"
+#include "serve/event.hpp"
+#include "serve/state.hpp"
 
 // Every plain, array and nothrow form of operator new and delete is
 // replaced, so that each allocation is counted and every pair of new and
@@ -53,9 +64,10 @@ namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
 
-constexpr std::uint64_t kTabulationBound = 170;
+constexpr std::uint64_t kTabulationBound = 20;
 constexpr std::uint64_t kNucleolusBound = 190;
-constexpr std::uint64_t kReportBound = 470;
+constexpr std::uint64_t kReportBound = 320;
+constexpr std::uint64_t kServeFlapBound = 190;
 
 void* counted_malloc(std::size_t size) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
@@ -188,6 +200,52 @@ TEST(AllocGuard, DefaultReportOfTheBandedConfig) {
   std::cout << "report: " << allocations << " allocations, "
             << r.text.size() << " bytes\n";
   EXPECT_LE(allocations, kReportBound);
+}
+
+// The serve_flap roster of perfbench: six facilities of 4 to 6
+// locations at fractional capacities under two request classes.
+std::vector<serve::Event> serve_roster() {
+  serve::DemandUpdate demand;
+  demand.demand = model::DemandProfile::uniform(8.0, 6.0);
+  model::RequestClass second;
+  second.count = 3.0;
+  second.min_locations = 2.0;
+  second.units_per_location = 2.0;
+  demand.demand.classes.push_back(second);
+  std::vector<serve::Event> events;
+  events.emplace_back(std::move(demand));
+  for (int i = 0; i < 6; ++i) {
+    serve::FacilityJoin join;
+    join.config.name = "F" + std::to_string(i);
+    join.config.num_locations = 4 + i % 3;
+    join.config.units_per_location = 1.0 + 0.5 * (i % 2);
+    join.config.availability = 0.9 - 0.05 * i;
+    events.emplace_back(std::move(join));
+  }
+  return events;
+}
+
+// One warm outage flap on the serve roster: outage-start and outage-end
+// of one facility, each re-tabulating its 32 masks, re-solving the bound
+// and publishing from the answer memo, after the same flap once.
+TEST(AllocGuard, ServeOutageFlap) {
+  exec::set_threads(1);
+  serve::ServiceState state;
+  for (const serve::Event& event : serve_roster()) {
+    ASSERT_TRUE(state.apply(event).complete);
+  }
+  const serve::Event start = serve::OutageStart{"F2", 1, 0};
+  const serve::Event end = serve::OutageEnd{"F2"};
+  (void)state.apply(start);
+  (void)state.apply(end);
+  bool complete = false;
+  const std::uint64_t allocations = allocations_of([&] {
+    complete = state.apply(start).complete && state.apply(end).complete;
+  });
+  ASSERT_TRUE(complete);
+  RecordProperty("allocations", std::to_string(allocations));
+  std::cout << "serve flap: " << allocations << " allocations\n";
+  EXPECT_LE(allocations, kServeFlapBound);
 }
 
 }  // namespace

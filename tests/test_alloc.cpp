@@ -3,6 +3,10 @@
 // (tests/exact_reference.hpp) on hand-checked instances.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "alloc/greedy.hpp"
 #include "alloc/lp_relax.hpp"
 #include "exact_reference.hpp"
@@ -357,6 +361,81 @@ TEST(Exact, NodeBudgetReturnsNullopt) {
   const auto result = allocate_exact(uniform_pool(10, 2.0),
                                      {make_class(6, 1)}, /*max_nodes=*/100);
   EXPECT_FALSE(result.has_value());
+}
+
+// multiple_of_pow2 is the greedy's exact-step test; it must say what
+// std::fmod(x, 2^e) == 0 says.
+bool fmod_says(double x, int e) {
+  return std::fmod(x, std::ldexp(1.0, e)) == 0.0;
+}
+
+void expect_agrees(double x, int e) {
+  EXPECT_EQ(multiple_of_pow2(x, e), fmod_says(x, e))
+      << std::hexfloat << "x = " << x << ", e = " << e;
+}
+
+// The exponent take_full tests against: that of need's ulp.
+int ulp_exponent(double need) { return std::ilogb(need) - 52; }
+
+TEST(MultipleOfPow2, ExactMultiplesAndOneUlpMisses) {
+  const double odd[] = {1.0, 3.0, 5.0, 7.0, 1025.0, 0x1.fffffffffffffp52};
+  for (int e = -1074; e <= 1000; e += 7) {
+    for (const double k : odd) {
+      const double x = std::ldexp(k, e);
+      if (!std::isfinite(x) || x == 0.0) continue;
+      for (const double y :
+           {x, std::nextafter(x, 0.0), std::nextafter(x, HUGE_VAL)}) {
+        for (const int at : {e - 1, e, e + 1}) {
+          if (at < -1074 || at > 1023) continue;
+          expect_agrees(y, at);
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(multiple_of_pow2(0.0, 10));
+  EXPECT_TRUE(multiple_of_pow2(std::numeric_limits<double>::denorm_min(),
+                               -1074));
+  EXPECT_FALSE(multiple_of_pow2(std::numeric_limits<double>::denorm_min(),
+                                -1073));
+  EXPECT_TRUE(multiple_of_pow2(-6.0, 1));
+  EXPECT_FALSE(multiple_of_pow2(0.85, -52));
+}
+
+TEST(MultipleOfPow2, NeedsNearTheEpsilonAndPastTwoToThe53) {
+  const double needs[] = {1e-12,
+                          std::nextafter(1e-12, 1.0),
+                          1.5e-12,
+                          3e-12,
+                          std::ldexp(1.0, 53),
+                          std::ldexp(1.0, 53) + 2.0,
+                          std::ldexp(3.0, 60),
+                          1e300};
+  const double fulls[] = {0.85, 0.1, 1.0, 1.5, 2.0, 3.0, 4.5, 6.0,
+                          0.9 * 3, 1e-13, 1e-12, 3e-12, 1e15,
+                          std::ldexp(1.0, 53), std::ldexp(1.0, 54) + 4.0,
+                          std::ldexp(5.0, 70), 1e299};
+  for (const double need : needs) {
+    const int e = ulp_exponent(need);
+    for (const double full : fulls) {
+      expect_agrees(full, e);
+      expect_agrees(std::nextafter(full, 0.0), e);
+    }
+    expect_agrees(need, e);
+    expect_agrees(need / 3.0, e);
+  }
+}
+
+TEST(MultipleOfPow2, RandomFractionalCapacities) {
+  sim::Xoshiro256 rng(2026);
+  for (int i = 0; i < 20000; ++i) {
+    // A fractional capacity, sometimes rounded to a few binary places,
+    // against the ulp of a need from 1e-12 to 2^60.
+    double full = rng.uniform(0.01, 16.0);
+    if (i % 3 == 0) full = std::ldexp(std::round(std::ldexp(full, 8)), -8);
+    if (i % 5 == 0) full *= 0.85;
+    const double need = std::exp(rng.uniform(std::log(1e-12), 60 * M_LN2));
+    expect_agrees(full, ulp_exponent(need));
+  }
 }
 
 TEST(LpRelax, BoundsGreedyFromAbove) {

@@ -330,6 +330,36 @@ TEST(OutageModel, ScenarioIsAPureFunctionOfSeedAndIndex) {
   EXPECT_TRUE(any_difference);
 }
 
+// One facility's mask, drawn after skipping the locations before it, is
+// that facility's row of the whole scenario, on disjoint spaces of
+// mixed location counts and availabilities.
+TEST(OutageModel, SampleLocationsMatchesTheScenarioRow) {
+  std::vector<model::FacilityConfig> configs;
+  for (int i = 0; i < 7; ++i) {
+    model::FacilityConfig cfg;
+    cfg.name = "F" + std::to_string(i);
+    cfg.num_locations = 1 + (5 * i) % 9;
+    cfg.availability = 1.0 - 0.11 * i;
+    configs.push_back(cfg);
+  }
+  const model::LocationSpace space =
+      model::LocationSpace::disjoint(configs);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const OutageModel m(seed);
+    for (std::uint64_t k = 0; k < 6; ++k) {
+      const OutageScenario whole = m.sample(space, k);
+      std::size_t skip = 0;
+      for (std::size_t i = 0; i < configs.size(); ++i) {
+        const auto count = static_cast<std::size_t>(configs[i].num_locations);
+        EXPECT_EQ(m.sample_locations(k, skip, count, configs[i].availability),
+                  whole.up[i])
+            << "seed " << seed << " scenario " << k << " facility " << i;
+        skip += count;
+      }
+    }
+  }
+}
+
 TEST(OutageModel, FullAvailabilityMeansNoOutages) {
   const model::Federation fed = small_federation(1.0);
   const OutageModel m(7);
