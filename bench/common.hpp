@@ -39,7 +39,7 @@ void print_figure(std::ostream& out, const std::string& title,
 /// The three-facility setting of Figs. 4-5: L = (100, 400, 800), R = 1.
 [[nodiscard]] std::vector<model::FacilityConfig> fig4_facilities();
 
-/// The LP chain the serve layer's bound re-solve runs: the allocation
+/// The LP chain of a churning roster's relaxation bound: the allocation
 /// relaxation over the grand pool of n distinct disjoint facilities
 /// (as the serve layer pools its roster), solved at full capacity and
 /// then with each facility's locations zeroed and restored in turn (an
@@ -61,8 +61,7 @@ struct ChainSolve {
 
 /// Solves every link with `options`. The dense engine and cold revised
 /// runs solve each link from scratch; a warm revised run keeps one
-/// engine and re-solves each link from the previous optimal basis, as
-/// the serve layer does.
+/// engine and re-solves each link from the previous optimal basis.
 [[nodiscard]] ChainSolve solve_bound_chain(const BoundChain& chain,
                                            const lp::SimplexOptions& options,
                                            bool warm);

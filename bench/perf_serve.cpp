@@ -4,16 +4,18 @@
 //
 // The headline workload is a 6-facility federation under single-facility
 // churn (outage flaps, leave/rejoin cycles) with a two-class demand
-// profile, so the grand coalition's LP bound exercises the warm dual
-// re-solve path. The binary writes BENCH_serve.json (override with
-// FEDSHARE_BENCH_OUT) with events/sec, the warm/cold LP solve counts,
-// and the p99 query staleness (in epochs) under a deliberately hostile
-// per-event deadline. `--smoke` is a fast gate — on single-facility
-// churn the service must run at most one bound LP per apply, warm on
-// every outage and leave, and recompute strictly fewer V(S) than a cold
-// re-tabulation, every outage-end must reuse the memoised answer and be
-// bitwise the pre-outage one, and a fresh log replay must reproduce the
-// answer bit for bit — run by tools/check.sh as a perf-smoke stage.
+// profile, so each location's share of the grand coalition's relaxation
+// bound fills two classes. The binary writes BENCH_serve.json (override
+// with FEDSHARE_BENCH_OUT) with events/sec, the V(S) work against a cold
+// re-tabulation, and the p99 query staleness (in epochs) under a
+// deliberately hostile per-event deadline. `--smoke` is a fast gate —
+// on single-facility churn every epoch's bound must lie within 1e-12
+// (relative) of the relaxation's dense LP, the service must recompute
+// strictly fewer V(S) than a cold re-tabulation, every outage-end must
+// restore its stashed slice (no V(S) recomputed), reuse the memoised
+// answer and be bitwise the pre-outage one, and a fresh log replay must
+// reproduce the answer bit for bit — run by tools/check.sh as a
+// perf-smoke stage.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
@@ -26,10 +28,12 @@
 #include <fstream>
 #include <iostream>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
 
+#include "alloc/lp_relax.hpp"
 #include "runtime/budget.hpp"
 #include "serve/event.hpp"
 #include "serve/log.hpp"
@@ -52,8 +56,8 @@ serve::Event join_event(int i) {
 }
 
 serve::Event demand_event() {
-  // Two request classes: multi-row capacity constraints give the
-  // revised simplex real bases to warm-start from.
+  // Two request classes: each location's share of the relaxation fills
+  // both, in ascending units.
   serve::DemandUpdate update;
   update.demand = model::DemandProfile::uniform(8.0, 6.0);
   model::RequestClass second;
@@ -163,28 +167,41 @@ bool answers_bitwise_equal(const serve::EpochAnswer& a,
 struct ChurnMeasurement {
   double events_per_sec = 0.0;
   std::uint64_t applies = 0;
-  std::uint64_t lp_solves = 0;
-  std::uint64_t lp_warm = 0;
-  std::uint64_t lp_cold = 0;
-  /// Outage and leave applies whose bound LP was not a single warm
-  /// solve (their template and basis survive, so there should be none).
-  std::uint64_t lp_not_warm = 0;
+  /// Largest |bound - LP| / max(1, |LP|) over the churn epochs, against
+  /// the relaxation's dense LP on the epoch's effective grand pool.
+  double bound_gap = 0.0;
+  /// Epochs that published no bound (the demand is in its domain, so
+  /// there should be none).
+  std::uint64_t bounds_missing = 0;
   std::uint64_t values_recomputed = 0;
   std::uint64_t values_cold_equivalent = 0;
   /// Applies whose published rows came from the answer memo.
   std::uint64_t answers_reused = 0;
   std::uint64_t outage_ends = 0;
-  /// Outage-ends that did not reuse the memo, or whose answer was not
-  /// bitwise the pre-outage one (the roster is back, so neither should
-  /// happen).
+  /// Outage-ends that recomputed a V(S), did not reuse the memo, or
+  /// whose answer was not bitwise the pre-outage one (the roster is
+  /// back and nothing else changed, so none should).
   std::uint64_t outage_ends_not_restored = 0;
   double median_apply_ms = 0.0;
 };
 
+// The relaxation bound's distance from the dense LP on `snap`'s
+// effective grand pool, relative to max(1, |LP|); nullopt when the
+// snapshot published no bound.
+std::optional<double> bound_gap(const serve::ServiceState::Snapshot& snap) {
+  if (!snap.answer.grand_bound) return std::nullopt;
+  const double lp = alloc::lp_upper_bound(
+      snap.space.pool_for(game::Coalition::grand(snap.answer.num_facilities)),
+      snap.demand.classes);
+  return std::abs(*snap.answer.grand_bound - lp) / std::max(1.0, std::abs(lp));
+}
+
 // Runs the churn script under an unlimited budget and totals the
 // incremental re-solve work; V(S) work is set against the cold-
 // equivalent baseline (a from-scratch tabulation of every churn epoch).
-ChurnMeasurement measure_churn(int flaps) {
+// With `check_bounds`, every epoch's bound is set against the dense LP
+// (outside the timed applies).
+ChurnMeasurement measure_churn(int flaps, bool check_bounds) {
   serve::ServiceState service;
   assemble(service);
   const std::vector<serve::Event> script = churn_script(flaps);
@@ -205,19 +222,18 @@ ChurnMeasurement measure_churn(int flaps) {
     m.answers_reused += r.answer_reused ? 1 : 0;
     if (outage_end) {
       ++m.outage_ends;
-      if (!r.answer_reused || !same_rows(service.query(), pre_outage)) {
+      if (r.values_recomputed != 0 || !r.answer_reused ||
+          !same_rows(service.query(), pre_outage)) {
         ++m.outage_ends_not_restored;
       }
     }
     ++m.applies;
-    m.lp_solves += r.lp_solves;
-    m.lp_warm += r.lp_incremental;
-    m.lp_cold += r.lp_cold;
-    const bool patch = outage_start || outage_end ||
-                       std::holds_alternative<serve::FacilityLeave>(event);
-    if (patch && (r.lp_solves != 1 || r.lp_incremental != 1 ||
-                  r.lp_cold != 0)) {
-      ++m.lp_not_warm;
+    if (check_bounds) {
+      if (const auto gap = bound_gap(*service.snapshot())) {
+        m.bound_gap = std::max(m.bound_gap, *gap);
+      } else {
+        ++m.bounds_missing;
+      }
     }
     m.values_recomputed += r.values_recomputed;
     m.values_cold_equivalent += (std::uint64_t{1} << kRoster) - 1;
@@ -364,11 +380,11 @@ RecoveryMeasurement measure_recovery(int flaps,
 }
 
 void write_summary_json() {
-  const ChurnMeasurement churn = measure_churn(120);
-  // Only the exponential stages (tabulation, bound LP) run under the
-  // budget — snapshot publication is the polynomial floor — so the
-  // deadline that actually trips applies is well below the full apply
-  // time. Walk it down until a visible fraction of events trips.
+  const ChurnMeasurement churn = measure_churn(120, false);
+  // Only the exponential stage (tabulation) runs under the budget —
+  // the bound and snapshot publication are the polynomial floor — so
+  // the deadline that actually trips applies is well below the full
+  // apply time. Walk it down until a visible fraction of events trips.
   StalenessMeasurement stale;
   double deadline = std::max(0.005, 0.5 * churn.median_apply_ms);
   for (int attempt = 0; attempt < 6; ++attempt) {
@@ -395,9 +411,6 @@ void write_summary_json() {
   out << "  \"events_per_sec\": " << churn.events_per_sec << ",\n";
   out << "  \"median_apply_ms\": " << churn.median_apply_ms << ",\n";
   out << "  \"applies\": " << churn.applies << ",\n";
-  out << "  \"lp_solves_incremental_total\": " << churn.lp_solves << ",\n";
-  out << "  \"lp_warm\": " << churn.lp_warm << ",\n";
-  out << "  \"lp_cold\": " << churn.lp_cold << ",\n";
   out << "  \"values_recomputed_total\": " << churn.values_recomputed
       << ",\n";
   out << "  \"values_cold_retabulation_total\": "
@@ -423,30 +436,26 @@ void write_summary_json() {
   std::cout << "(summary written to " << path << ")\n";
 }
 
-// --- --smoke: one-warm-LP and incremental-beats-cold gate -----------------
+// --- --smoke: bound-equals-LP and incremental-beats-cold gate -------------
 
 int run_smoke() {
   int failures = 0;
 
-  const ChurnMeasurement churn = measure_churn(30);
+  const ChurnMeasurement churn = measure_churn(30, true);
   std::cout << "smoke churn: applies=" << churn.applies
-            << " lp_solves=" << churn.lp_solves
-            << " lp_not_warm=" << churn.lp_not_warm
+            << " bound_gap=" << churn.bound_gap
+            << " bounds_missing=" << churn.bounds_missing
             << " values_recomputed=" << churn.values_recomputed
             << " values_cold_retabulation=" << churn.values_cold_equivalent
             << " answers_reused=" << churn.answers_reused
             << " outage_ends=" << churn.outage_ends
             << " outage_ends_not_restored=" << churn.outage_ends_not_restored
             << "\n";
-  if (churn.lp_solves > churn.applies) {
-    std::cerr << "perf_serve --smoke: ran more bound LPs than applies ("
-              << churn.lp_solves << " vs " << churn.applies << ")\n";
-    ++failures;
-  }
-  if (churn.lp_not_warm != 0) {
-    std::cerr << "perf_serve --smoke: " << churn.lp_not_warm
-              << " outage/leave applies did not run exactly one warm "
-                 "bound LP\n";
+  if (churn.bounds_missing != 0 || churn.bound_gap > 1e-12) {
+    std::cerr << "perf_serve --smoke: the bound left the relaxation's "
+                 "dense LP (worst relative gap "
+              << churn.bound_gap << ", " << churn.bounds_missing
+              << " epochs without a bound)\n";
     ++failures;
   }
   if (churn.values_recomputed >= churn.values_cold_equivalent) {
@@ -460,8 +469,8 @@ int run_smoke() {
   if (churn.outage_ends == 0 || churn.outage_ends_not_restored != 0) {
     std::cerr << "perf_serve --smoke: " << churn.outage_ends_not_restored
               << " of " << churn.outage_ends
-              << " outage-ends did not reuse the memoised answer bitwise "
-                 "equal to the pre-outage one\n";
+              << " outage-ends did not restore their slice and reuse the "
+                 "memoised answer bitwise equal to the pre-outage one\n";
     ++failures;
   }
 

@@ -1,6 +1,6 @@
 // A5 microbenchmarks: the simplex substrate on the LP shapes this
 // library actually solves — least-core programs, allocation relaxations,
-// and the serve layer's bound chain (the grand pool's relaxation,
+// and a churning roster's bound chain (the grand pool's relaxation,
 // re-solved as each facility goes out of service and comes back), which
 // compares the dense tableau engine against the revised engine, cold
 // and warm-started from the previous link's basis.
@@ -103,7 +103,7 @@ void BM_LpRelaxAllocation(benchmark::State& state) {
 }
 BENCHMARK(BM_LpRelaxAllocation)->Arg(4)->Arg(8)->Arg(16);
 
-// --- dense vs revised on the serve layer's bound chain --------------------
+// --- dense vs revised on the roster's bound chain -------------------------
 
 // 0 = dense cold, 1 = revised cold, 2 = revised warm.
 benchutil::ChainSolve run_chain(const benchutil::BoundChain& chain,

@@ -2,7 +2,7 @@
 //
 // Measures the certificate layer on the workloads it actually guards —
 // single least-core solves, iterative refinement of drifted optima, and
-// the serve layer's warm bound chain (the grand pool's relaxation,
+// a churning roster's warm bound chain (the grand pool's relaxation,
 // re-solved as each facility goes out of service and comes back) with
 // a CertifyingObserver attached to every solve — against the identical
 // uninstrumented runs. Besides the google-benchmark timings, writes a

@@ -1,5 +1,6 @@
 #include "alloc/lp_relax.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "lp/simplex.hpp"
@@ -90,6 +91,43 @@ double lp_upper_bound(const LocationPool& pool,
     throw std::runtime_error("lp_upper_bound: LP solve failed");
   }
   return sol.objective;
+}
+
+double closed_form_upper_bound(const LocationPool& pool,
+                               const std::vector<RequestClass>& classes) {
+  pool.validate();
+  for (const auto& rc : classes) {
+    rc.validate();
+    if (rc.exponent > 1.0) {
+      throw std::invalid_argument(
+          "closed_form_upper_bound: only valid for exponents <= 1");
+    }
+  }
+  // Location l's share of the LP is max sum_c y_c subject to
+  // sum_c r_c * y_c <= C_l and 0 <= y_c <= count_c: one unit of profit
+  // per assignment, so the cheapest class per unit of capacity goes
+  // first (the fractional knapsack's exact greedy).
+  std::vector<const RequestClass*> order;
+  order.reserve(classes.size());
+  for (const auto& rc : classes) order.push_back(&rc);
+  std::stable_sort(order.begin(), order.end(),
+                   [](const RequestClass* a, const RequestClass* b) {
+                     return a->units_per_location < b->units_per_location;
+                   });
+  double total = 0.0;
+  for (const double capacity : pool.capacity) {
+    double left = capacity;
+    for (const RequestClass* rc : order) {
+      const double full = rc->count * rc->units_per_location;
+      if (full >= left) {
+        total += left / rc->units_per_location;
+        break;
+      }
+      total += rc->count;
+      left -= full;
+    }
+  }
+  return total;
 }
 
 }  // namespace fedshare::alloc

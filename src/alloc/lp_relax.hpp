@@ -3,9 +3,13 @@
 // Relaxes Eq. (2): assignments become fractional (y_{c,l} in [0, count_c])
 // and diversity thresholds are dropped. For d <= 1, per-experiment utility
 // satisfies u(x) = x^d <= x on x >= 1, so the LP optimum bounds the true
-// optimum from above. Used by tests to sandwich the greedy allocator and
-// (through RelaxationTemplate) by the serve layer's bound on the grand
-// coalition and the simplex performance bench.
+// optimum from above. Without the thresholds the LP splits by location:
+// each location is a fractional knapsack with unit profits, which the
+// closed form solves exactly by filling classes in ascending
+// units_per_location. The serve layer's bound on the grand coalition
+// uses the closed form; lp_upper_bound solves the LP itself and is the
+// reference that tests check the closed form and the greedy allocator
+// against, and RelaxationTemplate feeds the simplex benches.
 #pragma once
 
 #include <cstddef>
@@ -72,5 +76,14 @@ class RelaxationTemplate {
 /// Throws std::runtime_error if the LP fails to solve.
 [[nodiscard]] double lp_upper_bound(const LocationPool& pool,
                                     const std::vector<RequestClass>& classes);
+
+/// The optimum of the LP that lp_upper_bound solves, in closed form: per
+/// location, classes fill the capacity in ascending units_per_location
+/// (ties in input order), each up to its count. O(L + k log k) for L
+/// locations and k classes. Same domain as lp_upper_bound: throws
+/// std::invalid_argument for an exponent > 1 or an invalid pool or
+/// class, and returns 0 for a pool without locations or classes.
+[[nodiscard]] double closed_form_upper_bound(
+    const LocationPool& pool, const std::vector<RequestClass>& classes);
 
 }  // namespace fedshare::alloc

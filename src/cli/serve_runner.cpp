@@ -30,10 +30,6 @@ void print_apply(std::ostream& out, const serve::ApplyResult& result) {
   out << "epoch " << result.epoch << ": " << result.kind
       << " — invalidated " << result.invalidated << ", V recomputed "
       << result.values_recomputed;
-  if (result.lp_solves > 0) {
-    out << ", LP " << result.lp_solves << " (" << result.lp_incremental
-        << " warm, " << result.lp_cold << " cold)";
-  }
   if (!result.complete) {
     out << " — INCOMPLETE (" << runtime::to_string(result.stop) << ")";
   }
@@ -110,9 +106,6 @@ void print_stats(std::ostream& out, const serve::ServiceStats& stats) {
   io::print_heading(out, "Service stats");
   out << "events applied: " << stats.events_applied << "\n";
   out << "V(S) recomputed: " << stats.values_recomputed << "\n";
-  out << "LP solves: " << stats.lp_solves << " (" << stats.lp_incremental
-      << " warm, " << stats.lp_cold << " cold), " << stats.lp_pivots
-      << " pivots\n";
   out << "value cache: " << stats.cache.entries << " entries, "
       << stats.cache.hits << " hits, " << stats.cache.misses << " misses, "
       << stats.cache.invalidations << " invalidated\n";

@@ -26,8 +26,8 @@ struct ServeRunOptions {
   /// (stale-but-bounded) and the run is reported degraded. Unset =
   /// unlimited, fully deterministic output.
   std::optional<double> deadline_ms;
-  /// Maintain the grand coalition's LP-relaxation bound (one warm
-  /// dual-simplex re-solve per epoch).
+  /// Maintain the grand coalition's LP-relaxation bound (evaluated in
+  /// closed form per epoch).
   bool track_bounds = true;
   /// Digits in the rendered report.
   int precision = 4;

@@ -115,13 +115,6 @@ class RevisedSimplex {
   /// Applies every edit in `patch`.
   void apply(const ProblemPatch& patch);
 
-  /// Re-targets the cooperative budget charged by subsequent solves
-  /// (nullptr disables), e.g. a per-epoch budget on a clone of a shared
-  /// template. A ComputeBudget must not be charged from two threads.
-  void set_budget(const runtime::ComputeBudget* budget) noexcept {
-    options_.budget = budget;
-  }
-
   /// Cold solve from the all-slack basis.
   [[nodiscard]] Solution solve();
 

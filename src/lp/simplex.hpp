@@ -40,9 +40,9 @@ enum class SolveStatus {
 /// basis + eta file, warm-startable). Both implement the same Problem
 /// semantics and agree on status and objective to solver tolerance.
 /// The code picks the engine by LP shape, not the user: the small
-/// nucleolus and least-core LPs run on started dense solves, and the
-/// serve layer's LP-relaxation bound, thousands of location rows
-/// re-solved every epoch, on a warm RevisedSimplex.
+/// nucleolus and least-core LPs run on started dense solves; kRevised
+/// runs the cross-checks, the verify cascade's cold rung and the warm
+/// capacity chain of the simplex benches.
 enum class SolverKind { kDense, kRevised };
 
 /// Human-readable solver name ("dense" / "revised"), and its inverse

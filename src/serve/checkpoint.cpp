@@ -53,24 +53,10 @@ std::string expect_kv(const std::string& token, const char* key) {
   return token.substr(eq + 1);
 }
 
-char status_char(lp::VarStatus s) {
-  switch (s) {
-    case lp::VarStatus::kAtLower: return 'L';
-    case lp::VarStatus::kAtUpper: return 'U';
-    case lp::VarStatus::kBasic: return 'B';
-    case lp::VarStatus::kFreeNonbasic: return 'F';
-  }
-  return '?';
-}
-
-lp::VarStatus status_of(char c) {
-  switch (c) {
-    case 'L': return lp::VarStatus::kAtLower;
-    case 'U': return lp::VarStatus::kAtUpper;
-    case 'B': return lp::VarStatus::kBasic;
-    case 'F': return lp::VarStatus::kFreeNonbasic;
-  }
-  throw ServeError(std::string("checkpoint: bad basis status '") + c + "'");
+// The statuses of a simplex basis as older files wrote them: at lower,
+// at upper, basic, free nonbasic.
+bool is_basis_status(char c) {
+  return c == 'L' || c == 'U' || c == 'B' || c == 'F';
 }
 
 // Sequential line reader that reports the 1-based line number on error.
@@ -135,14 +121,7 @@ std::string encode_checkpoint(const CheckpointImage& image) {
 
   out << "bounds " << image.bounds.size() << '\n';
   for (const auto& b : image.bounds) {
-    out << "b " << b.mask << ' ' << format_double(b.value) << ' ';
-    if (b.has_basis) {
-      out << b.basis.num_structural << ' ';
-      for (const lp::VarStatus s : b.basis.status) out << status_char(s);
-    } else {
-      out << '-';
-    }
-    out << '\n';
+    out << "b " << b.mask << ' ' << format_double(b.value) << " -\n";
   }
 
   std::string body = std::move(out).str();
@@ -334,23 +313,26 @@ CheckpointImage decode_checkpoint(std::string_view text) {
     if (!(in >> kw >> mask >> value >> basis) || kw != "b") {
       throw ServeError("checkpoint: malformed bound line");
     }
-    CheckpointImage::BoundImage bound;
-    bound.mask = parse_u64(mask);
-    bound.value = parse_double(value);
+    image.bounds.push_back({parse_u64(mask), parse_double(value)});
     if (basis != "-") {
-      bound.has_basis = true;
-      bound.basis.num_structural = parse_u64(basis);
+      // A simplex basis of a file written while the bound was an LP:
+      // checked like any record, then dropped, since the bound needs
+      // none.
+      const std::uint64_t num_structural = parse_u64(basis);
       std::string statuses;
       if (!(in >> statuses) || statuses.empty()) {
         throw ServeError("checkpoint: missing basis statuses");
       }
-      bound.basis.status.reserve(statuses.size());
-      for (const char c : statuses) bound.basis.status.push_back(status_of(c));
-      if (bound.basis.num_structural > bound.basis.status.size()) {
+      for (const char c : statuses) {
+        if (!is_basis_status(c)) {
+          throw ServeError(std::string("checkpoint: bad basis status '") +
+                           c + "'");
+        }
+      }
+      if (num_structural > statuses.size()) {
         throw ServeError("checkpoint: basis num_structural out of range");
       }
     }
-    image.bounds.push_back(std::move(bound));
   }
 
   return image;

@@ -4,10 +4,9 @@
 // everything ServiceState::restore() needs to stand a service back up
 // at epoch E without replaying events 1..E: roster (with realised
 // outage masks), demand, the raw greedy V(S) lattice, and the grand
-// coalition's LP bound *including its simplex basis* (the value alone
-// restores the right answer at E, but the basis is what keeps every
-// post-restore warm-start decision — and hence every later double —
-// bitwise-identical to the uncrashed run).
+// coalition's LP-relaxation bound. restore() re-derives the bound from
+// the roster and the demand, so the record only says which mask it was
+// taken for.
 //
 // Format (one record per line, text, '\n'-terminated):
 //
@@ -26,7 +25,7 @@
 //   v 1 17.549999999999997
 //   ...
 //   bounds 1                        0 when the bound is unavailable
-//   b 3 27.4 8 LLUBBBLL             mask value (num_structural statuses | -)
+//   b 3 27.4 -                      mask value -
 //   crc32 9a0c1f44                  trailing whole-file checksum
 //
 // Doubles are printed shortest-round-trip (std::to_chars), so decode ∘
@@ -39,7 +38,10 @@
 //
 // v1 files written while the service kept a bound per slot mask carry
 // one `b` record per mask, ascending; the decoder still reads and
-// validates them all, and restore() keeps the active mask's record.
+// validates them all. v1 files written while the bound was a warm-
+// started LP end a `b` record with its simplex basis (num_structural and
+// one L/U/B/F status per column) instead of `-`; the decoder checks the
+// basis and drops it.
 //
 // v1 files written while serve ran its nucleolus on the revised engine
 // say `lp_solver=revised`. A checkpoint holds no nucleolus state (every

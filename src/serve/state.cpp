@@ -1,15 +1,16 @@
 #include "serve/state.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
+#include "alloc/lp_relax.hpp"
 #include "core/limits.hpp"
 #include "core/symmetry.hpp"
 #include "exec/pool.hpp"
 #include "model/value.hpp"
 #include "runtime/outage.hpp"
-#include "verify/certified.hpp"
 
 namespace fedshare::serve {
 
@@ -42,8 +43,8 @@ ServiceState::ServiceState(ServeOptions options)
     : options_(options),
       space_(model::LocationSpace::disjoint({})),
       cache_(std::uint64_t{1} << limits::kMaxFacilities.value),
+      stash_(kSlots),
       memo_(kAnswerMemoBytes) {
-  lp_offset_.assign(kSlots, -1);
   publish_snapshot();  // epoch 0: the empty federation, always complete
 }
 
@@ -229,141 +230,34 @@ bool ServiceState::tabulate_values(const runtime::ComputeBudget& budget,
   return ok;
 }
 
-void ServiceState::rebuild_template() {
-  lp_template_.reset();
-  lp_proto_.reset();
-  bound_.basis = lp::Basis{};  // belongs to the old layout/objective
-  lp_offset_.assign(kSlots, -1);
-  lp_locations_ = 0;
-  for (const Member& m : roster_) {
-    lp_offset_[static_cast<std::size_t>(m.slot)] =
-        static_cast<int>(lp_locations_);
-    lp_locations_ += static_cast<std::size_t>(m.config.num_locations);
+bool ServiceState::resolve_bound(const runtime::ComputeBudget& budget) {
+  // Like the relaxation LP, a roster without locations or a demand
+  // without classes has no bound.
+  if (!options_.track_bounds || bound_ || demand_.classes.empty() ||
+      std::none_of(roster_.begin(), roster_.end(), [](const Member& m) {
+        return m.config.num_locations > 0;
+      })) {
+    return true;
   }
-  if (lp_locations_ == 0 || demand_.classes.empty()) return;
+  // The effective space is disjoint, so the grand pool is every
+  // facility's locations in order (a down location is not in the space).
+  bound_pool_.capacity.clear();
+  for (const model::Facility& f : space_.facilities()) {
+    for (int k = 0; k < f.num_locations(); ++k) {
+      bound_pool_.capacity.push_back(f.effective_units_at(k));
+    }
+  }
+  double value = 0.0;
   try {
-    lp_template_.emplace(lp_locations_, demand_.classes);
+    value = alloc::closed_form_upper_bound(bound_pool_, demand_.classes);
   } catch (const std::invalid_argument&) {
-    // Demand outside the relaxation's domain (exponent > 1): the bound
-    // is unavailable, answers carry no grand_bound.
-    return;
-  }
-  if (lp_template_->empty()) {
-    lp_template_.reset();
-    return;
-  }
-  lp_proto_.emplace(lp_template_->problem(), lp::SimplexOptions{});
-}
-
-void ServiceState::narrow_template(int departed_slot) {
-  // A leave rebuilds the template from the remaining roster, as restore()
-  // does, so the live and a restored state solve the same LP from the
-  // same basis. The relaxation is block-diagonal by location: location l
-  // owns the structural columns c * L + l, one per class, and the slack
-  // of its capacity row when that row is real (two or more classes; one
-  // class presolves it into a bound). An optimal basis holds exactly one
-  // basic per block, so dropping the departed member's blocks leaves a
-  // basis of the narrower LP and the re-solve stays warm.
-  const std::size_t old_locations = lp_locations_;
-  const int first = lp_offset_[static_cast<std::size_t>(departed_slot)];
-  const lp::Basis old = std::move(bound_.basis);
-  rebuild_template();
-  if (first < 0 || !lp_template_ || old.empty()) return;
-  const auto begin = static_cast<std::size_t>(first);
-  const std::size_t end = begin + (old_locations - lp_locations_);
-  const auto kept = [&](std::size_t l) { return l < begin || l >= end; };
-  const std::size_t classes = old.num_structural / old_locations;
-  lp::Basis mapped;
-  mapped.num_structural = classes * lp_locations_;
-  for (std::size_t c = 0; c < classes; ++c) {
-    for (std::size_t l = 0; l < old_locations; ++l) {
-      if (kept(l)) mapped.status.push_back(old.status[c * old_locations + l]);
-    }
-  }
-  if (old.status.size() > old.num_structural) {
-    for (std::size_t l = 0; l < old_locations; ++l) {
-      if (kept(l)) mapped.status.push_back(old.status[old.num_structural + l]);
-    }
-  }
-  bound_.basis = std::move(mapped);
-}
-
-std::vector<double> ServiceState::active_caps() const {
-  std::vector<double> caps(lp_locations_, 0.0);
-  for (const Member& m : roster_) {
-    const int off = lp_offset_[static_cast<std::size_t>(m.slot)];
-    if (off < 0) continue;
-    for (int k = 0; k < m.config.num_locations; ++k) {
-      const double full = m.config.custom_units.empty()
-                              ? m.config.units_per_location
-                              : m.config.custom_units[static_cast<std::size_t>(
-                                    k)];
-      double cap = full * m.config.availability;
-      if (m.outage) {
-        cap = m.up[static_cast<std::size_t>(k)] ? full : 0.0;
-      }
-      caps[static_cast<std::size_t>(off + k)] = cap;
-    }
-  }
-  return caps;
-}
-
-bool ServiceState::resolve_bound(const runtime::ComputeBudget& budget,
-                                 ApplyResult& result) {
-  if (!options_.track_bounds || !lp_template_ || bound_.valid ||
-      roster_.empty()) {
+    // Demand outside the relaxation's domain (exponent > 1): answers
+    // carry no grand_bound.
     return true;
   }
+  // An epoch whose budget ran out after its last V(S) still trips here.
   if (budget.exhausted()) return false;
-  const std::vector<double> caps = active_caps();
-
-  // Warm from the previous epoch's optimal basis when the template kept
-  // it (an outage is a pure rhs patch — a dual-simplex re-solve; a leave
-  // keeps it minus the departed columns); an empty basis (after a join
-  // or a demand update) solves cold. The prototype is copy-assigned into
-  // the long-lived engine, which reuses its buffers: the state is a
-  // fresh copy's, bit for bit.
-  const bool warm = !bound_.basis.empty();
-  lp_engine_ = *lp_proto_;
-  lp::RevisedSimplex& engine = *lp_engine_;
-  engine.apply(lp_template_->capacity_patch(caps));
-  engine.set_budget(&budget);
-  lp::Solution sol = engine.solve_from_basis(bound_.basis);
-  ++result.lp_solves;
-  result.lp_pivots += sol.pivots;
-  if (warm) {
-    ++result.lp_incremental;
-  } else {
-    ++result.lp_cold;
-  }
-  if (sol.status == lp::SolveStatus::kBudgetExhausted) return false;
-  if (sol.status == lp::SolveStatus::kOptimal) {
-    bound_.value = sol.objective;
-    bound_.valid = true;
-    bound_.basis = engine.basis();
-    return true;
-  }
-  // Failed solve: fall back cold through the certified cascade (check /
-  // refine / revised-cold / dense-cold). Its basis is not recoverable,
-  // so the next epoch solves cold.
-  lp::Problem patched = lp_template_->problem();
-  lp_template_->apply_capacities(patched, caps);
-  lp::SimplexOptions lp_options;
-  lp_options.solver = lp::SolverKind::kRevised;
-  lp_options.budget = &budget;
-  verify::VerifyOptions verify_options;
-  verify_options.level = verify::VerifyLevel::kFull;
-  const verify::CertifiedSolve certified = verify::certify_or_escalate(
-      patched, std::move(sol), lp_options, verify_options);
-  ++result.lp_cold;
-  if (certified.solution.status == lp::SolveStatus::kBudgetExhausted) {
-    return false;
-  }
-  bound_.basis = lp::Basis{};
-  // Genuinely unsolvable (should not happen for capacity LPs): the bound
-  // stays invalid and the answer simply carries no bound.
-  bound_.valid = certified.solution.status == lp::SolveStatus::kOptimal;
-  bound_.value = certified.solution.objective;
+  bound_ = value;
   return true;
 }
 
@@ -448,9 +342,7 @@ bool ServiceState::publish_snapshot() {
       }
       break;
     }
-    if (options_.track_bounds && lp_template_ && bound_.valid) {
-      answer.grand_bound = bound_.value;
-    }
+    answer.grand_bound = bound_;
   }
   snap->answer = std::move(answer);
   snapshot_ = std::move(snap);
@@ -469,7 +361,7 @@ ApplyResult ServiceState::finish(ApplyResult result,
   const bool is_repair = result.kind == "repair";
   const std::uint64_t backlog =
       was_dirty ? epoch_ - published - (is_repair ? 0 : 1) : 0;
-  if (!tabulate_values(budget, result) || !resolve_bound(budget, result)) {
+  if (!tabulate_values(budget, result) || !resolve_bound(budget)) {
     result.complete = false;
     result.stop = stop_reason_of(budget);
     dirty_ = true;
@@ -485,12 +377,51 @@ ApplyResult ServiceState::finish(ApplyResult result,
     }
   }
   values_recomputed_ += result.values_recomputed;
-  lp_solves_ += result.lp_solves;
-  lp_incremental_ += result.lp_incremental;
-  lp_cold_ += result.lp_cold;
-  lp_pivots_ += result.lp_pivots;
   answers_reused_ += result.answer_reused ? 1 : 0;
   return result;
+}
+
+void ServiceState::invalidate_for(const Event& event, int slot,
+                                  ApplyResult& result) {
+  if (slot < 0) {  // a demand update changes every value
+    for (auto& stashed : stash_) stashed.clear();
+    result.invalidated =
+        cache_.invalidate_if([](std::uint64_t) { return true; });
+    return;
+  }
+  const std::uint64_t bit = std::uint64_t{1} << slot;
+  const auto contains_slot = [bit](std::uint64_t mask) {
+    return (mask & bit) != 0;
+  };
+  for (std::size_t t = 0; t < kSlots; ++t) {
+    if (t == static_cast<std::size_t>(slot)) continue;
+    std::erase_if(stash_[t], [&](const auto& entry) {
+      return contains_slot(entry.first);
+    });
+  }
+  auto& own = stash_[static_cast<std::size_t>(slot)];
+  const bool outage_end = std::holds_alternative<OutageEnd>(event);
+  // A start refills the slot's stash, a join or a leave drops it.
+  if (!outage_end) own.clear();
+  if (std::holds_alternative<OutageStart>(event)) {
+    // The slot's nominal slice: every cached mask that contains it.
+    const std::uint64_t others = active_mask() & ~bit;
+    own.reserve(std::size_t{1} << std::popcount(others));
+    std::uint64_t sub = 0;
+    do {
+      if (const auto value = cache_.lookup(sub | bit)) {
+        own.emplace_back(sub | bit, *value);
+      }
+      sub = (sub - others) & others;  // next subset of the others
+    } while (sub != 0);
+  }
+  result.invalidated = cache_.invalidate_if(contains_slot);
+  if (outage_end) {
+    // Back on its nominal config: the slice the outage-start stashed,
+    // minus what later events made stale, holds again.
+    for (const auto& [mask, value] : own) cache_.store(mask, value);
+    own.clear();
+  }
 }
 
 ApplyResult ServiceState::apply(const Event& event,
@@ -509,31 +440,8 @@ ApplyResult ServiceState::apply(const Event& event,
   result.epoch = epoch_;
   result.kind = event_kind(event);
 
-  // Invalidate only the affected slice of the lattice: masks containing
-  // the touched slot, or everything for a demand change.
-  if (slot < 0) {
-    result.invalidated =
-        cache_.invalidate_if([](std::uint64_t) { return true; });
-  } else {
-    const std::uint64_t bit = std::uint64_t{1} << slot;
-    result.invalidated = cache_.invalidate_if(
-        [bit](std::uint64_t mask) { return (mask & bit) != 0; });
-  }
-
-  // Every event changes the grand coalition, so its bound is re-solved.
-  // Join and demand change the template (block layout / objective) and
-  // drop the basis with it; a leave narrows both to the remaining
-  // blocks; an outage keeps both — a pure capacity patch.
-  bound_.valid = false;
-  if (options_.track_bounds) {
-    if (std::holds_alternative<FacilityJoin>(event) ||
-        std::holds_alternative<DemandUpdate>(event)) {
-      rebuild_template();
-    } else if (std::holds_alternative<FacilityLeave>(event)) {
-      narrow_template(slot);
-    }
-  }
-
+  invalidate_for(event, slot, result);
+  bound_.reset();  // every event changes the grand coalition
   return finish(std::move(result), budget);
 }
 
@@ -613,10 +521,6 @@ ServiceStats ServiceState::stats() const {
   s.epoch = epoch_;
   s.events_applied = events_applied_;
   s.values_recomputed = values_recomputed_;
-  s.lp_solves = lp_solves_;
-  s.lp_incremental = lp_incremental_;
-  s.lp_cold = lp_cold_;
-  s.lp_pivots = lp_pivots_;
   s.answers_reused = answers_reused_;
   s.epochs_tripped = epochs_tripped_;
   s.epochs_repaired = epochs_repaired_;
@@ -662,14 +566,7 @@ CheckpointImage ServiceState::checkpoint_image() const {
   }
   image.demand = demand_;
   image.cache = cache_.export_entries();
-  if (bound_.valid) {
-    CheckpointImage::BoundImage bi;
-    bi.mask = active_mask();
-    bi.value = bound_.value;
-    bi.has_basis = !bound_.basis.empty();
-    bi.basis = bound_.basis;
-    image.bounds.push_back(std::move(bi));
-  }
+  if (bound_) image.bounds.push_back({active_mask(), *bound_});
   image.epochs_tripped = epochs_tripped_;
   image.epochs_repaired = epochs_repaired_;
   image.repairs = repairs_;
@@ -772,20 +669,16 @@ void ServiceState::restore(const CheckpointImage& image) {
 
   cache_.clear();
   for (const auto& [mask, value] : image.cache) cache_.store(mask, value);
-  memo_.clear();  // never persisted: the first publish solves cold
+  // Neither is persisted: the first publish solves cold, and the first
+  // outage-end of a member recomputes its slice.
+  memo_.clear();
+  for (auto& stashed : stash_) stashed.clear();
 
-  rebuild_template();
-  bound_ = BoundEntry{};
-  for (const auto& bi : image.bounds) {
-    // Older files carry a record per slot mask; only the active mask's
-    // is live state.
-    if (bi.mask != used_slots) continue;
-    bound_.value = bi.value;
-    bound_.valid = true;
-    // The basis keeps warm-starting future re-solves exactly as in the
-    // uncrashed run.
-    if (bi.has_basis && lp_template_) bound_.basis = bi.basis;
-  }
+  // The bound is a pure function of the roster and the demand, so it is
+  // re-derived rather than read: the image's record (or an older file's
+  // records) cannot make it drift from the uncrashed run.
+  bound_.reset();
+  (void)resolve_bound(runtime::ComputeBudget::unlimited());
   publish_snapshot();
 }
 

@@ -2,9 +2,10 @@
 //
 // A ServiceState is the long-lived form of model::Federation: it ingests
 // churn events (serve/event.hpp) through an append-only log, keeps the
-// coalition-value lattice and the grand coalition's LP-relaxation bound
-// warm across events, and answers share/core/incentive queries against a consistent
-// epoch snapshot while further events are applied.
+// coalition-value lattice warm across events, bounds the grand
+// coalition's value by its LP relaxation, and answers share/core/
+// incentive queries against a consistent epoch snapshot while further
+// events are applied.
 //
 // The contracts that make it churn-tolerant:
 //
@@ -29,15 +30,22 @@
 //    their presence bits in the flat 2^kMaxFacilities table); the
 //    surviving half of the lattice is reused bit-for-bit, which is sound
 //    because a coalition's pooled capacity vector depends only on its
-//    own members' configs in slot order. The LP-relaxation bound is kept
-//    for the active grand coalition only: one LP per epoch. An outage
-//    keeps the relaxation template, so it is a pure capacity patch and
-//    the previous epoch's optimal basis re-solves it in a few dual
-//    pivots (lp::RevisedSimplex::solve_from_basis); a leave narrows the
-//    template to the remaining roster and keeps the basis minus the
-//    departed member's columns, so it re-solves warm too; join and
-//    demand rebuild the template and solve cold. A failed warm solve
-//    falls back cold through the verify::certify_or_escalate cascade.
+//    own members' configs in slot order.
+//  * Nominal-slice restore. An outage-end puts a facility back on its
+//    nominal config, so the masks containing its slot get back the
+//    values they had before the outage-start. The outage-start moves
+//    those cached raw values into a per-slot stash before invalidating
+//    them, and the outage-end stores them back: that epoch recomputes
+//    no V(S). A stashed value stays valid while the configs of its
+//    members and the demand do, so any event on another slot t drops
+//    the stashed masks that contain t, a leave clears the leaver's
+//    stash, and a demand update clears every stash. Like the answer
+//    memo, the stash is not persisted.
+//  * Relaxation bound. The grand coalition's bound drops Eq. (2)'s
+//    diversity thresholds, so it splits into one fractional knapsack
+//    per location with a closed-form optimum
+//    (alloc::closed_form_upper_bound): each epoch evaluates it on the
+//    effective pool in O(locations), with no LP.
 //  * Published-answer memo. Publishing runs game::compare_schemes on
 //    the closed V(S) table and the availability and consumption
 //    weights with default lp::SimplexOptions (the report's call, so
@@ -63,9 +71,9 @@
 //    tests/test_serve_chaos.cpp.
 //
 // Budget scope: the budget bounds the exponential work (one unit per
-// distinct V(S) materialisation, one per simplex pivot — the global
-// charging rule). Once the tables are complete, publishing a snapshot
-// (scheme evaluation over the tabulated game) runs to completion: a
+// distinct V(S) materialisation — the global charging rule). Once the
+// tables are complete, the closed-form bound and publishing a snapshot
+// (scheme evaluation over the tabulated game) run to completion: a
 // deadline bounds the exponential work, not the polynomial floor that
 // any answer needs.
 #pragma once
@@ -77,11 +85,11 @@
 #include <string>
 #include <vector>
 
-#include "alloc/lp_relax.hpp"
+#include "alloc/allocation.hpp"
 #include "core/game.hpp"
 #include "core/sharing.hpp"
 #include "exec/value_cache.hpp"
-#include "lp/revised_simplex.hpp"
+#include "lp/simplex.hpp"
 #include "model/demand.hpp"
 #include "model/location_space.hpp"
 #include "runtime/budget.hpp"
@@ -98,8 +106,7 @@ struct ServeOptions {
   /// until the benchmark next changes.
   static constexpr lp::SolverKind lp_solver = lp::SolverKind::kDense;
   /// Maintain the grand coalition's LP-relaxation bound (an upper bound
-  /// on V(N), one warm dual-simplex re-solve per epoch). Off = greedy V
-  /// only.
+  /// on V(N), evaluated in closed form per epoch). Off = greedy V only.
   bool track_bounds = true;
 };
 
@@ -111,10 +118,11 @@ struct ApplyResult {
   runtime::StopReason stop = runtime::StopReason::kNone;
   std::size_t invalidated = 0;         ///< cache entries dropped
   std::size_t values_recomputed = 0;   ///< greedy V(S) materialisations
-  std::size_t lp_solves = 0;           ///< bound LPs run (at most one)
-  std::size_t lp_incremental = 0;      ///< warm (previous epoch's basis)
-  std::size_t lp_cold = 0;             ///< cold (no usable basis)
-  std::uint64_t lp_pivots = 0;         ///< simplex iterations spent
+  /// Always 0: the bound needs no LP. Kept only because perfbench/
+  /// reads them, until the benchmark next changes.
+  std::size_t lp_solves = 0;
+  std::size_t lp_incremental = 0;
+  std::uint64_t lp_pivots = 0;
   /// The published rows came from the answer memo (a revisited game).
   bool answer_reused = false;
 };
@@ -150,10 +158,6 @@ struct ServiceStats {
   std::uint64_t epoch = 0;
   std::uint64_t events_applied = 0;
   std::uint64_t values_recomputed = 0;
-  std::uint64_t lp_solves = 0;
-  std::uint64_t lp_incremental = 0;
-  std::uint64_t lp_cold = 0;
-  std::uint64_t lp_pivots = 0;
   /// Publishes whose rows came from the answer memo.
   std::uint64_t answers_reused = 0;
   /// Degradation history: epochs whose own apply() tripped its budget
@@ -173,13 +177,10 @@ struct ServiceStats {
 /// restore(); the codec (text format, checksum) lives in
 /// serve/checkpoint.{hpp,cpp} so this struct stays format-agnostic.
 ///
-/// Bitwise-recovery contract: the image carries the value-cache entries
-/// and the grand coalition's LP bound *including its simplex basis*.
-/// The value alone would restore the correct answer for the checkpoint
-/// epoch, but the next event would then cold-solve instead of warm-
-/// starting and could land an ulp away from the uncrashed run; with the
-/// basis restored, every later warm/cold decision — and therefore every
-/// later double — matches the original run exactly.
+/// Bitwise-recovery contract: the image carries the value-cache entries,
+/// and every other published double is a pure function of the roster
+/// and the demand, so a restored state answers every later epoch
+/// exactly as the uncrashed run does.
 struct CheckpointImage {
   std::uint64_t epoch = 0;
   ServeOptions options;  ///< must match the restoring state's options
@@ -205,14 +206,11 @@ struct CheckpointImage {
   struct BoundImage {
     std::uint64_t mask = 0;
     double value = 0.0;
-    /// True when the bound carried a warm-start basis at capture.
-    bool has_basis = false;
-    lp::Basis basis;
   };
   /// The active roster's bound: at most one record (none when the bound
   /// is unavailable). Files written while the service kept a bound per
-  /// slot mask carry one record per mask, ascending; restore() validates
-  /// them all and keeps the active mask's.
+  /// slot mask carry one record per mask, ascending. restore() validates
+  /// their masks and re-derives the bound from the roster and demand.
   std::vector<BoundImage> bounds;
 
   /// Degradation history survives restart so operator-facing stats do
@@ -310,10 +308,10 @@ class ServiceState {
   [[nodiscard]] CheckpointImage checkpoint_image() const;
 
   /// Reconstructs the state from `image` (epoch, roster, demand, value
-  /// cache, grand-coalition bound with its basis) and publishes the checkpoint
-  /// epoch's snapshot. Only valid on a fresh state; throws ServeError
-  /// otherwise or when image.options disagree with this state's options
-  /// (bounds are not portable across track_bounds). The roster has
+  /// cache) and publishes the checkpoint epoch's snapshot. Only valid on
+  /// a fresh state; throws ServeError otherwise or when image.options
+  /// disagree with this state's options (bounds are not portable across
+  /// track_bounds). The roster has
   /// kMaxFacilities (core/limits.hpp) slots. After restore, applying the
   /// logged suffix reproduces the uncrashed run bit-for-bit; note
   /// log() returns only the post-restore suffix (full history lives in
@@ -330,23 +328,15 @@ class ServiceState {
     std::vector<bool> up;  ///< per nominal location; valid when outage
   };
 
-  /// The active roster's LP-relaxation bound.
-  struct BoundEntry {
-    double value = 0.0;
-    bool valid = false;
-    /// Optimal basis of the last solve under the current template (empty
-    /// = solve cold). rebuild_template() clears it; narrow_template()
-    /// maps it onto the narrower template.
-    lp::Basis basis;
-  };
-
   // --- event application (mu_ held) ---------------------------------
   int validate_and_stage(const Event& event);  ///< returns touched slot
   void rebuild_space();
   bool tabulate_values(const runtime::ComputeBudget& budget,
                        ApplyResult& result);
-  bool resolve_bound(const runtime::ComputeBudget& budget,
-                     ApplyResult& result);
+  bool resolve_bound(const runtime::ComputeBudget& budget);
+  /// Moves, prunes or restores the stashed nominal slices for an event
+  /// on `slot` (-1: a demand update), around its invalidation.
+  void invalidate_for(const Event& event, int slot, ApplyResult& result);
   /// Publishes the current epoch; true when its rows came from memo_.
   bool publish_snapshot();
   ApplyResult finish(ApplyResult result,
@@ -357,9 +347,6 @@ class ServiceState {
   [[nodiscard]] int member_index(const std::string& name) const;
   [[nodiscard]] game::Coalition compact_coalition(std::uint64_t slot_mask)
       const;
-  [[nodiscard]] std::vector<double> active_caps() const;
-  void rebuild_template();
-  void narrow_template(int departed_slot);
 
   ServeOptions options_;
   mutable std::mutex mu_;
@@ -375,20 +362,15 @@ class ServiceState {
   /// publish_snapshot() applies the monotone closure.
   exec::ValueCache cache_;  ///< 2^kMaxFacilities keys
 
-  /// LP bound state. The relaxation template spans every slot's
-  /// *nominal* location block in slot order as of the last join or
-  /// demand update; outage-down (or departed) locations are zero-
-  /// capacity columns, which the template documents as exactly
-  /// equivalent to dropping them — that is what keeps an outage or a
-  /// leave a pure rhs patch, warm-started from bound_'s basis.
-  std::optional<alloc::RelaxationTemplate> lp_template_;
-  std::optional<lp::RevisedSimplex> lp_proto_;
-  /// The engine each epoch's bound solve runs on: *lp_proto_ assigned
-  /// into it, so its buffers outlive the epoch.
-  std::optional<lp::RevisedSimplex> lp_engine_;
-  std::vector<int> lp_offset_;  ///< per slot, block start (-1 = no block)
-  std::size_t lp_locations_ = 0;
-  BoundEntry bound_;
+  /// Per slot, the raw values its masks had before its current outage
+  /// (see the contract); empty for a slot with no outage.
+  std::vector<std::vector<std::pair<std::uint64_t, double>>> stash_;
+
+  /// The active roster's LP-relaxation bound (nullopt: not computed for
+  /// this epoch yet, or unavailable), and the grand pool it is evaluated
+  /// on, kept so its buffer outlives the epoch.
+  std::optional<double> bound_;
+  alloc::LocationPool bound_pool_;
 
   /// Published comparisons by their exact inputs (see the contract).
   AnswerMemo memo_;
@@ -407,10 +389,6 @@ class ServiceState {
   // Aggregate counters (mu_ held; see stats()).
   std::uint64_t events_applied_ = 0;
   std::uint64_t values_recomputed_ = 0;
-  std::uint64_t lp_solves_ = 0;
-  std::uint64_t lp_incremental_ = 0;
-  std::uint64_t lp_cold_ = 0;
-  std::uint64_t lp_pivots_ = 0;
   std::uint64_t answers_reused_ = 0;
   std::uint64_t epochs_tripped_ = 0;
   std::uint64_t epochs_repaired_ = 0;

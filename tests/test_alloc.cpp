@@ -3,8 +3,11 @@
 // (tests/exact_reference.hpp) on hand-checked instances.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iostream>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "alloc/greedy.hpp"
@@ -459,6 +462,54 @@ TEST(LpRelax, RejectsConvexExponents) {
   EXPECT_THROW(
       (void)lp_upper_bound(uniform_pool(2, 1.0), {make_class(1, 1, 1.0, 2.0)}),
       std::invalid_argument);
+  EXPECT_THROW((void)closed_form_upper_bound(uniform_pool(2, 1.0),
+                                             {make_class(1, 1, 1.0, 2.0)}),
+               std::invalid_argument);
+}
+
+TEST(LpRelax, ClosedFormOfAnEmptyPoolIsZero) {
+  EXPECT_EQ(closed_form_upper_bound(LocationPool{}, {make_class(3, 1)}), 0.0);
+  EXPECT_EQ(closed_form_upper_bound(uniform_pool(3, 2.0), {}), 0.0);
+  EXPECT_EQ(lp_upper_bound(LocationPool{}, {make_class(3, 1)}), 0.0);
+}
+
+// The closed form against the dense LP it replaces, on random pools: one
+// to three classes, zero capacities, classes tied on units_per_location
+// and fractional counts. The two sum in different orders, so they agree
+// to rounding: 1e-12 relative to the bound.
+TEST(LpRelax, ClosedFormMatchesTheDenseLp) {
+  sim::Xoshiro256 rng(38);
+  double worst = 0.0;
+  for (int i = 0; i < 3000; ++i) {
+    LocationPool pool;
+    const int locations = 1 + static_cast<int>(rng.below(8));
+    for (int l = 0; l < locations; ++l) {
+      pool.capacity.push_back(rng.uniform(0.0, 1.0) < 0.2
+                                  ? 0.0
+                                  : rng.uniform(0.0, 12.0));
+    }
+    std::vector<RequestClass> classes;
+    const int num_classes = 1 + static_cast<int>(rng.below(3));
+    for (int c = 0; c < num_classes; ++c) {
+      const double count = i % 2 == 0 ? std::floor(rng.uniform(0.0, 6.0))
+                                      : rng.uniform(0.0, 6.0);
+      // Half of the later classes copy the first one's units.
+      const double units = c > 0 && rng.uniform(0.0, 1.0) < 0.5
+                               ? classes.front().units_per_location
+                               : rng.uniform(0.25, 4.0);
+      classes.push_back(
+          make_class(count, rng.uniform(0.0, 3.0), units,
+                     rng.uniform(0.2, 1.0)));
+    }
+    SCOPED_TRACE("pool " + std::to_string(i));
+    const double lp = lp_upper_bound(pool, classes);
+    const double closed = closed_form_upper_bound(pool, classes);
+    const double scale = std::max(1.0, std::abs(lp));
+    EXPECT_NEAR(closed, lp, 1e-12 * scale);
+    worst = std::max(worst, std::abs(closed - lp) / scale);
+  }
+  std::cout << "closed form vs dense LP: worst relative gap " << worst
+            << "\n";
 }
 
 }  // namespace

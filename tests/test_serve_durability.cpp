@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -22,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc/lp_relax.hpp"
 #include "core/limits.hpp"
 #include "io/atomic_file.hpp"
 #include "runtime/budget.hpp"
@@ -132,6 +134,21 @@ void expect_bitwise_equal(const EpochAnswer& a, const EpochAnswer& b,
   }
 }
 
+// The published bound against the reference: the dense LP of the
+// relaxation over the epoch's effective grand pool (equal to rounding).
+void expect_bound_is_the_lps(const ServiceState& state,
+                             const std::string& context) {
+  SCOPED_TRACE(context);
+  const auto snap = state.snapshot();
+  ASSERT_TRUE(snap->answer.grand_bound.has_value());
+  const double lp = fedshare::alloc::lp_upper_bound(
+      snap->space.pool_for(
+          fedshare::game::Coalition::grand(snap->answer.num_facilities)),
+      snap->demand.classes);
+  EXPECT_NEAR(*snap->answer.grand_bound, lp,
+              1e-12 * std::max(1.0, std::abs(lp)));
+}
+
 void expect_images_equal(const CheckpointImage& a, const CheckpointImage& b) {
   EXPECT_EQ(a.epoch, b.epoch);
   EXPECT_EQ(a.options.track_bounds, b.options.track_bounds);
@@ -166,12 +183,6 @@ void expect_images_equal(const CheckpointImage& a, const CheckpointImage& b) {
     SCOPED_TRACE("bound " + std::to_string(i));
     EXPECT_EQ(a.bounds[i].mask, b.bounds[i].mask);
     EXPECT_EQ(a.bounds[i].value, b.bounds[i].value);
-    ASSERT_EQ(a.bounds[i].has_basis, b.bounds[i].has_basis);
-    if (a.bounds[i].has_basis) {
-      EXPECT_EQ(a.bounds[i].basis.num_structural,
-                b.bounds[i].basis.num_structural);
-      EXPECT_EQ(a.bounds[i].basis.status, b.bounds[i].basis.status);
-    }
   }
   EXPECT_EQ(a.epochs_tripped, b.epochs_tripped);
   EXPECT_EQ(a.epochs_repaired, b.epochs_repaired);
@@ -219,16 +230,19 @@ TEST(ServeDurabilityTest, CheckpointCodecRoundTripsBitwise) {
   const CheckpointImage image = state.checkpoint_image();
   EXPECT_EQ(image.epoch, script_lines().size());
   EXPECT_FALSE(image.cache.empty());
-  EXPECT_FALSE(image.bounds.empty());
-  bool any_basis = false;
-  for (const auto& bound : image.bounds) any_basis |= bound.has_basis;
-  EXPECT_TRUE(any_basis);  // the format's raison d'être
+  ASSERT_EQ(image.bounds.size(), 1u);
+  ASSERT_TRUE(state.query().grand_bound.has_value());
+  EXPECT_EQ(image.bounds.front().value, *state.query().grand_bound);
+  expect_bound_is_the_lps(state, "live");
 
   const std::string text = fedshare::serve::encode_checkpoint(image);
   const CheckpointImage decoded = fedshare::serve::decode_checkpoint(text);
   expect_images_equal(image, decoded);
   // Canonical: decode ∘ encode is the identity on the text too.
   EXPECT_EQ(fedshare::serve::encode_checkpoint(decoded), text);
+  ServiceState restored;
+  restored.restore(decoded);
+  expect_bitwise_equal(restored.query(), state.query(), "restored");
 }
 
 TEST(ServeDurabilityTest, DecodeRejectsEveryTamperedVariant) {
@@ -496,11 +510,32 @@ TEST(ServeDurabilityTest, CheckpointImageHoldsAtMostOneBoundRecord) {
   }
 }
 
+// `text` with every bound record of an even mask ending in a simplex
+// basis, as files written while the bound was a warm-started LP did,
+// and a fresh checksum.
+std::string with_basis_records(const std::string& text,
+                               const std::string& statuses) {
+  std::istringstream in(text.substr(0, text.rfind("crc32 ")));
+  std::string body;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("b ", 0) == 0 && line.size() > 2 &&
+        std::stoull(line.substr(2)) % 2 == 0) {
+      line.replace(line.size() - 1, 1, "4 " + statuses);
+    }
+    body += line + "\n";
+  }
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "%08x", fedshare::io::crc32(body));
+  return body + "crc32 " + crc + "\n";
+}
+
 // Files written while the service kept a bound per slot mask carry one
-// record per mask. restore() keeps only the active mask's: the padded
-// image restores to the trimmed image's answer, and every later epoch
-// matches too. The padding is deliberately wrong (values and bases), so
-// reading any of it would show.
+// record per mask, and files written while the bound was an LP carry
+// its simplex basis. restore() re-derives the bound from the roster and
+// the demand: the padded image restores to the trimmed image's answer,
+// and every later epoch matches too. The padding is deliberately wrong
+// (values and bases), so reading any of it would show; a basis with a
+// status that is none of L/U/B/F is still a corrupt file.
 TEST(ServeDurabilityTest, LegacyBoundRecordsRestoreLikeTheTrimmedImage) {
   const std::vector<Event> events = script_events();
   for (std::size_t k = 2; k <= events.size(); ++k) {
@@ -516,49 +551,42 @@ TEST(ServeDurabilityTest, LegacyBoundRecordsRestoreLikeTheTrimmedImage) {
     const std::uint64_t limit = std::uint64_t{1}
                                 << fedshare::limits::kMaxFacilities.value;
     for (std::uint64_t mask = 1; mask < limit && mask < 64; ++mask) {
-      if (mask == active.mask) {
-        padded.bounds.push_back(active);
-        continue;
-      }
-      CheckpointImage::BoundImage legacy;
-      legacy.mask = mask;
-      legacy.value = 1000.0 + static_cast<double>(mask);
-      legacy.has_basis = mask % 2 == 0;
-      if (legacy.has_basis) {
-        legacy.basis = active.basis;
-        std::reverse(legacy.basis.status.begin(), legacy.basis.status.end());
-      }
-      padded.bounds.push_back(std::move(legacy));
+      padded.bounds.push_back(
+          {mask, mask == active.mask ? active.value + 1.0
+                                     : 1000.0 + static_cast<double>(mask)});
     }
-    ASSERT_GT(padded.bounds.size(), 1u);
-    const CheckpointImage decoded = fedshare::serve::decode_checkpoint(
-        fedshare::serve::encode_checkpoint(padded));
+    const std::string text = with_basis_records(
+        fedshare::serve::encode_checkpoint(padded), "LUBFBL");
+    ASSERT_NE(text.find(" 4 LUBFBL\n"), std::string::npos);
+    const CheckpointImage decoded = fedshare::serve::decode_checkpoint(text);
     ASSERT_EQ(decoded.bounds.size(), padded.bounds.size());
+    EXPECT_THROW((void)fedshare::serve::decode_checkpoint(with_basis_records(
+                     fedshare::serve::encode_checkpoint(padded), "LUXFBL")),
+                 ServeError);
 
     ServiceState from_trimmed;
     from_trimmed.restore(trimmed);
     ServiceState from_padded;
     from_padded.restore(decoded);
+    expect_bitwise_equal(from_padded.query(), replica.query(), "restored");
     expect_bitwise_equal(from_padded.query(), from_trimmed.query(),
                          "restored");
     EXPECT_EQ(from_padded.checkpoint_image().bounds.size(), 1u);
     for (std::size_t e = k; e < events.size(); ++e) {
       const auto a = from_trimmed.apply(events[e]);
       const auto b = from_padded.apply(events[e]);
-      EXPECT_EQ(a.lp_incremental, b.lp_incremental);
-      EXPECT_EQ(a.lp_pivots, b.lp_pivots);
+      EXPECT_EQ(a.values_recomputed, b.values_recomputed);
       expect_bitwise_equal(from_padded.query(), from_trimmed.query(),
                            "epoch " + std::to_string(e + 1));
     }
   }
 }
 
-// A leave narrows the relaxation template to the remaining roster, and
-// restore() builds the template from the roster, so the live and the
-// restored state solve the same LP from the same basis: after a leave
-// from the middle of the roster, a checkpoint and a restore, four outage
-// flaps re-solve the bound to the uncrashed run's value with its pivot
-// count, warm every time.
+// After a leave from the middle of the roster, a checkpoint and a
+// restore, four outage flaps give the live and the restored state
+// bitwise-equal answers. The bound is the relaxation LP's optimum on
+// the effective pool after every event, and each flap lands back on the
+// pre-outage bound bit for bit.
 TEST(ServeDurabilityTest, RestoreAfterALeaveResolvesLikeTheUncrashedRun) {
   ServiceState live;
   for (const char* line :
@@ -572,8 +600,11 @@ TEST(ServeDurabilityTest, RestoreAfterALeaveResolvesLikeTheUncrashedRun) {
   ServiceState restored;
   restored.restore(fedshare::serve::decode_checkpoint(
       fedshare::serve::encode_checkpoint(live.checkpoint_image())));
+  expect_bitwise_equal(restored.query(), live.query(), "restored");
+  ASSERT_TRUE(live.query().grand_bound.has_value());
+  const double nominal = *live.query().grand_bound;
 
-  std::uint64_t pivots = 0;
+  bool moved = false;
   for (int flap = 0; flap < 4; ++flap) {
     const std::string name = flap % 2 == 0 ? "A" : "C";
     for (const std::string& line :
@@ -582,18 +613,15 @@ TEST(ServeDurabilityTest, RestoreAfterALeaveResolvesLikeTheUncrashedRun) {
           "outage-end name=" + name}) {
       SCOPED_TRACE(line);
       const Event event = fedshare::serve::parse_event(line);
-      const auto a = live.apply(event);
-      const auto b = restored.apply(event);
-      EXPECT_EQ(a.lp_incremental, 1u);
-      EXPECT_EQ(b.lp_incremental, 1u);
-      EXPECT_EQ(a.lp_pivots, b.lp_pivots);
-      pivots += a.lp_pivots;
-      ASSERT_TRUE(live.query().grand_bound.has_value());
-      ASSERT_TRUE(restored.query().grand_bound.has_value());
-      EXPECT_EQ(*live.query().grand_bound, *restored.query().grand_bound);
+      (void)live.apply(event);
+      (void)restored.apply(event);
+      expect_bitwise_equal(restored.query(), live.query(), line);
+      expect_bound_is_the_lps(live, "live");
+      moved |= *live.query().grand_bound != nominal;
     }
+    EXPECT_EQ(*live.query().grand_bound, nominal);  // bitwise
   }
-  EXPECT_GT(pivots, 0u);  // the flaps move the basis
+  EXPECT_TRUE(moved);  // the outages change the pool
 }
 
 TEST(ServeDurabilityTest, RestoreRejectsAnOutOfRangeBoundMask) {

@@ -25,10 +25,11 @@
 # nucleolus stops skipping its provably redundant LPs or stops solving
 # the heterogeneous n = 9 game on its working set (every LP certified,
 # full-table excess scan clean), or
-# the serve layer stops re-solving its bound with at most one LP per
-# event (warm on outages and leaves), its incremental V(S)
-# tabulation stops beating a cold re-tabulation, or an outage-end stops
-# reusing the memoised pre-outage answer bit for bit, then the
+# the serve layer's closed-form bound leaves the relaxation's dense LP
+# by more than 1e-12 (relative) in any churn epoch, its incremental
+# V(S) tabulation stops beating a cold re-tabulation, or an outage-end
+# stops restoring its stashed V(S) slice and reusing the memoised
+# pre-outage answer bit for bit, then the
 # crash-recovery gate (tools/crash_check.sh: SIGKILL the serve CLI at
 # every epoch and require the resumed answer to be byte-identical), the
 # outage report golden at 4 threads (each scenario's consumption weights
@@ -94,7 +95,7 @@ echo "== verification smoke (certified vs plain warm bound chain) =="
 cmake --build "$root/build" -j "$jobs" --target perf_verify
 "$root/build/bench/perf_verify" --smoke
 
-echo "== serve smoke (one warm bound LP per patch, incremental V(S), outage-end answer reuse, replay) =="
+echo "== serve smoke (bound equals the LP, incremental V(S), outage-end slice and answer reuse, replay) =="
 cmake --build "$root/build" -j "$jobs" --target perf_serve
 "$root/build/bench/perf_serve" --smoke
 
