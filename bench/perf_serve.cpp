@@ -7,13 +7,15 @@
 // profile, so each location's share of the grand coalition's relaxation
 // bound fills two classes. The binary writes BENCH_serve.json (override
 // with FEDSHARE_BENCH_OUT) with events/sec, the V(S) work against a cold
-// re-tabulation, and the p99 query staleness (in epochs) under a
-// deliberately hostile per-event deadline. `--smoke` is a fast gate —
+// re-tabulation, the apply time and V(S) work of first-visit and
+// revisited outage-starts, and the p99 query staleness (in epochs) under
+// a deliberately hostile per-event deadline. `--smoke` is a fast gate —
 // on single-facility churn every epoch's bound must lie within 1e-12
 // (relative) of the relaxation's dense LP, the service must recompute
 // strictly fewer V(S) than a cold re-tabulation, every outage-end must
-// restore its stashed slice (no V(S) recomputed), reuse the memoised
-// answer and be bitwise the pre-outage one, and a fresh log replay must
+// take its slice from the V(S) memo (no V(S) recomputed), reuse the
+// memoised answer and be bitwise the pre-outage one, no revisited
+// outage-start may recompute a V(S), and a fresh log replay must
 // reproduce the answer bit for bit — run by tools/check.sh as a
 // perf-smoke stage.
 #include <benchmark/benchmark.h>
@@ -299,6 +301,74 @@ StalenessMeasurement measure_staleness(int flaps, double deadline_ms) {
   return m;
 }
 
+// --- revisited outage draws ----------------------------------------------
+
+struct RevisitMeasurement {
+  /// Outage-starts whose realised outage (the facility's surviving
+  /// units) the service had not seen before, and the others.
+  std::uint64_t first_visits = 0;
+  std::uint64_t revisits = 0;
+  /// Median apply time of each kind of outage-start.
+  double first_visit_start_ms = 0.0;
+  double revisit_start_ms = 0.0;
+  std::uint64_t first_visit_values_recomputed = 0;
+  std::uint64_t revisit_values_recomputed = 0;
+};
+
+// Flaps every facility through seeds 1..8 x scenarios 0..3, twice, on
+// kRevisitRounds freshly assembled services. An outage-start is a first
+// visit when its facility's realised units (read from the published
+// space, so any build classifies alike) are new to the service: it
+// re-tabulates the facility's masks. Every other start revisits a state
+// whose values the V(S) memo holds.
+constexpr int kRevisitRounds = 20;
+
+RevisitMeasurement measure_revisits() {
+  std::vector<serve::OutageStart> starts;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int f = 0; f < kRoster; ++f) {
+      for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        for (std::uint64_t scenario = 0; scenario <= 3; ++scenario) {
+          starts.push_back({"F" + std::to_string(f), seed, scenario});
+        }
+      }
+    }
+  }
+  RevisitMeasurement m;
+  std::vector<double> first_ms;
+  std::vector<double> revisit_ms;
+  for (int round = 0; round < kRevisitRounds; ++round) {
+    serve::ServiceState service;
+    assemble(service);
+    std::vector<std::vector<std::vector<double>>> seen(kRoster);
+    for (const serve::OutageStart& start : starts) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const serve::ApplyResult r = service.apply(serve::Event{start});
+      const auto t1 = std::chrono::steady_clock::now();
+      const double ms =
+          std::chrono::duration<double, std::milli>(t1 - t0).count();
+      const int f = std::stoi(start.name.substr(1));
+      const std::vector<double>& units =
+          service.snapshot()->space.facility(f).config().custom_units;
+      auto& known = seen[static_cast<std::size_t>(f)];
+      if (std::find(known.begin(), known.end(), units) == known.end()) {
+        known.push_back(units);
+        first_ms.push_back(ms);
+        m.first_visit_values_recomputed += r.values_recomputed;
+        ++m.first_visits;
+      } else {
+        revisit_ms.push_back(ms);
+        m.revisit_values_recomputed += r.values_recomputed;
+        ++m.revisits;
+      }
+      (void)service.apply(serve::Event{serve::OutageEnd{start.name}});
+    }
+  }
+  m.first_visit_start_ms = percentile(first_ms, 0.5);
+  m.revisit_start_ms = percentile(revisit_ms, 0.5);
+  return m;
+}
+
 // --- crash recovery -------------------------------------------------------
 
 struct RecoveryMeasurement {
@@ -394,6 +464,7 @@ void write_summary_json() {
   }
 
   const RecoveryMeasurement recovery = measure_recovery(120, 32);
+  const RevisitMeasurement revisit = measure_revisits();
 
   const char* out_env = std::getenv("FEDSHARE_BENCH_OUT");
   const std::string path =
@@ -416,6 +487,15 @@ void write_summary_json() {
   out << "  \"values_cold_retabulation_total\": "
       << churn.values_cold_equivalent << ",\n";
   out << "  \"answers_reused\": " << churn.answers_reused << ",\n";
+  out << "  \"first_visit_starts\": " << revisit.first_visits << ",\n";
+  out << "  \"first_visit_start_ms\": " << revisit.first_visit_start_ms
+      << ",\n";
+  out << "  \"first_visit_values_recomputed\": "
+      << revisit.first_visit_values_recomputed << ",\n";
+  out << "  \"revisited_starts\": " << revisit.revisits << ",\n";
+  out << "  \"revisit_start_ms\": " << revisit.revisit_start_ms << ",\n";
+  out << "  \"revisit_values_recomputed\": "
+      << revisit.revisit_values_recomputed << ",\n";
   out << "  \"staleness_deadline_ms\": " << stale.deadline_ms << ",\n";
   out << "  \"tripped_fraction\": " << stale.tripped_fraction << ",\n";
   out << "  \"maintenance_repairs\": " << stale.repairs << ",\n";
@@ -471,6 +551,25 @@ int run_smoke() {
               << " of " << churn.outage_ends
               << " outage-ends did not restore their slice and reuse the "
                  "memoised answer bitwise equal to the pre-outage one\n";
+    ++failures;
+  }
+
+  // Revisited draws: the V(S) memo holds every value a revisited
+  // outage-start needs.
+  const RevisitMeasurement revisit = measure_revisits();
+  std::cout << "smoke revisits: first_visits=" << revisit.first_visits
+            << " first_visit_values_recomputed="
+            << revisit.first_visit_values_recomputed
+            << " revisits=" << revisit.revisits
+            << " revisit_values_recomputed="
+            << revisit.revisit_values_recomputed << "\n";
+  if (revisit.first_visit_values_recomputed == 0 ||
+      revisit.revisit_values_recomputed != 0) {
+    std::cerr << "perf_serve --smoke: revisited outage-starts recomputed "
+              << revisit.revisit_values_recomputed
+              << " V(S) (first visits "
+              << revisit.first_visit_values_recomputed
+              << "); a revisit must recompute none\n";
     ++failures;
   }
 

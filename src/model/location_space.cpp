@@ -298,6 +298,29 @@ LocationSpace LocationSpace::with_outages(
   return degraded;
 }
 
+void LocationSpace::replace_facility(int id, const FacilityConfig& config) {
+  (void)facility(id);  // range check
+  int next_location = 0;
+  for (const auto& locs : facility_locations_) {
+    for (const int loc : locs) {
+      if (loc != next_location++) {
+        throw std::logic_error(
+            "LocationSpace::replace_facility: the layout is not disjoint");
+      }
+    }
+  }
+  const auto fi = static_cast<std::size_t>(id);
+  facilities_[fi] = Facility(id, config);  // validates
+  facility_locations_[fi].resize(
+      static_cast<std::size_t>(config.num_locations));
+  next_location = 0;
+  for (auto& locs : facility_locations_) {
+    for (int& loc : locs) loc = next_location++;
+  }
+  num_locations_ = next_location;
+  build_types();
+}
+
 std::vector<double> LocationSpace::attribute_runs(
     game::Coalition coalition,
     const std::vector<alloc::ConsumedRun>& runs) const {

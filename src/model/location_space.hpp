@@ -85,6 +85,13 @@ class LocationSpace {
   [[nodiscard]] LocationSpace with_outages(
       const std::vector<std::vector<bool>>& up) const;
 
+  /// Disjoint layout only (throws std::logic_error otherwise): replaces
+  /// facility `id`'s config in place, leaving the space equal to
+  /// disjoint() of the config list with that one entry changed — the
+  /// later facilities' location ids shift by the change in its location
+  /// count. Reuses the space's storage; costs O(locations + types).
+  void replace_facility(int id, const FacilityConfig& config);
+
   /// Splits a greedy allocation's consumption across facilities,
   /// pro-rata to each member's capacity at each location. `runs` are
   /// those of alloc::allocate_greedy on capacity_histogram(coalition),

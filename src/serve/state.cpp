@@ -1,7 +1,7 @@
 #include "serve/state.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -22,8 +22,20 @@ namespace {
 // of the largest roster, and hundreds of a 6-facility one.
 constexpr std::size_t kAnswerMemoBytes = std::size_t{1} << 20;
 
+// Byte budget of the V(S) memo: 2^16 slots of 16 bytes, at most half
+// full, so 32 768 entries. A kMaxFacilities = 12 roster's nominal
+// lattice is 4 095 of them and each distinct outage draw adds 2 048; a
+// 6-facility roster fills at most 63 + 6 * 15 * 32 = 2 943.
+constexpr std::size_t kValueMemoBytes = std::size_t{1} << 20;
+
 // Roster slots: one per facility the service accepts.
 constexpr auto kSlots = static_cast<std::size_t>(limits::kMaxFacilities.value);
+
+// A V(S) memo key: the slot mask in the low kSlots bits, then per member
+// slot s its state id in the kIdBits bits from kSlots + kIdBits * s.
+constexpr int kIdBits = 4;
+static_assert(kSlots + kIdBits * kSlots < 64,
+              "a memo key must fit below ValueMemo::kEmpty");
 
 // Refreshes a budget's stop reason after a failed stage (the amortised
 // charge path may not have recorded a deadline yet).
@@ -43,7 +55,7 @@ ServiceState::ServiceState(ServeOptions options)
     : options_(options),
       space_(model::LocationSpace::disjoint({})),
       cache_(std::uint64_t{1} << limits::kMaxFacilities.value),
-      stash_(kSlots),
+      value_memo_(kValueMemoBytes),
       memo_(kAnswerMemoBytes) {
   publish_snapshot();  // epoch 0: the empty federation, always complete
 }
@@ -54,11 +66,56 @@ std::uint64_t ServiceState::active_mask() const {
   return mask;
 }
 
+int ServiceState::intern_outage(Member& m, const std::vector<double>& units) {
+  // Compared bit for bit, so -0.0 and 0.0 units get two ids.
+  const auto same = [&units](const std::vector<double>& known) {
+    return known.size() == units.size() &&
+           (units.empty() || std::memcmp(known.data(), units.data(),
+                                         units.size() * sizeof(double)) == 0);
+  };
+  const auto known = std::find_if(m.outages.begin(), m.outages.end(), same);
+  if (known != m.outages.end()) {
+    return static_cast<int>(known - m.outages.begin()) + 1;
+  }
+  // Ids 1 .. 2^kIdBits - 1 name realised outages; past them the
+  // member's state is not memoised.
+  if (m.outages.size() + 1 >= std::size_t{1} << kIdBits) return -1;
+  m.outages.push_back(units);
+  return static_cast<int>(m.outages.size());
+}
+
 int ServiceState::member_index(const std::string& name) const {
   for (std::size_t i = 0; i < roster_.size(); ++i) {
     if (roster_[i].config.name == name) return static_cast<int>(i);
   }
   return -1;
+}
+
+std::uint64_t ServiceState::memo_key(std::uint64_t slot_mask) const {
+  std::uint64_t key = slot_mask;
+  for (const Member& m : roster_) {
+    if (slot_mask >> m.slot & 1) {
+      key |= static_cast<std::uint64_t>(m.state_id)
+             << (kSlots + kIdBits * m.slot);
+    }
+  }
+  return key;
+}
+
+void ServiceState::refresh_unmemoised() {
+  unmemoised_ = 0;
+  for (const Member& m : roster_) {
+    if (m.state_id < 0) unmemoised_ |= std::uint64_t{1} << m.slot;
+  }
+}
+
+void ServiceState::remember(std::uint64_t slot_mask, double value) {
+  const std::uint64_t key = memo_key(slot_mask);
+  if (value_memo_.store(key, value)) return;
+  // Full: keep the nominal lattice (every id 0), which an outage-end
+  // always needs back, and make room among the outage states.
+  value_memo_.retain_if([](std::uint64_t k) { return (k >> kSlots) == 0; });
+  (void)value_memo_.store(key, value);
 }
 
 game::Coalition ServiceState::compact_coalition(
@@ -164,33 +221,56 @@ int ServiceState::validate_and_stage(const Event& event) {
   return -1;
 }
 
-void ServiceState::rebuild_space() {
+void ServiceState::realise_outage(const Member& m,
+                                  model::FacilityConfig& cfg) {
   // The effective space realises only the members under outage: their
   // surviving locations run at full capacity (availability 1 — the
   // uncertainty has resolved), down locations disappear. Members *not*
   // under outage keep their nominal availability discount, unlike
   // LocationSpace::with_outages which realises every facility at once.
-  std::vector<model::FacilityConfig> configs;
-  configs.reserve(roster_.size());
-  for (const Member& m : roster_) {
-    if (!m.outage) {
-      configs.push_back(m.config);
-      continue;
+  cfg.name = m.config.name;
+  cfg.availability = 1.0;
+  cfg.units_per_location = m.config.units_per_location;
+  cfg.custom_units.clear();
+  for (std::size_t k = 0; k < m.up.size(); ++k) {
+    if (!m.up[k]) continue;
+    cfg.custom_units.push_back(m.config.custom_units.empty()
+                                   ? m.config.units_per_location
+                                   : m.config.custom_units[k]);
+  }
+  cfg.num_locations = static_cast<int>(cfg.custom_units.size());
+}
+
+void ServiceState::rebuild_space() {
+  std::vector<model::FacilityConfig> configs(roster_.size());
+  for (std::size_t i = 0; i < roster_.size(); ++i) {
+    if (roster_[i].outage) {
+      realise_outage(roster_[i], configs[i]);
+    } else {
+      configs[i] = roster_[i].config;
     }
-    model::FacilityConfig cfg;
-    cfg.name = m.config.name;
-    cfg.availability = 1.0;
-    cfg.units_per_location = m.config.units_per_location;
-    for (std::size_t k = 0; k < m.up.size(); ++k) {
-      if (!m.up[k]) continue;
-      cfg.custom_units.push_back(m.config.custom_units.empty()
-                                     ? m.config.units_per_location
-                                     : m.config.custom_units[k]);
-    }
-    cfg.num_locations = static_cast<int>(cfg.custom_units.size());
-    configs.push_back(std::move(cfg));
   }
   space_ = model::LocationSpace::disjoint(std::move(configs));
+}
+
+bool ServiceState::update_member(int slot) {
+  for (std::size_t i = 0; i < roster_.size(); ++i) {
+    Member& m = roster_[i];
+    if (m.slot != slot) continue;
+    bool known = true;
+    if (m.outage) {
+      realise_outage(m, outage_config_);
+      const std::size_t interned = m.outages.size();
+      m.state_id = intern_outage(m, outage_config_.custom_units);
+      known = m.state_id > 0 && m.outages.size() == interned;
+    } else {
+      m.state_id = 0;
+    }
+    space_.replace_facility(static_cast<int>(i),
+                            m.outage ? outage_config_ : m.config);
+    return known;
+  }
+  return false;
 }
 
 bool ServiceState::tabulate_values(const runtime::ComputeBudget& budget,
@@ -199,23 +279,25 @@ bool ServiceState::tabulate_values(const runtime::ComputeBudget& budget,
   if (active == 0) return true;
 
   // Every non-empty subset of the active mask, ascending. Misses are
-  // only the invalidated slice — a hit costs one lookup and is free
-  // under the charging rule. The memo holds raw greedy values, so masks
-  // are independent and need no level order; publish_snapshot() closes
-  // the table.
-  std::vector<std::uint64_t> masks;
+  // only the invalidated slice that the V(S) memo did not refill — a hit
+  // costs one lookup and is free under the charging rule. The cache
+  // holds raw greedy values, so masks are independent and need no level
+  // order; publish_snapshot() closes the table.
+  masks_.clear();
+  missing_.clear();
   std::uint64_t sub = 0;
   while (sub != active) {
     sub = (sub - active) & active;  // next subset, ascending mask order
-    masks.push_back(sub);
+    masks_.push_back(sub);
+    if (!cache_.lookup(sub)) missing_.push_back(sub);
   }
 
   const std::uint64_t misses_before = cache_.misses();
   const bool ok = exec::parallel_for_budgeted(
-      0, masks.size(), 4, budget,
+      0, masks_.size(), 4, budget,
       [&](const exec::ChunkRange& r, const runtime::ComputeBudget& child) {
         for (std::uint64_t i = r.begin; i < r.end; ++i) {
-          const std::uint64_t mask = masks[i];
+          const std::uint64_t mask = masks_[i];
           const auto value =
               cache_.value_or_compute_budgeted(mask, child, [&] {
                 return model::coalition_value(space_, demand_,
@@ -227,6 +309,12 @@ bool ServiceState::tabulate_values(const runtime::ComputeBudget& budget,
       });
   result.values_recomputed +=
       static_cast<std::size_t>(cache_.misses() - misses_before);
+  // File what was computed (also before a budget trip) under the
+  // members' current states, here rather than on the pool threads.
+  for (const std::uint64_t mask : missing_) {
+    if ((mask & unmemoised_) != 0) continue;
+    if (const auto value = cache_.lookup(mask)) remember(mask, *value);
+  }
   return ok;
 }
 
@@ -283,14 +371,13 @@ bool ServiceState::publish_snapshot() {
   if (m > 0) {
     const std::size_t size = std::size_t{1} << m;
     std::vector<double> values(size, 0.0);
+    // Compact index i is the i-th active slot in ascending order, so the
+    // active mask's subsets in ascending order are the compact masks
+    // 1, 2, ... in order.
+    const std::uint64_t active = active_mask();
+    std::uint64_t slot_mask = 0;
     for (std::size_t cm = 1; cm < size; ++cm) {
-      std::uint64_t slot_mask = 0;
-      for (int i = 0; i < m; ++i) {
-        if (cm >> i & 1) {
-          slot_mask |= std::uint64_t{1}
-                       << roster_[static_cast<std::size_t>(i)].slot;
-        }
-      }
+      slot_mask = (slot_mask - active) & active;  // next subset
       const auto cached = cache_.lookup(slot_mask);
       if (!cached) {
         throw std::logic_error("serve: publishing an incomplete lattice");
@@ -381,10 +468,10 @@ ApplyResult ServiceState::finish(ApplyResult result,
   return result;
 }
 
-void ServiceState::invalidate_for(const Event& event, int slot,
-                                  ApplyResult& result) {
-  if (slot < 0) {  // a demand update changes every value
-    for (auto& stashed : stash_) stashed.clear();
+void ServiceState::update_for(const Event& event, int slot,
+                              ApplyResult& result) {
+  if (slot < 0) {  // a demand update changes every value, not the space
+    value_memo_.clear();
     result.invalidated =
         cache_.invalidate_if([](std::uint64_t) { return true; });
     return;
@@ -393,35 +480,37 @@ void ServiceState::invalidate_for(const Event& event, int slot,
   const auto contains_slot = [bit](std::uint64_t mask) {
     return (mask & bit) != 0;
   };
-  for (std::size_t t = 0; t < kSlots; ++t) {
-    if (t == static_cast<std::size_t>(slot)) continue;
-    std::erase_if(stash_[t], [&](const auto& entry) {
-      return contains_slot(entry.first);
-    });
+  if (!std::holds_alternative<OutageStart>(event) &&
+      !std::holds_alternative<OutageEnd>(event)) {
+    // A join or a leave renumbers the roster's locations. A leave ends
+    // the slot's tenure: the next one's ids name other configs, so no
+    // memo entry that holds the slot stays, and a joiner finds none.
+    rebuild_space();
+    if (std::holds_alternative<FacilityLeave>(event)) {
+      value_memo_.retain_if(
+          [bit](std::uint64_t key) { return (key & bit) == 0; });
+    }
+    result.invalidated = cache_.invalidate_if(contains_slot);
+    return;
   }
-  auto& own = stash_[static_cast<std::size_t>(slot)];
-  const bool outage_end = std::holds_alternative<OutageEnd>(event);
-  // A start refills the slot's stash, a join or a leave drops it.
-  if (!outage_end) own.clear();
-  if (std::holds_alternative<OutageStart>(event)) {
-    // The slot's nominal slice: every cached mask that contains it.
-    const std::uint64_t others = active_mask() & ~bit;
-    own.reserve(std::size_t{1} << std::popcount(others));
-    std::uint64_t sub = 0;
-    do {
-      if (const auto value = cache_.lookup(sub | bit)) {
-        own.emplace_back(sub | bit, *value);
-      }
-      sub = (sub - others) & others;  // next subset of the others
-    } while (sub != 0);
-  }
+  const bool known_state = update_member(slot);
+  refresh_unmemoised();
   result.invalidated = cache_.invalidate_if(contains_slot);
-  if (outage_end) {
-    // Back on its nominal config: the slice the outage-start stashed,
-    // minus what later events made stale, holds again.
-    for (const auto& [mask, value] : own) cache_.store(mask, value);
-    own.clear();
-  }
+  if (!known_state) return;  // the memo holds nothing for it
+  // The slot is back in a state it had before: every mask that holds
+  // it and was computed with its members in their current states comes
+  // back from the memo.
+  const std::uint64_t others = active_mask() & ~bit;
+  std::uint64_t sub = 0;
+  do {
+    const std::uint64_t mask = sub | bit;
+    if ((mask & unmemoised_) == 0) {
+      if (const auto value = value_memo_.find(memo_key(mask))) {
+        cache_.store(mask, *value);
+      }
+    }
+    sub = (sub - others) & others;  // next subset of the others
+  } while (sub != 0);
 }
 
 ApplyResult ServiceState::apply(const Event& event,
@@ -434,13 +523,12 @@ ApplyResult ServiceState::apply(const Event& event,
   log_.push_back(event);
   ++epoch_;
   ++events_applied_;
-  rebuild_space();
 
   ApplyResult result;
   result.epoch = epoch_;
   result.kind = event_kind(event);
 
-  invalidate_for(event, slot, result);
+  update_for(event, slot, result);
   bound_.reset();  // every event changes the grand coalition
   return finish(std::move(result), budget);
 }
@@ -666,13 +754,19 @@ void ServiceState::restore(const CheckpointImage& image) {
             [](const Member& a, const Member& b) { return a.slot < b.slot; });
   demand_ = image.demand;
   rebuild_space();
+  for (Member& m : roster_) {
+    if (!m.outage) continue;
+    realise_outage(m, outage_config_);
+    m.state_id = intern_outage(m, outage_config_.custom_units);
+  }
+  refresh_unmemoised();
 
   cache_.clear();
   for (const auto& [mask, value] : image.cache) cache_.store(mask, value);
-  // Neither is persisted: the first publish solves cold, and the first
-  // outage-end of a member recomputes its slice.
+  // Neither memo is persisted: the first publish solves cold, and the
+  // first outage-end of a member recomputes its slice.
   memo_.clear();
-  for (auto& stashed : stash_) stashed.clear();
+  value_memo_.clear();
 
   // The bound is a pure function of the roster and the demand, so it is
   // re-derived rather than read: the image's record (or an older file's

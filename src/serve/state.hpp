@@ -30,17 +30,31 @@
 //    their presence bits in the flat 2^kMaxFacilities table); the
 //    surviving half of the lattice is reused bit-for-bit, which is sound
 //    because a coalition's pooled capacity vector depends only on its
-//    own members' configs in slot order.
-//  * Nominal-slice restore. An outage-end puts a facility back on its
-//    nominal config, so the masks containing its slot get back the
-//    values they had before the outage-start. The outage-start moves
-//    those cached raw values into a per-slot stash before invalidating
-//    them, and the outage-end stores them back: that epoch recomputes
-//    no V(S). A stashed value stays valid while the configs of its
-//    members and the demand do, so any event on another slot t drops
-//    the stashed masks that contain t, a leave clears the leaver's
-//    stash, and a demand update clears every stash. Like the answer
-//    memo, the stash is not persisted.
+//    own members' configs in slot order. Likewise an outage replaces
+//    only its facility in the effective space
+//    (model::LocationSpace::replace_facility); a join or a leave
+//    rebuilds it.
+//  * V(S) memo. Under a fixed demand a mask's raw V(S) depends only on
+//    its members' effective configs, and within one tenure a member's
+//    config is either nominal (state id 0) or one of the outages it
+//    realised (the surviving locations' units), each interned per
+//    member as a small id on first sight — draws with other (seed,
+//    scenario), or other survivors of equal units, share it. Every
+//    computed value is also filed in a bounded memo (ValueMemo) under
+//    the slot mask plus its members' ids. An outage-start or -end only
+//    changes the slot's id: its masks are invalidated, every one the
+//    memo holds for the new ids comes back, and the tabulation computes
+//    the true misses — an outage-end, or a revisited draw, recomputes
+//    none. A leave of slot t drops the entries whose mask holds t (the
+//    next tenure interns afresh, and a joiner finds none), and a demand
+//    update clears the memo. Ids take 4 bits: a member whose outages
+//    realise more than 15 distinct units in one tenure computes the
+//    further ones without memoising them. Entries are filed on the
+//    applying thread, after the parallel tabulation. When the memo's
+//    byte budget (a constant in state.cpp) is full, the entries of
+//    outage states are dropped and the nominal ones kept. Like the
+//    answer memo, it is not persisted: restore() interns the restored
+//    members' outages and starts empty.
 //  * Relaxation bound. The grand coalition's bound drops Eq. (2)'s
 //    diversity thresholds, so it splits into one fractional knapsack
 //    per location with a closed-form optimum
@@ -95,6 +109,7 @@
 #include "runtime/budget.hpp"
 #include "serve/answer_memo.hpp"
 #include "serve/event.hpp"
+#include "serve/value_memo.hpp"
 
 namespace fedshare::serve {
 
@@ -326,17 +341,33 @@ class ServiceState {
     std::uint64_t outage_seed = 0;
     std::uint64_t outage_scenario = 0;
     std::vector<bool> up;  ///< per nominal location; valid when outage
+    /// The member's state in V(S) memo keys: 0 nominal, k > 0 the
+    /// realised outage outages[k - 1], -1 an outage past the ids (not
+    /// memoised).
+    int state_id = 0;
+    /// The distinct per-location units its outages realised in this
+    /// tenure (the surviving locations' units; see realise_outage).
+    std::vector<std::vector<double>> outages;
   };
 
   // --- event application (mu_ held) ---------------------------------
   int validate_and_stage(const Event& event);  ///< returns touched slot
+  /// Rebuilds space_ from the roster (a join or a leave).
   void rebuild_space();
+  /// The member on `slot` began or ended an outage: sets its state id
+  /// and replaces it in space_. True when the memo may hold values for
+  /// the new state (it is nominal, or an outage interned before).
+  bool update_member(int slot);
+  /// `m`'s effective config under its outage, into `cfg`'s storage.
+  static void realise_outage(const Member& m, model::FacilityConfig& cfg);
   bool tabulate_values(const runtime::ComputeBudget& budget,
                        ApplyResult& result);
   bool resolve_bound(const runtime::ComputeBudget& budget);
-  /// Moves, prunes or restores the stashed nominal slices for an event
-  /// on `slot` (-1: a demand update), around its invalidation.
-  void invalidate_for(const Event& event, int slot, ApplyResult& result);
+  /// Brings space_, the value cache and the V(S) memo up to an event on
+  /// `slot` (-1: a demand update): invalidates the masks it changes,
+  /// drops the memo entries it makes stale, and refills the invalidated
+  /// masks the memo holds for the slot's new state.
+  void update_for(const Event& event, int slot, ApplyResult& result);
   /// Publishes the current epoch; true when its rows came from memo_.
   bool publish_snapshot();
   ApplyResult finish(ApplyResult result,
@@ -347,6 +378,15 @@ class ServiceState {
   [[nodiscard]] int member_index(const std::string& name) const;
   [[nodiscard]] game::Coalition compact_coalition(std::uint64_t slot_mask)
       const;
+  /// The V(S) memo key of a slot mask: the mask and its members' ids.
+  [[nodiscard]] std::uint64_t memo_key(std::uint64_t slot_mask) const;
+  /// Recomputes unmemoised_ from the roster.
+  void refresh_unmemoised();
+  /// Files a computed raw V(S) in value_memo_ under memo_key(slot_mask).
+  void remember(std::uint64_t slot_mask, double value);
+  /// The state id of the realised outage `units` among m's outages,
+  /// interning them when new.
+  static int intern_outage(Member& m, const std::vector<double>& units);
 
   ServeOptions options_;
   mutable std::mutex mu_;
@@ -356,15 +396,20 @@ class ServiceState {
   std::vector<Member> roster_;  ///< sorted by slot
   model::DemandProfile demand_;
   model::LocationSpace space_;  ///< effective space of the roster
+  model::FacilityConfig outage_config_;  ///< realise_outage()'s buffer
 
   /// Raw greedy V(S) memo keyed by slot mask. Raw values keep masks
   /// independent, so re-tabulation needs no level order;
   /// publish_snapshot() applies the monotone closure.
   exec::ValueCache cache_;  ///< 2^kMaxFacilities keys
 
-  /// Per slot, the raw values its masks had before its current outage
-  /// (see the contract); empty for a slot with no outage.
-  std::vector<std::vector<std::pair<std::uint64_t, double>>> stash_;
+  /// Raw V(S) by content (see the contract), and the slots whose
+  /// member's state has no id; their masks are never memoised.
+  ValueMemo value_memo_;
+  std::uint64_t unmemoised_ = 0;
+  /// tabulate_values' subset list and its misses, kept across epochs.
+  std::vector<std::uint64_t> masks_;
+  std::vector<std::uint64_t> missing_;
 
   /// The active roster's LP-relaxation bound (nullopt: not computed for
   /// this epoch yet, or unavailable), and the grand pool it is evaluated

@@ -115,6 +115,83 @@ TEST(LocationSpace, DisjointLayoutCountsLocations) {
   EXPECT_DOUBLE_EQ(space.overlap(0, 1), 0.0);
 }
 
+// Everything a disjoint space answers, compared with another space bit
+// for bit over every coalition.
+void expect_same_space(const LocationSpace& got, const LocationSpace& want) {
+  ASSERT_EQ(got.num_facilities(), want.num_facilities());
+  EXPECT_EQ(got.num_locations(), want.num_locations());
+  const int n = want.num_facilities();
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(got.locations_of(i), want.locations_of(i));
+    EXPECT_EQ(got.facility(i).config().custom_units,
+              want.facility(i).config().custom_units);
+    EXPECT_EQ(got.facility(i).availability_weight(),
+              want.facility(i).availability_weight());
+  }
+  const DemandProfile demand = DemandProfile::uniform(3.0, 4.0);
+  for (std::uint64_t mask = 1; mask < (std::uint64_t{1} << n); ++mask) {
+    const auto c = game::Coalition::from_bits(mask);
+    EXPECT_EQ(got.pool_for(c).capacity, want.pool_for(c).capacity);
+    EXPECT_EQ(got.pooled_location_ids(c), want.pooled_location_ids(c));
+    EXPECT_EQ(got.distinct_locations(c), want.distinct_locations(c));
+    const auto a = got.capacity_histogram(c).bins;
+    const auto b = want.capacity_histogram(c).bins;
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      EXPECT_EQ(a[k].capacity, b[k].capacity);
+      EXPECT_EQ(a[k].count, b[k].count);
+    }
+    EXPECT_EQ(coalition_value(got, demand, c),
+              coalition_value(want, demand, c));
+  }
+  EXPECT_EQ(consumption_weights(got, demand),
+            consumption_weights(want, demand));
+}
+
+// Replacing one facility in place leaves the space a disjoint() build
+// of the changed config list gives: fewer, custom, no, or more
+// locations, and back.
+TEST(LocationSpace, ReplaceFacilityEqualsADisjointRebuild) {
+  std::vector<FacilityConfig> configs = {
+      {"A", 3, 2.0, 0.9}, {"B", 2, 1.5, 0.8}, {"C", 4, 1.0, 1.0}};
+  auto space = LocationSpace::disjoint(configs);
+  const auto outage = [](const FacilityConfig& nominal,
+                         std::vector<double> units) {
+    FacilityConfig cfg{nominal.name, static_cast<int>(units.size()),
+                       nominal.units_per_location, 1.0};
+    cfg.custom_units = std::move(units);
+    return cfg;
+  };
+  const std::vector<std::pair<int, FacilityConfig>> steps = {
+      {1, outage(configs[1], {1.5})},
+      {1, outage(configs[1], {})},
+      {0, outage(configs[0], {2.0, 2.0, 2.0})},
+      {1, configs[1]},
+      {2, {"C", 6, 1.0, 1.0}},
+      {0, configs[0]},
+  };
+  for (const auto& [id, config] : steps) {
+    SCOPED_TRACE(config.name + " with " +
+                 std::to_string(config.num_locations) + " locations");
+    space.replace_facility(id, config);
+    configs[static_cast<std::size_t>(id)] = config;
+    expect_same_space(space, LocationSpace::disjoint(configs));
+  }
+}
+
+TEST(LocationSpace, ReplaceFacilityRejectsOverlapAndBadConfigs) {
+  auto overlapping = LocationSpace::overlapping(
+      {{"A", 3, 2.0, 1.0}, {"B", 3, 5.0, 1.0}}, 3, 9);
+  EXPECT_THROW(overlapping.replace_facility(0, {"A", 2, 2.0, 1.0}),
+               std::logic_error);
+  auto space = LocationSpace::disjoint(three_configs());
+  EXPECT_THROW(space.replace_facility(3, {"D", 1, 1.0, 1.0}),
+               std::out_of_range);
+  EXPECT_THROW(space.replace_facility(1, {"B", 2, 1.0, 0.0}),
+               std::invalid_argument);
+  expect_same_space(space, LocationSpace::disjoint(three_configs()));
+}
+
 TEST(LocationSpace, OverlappingLayoutIsDeterministicAndOverlaps) {
   auto configs = three_configs();
   const auto a = LocationSpace::overlapping(configs, 1000, 42);

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,6 +23,7 @@
 #include "cli/serve_runner.hpp"
 #include "core/limits.hpp"
 #include "core/sharing.hpp"
+#include "core/symmetry.hpp"
 #include "exec/pool.hpp"
 #include "lp/simplex.hpp"
 #include "model/value.hpp"
@@ -806,9 +808,9 @@ TEST(ServeAnswerMemoTest, EvictionKeepsBytesWithinTheBudgetAtTwelve) {
   EXPECT_EQ(tiny.bytes(), 0u);
 }
 
-// Neither the memo nor the outage stash is persisted: a restored state
-// solves its first publish cold and recomputes the returning slice where
-// the uncrashed one reuses both, and both land on the same bits.
+// Neither the answer memo nor the V(S) memo is persisted: a restored
+// state solves its first publish cold and recomputes the returning slice
+// where the uncrashed one reuses both, and both land on the same bits.
 TEST(ServeAnswerMemoTest, RestoreStartsColdAndAnswersBitwise) {
   ServiceState uncrashed;
   assemble_two_class(uncrashed);
@@ -828,7 +830,7 @@ TEST(ServeAnswerMemoTest, RestoreStartsColdAndAnswersBitwise) {
   expect_same_answer(restored.query(), uncrashed.query());
 }
 
-// --- nominal-slice restore ---------------------------------------------
+// --- V(S) memo -----------------------------------------------------------
 
 // The raw V(S) memo (mask, value bits), read through the checkpoint
 // image.
@@ -848,7 +850,7 @@ EpochAnswer replayed(const ServiceState& state) {
   return replica.query();
 }
 
-// An outage-end puts the stashed pre-outage slice back: no V(S) is
+// An outage-end finds the pre-outage slice in the V(S) memo: no V(S) is
 // recomputed and the raw table is the pre-outage one bit for bit.
 TEST(ServeStateTest, OutageEndRestoresTheNominalSliceBitwise) {
   ServiceState state;
@@ -864,25 +866,29 @@ TEST(ServeStateTest, OutageEndRestoresTheNominalSliceBitwise) {
   expect_same_answer(state.query(), replayed(state));
 }
 
-// Events on other slots inside the outage window make part of the stash
-// stale. The outage-end recomputes exactly the stale masks that are
-// still in the lattice, and every epoch answers like a fresh replay of
-// its prefix.
-TEST(ServeStateTest, OutageEndRecomputesOnlyTheStaleStashedMasks) {
+// Events on other slots inside A's outage window change the states the
+// masks holding A are keyed under. A's outage-end recomputes exactly the
+// masks of the lattice that no epoch computed with A nominal and the
+// other members in their current states, and every epoch answers like a
+// fresh replay of its prefix.
+TEST(ServeStateTest, OutageEndRecomputesOnlyTheMasksTheMemoLacks) {
   struct Window {
     const char* what;
     std::vector<Event> events;
     std::size_t recomputed;  // at A's outage-end
   };
   const std::vector<Window> windows = {
-      // {A,B} and {A,B,C} held B's nominal config.
+      // B is nominal again: the memo kept {A,B} and {A,B,C} under B's
+      // nominal id.
       {"flap of B", {Event{OutageStart{"B", 3, 0}}, Event{OutageEnd{"B"}}},
-       2},
+       0},
+      // No epoch computed {A,B} or {A,B,C} with A nominal and B down.
       {"B still down", {Event{OutageStart{"B", 3, 0}}}, 2},
       // The masks that held C left the lattice with it.
       {"leave of C", {Event{FacilityLeave{"C"}}}, 0},
-      // The four masks with D were never stashed.
+      // No epoch computed the four masks with D with A nominal.
       {"join of D", {join_event("D", 2, 1.0, 0.7)}, 4},
+      // The demand update cleared the memo.
       {"demand", {demand_event(4.0, 2.0)}, 4},
   };
   for (const Window& window : windows) {
@@ -898,6 +904,208 @@ TEST(ServeStateTest, OutageEndRecomputesOnlyTheStaleStashedMasks) {
     EXPECT_EQ(end.values_recomputed, window.recomputed);
     expect_same_answer(state.query(), replayed(state));
   }
+}
+
+// Sets the pool's thread count for one scope.
+struct ThreadCount {
+  explicit ThreadCount(int n) { fedshare::exec::set_threads(n); }
+  ~ThreadCount() { fedshare::exec::set_threads(1); }
+  ThreadCount(const ThreadCount&) = delete;
+  ThreadCount& operator=(const ThreadCount&) = delete;
+};
+
+// The published table against V(S) computed afresh on the snapshot's
+// effective space and closed, bit for bit. A replay repeats the run's
+// history, memo hits included, so this is the check that a value the
+// memo served belongs to the members' current configs.
+void expect_fresh_table(const ServiceState& state) {
+  const auto snap = state.snapshot();
+  ASSERT_TRUE(snap->game.has_value());
+  std::vector<double> values(snap->game->values().size(), 0.0);
+  for (std::uint64_t mask = 1; mask < values.size(); ++mask) {
+    values[mask] = fedshare::model::coalition_value(
+        snap->space, snap->demand,
+        fedshare::game::Coalition::from_bits(mask));
+  }
+  fedshare::game::close_monotone(
+      fedshare::game::identity_index(snap->answer.num_facilities), values);
+  for (std::size_t mask = 1; mask < values.size(); ++mask) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(snap->game->values()[mask]),
+              std::bit_cast<std::uint64_t>(values[mask]))
+        << "mask " << mask;
+  }
+}
+
+// Applies `event`, checks that the epoch answers bitwise like a fresh
+// replay of the state's log and that its table is V(S) computed afresh,
+// and returns the V(S) it recomputed.
+std::size_t apply_checked(ServiceState& state, const Event& event) {
+  const ApplyResult r = state.apply(event);
+  EXPECT_TRUE(r.complete);
+  SCOPED_TRACE(fedshare::serve::format_event(event));
+  expect_same_answer(state.query(), replayed(state));
+  expect_fresh_table(state);
+  return r.values_recomputed;
+}
+
+// An outage draw seen before, with other facilities flapped in between,
+// takes every value from the memo.
+void revisited_draw_recomputes_nothing() {
+  ServiceState state;
+  assemble_two_class(state);
+  const Event start_b{OutageStart{"B", 3, 0}};
+  const Event end_b{OutageEnd{"B"}};
+  EXPECT_EQ(apply_checked(state, start_b), 4u);  // a new state of B
+  EXPECT_EQ(apply_checked(state, end_b), 0u);
+  EXPECT_EQ(apply_checked(state, Event{OutageStart{"A", 5, 1}}), 4u);
+  EXPECT_EQ(apply_checked(state, Event{OutageEnd{"A"}}), 0u);
+  EXPECT_EQ(apply_checked(state, Event{OutageStart{"C", 2, 0}}), 4u);
+  EXPECT_EQ(apply_checked(state, Event{OutageEnd{"C"}}), 0u);
+  const ApplyResult revisit = state.apply(start_b);
+  EXPECT_EQ(revisit.invalidated, 4u);  // invalidated, then refilled
+  EXPECT_EQ(revisit.values_recomputed, 0u);
+  expect_same_answer(state.query(), replayed(state));
+  expect_fresh_table(state);
+  EXPECT_EQ(apply_checked(state, end_b), 0u);
+}
+
+// The surviving locations B's draw (seed, scenario) leaves up.
+std::vector<bool> survivors_of_b(std::uint64_t seed, std::uint64_t scenario) {
+  ServiceState probe;
+  assemble_two_class(probe);
+  (void)probe.apply(Event{OutageStart{"B", seed, scenario}});
+  return probe.checkpoint_image().roster.at(1).up;
+}
+
+// Two draws that realise the same units share their entries: the same
+// survivors from another (seed, scenario), and other survivors of the
+// same count (B's locations all hold 1 unit).
+void equal_outages_share_entries() {
+  const std::vector<bool> first = survivors_of_b(3, 0);
+  std::optional<std::pair<std::uint64_t, std::uint64_t>> same;
+  std::optional<std::pair<std::uint64_t, std::uint64_t>> moved;
+  for (std::uint64_t seed = 4; seed < 200 && !(same && moved); ++seed) {
+    for (std::uint64_t scenario = 0; scenario < 4; ++scenario) {
+      const std::vector<bool> up = survivors_of_b(seed, scenario);
+      if (up == first) {
+        if (!same) same.emplace(seed, scenario);
+      } else if (std::count(up.begin(), up.end(), true) ==
+                 std::count(first.begin(), first.end(), true)) {
+        if (!moved) moved.emplace(seed, scenario);
+      }
+    }
+  }
+  ASSERT_TRUE(same.has_value());
+  ASSERT_TRUE(moved.has_value()) << "B's draws always keep the same locations";
+
+  ServiceState state;
+  assemble_two_class(state);
+  EXPECT_EQ(apply_checked(state, Event{OutageStart{"B", 3, 0}}), 4u);
+  EXPECT_EQ(apply_checked(state, Event{OutageEnd{"B"}}), 0u);
+  EXPECT_EQ(
+      apply_checked(state, Event{OutageStart{"B", same->first, same->second}}),
+      0u);
+  EXPECT_EQ(apply_checked(state, Event{OutageEnd{"B"}}), 0u);
+  EXPECT_EQ(apply_checked(
+                state, Event{OutageStart{"B", moved->first, moved->second}}),
+            0u);
+  EXPECT_EQ(apply_checked(state, Event{OutageEnd{"B"}}), 0u);
+}
+
+// A leave ends the slot's tenure. A joiner with another config under
+// the same name takes the same slot; neither its masks nor its first
+// outage find an entry of the leaver's.
+void rejoined_slot_recomputes_its_masks() {
+  ServiceState state;
+  assemble_two_class(state);
+  const Event start_a{OutageStart{"A", 5, 1}};
+  EXPECT_EQ(apply_checked(state, start_a), 4u);
+  EXPECT_EQ(apply_checked(state, Event{OutageEnd{"A"}}), 0u);
+  EXPECT_EQ(apply_checked(state, Event{FacilityLeave{"A"}}), 0u);
+  EXPECT_EQ(apply_checked(state, join_event("A", 3, 1.0, 0.6)), 4u);
+  EXPECT_EQ(state.snapshot()->slots.front(), 0);  // A's old slot
+  EXPECT_EQ(apply_checked(state, start_a), 4u);
+  EXPECT_EQ(apply_checked(state, Event{OutageEnd{"A"}}), 0u);
+  EXPECT_EQ(apply_checked(state, start_a), 0u);  // the joiner's own entry
+}
+
+// A demand update changes every value: nothing filed before it is used.
+void demand_update_clears_the_memo() {
+  ServiceState state;
+  assemble_two_class(state);
+  const Event start_b{OutageStart{"B", 3, 0}};
+  EXPECT_EQ(apply_checked(state, start_b), 4u);
+  EXPECT_EQ(apply_checked(state, Event{OutageEnd{"B"}}), 0u);
+  EXPECT_EQ(apply_checked(state, demand_event(4.0, 2.0)), 7u);
+  EXPECT_EQ(apply_checked(state, start_b), 4u);
+  EXPECT_EQ(apply_checked(state, Event{OutageEnd{"B"}}), 0u);
+}
+
+// A state restored under an outage starts with an empty memo but knows
+// the outage it restored: once its run has computed a draw's values, a
+// revisit is served from the memo, and every epoch equals the uncrashed
+// run's.
+void restored_revisit_answers_like_the_uncrashed_run() {
+  const Event start_b{OutageStart{"B", 3, 0}};
+  const Event end_b{OutageEnd{"B"}};
+  ServiceState uncrashed;
+  assemble_two_class(uncrashed);
+  (void)uncrashed.apply(start_b);
+  (void)uncrashed.apply(end_b);
+  (void)uncrashed.apply(start_b);
+  ServiceState restored;
+  restored.restore(uncrashed.checkpoint_image());
+
+  const std::vector<Event> script = {
+      end_b, start_b, end_b, Event{OutageStart{"A", 5, 1}},
+      Event{OutageEnd{"A"}}, start_b};
+  // What each event recomputes after the restore, and in the uncrashed
+  // run, whose memo holds B's draw and nominal slice. The restored run
+  // files only what it computes: A's outage-end finds {A,B} and {A,B,C}
+  // from B's outage-end, not {A} and {A,C}.
+  const std::vector<std::size_t> restored_counts = {4, 4, 0, 4, 2, 0};
+  const std::vector<std::size_t> uncrashed_counts = {0, 0, 0, 4, 0, 0};
+  for (std::size_t k = 0; k < script.size(); ++k) {
+    SCOPED_TRACE("event " + std::to_string(k));
+    EXPECT_EQ(restored.apply(script[k]).values_recomputed,
+              restored_counts[k]);
+    EXPECT_EQ(apply_checked(uncrashed, script[k]), uncrashed_counts[k]);
+    EXPECT_EQ(restored.query().epoch, uncrashed.query().epoch);
+    expect_same_answer(restored.query(), uncrashed.query());
+    expect_fresh_table(restored);
+  }
+}
+
+TEST(ServeStateTest, ValueMemoRevisitedDrawRecomputesNothing) {
+  revisited_draw_recomputes_nothing();
+}
+
+TEST(ServeStateTest, ValueMemoEqualOutagesShareEntries) {
+  equal_outages_share_entries();
+}
+
+TEST(ServeStateTest, ValueMemoRejoinedSlotRecomputesItsMasks) {
+  rejoined_slot_recomputes_its_masks();
+}
+
+TEST(ServeStateTest, ValueMemoDemandUpdateClearsIt) {
+  demand_update_clears_the_memo();
+}
+
+TEST(ServeStateTest, ValueMemoRestoredRevisitAnswersLikeTheUncrashedRun) {
+  restored_revisit_answers_like_the_uncrashed_run();
+}
+
+// Every case above with the tabulation on four pool threads (run under
+// TSan by CI): the memo is filled on the applying thread, after the
+// parallel tabulation, so the counts and the bits are the same.
+TEST(ServeStateTest, ValueMemoCasesFourThreads) {
+  const ThreadCount threads(4);
+  revisited_draw_recomputes_nothing();
+  equal_outages_share_entries();
+  rejoined_slot_recomputes_its_masks();
+  demand_update_clears_the_memo();
+  restored_revisit_answers_like_the_uncrashed_run();
 }
 
 // The snapshot-consistency certificate (run under TSan by

@@ -9,7 +9,10 @@
 // in hexadecimal floating point, over compact masks 1..63 ascending:
 // the raw greedy V(S) (model::coalition_value) and the published closed
 // table. tests/fixtures/serve_roster_values.txt holds the lines an
-// earlier build wrote; the values must match it bit for bit.
+// earlier build wrote; the values must match it bit for bit. Every draw
+// is applied twice: the second pass revisits states whose V(S) the
+// service memoised in the first, recomputes none, and must match the
+// fixture too.
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -79,36 +82,40 @@ void append_snapshot(std::string& out, const std::string& label,
   append_table(out, "closed", snap->game->values());
 }
 
-std::string roster_value_dump() {
+// One dump per pass over every draw; `recomputed` gets the V(S) each
+// pass recomputed.
+std::vector<std::string> roster_value_dumps(
+    int passes, std::vector<std::size_t>& recomputed) {
   serve::ServiceState state;
   for (const serve::Event& event : roster_events()) (void)state.apply(event);
-  std::string out;
-  append_snapshot(out, "no outage", state);
-  for (int facility = 0; facility < kRoster; ++facility) {
-    const std::string name = "F" + std::to_string(facility);
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-      for (std::uint64_t scenario = 0; scenario <= 3; ++scenario) {
-        (void)state.apply(serve::OutageStart{name, seed, scenario});
-        append_snapshot(out,
-                        "outage " + name + " seed " + std::to_string(seed) +
-                            " scenario " + std::to_string(scenario),
-                        state);
-        (void)state.apply(serve::OutageEnd{name});
+  std::vector<std::string> dumps;
+  for (int pass = 0; pass < passes; ++pass) {
+    std::string out;
+    std::size_t values = 0;
+    append_snapshot(out, "no outage", state);
+    for (int facility = 0; facility < kRoster; ++facility) {
+      const std::string name = "F" + std::to_string(facility);
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        for (std::uint64_t scenario = 0; scenario <= 3; ++scenario) {
+          values += state.apply(serve::OutageStart{name, seed, scenario})
+                        .values_recomputed;
+          append_snapshot(out,
+                          "outage " + name + " seed " + std::to_string(seed) +
+                              " scenario " + std::to_string(scenario),
+                          state);
+          values += state.apply(serve::OutageEnd{name}).values_recomputed;
+        }
       }
     }
+    dumps.push_back(std::move(out));
+    recomputed.push_back(values);
   }
-  return out;
+  return dumps;
 }
 
-TEST(ServeRosterValues, MatchTheFixtureBitwise) {
-  std::ifstream in(std::string(FEDSHARE_SOURCE_DIR) +
-                   "/tests/fixtures/serve_roster_values.txt");
-  ASSERT_TRUE(in) << "missing tests/fixtures/serve_roster_values.txt";
-  std::stringstream want;
-  want << in.rdbuf();
-  const std::string got = roster_value_dump();
+void expect_matches_fixture(const std::string& got, const std::string& want) {
   std::istringstream got_lines(got);
-  std::istringstream want_lines(want.str());
+  std::istringstream want_lines(want);
   std::string g;
   std::string w;
   int line = 0;
@@ -119,6 +126,22 @@ TEST(ServeRosterValues, MatchTheFixtureBitwise) {
   }
   EXPECT_FALSE(std::getline(got_lines, g)) << "dump runs past the fixture";
   EXPECT_EQ(line, 3 * (1 + kRoster * 4 * 4));  // label, raw, closed
+}
+
+TEST(ServeRosterValues, MatchTheFixtureBitwise) {
+  std::ifstream in(std::string(FEDSHARE_SOURCE_DIR) +
+                   "/tests/fixtures/serve_roster_values.txt");
+  ASSERT_TRUE(in) << "missing tests/fixtures/serve_roster_values.txt";
+  std::stringstream want;
+  want << in.rdbuf();
+  std::vector<std::size_t> recomputed;
+  const std::vector<std::string> dumps = roster_value_dumps(2, recomputed);
+  for (std::size_t pass = 0; pass < dumps.size(); ++pass) {
+    SCOPED_TRACE("pass " + std::to_string(pass + 1));
+    expect_matches_fixture(dumps[pass], want.str());
+  }
+  EXPECT_GT(recomputed[0], 0u);
+  EXPECT_EQ(recomputed[1], 0u);  // every value came from the memo
 }
 
 }  // namespace

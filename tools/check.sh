@@ -27,9 +27,10 @@
 # full-table excess scan clean), or
 # the serve layer's closed-form bound leaves the relaxation's dense LP
 # by more than 1e-12 (relative) in any churn epoch, its incremental
-# V(S) tabulation stops beating a cold re-tabulation, or an outage-end
-# stops restoring its stashed V(S) slice and reusing the memoised
-# pre-outage answer bit for bit, then the
+# V(S) tabulation stops beating a cold re-tabulation, an outage-end
+# stops taking its V(S) slice from the V(S) memo and reusing the
+# memoised pre-outage answer bit for bit, or a revisited outage-start
+# recomputes any V(S), then the
 # crash-recovery gate (tools/crash_check.sh: SIGKILL the serve CLI at
 # every epoch and require the resumed answer to be byte-identical), the
 # outage report golden at 4 threads (each scenario's consumption weights
